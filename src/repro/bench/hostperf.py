@@ -4,7 +4,7 @@ The figure benchmarks report *virtual* time — deterministic, identical
 for every interpreter.  This module measures the orthogonal quantity:
 how much **host** wall clock the simulator burns producing those virtual
 histories, per interpreter (``VMOptions.interp``).  It is the evidence
-artifact for the predecoded fast interpreter: the committed
+artifact for the interpreter's predecode tier: the committed
 ``BENCH_interp.json`` at the repo root records the measured speedup of
 ``interp="fast"`` over ``interp="reference"`` on the full Figures 5–8
 suite, and ``benchmarks/test_interp_speed.py`` uses it as a soft

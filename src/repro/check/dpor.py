@@ -38,11 +38,11 @@ Three design points anchor soundness:
   back synchronized section.
 
 Exploration itself runs the reference policy with memory tracing (which
-forces the reference interpreter); the complete schedules it emits are
-then farmed through :func:`repro.check.explorer.run_check_cell` exactly
-like exhaustive cells — same differential oracle, same counterexample /
-ddmin / replay pipeline, same content-addressed cache, byte-identical
-reports for any worker count.
+turns the interpreter's predecode tier off); the complete schedules it
+emits are then farmed through :func:`repro.check.explorer.run_check_cell`
+exactly like exhaustive cells — same differential oracle, same
+counterexample / ddmin / replay pipeline, same content-addressed cache,
+byte-identical reports for any worker count.
 
 Rather than replaying every explored prefix from cycle zero, the engine
 checkpoints the VM (:mod:`repro.vm.snapshot`) at decision points.

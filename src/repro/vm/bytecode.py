@@ -204,7 +204,7 @@ def is_backward_branch(ins: "Instruction", pc: int) -> bool:
 
 
 # --- predecode classification ------------------------------------------------
-# The fast interpreter (repro.vm.predecode / repro.vm.fastinterp) fuses
+# The interpreter's predecode tier (repro.vm.predecode) fuses
 # straight-line runs of these opcodes into compiled basic-block
 # superinstructions.  An opcode is fusable only when executing it can never
 # flush the virtual clock, park or switch the thread, or emit a trace event:
@@ -221,9 +221,9 @@ FUSABLE_PURE = frozenset({
 #: Fusable but may raise a guest ArithmeticException (zero divisor).
 FUSABLE_ARITH_RAISING = frozenset({DIV, MOD})
 
-#: Heap ops: fusable via the same heap/support seams the reference uses;
-#: excluded from fusion when per-access ``mem_read``/``mem_write`` trace
-#: events are required (``trace_memory``).
+#: Heap ops: fusable via the same heap/support seams the fallback chain
+#: uses.  Fused heap ops emit no ``mem_read``/``mem_write`` events, which
+#: is why ``trace_memory`` turns the whole predecode tier off.
 FUSABLE_HEAP = frozenset({
     NEW, NEWARRAY, GETFIELD, PUTFIELD, GETSTATIC, PUTSTATIC,
     ALOAD, ASTORE, ARRAYLEN, CLASSREF,

@@ -118,8 +118,8 @@ class MethodDef:
     def invalidate_decoded(self) -> None:
         """Drop the cached predecode result.
 
-        The fast interpreter (:mod:`repro.vm.predecode`) caches its
-        compiled basic blocks on the MethodDef at first execution; call
+        The interpreter's predecode tier (:mod:`repro.vm.predecode`)
+        caches its compiled blocks on the MethodDef at first execution; call
         this after any in-place mutation of ``code`` so stale blocks can
         never execute.  ``copy()`` never carries the cache.
         """

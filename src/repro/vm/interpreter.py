@@ -20,6 +20,7 @@ default handlers or finally blocks.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.errors import GuestRuntimeError, ReproError, StarvationError
@@ -58,8 +59,43 @@ def _imod(a: int, b: int) -> int:
     return a - _idiv(a, b) * b
 
 
+@functools.lru_cache(maxsize=None)
+def _no_tier(n: int) -> tuple:
+    """The tier-off block/superblock table for ``n`` instructions."""
+    return (None,) * n
+
+
 class Interpreter:
-    """Executes guest bytecode for one :class:`repro.vm.vmcore.JVM`."""
+    """Executes guest bytecode for one :class:`repro.vm.vmcore.JVM`.
+
+    One dispatch loop with three tiers:
+
+    * **superblock** — checked at a loop back-edge yield point, after the
+      yield-point checks: a compiled loop trace runs whole iterations
+      (:mod:`repro.vm.tracecomp`);
+    * **block** — checked at every pc before the chain: a predecoded
+      basic block runs a fused straight-line run in one call, charging
+      its summed cost and count up front (:mod:`repro.vm.predecode`);
+    * **fallback chain** — the ``if/elif`` chain executes one instruction.
+
+    The superblock and block tiers form the *predecode tier*.  It is on
+    for ``VMOptions(interp="fast")`` unless ``trace_memory`` needs the
+    per-access ``mem_read``/``mem_write`` events that only the chain
+    emits.  With it off every pc runs through the chain, and that
+    configuration is the parity oracle (``tests/test_interp_parity.py``):
+    virtual clocks and advance-event counts, traces, schedules and
+    checker fingerprints must be byte-identical with the tier on.  The
+    invariants that guarantee it:
+
+    * blocks never contain yield points or clock-flushing ops, so flushes
+      happen at exactly the chain's program points;
+    * a block's static cost equals the sum the chain would accumulate into
+      ``acc`` across the same instructions, and dynamic barrier cycles
+      come back through the ``A[0]`` cell;
+    * when a block raises a guest exception mid-run, the fault cell
+      ``F[0]`` holds the faulting pc and the pre-charged cost/count of the
+      unexecuted suffix is subtracted before exception dispatch.
+    """
 
     def __init__(self, vm) -> None:
         self.vm = vm
@@ -72,6 +108,13 @@ class Interpreter:
         self._handoff = vm.options.direct_handoff
         #: stream mem_read/mem_write trace events (lockset analysis)
         self._trace_mem = vm.options.trace and vm.options.trace_memory
+        #: predecode tier entry point, or None when the tier is off
+        self._predecode = None
+        if vm.options.interp == "fast" and not self._trace_mem:
+            # Imported here: predecode imports this module.
+            from repro.vm.predecode import predecode_method
+
+            self._predecode = predecode_method
 
     # ------------------------------------------------------------------ API
     def run_slice(self, thread: VMThread) -> str:
@@ -95,7 +138,7 @@ class Interpreter:
         vm = self.vm
         clock = self.clock
         support = self.support
-        scheduler = vm.scheduler
+        pending_wake = vm.scheduler.pending_wake_time
         quantum = self.cost_model.quantum
         cm = self.cost_model
         read_barriers = self.read_barriers
@@ -103,10 +146,22 @@ class Interpreter:
         max_cycles = vm.options.max_cycles
         faults = vm.fault_plane
         profiler = vm.profiler
+        predecode = self._predecode
+        F = [0]  # fault cell: pc of the op a block was executing when it raised
+        # dynamic-cost cells: A[0] carries barrier cycles accrued inside a
+        # block; superblocks use both cells to hand back the partial
+        # iteration's unflushed (cycles, instructions) on a trace exit.
+        A = [0, 0]
 
         while True:  # outer loop: re-entered on frame switch / exceptions
             frame = thread.frames[-1]
             code = frame.code
+            if predecode is None:
+                blocks = supers = _no_tier(len(code))
+            else:
+                dm = predecode(vm, frame.method)
+                blocks = dm.blocks
+                supers = dm.superblocks
             pc = frame.pc
             stack = frame.stack
             locals_ = frame.locals
@@ -126,11 +181,45 @@ class Interpreter:
 
             try:
                 while True:
+                    # ------------------------- predecoded block dispatch
+                    b = blocks[pc]
+                    if b is not None:
+                        acc += b.cost
+                        icount += b.count
+                        try:
+                            pc = b.fn(stack, locals_, F, A, thread)
+                        except GuestRuntimeError:
+                            # repair the pre-charge: drop the cost/count of
+                            # the instructions after the faulting one, keep
+                            # any barrier cycles accrued before the fault,
+                            # and resume exception dispatch at its pc.
+                            fpc = F[0] if b.raising else b.start
+                            k = fpc - b.start
+                            acc -= b.suffix_cost[k]
+                            icount -= b.suffix_count[k]
+                            if b.dynamic:
+                                acc += A[0]
+                            pc = fpc
+                            raise
+                        if b.dynamic:
+                            acc += A[0]
+                        continue
+
                     ins = code[pc]
                     op = ins.op
 
                     if ins.ypoint:
-                        flush()
+                        # inlined flush(): this is the hottest flush site
+                        # (every loop back-edge) and closure/nonlocal
+                        # overhead is measurable here
+                        if profiler is not None and (acc or icount):
+                            profiler.on_flush(thread, frame, acc, icount)
+                        clock.advance(acc)
+                        thread.cycles_executed += acc
+                        thread.quantum_used += acc
+                        thread.instructions_executed += icount
+                        acc = 0
+                        icount = 0
                         if max_cycles and clock.now > max_cycles:
                             raise StarvationError(max_cycles)
                         if thread.revocation_request is not None:
@@ -153,8 +242,46 @@ class Interpreter:
                         if (
                             thread.quantum_used >= quantum
                             or thread.preempt_requested
-                            or scheduler.pending_wake_time() <= clock.now
+                            or pending_wake() <= clock.now
                         ):
+                            frame.pc = pc
+                            thread.preempt_requested = False
+                            return PREEMPTED
+
+                        # -------------------- superblock trace dispatch
+                        # Entered only once every hoisted yield-point
+                        # check is provably constant for the whole run
+                        # (see repro.vm.tracecomp); the accumulators are
+                        # zero here (just flushed), so the trace owns all
+                        # charging until it hands back through A/F.
+                        sb = supers[pc]
+                        if (
+                            sb is not None
+                            and thread.revocation_request is None
+                            and profiler is None
+                            and clock.listener is None
+                            and (faults is None or faults.yield_quiet())
+                        ):
+                            try:
+                                r = sb.fn(stack, locals_, F, A, thread,
+                                          pending_wake())
+                            except GuestRuntimeError:
+                                # completed iterations are committed; the
+                                # partial one continues as if the chain
+                                # had been accumulating it all along.
+                                acc = A[0]
+                                icount = A[1]
+                                pc = F[0]
+                                raise
+                            if r >= 0:
+                                # branch out of the loop: resume normal
+                                # dispatch at the exit target with the
+                                # partial iteration's unflushed charges.
+                                acc = A[0]
+                                icount = A[1]
+                                pc = r
+                                continue
+                            # preemption or due wake-up at the back edge
                             frame.pc = pc
                             thread.preempt_requested = False
                             return PREEMPTED

@@ -1,12 +1,13 @@
 """Predecode: translate linked bytecode into fused basic-block closures.
 
-The fast interpreter (:mod:`repro.vm.fastinterp`) spends almost all of its
-host time decoding guest instructions one at a time through a long
-``if/elif`` chain.  This module removes that cost for straight-line code:
-at first execution of a method it discovers *fusable runs* — maximal
-sequences of opcodes that can never flush the virtual clock, park the
-thread, or emit a trace event — and compiles each run into one Python
-function (a basic-block superinstruction).  The block carries its summed
+The interpreter's fallback chain (:class:`repro.vm.interpreter.Interpreter`)
+spends almost all of its host time decoding guest instructions one at a
+time through a long ``if/elif`` chain.  This module is the predecode tier
+that removes that cost for straight-line code: at first execution of a
+method it discovers *fusable runs* — maximal sequences of opcodes that
+can never flush the virtual clock, park the thread, or emit a trace
+event — and compiles each run into one Python function (a basic-block
+superinstruction).  The block carries its summed
 static cycle cost and instruction count, so the interpreter charges a
 whole block with two additions instead of one dispatch per instruction
 (*basic-block cost batching*).
@@ -20,9 +21,9 @@ per-VM :class:`MethodDef` copy together with its inline-cache cells, and
 constant pool as one unit — there is no path on which a stale closure can
 outlive a mutation of ``method.code``.
 
-Semantics preservation is the hard requirement: the reference interpreter
-(:class:`repro.vm.interpreter.Interpreter`) is the oracle and the parity
-suite (``tests/test_interp_parity.py``) asserts byte-identical virtual
+Semantics preservation is the hard requirement: the interpreter with the
+tier off (``interp="reference"``) is the oracle and the parity suite
+(``tests/test_interp_parity.py``) asserts byte-identical virtual
 clocks, trace streams, schedules and checker fingerprints.  The design
 invariants that make this safe:
 
@@ -222,8 +223,8 @@ class DecodedMethod:
     interpreter's dispatch chain.  ``superblocks`` is likewise indexed by
     pc: ``superblocks[pc]`` is the :class:`~repro.vm.tracecomp.SuperBlock`
     anchored at the backward-GOTO yield point ``pc``, or ``None``.
-    Missing blocks/superblocks are always safe — the fast interpreter
-    retains the full reference chain as its fallback, so predecode
+    Missing blocks/superblocks are always safe — the interpreter's
+    dispatch loop falls back to its instruction chain, so predecode
     coverage affects speed only, never behaviour.
     """
 
@@ -253,8 +254,9 @@ def predecode_method(vm, method: MethodDef) -> DecodedMethod:
     """Predecode ``method`` for ``vm``; cached on the MethodDef.
 
     Must run only after the method is linked into ``vm`` (costs and yield
-    points assigned, transformer and barrier elision done) — the fast
-    interpreter calls it lazily at first execution, which satisfies that.
+    points assigned, transformer and barrier elision done) — the
+    interpreter's predecode tier calls it lazily at first execution, which
+    satisfies that.
     """
     cached = method.__dict__.get("_decoded")
     if cached is not None:
@@ -289,15 +291,14 @@ def find_leaders(method: MethodDef) -> set[int]:
     return leaders
 
 
-def find_runs(method: MethodDef, leaders: set[int],
-              fuse_heap: bool = True) -> list[tuple[int, int]]:
+def find_runs(method: MethodDef, leaders: set[int]) -> list[tuple[int, int]]:
     """Maximal fusable runs ``[start, end)``; branches only as terminators."""
     code = method.code
     n = len(code)
     runs = []
     pc = 0
     while pc < n:
-        if not _fusable(code[pc], fuse_heap):
+        if not _fusable(code[pc]):
             pc += 1
             continue
         start = pc
@@ -306,7 +307,7 @@ def find_runs(method: MethodDef, leaders: set[int],
             ins = code[end]
             if end > start and end in leaders:
                 break
-            if not _fusable(ins, fuse_heap):
+            if not _fusable(ins):
                 break
             end += 1
             if ins.op in bc.FUSABLE_BRANCH:
@@ -319,11 +320,9 @@ def find_runs(method: MethodDef, leaders: set[int],
     return runs
 
 
-def _fusable(ins, fuse_heap: bool) -> bool:
+def _fusable(ins) -> bool:
     op = ins.op
     if op not in bc.FUSABLE_OPS or ins.ypoint:
-        return False
-    if op in bc.FUSABLE_HEAP and not fuse_heap:
         return False
     if op in bc.FUSABLE_BRANCH and not isinstance(ins.a, int):
         return False  # unresolved label (never post-build, but be safe)
@@ -702,9 +701,6 @@ class _Predecoder:
         self.vm = vm
         self.method = method
         self.read_barriers = vm.options.modified
-        # trace_memory needs per-access events; the option normally forces
-        # the reference interpreter, but stay safe if reached regardless.
-        self.fuse_heap = not (vm.options.trace and vm.options.trace_memory)
         self.consts: list[Any] = []   # K: shared constant pool
         self.cells: list[Any] = []    # C: per-site inline-cache cells
         self.stats: dict[str, int] = {}
@@ -754,7 +750,7 @@ class _Predecoder:
         n = len(method.code)
         blocks: list[Optional[BasicBlock]] = [None] * n
         leaders = find_leaders(method)
-        for start, end in find_runs(method, leaders, self.fuse_heap):
+        for start, end in find_runs(method, leaders):
             blocks[start] = self._compile(start, end)
         superblocks: list = [None] * n
         for sb in compile_superblocks(self):

@@ -23,10 +23,10 @@ What a snapshot deliberately does **not** capture:
   host-side analyses whose state is not part of the VM; callers reinstall
   what they need on the restored VM.  (The cycle profiler *is* VM state:
   it is carried across and re-wired as the clock listener on restore.)
-* **Predecode caches** — the fast interpreter's compiled basic blocks
-  are host-side closures bound to one VM's runtime; they are dropped on
-  both sides and rebuilt deterministically on next execution, which is
-  observably free (virtual costs were assigned at link time).
+* **Predecode caches** — the predecode tier's compiled blocks and
+  superblocks are host-side closures bound to one VM's runtime; they are
+  dropped on both sides and rebuilt deterministically on next execution,
+  which is observably free (virtual costs were assigned at link time).
 
 Snapshots are copy-on-capture: the master copy inside a
 :class:`VMSnapshot` is never executed, and every :func:`restore_vm` call

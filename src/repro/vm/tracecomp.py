@@ -15,7 +15,7 @@ A superblock is anchored at a backward unconditional ``GOTO`` yield point
 ``t -> h`` (a loop back-edge; see
 :func:`repro.vm.bytecode.is_backward_branch`) whose whole body ``[h, t)``
 is fusable (:func:`repro.vm.predecode._fusable`): no yield points, no
-parking/trace-emitting ops, heap ops excluded under ``trace_memory``.
+parking/trace-emitting ops.
 Backward branches are yield points by construction, so the body contains
 only *forward* control flow, which the structurizer lowers to nested
 ``if`` statements; anything it cannot prove structured
@@ -25,7 +25,7 @@ like block coverage, can only affect speed, never behaviour.
 The guard-and-commit protocol
 -----------------------------
 
-The fast interpreter enters a superblock from the anchor's yield point
+The interpreter enters a superblock from the anchor's yield point
 *after* the inlined flush and checks have all passed (so the unflushed
 accumulators are zero), and only when every hoisted check is provably
 constant for the duration of the run:
@@ -120,7 +120,7 @@ def find_regions(pre) -> list[tuple[int, int]]:
         if not isinstance(ins.a, int) or ins.a >= t:
             continue  # unresolved or degenerate (empty) self-loop
         head = ins.a
-        if all(_fusable(code[pc], pre.fuse_heap) for pc in range(head, t)):
+        if all(_fusable(code[pc]) for pc in range(head, t)):
             out.append((head, t))
     return out
 

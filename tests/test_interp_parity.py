@@ -1,12 +1,14 @@
-"""Differential parity: the fast interpreter vs the reference oracle.
+"""Differential parity: the predecode tier on vs off.
 
-The predecoded threaded-dispatch interpreter (:mod:`repro.vm.fastinterp`)
-must be *observationally indistinguishable* from the reference
-interpreter: identical virtual clock totals **and** clock event counts
-(every ``advance()`` call, even ``advance(0)``, is part of the
-determinism fingerprint), identical trace event streams, identical
-metrics, and identical checker fingerprints.  These tests run the same
-guest program once per interpreter and compare all of it.
+The interpreter's predecode tier (:mod:`repro.vm.predecode` blocks and
+:mod:`repro.vm.tracecomp` superblocks, ``interp="fast"``) must be
+*observationally indistinguishable* from its fallback chain alone
+(``interp="reference"``, the oracle): identical virtual clock totals
+**and** clock event counts (every ``advance()`` call, even
+``advance(0)``, is part of the determinism fingerprint), identical trace
+event streams, identical metrics, and identical checker fingerprints.
+These tests run the same guest program once per setting and compare all
+of it.
 
 Two process-global counters would otherwise poison the comparison — they
 are build/run ordinal counters, not interpreter state:
@@ -241,17 +243,40 @@ def test_exception_path_parity(name, build_factory, mode) -> None:
 
 
 # ----------------------------------------------------- reference forcing
+def _decoded_methods(vm: JVM) -> list[str]:
+    return [
+        m.qualified_name()
+        for cls in vm.classes.values()
+        for m in cls.methods.values()
+        if "_decoded" in m.__dict__
+    ]
+
+
+def _run_bank(**options) -> JVM:
+    _fresh()
+    workload = build_bank(accounts=4, transfers=10, hold_cycles=120)
+    vm = JVM(VMOptions(mode="rollback", seed=7, max_cycles=50_000_000,
+                       **options))
+    workload.install(vm)
+    vm.run()
+    return vm
+
+
 def test_trace_memory_forces_reference() -> None:
     """The lockset pass needs per-access events, which fused heap ops do
-    not emit; ``effective_interp`` must fall back to the reference."""
-    opts = VMOptions(trace=True, trace_memory=True)
-    assert opts.interp == "fast"
-    assert opts.effective_interp == "reference"
+    not emit, so ``trace_memory`` turns the predecode tier off: nothing is
+    predecoded and every access is traced as the reference run traces
+    it."""
+    def mem_counts(vm: JVM) -> tuple[int, int]:
+        return (len(vm.tracer.of_kind("mem_read")),
+                len(vm.tracer.of_kind("mem_write")))
 
-    from repro.vm.fastinterp import FastInterpreter
-    from repro.vm.interpreter import Interpreter
+    mem = _run_bank(trace=True, trace_memory=True)
+    ref = _run_bank(interp="reference", trace=True, trace_memory=True)
+    assert _decoded_methods(mem) == []
+    assert _decoded_methods(ref) == []
+    assert mem_counts(mem) == mem_counts(ref)
+    assert min(mem_counts(ref)) > 0
 
-    vm = JVM(opts)
-    assert type(vm.interpreter) is Interpreter
-    vm2 = JVM(VMOptions(trace=True))
-    assert type(vm2.interpreter) is FastInterpreter
+    assert _decoded_methods(_run_bank(interp="reference")) == []
+    assert _decoded_methods(_run_bank(trace=True)) != []

@@ -165,21 +165,6 @@ def test_copy_never_carries_predecode_state() -> None:
     assert "_decoded" not in m.copy().__dict__
 
 
-def test_trace_memory_disables_heap_fusion() -> None:
-    """Per-access mem events require chain execution of heap ops; the
-    pure arithmetic around them still fuses."""
-    def emit(a: Asm) -> None:
-        a.getstatic("T", "x").const(1).add().putstatic("T", "x")
-
-    vm, m = _linked(emit, fields=["x"], trace_memory=True)
-    dm = predecode_method(vm, m)
-    fused_pcs = {
-        pc for b in dm.block_list for pc in range(b.start, b.end)
-    }
-    for pc in fused_pcs:
-        assert m.code[pc].op not in bc.FUSABLE_HEAP
-
-
 # ------------------------------------------------------------------ dumps
 def test_render_decoded_mentions_blocks_and_source() -> None:
     def emit(a: Asm) -> None:
