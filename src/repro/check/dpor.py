@@ -50,7 +50,7 @@ Snapshots are taken sparsely (every :data:`SNAPSHOT_INTERVAL` levels of
 the DFS stack): repositioning restores the nearest ancestor checkpoint
 and replays at most ``SNAPSHOT_INTERVAL - 1`` recorded choices, trading
 a bounded amount of deterministic re-execution for an order of magnitude
-fewer deep copies.
+fewer serializations (each snapshot is one ``pickle.dumps`` of the VM).
 """
 
 from __future__ import annotations

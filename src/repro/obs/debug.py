@@ -54,7 +54,7 @@ from repro.vm.threads import ThreadState
 from repro.vm.vmcore import JVM, VMOptions
 
 #: checkpoint-stream schema version (cache payload format)
-CHECKPOINTS_FORMAT = "repro.obs.checkpoints/1"
+CHECKPOINTS_FORMAT = "repro.obs.checkpoints/2"
 
 #: default scheduler slices between checkpoints: small enough that a
 #: seek re-executes a bounded gap, large enough that the stream stays
@@ -265,7 +265,7 @@ class DebugSession:
 
     Every positioning operation is restore-then-re-execute: the session
     never mutates the recording, and two sessions over one recording are
-    fully isolated (snapshots are copy-on-restore).
+    fully isolated (every restore unpickles a fresh VM).
     """
 
     def __init__(self, recording: DebugRecording) -> None:

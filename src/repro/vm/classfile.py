@@ -125,6 +125,17 @@ class MethodDef:
         """
         self.__dict__.pop("_decoded", None)
 
+    def __getstate__(self) -> dict:
+        """Pickled state, minus the predecode cache.
+
+        Compiled blocks are closures bound to one VM's runtime, so they
+        never travel inside a VM snapshot; the unpickled method is
+        re-predecoded on first execution, and the original keeps its cache.
+        """
+        state = self.__dict__.copy()
+        state.pop("_decoded", None)
+        return state
+
     def copy(self) -> "MethodDef":
         """Independent copy (instructions included) for load-time rewriting.
 

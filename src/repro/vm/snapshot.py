@@ -1,4 +1,4 @@
-"""Deep deterministic VM checkpoints (snapshot / restore).
+"""Serialized deterministic VM checkpoints (snapshot / restore).
 
 A snapshot captures *everything the guest can observe*: heap objects,
 arrays and statics, thread stacks (frames, operand stacks, saved-state
@@ -13,8 +13,8 @@ and final-state fingerprints to a from-zero replay of the same schedule
 
 The schedule checker's DPOR engine (:mod:`repro.check.dpor`) checkpoints
 at scheduler decision points so explored prefixes resume from snapshots
-instead of replaying from cycle zero; the same machinery is the seed of a
-time-travel debugger over the observability plane's spans.
+instead of replaying from cycle zero; the time-travel debugger
+(:mod:`repro.obs.debug`) seeks over a stream of them.
 
 What a snapshot deliberately does **not** capture:
 
@@ -24,67 +24,99 @@ What a snapshot deliberately does **not** capture:
   what they need on the restored VM.  (The cycle profiler *is* VM state:
   it is carried across and re-wired as the clock listener on restore.)
 * **Predecode caches** — the predecode tier's compiled blocks and
-  superblocks are host-side closures bound to one VM's runtime; they are
-  dropped on both sides and rebuilt deterministically on next execution,
-  which is observably free (virtual costs were assigned at link time).
+  superblocks are host-side closures bound to one VM's runtime.
+  ``MethodDef.__getstate__`` leaves them out of the serialized state, so
+  the live VM keeps its caches and a restored VM rebuilds them
+  deterministically on next execution, which is observably free (virtual
+  costs were assigned at link time).
 
-Snapshots are copy-on-capture: the master copy inside a
-:class:`VMSnapshot` is never executed, and every :func:`restore_vm` call
-produces a fresh independent VM, so one checkpoint can seed any number of
-divergent continuations.  Stored trace events are immutable and shared
-structurally between the original VM, the snapshot, and every restore —
-checkpointing stays O(live state), not O(execution history).
+A checkpoint is one ``pickle`` blob: the master inside a
+:class:`VMSnapshot` is bytes, so it can never be executed, and every
+:func:`restore_vm` call unpickles a fresh independent VM, so one
+checkpoint can seed any number of divergent continuations.  VM state must
+therefore be picklable — native methods, for instance, must be
+module-level functions, not closures — and :func:`snapshot_vm` raises
+``ValueError`` naming the offending type otherwise.  Stored trace events
+are immutable and kept outside the blob, shared structurally between the
+original VM, the snapshot, and every restore — checkpointing stays
+O(live state), not O(execution history).
 """
 
 from __future__ import annotations
 
-import copy
+import io
+import pickle
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.vmcore import JVM
 
+#: what ``pickle`` raises on state it cannot serialize (a lambda, a
+#: nested function, a lock, an open file)
+_UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
+
 
 class VMSnapshot:
     """One frozen checkpoint of a :class:`~repro.vm.vmcore.JVM`.
 
-    Treat instances as opaque: the master copy inside is quiescent and
-    must only ever be cloned by :func:`restore_vm`, never run.
+    Treat instances as opaque: the master is a serialized VM that only
+    :func:`restore_vm` turns back into a runnable one.
     """
 
     __slots__ = ("_master", "_events", "clock_now", "clock_events",
                  "slices", "decisions")
 
-    def __init__(self, master: "JVM", events: tuple) -> None:
+    def __init__(self, vm: "JVM", master: bytes, events: tuple) -> None:
         self._master = master
         self._events = events
         #: capture-time identity, handy for assertions and debug output
-        self.clock_now = master.clock.now
-        self.clock_events = master.clock.events
-        self.slices = master.scheduler.slices
-        self.decisions = master.scheduler.decisions
+        self.clock_now = vm.clock.now
+        self.clock_events = vm.clock.events
+        self.slices = vm.scheduler.slices
+        self.decisions = vm.scheduler.decisions
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"VMSnapshot(clock={self.clock_now}, slices={self.slices}, "
-            f"decisions={self.decisions}, events={len(self._events)})"
+            f"decisions={self.decisions}, events={len(self._events)}, "
+            f"bytes={len(self._master)})"
         )
 
 
-def _drop_decoded(vm: "JVM") -> None:
-    """Invalidate every method's predecode cache (host-side closures)."""
-    for classdef in vm.classes.values():
-        for method in classdef.methods.values():
-            method.invalidate_decoded()
+class _LastObject(pickle.Pickler):
+    """Pickler that remembers the last object it was asked to save."""
+
+    last = None
+
+    def reducer_override(self, obj):
+        self.last = obj
+        return NotImplemented
+
+
+def _unpicklable(vm: "JVM") -> str:
+    """Describe the object that stops ``vm`` from pickling."""
+    probe = _LastObject(io.BytesIO(), pickle.HIGHEST_PROTOCOL)
+    try:
+        probe.dump(vm)
+    except _UNPICKLABLE:
+        pass
+    obj = probe.last
+    kind = type(obj)
+    name = kind.__qualname__
+    if kind.__module__ != "builtins":
+        name = f"{kind.__module__}.{name}"
+    qualname = getattr(obj, "__qualname__", None)
+    return f"{name} {qualname!r}" if isinstance(qualname, str) else name
 
 
 def snapshot_vm(vm: "JVM") -> VMSnapshot:
-    """Capture a deep deterministic checkpoint of ``vm``.
+    """Capture a deterministic checkpoint of ``vm`` as one pickle blob.
 
     The VM must be at a quiescent point between scheduler steps (no slice
     in flight): ``vm.current_thread`` is None there and every mutation is
     parked in heap/thread/scheduler state.  The original VM is returned to
-    service untouched (observers reattached, trace log back in place).
+    service untouched (observers reattached, trace log back in place),
+    also when its state cannot be serialized.
     """
     if vm.current_thread is not None:
         raise ValueError(
@@ -100,27 +132,32 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
     slice_hooks, vm.slice_hooks = vm.slice_hooks, []
     listener, vm.clock.listener = vm.clock.listener, None
     events, tracer.events = tracer.events, []
-    _drop_decoded(vm)
     try:
-        master = copy.deepcopy(vm)
+        master = pickle.dumps(vm, pickle.HIGHEST_PROTOCOL)
+    except _UNPICKLABLE as exc:
+        raise ValueError(
+            f"snapshot_vm cannot serialize VM state: {_unpicklable(vm)} "
+            "is not picklable (register natives as module-level "
+            "functions, not closures)"
+        ) from exc
     finally:
         scheduler.decision_hook = hook
         tracer._sinks = sinks
         vm.slice_hooks = slice_hooks
         vm.clock.listener = listener
         tracer.events = events
-    return VMSnapshot(master, tuple(events))
+    return VMSnapshot(vm, master, tuple(events))
 
 
 def restore_vm(snapshot: VMSnapshot) -> "JVM":
     """Materialize an independent runnable VM from ``snapshot``.
 
-    Each call clones the frozen master, so restoring the same checkpoint
-    twice yields two fully isolated continuations.  External observers
-    (decision hook, tracer sinks, slice hooks) come back empty; the
-    profiler, when present, is re-wired as the clock listener.
+    Each call unpickles the master afresh, so restoring the same
+    checkpoint twice yields two fully isolated continuations.  External
+    observers (decision hook, tracer sinks, slice hooks) come back empty;
+    the profiler, when present, is re-wired as the clock listener.
     """
-    vm = copy.deepcopy(snapshot._master)
+    vm = pickle.loads(snapshot._master)
     vm.tracer.events = list(snapshot._events)
     if vm.profiler is not None:
         vm.clock.listener = vm.profiler

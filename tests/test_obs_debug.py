@@ -4,6 +4,8 @@ the inspector, and the artifact-store / engine lanes."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.check.oracle import final_fingerprint, fingerprint_digest
@@ -176,6 +178,28 @@ def test_record_cached_roundtrip(tmp_path):
     # a session over the restored stream still seeks correctly
     session = DebugSession(second)
     assert session.seek(second.clock) == second.clock
+
+
+def test_pickled_recording_seeks_to_the_same_state(recording):
+    """The result cache and the fleet move recordings as pickles: a
+    round-tripped recording must position at exactly the original's
+    states, with the same ``--print-state`` text, at every target."""
+    copy = pickle.loads(pickle.dumps(recording, pickle.HIGHEST_PROTOCOL))
+    assert [c.clock_now for c in copy.checkpoints] == [
+        c.clock_now for c in recording.checkpoints
+    ]
+    targets = recording.boundaries[:: max(1, len(recording.boundaries) // 6)]
+    for target in targets + [recording.clock]:
+        original, restored = DebugSession(recording), DebugSession(copy)
+        assert restored.seek(target) == original.seek(target)
+        assert restored.state() == original.state()
+        assert render_state(restored.state()) == render_state(
+            original.state()
+        )
+    original, restored = DebugSession(recording), DebugSession(copy)
+    original.seek_episode(1)
+    restored.seek_episode(1)
+    assert render_state(restored.state()) == render_state(original.state())
 
 
 def test_record_with_engine_pool_matches_serial():

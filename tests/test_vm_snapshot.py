@@ -4,18 +4,18 @@ The contract (``repro.vm.snapshot``): a restored VM driven forward with
 the same scheduling choices is *byte-identical* to a from-zero replay of
 the full schedule — final clock, clock-event count, rendered trace,
 metrics dict, and final-state fingerprint all agree exactly.  Anything a
-deepcopy might silently share (heap aliasing), drop (RNG state, undo
-logs, degradation ladders), or double-count (profiler listener re-wiring)
-breaks one of these five comparisons.
+serialized checkpoint might silently share (heap aliasing), drop (RNG
+state, undo logs, degradation ladders), or double-count (profiler
+listener re-wiring) breaks one of these five comparisons.
 
 The matrix crosses scenarios (locked handoff with revocation, priority
 barge, unprotected race) with both interpreters (``reference`` and
-``fast`` — the fast interpreter's predecode caches are host-side closures
-that must be dropped and rebuilt, not cloned) and seeded random-walk
-drivers.  The revocation case additionally checkpoints at *every*
-decision of a schedule known to revoke, so snapshots taken mid-rollback
-(live undo log, in-flight section records) are covered, not just quiet
-points.
+``fast`` — the predecode tier's caches are host-side closures that stay
+on the live VM and are rebuilt, never serialized, on a restored one) and
+seeded random-walk drivers.  The revocation case additionally
+checkpoints at *every* decision of a schedule known to revoke, so
+snapshots taken mid-rollback (live undo log, in-flight section records)
+are covered, not just quiet points.
 """
 
 import pytest
@@ -24,7 +24,7 @@ from repro.check.dpor import SteppingRun
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import get_scenario
 from repro.util.rng import DeterministicRng
-from repro.vm.snapshot import snapshot_vm
+from repro.vm.snapshot import restore_vm, snapshot_vm
 
 #: the mini-handoff schedule (from the pinned DPOR tree) whose replay
 #: preempts the low thread mid-section and triggers a revocation
@@ -163,22 +163,79 @@ def test_checkpoint_at_every_decision_of_a_revoking_schedule(interp):
         )
 
 
-def test_snapshot_leaves_the_original_run_untouched():
-    """snapshot_vm detaches observers during the deepcopy and must put
+def _decoded_methods(vm) -> set[str]:
+    """Qualified names of the methods carrying a predecode cache."""
+    return {
+        method.qualified_name()
+        for classdef in vm.classes.values()
+        for method in classdef.methods.values()
+        if "_decoded" in method.__dict__
+    }
+
+
+@pytest.mark.parametrize("interp", ["reference", "fast"])
+def test_snapshot_leaves_the_original_run_untouched(interp):
+    """snapshot_vm detaches observers while it serializes and must put
     every one of them back: the donor run continues exactly as if never
-    snapshotted."""
-    undisturbed = _stepping_run("mini-handoff", "reference")
+    snapshotted.  Under the predecode tier the donor also keeps its
+    compiled blocks, while a restored VM starts without any and compiles
+    its own once it runs."""
+    undisturbed = _stepping_run("mini-handoff", interp)
     outcome = undisturbed.drive(REVOKING_SCHEDULE)
     expected = _observe(undisturbed, outcome)
 
-    donor = _stepping_run("mini-handoff", "reference")
+    donor = _stepping_run("mini-handoff", interp)
     for tid in REVOKING_SCHEDULE[:4]:
         kind, data = donor.advance()
         assert kind == "decision"
-        donor.checkpoint()                 # snapshot, discard, keep going
+        decoded = _decoded_methods(donor.vm)
+        checkpoint = donor.checkpoint()    # snapshot, keep going
+        assert _decoded_methods(donor.vm) == decoded
+        restored = restore_vm(checkpoint.snapshot)
+        assert _decoded_methods(restored) == set()
         donor.choose(tid if tid in data else donor.default_choice(data))
+    if interp == "fast":
+        assert decoded, "donor never predecoded before its last checkpoint"
+        resumed = SteppingRun.resume(checkpoint)
+        resumed.drive(REVOKING_SCHEDULE)
+        assert _decoded_methods(resumed.vm)
+    else:
+        assert not decoded
     outcome = donor.drive(REVOKING_SCHEDULE)
     assert _observe(donor, outcome) == expected
+
+
+def test_unpicklable_state_fails_loudly_and_reattaches_observers():
+    """A closure in VM state cannot be serialized: snapshot_vm raises a
+    ValueError naming it and hands the donor back fully wired."""
+    run = _stepping_run("mini-handoff", "reference")
+    kind, _ = run.advance()
+    assert kind == "decision"
+    vm = run.vm
+    vm.register_native("hostClosure", lambda vm, thread, args: 0)
+    sink = lambda event: None                      # noqa: E731
+    slice_hook = lambda vm, thread: None           # noqa: E731
+    listener = lambda cycles: None                 # noqa: E731
+    vm.tracer.add_sink(sink)
+    vm.slice_hooks.append(slice_hook)
+    vm.clock.listener = listener
+    hook = vm.scheduler.decision_hook
+    events = vm.tracer.events
+    n_events = len(events)
+    assert hook is not None and n_events > 0
+
+    with pytest.raises(ValueError, match="not picklable") as info:
+        snapshot_vm(vm)
+    assert "function" in str(info.value)
+    assert "<lambda>" in str(info.value)
+    assert info.value.__cause__ is not None
+
+    assert vm.scheduler.decision_hook is hook
+    assert vm.tracer._sinks == [sink]
+    assert vm.slice_hooks == [slice_hook]
+    assert vm.clock.listener is listener
+    assert vm.tracer.events is events
+    assert len(events) == n_events
 
 
 def test_snapshot_requires_a_quiescent_vm():
