@@ -6,14 +6,14 @@ Examples::
     python -m repro.bench 6b --reps 5        # more repetitions
     python -m repro.bench 7c --csv out.csv   # export the series
     python -m repro.bench all                # every panel (slow)
-    REPRO_BENCH_JOBS=4 python -m repro.bench all   # parallel workers
-    python -m repro.bench all --fleet local:4      # loopback worker fleet
+    python -m repro.bench all --jobs 4       # loopback fleet, 4 workers
     python -m repro.bench --host-perf        # interpreter wall-clock baseline
     python -m repro.bench 5a --host-perf     # host-perf on one panel only
 
 Runs execute through :mod:`repro.bench.parallel`: ``--jobs`` (or
-``REPRO_BENCH_JOBS``) sets the worker count and results are memoized in a
-content-addressed on-disk cache unless ``--no-cache`` (or
+``REPRO_BENCH_JOBS``) sets the worker count — ``N > 1`` runs on a
+loopback fleet of ``N`` worker subprocesses — and results are memoized
+in a content-addressed on-disk cache unless ``--no-cache`` (or
 ``REPRO_BENCH_CACHE=0``) is given.  The measured report on **stdout** is
 byte-identical for every jobs/cache setting; host-side execution stats
 (wall clock, cache hits) print on **stderr**.
@@ -27,10 +27,10 @@ import os
 import sys
 
 from repro.bench.figures import FigurePanel, all_panels, run_panel
-from repro.bench.parallel import ResultCache, RunEngine
+from repro.bench.parallel import RunEngine
 from repro.fleet.cli import (
-    add_fleet_args,
-    resolve_fleet_engine,
+    add_engine_args,
+    engine_from_args,
     run_fleet_worker,
 )
 from repro.bench.report import (
@@ -147,20 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="print JSON instead of the table/chart")
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS or cpu count; "
-             "1 = serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk result cache for this invocation",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="result cache location (default REPRO_BENCH_CACHE_DIR or "
-             ".repro-bench-cache)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="after the panel report, print a cycle profile of the "
              "panel's rollback cell (see repro.obs) to stderr",
@@ -171,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
              "rollback cell to PATH (implies an obs capture; cached "
              "through the same engine as the benchmark runs)",
     )
-    add_fleet_args(parser)
+    add_engine_args(parser)
     args = parser.parse_args(argv)
 
     if args.fleet == "worker":
@@ -181,26 +167,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.panel is None:
         parser.error("a figure panel (or 'all') is required")
 
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    if args.no_cache:
-        engine = RunEngine(jobs=engine.jobs, cache=None)
-    elif args.cache_dir is not None:
-        engine = RunEngine(
-            jobs=engine.jobs, cache=ResultCache(args.cache_dir)
-        )
-    fleet = resolve_fleet_engine(args, engine.cache)
-    if fleet is not None:
-        engine = fleet
-
     panels = (
         all_panels() if args.panel == "all"
         else [_parse_panel(args.panel)]
     )
     if (args.profile or args.trace_out) and len(panels) > 1:
         parser.error("--profile/--trace-out need a single panel, not 'all'")
-    try:
+    with engine_from_args(args) as engine:
         for panel in panels:
             result = run_panel(
                 panel, repetitions=args.reps, seed=args.seed, engine=engine
@@ -223,8 +196,6 @@ def main(argv: list[str] | None = None) -> int:
                 _observe_panel(panel, args, engine)
         if len(panels) > 1:
             print(f"[total] {engine.stats.render()}", file=sys.stderr)
-    finally:
-        engine.close()
     return 0
 
 

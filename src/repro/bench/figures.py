@@ -213,7 +213,7 @@ def run_panel(
 ) -> PanelResult:
     """Measure one figure panel (and implicitly its Figure-7/8 sibling).
 
-    ``engine`` selects execution strategy only (serial, pooled, cached);
+    ``engine`` selects execution strategy only (serial, fleet, cached);
     the measured numbers are identical for every choice.
     """
     from repro.bench.parallel import RunEngine

@@ -14,7 +14,7 @@ Methodology
 -----------
 
 * Runs execute **serially and uncached** (``RunEngine(jobs=1,
-  cache=None)``): pool scheduling and cache hits would corrupt the wall
+  cache=None)``): fleet scheduling and cache hits would corrupt the wall
   clock each interpreter is being billed for.
 * Figures 7/8 reuse the very same runs as 5/6 (only the plotted metric
   differs), so the "full fig5–fig8 suite" is the six distinct sweeps

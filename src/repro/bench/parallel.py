@@ -6,7 +6,8 @@ history no matter which process executes it.  That makes the Figures 5–8
 matrix embarrassingly parallel: this module
 
 1. enumerates the full run matrix for a figure/campaign up front,
-2. fans the runs out to a worker pool (:class:`RunEngine`),
+2. fans the runs out to a loopback fleet of worker subprocesses
+   (:class:`RunEngine`, on top of :mod:`repro.fleet`),
 3. reduces the results back in deterministic matrix order, so every
    report and figure is byte-identical to the serial path, and
 4. memoizes completed runs in a content-addressed on-disk cache
@@ -16,7 +17,7 @@ matrix embarrassingly parallel: this module
 Environment knobs (all read by :meth:`RunEngine.from_env`):
 
 * ``REPRO_BENCH_JOBS`` — worker processes (default ``os.cpu_count()``;
-  ``1`` = the serial in-process path, no pool, no pickling).
+  ``1`` = the serial in-process path, no subprocess, no pickling).
 * ``REPRO_BENCH_CACHE`` — set to ``0``/``off``/``no`` to disable the
   result cache.
 * ``REPRO_BENCH_CACHE_DIR`` — cache location (default
@@ -24,10 +25,14 @@ Environment knobs (all read by :meth:`RunEngine.from_env`):
 
 Determinism note: worker scheduling order never reaches the results —
 :meth:`RunEngine.map` returns outputs in *input* order, and each worker
-builds its own VM from the pickled spec.  Host wall-clock and cache-hit
-counters live in :class:`EngineStats`, deliberately *outside* the
-deterministic result objects, so callers can print them on stderr while
-keeping stdout byte-stable across ``jobs`` settings.
+builds its own VM from the pickled spec.  There is one parallel backend:
+``jobs>1`` and ``--fleet coordinator`` both dispatch through
+:meth:`repro.fleet.coordinator.Coordinator.dispatch`, and the fleet
+package is imported only when the first parallel map needs it.  Host
+wall-clock and cache-hit counters live in :class:`EngineStats`,
+deliberately *outside* the deterministic result objects, so callers can
+print them on stderr while keeping stdout byte-stable across ``jobs``
+settings.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import logging
 import os
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -432,7 +437,7 @@ class EngineStats:
         return line
 
     def render_workers(self) -> list[str]:
-        """One line per worker: the imbalance picture of a fleet/pool.
+        """One line per worker: the imbalance picture of a fleet.
 
         Empty when the breakdown is trivial (a single execution lane and
         no remote traffic), so serial stderr output stays unchanged.
@@ -478,15 +483,6 @@ class EngineStats:
 
 
 # ----------------------------------------------------------------- engine
-def _timed_call(
-    fn: Callable[[Any], Any], item: Any
-) -> tuple[Any, float, str]:
-    """Worker entry point: run one task, report wall clock and lane."""
-    t0 = time.perf_counter()
-    result = fn(item)
-    return result, time.perf_counter() - t0, f"pool-{os.getpid()}"
-
-
 def _env_jobs() -> int:
     raw = os.environ.get("REPRO_BENCH_JOBS", "")
     try:
@@ -507,10 +503,14 @@ def _env_cache() -> Optional[ResultCache]:
 class RunEngine:
     """Deterministic fan-out/fan-in executor for pure benchmark runs.
 
-    ``jobs=1`` executes inline in this process (the historical serial
-    path — no pool, no pickling); ``jobs>1`` uses a process pool.  An
-    optional :class:`ResultCache` short-circuits runs whose key was
-    computed before.  ``stats`` accumulates over the engine's lifetime;
+    ``jobs=1`` executes inline in this process (no subprocess, no
+    pickling).  ``jobs>1`` runs on a loopback fleet: a
+    :class:`~repro.fleet.coordinator.Coordinator` plus ``jobs``
+    ``python -m repro.fleet worker`` subprocesses, spawned on the first
+    parallel :meth:`map` and reused until :meth:`close` reaps them.  A
+    map with at most one uncached item still runs inline.  An optional
+    :class:`ResultCache` short-circuits runs whose key was computed
+    before.  ``stats`` accumulates over the engine's lifetime;
     ``last_stats`` describes only the most recent :meth:`map` call.
     """
 
@@ -525,15 +525,40 @@ class RunEngine:
         self.cache = cache
         self.stats = EngineStats(jobs=jobs)
         self.last_stats = EngineStats(jobs=jobs)
+        #: the fleet's coordinator and owned worker processes, once
+        #: attached (see :meth:`_attach`)
+        self.coordinator: Any = None
+        self.procs: list[Any] = []
+        self._reaper: Optional[weakref.finalize] = None
 
     @classmethod
     def from_env(cls) -> "RunEngine":
         """Build an engine from the ``REPRO_BENCH_*`` environment knobs."""
         return cls(jobs=_env_jobs(), cache=_env_cache())
 
+    def _attach(self, coordinator: Any, procs: Sequence[Any] = ()) -> None:
+        """Take ownership of a coordinator and its worker processes; they
+        are drained on :meth:`close`, or when the engine is collected."""
+        from repro.fleet.engine import drain
+
+        self.coordinator = coordinator
+        self.procs = list(procs)
+        self._reaper = weakref.finalize(self, drain, coordinator, self.procs)
+
+    def _inline(self, pending: int) -> bool:
+        return self.jobs == 1 or pending <= 1
+
     def close(self) -> None:
-        """Release engine resources (a no-op for the local engine; the
-        fleet engine overrides this to drain its workers)."""
+        """Drain the fleet, if one was started: shutdown frames, then
+        reap the owned workers.  Idempotent."""
+        if self._reaper is not None:
+            self._reaper()
+
+    def __enter__(self) -> "RunEngine":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     def map(
         self,
@@ -545,8 +570,9 @@ class RunEngine:
         """Run ``fn`` over ``items``; results come back in input order.
 
         ``fn`` must be a module-level callable and every item picklable
-        when ``jobs > 1``.  With a cache and a ``key_fn``, cached items
-        are served without executing; fresh results are stored back.
+        when the map runs on the fleet.  With a cache and a ``key_fn``,
+        cached items are served without executing; fresh results are
+        stored back.
         """
         t0 = time.perf_counter()
         stats = EngineStats(jobs=self.jobs)
@@ -568,10 +594,12 @@ class RunEngine:
                     continue
             pending.append(i)
 
-        stats.executed = len(pending)
-        if self.jobs == 1 or len(pending) <= 1:
+        if self._inline(len(pending)):
+            executed = pending
             for i in pending:
-                results[i], wall, lane = _timed_call(fn, items[i])
+                t1 = time.perf_counter()
+                results[i] = fn(items[i])
+                wall = time.perf_counter() - t1
                 stats.run_walls[i] = wall
                 stats.run_wall += wall
                 dropped, sink_errors = trace_health(results[i])
@@ -582,47 +610,31 @@ class RunEngine:
                     trace_dropped=dropped,
                     trace_sink_errors=sink_errors,
                 )
+                if keys[i] is not None and results[i] is not None:
+                    self.cache.put(keys[i], results[i])
         else:
-            workers = min(self.jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_timed_call, fn, items[i]): i
-                    for i in pending
-                }
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(
-                        not_done, return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        i = futures[fut]
-                        results[i], wall, lane = fut.result()
-                        stats.run_walls[i] = wall
-                        stats.run_wall += wall
-                        dropped, sink_errors = trace_health(results[i])
-                        stats.trace_dropped += dropped
-                        stats.trace_sink_errors += sink_errors
-                        stats.credit(
-                            lane, tasks=1, run_wall=wall,
-                            trace_dropped=dropped,
-                            trace_sink_errors=sink_errors,
-                        )
+            if self.coordinator is None:
+                from repro.fleet.engine import spawn_local
 
-        for i in pending:
+                self._attach(*spawn_local(self.jobs, cache=self.cache))
+            if key_fn is not None:
+                # keys travel with tasks even without a cache here:
+                # external workers use them for their local store
+                for i in pending:
+                    keys[i] = keys[i] or key_fn(items[i])
+            executed = self.coordinator.dispatch(
+                fn, items, pending, keys, results, stats, self.procs
+            )
+
+        stats.executed = len(executed)
+        for i in executed:
             gi = guest_instructions(results[i])
             stats.run_instructions[i] = gi
             stats.guest_instructions += gi
-
-        if self.cache is not None and key_fn is not None:
-            for i in pending:
-                if results[i] is not None:
-                    self.cache.put(keys[i], results[i])
-
         stats.host_wall = time.perf_counter() - t0
         self.last_stats = stats
         self.stats.merge(stats)
         return results
-
 
 # ----------------------------------------------------- micro-bench plumbing
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ def render_engine_stats(stats) -> str:
             f"per-run wall: min {min(executed):.3f}s / mean {mean:.3f}s / "
             f"max {max(executed):.3f}s over {len(executed)} executed run(s)"
         )
-    # Per-worker breakdown (fleet/pool imbalance); empty for plain
+    # Per-worker breakdown (fleet imbalance); empty for plain
     # serial runs so historical stderr output is unchanged.
     lines.extend(stats.render_workers())
     return "\n".join(lines)

@@ -115,28 +115,12 @@ def _parser() -> argparse.ArgumentParser:
              "exploring",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS or cpu count; "
-             "1 = serial)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
     )
-    from repro.fleet.cli import add_fleet_args
+    from repro.fleet.cli import add_engine_args
 
-    add_fleet_args(parser)
+    add_engine_args(parser)
     return parser
-
-
-def _engine(args):
-    from repro.bench.parallel import RunEngine
-    from repro.fleet.cli import resolve_fleet_engine
-
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    fleet = resolve_fleet_engine(args, engine.cache)
-    return fleet if fleet is not None else engine
 
 
 def _cmd_list() -> int:
@@ -234,9 +218,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.lockset is not None:
         return _cmd_lockset(args.lockset)
 
+    from repro.fleet.cli import engine_from_args
+
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    engine = _engine(args)
-    try:
+    with engine_from_args(args) as engine:
         if args.strategy == "dpor":
             from repro.check.dpor import explore_dpor
 
@@ -258,8 +243,6 @@ def main(argv: list[str] | None = None) -> int:
                 engine=engine,
                 exhaustive=args.strategy == "exhaustive",
             )
-    finally:
-        engine.close()
     bound_part = "" if report.bound < 0 else f" bound={report.bound}"
     print(f"repro.check scenario={report.scenario} "
           f"strategy={report.strategy}{bound_part} "

@@ -425,17 +425,21 @@ def main(argv: list[str] | None = None) -> int:
         help="interpreter engine (fragments are identical either way)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS or cpu count; "
-             "1 = serial)",
-    )
-    parser.add_argument(
         "--replay", type=int, default=None, metavar="INDEX",
         help="re-run exactly one (--scenario, seed INDEX) cell serially "
              "and print its fragment (the reproduction path printed on "
              "stderr when a campaign run fails)",
     )
+    from repro.fleet.cli import (
+        add_engine_args,
+        engine_from_args,
+        run_fleet_worker,
+    )
+
+    add_engine_args(parser)
     args = parser.parse_args(argv)
+    if args.fleet == "worker":
+        return run_fleet_worker(args)
     if args.replay is not None:
         if args.scenario is None:
             parser.error("--replay requires --scenario")
@@ -443,13 +447,9 @@ def main(argv: list[str] | None = None) -> int:
                                interp=args.interp)
         print(json.dumps(fragment, indent=2, sort_keys=True))
         return 1 if fragment["violations"] else 0
-    from repro.bench.parallel import RunEngine
-
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    report = run_campaign(args.seeds, args.scenario, engine=engine,
-                          interp=args.interp)
+    with engine_from_args(args) as engine:
+        report = run_campaign(args.seeds, args.scenario, engine=engine,
+                              interp=args.interp)
     print(json.dumps(report, indent=2, sort_keys=True))
     # stderr only: the stdout report must stay byte-identical across
     # jobs/cache settings (the campaign's determinism contract).

@@ -4,8 +4,8 @@ Subcommands::
 
     worker --connect HOST:PORT [--name NAME] [--no-cache]
         Serve tasks for a coordinator until it says shutdown.  This is
-        what ``FleetEngine.local`` spawns and what a multi-host run
-        starts on each worker box.
+        what ``RunEngine(jobs=N)`` spawns (with ``--no-cache``) and
+        what a multi-host run starts on each worker box.
 
     perf [--workers 1,2,4] [--output BENCH_fleet.json] [--reps N]
         Measure fleet scaling of the fig5–8 bench matrix and a DPOR

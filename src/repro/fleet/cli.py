@@ -1,17 +1,24 @@
-"""Shared ``--fleet`` CLI plumbing for bench / check / server / fleet.
+"""Shared engine CLI plumbing for every campaign CLI.
 
-Every campaign CLI accepts the same three-mode flag::
+bench, check, obs, server and the fault campaign take the same flags
+(:func:`add_engine_args`) and build their engine in one place
+(:func:`engine_from_args`)::
 
-    --fleet local:N       coordinator + N loopback worker subprocesses
+    --jobs N              1 = serial in-process; N > 1 = a loopback
+                          fleet of N worker subprocesses
+    --no-cache            skip the on-disk result cache
+    --cache-dir DIR       result cache location
     --fleet coordinator   bind --fleet-bind, wait for --fleet-workers
                           external workers, then run the campaign
     --fleet worker        connect to --fleet-connect and serve tasks
                           (the campaign arguments are ignored)
 
-so a multi-host run is "start the coordinator command on one box, start
-the same command with ``--fleet worker --fleet-connect host:port`` on
-the others".  Campaign stdout stays byte-identical to the serial run in
-every mode — the fleet only changes where the pure runs execute.
+Each flag overrides its ``REPRO_BENCH_*`` environment knob
+(:meth:`~repro.bench.parallel.RunEngine.from_env`).  A multi-host run is
+"start the coordinator command on one box, start the same command with
+``--fleet worker --fleet-connect host:port`` on the others".  Campaign
+stdout stays byte-identical to the serial run in every mode — the
+engine only changes where the pure runs execute.
 """
 
 from __future__ import annotations
@@ -20,24 +27,43 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.bench.parallel import ResultCache, RunEngine
+from repro.bench.parallel import (
+    ResultCache,
+    RunEngine,
+    _env_cache,
+    _env_jobs,
+)
 
 __all__ = [
-    "add_fleet_args",
+    "add_engine_args",
+    "engine_from_args",
     "parse_hostport",
-    "resolve_fleet_engine",
     "run_fleet_worker",
 ]
 
 
-def add_fleet_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("fleet")
+def add_engine_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("engine")
     group.add_argument(
-        "--fleet", default=None, metavar="MODE",
-        help="distributed execution: 'local:N' (N loopback worker "
-             "subprocesses), 'coordinator' (bind --fleet-bind, wait for "
-             "--fleet-workers external workers), or 'worker' (serve "
-             "--fleet-connect; campaign arguments are ignored)",
+        "--jobs", type=int, default=None,
+        help="parallel workers (default REPRO_BENCH_JOBS or cpu count; "
+             "1 = serial in-process, N > 1 = a loopback fleet of N "
+             "worker subprocesses)",
+    )
+    group.add_argument(
+        "--no-cache", action="store_true",
+        help="skip the on-disk result cache for this invocation",
+    )
+    group.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="result cache location (default REPRO_BENCH_CACHE_DIR or "
+             ".repro-bench-cache)",
+    )
+    group.add_argument(
+        "--fleet", default=None, choices=["coordinator", "worker"],
+        help="distributed execution: 'coordinator' (bind --fleet-bind, "
+             "wait for --fleet-workers external workers) or 'worker' "
+             "(serve --fleet-connect; campaign arguments are ignored)",
     )
     group.add_argument(
         "--fleet-bind", default="0.0.0.0:0", metavar="HOST:PORT",
@@ -64,7 +90,6 @@ def parse_hostport(text: str) -> tuple[str, int]:
 
 def run_fleet_worker(args: argparse.Namespace) -> int:
     """The ``--fleet worker`` path, shared by every campaign CLI."""
-    from repro.bench.parallel import _env_cache
     from repro.fleet.worker import serve
 
     if not args.fleet_connect:
@@ -74,34 +99,31 @@ def run_fleet_worker(args: argparse.Namespace) -> int:
         )
         return 2
     host, port = parse_hostport(args.fleet_connect)
-    served = serve(host, port, cache=_env_cache())
+    served = serve(host, port, cache=_cache_from_args(args))
     print(f"fleet worker served {served} task(s)", file=sys.stderr)
     return 0
 
 
-def resolve_fleet_engine(
-    args: argparse.Namespace, cache: Optional[ResultCache]
-) -> Optional[RunEngine]:
-    """The engine for ``--fleet local:N`` / ``--fleet coordinator``.
-
-    Returns None when no fleet mode is requested (caller keeps its local
-    engine).  ``--fleet worker`` is not an engine — route it through
-    :func:`run_fleet_worker` before building any engine.
-    """
-    mode = args.fleet
-    if mode is None:
+def _cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
+    if args.no_cache:
         return None
-    from repro.fleet.engine import FleetEngine
+    if args.cache_dir is not None:
+        return ResultCache(args.cache_dir)
+    return _env_cache()
 
-    if mode.startswith("local:"):
-        workers = int(mode.split(":", 1)[1])
-        return FleetEngine.local(workers, cache=cache)
-    if mode == "coordinator":
+
+def engine_from_args(args: argparse.Namespace) -> RunEngine:
+    """The campaign engine: the ``REPRO_BENCH_*`` knobs, overridden by
+    the :func:`add_engine_args` flags.  ``--fleet worker`` is not an
+    engine — route it through :func:`run_fleet_worker` first.  The
+    caller closes the engine."""
+    cache = _cache_from_args(args)
+    if args.fleet == "coordinator":
+        from repro.fleet.engine import FleetEngine
+
         host, port = parse_hostport(args.fleet_bind)
         return FleetEngine.coordinate(
             host, port, workers=max(1, args.fleet_workers), cache=cache
         )
-    raise ValueError(
-        f"unknown --fleet mode {mode!r} "
-        "(expected local:N, coordinator or worker)"
-    )
+    jobs = _env_jobs() if args.jobs is None else max(1, args.jobs)
+    return RunEngine(jobs=jobs, cache=cache)

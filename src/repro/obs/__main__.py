@@ -17,11 +17,12 @@ Every subcommand runs its scenario through the same capture pipeline
 (:mod:`repro.obs.capture`), fanned through the bench
 :class:`~repro.bench.parallel.RunEngine` — captures are cached on disk
 by content address, so re-rendering a different view of the same run is
-a cache hit, not a re-execution.  ``--fleet local:N`` / ``coordinator``
-/ ``worker`` route the same work over the distributed run fleet; every
-artifact (episodes reports, checkpoint streams) is byte-identical
-whichever engine produced it.  Stdout is a pure function of the
-arguments; engine statistics go to stderr.
+a cache hit, not a re-execution.  ``--jobs N`` runs the work on a
+loopback fleet of ``N`` workers, and ``--fleet coordinator`` / ``worker``
+route it over a distributed run fleet; every artifact (episodes reports,
+checkpoint streams) is byte-identical whichever engine produced it.
+Stdout is a pure function of the arguments; engine statistics go to
+stderr.
 
 Exported Chrome traces open directly in https://ui.perfetto.dev or
 chrome://tracing; virtual cycles appear as microseconds — and
@@ -35,6 +36,11 @@ import argparse
 import json
 import sys
 
+from repro.fleet.cli import (
+    add_engine_args,
+    engine_from_args,
+    run_fleet_worker,
+)
 from repro.obs.capture import ObsSpec, capture_with_engine
 from repro.obs.scenarios import scenarios
 
@@ -94,14 +100,6 @@ def _parser() -> argparse.ArgumentParser:
         help="print machine-readable JSON instead of tables",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS; 1 = serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk capture cache for this invocation",
-    )
-    parser.add_argument(
         "--list", action="store_true",
         help="list scenario names and exit",
     )
@@ -133,23 +131,8 @@ def _parser() -> argparse.ArgumentParser:
         "--interval", type=int, default=None, metavar="SLICES",
         help="debug subcommand: scheduler slices between checkpoints",
     )
-    from repro.fleet.cli import add_fleet_args
-
-    add_fleet_args(parser)
+    add_engine_args(parser)
     return parser
-
-
-def _engine(args):
-    from repro.bench.parallel import RunEngine
-    from repro.fleet.cli import resolve_fleet_engine
-
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    if args.no_cache:
-        engine = RunEngine(jobs=engine.jobs, cache=None)
-    fleet = resolve_fleet_engine(args, engine.cache)
-    return fleet if fleet is not None else engine
 
 
 def _cmd_list() -> int:
@@ -185,8 +168,8 @@ def _capture(args) -> dict:
         profile=not args.no_profile,
         write_pct=args.write_pct,
     )
-    engine = _engine(args)
-    artifact = capture_with_engine(spec, engine=engine)
+    with engine_from_args(args) as engine:
+        artifact = capture_with_engine(spec, engine=engine)
     print(engine.stats.render(), file=sys.stderr)
     _warn_truncation(artifact)
     return artifact
@@ -268,9 +251,11 @@ def _cmd_episodes(args) -> int:
         report_bytes,
     )
 
-    engine = _engine(args)
     specs = _episode_specs(args)
-    artifacts = engine.map(execute_obs_spec, specs, key_fn=obs_spec_key)
+    with engine_from_args(args) as engine:
+        artifacts = engine.map(
+            execute_obs_spec, specs, key_fn=obs_spec_key
+        )
     print(engine.stats.render(), file=sys.stderr)
     reports = {}
     for spec, artifact in zip(specs, artifacts):
@@ -308,10 +293,10 @@ def _cmd_debug(args) -> int:
         profile=not args.no_profile,
         write_pct=args.write_pct,
     )
-    engine = _engine(args)
-    recording = record_with_engine(
-        spec, interval=args.interval or DEFAULT_INTERVAL, engine=engine
-    )
+    with engine_from_args(args) as engine:
+        recording = record_with_engine(
+            spec, interval=args.interval or DEFAULT_INTERVAL, engine=engine
+        )
     print(engine.stats.render(), file=sys.stderr)
     session = DebugSession(recording)
     if args.episode is not None:
@@ -400,8 +385,6 @@ def _cmd_summary(args, artifact: dict) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.fleet == "worker":
-        from repro.fleet.cli import run_fleet_worker
-
         return run_fleet_worker(args)
     if args.list:
         return _cmd_list()

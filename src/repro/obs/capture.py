@@ -15,7 +15,7 @@ like benchmark runs do (keyed by the spec plus the source digest).
 Determinism: sync-block ids are per-assembler and section ids are per-VM
 state (no process-global build counters survive anywhere), so artifacts
 are byte-identical whether a capture runs first or fifth in a process,
-serially or in a worker pool, fresh or from cache.
+serially or on a fleet worker, fresh or from cache.
 """
 
 from __future__ import annotations

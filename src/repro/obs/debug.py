@@ -247,8 +247,8 @@ def debug_record_key(item: tuple[ObsSpec, int]) -> str:
 def record_with_engine(
     spec: ObsSpec, interval: int = DEFAULT_INTERVAL, engine=None
 ) -> DebugRecording:
-    """Record through a RunEngine: local pool, or a fleet coordinator —
-    the checkpoint stream lands in (and is served from) the shared
+    """Record through a RunEngine, inline or on a fleet — the
+    checkpoint stream lands in (and is served from) the shared
     content-addressed store either way."""
     if engine is None:
         from repro.bench.parallel import RunEngine

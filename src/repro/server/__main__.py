@@ -18,7 +18,8 @@ plus ``--replay INDEX``, which re-runs exactly that cell serially and
 uncached with the same per-cell exit semantics.
 
 Cells fan out through the bench :class:`~repro.bench.parallel.RunEngine`
-(``--jobs`` / ``REPRO_BENCH_JOBS``) with content-addressed caching.
+(``--jobs`` / ``REPRO_BENCH_JOBS``; ``N > 1`` is a loopback fleet of
+``N`` workers) with content-addressed caching.
 Stdout is a pure function of the arguments — byte-identical across
 ``--interp``, worker counts and cache state; engine statistics go to
 stderr.  Exit status is 0 when every run held its invariants — except
@@ -36,6 +37,11 @@ import argparse
 import json
 import sys
 
+from repro.fleet.cli import (
+    add_engine_args,
+    engine_from_args,
+    run_fleet_worker,
+)
 from repro.server.plane import ServerSpec, run_server_cell, server_cell_key
 from repro.server.presets import get_preset, preset_names
 from repro.server.report import render_report
@@ -91,14 +97,6 @@ def _parser() -> argparse.ArgumentParser:
         help="print the machine-readable report instead of tables",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS; 1 = serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk result cache for this invocation",
-    )
-    parser.add_argument(
         "--replay", type=int, default=None, metavar="INDEX",
         help="re-run exactly one sweep-index cell serially, no cache, "
              "no fan-out, and print its report (the reproduction path "
@@ -108,23 +106,8 @@ def _parser() -> argparse.ArgumentParser:
         "--list", action="store_true",
         help="list preset names and exit",
     )
-    from repro.fleet.cli import add_fleet_args
-
-    add_fleet_args(parser)
+    add_engine_args(parser)
     return parser
-
-
-def _engine(args):
-    from repro.bench.parallel import RunEngine
-    from repro.fleet.cli import resolve_fleet_engine
-
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    if args.no_cache:
-        engine = RunEngine(jobs=engine.jobs, cache=None)
-    fleet = resolve_fleet_engine(args, engine.cache)
-    return fleet if fleet is not None else engine
 
 
 def _cmd_list() -> int:
@@ -196,11 +179,8 @@ def run_sweep(args) -> dict:
             )
             for index in range(1, args.seeds + 1)
         ]
-    engine = _engine(args)
-    try:
+    with engine_from_args(args) as engine:
         cells = engine.map(run_server_cell, specs, key_fn=server_cell_key)
-    finally:
-        engine.close()
     print(engine.stats.render(), file=sys.stderr)
     for line in engine.stats.render_workers():
         print(line, file=sys.stderr)
@@ -234,8 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         return _cmd_list()
     if args.fleet == "worker":
-        from repro.fleet.cli import run_fleet_worker
-
         return run_fleet_worker(args)
     if args.requests and args.requests < len(get_preset(args.preset).tiers):
         _parser().error("--requests must cover at least one per tier")

@@ -24,7 +24,7 @@ Three robustness layers stack on top of the guest server from
   invariant auditor enabled, and :func:`check_server_invariants` asserts
   request conservation and data-plane integrity after quiescence.
 
-:func:`run_server_cell` is the pool-picklable worker entry: one
+:func:`run_server_cell` is the picklable worker entry: one
 :class:`ServerSpec` in, one deterministic report fragment out, fanned
 through :class:`repro.bench.parallel.RunEngine` under the content address
 :func:`server_cell_key`.

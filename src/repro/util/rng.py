@@ -34,7 +34,7 @@ def derive_seed(base: int, *path: object) -> int:
     contract.  Richer objects (floats, enums, dataclasses) are rejected
     with ``TypeError``: their reprs can differ between Python versions or
     leak process-local state (ids, addresses), which would silently
-    desynchronize seed streams between pool workers.
+    desynchronize seed streams between fleet workers.
     """
     h = _FNV_OFFSET ^ (base & _MASK64)
     for part in path:

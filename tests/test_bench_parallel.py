@@ -41,6 +41,9 @@ TINY = MicrobenchConfig(
 
 PANEL_KW = dict(repetitions=2, write_ratios=(0, 100))
 
+#: the names a jobs=N engine gives its loopback fleet workers
+FLEET_LANES = ("w1", "w2", "w3", "w4")
+
 
 def tiny_panel(engine, monkeypatch) -> object:
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.2")
@@ -51,13 +54,15 @@ def tiny_panel(engine, monkeypatch) -> object:
 class TestSerialParallelEquivalence:
     def test_fig5_panel_reports_byte_identical(self, monkeypatch):
         serial = tiny_panel(RunEngine(jobs=1), monkeypatch)
-        pooled = tiny_panel(RunEngine(jobs=4), monkeypatch)
+        with RunEngine(jobs=4) as engine:
+            pooled = tiny_panel(engine, monkeypatch)
         assert render_panel(serial) == render_panel(pooled)
         assert panel_json(serial) == panel_json(pooled)
 
     def test_compare_modes_engine_matches_default(self):
         default = compare_modes(TINY, repetitions=2)
-        pooled = compare_modes(TINY, repetitions=2, engine=RunEngine(jobs=4))
+        with RunEngine(jobs=4) as engine:
+            pooled = compare_modes(TINY, repetitions=2, engine=engine)
         for mode in ("unmodified", "rollback"):
             assert default.runs[mode] == pooled.runs[mode]
 
@@ -65,16 +70,15 @@ class TestSerialParallelEquivalence:
         serial = run_campaign(
             2, "storm-philosophers", engine=RunEngine(jobs=1)
         )
-        pooled = run_campaign(
-            2, "storm-philosophers", engine=RunEngine(jobs=2)
-        )
+        with RunEngine(jobs=2) as engine:
+            pooled = run_campaign(2, "storm-philosophers", engine=engine)
         assert serial == pooled
 
     def test_map_preserves_input_order(self):
-        engine = RunEngine(jobs=3)
         items = [RunSpec(config=TINY, mode=m) for m in
                  ("unmodified", "rollback", "unmodified", "rollback")]
-        results = engine.map(execute_spec, items)
+        with RunEngine(jobs=3) as engine:
+            results = engine.map(execute_spec, items)
         assert [r.mode for r in results] == [s.mode for s in items]
         assert results[0] == results[2]
 
@@ -299,8 +303,8 @@ class TestEngineConfig:
         assert engine2.stats.guest_instructions == 0
 
     def test_per_worker_breakdown_sums_to_aggregate(self, tmp_path):
-        """Satellite: per-lane stats exist and sum exactly to the
-        aggregate, on both the serial and pool paths."""
+        """Per-lane stats exist and sum exactly to the aggregate, on
+        both the serial and the fleet paths."""
         engine = RunEngine(jobs=1, cache=ResultCache(tmp_path))
         compare_modes(TINY, repetitions=1, engine=engine)
         stats = engine.last_stats
@@ -309,14 +313,14 @@ class TestEngineConfig:
         # serial single-lane runs keep stderr unchanged: no worker lines
         assert stats.render_workers() == []
 
-        pooled = RunEngine(jobs=4)
-        pooled.map(execute_spec, [
-            RunSpec(config=TINY, mode=mode)
-            for mode in ("unmodified", "rollback", "inheritance",
-                         "ceiling")
-        ])
+        with RunEngine(jobs=4) as pooled:
+            pooled.map(execute_spec, [
+                RunSpec(config=TINY, mode=mode)
+                for mode in ("unmodified", "rollback", "inheritance",
+                             "ceiling")
+            ])
         pstats = pooled.last_stats
-        lanes = [n for n in pstats.workers if n.startswith("pool-")]
+        lanes = [n for n in pstats.workers if n in FLEET_LANES[:4]]
         assert lanes and len(lanes) >= 2
         assert pstats.executed == sum(
             pstats.workers[n]["tasks"] for n in lanes
@@ -404,13 +408,13 @@ class TestTraceHealthLanes:
         assert any("TRACE DEGRADED: 7 dropped / 2 sink errors" in line
                    for line in lines)
 
-    def test_degraded_runs_surface_from_pool_lanes(self):
-        engine = RunEngine(jobs=2)
-        engine.map(_degraded_result, [1, 2, 3])
+    def test_degraded_runs_surface_from_fleet_lanes(self):
+        with RunEngine(jobs=2) as engine:
+            engine.map(_degraded_result, [1, 2, 3])
         stats = engine.last_stats
         assert stats.trace_dropped == 6
         assert stats.trace_sink_errors == 3
-        lanes = [n for n in stats.workers if n.startswith("pool-")]
+        lanes = [n for n in stats.workers if n in FLEET_LANES[:2]]
         assert sum(
             stats.workers[n]["trace_dropped"] for n in lanes
         ) == 6

@@ -196,7 +196,8 @@ class TestSleepSetsUnderRevocation:
 class TestReportDeterminism:
     def test_identical_across_worker_counts(self):
         serial = explore_dpor("mini-handoff", engine=RunEngine(jobs=1))
-        fanned = explore_dpor("mini-handoff", engine=RunEngine(jobs=2))
+        with RunEngine(jobs=2) as engine:
+            fanned = explore_dpor("mini-handoff", engine=engine)
         assert serial.reduction_line() == fanned.reduction_line()
         assert serial.executions == fanned.executions
         assert serial.policy_outcomes == fanned.policy_outcomes

@@ -132,7 +132,8 @@ class TestExploreHandoff:
     def test_deterministic_across_repeats_and_jobs(self):
         serial = explore("handoff", 1, engine=RunEngine(jobs=1))
         again = explore("handoff", 1, engine=RunEngine(jobs=1))
-        fanned = explore("handoff", 1, engine=RunEngine(jobs=2))
+        with RunEngine(jobs=2) as engine:
+            fanned = explore("handoff", 1, engine=engine)
         for other in (again, fanned):
             assert other.schedules == serial.schedules
             assert other.distinct_states == serial.distinct_states

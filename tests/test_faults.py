@@ -273,3 +273,32 @@ class TestCampaign:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             run_campaign(1, "no-such-scenario")
+
+    def test_cli_jobs_identical_and_workers_reaped(
+        self, monkeypatch, capsys
+    ):
+        """``--jobs 2`` runs the campaign on a loopback fleet: stdout is
+        byte-identical to ``--jobs 1``, and ``main`` closes the engine, so
+        its worker processes have exited by the time it returns."""
+        from repro.faults import campaign
+        from repro.fleet import cli
+
+        engines = []
+        build = cli.engine_from_args
+
+        def recording_engine(args):
+            engines.append(build(args))
+            return engines[-1]
+
+        monkeypatch.setattr(cli, "engine_from_args", recording_engine)
+        argv = ["--seeds", "2", "--scenario", "storm-philosophers",
+                "--no-cache"]
+        outputs = []
+        for jobs in ("1", "2"):
+            assert campaign.main(argv + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        serial, fleet = engines
+        assert serial.procs == []
+        assert len(fleet.procs) == 2
+        assert all(proc.poll() is not None for proc in fleet.procs)

@@ -187,6 +187,22 @@ class TestThreadFleet:
         finally:
             engine.close()
 
+    def test_unimportable_task_fails_after_bounded_retries(self):
+        """A worker that cannot import the task function reports a task
+        error (and stays up) instead of dying with the lease."""
+        def orphan(item):
+            return item
+
+        orphan.__qualname__ = "orphan"
+        orphan.__module__ = "no_such_module_for_fleet_tests"
+        engine = thread_fleet(2, max_attempts=2, retry_backoff=0.01)
+        try:
+            with pytest.raises(FleetError, match="no_such_module"):
+                engine.map(orphan, [1, 2])
+            assert len(engine.coordinator.worker_names()) == 2
+        finally:
+            engine.close()
+
     def test_corrupt_result_payload_is_requeued(self):
         """A worker that lies about its payload digest does not poison
         the campaign: the result is discarded, counted, and the task
@@ -195,13 +211,13 @@ class TestThreadFleet:
         host, port = coordinator.address
         frame = connect(host, port)
         frame.send({"type": "hello", "worker": "evil", "pid": 0})
+        engine = FleetEngine(coordinator)
 
         outcome = {}
 
         def campaign():
-            outcome["results"], outcome["stats"] = coordinator.map(
-                fleet_tasks.double, [21], timeout=30
-            )
+            outcome["results"] = engine.map(fleet_tasks.double, [21])
+            outcome["stats"] = engine.last_stats
 
         runner = threading.Thread(target=campaign, daemon=True)
         runner.start()
@@ -309,3 +325,105 @@ class TestSubprocessFleet:
             )
         finally:
             engine.close()
+
+    @pytest.mark.parametrize("build", [
+        lambda: RunEngine(jobs=2, cache=None),
+        lambda: FleetEngine.local(2, cache=None),
+    ], ids=["run-engine", "fleet-local"])
+    def test_uncached_engine_ignores_the_env_store(
+        self, build, tmp_path, monkeypatch
+    ):
+        """An engine built without a cache never serves stored results,
+        even when REPRO_BENCH_CACHE_DIR points at a warm store: loopback
+        workers run with their local cache off."""
+        store = tmp_path / "store"
+        items = list(range(6))
+        warm = RunEngine(jobs=1, cache=ResultCache(store))
+        warm.map(fleet_tasks.double, items, key_fn=fleet_tasks.task_key)
+        assert warm.last_stats.executed == len(items)
+        monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(store))
+        with build() as engine:
+            results = engine.map(
+                fleet_tasks.double, items, key_fn=fleet_tasks.task_key
+            )
+        assert results == [i * 2 for i in items]
+        stats = engine.last_stats
+        assert stats.cache_hits == 0
+        assert stats.executed == stats.runs == len(items)
+
+    def test_dispatch_fails_once_every_worker_exited(self):
+        engine = FleetEngine.local(1, worker_env=_subprocess_env())
+        try:
+            engine.procs[0].kill()
+            engine.procs[0].wait(10)
+            with pytest.raises(FleetError, match="exited"):
+                engine.map(fleet_tasks.double, [1, 2])
+        finally:
+            engine.close()
+
+    def test_cli_module_tasks_run_on_the_fleet(self):
+        """``python -m repro.faults.campaign`` maps a function of its own
+        ``__main__`` module; loopback workers import it by module name."""
+        import subprocess
+        import sys
+
+        argv = [sys.executable, "-m", "repro.faults.campaign",
+                "--seeds", "2", "--scenario", "storm-philosophers",
+                "--no-cache"]
+        env = dict(os.environ, PYTHONPATH=_worker_pythonpath())
+        outs = [
+            subprocess.run(
+                argv + ["--jobs", jobs], env=env, capture_output=True,
+                text=True, timeout=120,
+            )
+            for jobs in ("1", "2")
+        ]
+        assert [out.returncode for out in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
+        assert "2 executed" in outs[1].stderr
+
+    def test_jobs_engine_spawns_once_and_reaps_on_close(self):
+        with RunEngine(jobs=2) as engine:
+            assert engine.map(fleet_tasks.double, [7]) == [14]
+            assert engine.procs == []  # one item: inline, no fleet
+            engine.map(fleet_tasks.double, list(range(4)))
+            procs = list(engine.procs)
+            engine.map(fleet_tasks.double, list(range(4)))
+            assert engine.procs == procs and len(procs) == 2
+            assert set(engine.last_stats.workers) <= {"w1", "w2"}
+        assert all(proc.poll() is not None for proc in procs)
+
+
+# ------------------------------------------------------------ CLI plumbing
+class TestEngineArgs:
+    def _args(self, argv):
+        import argparse
+
+        from repro.fleet.cli import add_engine_args
+
+        parser = argparse.ArgumentParser()
+        add_engine_args(parser)
+        return parser.parse_args(argv)
+
+    def test_flags_layer_over_env(self, tmp_path, monkeypatch):
+        from repro.fleet.cli import engine_from_args
+
+        monkeypatch.setenv("REPRO_BENCH_JOBS", "3")
+        monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path / "env"))
+        monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)
+        engine = engine_from_args(self._args([]))
+        assert engine.jobs == 3
+        assert engine.cache.directory == tmp_path / "env"
+        engine = engine_from_args(self._args(
+            ["--jobs", "1", "--cache-dir", str(tmp_path / "flag")]
+        ))
+        assert engine.jobs == 1
+        assert engine.cache.directory == tmp_path / "flag"
+        assert engine_from_args(self._args(["--no-cache"])).cache is None
+
+    def test_fleet_local_mode_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._args(["--fleet", "local:2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -206,7 +206,8 @@ def test_record_with_engine_pool_matches_serial():
     from repro.bench.parallel import RunEngine
 
     serial = record_with_engine(SPEC, 32, engine=RunEngine(jobs=1))
-    pooled = record_with_engine(SPEC, 32, engine=RunEngine(jobs=2))
+    with RunEngine(jobs=2) as engine:
+        pooled = record_with_engine(SPEC, 32, engine=engine)
     assert serial.artifact == pooled.artifact
     assert serial.boundaries == pooled.boundaries
 

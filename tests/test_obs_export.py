@@ -96,7 +96,7 @@ def test_byte_identical_across_repetitions():
 
 
 def test_byte_identical_across_worker_counts(tmp_path):
-    """Same artifact whether captured serially or in a worker pool."""
+    """Same artifact whether captured serially or on a loopback fleet."""
     from repro.bench.parallel import ResultCache, RunEngine
     from repro.obs.capture import capture_with_engine
 
@@ -104,9 +104,8 @@ def test_byte_identical_across_worker_counts(tmp_path):
     serial = capture_with_engine(
         spec, engine=RunEngine(jobs=1, cache=None)
     )
-    pooled = capture_with_engine(
-        spec, engine=RunEngine(jobs=2, cache=None)
-    )
+    with RunEngine(jobs=2, cache=None) as engine:
+        pooled = capture_with_engine(spec, engine=engine)
     cached_engine = RunEngine(
         jobs=1, cache=ResultCache(str(tmp_path / "cache"))
     )

@@ -95,14 +95,13 @@ def test_fleet_timeline_renders_within_terminal_budget():
 
 
 def test_fleet_capture_byte_identical_across_jobs(artifact):
-    """The fleet capture travels the engine like any artifact: pool
+    """The fleet capture travels the engine like any artifact: parallel
     execution returns byte-identical spans/chrome output."""
     from repro.bench.parallel import RunEngine
 
     specs = [SPEC, ObsSpec(scenario="server-fleet", seed=SPEC.seed + 1)]
-    pooled = RunEngine(jobs=2).map(
-        execute_obs_spec, specs, key_fn=obs_spec_key
-    )
+    with RunEngine(jobs=2) as engine:
+        pooled = engine.map(execute_obs_spec, specs, key_fn=obs_spec_key)
     assert pooled[0]["spans_jsonl"] == artifact["spans_jsonl"]
     assert pooled[0]["chrome_json"] == artifact["chrome_json"]
     # the sibling seed is a genuinely different run, same budgets
