@@ -56,7 +56,6 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.vm import (
     Asm,
-    Inspector,
     ClassDef,
     CostModel,
     ExceptionTableEntry,
@@ -108,7 +107,6 @@ __all__ = [
     "FaultPlan",
     # vm
     "Asm",
-    "Inspector",
     "ClassDef",
     "CostModel",
     "ExceptionTableEntry",

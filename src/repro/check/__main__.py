@@ -148,10 +148,20 @@ def _cmd_replay(
               f"digest={result['digests'][mode]}")
     for problem in result["problems"]:
         print(f"  problem: {problem}")
-    if trace_out is not None:
-        from repro.obs.capture import capture_replay
+    recording = None
+    if debug:
+        from repro.obs.debug import record_replay
 
-        artifact = capture_replay(payload, mode=trace_mode)
+        recording = record_replay(payload, mode=trace_mode)
+    if trace_out is not None:
+        # a recording's artifact is byte-identical to a capture's, so
+        # --debug reuses it instead of replaying a second time
+        if recording is not None:
+            artifact = recording.artifact
+        else:
+            from repro.obs.capture import capture_replay
+
+            artifact = capture_replay(payload, mode=trace_mode)
         with open(trace_out, "w", encoding="utf-8") as fh:
             fh.write(artifact["chrome_json"])
         print(
@@ -159,15 +169,10 @@ def _cmd_replay(
             f"{trace_out} (open at https://ui.perfetto.dev)",
             file=sys.stderr,
         )
-    if debug:
-        from repro.obs.debug import (
-            DebugSession,
-            record_replay,
-            render_state,
-            repl,
-        )
+    if recording is not None:
+        from repro.obs.debug import DebugSession, render_state, repl
 
-        session = DebugSession(record_replay(payload, mode=trace_mode))
+        session = DebugSession(recording)
         if debug_seek is not None:
             session.seek(debug_seek)
         if debug_state:

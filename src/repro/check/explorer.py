@@ -48,11 +48,7 @@ from repro.check.oracle import (
     fingerprint_digest,
 )
 from repro.check.scenarios import CheckScenario, get_scenario
-from repro.errors import (
-    DeadlockError,
-    StarvationError,
-    UncaughtGuestException,
-)
+from repro.errors import run_outcome
 from repro.util.rng import DeterministicRng, sweep_seed
 from repro.vm.clock import CostModel
 from repro.vm.vmcore import JVM, VMOptions
@@ -180,16 +176,7 @@ def run_schedule(
     vm = JVM(options)
     scenario.build().install(vm)
     vm.scheduler.decision_hook = controller
-    outcome = "completed"
-    try:
-        vm.run()
-    except DeadlockError:
-        outcome = "deadlock"
-    except StarvationError:
-        outcome = "starvation"
-    except UncaughtGuestException as exc:
-        outcome = f"uncaught:{exc.exc_class}"
-    return vm, outcome
+    return vm, run_outcome(vm.run)
 
 
 @dataclass(frozen=True)

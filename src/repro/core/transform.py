@@ -330,7 +330,7 @@ def elide_barriers(classdefs: Iterable[ClassDef]) -> int:
             # may have baked in (barrier stores emit BS calls); a stale
             # closure would keep charging the removed barriers.  Linking
             # invalidates too, but predecode can legitimately run before
-            # elision (Inspector dumps, direct predecode_method calls).
+            # elision (a direct predecode_method call, e.g. a debugging dump).
             m.invalidate_decoded()
             elided += changed
     return elided

@@ -15,6 +15,8 @@ Two families of errors exist:
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class ReproError(Exception):
     """Base class for all host-level errors raised by this library."""
@@ -136,3 +138,22 @@ class InvariantViolation(ReproError):
         super().__init__(
             f"rollback invariant violated in thread {thread_name!r}: {detail}"
         )
+
+
+def run_outcome(run: Callable[[], object]) -> str:
+    """Call ``run`` and name how the run ended.
+
+    ``"completed"``, ``"deadlock"``, ``"starvation"`` or
+    ``"uncaught:<Class>"`` — the outcome strings that captures, the
+    debugger's recordings and the schedule checker's fingerprints share.
+    Any other error propagates.
+    """
+    try:
+        run()
+    except DeadlockError:
+        return "deadlock"
+    except StarvationError:
+        return "starvation"
+    except UncaughtGuestException as exc:
+        return f"uncaught:{exc.exc_class}"
+    return "completed"

@@ -25,7 +25,7 @@ byte-identical artifacts on every interpreter, worker count and cache
 state — the property that makes traces diffable across commits.
 """
 
-from repro.obs.capture import ObsSpec, capture_run, execute_obs_spec, obs_spec_key
+from repro.obs.capture import ObsSpec, capture_run, obs_spec_key
 from repro.obs.export import (
     chrome_trace_bytes,
     folded_stacks,
@@ -42,7 +42,6 @@ __all__ = [
     "build_spans",
     "capture_run",
     "chrome_trace_bytes",
-    "execute_obs_spec",
     "folded_stacks",
     "obs_spec_key",
     "spans_jsonl_bytes",

@@ -243,7 +243,7 @@ def _episode_specs(args) -> list:
 
 
 def _cmd_episodes(args) -> int:
-    from repro.obs.capture import execute_obs_spec, obs_spec_key
+    from repro.obs.capture import capture_run, obs_spec_key
     from repro.obs.episodes import (
         build_report,
         policy_table,
@@ -253,9 +253,7 @@ def _cmd_episodes(args) -> int:
 
     specs = _episode_specs(args)
     with engine_from_args(args) as engine:
-        artifacts = engine.map(
-            execute_obs_spec, specs, key_fn=obs_spec_key
-        )
+        artifacts = engine.map(capture_run, specs, key_fn=obs_spec_key)
     print(engine.stats.render(), file=sys.stderr)
     reports = {}
     for spec, artifact in zip(specs, artifacts):

@@ -7,8 +7,14 @@ artifact — the ``repro.obs/1`` span JSONL, the Chrome trace JSON, the
 folded flamegraph stacks, the profile tables and a one-screen summary —
 into one plain, picklable dict.
 
-:func:`execute_obs_spec` / :func:`obs_spec_key` adapt the capture to the
-:class:`repro.bench.parallel.RunEngine`, so CLI invocations fan out
+Every obs VM is built here: :func:`build_capture_vm` for a registered
+scenario and :func:`build_replay_vm` for a ``repro.check``
+counterexample, both attaching their sinks through :func:`attach_sinks`.
+Captures run them straight through ``vm.run()``; the time-travel
+debugger (:mod:`repro.obs.debug`) steps the very same VMs.
+
+:func:`capture_run` is itself the :class:`repro.bench.parallel.RunEngine`
+task and :func:`obs_spec_key` its cache key, so CLI invocations fan out
 across workers and land in the content-addressed on-disk cache exactly
 like benchmark runs do (keyed by the spec plus the source digest).
 
@@ -23,11 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.errors import (
-    DeadlockError,
-    StarvationError,
-    UncaughtGuestException,
-)
+from repro.errors import run_outcome
 from repro.obs.export import (
     chrome_trace_bytes,
     folded_stacks,
@@ -94,8 +96,29 @@ class _CounterSampler:
         samples.append((now, value))
 
 
-def capture_run(spec: ObsSpec) -> dict[str, Any]:
-    """Run one scenario and return the complete artifact bundle."""
+#: what one obs VM build returns: the spec the artifact header names,
+#: the un-run VM, and the two sinks :func:`_package` reads after the run
+Capture = tuple[ObsSpec, JVM, SpanBuilder, _CounterSampler]
+
+
+def attach_sinks(vm: JVM) -> tuple[SpanBuilder, _CounterSampler]:
+    """Attach the online span builder and the counter sampler to ``vm``.
+
+    Events the VM traced before the builder was attached (the spawns of
+    a hand-built VM) are fed to it first, so the spans cover the whole
+    run either way."""
+    builder = SpanBuilder()
+    for event in vm.tracer.events:
+        builder(event)
+    vm.tracer.add_sink(builder)
+    sampler = _CounterSampler()
+    vm.slice_hooks.append(sampler)
+    return builder, sampler
+
+
+def build_capture_vm(spec: ObsSpec) -> Capture:
+    """The traced (and, by default, profiled) VM of one capture, with
+    its scenario installed and not yet run."""
     scenario = get_scenario(spec.scenario)
     overrides = dict(scenario.options)
     overrides.setdefault("max_cycles", CAPTURE_CYCLE_CAP)
@@ -108,21 +131,23 @@ def capture_run(spec: ObsSpec) -> dict[str, Any]:
         **overrides,
     )
     vm = JVM(options)
-    builder = SpanBuilder()
-    vm.tracer.add_sink(builder)
-    sampler = _CounterSampler()
-    vm.slice_hooks.append(sampler)
+    builder, sampler = attach_sinks(vm)
     scenario.install(vm, spec.seed, spec.write_pct)
-    outcome = "completed"
-    try:
-        vm.run()
-    except DeadlockError:
-        outcome = "deadlock"
-    except StarvationError:
-        outcome = "starvation"
-    except UncaughtGuestException as exc:
-        outcome = f"uncaught:{exc.exc_class}"
-    return _package(spec, vm, builder, sampler, outcome)
+    return spec, vm, builder, sampler
+
+
+def _run_and_package(
+    spec: ObsSpec,
+    vm: JVM,
+    builder: SpanBuilder,
+    sampler: _CounterSampler,
+) -> dict[str, Any]:
+    return _package(spec, vm, builder, sampler, run_outcome(vm.run))
+
+
+def capture_run(spec: ObsSpec) -> dict[str, Any]:
+    """Run one scenario and return the complete artifact bundle."""
+    return _run_and_package(*build_capture_vm(spec))
 
 
 def _package(
@@ -202,7 +227,7 @@ def _package(
 
 def build_replay_vm(
     payload: dict[str, Any], mode: Optional[str] = None
-) -> tuple[ObsSpec, JVM, SpanBuilder, _CounterSampler]:
+) -> Capture:
     """The traced/profiled VM for a ``repro.check`` counterexample
     replay, decision hook armed with the minimized choice prefix.
     Shared by :func:`capture_replay` and the time-travel debugger's
@@ -229,10 +254,7 @@ def build_replay_vm(
         **scenario.options,
     )
     vm = JVM(options)
-    builder = SpanBuilder()
-    vm.tracer.add_sink(builder)
-    sampler = _CounterSampler()
-    vm.slice_hooks.append(sampler)
+    builder, sampler = attach_sinks(vm)
     scenario.build().install(vm)
     vm.scheduler.decision_hook = ScheduleController(
         tuple(payload["minimized_schedule"])
@@ -257,25 +279,10 @@ def capture_replay(
     divergence found by the checker opens in Perfetto.  ``mode``
     defaults to the counterexample's reference policy.
     """
-    spec, vm, builder, sampler = build_replay_vm(payload, mode)
-    outcome = "completed"
-    try:
-        vm.run()
-    except DeadlockError:
-        outcome = "deadlock"
-    except StarvationError:
-        outcome = "starvation"
-    except UncaughtGuestException as exc:
-        outcome = f"uncaught:{exc.exc_class}"
-    return _package(spec, vm, builder, sampler, outcome)
+    return _run_and_package(*build_replay_vm(payload, mode))
 
 
 # ------------------------------------------------------- RunEngine adapter
-def execute_obs_spec(spec: ObsSpec) -> dict[str, Any]:
-    """Worker-side entry point for :meth:`RunEngine.map`."""
-    return capture_run(spec)
-
-
 def obs_spec_key(spec: ObsSpec) -> str:
     """Content address of one capture (identity + source digest)."""
     from repro.bench.parallel import cache_key, source_digest
@@ -289,4 +296,4 @@ def capture_with_engine(spec: ObsSpec, engine=None) -> dict[str, Any]:
         from repro.bench.parallel import RunEngine
 
         engine = RunEngine.from_env()
-    return engine.map(execute_obs_spec, [spec], key_fn=obs_spec_key)[0]
+    return engine.map(capture_run, [spec], key_fn=obs_spec_key)[0]

@@ -12,22 +12,29 @@ target and deterministically re-executing the gap.  ``step`` / ``until``
 move forward; ``back`` restores and re-executes to the previous
 quiescent point — time travel without ever running the clock backwards.
 
-The recording reuses the exact ``capture_run`` construction
-(:mod:`repro.obs.capture`), so its artifact bundle — spans, profile,
-metrics — is byte-identical to a plain capture of the same spec; the
+This is the repo's one slice-stepper.  :func:`record` steps the VM that
+:func:`repro.obs.capture.build_capture_vm` builds, :func:`record_replay`
+the one :func:`repro.obs.capture.build_replay_vm` builds, and
+:func:`record_vm` any hand-built, un-run VM — all through the same loop
+and the same span/counter sinks.  A recording's artifact bundle is
+therefore byte-identical to a plain capture of the same spec; the
 seek-fidelity tests pin that a seek-then-run-to-end reproduces the
 straight run's clock, trace, metrics and fingerprint exactly.
 
-Checkpoint streams are stored in the PR 9 content-addressed artifact
-store (:class:`repro.bench.parallel.ResultCache`) under a key derived
-from the spec, the interval and the source digest, so repeat debug
-sessions restore instead of re-recording — and the same entries travel
-over the fleet wire protocol like any other cached artifact.
+:func:`record_with_engine` stores checkpoint streams in the
+content-addressed artifact store (:class:`repro.bench.parallel.ResultCache`)
+under a key derived from the spec, the interval and the source digest,
+so repeat debug sessions restore instead of re-recording — and the same
+entries travel over the fleet wire protocol like any other cached
+artifact.
 
-The inspector (:func:`inspect_vm`) reads the restored VM directly:
-thread states and priorities, monitor owners with their entry queues
-and wait sets, undo-log depths, the spans active at the positioned
-cycle, and the blocking chain (who waits on whom, walked to its root).
+The inspector (:func:`inspect_vm`) reads the positioned VM directly:
+thread states and priorities, each thread's frames (method, pc,
+instruction, locals, operand stack) and open sections, monitor owners
+with their entry queues and wait sets, undo-log depths, the spans
+active at the positioned cycle, and the blocking chain (who waits on
+whom, walked to its root).  :func:`render_frames` adds the stack trace
+and the disassembly around the pc.
 """
 
 from __future__ import annotations
@@ -40,21 +47,21 @@ from repro.errors import (
     DeadlockError,
     StarvationError,
     UncaughtGuestException,
+    VMStateError,
+    run_outcome,
 )
 from repro.obs.capture import (
-    CAPTURE_CYCLE_CAP,
     ObsSpec,
     _CounterSampler,
     _package,
+    attach_sinks,
+    build_capture_vm,
+    build_replay_vm,
 )
-from repro.obs.scenarios import get_scenario
 from repro.obs.spans import SpanBuilder
 from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
-from repro.vm.threads import ThreadState
-from repro.vm.vmcore import JVM, VMOptions
-
-#: checkpoint-stream schema version (cache payload format)
-CHECKPOINTS_FORMAT = "repro.obs.checkpoints/2"
+from repro.vm.threads import ThreadState, VMThread
+from repro.vm.vmcore import JVM
 
 #: default scheduler slices between checkpoints: small enough that a
 #: seek re-executes a bounded gap, large enough that the stream stays
@@ -89,37 +96,33 @@ class DebugRecording:
         return build_report(self.artifact)
 
 
-def _build_vm(spec: ObsSpec) -> tuple[JVM, SpanBuilder, _CounterSampler]:
-    """Exactly ``capture_run``'s VM construction — one definition of
-    what a capture is, so recordings and captures never drift."""
-    scenario = get_scenario(spec.scenario)
-    overrides = dict(scenario.options)
-    overrides.setdefault("max_cycles", CAPTURE_CYCLE_CAP)
-    options = VMOptions(
-        mode=spec.mode,
-        seed=spec.seed,
-        interp=spec.interp,
-        trace=True,
-        profile=spec.profile,
-        **overrides,
-    )
-    vm = JVM(options)
-    builder = SpanBuilder()
-    vm.tracer.add_sink(builder)
-    sampler = _CounterSampler()
-    vm.slice_hooks.append(sampler)
-    scenario.install(vm, spec.seed, spec.write_pct)
-    return vm, builder, sampler
-
-
 def record(
     spec: ObsSpec, interval: int = DEFAULT_INTERVAL
 ) -> DebugRecording:
     """Run ``spec`` to quiescence, checkpointing every ``interval``
     slices; returns the recording (artifact byte-identical to
     :func:`repro.obs.capture.capture_run` of the same spec)."""
-    vm, builder, sampler = _build_vm(spec)
-    return _record_loop(spec, vm, builder, sampler, interval)
+    return _record_loop(*build_capture_vm(spec), interval)
+
+
+def record_vm(vm: JVM, interval: int = DEFAULT_INTERVAL) -> DebugRecording:
+    """Record a hand-built VM that has not run yet, so the debugger
+    opens over any program, not only registered scenarios.
+
+    The VM gets the capture's span builder and counter sampler; the
+    recording's spec names it ``"<vm>"`` with the VM's own mode, seed
+    and interpreter.  Raises :class:`VMStateError` for a VM that has
+    already run."""
+    if vm._ran or vm.scheduler.slices:
+        raise VMStateError("record_vm needs a VM that has not run yet")
+    spec = ObsSpec(
+        scenario="<vm>",
+        mode=vm.options.mode,
+        seed=vm.options.seed,
+        interp=vm.options.interp,
+        profile=vm.profiler is not None,
+    )
+    return _record_loop(spec, vm, *attach_sinks(vm), interval)
 
 
 def record_replay(
@@ -131,12 +134,10 @@ def record_replay(
     so the divergence opens in the time-travel debugger.  The recording
     carries the minimized decision prefix; every restore re-arms the
     scheduler's decision hook at the checkpoint's decision index, so
-    seeks reproduce the counterexample schedule exactly."""
-    from repro.obs.capture import build_replay_vm
-
-    spec, vm, builder, sampler = build_replay_vm(payload, mode)
+    seeks reproduce the counterexample schedule exactly.  Its artifact
+    is byte-identical to :func:`repro.obs.capture.capture_replay`'s."""
     return _record_loop(
-        spec, vm, builder, sampler, interval,
+        *build_replay_vm(payload, mode), interval,
         schedule=tuple(payload["minimized_schedule"]),
     )
 
@@ -154,12 +155,12 @@ def _record_loop(
     vm.begin_run()
     checkpoints = [snapshot_vm(vm)]
     boundaries = [vm.clock.now]
-    last_snap_slice = vm.scheduler.slices
-    outcome = "completed"
-    try:
+
+    def drive() -> None:
+        last_snap_slice = vm.scheduler.slices
         while vm.scheduler.step():
             now = vm.clock.now
-            if not boundaries or boundaries[-1] != now:
+            if boundaries[-1] != now:
                 boundaries.append(now)
             slices = vm.scheduler.slices
             if (
@@ -169,12 +170,8 @@ def _record_loop(
                 checkpoints.append(snapshot_vm(vm))
                 last_snap_slice = slices
         vm.finish_run()
-    except DeadlockError:
-        outcome = "deadlock"
-    except StarvationError:
-        outcome = "starvation"
-    except UncaughtGuestException as exc:
-        outcome = f"uncaught:{exc.exc_class}"
+
+    outcome = run_outcome(drive)
     artifact = _package(spec, vm, builder, sampler, outcome)
     return DebugRecording(
         spec=spec,
@@ -195,41 +192,6 @@ def recording_key(spec: ObsSpec, interval: int) -> str:
     from repro.bench.parallel import cache_key, source_digest
 
     return cache_key("obs-debug-ckpt", spec, interval, source_digest())
-
-
-def record_cached(
-    spec: ObsSpec, interval: int = DEFAULT_INTERVAL, cache=None
-) -> DebugRecording:
-    """:func:`record` through the content-addressed artifact store.
-
-    A hit restores the pickled checkpoint stream instead of re-running
-    the scenario; corrupt or foreign entries read as misses (the store
-    verifies its digest on read) and are transparently re-recorded.
-    """
-    if cache is None:
-        from repro.bench.parallel import _env_cache
-
-        cache = _env_cache()
-    if cache is None:
-        return record(spec, interval)
-    key = recording_key(spec, interval)
-    payload = cache.get(key)
-    if (
-        isinstance(payload, dict)
-        and payload.get("format") == CHECKPOINTS_FORMAT
-    ):
-        return payload["recording"]
-    recording = record(spec, interval)
-    cache.put(key, {
-        "format": CHECKPOINTS_FORMAT,
-        "scenario": spec.scenario,
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "interval": interval,
-        "checkpoints": len(recording.checkpoints),
-        "recording": recording,
-    })
-    return recording
 
 
 def execute_debug_record(item: tuple[ObsSpec, int]) -> DebugRecording:
@@ -362,45 +324,63 @@ class DebugSession:
 
 
 # ------------------------------------------------------------- inspection
-def _monitor_name(mon) -> str:
-    return repr(mon.obj)
+def _monitor_name(mon) -> Optional[str]:
+    return None if mon is None else repr(mon.obj)
+
+
+def _value(v: Any) -> Any:
+    """A guest value as plain JSON: numbers and strings as they are,
+    references (and ``null``) by their deterministic repr."""
+    return v if type(v) in (int, float, str) else repr(v)
+
+
+def _thread_state(t: VMThread) -> dict[str, Any]:
+    frames = []
+    for frame in reversed(t.frames):  # innermost first
+        frames.append({
+            "method": frame.method.qualified_name(),
+            "pc": frame.pc,
+            "instruction": (
+                repr(frame.code[frame.pc])
+                if frame.pc < len(frame.code) else None
+            ),
+            "locals": [_value(v) for v in frame.locals],
+            "stack": [_value(v) for v in frame.stack],
+        })
+    return {
+        "name": t.name,
+        "tid": t.tid,
+        "state": t.state.value,
+        "priority": t.priority,
+        "effective_priority": t.effective_priority,
+        "inherited_priority": t.inherited_priority,
+        "blocked_on": _monitor_name(t.blocked_on),
+        "waiting_on": _monitor_name(t.waiting_on),
+        "held": sorted(_monitor_name(m) for m in t.held_monitors),
+        "sections": [repr(s) for s in t.sections],
+        "frames": frames,
+        "undo_depth": (
+            len(t.undo_log) if t.undo_log is not None else 0
+        ),
+        "blocked_cycles": t.blocked_cycles,
+        "revocations": t.revocations,
+    }
 
 
 def inspect_vm(
     vm: JVM, recording: Optional[DebugRecording] = None
 ) -> dict[str, Any]:
-    """Deterministic structured state of a positioned VM: threads,
-    monitors (owner / entry queue / wait set), undo logs, blocking
-    chains, and — when the recording is at hand — the spans active at
-    this cycle."""
-    threads = []
-    for t in vm.threads:
-        threads.append({
-            "name": t.name,
-            "tid": t.tid,
-            "state": t.state.value,
-            "priority": t.priority,
-            "effective_priority": t.effective_priority,
-            "inherited_priority": t.inherited_priority,
-            "blocked_on": (
-                _monitor_name(t.blocked_on)
-                if t.blocked_on is not None else None
-            ),
-            "held": sorted(_monitor_name(m) for m in t.held_monitors),
-            "sections": len(t.sections),
-            "undo_depth": (
-                len(t.undo_log) if t.undo_log is not None else 0
-            ),
-            "blocked_cycles": t.blocked_cycles,
-            "revocations": t.revocations,
-        })
-    monitors: dict[str, dict[str, Any]] = {}
+    """Deterministic structured state of a positioned VM: threads with
+    their frames and sections, monitors (owner / entry queue / wait
+    set), undo logs, blocking chains, and — when the recording is at
+    hand — the spans active at this cycle."""
+    threads = [_thread_state(t) for t in vm.threads]
     seen = {}
     for t in vm.threads:
-        for mon in list(t.held_monitors) + (
-            [t.blocked_on] if t.blocked_on is not None else []
-        ):
-            seen[id(mon)] = mon
+        for mon in (*t.held_monitors, t.blocked_on, t.waiting_on):
+            if mon is not None:
+                seen[id(mon)] = mon
+    monitors: dict[str, dict[str, Any]] = {}
     for mon in seen.values():
         monitors[_monitor_name(mon)] = {
             "owner": mon.owner.name if mon.owner is not None else None,
@@ -475,8 +455,8 @@ def repl(session: DebugSession) -> int:
         f"mode={session.recording.spec.mode} to cycle "
         f"{session.recording.clock} "
         f"({len(session.recording.checkpoints)} checkpoint(s)); "
-        "commands: state, step [n], until CYCLE, back [cycles], "
-        "seek CYCLE, episode N, episodes, quit",
+        "commands: state, frame NAME, step [n], until CYCLE, "
+        "back [cycles], seek CYCLE, episode N, episodes, quit",
         file=sys.stderr,
     )
     while True:
@@ -494,6 +474,8 @@ def repl(session: DebugSession) -> int:
                 return 0
             elif cmd in ("s", "state"):
                 print(render_state(session.state()))
+            elif cmd in ("f", "frame"):
+                print(render_frames(session.vm, rest[0]))
             elif cmd == "step":
                 session.step(int(rest[0]) if rest else 1)
                 print(f"clock {session.now}")
@@ -526,7 +508,7 @@ def repl(session: DebugSession) -> int:
                     print("  (no priority-inversion episodes)")
             else:
                 print(f"unknown command {cmd!r}", file=sys.stderr)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, VMStateError) as exc:
             print(f"error: {exc}", file=sys.stderr)
 
 
@@ -543,6 +525,8 @@ def render_state(state: dict[str, Any]) -> str:
         extra = []
         if t["blocked_on"]:
             extra.append(f"on {t['blocked_on']}")
+        if t["waiting_on"]:
+            extra.append(f"waits on {t['waiting_on']}")
         if t["held"]:
             extra.append("holds " + ",".join(t["held"]))
         lines.append(
@@ -575,4 +559,37 @@ def render_state(state: dict[str, Any]) -> str:
                 f"  {s['kind']:<10} {s['thread']:<16} "
                 f"[{s['start']}, {end}] {detail}"
             )
+    return "\n".join(lines)
+
+
+def render_frames(vm: JVM, name: str, *, window: int = 4) -> str:
+    """Stack trace of thread ``name`` (innermost frame first) and the
+    disassembly of its current frame around the pc — the REPL's
+    ``frame NAME`` view.  Raises :class:`VMStateError` for an unknown
+    thread."""
+    thread = vm.thread_named(name)
+    t = _thread_state(thread)
+    eff = t["effective_priority"]
+    lines = [
+        f"{t['name']} [{t['state']}] prio={t['priority']}"
+        + (f" (eff {eff})" if eff != t["priority"] else "")
+    ]
+    for f in t["frames"]:
+        lines.append(
+            f"  at {f['method']} pc={f['pc']}: {f['instruction'] or '?'}"
+        )
+    if t["sections"]:
+        lines.append("  sections: " + " > ".join(t["sections"]))
+    if t["blocked_on"]:
+        lines.append(f"  blocked on {t['blocked_on']}")
+    if t["waiting_on"]:
+        lines.append(f"  waiting on {t['waiting_on']}")
+    if thread.frames:
+        frame = thread.frames[-1]
+        lo = max(0, frame.pc - window)
+        hi = min(len(frame.code), frame.pc + window + 1)
+        lines.append("")
+        for pc in range(lo, hi):
+            marker = "->" if pc == frame.pc else "  "
+            lines.append(f"{marker} {pc:>4}: {frame.code[pc]!r}")
     return "\n".join(lines)

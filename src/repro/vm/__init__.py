@@ -31,7 +31,6 @@ from repro.vm.clock import CostModel, VirtualClock
 from repro.vm.monitors import Monitor
 from repro.vm.threads import Frame, ThreadState, VMThread
 from repro.vm.scheduler import PriorityScheduler, RoundRobinScheduler
-from repro.vm.inspector import Inspector
 from repro.vm.timeline import render_timeline
 from repro.vm.vmcore import JVM, VMOptions
 
@@ -63,6 +62,5 @@ __all__ = [
     "RoundRobinScheduler",
     "JVM",
     "VMOptions",
-    "Inspector",
     "render_timeline",
 ]

@@ -204,7 +204,7 @@ class BasicBlock:
         #: index ``k`` — subtracted when instruction ``start+k`` faults.
         self.suffix_cost = suffix_cost
         self.suffix_count = suffix_count
-        #: generated Python source (debugging / ``Inspector`` dumps)
+        #: generated Python source (shown by :func:`render_decoded`)
         self.source = source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -894,7 +894,7 @@ class _Predecoder:
 
 
 def render_decoded(dm: DecodedMethod) -> str:
-    """Human-readable dump of a predecoded method (Inspector/debugging)."""
+    """Human-readable dump of a predecoded method, for debugging."""
     out = [
         f"{dm.method.qualified_name()}: {len(dm.block_list)} blocks, "
         f"{dm.fused_instructions}/{len(dm.method.code)} instructions fused, "

@@ -1,9 +1,22 @@
-"""Tests for the slice-stepping Inspector."""
+"""Stepping and inspecting a hand-built VM through the time-travel
+debugger: :func:`record_vm` records it, a :class:`DebugSession` steps
+it, and :func:`inspect_vm` / :func:`render_frames` look inside."""
+
+import json
 
 import pytest
 
 from repro import Asm, VMStateError
-from repro.vm.inspector import Inspector
+from repro.obs.debug import (
+    DebugSession,
+    inspect_vm,
+    record_vm,
+    render_frames,
+    render_state,
+)
+from repro.obs.spans import build_spans
+from repro.vm.bytecode import disassemble
+from repro.vm.predecode import predecode_method, render_decoded
 
 from conftest import build_class, make_vm
 
@@ -28,133 +41,143 @@ def counter_vm(mode="rollback"):
     return vm
 
 
+@pytest.fixture(scope="module")
+def recording():
+    return record_vm(counter_vm(), interval=8)
+
+
+def in_section(recording):
+    """A session positioned at the first point where ``low`` is inside
+    its synchronized section."""
+    session = DebugSession(recording)
+    while not session.vm.thread_named("low").sections:
+        session.step()
+    return session
+
+
 class TestStepping:
-    def test_step_slices_progress_virtual_time(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        before = vm.clock.now
-        steps = insp.step_slice(3)
-        assert len(steps) == 3
-        assert vm.clock.now > before
-        assert all(reason for _, reason in steps)
+    def test_step_slices_progress_virtual_time(self, recording):
+        session = DebugSession(recording)
+        before = session.now
+        assert session.step(3) > before
 
-    def test_finish_completes_the_run(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        insp.step_slice(2)
-        insp.finish()
-        assert insp.finished
-        assert vm.all_terminated()
-        assert vm.get_static("T", "counter") == 2_060
+    def test_finish_completes_the_run(self, recording):
+        session = DebugSession(recording)
+        session.step(2)
+        assert session.seek(recording.clock) == recording.clock
+        assert session.vm.all_terminated()
+        assert session.vm.get_static("T", "counter") == 2_060
 
-    def test_stepping_equals_plain_run(self):
-        """Slice-stepping must be observationally identical to vm.run()."""
-        stepped = counter_vm()
-        Inspector(stepped).finish()
+    def test_stepping_equals_plain_run(self, recording):
+        """Recording (and stepping) must be observationally identical
+        to vm.run()."""
         plain = counter_vm()
         plain.run()
-        assert stepped.clock.now == plain.clock.now
+        assert recording.clock == plain.clock.now
+        assert recording.outcome == "completed"
         assert (
-            stepped.metrics()["support"] == plain.metrics()["support"]
+            recording.artifact["metrics"]["support"]
+            == plain.metrics()["support"]
         )
+        session = DebugSession(recording)
+        session.seek(recording.clock)
+        assert session.vm.metrics()["support"] == plain.metrics()["support"]
+        # the sinks attach after the spawns, yet the spans still cover
+        # the whole run: the same stream a post-hoc fold produces
+        posthoc = build_spans(plain.tracer.events, plain.clock.now)
+        assert [
+            (r["kind"], r["thread"], r["start"], r["end"])
+            for r in _span_records(recording)
+        ] == [(s.kind, s.thread, s.start, s.end) for s in posthoc]
 
-    def test_run_until_predicate(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        ok = insp.run_until(lambda v: v.clock.now > 5_000)
-        assert ok and vm.clock.now > 5_000
+    def test_run_until_predicate(self, recording):
+        session = DebugSession(recording)
+        assert session.until(5_000) >= 5_000
 
-    def test_run_until_event_rollback(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        assert insp.run_until_event("rollback_begin")
-        low = vm.thread_named("low")
-        assert low.revocations >= 0  # rollback is in flight or just done
-        assert not insp.finished
-        insp.finish()
-        assert vm.metrics()["support"]["revocations_completed"] >= 1
+    def test_run_until_event_rollback(self, recording):
+        """Position at the first rollback span of the recorded stream."""
+        start = min(
+            obj["start"] for obj in _span_records(recording)
+            if obj["kind"] == "revocation"
+        )
+        session = DebugSession(recording)
+        assert session.seek(start) >= start
+        assert session.now < recording.clock
+        assert recording.artifact["metrics"]["support"][
+            "revocations_completed"
+        ] >= 1
 
-    def test_run_until_event_needs_tracing(self):
-        vm = counter_vm()
-        vm.tracer.enabled = False
-        insp = Inspector(vm)
-        with pytest.raises(VMStateError):
-            insp.run_until_event("spawn")
-
-    def test_run_until_never_satisfied_returns_false(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        assert insp.run_until(lambda v: False) is False
-        assert insp.finished
+    def test_run_until_never_satisfied_returns_false(self, recording):
+        session = DebugSession(recording)
+        assert session.until(recording.clock + 10**9) == recording.clock
 
     def test_inspector_rejects_finished_vm(self):
         vm = counter_vm()
         vm.run()
         with pytest.raises(VMStateError):
-            Inspector(vm)
+            record_vm(vm)
 
     def test_uncaught_exception_surfaces_on_step(self):
-        from repro import UncaughtGuestException
-
         boom = Asm("boom", argc=0)
         boom.throw_new("Error")
         cls = build_class("B", [], [boom])
         vm = make_vm()
         vm.load(cls)
         vm.spawn("B", "boom", name="b")
-        insp = Inspector(vm)
-        with pytest.raises(UncaughtGuestException):
-            insp.finish()
+        assert record_vm(vm).outcome == "uncaught:Error"
 
 
 class TestInspection:
-    def test_stack_trace_shows_frames_and_sections(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        insp.run_until(
-            lambda v: bool(v.thread_named("low").sections)
+    def test_stack_trace_shows_frames_and_sections(self, recording):
+        session = in_section(recording)
+        low = next(
+            t for t in session.state()["threads"] if t["name"] == "low"
         )
-        text = insp.stack_trace(vm.thread_named("low"))
-        assert "low" in text
-        assert "T.run" in text
+        assert low["frames"][0]["method"] == "T.run"
+        assert low["sections"]
+        text = render_frames(session.vm, "low")
+        assert text.startswith("low [")
+        assert "at T.run pc=" in text
         assert "sections:" in text
 
-    def test_disassemble_around_marks_pc(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        insp.step_slice(1)
-        text = insp.disassemble_around(vm.thread_named("low"))
-        assert "->" in text
+    def test_disassemble_around_marks_pc(self, recording):
+        session = DebugSession(recording)
+        session.step()
+        assert "->" in render_frames(session.vm, "low")
+        with pytest.raises(VMStateError):
+            render_frames(session.vm, "nobody")
 
-    def test_locals_and_stack_snapshots(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        insp.run_until(
-            lambda v: bool(v.thread_named("low").sections)
-        )
-        low = vm.thread_named("low")
-        locals_ = insp.locals_of(low)
-        assert locals_[0] == 2_000  # the iters argument
-        assert isinstance(insp.operand_stack_of(low), list)
+    def test_locals_and_stack_snapshots(self, recording):
+        session = in_section(recording)
+        state = inspect_vm(session.vm)
+        low = next(t for t in state["threads"] if t["name"] == "low")
+        frame = low["frames"][0]
+        assert frame["locals"][0] == 2_000  # the iters argument
+        assert isinstance(frame["stack"], list)
+        assert frame["instruction"] is not None
 
-    def test_threads_summary(self):
-        vm = counter_vm()
-        insp = Inspector(vm)
-        insp.step_slice(2)
-        text = insp.threads_summary()
+    def test_threads_summary(self, recording):
+        session = DebugSession(recording)
+        session.step(2)
+        text = render_state(session.state())
         assert "low" in text and "high" in text
 
     def test_disassemble_method(self):
         vm = counter_vm()
-        insp = Inspector(vm)
-        text = insp.disassemble_method("T", "run")
+        text = disassemble(vm.resolve_method("T", "run").code)
         assert "monitorenter" in text
         assert "savestate" in text  # the transformer ran (rollback mode)
 
     def test_disassemble_decoded(self):
         vm = counter_vm()
-        insp = Inspector(vm)
-        text = insp.disassemble_decoded("T", "run")
+        text = render_decoded(
+            predecode_method(vm, vm.resolve_method("T", "run"))
+        )
         assert "T.run" in text
         assert "block [" in text        # at least one fused block
         assert "def _b" in text         # generated block source included
+
+
+def _span_records(recording):
+    lines = recording.artifact["spans_jsonl"].splitlines()[1:]
+    return [json.loads(line) for line in lines]

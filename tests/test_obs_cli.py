@@ -206,8 +206,9 @@ def test_bench_profile_and_trace_flags(tmp_path, capsys, monkeypatch):
     assert total == other["clock"]
 
 
-def test_check_replay_trace_out(tmp_path, capsys):
+def test_check_replay_trace_out(tmp_path, capsys, monkeypatch):
     from repro.check.__main__ import main as check_main
+    from repro.obs import capture, debug
 
     cex = tmp_path / "cex.json"
     rc = check_main(["--scenario", "handoff", "--bound", "1",
@@ -227,6 +228,24 @@ def test_check_replay_trace_out(tmp_path, capsys):
         sum(cats.values()) for cats in other["cycles_by_track"].values()
     )
     assert total == other["clock"]
+    # with --debug too, the replay runs once: the debugger's recording
+    # writes the same trace bytes
+    builds = []
+    build = capture.build_replay_vm
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(debug, "build_replay_vm", counted)
+    monkeypatch.setattr(capture, "build_replay_vm", counted)
+    both = tmp_path / "replay-debug.json"
+    rc = check_main(["--replay", str(cex), "--trace-out", str(both),
+                     "--debug", "--debug-state"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(builds) == 1
+    assert both.read_bytes() == trace.read_bytes()
 
 
 # ------------------------------------------- episodes & time-travel CLI

@@ -11,12 +11,11 @@ import pytest
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.obs.capture import ObsSpec, capture_run
 from repro.obs.debug import (
-    CHECKPOINTS_FORMAT,
+    DebugRecording,
     DebugSession,
+    inspect_vm,
     record,
-    record_cached,
     record_with_engine,
-    recording_key,
     render_state,
 )
 
@@ -32,9 +31,9 @@ def recording():
 def straight():
     """The same spec run straight to the end, no checkpoints — the
     reference timeline every seek must land back on."""
-    from repro.obs.debug import _build_vm
+    from repro.obs.capture import build_capture_vm
 
-    vm, _, _ = _build_vm(SPEC)
+    _, vm, _, _ = build_capture_vm(SPEC)
     vm.begin_run()
     while vm.scheduler.step():
         pass
@@ -161,23 +160,67 @@ def test_render_state_one_screen(recording):
     assert "high" in text and "low" in text
 
 
+def test_waiting_threads_and_their_monitors_are_reported():
+    """A thread in ``wait()`` holds nothing and is not blocked: the
+    inspector must still name its monitor and list it in the wait set,
+    even when no thread owns that monitor."""
+    rec = record(ObsSpec(scenario="bounded-buffer"), interval=4)
+    session = DebugSession(rec)
+    assert session.seek(382) == 382
+    state = session.state()
+    producer = next(
+        t for t in state["threads"] if t["name"] == "producer-0"
+    )
+    assert producer["state"] == "waiting"
+    assert producer["waiting_on"] == "<Buffer#13>"
+    assert producer["blocked_on"] is None and producer["held"] == []
+    buffer = state["monitors"]["<Buffer#13>"]
+    assert buffer["owner"] is None
+    assert "producer-0" in buffer["wait_set"]
+    assert "waits on <Buffer#13>" in render_state(state)
+
+
+@pytest.mark.parametrize(
+    "scenario", ["server-storm", "bounded-buffer", "fig5a"]
+)
+def test_frames_identical_across_interps(scenario):
+    """Frames (pc, instruction, locals, operand stack) at every sampled
+    quiescent point are the same under the predecode tier and the
+    reference loop: the ``--print-state --json`` contract."""
+    fast = record(ObsSpec(scenario=scenario, interp="fast"), interval=16)
+    ref = record(
+        ObsSpec(scenario=scenario, interp="reference"), interval=16
+    )
+    assert fast.boundaries == ref.boundaries
+    targets = fast.boundaries[:: max(1, len(fast.boundaries) // 8)]
+    a, b = DebugSession(fast), DebugSession(ref)
+    for target in targets + [fast.clock]:
+        assert a.seek(target) == b.seek(target)
+        assert inspect_vm(a.vm) == inspect_vm(b.vm), target
+
+
 # --------------------------------------------------- store / engine lanes
-def test_record_cached_roundtrip(tmp_path):
-    from repro.bench.parallel import ResultCache
+def test_record_with_engine_cache_roundtrip(tmp_path):
+    """A warm engine serves the stored checkpoint stream as a
+    DebugRecording that positions exactly like the cold one."""
+    from repro.bench.parallel import ResultCache, RunEngine
 
     cache = ResultCache(tmp_path)
-    first = record_cached(SPEC, interval=32, cache=cache)
-    key = recording_key(SPEC, 32)
-    stored = cache.get(key)
-    assert stored["format"] == CHECKPOINTS_FORMAT
-    assert stored["checkpoints"] == len(first.checkpoints)
-    second = record_cached(SPEC, interval=32, cache=cache)
+    cold_engine = RunEngine(jobs=1, cache=cache)
+    first = record_with_engine(SPEC, 32, engine=cold_engine)
+    assert cold_engine.stats.cache_hits == 0
+    warm_engine = RunEngine(jobs=1, cache=cache)
+    second = record_with_engine(SPEC, 32, engine=warm_engine)
+    assert warm_engine.stats.cache_hits == 1
+    assert isinstance(second, DebugRecording)
     assert second.artifact == first.artifact
     assert second.boundaries == first.boundaries
     assert len(second.checkpoints) == len(first.checkpoints)
-    # a session over the restored stream still seeks correctly
-    session = DebugSession(second)
-    assert session.seek(second.clock) == second.clock
+    cold, warm = DebugSession(first), DebugSession(second)
+    cold.seek_episode(1)
+    warm.seek_episode(1)
+    assert render_state(warm.state()) == render_state(cold.state())
+    assert warm.seek(second.clock) == second.clock
 
 
 def test_pickled_recording_seeks_to_the_same_state(recording):

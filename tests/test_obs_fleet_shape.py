@@ -9,12 +9,7 @@ import json
 
 import pytest
 
-from repro.obs.capture import (
-    ObsSpec,
-    capture_run,
-    execute_obs_spec,
-    obs_spec_key,
-)
+from repro.obs.capture import ObsSpec, capture_run, obs_spec_key
 
 #: hard output-size budgets for the fleet capture — the artifacts must
 #: stay shippable over the fleet wire however many guest threads run
@@ -101,7 +96,7 @@ def test_fleet_capture_byte_identical_across_jobs(artifact):
 
     specs = [SPEC, ObsSpec(scenario="server-fleet", seed=SPEC.seed + 1)]
     with RunEngine(jobs=2) as engine:
-        pooled = engine.map(execute_obs_spec, specs, key_fn=obs_spec_key)
+        pooled = engine.map(capture_run, specs, key_fn=obs_spec_key)
     assert pooled[0]["spans_jsonl"] == artifact["spans_jsonl"]
     assert pooled[0]["chrome_json"] == artifact["chrome_json"]
     # the sibling seed is a genuinely different run, same budgets

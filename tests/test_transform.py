@@ -408,7 +408,7 @@ class TestBarrierElision:
 
     def test_predecoded_method_not_stale_after_elision(self):
         """Regression: predecode can legitimately run *before* barrier
-        elision (Inspector dumps, direct ``predecode_method`` calls).
+        elision (a direct ``predecode_method`` call, e.g. a debugging dump).
         Elision then mutates barrier flags the compiled DecodedMethod
         baked in; without invalidation the fast engine keeps charging
         the removed barriers and diverges from the reference clock."""
