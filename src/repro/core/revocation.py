@@ -10,7 +10,11 @@ seam (:mod:`repro.vm.support`):
   low-priority and high-priority threads are logged for fairness").
 * **JMM tracking** — every read runs the dependency check; observing
   another thread's speculative write marks the writer's enclosing sections
-  non-revocable (§2.2), as do native calls and ``wait``.
+  non-revocable (§2.2), as do native calls and ``wait``.  The check has an
+  exact O(1) fast path: it consults the dependency map only when some
+  thread other than the reader holds a speculative write (``jmm.live``),
+  and an outermost commit clears the map in O(1) when the committing
+  thread is its only writer (:meth:`JmmTracker.commit_all`).
 * **Detection** — contended acquisitions (and optionally a periodic scan)
   feed the :class:`~repro.core.detection.InversionDetector`.
 * **Revocation** — at the holder's next yield point ``check_yield``
@@ -100,6 +104,15 @@ class RollbackSupport(RuntimeSupport):
             cached = tuple(thread.sections)
             self._active_cache[thread.tid] = cached
         return cached
+
+    def _commit_log(self, thread: "VMThread", log: UndoLog) -> None:
+        """Finalise ``thread``'s speculative writes at outermost commit:
+        drop its JMM records (in O(1) when it is the only live writer and
+        its records match its log) and discard the buffer."""
+        jmm = self.jmm
+        if not jmm.commit_all(thread, len(log)):
+            jmm.on_commit(thread, log.locations_since(0))
+        log.truncate(0)
 
     def _invalidate(self, thread: "VMThread") -> None:
         self._active_cache.pop(thread.tid, None)
@@ -216,9 +229,7 @@ class RollbackSupport(RuntimeSupport):
         if not thread.sections:
             # Outermost commit: updates become final; the buffer and the
             # JMM dependency records are discarded.
-            log = self._log(thread)
-            self.jmm.on_commit(thread, log.locations_since(0))
-            log.truncate(0)
+            self._commit_log(thread, self._log(thread))
             thread.consecutive_revocations = 0
             thread.sections_committed += 1
             self.metrics.sections_committed += 1
@@ -236,17 +247,20 @@ class RollbackSupport(RuntimeSupport):
     ) -> int:
         m = self.metrics
         m.barrier_fast_hits += 1
-        cost = self.vm.cost_model.barrier_fast
-        if thread.sections:
-            self._log(thread).append(container, slot, old_value)
-            self.jmm.on_write(
-                thread, location_of(container, slot),
-                self._active_tuple(thread),
-            )
-            m.barrier_slow_hits += 1
-            m.undo_entries_logged += 1
-            cost += self.vm.cost_model.barrier_slow
-        return cost
+        cm = self.vm.cost_model
+        if not thread.sections:
+            return cm.barrier_fast
+        log = thread.undo_log
+        if log is None:
+            log = self._log(thread)
+        log.entries.append((container, slot, old_value))
+        active = self._active_cache.get(thread.tid)
+        if active is None:
+            active = self._active_tuple(thread)
+        self.jmm.on_write(thread, location_of(container, slot), active)
+        m.barrier_slow_hits += 1
+        m.undo_entries_logged += 1
+        return cm.barrier_fast + cm.barrier_slow
 
     def before_store_batch(self, thread, entries) -> int:
         # Batched fast path: one log extend + metric bump for the whole
@@ -277,8 +291,12 @@ class RollbackSupport(RuntimeSupport):
         self, thread: "VMThread", container, slot, volatile: bool
     ) -> int:
         self.metrics.read_barrier_hits += 1
-        sections = self.jmm.on_read(thread, location_of(container, slot))
-        if sections:
+        # Fast path: on_read can only report another thread's records, so
+        # skip the lookup unless some thread other than the reader has one.
+        # The predecode tier inlines this same guard (read_barrier_guard).
+        live = self.jmm.live
+        if len(live) > (thread.tid in live):
+            sections = self.jmm.on_read(thread, location_of(container, slot))
             reason = REASON_VOLATILE if volatile else REASON_DEPENDENCY
             for section in sections:
                 if section.mark_nonrevocable(reason):
@@ -292,6 +310,9 @@ class RollbackSupport(RuntimeSupport):
                         reason=reason,
                     )
         return self.vm.cost_model.read_barrier
+
+    def read_barrier_guard(self):
+        return self.jmm.live, self.metrics
 
     # --------------------------------------------------------------- control
     def check_yield(self, thread: "VMThread") -> Optional[RollbackSignal]:
@@ -442,9 +463,7 @@ class RollbackSupport(RuntimeSupport):
             "section_abandoned", thread, section=repr(section)
         )
         if not thread.sections and thread.undo_log is not None:
-            log = thread.undo_log
-            self.jmm.on_commit(thread, log.locations_since(0))
-            log.truncate(0)
+            self._commit_log(thread, thread.undo_log)
 
     # ------------------------------------------------------------ robustness
     def request_revocation(

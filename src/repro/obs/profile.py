@@ -276,6 +276,11 @@ class ProfilingSupport:
         self.profiler.note_mechanism(thread, "barrier", cost)
         return cost
 
+    def read_barrier_guard(self):
+        # No inline fast path under the profiler: every read barrier must
+        # come through after_load above to be attributed to ``barrier``.
+        return None
+
     # ------------------------------------------------------------- monitors
     def on_monitor_entered(self, thread, monitor, frame, sync_id, recursive):
         cost = self.inner.on_monitor_entered(

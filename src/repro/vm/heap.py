@@ -192,12 +192,16 @@ def location_of(container: VMObject | VMArray | tuple[str, str], slot) -> tuple:
     * array element  -> ``("a", oid, index)``
     * static field   -> ``("s", class_name, field_name)``
     """
-    if isinstance(container, VMObject):
-        return ("f", container.oid, slot)
-    if isinstance(container, VMArray):
-        return ("a", container.oid, slot)
+    tag = _LOC_TAGS.get(type(container))
+    if tag is not None:
+        return (tag, container.oid, slot)
     cls, fname = container
     return ("s", cls, fname)
+
+
+#: container type -> location tag; one dict probe instead of an
+#: ``isinstance`` chain on the barrier hot path (neither class is subclassed)
+_LOC_TAGS = {VMObject: "f", VMArray: "a"}
 
 
 NULL_REF_MESSAGE = "null reference dereferenced"

@@ -47,7 +47,10 @@ invariants that make this safe:
 * Heap ops go through the *same* seams as the reference — ``require_ref``,
   ``VMObject.get/put``, ``Heap.get_static/put_static``,
   ``support.after_load/before_store`` — with per-site monomorphic inline
-  cache cells replacing the reference's ``ins.c`` caches.
+  cache cells replacing the reference's ``ins.c`` caches.  When the
+  support offers ``read_barrier_guard()``, each read barrier inlines
+  ``after_load``'s fast path (bump the hit count, charge the cost) and
+  calls it only when another thread holds a speculative write.
 * Runs of consecutive barrier stores with no intervening raising op or
   read barrier are appended through one
   ``support.before_store_batch`` call (*batched write barriers*); the
@@ -459,7 +462,17 @@ class _Emitter:
     def read_barrier(self, container: str, slot: str, volatile: str) -> None:
         self.flush_batch()  # keep jmm write/read ordering exact
         self.dynamic = True
-        self.emit(f"{self.acc} += AL(T, {container}, {slot}, {volatile})")
+        call = f"{self.acc} += AL(T, {container}, {slot}, {volatile})"
+        cost = self.owner.read_barrier_cost
+        if cost is None:
+            self.emit(call)
+            return
+        # support.read_barrier_guard(): after_load's fast path, inline
+        self.emit("if len(LV) > (T.tid in LV):")
+        self.emit(f"    {call}")
+        self.emit("else:")
+        self.emit("    RM.read_barrier_hits += 1")
+        self.emit(f"    {self.acc} += {cost}")
 
     def set_fault(self, pc: int) -> None:
         """Mark ``pc`` as the next possible guest-fault site.
@@ -742,6 +755,13 @@ class _Predecoder:
             "SERR": StarvationError,
             "GRE": GuestRuntimeError,
         }
+        #: cycles of the inlined read-barrier fast path; None when every
+        #: read barrier calls ``AL`` (see RuntimeSupport.read_barrier_guard)
+        self.read_barrier_cost = None
+        guard = support.read_barrier_guard() if self.read_barriers else None
+        if guard is not None:
+            self.ns["LV"], self.ns["RM"] = guard
+            self.read_barrier_cost = vm.cost_model.read_barrier
 
     def build(self) -> DecodedMethod:
         from repro.vm.tracecomp import compile_superblocks

@@ -118,6 +118,18 @@ class RuntimeSupport:
         """Read-barrier hook: JMM read-write dependency tracking (§2.2)."""
         return 0
 
+    def read_barrier_guard(self):
+        """State for a read barrier inlined into predecoded code, or None
+        (the default: generated code always calls :meth:`after_load`).
+
+        A support may return ``(live, metrics)``.  ``live`` is a dict keyed
+        by thread id, mutated only in place; whenever it holds no key other
+        than the reader's own tid, :meth:`after_load` must do nothing but
+        bump ``metrics.read_barrier_hits`` and return
+        ``cost_model.read_barrier``, which the generated code then does
+        inline instead of calling it."""
+        return None
+
     # -------------------------------------------------------------- control
     def check_yield(self, thread: "VMThread") -> "RollbackSignal | None":
         """Called at every yield point (and on resume from a block).

@@ -280,3 +280,115 @@ def test_trace_memory_forces_reference() -> None:
 
     assert _decoded_methods(_run_bank(interp="reference")) == []
     assert _decoded_methods(_run_bank(trace=True)) != []
+
+
+# --------------------------------------------- JMM read-barrier slow branch
+# Generated code inlines after_load's fast path and calls it only when a
+# thread other than the reader holds a speculative write.  These
+# workloads make that slow branch fire (reads of another thread's
+# uncommitted writes pin sections), so the inline guard is compared
+# against the reference's after_load call on every load.
+def _jmm_example(builder_name: str, lock_fields: tuple[str, ...]):
+    import importlib.util
+    import pathlib
+
+    from repro.bench.workloads import Workload
+
+    path = (pathlib.Path(__file__).resolve().parent.parent / "examples"
+            / "jmm_nonrevocable.py")
+    spec = importlib.util.spec_from_file_location("jmm_nonrevocable", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+
+    def build() -> Workload:
+        cls = getattr(example, builder_name)()
+
+        def setup(vm: JVM) -> None:
+            for name in lock_fields:
+                vm.set_static(cls.name, name, vm.new_object(cls.name))
+
+        return Workload(
+            name=cls.name, classdef=cls, setup=setup,
+            spawns=[("writer", [], 1, "T"), ("reader", [], 5, "T'"),
+                    ("contender", [], 10, "Th")],
+        )
+    return build
+
+
+def _build_shared_writers():
+    """Two equal-priority threads, each inside its own monitor, keep
+    writing and reading one static, one array element and one instance
+    field; time slicing interleaves them, so both hold speculative writes
+    to the same locations at once.  A high-priority contender then asks
+    to revoke the first writer's section."""
+    from repro.bench.workloads import Workload
+    from repro.vm.classfile import ClassDef, FieldDef
+
+    cls = ClassDef("Share", fields=[
+        FieldDef("lockA", "ref", is_static=True),
+        FieldDef("lockB", "ref", is_static=True),
+        FieldDef("arr", "ref", is_static=True),
+        FieldDef("box", "ref", is_static=True),
+        FieldDef("s", "int", is_static=True),
+        FieldDef("x", "int"),
+    ])
+
+    def writer(name: str, lock: str) -> None:
+        a = Asm(name, argc=0)
+        a.getstatic("Share", lock)
+        with a.sync():
+            def step() -> None:
+                a.getstatic("Share", "s").const(1).add()
+                a.putstatic("Share", "s")
+                a.getstatic("Share", "arr").const(0)
+                a.getstatic("Share", "s").astore()
+                a.getstatic("Share", "box").getstatic("Share", "s")
+                a.putfield("x")
+                a.getstatic("Share", "arr").const(0).aload().pop()
+                a.getstatic("Share", "box").getfield("x").pop()
+            a.for_range(a.local(), lambda: a.const(600), step)
+        a.ret()
+        cls.add_method(a.build())
+
+    writer("writerA", "lockA")
+    writer("writerB", "lockB")
+    th = Asm("contender", argc=0)
+    th.pause(6_000)
+    th.getstatic("Share", "lockA")
+    with th.sync():
+        th.getstatic("Share", "s").pop()
+    th.ret()
+    cls.add_method(th.build())
+
+    def setup(vm: JVM) -> None:
+        vm.set_static("Share", "lockA", vm.new_object("Share"))
+        vm.set_static("Share", "lockB", vm.new_object("Share"))
+        vm.set_static("Share", "arr", vm.new_array(1))
+        vm.set_static("Share", "box", vm.new_object("Share"))
+
+    return Workload(
+        name="shared-writers", classdef=cls, setup=setup,
+        spawns=[("writerA", [], 3, "A"), ("writerB", [], 3, "B"),
+                ("contender", [], 10, "Th")],
+    )
+
+
+JMM_WORKLOADS = [
+    ("figure2", _jmm_example("build_figure2", ("outer", "inner"))),
+    ("figure3", _jmm_example("build_figure3", ("m",))),
+    ("shared-writers", _build_shared_writers),
+]
+
+
+@pytest.mark.parametrize(
+    "name,build", JMM_WORKLOADS, ids=[n for n, _ in JMM_WORKLOADS]
+)
+def test_jmm_slow_branch_parity(name: str, build) -> None:
+    ref = _run_workload(build, "rollback", "reference")
+    fast = _run_workload(build, "rollback", "fast")
+    for key in ref:
+        assert fast[key] == ref[key], f"{name}: {key} diverged"
+    # the slow branch really ran: a read observed a speculative write
+    marks = [e for e in ref["trace"] if e.kind == "nonrevocable"]
+    assert marks
+    assert ref["metrics"]["support"]["nonrevocable_dependency"] > 0

@@ -5,7 +5,11 @@ native methods and ``wait``, and checks that non-revocability actually
 blocks revocation (the contender falls back to classic blocking).
 """
 
+import pytest
+
 from repro import Asm
+from repro.check.scenarios import scenarios
+from repro.errors import DeadlockError, UncaughtGuestException
 
 from conftest import build_class, make_vm
 
@@ -300,3 +304,147 @@ class TestFigure4Semantics:
             vm.run()
             assert vm.get_static(cls_name, "observed") == 1, mode
             assert vm.get_static(cls_name, "v") == 1, mode
+
+
+# ------------------------------------------------- commit fast path, live
+def _drop_scenario():
+    """The victim's first execution of its section logs one write, to
+    ``a``; the revocation drops that entry (``undo_drop_rate=1.0``), so its
+    JMM record outlives the log.  The contender sets ``flag`` outside any
+    section before contending, so the re-execution writes ``b`` instead
+    and never touches ``a`` again.  A late reader then reads ``a``."""
+    victim = Asm("victim", argc=0)
+    victim.getstatic("D", "lock")
+    with victim.sync():
+        victim.if_then(
+            lambda: victim.getstatic("D", "flag").const(0).eq(),
+            lambda: victim.const(1).putstatic("D", "a"),
+            lambda: victim.const(1).putstatic("D", "b"),
+        )
+        i = victim.local()
+        victim.for_range(i, lambda: victim.const(3_000), lambda:
+                         victim.const(0).pop())
+    victim.ret()
+
+    contender = Asm("contender", argc=0)
+    contender.const(4_000).sleep()
+    contender.const(1).putstatic("D", "flag")
+    contender.getstatic("D", "lock")
+    with contender.sync():
+        contender.const(0).pop()
+    contender.ret()
+
+    reader = Asm("reader", argc=0)
+    reader.const(200_000).sleep()
+    reader.getstatic("D", "a").putstatic("D", "seen")
+    reader.ret()
+    return build_class(
+        "D", ["lock:ref", "flag:int", "a:int", "b:int", "seen:int"],
+        [victim, contender, reader],
+    )
+
+
+class TestCommitFastPath:
+    def test_dropped_undo_takes_per_location_commit(self, monkeypatch):
+        from repro import FaultPlan
+        from repro.core.jmm import JmmTracker
+
+        commits = []
+        commit_all = JmmTracker.commit_all
+
+        def spy(self, thread, log_len):
+            took = commit_all(self, thread, log_len)
+            commits.append((thread.name, dict(self.live), log_len, took))
+            return took
+
+        monkeypatch.setattr(JmmTracker, "commit_all", spy)
+        vm = make_vm("rollback", faults=FaultPlan(undo_drop_rate=1.0))
+        vm.load(_drop_scenario())
+        vm.set_static("D", "lock", vm.new_object("D"))
+        victim = vm.spawn("D", "victim", priority=1, name="V")
+        vm.spawn("D", "contender", priority=10, name="H")
+        vm.spawn("D", "reader", priority=5, name="R")
+        vm.run()
+
+        support = vm.support
+        s = vm.metrics()["support"]
+        assert s["revocations_completed"] == 1
+        assert vm.fault_plane.counts["undo_drop"] == 1
+        # the seeded defect: the dropped store to ``a`` survived
+        assert vm.get_static("D", "a") == 1
+        assert vm.get_static("D", "b") == 1
+        # the victim's commit saw one record more than its log held, so
+        # it took the per-location path, not the O(1) clear
+        assert ("V", {victim.tid: 2}, 1, False) in commits
+        # the stale record on ``a`` outlived the commit ...
+        assert support.jmm.speculative_writers(("s", "D", "a")) == [
+            victim.tid
+        ]
+        assert support.jmm.live == {victim.tid: 1}
+        # ... so the late reader still pinned the section that wrote it
+        pins = [e for e in vm.tracer.of_kind("nonrevocable")
+                if e.thread == "R"]
+        assert len(pins) == 1
+        assert pins[0].details["reason"] == "read-write-dependency"
+        assert s["nonrevocable_dependency"] == 1
+
+    def test_perturbed_undo_keeps_live_balanced(self, monkeypatch):
+        from repro import FaultPlan
+        from repro.core.revocation import RollbackSupport
+
+        balanced = []
+        check_yield = RollbackSupport.check_yield
+
+        def spy(self, thread):
+            signal = check_yield(self, thread)
+            if signal is not None:
+                log = thread.undo_log
+                balanced.append(
+                    self.jmm.live.get(thread.tid, 0) == len(log)
+                )
+            return signal
+
+        monkeypatch.setattr(RollbackSupport, "check_yield", spy)
+        run = Asm("run", argc=0)
+        run.getstatic("P", "lock")
+        with run.sync():
+            i = run.local()
+            run.for_range(i, lambda: run.const(2_000), lambda: (
+                run.getstatic("P", "counter"), run.const(1), run.add(),
+                run.putstatic("P", "counter"),
+            ))
+        run.ret()
+        vm = make_vm(
+            "rollback",
+            faults=FaultPlan(revocation_storm_rate=1.0,
+                             undo_perturb_rate=1.0),
+            livelock_grace=0, revocation_backoff=0,
+            revocation_retry_budget=3, watchdog_interval=0,
+        )
+        vm.load(build_class("P", ["lock:ref", "counter:int"], [run]))
+        vm.set_static("P", "lock", vm.new_object("P"))
+        vm.spawn("P", "run", name="victim")
+        vm.run()
+
+        assert vm.get_static("P", "counter") == 2_000
+        assert vm.fault_plane.counts["undo_perturb"] >= 1
+        assert balanced and all(balanced)
+        assert vm.support.jmm.live == {}
+        assert len(vm.support.jmm) == 0
+
+
+@pytest.mark.parametrize("interp", ("reference", "fast"))
+@pytest.mark.parametrize("name", sorted(scenarios()))
+def test_rollback_scenarios_quiesce_empty(name, interp):
+    """Every checker scenario, run to quiescence on the rollback VM,
+    leaves no JMM record behind: every speculative write was committed
+    or undone, and ``live`` agrees."""
+    scenario = scenarios()[name]
+    vm = make_vm("rollback", interp=interp, **scenario.options)
+    scenario.build().install(vm)
+    try:
+        vm.run()
+    except (DeadlockError, UncaughtGuestException):
+        pass
+    assert len(vm.support.jmm) == 0
+    assert vm.support.jmm.live == {}

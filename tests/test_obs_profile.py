@@ -143,3 +143,36 @@ def test_profiling_does_not_change_the_run():
     ]
     pm, qm = plain.metrics(), profiled.metrics()
     assert pm["support"] == qm["support"]
+
+
+def test_profiling_support_defines_every_cost_hook():
+    """Every RuntimeSupport hook that returns a cycle cost, plus the read
+    barrier guard, must be defined on ProfilingSupport itself: reaching
+    the inner support through ``__getattr__`` would skip attribution (or,
+    for the guard, hand generated code the inner support's fast path, so
+    read barriers would charge cycles the profiler never sees)."""
+    import inspect
+
+    from repro.obs.profile import ProfilingSupport
+    from repro.vm.support import RuntimeSupport
+
+    hooks = [
+        name for name, fn in vars(RuntimeSupport).items()
+        if callable(fn) and not name.startswith("_")
+        and inspect.signature(fn).return_annotation == "int"
+    ]
+    assert "after_load" in hooks and "before_store_batch" in hooks
+    for name in [*hooks, "read_barrier_guard"]:
+        assert name in vars(ProfilingSupport), name
+    assert ProfilingSupport.read_barrier_guard(None) is None
+
+
+@pytest.mark.parametrize("interp", ("fast", "reference"))
+def test_rollback_mechanism_split_pinned(interp):
+    """The barrier / undo_log split of a profiled medium-inversion cell
+    (pinned from before the read barrier had an inline fast path)."""
+    vm = _run(_medium, mode="rollback", interp=interp)
+    rows = vm.profiler.method_table()
+    assert sum(r["barrier"] for r in rows) == 1722
+    assert sum(r["undo_log"] for r in rows) == 1080
+    assert sum(r["cycles"] for r in rows) == 25538

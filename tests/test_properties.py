@@ -186,11 +186,36 @@ class TestJmmTrackerModel:
                     if not model[loc]:
                         del model[loc]
             else:  # read
-                expected = ()
-                for other_tid, stack in model.get(loc, {}).items():
-                    if other_tid != tid and stack:
-                        expected += stack[-1]
-                assert tracker.on_read(thread, loc) == expected
+                assert tracker.on_read(thread, loc) == self._model_read(
+                    model, tid, loc
+                )
+            self._check_live(tracker, model)
+
+    @staticmethod
+    def _model_read(model: dict, tid: int, loc: tuple) -> tuple:
+        expected = ()
+        for other_tid, stack in model.get(loc, {}).items():
+            if other_tid != tid and stack:
+                expected += stack[-1]
+        return expected
+
+    def _check_live(self, tracker: JmmTracker, model: dict) -> None:
+        """``live`` holds each tid's record total, and the read fast path
+        (``len(live) > (tid in live)`` false) is taken for a tid exactly
+        when the model's read of every location by that tid is empty."""
+        totals: dict[int, int] = {}
+        for per_tid in model.values():
+            for tid, stack in per_tid.items():
+                totals[tid] = totals.get(tid, 0) + len(stack)
+        assert tracker.live == totals
+        live = tracker.live
+        for tid in range(3):
+            fast = not len(live) > (tid in live)
+            silent = all(
+                self._model_read(model, tid, ("f", loc_id, "x")) == ()
+                for loc_id in range(4)
+            )
+            assert fast == silent
 
 
 # --------------------------------------------------------- monitor queues
