@@ -82,6 +82,11 @@ class RollbackSupport(RuntimeSupport):
         #: snapshots), so section ids in traces are a pure function of the
         #: schedule, never of what else the host process ran
         self._section_seq = 0
+        #: undo entries that left a log other than by rollback (commit
+        #: truncation, fault-plane drops), net of fault-plane duplicates
+        #: that ``undo_entries_logged`` never counted; see
+        #: :meth:`live_undo_entries`
+        self.retired = 0
 
     def attach(self, vm) -> None:
         super().attach(vm)
@@ -112,7 +117,7 @@ class RollbackSupport(RuntimeSupport):
         jmm = self.jmm
         if not jmm.commit_all(thread, len(log)):
             jmm.on_commit(thread, log.locations_since(0))
-        log.truncate(0)
+        self.retired += log.truncate(0)
 
     def _invalidate(self, thread: "VMThread") -> None:
         self._active_cache.pop(thread.tid, None)
@@ -313,6 +318,13 @@ class RollbackSupport(RuntimeSupport):
 
     def read_barrier_guard(self):
         return self.jmm.live, self.metrics
+
+    def live_undo_entries(self) -> int:
+        # Every entry enters a log through a barrier (logged) and leaves
+        # by rollback (restored) or otherwise (retired), so the live total
+        # costs nothing per store and needs no scan of the threads.
+        m = self.metrics
+        return m.undo_entries_logged - m.undo_entries_restored - self.retired
 
     # --------------------------------------------------------------- control
     def check_yield(self, thread: "VMThread") -> Optional[RollbackSignal]:

@@ -209,6 +209,7 @@ class FaultPlane:
         idx = self.rng.randint(target.log_mark, len(log.entries) - 1)
         container, slot, old_value = log.entries[idx]
         log.append(container, slot, old_value)
+        support.retired -= 1  # an entry no barrier logged
         # Balance the JMM tracker: the rollback will issue one extra undo
         # for this location, which must pop this record and no other.
         support.jmm.on_write(
@@ -239,4 +240,5 @@ class FaultPlane:
             return
         idx = self.rng.randint(target.log_mark, len(log.entries) - 1)
         del log.entries[idx]
+        support.retired += 1
         self._record("undo_drop", thread)

@@ -76,14 +76,10 @@ class _CounterSampler:
 
     def __call__(self, vm: JVM) -> None:
         now = vm.clock.now
-        ready_depth = sum(
-            1 for t in vm.threads if t.state is ThreadState.READY
-        )
-        undo_entries = sum(
-            len(t.undo_log) for t in vm.threads if t.undo_log is not None
-        )
-        self._append(self.ready, now, ready_depth)
-        self._append(self.undo, now, undo_entries)
+        # Both reads are O(1): the VM keeps its thread-state census and
+        # the support derives its live undo total from running counters.
+        self._append(self.ready, now, vm.census[ThreadState.READY])
+        self._append(self.undo, now, vm.support.live_undo_entries())
 
     def _append(
         self, samples: list[tuple[int, int]], now: int, value: int

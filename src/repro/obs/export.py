@@ -13,10 +13,11 @@ Chrome trace-event JSON (:func:`chrome_trace_bytes`)
     Loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
     One track per VM thread (plus the ``"(vm)"`` pseudo-track), ``X``
     duration events for interval spans, ``i`` instant events for point
-    spans, and ``C`` counter tracks for ready-queue depth and undo-log
-    size.  Virtual cycles map 1:1 onto the format's microsecond
-    timestamps.  When a profiler is attached, ``otherData`` carries the
-    exact per-track cycle attribution (summing to the final clock).
+    spans, and ``C`` counter tracks for the READY-thread count
+    (``ready_queue``) and undo-log size.  Virtual cycles map 1:1 onto
+    the format's microsecond timestamps.  When a profiler is attached,
+    ``otherData`` carries the exact per-track cycle attribution
+    (summing to the final clock).
 
 Folded stacks (:func:`folded_stacks`)
     ``thread;caller;...;callee cycles`` lines, the flamegraph.pl /

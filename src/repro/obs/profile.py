@@ -281,6 +281,12 @@ class ProfilingSupport:
         # come through after_load above to be attributed to ``barrier``.
         return None
 
+    def live_undo_entries(self):
+        # Spelled out like every int-returning hook rather than left to
+        # ``__getattr__``; it is a count for the counter-track sampler,
+        # not a cycle cost, so there is nothing to attribute.
+        return self.inner.live_undo_entries()
+
     # ------------------------------------------------------------- monitors
     def on_monitor_entered(self, thread, monitor, frame, sync_id, recursive):
         cost = self.inner.on_monitor_entered(

@@ -91,9 +91,6 @@ class BaseScheduler:
     def _pick_next(self) -> Optional[VMThread]:
         raise NotImplementedError
 
-    def has_ready(self) -> bool:
-        raise NotImplementedError
-
     def ready_candidates(self) -> list[VMThread]:
         """READY threads in the order the default policy would pick them.
 
@@ -341,21 +338,20 @@ class RoundRobinScheduler(BaseScheduler):
         thread.state = ThreadState.READY
         self._ready.append(thread)
 
+    # The ready-queue walks read ``_state``, not the ``state`` property:
+    # they run on every scheduling decision.
     def _pick_next(self) -> Optional[VMThread]:
         while self._ready:
             t = self._ready.popleft()
-            if t.state is ThreadState.READY:
+            if t._state is ThreadState.READY:
                 return t
         return None
-
-    def has_ready(self) -> bool:
-        return any(t.state is ThreadState.READY for t in self._ready)
 
     def ready_candidates(self) -> list[VMThread]:
         seen: set[int] = set()
         out: list[VMThread] = []
         for t in self._ready:
-            if t.state is ThreadState.READY and t.tid not in seen:
+            if t._state is ThreadState.READY and t.tid not in seen:
                 seen.add(t.tid)
                 out.append(t)
         return out
@@ -412,28 +408,23 @@ class PriorityScheduler(BaseScheduler):
             self._push(thread)
             self._maybe_preempt_running(thread)
 
+    # ``_state`` for the same reason as in RoundRobinScheduler.
     def _pick_next(self) -> Optional[VMThread]:
         while self._ready:
             _neg_prio, _seq, stamp, t = heapq.heappop(self._ready)
-            if t.state is not ThreadState.READY:
+            if t._state is not ThreadState.READY:
                 continue
             if stamp != t.sched_stamp:
                 continue  # superseded by a re-key
             return t
         return None
 
-    def has_ready(self) -> bool:
-        return any(
-            t.state is ThreadState.READY and stamp == t.sched_stamp
-            for _, _, stamp, t in self._ready
-        )
-
     def ready_candidates(self) -> list[VMThread]:
         seen: set[int] = set()
         out: list[VMThread] = []
         for _neg_prio, _seq, stamp, t in sorted(self._ready):
             if (
-                t.state is ThreadState.READY
+                t._state is ThreadState.READY
                 and stamp == t.sched_stamp
                 and t.tid not in seen
             ):

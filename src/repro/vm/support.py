@@ -130,6 +130,12 @@ class RuntimeSupport:
         inline instead of calling it."""
         return None
 
+    def live_undo_entries(self) -> int:
+        """Undo entries currently held across every thread's log (the
+        ``undo_log`` counter track), in O(1); a support without undo logs
+        holds none."""
+        return 0
+
     # -------------------------------------------------------------- control
     def check_yield(self, thread: "VMThread") -> "RollbackSignal | None":
         """Called at every yield point (and on resume from a block).

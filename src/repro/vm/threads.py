@@ -35,6 +35,11 @@ class ThreadState(enum.Enum):
     SLEEPING = "sleeping"      # SLEEP / PAUSE / timed wait timeout
     TERMINATED = "terminated"
 
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # census update in ``VMThread.state`` off ``Enum.__hash__``, which is
+    # Python code.
+    __hash__ = object.__hash__
+
 
 class RollbackSignal(Exception):
     """The internal rollback exception (paper §3.1.1).
@@ -102,7 +107,7 @@ class VMThread:
 
     __slots__ = (
         "tid", "name", "priority", "inherited_priority", "ceiling_boost",
-        "state", "frames", "entry_method", "entry_args", "rng",
+        "_state", "census", "frames", "entry_method", "entry_args", "rng",
         "pending_handoff", "revocation_request", "active_rollback",
         "wakeup_time",
         "blocked_on", "waiting_on", "held_monitors", "sections",
@@ -128,7 +133,10 @@ class VMThread:
         self.priority = priority
         self.inherited_priority = -1
         self.ceiling_boost = -1
-        self.state = ThreadState.NEW
+        self._state = ThreadState.NEW
+        #: the owning VM's ``ThreadState -> count`` census, attached by
+        #: ``JVM.spawn``; None for a thread built outside a VM
+        self.census: Optional[dict[ThreadState, int]] = None
         self.entry_method = entry_method
         self.entry_args = list(entry_args)
         self.frames: list[Frame] = []
@@ -179,9 +187,24 @@ class VMThread:
         return p
 
     # ------------------------------------------------------------- lifecycle
+    @property
+    def state(self) -> ThreadState:
+        return self._state
+
+    @state.setter
+    def state(self, new: ThreadState) -> None:
+        # The one place a thread changes state, so the VM's census (read
+        # in O(1) by the counter tracks and ``all_terminated``) can never
+        # drift from a scan of its threads.
+        census = self.census
+        if census is not None:
+            census[self._state] -= 1
+            census[new] += 1
+        self._state = new
+
     def start(self) -> None:
         """Push the entry frame; the scheduler makes the thread READY."""
-        if self.state is not ThreadState.NEW:
+        if self._state is not ThreadState.NEW:
             raise RuntimeError(f"thread {self.name!r} already started")
         self.frames.append(Frame(self.entry_method, self.entry_args, 0))
         self.state = ThreadState.READY
@@ -191,7 +214,7 @@ class VMThread:
         return self.frames[-1]
 
     def is_live(self) -> bool:
-        return self.state not in (ThreadState.NEW, ThreadState.TERMINATED)
+        return self._state not in (ThreadState.NEW, ThreadState.TERMINATED)
 
     def credit_blocked(self, now: int) -> int:
         """Close an open blocked interval at ``now``; returns the cycles

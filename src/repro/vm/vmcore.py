@@ -193,6 +193,9 @@ class JVM:
         self.rng = DeterministicRng(options.seed)
         self.classes: dict[str, ClassDef] = {}
         self.threads: list[VMThread] = []
+        #: how many of ``threads`` are in each state, kept by the
+        #: ``VMThread.state`` setter of every spawned thread
+        self.census: dict[ThreadState, int] = dict.fromkeys(ThreadState, 0)
         self.current_thread: Optional[VMThread] = None
         self.uncaught: list[tuple[VMThread, Any]] = []
         self.support: RuntimeSupport = _build_support(options)
@@ -325,6 +328,8 @@ class JVM:
             rng=self.rng.spawn("thread", tid),
         )
         self.threads.append(thread)
+        thread.census = self.census
+        self.census[ThreadState.NEW] += 1
         thread.start()
         self.scheduler.make_ready(thread)
         self.trace("spawn", thread, priority=priority)
@@ -503,6 +508,4 @@ class JVM:
         }
 
     def all_terminated(self) -> bool:
-        return all(
-            t.state is ThreadState.TERMINATED for t in self.threads
-        )
+        return self.census[ThreadState.TERMINATED] == len(self.threads)

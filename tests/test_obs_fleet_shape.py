@@ -5,6 +5,7 @@ worker counts."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -32,6 +33,26 @@ def test_fleet_summary_pinned(artifact):
     assert s["spans"] == 5767
     assert s["episodes"] == 1430
     assert s["inversion_cycles"] == 285264
+
+
+def test_fleet_counter_tracks_pinned(artifact):
+    """The ``ready_queue`` and ``undo_log`` Chrome counter tracks, pinned
+    to the values the full per-slice thread scans produced: the O(1)
+    census and undo count must reproduce them sample for sample."""
+    counters = [
+        e for e in json.loads(artifact["chrome_json"])["traceEvents"]
+        if e["ph"] == "C"
+    ]
+    ready = [e["args"]["value"] for e in counters
+             if e["name"] == "ready_queue"]
+    undo = [e["args"]["value"] for e in counters if e["name"] == "undo_log"]
+    assert len(ready) == 1520
+    assert len(undo) == 41
+    assert max(ready) == 1019
+    digest = hashlib.sha256(
+        json.dumps(counters, sort_keys=True).encode()
+    ).hexdigest()[:16]
+    assert digest == "68bbfba2312c2242"
 
 
 def test_fleet_observability_not_degraded(artifact):
