@@ -20,6 +20,7 @@ from repro.check.explorer import (
     CheckItem,
     ExplorationReport,
     ScheduleController,
+    check_vm,
     explore,
     run_check_cell,
     run_schedule,
@@ -32,6 +33,7 @@ from repro.check.lockset import (
 from repro.check.minimize import ddmin, minimize_counterexample
 from repro.check.oracle import (
     COUNTEREXAMPLE_FORMAT,
+    counterexample_cell,
     counterexample_payload,
     final_fingerprint,
     fingerprint_digest,
@@ -47,6 +49,8 @@ __all__ = [
     "ExplorationReport",
     "LocksetAnalyzer",
     "ScheduleController",
+    "check_vm",
+    "counterexample_cell",
     "counterexample_payload",
     "ddmin",
     "explore",

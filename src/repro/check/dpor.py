@@ -59,13 +59,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.check.explorer import (
-    CHECK_CYCLE_CAP,
-    CHECK_VM_SEED,
     DEFAULT_MODES,
     CheckItem,
     ExplorationReport,
-    _inject_plan,
     check_cell_key,
+    check_vm,
     run_check_cell,
     summarize_results,
 )
@@ -75,9 +73,8 @@ from repro.errors import (
     StarvationError,
     UncaughtGuestException,
 )
-from repro.vm.clock import CostModel
 from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
-from repro.vm.vmcore import JVM, VMOptions
+from repro.vm.vmcore import JVM
 
 #: take a full VM snapshot at stack depths divisible by this; states in
 #: between are repositioned by replaying their recorded choices from the
@@ -204,10 +201,10 @@ class SteppingRun:
     :meth:`checkpoint` can capture it and :meth:`resume` can later clone
     an independent continuation positioned at the same decision.
 
-    Runs use the exact :func:`repro.check.explorer.run_schedule` VM
-    configuration plus tracing (memory tracing forces the reference
-    interpreter — exploration needs per-location events), so a schedule
-    found here replays identically through the normal cell pipeline.
+    Runs use the checker VM (:func:`repro.check.explorer.check_vm`) plus
+    tracing (memory tracing forces the reference interpreter —
+    exploration needs per-location events), so a schedule found here
+    replays identically through the normal cell pipeline.
     """
 
     def __init__(
@@ -219,21 +216,10 @@ class SteppingRun:
         interp: Optional[str] = None,
         trace_memory: bool = True,
     ) -> None:
-        overrides = dict(scenario.options)
-        overrides["trace"] = True
-        overrides["trace_memory"] = trace_memory
+        overrides = {"trace": True, "trace_memory": trace_memory}
         if interp is not None:
             overrides["interp"] = interp
-        options = VMOptions(
-            mode=mode,
-            seed=CHECK_VM_SEED,
-            cost_model=CostModel(quantum=1),
-            max_cycles=CHECK_CYCLE_CAP,
-            faults=_inject_plan(inject),
-            **overrides,
-        )
-        vm = JVM(options)
-        scenario.build().install(vm)
+        vm = check_vm(scenario, mode, inject=inject, **overrides)
         self._adopt(vm, schedule=(), candidates=())
         vm.begin_run()
 

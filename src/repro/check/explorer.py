@@ -157,6 +157,33 @@ def _inject_plan(inject: Optional[str]):
     )
 
 
+def check_vm(
+    scenario: CheckScenario,
+    mode: str,
+    *,
+    inject: Optional[str] = None,
+    **overrides,
+) -> JVM:
+    """The checker VM: one-cycle quantum, fixed seed, cycle cap and the
+    injected-bug plan, with ``scenario`` installed and not yet run.
+
+    ``overrides`` are merged over ``scenario.options``.  Every checker
+    run is built here — exploration cells, DPOR stepping runs and
+    counterexample replays — so a schedule found by one replays
+    identically through the others."""
+    options = VMOptions(
+        mode=mode,
+        seed=CHECK_VM_SEED,
+        cost_model=CostModel(quantum=1),
+        max_cycles=CHECK_CYCLE_CAP,
+        faults=_inject_plan(inject),
+        **{**scenario.options, **overrides},
+    )
+    vm = JVM(options)
+    scenario.build().install(vm)
+    return vm
+
+
 def run_schedule(
     scenario: CheckScenario,
     mode: str,
@@ -165,16 +192,7 @@ def run_schedule(
     inject: Optional[str] = None,
 ) -> tuple[JVM, str]:
     """Run one scenario under one policy, scheduled by ``controller``."""
-    options = VMOptions(
-        mode=mode,
-        seed=CHECK_VM_SEED,
-        cost_model=CostModel(quantum=1),
-        max_cycles=CHECK_CYCLE_CAP,
-        faults=_inject_plan(inject),
-        **scenario.options,
-    )
-    vm = JVM(options)
-    scenario.build().install(vm)
+    vm = check_vm(scenario, mode, inject=inject)
     vm.scheduler.decision_hook = controller
     return vm, run_outcome(vm.run)
 

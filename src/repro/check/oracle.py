@@ -203,23 +203,34 @@ def counterexample_payload(
     }
 
 
-def replay_counterexample(payload: dict) -> dict:
-    """Re-run a serialized counterexample's minimized schedule.
+def counterexample_cell(payload: dict):
+    """The :class:`~repro.check.explorer.CheckItem` a serialized
+    counterexample names: its minimized schedule as the choice prefix.
 
-    Returns ``{"result": <fresh cell result>, "reproduced": bool}`` where
-    ``reproduced`` means the replay still exhibits a divergence."""
+    The one reader of the payload format — every replay (oracle, trace
+    capture, debugger) runs this cell.  Raises :class:`ValueError` for a
+    payload of any other format."""
     if payload.get("format") != COUNTEREXAMPLE_FORMAT:
         raise ValueError(
             f"not a {COUNTEREXAMPLE_FORMAT} payload: "
             f"{payload.get('format')!r}"
         )
-    from repro.check.explorer import CheckItem, run_check_cell
+    from repro.check.explorer import CheckItem
 
-    item = CheckItem(
+    return CheckItem(
         scenario=payload["scenario"],
         prefix=tuple(payload["minimized_schedule"]),
         modes=tuple(payload["modes"]),
         inject=payload.get("inject"),
     )
-    result = run_check_cell(item)
+
+
+def replay_counterexample(payload: dict) -> dict:
+    """Re-run a serialized counterexample's minimized schedule.
+
+    Returns ``{"result": <fresh cell result>, "reproduced": bool}`` where
+    ``reproduced`` means the replay still exhibits a divergence."""
+    from repro.check.explorer import run_check_cell
+
+    result = run_check_cell(counterexample_cell(payload))
     return {"result": result, "reproduced": bool(result["problems"])}

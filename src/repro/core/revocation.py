@@ -603,13 +603,6 @@ class RollbackSupport(RuntimeSupport):
         )
         return new_level
 
-    def iter_sites(self) -> list[SectionSite]:
-        """All section sites in a deterministic order (tid, sync_id)."""
-        return [
-            self._sites[key]
-            for key in sorted(self._sites, key=lambda k: (k[0], str(k[1])))
-        ]
-
     def escalate_hottest_site(
         self, *, reason: str = "abort-storm"
     ) -> Optional[str]:

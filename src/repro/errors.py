@@ -15,7 +15,10 @@ Two families of errors exist:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.vm.vmcore import JVM
 
 
 class ReproError(Exception):
@@ -157,3 +160,27 @@ def run_outcome(run: Callable[[], object]) -> str:
     except UncaughtGuestException as exc:
         return f"uncaught:{exc.exc_class}"
     return "completed"
+
+
+def audited_run(
+    vm: "JVM", check: Callable[["JVM"], list[str]]
+) -> tuple[str, list[str]]:
+    """Run an audited VM and return ``(outcome, violations)``.
+
+    The fault campaign's and the server soak's one run: an auditor
+    finding is ``"invariant-violation"``, a deadlock or starvation names
+    its error class, and any other host error is a robustness bug, also
+    named by its class.  Only a completed run is handed to ``check``,
+    whose findings become the violations.
+    """
+    try:
+        vm.run()
+    except InvariantViolation as exc:
+        return "invariant-violation", [str(exc)]
+    except (DeadlockError, StarvationError) as exc:
+        name = type(exc).__name__
+        return name, [f"run did not complete: {name}"]
+    except ReproError as exc:
+        name = type(exc).__name__
+        return name, [f"{name}: {exc}"]
+    return "completed", list(check(vm))

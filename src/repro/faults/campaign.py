@@ -39,12 +39,7 @@ from repro.bench.workloads import (
     build_medium_inversion,
     build_philosophers,
 )
-from repro.errors import (
-    DeadlockError,
-    InvariantViolation,
-    ReproError,
-    StarvationError,
-)
+from repro.errors import audited_run
 from repro.faults.plane import FaultPlan
 from repro.util.rng import sweep_seed
 from repro.vm.vmcore import JVM, VMOptions
@@ -261,19 +256,36 @@ def _scenarios() -> list[Scenario]:
 
 
 # ---------------------------------------------------------------- running
-def _campaign_cell(item: tuple[str, int, str]) -> dict:
-    """Worker entry for one (scenario, seed, interp) cell.
+@dataclass(frozen=True)
+class CampaignCell:
+    """Pure, picklable identity of one campaign cell.
 
-    Scenarios carry closures, so workers receive only the *name* and
-    rebuild the scenario from :func:`_scenarios` — the registry is source
-    code, hence identical in every process.
-    """
-    name, seed, interp = item
-    scenario = {s.name: s for s in _scenarios()}[name]
-    return run_one(scenario, seed, interp=interp)
+    Scenarios carry closures, so a cell names its scenario and every
+    process rebuilds it from :func:`_scenarios` — the registry is source
+    code, hence identical in every process.  The fields are also the
+    cell's ``REPLAY:`` flags (:func:`repro.fleet.cli.replay_line`)."""
+
+    scenario: str
+    #: sweep index: the VM seed is ``sweep_seed("campaign", scenario, i)``
+    seed_index: int
+    interp: str = "fast"
 
 
-def _cell_key(item: tuple[str, int, str]) -> str:
+def _get_scenario(name: str) -> Scenario:
+    scenario = {s.name: s for s in _scenarios()}.get(name)
+    if scenario is None:
+        raise SystemExit(f"unknown scenario {name!r}")
+    return scenario
+
+
+def _campaign_cell(cell: CampaignCell) -> dict:
+    """Worker entry for one cell; ``--replay`` runs it too, serially."""
+    return run_one(
+        _get_scenario(cell.scenario), cell.seed_index, interp=cell.interp
+    )
+
+
+def _cell_key(cell: CampaignCell) -> str:
     """Content address of one cell: identity + the repro source digest
     (which covers the scenario definitions themselves).  ``interp`` is
     part of the identity even though the fragment must be byte-identical
@@ -281,8 +293,10 @@ def _cell_key(item: tuple[str, int, str]) -> str:
     reference-engine repro (or vice versa)."""
     from repro.bench.parallel import cache_key, source_digest
 
-    name, seed, interp = item
-    return cache_key("campaign-cell", name, seed, interp, source_digest())
+    return cache_key(
+        "campaign-cell", cell.scenario, cell.seed_index, cell.interp,
+        source_digest(),
+    )
 
 
 def run_one(scenario: Scenario, index: int, *, interp: str = "fast") -> dict:
@@ -305,21 +319,7 @@ def run_one(scenario: Scenario, index: int, *, interp: str = "fast") -> dict:
     )
     vm = JVM(options)
     scenario.build().install(vm)
-    violations: list[str] = []
-    outcome = "completed"
-    try:
-        vm.run()
-    except InvariantViolation as exc:
-        outcome = "invariant-violation"
-        violations.append(str(exc))
-    except (DeadlockError, StarvationError) as exc:
-        outcome = type(exc).__name__
-        violations.append(f"run did not complete: {type(exc).__name__}")
-    except ReproError as exc:  # any other host error is a robustness bug
-        outcome = type(exc).__name__
-        violations.append(f"{type(exc).__name__}: {exc}")
-    else:
-        violations.extend(scenario.check(vm))
+    outcome, violations = audited_run(vm, scenario.check)
     metrics = vm.metrics()["support"]
     fragment = {
         "outcome": outcome,
@@ -346,13 +346,12 @@ def run_campaign(
 
     if engine is None:
         engine = RunEngine(jobs=1)
-    scenarios = _scenarios()
-    if scenario_filter is not None:
-        scenarios = [s for s in scenarios if s.name == scenario_filter]
-        if not scenarios:
-            raise SystemExit(f"unknown scenario {scenario_filter!r}")
+    scenarios = (
+        _scenarios() if scenario_filter is None
+        else [_get_scenario(scenario_filter)]
+    )
     matrix = [
-        (scenario.name, seed, interp)
+        CampaignCell(scenario.name, seed, interp)
         for scenario in scenarios
         for seed in range(1, seeds + 1)
     ]
@@ -395,19 +394,9 @@ def run_campaign(
     return report
 
 
-def replay_cell(
-    scenario_name: str, seed_index: int, *, interp: str = "fast"
-) -> dict:
-    """Re-run exactly one failed (scenario, seed) cell serially, no
-    cache, no fan-out — the one-command reproduction path the campaign
-    prints on stderr when a run fails."""
-    scenario = {s.name: s for s in _scenarios()}.get(scenario_name)
-    if scenario is None:
-        raise SystemExit(f"unknown scenario {scenario_name!r}")
-    return run_one(scenario, seed_index, interp=interp)
+def _parser() -> argparse.ArgumentParser:
+    from repro.fleet.cli import add_engine_args
 
-
-def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.campaign",
         description="deterministic fault-injection campaign",
@@ -430,21 +419,28 @@ def main(argv: list[str] | None = None) -> int:
              "and print its fragment (the reproduction path printed on "
              "stderr when a campaign run fails)",
     )
+    add_engine_args(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     from repro.fleet.cli import (
-        add_engine_args,
         engine_from_args,
+        replay_line,
         run_fleet_worker,
     )
 
-    add_engine_args(parser)
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.fleet == "worker":
         return run_fleet_worker(args)
     if args.replay is not None:
+        # serial, uncached, single-cell reproduction path
         if args.scenario is None:
             parser.error("--replay requires --scenario")
-        fragment = replay_cell(args.scenario, args.replay,
-                               interp=args.interp)
+        fragment = _campaign_cell(
+            CampaignCell(args.scenario, args.replay, args.interp)
+        )
         print(json.dumps(fragment, indent=2, sort_keys=True))
         return 1 if fragment["violations"] else 0
     with engine_from_args(args) as engine:
@@ -455,17 +451,15 @@ def main(argv: list[str] | None = None) -> int:
     # jobs/cache settings (the campaign's determinism contract).
     print(engine.stats.render(), file=sys.stderr)
     for failure in report["failures"]:
-        # one copy-pastable reproduction command per failed cell that
-        # round-trips every flag shaping the cell (scenario, seed index,
-        # interpreter engine), with the exact VM seed it will run under.
-        # --jobs/--seeds are deliberately absent: the replay is serial
-        # and the cell is a pure function of (scenario, seed, interp).
+        # one copy-pastable reproduction command per failed cell, with
+        # the exact VM seed it will run under; --jobs/--seeds are absent
+        # because the replay is serial and the cell a pure function of
+        # its fields
+        cell = CampaignCell(
+            failure["scenario"], failure["seed_index"], args.interp
+        )
         print(
-            "REPLAY: PYTHONPATH=src python -m repro.faults.campaign "
-            f"--scenario {failure['scenario']} "
-            f"--replay {failure['seed_index']} "
-            f"--interp {args.interp}"
-            f"  # vm seed {failure['vm_seed']}",
+            replay_line(parser.prog, cell, f"vm seed {failure['vm_seed']}"),
             file=sys.stderr,
         )
     if report["violations"]:
@@ -479,4 +473,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run the importable module, not this ``__main__`` copy: cells sent
+    # to fleet workers must pickle as ``repro.faults.campaign.CampaignCell``.
+    from repro.faults.campaign import main as _main
+
+    sys.exit(_main())

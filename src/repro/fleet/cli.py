@@ -1,8 +1,9 @@
 """Shared engine CLI plumbing for every campaign CLI.
 
 bench, check, obs, server and the fault campaign take the same flags
-(:func:`add_engine_args`) and build their engine in one place
-(:func:`engine_from_args`)::
+(:func:`add_engine_args`), build their engine in one place
+(:func:`engine_from_args`) and print a failed cell's one-command
+reproduction through :func:`replay_line`::
 
     --jobs N              1 = serial in-process; N > 1 = a loopback
                           fleet of N worker subprocesses
@@ -24,8 +25,9 @@ engine only changes where the pure runs execute.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Optional
+from typing import Any, Optional
 
 from repro.bench.parallel import (
     ResultCache,
@@ -38,6 +40,7 @@ __all__ = [
     "add_engine_args",
     "engine_from_args",
     "parse_hostport",
+    "replay_line",
     "run_fleet_worker",
 ]
 
@@ -127,3 +130,25 @@ def engine_from_args(args: argparse.Namespace) -> RunEngine:
         )
     jobs = _env_jobs() if args.jobs is None else max(1, args.jobs)
     return RunEngine(jobs=jobs, cache=cache)
+
+
+def replay_line(prog: str, cell: Any, note: str) -> str:
+    """The ``REPLAY:`` line that re-runs ``cell`` through ``prog``.
+
+    ``cell`` is a frozen dataclass whose fields are the CLI's flags:
+    each field ``name`` is written as ``--name`` (underscores become
+    dashes), except ``seed_index``, which is ``--replay``.  A true bool
+    is a bare flag; a false, empty or zero value is left out, so it
+    falls back to the flag's default.  Generating the line from the
+    cell means a field added later cannot be dropped from it."""
+    parts = [f"REPLAY: PYTHONPATH=src {prog}"]
+    for f in dataclasses.fields(cell):
+        value = getattr(cell, f.name)
+        if not value:
+            continue
+        flag = (
+            "--replay" if f.name == "seed_index"
+            else "--" + f.name.replace("_", "-")
+        )
+        parts.append(flag if value is True else f"{flag} {value}")
+    return " ".join(parts) + f"  # {note}"

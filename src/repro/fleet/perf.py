@@ -200,15 +200,3 @@ def write_fleet_perf(report: dict, path: str = DEFAULT_OUTPUT) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def load_fleet_perf(path: str = DEFAULT_OUTPUT) -> Optional[dict]:
-    """The committed artifact, or None when absent/unreadable/foreign."""
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        return None
-    return report

@@ -8,8 +8,8 @@ folded flamegraph stacks, the profile tables and a one-screen summary —
 into one plain, picklable dict.
 
 Every obs VM is built here: :func:`build_capture_vm` for a registered
-scenario and :func:`build_replay_vm` for a ``repro.check``
-counterexample, both attaching their sinks through :func:`attach_sinks`.
+scenario and :func:`build_replay_vm` for a ``repro.check`` cell, both
+attaching their sinks through :func:`attach_sinks`.
 Captures run them straight through ``vm.run()``; the time-travel
 debugger (:mod:`repro.obs.debug`) steps the very same VMs.
 
@@ -27,7 +27,7 @@ serially or on a fleet worker, fresh or from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import run_outcome
 from repro.obs.export import (
@@ -40,6 +40,9 @@ from repro.obs.spans import SpanBuilder
 from repro.server.report import robustness_block
 from repro.vm.threads import ThreadState
 from repro.vm.vmcore import JVM, VMOptions
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.check.explorer import CheckItem
 
 #: artifact-bundle schema version
 CAPTURE_FORMAT = "repro.obs.capture/1"
@@ -221,44 +224,34 @@ def _package(
     }
 
 
-def build_replay_vm(
-    payload: dict[str, Any], mode: Optional[str] = None
-) -> Capture:
-    """The traced/profiled VM for a ``repro.check`` counterexample
-    replay, decision hook armed with the minimized choice prefix.
-    Shared by :func:`capture_replay` and the time-travel debugger's
+def build_replay_vm(cell: CheckItem, mode: Optional[str] = None) -> Capture:
+    """The traced/profiled checker VM for one ``repro.check`` cell,
+    decision hook armed with its choice prefix.
+
+    The VM comes from :func:`repro.check.explorer.check_vm`, the recipe
+    every checker run shares, with tracing and profiling on.  ``mode``
+    defaults to the cell's reference policy.  Shared by
+    :func:`capture_replay` and the time-travel debugger's
     :func:`repro.obs.debug.record_replay`."""
     from repro.check.explorer import (
-        CHECK_CYCLE_CAP,
         CHECK_VM_SEED,
         ScheduleController,
-        _inject_plan,
+        check_vm,
     )
     from repro.check.scenarios import get_scenario as get_check_scenario
-    from repro.vm.clock import CostModel
 
-    mode = mode or payload["modes"][0]
-    scenario = get_check_scenario(payload["scenario"])
-    options = VMOptions(
-        mode=mode,
-        seed=CHECK_VM_SEED,
-        cost_model=CostModel(quantum=1),
-        max_cycles=CHECK_CYCLE_CAP,
-        faults=_inject_plan(payload.get("inject")),
+    mode = mode or cell.modes[0]
+    vm = check_vm(
+        get_check_scenario(cell.scenario),
+        mode,
+        inject=cell.inject,
         trace=True,
         profile=True,
-        **scenario.options,
     )
-    vm = JVM(options)
     builder, sampler = attach_sinks(vm)
-    scenario.build().install(vm)
-    vm.scheduler.decision_hook = ScheduleController(
-        tuple(payload["minimized_schedule"])
-    )
+    vm.scheduler.decision_hook = ScheduleController(cell.prefix)
     spec = ObsSpec(
-        scenario=f"replay:{payload['scenario']}",
-        mode=mode,
-        seed=CHECK_VM_SEED,
+        scenario=f"replay:{cell.scenario}", mode=mode, seed=CHECK_VM_SEED
     )
     return spec, vm, builder, sampler
 
@@ -267,15 +260,14 @@ def capture_replay(
     payload: dict[str, Any], mode: Optional[str] = None
 ) -> dict[str, Any]:
     """Replay a ``repro.check`` counterexample into a full artifact
-    bundle (trace + spans + profile).
+    bundle (trace + spans + profile), so a divergence found by the
+    checker opens in Perfetto.  ``mode`` defaults to the
+    counterexample's reference policy."""
+    from repro.check.oracle import counterexample_cell
 
-    Mirrors :func:`repro.check.explorer.run_schedule` — one-cycle
-    quantum, fixed check seed, the minimized choice prefix driving the
-    scheduler's decision hook — but with tracing and profiling on, so a
-    divergence found by the checker opens in Perfetto.  ``mode``
-    defaults to the counterexample's reference policy.
-    """
-    return _run_and_package(*build_replay_vm(payload, mode))
+    return _run_and_package(
+        *build_replay_vm(counterexample_cell(payload), mode)
+    )
 
 
 # ------------------------------------------------------- RunEngine adapter

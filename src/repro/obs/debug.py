@@ -136,9 +136,11 @@ def record_replay(
     scheduler's decision hook at the checkpoint's decision index, so
     seeks reproduce the counterexample schedule exactly.  Its artifact
     is byte-identical to :func:`repro.obs.capture.capture_replay`'s."""
+    from repro.check.oracle import counterexample_cell
+
+    cell = counterexample_cell(payload)
     return _record_loop(
-        *build_replay_vm(payload, mode), interval,
-        schedule=tuple(payload["minimized_schedule"]),
+        *build_replay_vm(cell, mode), interval, schedule=cell.prefix
     )
 
 
@@ -186,14 +188,6 @@ def _record_loop(
 
 
 # --------------------------------------------------- artifact-store lane
-def recording_key(spec: ObsSpec, interval: int) -> str:
-    """Content address of one checkpoint stream (spec + interval +
-    source digest: any source change invalidates the stream)."""
-    from repro.bench.parallel import cache_key, source_digest
-
-    return cache_key("obs-debug-ckpt", spec, interval, source_digest())
-
-
 def execute_debug_record(item: tuple[ObsSpec, int]) -> DebugRecording:
     """Worker-side entry point for :meth:`RunEngine.map` — checkpoint
     streams fan out and travel the fleet wire like any artifact."""
@@ -202,8 +196,12 @@ def execute_debug_record(item: tuple[ObsSpec, int]) -> DebugRecording:
 
 
 def debug_record_key(item: tuple[ObsSpec, int]) -> str:
+    """Content address of one checkpoint stream (spec + interval +
+    source digest: any source change invalidates the stream)."""
+    from repro.bench.parallel import cache_key, source_digest
+
     spec, interval = item
-    return recording_key(spec, interval)
+    return cache_key("obs-debug-ckpt", spec, interval, source_digest())
 
 
 def record_with_engine(

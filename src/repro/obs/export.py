@@ -230,37 +230,6 @@ def render_profile_dict(
     return "\n".join(lines)
 
 
-def render_profile(profiler: "CycleProfiler", top: int = 20) -> str:
-    """The top-N cycle table: work vs. barrier vs. undo-log vs. monitor
-    vs. rollback cycles, per method."""
-    rows = profiler.method_table(top=top)
-    header = (
-        f"{'thread':<14} {'method':<28} {'cycles':>12} {'insns':>10} "
-        f"{'work':>12} {'barrier':>9} {'undo_log':>9} {'monitor':>9} "
-        f"{'rollback':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r['thread']:<14} {r['method']:<28} {r['cycles']:>12} "
-            f"{r['insns']:>10} {r['work']:>12} {r['barrier']:>9} "
-            f"{r['undo_log']:>9} {r['monitor']:>9} {r['rollback']:>9}"
-        )
-    lines.append("-" * len(header))
-    lines.append("cycles by track:")
-    for track, total in profiler.track_totals().items():
-        cats = ", ".join(
-            f"{cat}={cycles}"
-            for cat, cycles in sorted(profiler.tracks[track].items())
-        )
-        lines.append(f"  {track:<14} {total:>12}  ({cats})")
-    lines.append(
-        f"  {'total':<14} {profiler.total_cycles():>12}  "
-        "(== final virtual clock)"
-    )
-    return "\n".join(lines)
-
-
 def site_table(spans: Iterable["Span"]) -> list[dict]:
     """Per-site abort/commit statistics, derived purely from the span
     stream (so the table is cacheable and fleet-shippable with the

@@ -46,7 +46,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.vm.monitors import Monitor
     from repro.vm.threads import Frame, VMThread
 
 #: pseudo-track for cycles not attributable to a guest thread
@@ -163,13 +162,6 @@ class CycleProfiler:
             track: sum(cats.values())
             for track, cats in sorted(self.tracks.items())
         }
-
-    def category_totals(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for cats in self.tracks.values():
-            for cat, cycles in cats.items():
-                out[cat] = out.get(cat, 0) + cycles
-        return dict(sorted(out.items()))
 
     def snapshot(self) -> dict:
         """Plain picklable summary: sorted tracks, grand total, method

@@ -12,10 +12,12 @@ Examples::
     python -m repro.server --preset storm --chaos --replay 2
 
 When a sweep fails, one ``REPLAY:`` line per offending cell goes to
-stderr — a copy-pastable command that round-trips every flag shaping
-that cell (preset, requests, mode, interp, chaos, inject-bug, profile)
-plus ``--replay INDEX``, which re-runs exactly that cell serially and
-uncached with the same per-cell exit semantics.
+stderr — a copy-pastable command generated from the cell's
+:class:`~repro.server.plane.ServerSpec` (every field is a flag; the
+sweep index is ``--replay INDEX``), which re-runs exactly that cell
+serially and uncached with the same per-cell exit semantics.
+``--jobs``/``--seeds``/``--no-cache`` are absent by design: each cell
+is a pure function of its spec.
 
 Cells fan out through the bench :class:`~repro.bench.parallel.RunEngine`
 (``--jobs`` / ``REPRO_BENCH_JOBS``; ``N > 1`` is a loopback fleet of
@@ -40,6 +42,7 @@ import sys
 from repro.fleet.cli import (
     add_engine_args,
     engine_from_args,
+    replay_line,
     run_fleet_worker,
 )
 from repro.server.plane import ServerSpec, run_server_cell, server_cell_key
@@ -135,34 +138,6 @@ def _spec(args, index: int) -> ServerSpec:
     )
 
 
-def _replay_command(args, index: int) -> str:
-    """One-command reproduction line for sweep cell ``index``.
-
-    Round-trips every flag that shapes the cell — preset, request
-    rescale, mode, interpreter engine, chaos plan, seeded defect,
-    profiler — so executing the emitted command verbatim re-runs the
-    exact failing :class:`ServerSpec`.  ``--jobs``/``--seeds``/
-    ``--no-cache`` are absent by design: the replay is serial and
-    uncached, and each cell is a pure function of its spec.
-    """
-    parts = [
-        "REPLAY: PYTHONPATH=src python -m repro.server",
-        f"--preset {args.preset}",
-    ]
-    if args.requests:
-        parts.append(f"--requests {args.requests}")
-    parts.append(f"--mode {args.mode}")
-    parts.append(f"--interp {args.interp}")
-    if args.chaos:
-        parts.append("--chaos")
-    if args.inject_bug:
-        parts.append(f"--inject-bug {args.inject_bug}")
-    if args.profile:
-        parts.append("--profile")
-    parts.append(f"--replay {index}")
-    return " ".join(parts)
-
-
 def run_sweep(args) -> dict:
     """Run the sweep and assemble the aggregate report (pure function of
     the arguments; fan-out and caching are invisible in the output)."""
@@ -210,13 +185,14 @@ def run_sweep(args) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.list:
         return _cmd_list()
     if args.fleet == "worker":
         return run_fleet_worker(args)
     if args.requests and args.requests < len(get_preset(args.preset).tiers):
-        _parser().error("--requests must cover at least one per tier")
+        parser.error("--requests must cover at least one per tier")
     if args.replay is not None:
         # serial, uncached, single-cell reproduction path: same spec
         # fields as the sweep, same per-cell pass/fail semantics
@@ -251,8 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         if failed:
             print(
-                f"{_replay_command(args, index)}"
-                f"  # vm seed {run['seed']}",
+                replay_line(
+                    parser.prog, _spec(args, index), f"vm seed {run['seed']}"
+                ),
                 file=sys.stderr,
             )
     detected = report["violations"] > 0

@@ -33,14 +33,9 @@ through :class:`repro.bench.parallel.RunEngine` under the content address
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from repro.errors import (
-    DeadlockError,
-    InvariantViolation,
-    ReproError,
-    StarvationError,
-)
+from repro.errors import audited_run
 from repro.faults.plane import FaultPlan
 from repro.server.report import build_report
 from repro.server.workload import (
@@ -52,9 +47,6 @@ from repro.server.workload import (
 )
 from repro.util.rng import sweep_seed
 from repro.vm.vmcore import JVM, VMOptions
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.vm.vmcore import JVM as _JVM
 
 #: the chaos-soak fault plan: adversarial but behaviour-preserving kinds
 #: only.  ``guest_exception`` would kill pool threads (conservation noise)
@@ -293,21 +285,9 @@ def run_server_cell(spec: ServerSpec) -> dict:
     build_server(config, seed).install(vm)
     detector = AbortStormDetector(config)
     vm.slice_hooks.append(detector)
-    violations: list[str] = []
-    outcome = "completed"
-    try:
-        vm.run()
-    except InvariantViolation as exc:
-        outcome = "invariant-violation"
-        violations.append(str(exc))
-    except (DeadlockError, StarvationError) as exc:
-        outcome = type(exc).__name__
-        violations.append(f"run did not complete: {type(exc).__name__}")
-    except ReproError as exc:
-        outcome = type(exc).__name__
-        violations.append(f"{type(exc).__name__}: {exc}")
-    else:
-        violations.extend(check_server_invariants(vm, config, seed))
+    outcome, violations = audited_run(
+        vm, server_invariant_check(config, seed)
+    )
     report = build_report(
         vm,
         config,

@@ -26,10 +26,8 @@ bounded gap table only when the reservoir is full.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Any
-
-from repro.util.stats import nearest_rank
 
 __all__ = ["DEFAULT_CAPACITY", "LatencyReservoir"]
 
@@ -149,18 +147,3 @@ class LatencyReservoir:
         for value, count in zip(self._values, self._counts):
             out.extend([value] * count)
         return out
-
-
-def _parity_check(samples: list[int]) -> bool:  # pragma: no cover
-    """Debug helper: reservoir vs sort-everything on one sample."""
-    res = LatencyReservoir()
-    res.extend(samples)
-    s = sorted(samples)
-    return res.summary() == {
-        "count": len(s),
-        "p50": nearest_rank(s, 50, 100),
-        "p99": nearest_rank(s, 99, 100),
-        "p999": nearest_rank(s, 999, 1000),
-        "max": s[-1],
-        "mean": sum(s) // len(s),
-    }

@@ -59,9 +59,6 @@ class VMObject:
         fields[name] = value
         return old
 
-    def field_def(self, name: str) -> FieldDef:
-        return self.classdef.field(name)
-
     def __repr__(self) -> str:
         return f"<{self.classdef.name}#{self.oid}>"
 

@@ -209,10 +209,6 @@ class VMThread:
         self.frames.append(Frame(self.entry_method, self.entry_args, 0))
         self.state = ThreadState.READY
 
-    @property
-    def current_frame(self) -> Frame:
-        return self.frames[-1]
-
     def is_live(self) -> bool:
         return self._state not in (ThreadState.NEW, ThreadState.TERMINATED)
 

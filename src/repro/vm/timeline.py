@@ -66,22 +66,6 @@ def _resolve_width(
     return max(MIN_COLUMNS, cells)
 
 
-def _intervals(events, start_kinds, end_kinds):
-    """Per-thread [start, end) intervals delimited by event kinds."""
-    open_at: dict[str, int] = {}
-    spans: dict[str, list[tuple[int, int]]] = {}
-    for e in events:
-        if e.thread is None:
-            continue
-        if e.kind in start_kinds and e.thread not in open_at:
-            open_at[e.thread] = e.time
-        elif e.kind in end_kinds and e.thread in open_at:
-            spans.setdefault(e.thread, []).append(
-                (open_at.pop(e.thread), e.time)
-            )
-    return spans, open_at
-
-
 def render_timeline(
     vm: "JVM",
     *,
@@ -101,8 +85,9 @@ def render_timeline(
     events = vm.tracer.events
     if not events:
         return "(no trace events — run the VM with VMOptions(trace=True))"
+    now = max(vm.clock.now, events[-1].time)
     t0 = start if start is not None else events[0].time
-    t1 = end if end is not None else max(vm.clock.now, events[-1].time)
+    t1 = end if end is not None else now
     if t1 <= t0:
         t1 = t0 + 1
     span = t1 - t0
@@ -138,25 +123,19 @@ def render_timeline(
         for c in range(col(born), col(died) + 1):
             rows[name][c] = "."
 
-    def paint(spans_open, glyph):
-        spans, still_open = spans_open
-        for name, intervals in spans.items():
-            if name not in rows:
-                continue
-            for s, e in intervals:
-                for c in range(col(s), col(e) + 1):
-                    rows[name][c] = glyph
-        for name, s in still_open.items():
-            if name in rows:
-                for c in range(col(s), width):
-                    rows[name][c] = glyph
+    # interval glyphs come from the causal spans, so they nest like the
+    # sections do and blocked intervals close exactly where the VM
+    # credits blocked cycles; sections paint last and win
+    from repro.obs.spans import build_spans
 
-    paint(_intervals(events, {"block"}, {"acquire", "wakeup",
-                                         "rollback_done", "exit"}), "-")
-    paint(_intervals(events, {"wait"}, {"wait_return", "wait_timeout",
-                                        "notify", "exit"}), "w")
-    paint(_intervals(events, {"acquire"}, {"release", "rollback_release",
-                                           "exit"}), "#")
+    glyphs = {"blocked": "-", "wait": "w", "section": "#"}
+    spans = build_spans(events, now)
+    for kind, glyph in glyphs.items():
+        for s in spans:
+            if s.kind == kind and s.thread in rows:
+                row = rows[s.thread]
+                for c in range(col(s.start), col(s.end) + 1):
+                    row[c] = glyph
 
     # point markers win over intervals
     for e in events:

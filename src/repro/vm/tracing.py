@@ -57,9 +57,6 @@ class Tracer:
         """Register a callable invoked with each recorded TraceEvent."""
         self._sinks.append(sink)
 
-    def remove_sink(self, sink) -> None:
-        self._sinks.remove(sink)
-
     def record(
         self, time: int, kind: str, thread_name: Optional[str], **details
     ) -> None:

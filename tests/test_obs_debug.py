@@ -285,9 +285,9 @@ def test_record_replay_matches_capture_replay(counterexample):
 def test_replay_session_seek_reproduces_schedule(counterexample):
     """Restoring mid-replay re-arms the decision hook with the rest of
     the recorded prefix, so the drained timeline is the counterexample's."""
-    from repro.obs.debug import record_replay
-
+    from repro.check.oracle import counterexample_cell
     from repro.obs.capture import build_replay_vm
+    from repro.obs.debug import record_replay
 
     rec = record_replay(counterexample, interval=8)
     session = DebugSession(rec)
@@ -295,7 +295,7 @@ def test_replay_session_seek_reproduces_schedule(counterexample):
     while session._step_once():
         pass
     assert session.now == rec.clock
-    _, vm, _, _ = build_replay_vm(counterexample)
+    _, vm, _, _ = build_replay_vm(counterexample_cell(counterexample))
     vm.begin_run()
     straight = DebugSession.__new__(DebugSession)
     straight.vm = vm  # reuse the exception-absorbing drain helper

@@ -163,18 +163,19 @@ class TestReplayCommand:
         assert replay_run == sweep_run
 
     def test_replay_command_roundtrips_all_cell_flags(self):
-        from repro.server.__main__ import _parser, _replay_command, _spec
+        from repro.fleet.cli import replay_line
+        from repro.server.__main__ import _parser, _spec
 
         args = _parser().parse_args([
             "--preset", "storm", "--requests", "120",
             "--mode", "inheritance", "--interp", "reference",
             "--chaos", "--profile",
         ])
-        line = _replay_command(args, 4)
+        line = replay_line(_parser().prog, _spec(args, 4), "vm seed 0x1")
         assert line.startswith(
             "REPLAY: PYTHONPATH=src python -m repro.server "
         )
-        argv = line.split("python -m repro.server")[1].split()
+        argv = line.split("#")[0].split("python -m repro.server")[1].split()
         back = _parser().parse_args(argv)
         assert back.replay == 4
         assert _spec(back, back.replay) == _spec(args, 4)

@@ -226,9 +226,9 @@ class TestCampaignReplay:
             1
         ].split()
         monkeypatch.setattr(
-            campaign, "replay_cell",
-            lambda name, index, interp="fast": {
-                "violations": [(name, index, interp)]
+            campaign, "_campaign_cell",
+            lambda cell: {
+                "violations": [(cell.scenario, cell.seed_index, cell.interp)]
             },
         )
         rc = campaign.main(argv)
@@ -269,8 +269,12 @@ class TestCampaignReplay:
     def test_cell_key_distinguishes_interp(self):
         """A cached fast-engine fragment must never be served for a
         reference-engine request (stale-cache class of bugs)."""
-        fast = campaign._cell_key(("storm-philosophers", 1, "fast"))
-        ref = campaign._cell_key(("storm-philosophers", 1, "reference"))
+        fast = campaign._cell_key(
+            campaign.CampaignCell("storm-philosophers", 1, "fast")
+        )
+        ref = campaign._cell_key(
+            campaign.CampaignCell("storm-philosophers", 1, "reference")
+        )
         assert fast != ref
 
     def test_fragments_identical_across_interp(self):

@@ -156,3 +156,53 @@ class TestBudgetedDownsampling:
         out = render_timeline(vm, max_width=None)
         for row in _thread_rows(out):
             assert len(row.split("|")[1]) == 80
+
+
+def nested_sync_vm():
+    """One thread holds ``a`` for the whole run and takes ``b`` briefly
+    inside it: the outer section outlives the inner one by far."""
+    run = Asm("run", argc=2)  # (inner iters, outer iters)
+    run.getstatic("T", "a")
+    with run.sync():
+        run.getstatic("T", "b")
+        with run.sync():
+            i = run.local()
+            run.for_range(i, lambda: run.load(0), lambda: (
+                run.getstatic("T", "counter"), run.const(1), run.add(),
+                run.putstatic("T", "counter"),
+            ))
+        j = run.local()
+        run.for_range(j, lambda: run.load(1), lambda: (
+            run.getstatic("T", "counter"), run.const(1), run.add(),
+            run.putstatic("T", "counter"),
+        ))
+    run.ret()
+    cls = build_class("T", ["a:ref", "b:ref", "counter:int"], [run])
+    vm = make_vm("rollback", seed=3)
+    vm.load(cls)
+    vm.set_static("T", "a", vm.new_object("T"))
+    vm.set_static("T", "b", vm.new_object("T"))
+    vm.spawn("T", "run", args=[20, 200], name="t")
+    vm.run()
+    return vm
+
+
+class TestNestedSections:
+    def test_outer_section_stays_painted_after_inner_release(self):
+        from repro.obs.spans import build_spans
+
+        vm = nested_sync_vm()
+        sections = sorted(
+            (s for s in build_spans(vm.tracer.events, vm.clock.now)
+             if s.kind == "section"),
+            key=lambda s: s.start,
+        )
+        outer, inner = sections
+        assert outer.end > 4 * inner.end  # a outlives b by far
+        out = render_timeline(vm, width=60)
+        bar = _thread_rows(out)[0].split("|")[1]
+        t0 = vm.tracer.events[0].time
+        span = max(vm.clock.now, vm.tracer.events[-1].time) - t0
+        first = (outer.start - t0) * 60 // span
+        last = (outer.end - t0) * 60 // span
+        assert bar[first:last + 1] == "#" * (last - first + 1)
