@@ -9,8 +9,9 @@ Environment knobs:
 
 * ``REPRO_BENCH_REPS``  — repetitions (paired seeds) per configuration
   (default 2; the paper uses 5).
-* ``REPRO_BENCH_SCALE`` — multiplies iteration/section counts
-  (see :mod:`repro.bench.figures`).
+* ``REPRO_BENCH_SCALE`` — multiplies iteration/section counts.
+  Both are read by :mod:`repro.bench.figures`, which rejects a value
+  that is not a positive finite number.
 * ``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE`` / ``REPRO_BENCH_CACHE_DIR``
   — worker pool and on-disk result cache (see
   :mod:`repro.bench.parallel`); the measured numbers are identical for
@@ -19,9 +20,12 @@ Environment knobs:
 
 from __future__ import annotations
 
-import os
-
-from repro.bench.figures import FigurePanel, PanelResult, run_panel
+from repro.bench.figures import (
+    FigurePanel,
+    PanelResult,
+    bench_reps,
+    run_panel,
+)
 from repro.bench.parallel import RunEngine
 from repro.bench.report import render_panel
 
@@ -41,13 +45,6 @@ def engine() -> RunEngine:
 _SWEEP_ALIAS = {5: 5, 6: 6, 7: 5, 8: 6}
 
 
-def repetitions() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_REPS", "2")))
-    except ValueError:
-        return 2
-
-
 def get_panel(figure: int, panel: str) -> PanelResult:
     """Measure (or fetch) the sweep behind one figure panel."""
     sweep_figure = _SWEEP_ALIAS[figure]
@@ -55,7 +52,7 @@ def get_panel(figure: int, panel: str) -> PanelResult:
     if key not in _PANEL_CACHE:
         _PANEL_CACHE[key] = run_panel(
             FigurePanel(sweep_figure, panel),
-            repetitions=repetitions(),
+            repetitions=bench_reps(),
             engine=engine(),
         )
     cached = _PANEL_CACHE[key]

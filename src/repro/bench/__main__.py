@@ -7,8 +7,6 @@ Examples::
     python -m repro.bench 7c --csv out.csv   # export the series
     python -m repro.bench all                # every panel (slow)
     python -m repro.bench all --jobs 4       # loopback fleet, 4 workers
-    python -m repro.bench --host-perf        # interpreter wall-clock baseline
-    python -m repro.bench 5a --host-perf     # host-perf on one panel only
 
 Runs execute through :mod:`repro.bench.parallel`: ``--jobs`` (or
 ``REPRO_BENCH_JOBS``) sets the worker count — ``N > 1`` runs on a
@@ -17,16 +15,23 @@ in a content-addressed on-disk cache unless ``--no-cache`` (or
 ``REPRO_BENCH_CACHE=0``) is given.  The measured report on **stdout** is
 byte-identical for every jobs/cache setting; host-side execution stats
 (wall clock, cache hits) print on **stderr**.
+
+Host speed (fast vs reference interpreter, serial vs fleet) is measured
+by ``python3 perfbench/run.py --workload fig-sweep --trace 1``, not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
-from repro.bench.figures import FigurePanel, all_panels, run_panel
+from repro.bench.figures import (
+    FigurePanel,
+    all_panels,
+    bench_reps,
+    bench_scale,
+    run_panel,
+)
 from repro.bench.parallel import RunEngine
 from repro.fleet.cli import (
     add_engine_args,
@@ -50,39 +55,11 @@ def _parse_panel(text: str) -> FigurePanel:
     return FigurePanel(int(text[0]), text[1])
 
 
-def _default_reps() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_REPS", "2")))
-    except ValueError:
-        return 2
-
-
-def _host_perf(args) -> int:
-    """``--host-perf``: interpreter wall-clock baseline (BENCH_interp.json).
-
-    The JSON report goes to stdout *and* the output file; progress lines
-    go to stderr (the measurement takes minutes at full scale).
-    """
-    from repro.bench.hostperf import (
-        DEFAULT_OUTPUT,
-        measure_host_perf,
-        write_host_perf,
-    )
-
-    panels = None
-    if args.panel is not None and args.panel != "all":
-        panels = [_parse_panel(args.panel)]
-    report = measure_host_perf(
-        panels,
-        repetitions=args.reps,
-        seed=args.seed,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    out = args.output or DEFAULT_OUTPUT
-    write_host_perf(report, out)
-    print(json.dumps(report, indent=2))
-    print(f"host-perf report written to {out}", file=sys.stderr)
-    return 0
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _observe_panel(panel: FigurePanel, args, engine: RunEngine) -> None:
@@ -123,22 +100,10 @@ def main(argv: list[str] | None = None) -> int:
         "panel",
         nargs="?",
         default=None,
-        help="figure panel (e.g. 5a, 6b, 8c) or 'all' "
-             "(optional with --host-perf: defaults to the full suite)",
+        help="figure panel (e.g. 5a, 6b, 8c) or 'all'",
     )
     parser.add_argument(
-        "--host-perf", action="store_true",
-        help="measure host wall-clock of both interpreters (fast vs "
-             "reference) over the selected panels and write the "
-             "repro.bench.host-perf/1 report (see repro.bench.hostperf); "
-             "runs serially and uncached regardless of --jobs/cache flags",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="host-perf report path (default BENCH_interp.json)",
-    )
-    parser.add_argument(
-        "--reps", type=int, default=_default_reps(),
+        "--reps", type=_positive_int, default=None,
         help="paired-seed repetitions (default REPRO_BENCH_REPS or 2)",
     )
     parser.add_argument("--seed", type=int, default=0x5EED)
@@ -162,10 +127,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.fleet == "worker":
         return run_fleet_worker(args)
-    if args.host_perf:
-        return _host_perf(args)
     if args.panel is None:
         parser.error("a figure panel (or 'all') is required")
+    try:
+        bench_scale()  # reject a bad value before any run starts
+        if args.reps is None:
+            args.reps = bench_reps()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     panels = (
         all_panels() if args.panel == "all"

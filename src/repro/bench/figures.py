@@ -17,12 +17,15 @@ unmodified VM at 100% reads.  Figures 7/8 reuse the very same runs as 5/6
 (only the metric differs), so :func:`run_panel` measures one sweep and
 :class:`PanelResult` serves both figures.
 
-Environment knob: ``REPRO_BENCH_SCALE`` multiplies the work parameters
-(iterations, sections) for quick smoke runs (< 1) or higher fidelity (> 1).
+Environment knobs: ``REPRO_BENCH_SCALE`` multiplies the work parameters
+(iterations, sections) for quick smoke runs (< 1) or higher fidelity
+(> 1); ``REPRO_BENCH_REPS`` sets the paired-seed repetitions (default 2).
+A value that is not a positive finite number is an error, not a default.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -47,11 +50,35 @@ ITERS_LARGE = 600   # "500K"
 ITERS_LOW = 600     # low-priority threads always run the 500K-scale loop
 
 
-def bench_scale() -> float:
+def _env_number(name: str, parse, default):
+    """``parse(os.environ[name])``, or ``default`` when unset or empty.
+
+    Anything that does not parse to a finite number above zero raises
+    :class:`ValueError` naming the variable and its value.
+    """
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return default
     try:
-        return float(os.environ.get("REPRO_BENCH_SCALE", "1"))
+        value = parse(text)
     except ValueError:
-        return 1.0
+        value = None
+    if value is None or not math.isfinite(value) or value <= 0:
+        kind = "whole" if parse is int else "finite"
+        raise ValueError(
+            f"{name}={text!r}: expected a {kind} number above zero"
+        )
+    return value
+
+
+def bench_scale() -> float:
+    """Work multiplier from ``REPRO_BENCH_SCALE`` (default 1.0)."""
+    return _env_number("REPRO_BENCH_SCALE", float, 1.0)
+
+
+def bench_reps() -> int:
+    """Paired-seed repetitions from ``REPRO_BENCH_REPS`` (default 2)."""
+    return _env_number("REPRO_BENCH_REPS", int, 2)
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,7 @@ def guest_instructions(result: Any) -> int:
     types).  Because runs are deterministic, this total is identical for
     every interpreter (``VMOptions.interp``) — only the host wall clock
     differs, which is exactly what the instructions-per-second numbers
-    in :class:`EngineStats` and ``BENCH_interp.json`` compare.
+    in :class:`EngineStats` compare.
     """
     metrics = getattr(result, "metrics", None)
     if not isinstance(metrics, dict):

@@ -14,7 +14,8 @@ runs across them.  That is the repo's one parallel backend.
 fleet, never inline.  Two construction shapes:
 
 * :meth:`FleetEngine.local` — ``N`` loopback workers through the same
-  :func:`spawn_local` (the test and ``repro.fleet perf`` shape).
+  :func:`spawn_local` (the shape the tests and perfbench's fig-sweep
+  fleet lane use).
 * :meth:`FleetEngine.coordinate` — bind an address and wait for
   externally started workers (``--fleet coordinator`` + ``--fleet
   worker`` on other hosts).

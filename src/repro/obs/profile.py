@@ -157,12 +157,6 @@ class CycleProfiler:
             for cycles in cats.values()
         )
 
-    def track_totals(self) -> dict[str, int]:
-        return {
-            track: sum(cats.values())
-            for track, cats in sorted(self.tracks.items())
-        }
-
     def snapshot(self) -> dict:
         """Plain picklable summary: sorted tracks, grand total, method
         table.  The form stored in capture artifacts and RunResults."""

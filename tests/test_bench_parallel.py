@@ -343,34 +343,6 @@ class TestEngineConfig:
             rec["cache_hits"] for rec in stats.workers.values()
         )
 
-    def test_host_perf_report_schema(self, monkeypatch, tmp_path):
-        """measure_host_perf on a microscopic sweep: schema/1 shape."""
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
-        from repro.bench.figures import FigurePanel
-        from repro.bench.hostperf import (
-            SCHEMA,
-            load_host_perf,
-            measure_host_perf,
-            write_host_perf,
-        )
-
-        report = measure_host_perf(
-            [FigurePanel(5, "a")], repetitions=1, write_ratios=(0, 100),
-        )
-        assert report["schema"] == SCHEMA
-        assert report["panels"] == ["5a"]
-        assert set(report["interps"]) == {"reference", "fast"}
-        for record in report["interps"].values():
-            assert record["runs"] == 4
-            assert record["guest_instructions"] > 0
-            assert record["ips"] > 0
-        assert report["guest_instructions_match"] is True
-        assert "speedup_fast_vs_reference" in report
-        path = tmp_path / "BENCH_interp.json"
-        write_host_perf(report, path)
-        assert load_host_perf(path) == __import__("json").load(open(path))
-        assert load_host_perf(tmp_path / "missing.json") is None
-
 
 def _degraded_result(item):
     """A run result whose tracer lost events (worker-side shape)."""

@@ -107,3 +107,68 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["panel"] == "b"
+
+
+class TestBenchEnv:
+    """REPRO_BENCH_SCALE / REPRO_BENCH_REPS: default or a loud error."""
+
+    def test_unset_or_empty_means_default(self, monkeypatch):
+        from repro.bench.figures import bench_reps, bench_scale
+
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_REPS", raising=False)
+        assert (bench_scale(), bench_reps()) == (1.0, 2)
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "")
+        monkeypatch.setenv("REPRO_BENCH_REPS", " ")
+        assert (bench_scale(), bench_reps()) == (1.0, 2)
+
+    def test_valid_values(self, monkeypatch):
+        from repro.bench.figures import bench_reps, bench_scale
+
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.3")
+        monkeypatch.setenv("REPRO_BENCH_REPS", "5")
+        assert (bench_scale(), bench_reps()) == (0.3, 5)
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_BENCH_SCALE", "0"),
+        ("REPRO_BENCH_SCALE", "-1"),
+        ("REPRO_BENCH_SCALE", "nan"),
+        ("REPRO_BENCH_SCALE", "inf"),
+        ("REPRO_BENCH_SCALE", "abc"),
+        ("REPRO_BENCH_REPS", "0"),
+        ("REPRO_BENCH_REPS", "-2"),
+        ("REPRO_BENCH_REPS", "abc"),
+        ("REPRO_BENCH_REPS", "1.5"),
+    ])
+    def test_bad_value_names_variable_and_value(
+        self, monkeypatch, name, value
+    ):
+        from repro.bench.figures import bench_reps, bench_scale
+
+        monkeypatch.setenv(name, value)
+        read = bench_scale if name == "REPRO_BENCH_SCALE" else bench_reps
+        with pytest.raises(ValueError) as excinfo:
+            read()
+        assert name in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+
+    @pytest.mark.parametrize("env, argv, needle", [
+        ({}, ["5a", "--reps", "0"], "--reps"),
+        ({}, ["5a", "--reps", "-1"], "--reps"),
+        ({"REPRO_BENCH_SCALE": "0"}, ["5a"], "REPRO_BENCH_SCALE='0'"),
+        ({"REPRO_BENCH_SCALE": "nan"}, ["5a"], "REPRO_BENCH_SCALE='nan'"),
+        ({"REPRO_BENCH_REPS": "abc"}, ["5a"], "REPRO_BENCH_REPS='abc'"),
+    ])
+    def test_cli_rejects_before_running(
+        self, monkeypatch, capsys, env, argv, needle
+    ):
+        from repro.bench.__main__ import main
+
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err
