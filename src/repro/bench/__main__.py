@@ -34,6 +34,7 @@ from repro.bench.figures import (
 )
 from repro.bench.parallel import RunEngine
 from repro.fleet.cli import (
+    _positive_int,
     add_engine_args,
     engine_from_args,
     run_fleet_worker,
@@ -53,13 +54,6 @@ def _parse_panel(text: str) -> FigurePanel:
             f"expected a figure panel like '5a' or '8c', got {text!r}"
         )
     return FigurePanel(int(text[0]), text[1])
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _observe_panel(panel: FigurePanel, args, engine: RunEngine) -> None:

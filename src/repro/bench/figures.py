@@ -25,8 +25,6 @@ A value that is not a positive finite number is an error, not a default.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -36,6 +34,7 @@ from repro.bench.harness import (
     reduce_comparison,
 )
 from repro.bench.microbench import MicrobenchConfig
+from repro.bench.parallel import RunEngine, _env_number, execute_spec
 from repro.util.stats import Summary
 from repro.vm.vmcore import VMOptions
 
@@ -48,27 +47,6 @@ THREAD_MIXES = {"a": (2, 8), "b": (5, 5), "c": (8, 2)}
 ITERS_SMALL = 120   # "100K"
 ITERS_LARGE = 600   # "500K"
 ITERS_LOW = 600     # low-priority threads always run the 500K-scale loop
-
-
-def _env_number(name: str, parse, default):
-    """``parse(os.environ[name])``, or ``default`` when unset or empty.
-
-    Anything that does not parse to a finite number above zero raises
-    :class:`ValueError` naming the variable and its value.
-    """
-    text = os.environ.get(name, "").strip()
-    if not text:
-        return default
-    try:
-        value = parse(text)
-    except ValueError:
-        value = None
-    if value is None or not math.isfinite(value) or value <= 0:
-        kind = "whole" if parse is int else "finite"
-        raise ValueError(
-            f"{name}={text!r}: expected a {kind} number above zero"
-        )
-    return value
 
 
 def bench_scale() -> float:
@@ -202,8 +180,6 @@ def sweep_write_ratios(
     front and handed to one engine ``map`` call, so a parallel engine
     overlaps runs *across* write ratios, not just within one.
     """
-    from repro.bench.parallel import RunEngine, execute_spec, spec_key
-
     if engine is None:
         engine = RunEngine(jobs=1)
     modes = tuple(modes)
@@ -218,7 +194,7 @@ def sweep_write_ratios(
                 options=options,
             )
         )
-    results = engine.map(execute_spec, specs, key_fn=spec_key)
+    results = engine.map(execute_spec, specs)
     return [
         reduce_comparison(
             replace(base, write_pct=pct),
@@ -243,8 +219,6 @@ def run_panel(
     ``engine`` selects execution strategy only (serial, fleet, cached);
     the measured numbers are identical for every choice.
     """
-    from repro.bench.parallel import RunEngine
-
     if engine is None:
         engine = RunEngine(jobs=1)
     comparisons = sweep_write_ratios(

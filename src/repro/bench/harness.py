@@ -191,7 +191,7 @@ def compare_modes(
     default is the serial uncached engine, so library callers and tests
     see the historical in-process behaviour unless they opt in.
     """
-    from repro.bench.parallel import RunEngine, execute_spec, spec_key
+    from repro.bench.parallel import RunEngine, execute_spec
 
     if engine is None:
         engine = RunEngine(jobs=1)
@@ -202,5 +202,5 @@ def compare_modes(
         options=options,
         cost_model=cost_model,
     )
-    results = engine.map(execute_spec, specs, key_fn=spec_key)
+    results = engine.map(execute_spec, specs)
     return reduce_comparison(config, modes, results)

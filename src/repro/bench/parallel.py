@@ -1,9 +1,9 @@
 """Parallel benchmark execution engine with content-addressed run caching.
 
-Every benchmark run is a pure deterministic function of
-``(config, mode, options, cost_model)`` — the VM replays the same virtual
-history no matter which process executes it.  That makes the Figures 5–8
-matrix embarrassingly parallel: this module
+Every benchmark run is a pure deterministic function of its task and
+its frozen cell — the VM replays the same virtual history no matter
+which process executes it.  That makes the Figures 5–8 matrix
+embarrassingly parallel: this module
 
 1. enumerates the full run matrix for a figure/campaign up front,
 2. fans the runs out to a loopback fleet of worker subprocesses
@@ -11,15 +11,21 @@ matrix embarrassingly parallel: this module
 3. reduces the results back in deterministic matrix order, so every
    report and figure is byte-identical to the serial path, and
 4. memoizes completed runs in a content-addressed on-disk cache
-   (:class:`ResultCache`) keyed by the run's inputs *plus* a digest of
-   the ``repro`` source tree, so re-running an unchanged panel is free.
+   (:class:`ResultCache`).  Every key comes from one function,
+   :func:`run_key`: the task's ``module:qualname``, every field of the
+   cell and a digest of the ``repro`` source tree.  A field added to a
+   cell later is in its key without anyone touching a key function.
 
-Environment knobs (all read by :meth:`RunEngine.from_env`):
+Environment knobs (all read by :meth:`RunEngine.from_env`; unset or
+empty means the default, anything unparseable raises ``ValueError``
+naming the variable):
 
-* ``REPRO_BENCH_JOBS`` — worker processes (default ``os.cpu_count()``;
-  ``1`` = the serial in-process path, no subprocess, no pickling).
-* ``REPRO_BENCH_CACHE`` — set to ``0``/``off``/``no`` to disable the
-  result cache.
+* ``REPRO_BENCH_JOBS`` — worker processes, a whole number above zero
+  (default ``os.cpu_count()``; ``1`` = the serial in-process path, no
+  subprocess, no pickling).
+* ``REPRO_BENCH_CACHE`` — ``0``/``off``/``no`` disables the result
+  cache, ``1``/``on``/``yes`` keeps it.  A map is cached if and only if
+  its engine has a cache.
 * ``REPRO_BENCH_CACHE_DIR`` — cache location (default
   ``.repro-bench-cache`` under the current directory).
 
@@ -40,11 +46,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import math
 import os
 import pickle
+import sys
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -60,8 +69,10 @@ __all__ = [
     "RunSpec",
     "cache_key",
     "execute_spec",
+    "fn_reference",
     "guest_instructions",
     "payload_digest",
+    "run_key",
     "source_digest",
     "spec_key",
 ]
@@ -149,6 +160,41 @@ def source_digest() -> str:
             h.update(len(data).to_bytes(8, "big") + data)
         _SOURCE_DIGEST = h.hexdigest()
     return _SOURCE_DIGEST
+
+
+def fn_reference(fn: Any) -> str:
+    """The importable ``module:qualname`` reference of a task function.
+
+    It names the task in every cache key and on the fleet wire, where a
+    worker imports the function by this reference instead of unpickling
+    it — so only module-level callables qualify.  A function of a module
+    run as ``python -m pkg.mod`` is referenced by its importable name,
+    which keeps its keys equal to those of an imported run.
+    """
+    module = getattr(fn, "__module__", None)
+    qualname = getattr(fn, "__qualname__", None)
+    if module == "__main__":
+        spec = getattr(sys.modules["__main__"], "__spec__", None)
+        module = spec.name if spec is not None else module
+    if not module or not qualname or "<locals>" in qualname:
+        raise ValueError(
+            f"cached and fleet tasks need a module-level callable, "
+            f"got {fn!r}"
+        )
+    return f"{module}:{qualname}"
+
+
+def run_keys(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[str]:
+    """:func:`run_key` of every item, resolving ``fn`` once."""
+    ref, digest = fn_reference(fn), source_digest()
+    return [cache_key(ref, item, digest) for item in items]
+
+
+def run_key(fn: Callable[[Any], Any], item: Any) -> str:
+    """The content address of one run: the task function's reference,
+    the cell (its dataclass qualname and every field, see :func:`_feed`)
+    and the source digest.  The only cache key in the repo."""
+    return run_keys(fn, [item])[0]
 
 
 # ------------------------------------------------------------- disk cache
@@ -483,17 +529,44 @@ class EngineStats:
 
 
 # ----------------------------------------------------------------- engine
-def _env_jobs() -> int:
-    raw = os.environ.get("REPRO_BENCH_JOBS", "")
+def _env_number(name: str, parse, default):
+    """``parse(os.environ[name])``, or ``default`` when unset or empty.
+
+    Anything that does not parse to a finite number above zero raises
+    :class:`ValueError` naming the variable and its value.
+    """
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return default
     try:
-        jobs = int(raw)
+        value = parse(text)
     except ValueError:
-        jobs = 0
-    return jobs if jobs >= 1 else (os.cpu_count() or 1)
+        value = None
+    if value is None or not math.isfinite(value) or value <= 0:
+        kind = "whole" if parse is int else "finite"
+        raise ValueError(
+            f"{name}={text!r}: expected a {kind} number above zero"
+        )
+    return value
+
+
+def _env_jobs() -> int:
+    return _env_number("REPRO_BENCH_JOBS", int, os.cpu_count() or 1)
+
+
+_CACHE_SWITCH = {"0": False, "off": False, "no": False,
+                 "1": True, "on": True, "yes": True}
 
 
 def _env_cache() -> Optional[ResultCache]:
-    if os.environ.get("REPRO_BENCH_CACHE", "").lower() in ("0", "off", "no"):
+    text = os.environ.get("REPRO_BENCH_CACHE", "").strip()
+    enabled = _CACHE_SWITCH.get(text.lower()) if text else True
+    if enabled is None:
+        raise ValueError(
+            f"REPRO_BENCH_CACHE={text!r}: expected one of "
+            f"{', '.join(_CACHE_SWITCH)}"
+        )
+    if not enabled:
         return None
     return ResultCache(
         os.environ.get("REPRO_BENCH_CACHE_DIR", DEFAULT_CACHE_DIR)
@@ -509,9 +582,10 @@ class RunEngine:
     ``python -m repro.fleet worker`` subprocesses, spawned on the first
     parallel :meth:`map` and reused until :meth:`close` reaps them.  A
     map with at most one uncached item still runs inline.  An optional
-    :class:`ResultCache` short-circuits runs whose key was computed
-    before.  ``stats`` accumulates over the engine's lifetime;
-    ``last_stats`` describes only the most recent :meth:`map` call.
+    :class:`ResultCache`, the one caching switch, short-circuits runs
+    whose :func:`run_key` was stored before.  ``stats`` accumulates over
+    the engine's lifetime; ``last_stats`` describes only the most recent
+    :meth:`map` call.
     """
 
     def __init__(
@@ -569,10 +643,14 @@ class RunEngine:
     ) -> list[Any]:
         """Run ``fn`` over ``items``; results come back in input order.
 
-        ``fn`` must be a module-level callable and every item picklable
-        when the map runs on the fleet.  With a cache and a ``key_fn``,
-        cached items are served without executing; fresh results are
-        stored back.
+        A map is cached if and only if the engine has a cache: each
+        item's key is :func:`run_key` of ``fn`` and the item, cached
+        items are served without executing, fresh results are stored
+        back.  Keys also travel with fleet tasks, for workers that keep
+        a local store.  ``fn`` must then be a module-level callable and
+        every item a value-like cell (see :func:`_feed`); on the fleet
+        it must also pickle.  ``key_fn`` overrides the derived key; only
+        perfbench passes it, with that same key (ROADMAP item 5).
         """
         t0 = time.perf_counter()
         stats = EngineStats(jobs=self.jobs)
@@ -581,12 +659,16 @@ class RunEngine:
         stats.run_instructions = [0] * len(items)
         results: list[Any] = [None] * len(items)
 
-        pending: list[int] = []
         keys: list[Optional[str]] = [None] * len(items)
-        for i, item in enumerate(items):
-            if self.cache is not None and key_fn is not None:
-                keys[i] = key_fn(item)
-                hit = self.cache.get(keys[i])
+        if self.cache is not None or not self._inline(len(items)):
+            keys = (
+                run_keys(fn, items) if key_fn is None
+                else [key_fn(item) for item in items]
+            )
+        pending: list[int] = []
+        for i, key in enumerate(keys):
+            if self.cache is not None:
+                hit = self.cache.get(key)
                 if hit is not None:
                     results[i] = hit
                     stats.cache_hits += 1
@@ -610,18 +692,13 @@ class RunEngine:
                     trace_dropped=dropped,
                     trace_sink_errors=sink_errors,
                 )
-                if keys[i] is not None and results[i] is not None:
+                if self.cache is not None and results[i] is not None:
                     self.cache.put(keys[i], results[i])
         else:
             if self.coordinator is None:
                 from repro.fleet.engine import spawn_local
 
                 self._attach(*spawn_local(self.jobs, cache=self.cache))
-            if key_fn is not None:
-                # keys travel with tasks even without a cache here:
-                # external workers use them for their local store
-                for i in pending:
-                    keys[i] = keys[i] or key_fn(items[i])
             executed = self.coordinator.dispatch(
                 fn, items, pending, keys, results, stats, self.procs
             )
@@ -657,13 +734,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
     )
 
 
-def spec_key(spec: RunSpec) -> str:
-    """Content address of one run: its inputs plus the source digest."""
-    return cache_key(
-        "microbench-run",
-        spec.config,
-        spec.mode,
-        spec.options,
-        spec.cost_model,
-        source_digest(),
-    )
+#: perfbench imports this name for its cache probe; ROADMAP item 5
+#: deletes it
+spec_key = partial(run_key, execute_spec)

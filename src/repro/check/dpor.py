@@ -62,7 +62,6 @@ from repro.check.explorer import (
     DEFAULT_MODES,
     CheckItem,
     ExplorationReport,
-    check_cell_key,
     check_vm,
     run_check_cell,
     summarize_results,
@@ -624,7 +623,7 @@ def explore_dpor(
         CheckItem(scenario_name, prefix, modes, inject)
         for prefix in schedules
     ]
-    executed = engine.map(run_check_cell, items, key_fn=check_cell_key)
+    executed = engine.map(run_check_cell, items)
     return summarize_results(
         scenario_name,
         -1,

@@ -39,8 +39,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Optional
 
+from repro.bench.parallel import RunEngine, run_key
 from repro.check.oracle import (
     check_expectations,
     divergence_problems,
@@ -257,20 +259,9 @@ def run_check_cell(item: CheckItem) -> dict:
     }
 
 
-def check_cell_key(item: CheckItem) -> str:
-    """Content address of one cell (identity + repro source digest)."""
-    from repro.bench.parallel import cache_key, source_digest
-
-    return cache_key(
-        "check-cell",
-        item.scenario,
-        item.prefix,
-        item.modes,
-        item.inject,
-        item.walk_seed,
-        item.walk_bound,
-        source_digest(),
-    )
+#: perfbench imports this name as its key override and cache probe;
+#: ROADMAP item 5 deletes it
+check_cell_key = partial(run_key, run_check_cell)
 
 
 def derive_children(
@@ -421,8 +412,6 @@ def explore(
     """
     get_scenario(scenario_name)  # fail fast on unknown names
     if engine is None:
-        from repro.bench.parallel import RunEngine
-
         engine = RunEngine(jobs=1)
     modes = tuple(modes)
     visited: set[tuple[int, ...]] = {()}
@@ -433,7 +422,7 @@ def explore(
             CheckItem(scenario_name, prefix, modes, inject)
             for prefix in frontier
         ]
-        results = engine.map(run_check_cell, items, key_fn=check_cell_key)
+        results = engine.map(run_check_cell, items)
         next_frontier: list[tuple[int, ...]] = []
         for prefix, result in zip(frontier, results):
             executed.append(result)
@@ -461,9 +450,7 @@ def explore(
             )
             for k in range(walks)
         ]
-        walk_results = engine.map(
-            run_check_cell, walk_items, key_fn=check_cell_key
-        )
+        walk_results = engine.map(run_check_cell, walk_items)
 
     return summarize_results(
         scenario_name,

@@ -263,7 +263,9 @@ class CampaignCell:
     Scenarios carry closures, so a cell names its scenario and every
     process rebuilds it from :func:`_scenarios` — the registry is source
     code, hence identical in every process.  The fields are also the
-    cell's ``REPLAY:`` flags (:func:`repro.fleet.cli.replay_line`)."""
+    cell's ``REPLAY:`` flags (:func:`repro.fleet.cli.replay_line`) and
+    its cache key — ``interp`` too, so a cached fast-engine fragment
+    never answers a reference-engine repro."""
 
     scenario: str
     #: sweep index: the VM seed is ``sweep_seed("campaign", scenario, i)``
@@ -282,20 +284,6 @@ def _campaign_cell(cell: CampaignCell) -> dict:
     """Worker entry for one cell; ``--replay`` runs it too, serially."""
     return run_one(
         _get_scenario(cell.scenario), cell.seed_index, interp=cell.interp
-    )
-
-
-def _cell_key(cell: CampaignCell) -> str:
-    """Content address of one cell: identity + the repro source digest
-    (which covers the scenario definitions themselves).  ``interp`` is
-    part of the identity even though the fragment must be byte-identical
-    either way — a cached fast-engine result must never mask a
-    reference-engine repro (or vice versa)."""
-    from repro.bench.parallel import cache_key, source_digest
-
-    return cache_key(
-        "campaign-cell", cell.scenario, cell.seed_index, cell.interp,
-        source_digest(),
     )
 
 
@@ -355,7 +343,7 @@ def run_campaign(
         for scenario in scenarios
         for seed in range(1, seeds + 1)
     ]
-    cells = engine.map(_campaign_cell, matrix, key_fn=_cell_key)
+    cells = engine.map(_campaign_cell, matrix)
     report: dict = {
         "seeds": seeds, "scenarios": {}, "violations": 0, "failures": [],
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.fleet.cli import parse_hostport
+from repro.fleet.cli import _from_env, parse_hostport
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.fleet.worker import serve
 
     host, port = parse_hostport(args.connect)
-    cache = None if args.no_cache else _env_cache()
+    cache = None if args.no_cache else _from_env(_env_cache)
     served = serve(host, port, name=args.name, cache=cache)
     print(f"fleet worker served {served} task(s)", file=sys.stderr)
     return 0

@@ -45,10 +45,18 @@ __all__ = [
 ]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts such as ``--jobs``: a whole number >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def add_engine_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
     group.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="parallel workers (default REPRO_BENCH_JOBS or cpu count; "
              "1 = serial in-process, N > 1 = a loopback fleet of N "
              "worker subprocesses)",
@@ -78,7 +86,7 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="coordinator address a worker should dial",
     )
     group.add_argument(
-        "--fleet-workers", type=int, default=2, metavar="N",
+        "--fleet-workers", type=_positive_int, default=2, metavar="N",
         help="workers a coordinator waits for before starting "
              "(default 2)",
     )
@@ -107,12 +115,22 @@ def run_fleet_worker(args: argparse.Namespace) -> int:
     return 0
 
 
+def _from_env(read):
+    """``read()`` of a ``REPRO_BENCH_*`` knob; a bad value exits 2 with
+    the :class:`ValueError` naming the variable, like a bad flag."""
+    try:
+        return read()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
     if args.no_cache:
         return None
     if args.cache_dir is not None:
         return ResultCache(args.cache_dir)
-    return _env_cache()
+    return _from_env(_env_cache)
 
 
 def engine_from_args(args: argparse.Namespace) -> RunEngine:
@@ -126,9 +144,9 @@ def engine_from_args(args: argparse.Namespace) -> RunEngine:
 
         host, port = parse_hostport(args.fleet_bind)
         return FleetEngine.coordinate(
-            host, port, workers=max(1, args.fleet_workers), cache=cache
+            host, port, workers=args.fleet_workers, cache=cache
         )
-    jobs = _env_jobs() if args.jobs is None else max(1, args.jobs)
+    jobs = _from_env(_env_jobs) if args.jobs is None else args.jobs
     return RunEngine(jobs=jobs, cache=cache)
 
 

@@ -41,9 +41,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
-import sys
 import threading
 from typing import Any, Optional
+
+from repro.bench.parallel import fn_reference
 
 __all__ = [
     "FrameSocket",
@@ -62,26 +63,6 @@ _LEN = struct.Struct(">I")
 
 class ProtocolError(ConnectionError):
     """A malformed frame or a violated protocol invariant."""
-
-
-def fn_reference(fn: Any) -> str:
-    """The importable ``module:qualname`` reference of a task function.
-
-    Fleet tasks cross process and host boundaries, so only module-level
-    callables can be shipped: a worker imports the function by this
-    reference instead of unpickling it.  A function of a module run as
-    ``python -m pkg.mod`` is referenced by its importable name.
-    """
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", None)
-    if module == "__main__":
-        spec = getattr(sys.modules["__main__"], "__spec__", None)
-        module = spec.name if spec is not None else module
-    if not module or not qualname or "<locals>" in qualname:
-        raise ValueError(
-            f"fleet tasks need a module-level callable, got {fn!r}"
-        )
-    return f"{module}:{qualname}"
 
 
 def resolve_fn(ref: str) -> Any:

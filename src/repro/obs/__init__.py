@@ -25,7 +25,7 @@ byte-identical artifacts on every interpreter, worker count and cache
 state — the property that makes traces diffable across commits.
 """
 
-from repro.obs.capture import ObsSpec, capture_run, obs_spec_key
+from repro.obs.capture import ObsSpec, capture_run
 from repro.obs.export import (
     chrome_trace_bytes,
     folded_stacks,
@@ -43,6 +43,5 @@ __all__ = [
     "capture_run",
     "chrome_trace_bytes",
     "folded_stacks",
-    "obs_spec_key",
     "spans_jsonl_bytes",
 ]

@@ -14,9 +14,9 @@ Captures run them straight through ``vm.run()``; the time-travel
 debugger (:mod:`repro.obs.debug`) steps the very same VMs.
 
 :func:`capture_run` is itself the :class:`repro.bench.parallel.RunEngine`
-task and :func:`obs_spec_key` its cache key, so CLI invocations fan out
-across workers and land in the content-addressed on-disk cache exactly
-like benchmark runs do (keyed by the spec plus the source digest).
+task, so CLI invocations fan out across workers and land in the
+content-addressed on-disk cache exactly like benchmark runs do (keyed by
+the task, the spec and the source digest).
 
 Determinism: sync-block ids are per-assembler and section ids are per-VM
 state (no process-global build counters survive anywhere), so artifacts
@@ -27,8 +27,10 @@ serially or on a fleet worker, fresh or from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.bench.parallel import RunEngine, run_key
 from repro.errors import run_outcome
 from repro.obs.export import (
     chrome_trace_bytes,
@@ -271,17 +273,13 @@ def capture_replay(
 
 
 # ------------------------------------------------------- RunEngine adapter
-def obs_spec_key(spec: ObsSpec) -> str:
-    """Content address of one capture (identity + source digest)."""
-    from repro.bench.parallel import cache_key, source_digest
-
-    return cache_key("obs-capture", spec, source_digest())
+#: perfbench imports this name for its cache probe; ROADMAP item 5
+#: deletes it
+obs_spec_key = partial(run_key, capture_run)
 
 
 def capture_with_engine(spec: ObsSpec, engine=None) -> dict[str, Any]:
     """Capture through a RunEngine (fan-out + on-disk artifact cache)."""
     if engine is None:
-        from repro.bench.parallel import RunEngine
-
         engine = RunEngine.from_env()
-    return engine.map(capture_run, [spec], key_fn=obs_spec_key)[0]
+    return engine.map(capture_run, [spec])[0]

@@ -195,15 +195,6 @@ def execute_debug_record(item: tuple[ObsSpec, int]) -> DebugRecording:
     return record(spec, interval)
 
 
-def debug_record_key(item: tuple[ObsSpec, int]) -> str:
-    """Content address of one checkpoint stream (spec + interval +
-    source digest: any source change invalidates the stream)."""
-    from repro.bench.parallel import cache_key, source_digest
-
-    spec, interval = item
-    return cache_key("obs-debug-ckpt", spec, interval, source_digest())
-
-
 def record_with_engine(
     spec: ObsSpec, interval: int = DEFAULT_INTERVAL, engine=None
 ) -> DebugRecording:
@@ -214,9 +205,7 @@ def record_with_engine(
         from repro.bench.parallel import RunEngine
 
         engine = RunEngine.from_env()
-    return engine.map(
-        execute_debug_record, [(spec, interval)], key_fn=debug_record_key
-    )[0]
+    return engine.map(execute_debug_record, [(spec, interval)])[0]
 
 
 # ------------------------------------------------------------ the session

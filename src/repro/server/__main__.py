@@ -45,7 +45,7 @@ from repro.fleet.cli import (
     replay_line,
     run_fleet_worker,
 )
-from repro.server.plane import ServerSpec, run_server_cell, server_cell_key
+from repro.server.plane import ServerSpec, run_server_cell
 from repro.server.presets import get_preset, preset_names
 from repro.server.report import render_report
 
@@ -155,7 +155,7 @@ def run_sweep(args) -> dict:
             for index in range(1, args.seeds + 1)
         ]
     with engine_from_args(args) as engine:
-        cells = engine.map(run_server_cell, specs, key_fn=server_cell_key)
+        cells = engine.map(run_server_cell, specs)
     print(engine.stats.render(), file=sys.stderr)
     for line in engine.stats.render_workers():
         print(line, file=sys.stderr)

@@ -26,15 +26,17 @@ Three robustness layers stack on top of the guest server from
 
 :func:`run_server_cell` is the picklable worker entry: one
 :class:`ServerSpec` in, one deterministic report fragment out, fanned
-through :class:`repro.bench.parallel.RunEngine` under the content address
-:func:`server_cell_key`.
+through :class:`repro.bench.parallel.RunEngine` and cached under the
+engine's derived key (task, spec and source digest).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
+from repro.bench.parallel import run_key
 from repro.errors import audited_run
 from repro.faults.plane import FaultPlan
 from repro.server.report import build_report
@@ -304,8 +306,6 @@ def run_server_cell(spec: ServerSpec) -> dict:
     return report
 
 
-def server_cell_key(spec: ServerSpec) -> str:
-    """Content address of one cell (identity + source digest)."""
-    from repro.bench.parallel import cache_key, source_digest
-
-    return cache_key("server-cell", spec, source_digest())
+#: perfbench imports this name as its key override and cache probe;
+#: ROADMAP item 5 deletes it
+server_cell_key = partial(run_key, run_server_cell)

@@ -31,8 +31,3 @@ def fail_on_negative(item):
         raise ValueError(f"task rejects negative input {item}")
     return item + 100
 
-
-def task_key(item) -> str:
-    from repro.bench.parallel import cache_key
-
-    return cache_key("fleet-test-task", item)

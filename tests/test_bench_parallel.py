@@ -8,7 +8,13 @@ would have computed.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
 import pickle
+import subprocess
+import sys
+import types
 
 import pytest
 
@@ -22,10 +28,14 @@ from repro.bench.parallel import (
     RunSpec,
     cache_key,
     execute_spec,
-    spec_key,
+    run_key,
 )
 from repro.bench.report import panel_json, render_engine_stats, render_panel
-from repro.faults.campaign import run_campaign
+from repro.check.explorer import CheckItem, run_check_cell
+from repro.faults.campaign import CampaignCell, _campaign_cell, run_campaign
+from repro.obs.capture import ObsSpec, capture_run
+from repro.obs.debug import execute_debug_record
+from repro.server.plane import ServerSpec, run_server_cell
 from repro.vm.clock import CostModel
 from repro.vm.vmcore import VMOptions
 
@@ -129,9 +139,18 @@ class TestResultCache:
         assert e2.last_stats.cache_hits == 0
         assert e2.last_stats.executed == 2
 
+    def test_cached_engine_caches_every_map(self, tmp_path):
+        """The engine's cache is the one switch: a map passes no key."""
+        items = [RunSpec(config=TINY, mode=m)
+                 for m in ("unmodified", "rollback")]
+        engine = RunEngine(jobs=1, cache=ResultCache(tmp_path))
+        first = engine.map(execute_spec, items)
+        assert engine.map(execute_spec, items) == first
+        assert engine.last_stats.cache_hits == len(items)
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = spec_key(RunSpec(config=TINY))
+        key = run_key(execute_spec, RunSpec(config=TINY))
         cache.put(key, {"ok": True})
         cache._path(key).write_bytes(b"not a pickle")
         assert cache.get(key) is None
@@ -208,21 +227,151 @@ class TestCacheIntegrity:
 
 
 # ---------------------------------------------------------------- cache keys
+#: cell type -> (task, base cell, {field: another value}).  Every field of
+#: the cell needs an entry, so a field added to a cell type later fails
+#: here until a value for it shows that it reaches the key.  The
+#: ``(ObsSpec, interval)`` cell of the debugger also varies its interval.
+KEY_CASES = {
+    "RunSpec": (execute_spec, RunSpec(config=TINY), {
+        "config": MicrobenchConfig(seed=78),
+        "mode": "rollback",
+        "options": VMOptions(scheduler="priority"),
+        "cost_model": CostModel(quantum=9_000),
+    }),
+    "CheckItem": (run_check_cell, CheckItem("handoff"), {
+        "scenario": "barge",
+        "prefix": (1,),
+        "modes": ("rollback", "inheritance"),
+        "inject": "undo-drop",
+        "walk_seed": 3,
+        "walk_bound": 2,
+    }),
+    "ObsSpec": (capture_run, ObsSpec("fig6b"), {
+        "scenario": "deadlock-pair",
+        "mode": "inheritance",
+        "seed": 1,
+        "interp": "reference",
+        "profile": False,
+        "write_pct": 20,
+    }),
+    "ObsSpec-interval": (execute_debug_record, (ObsSpec("fig6b"), 500), {
+        "scenario": "deadlock-pair",
+        "mode": "inheritance",
+        "seed": 1,
+        "interp": "reference",
+        "profile": False,
+        "write_pct": 20,
+    }),
+    # interp must split the key even though fragments are identical
+    # across interpreters: a cached fast-engine fragment must never
+    # answer a reference-engine repro
+    "CampaignCell": (_campaign_cell, CampaignCell("storm-philosophers", 1), {
+        "scenario": "exception-rain-bank",
+        "seed_index": 2,
+        "interp": "reference",
+    }),
+    "ServerSpec": (run_server_cell, ServerSpec(preset="chaos-smoke"), {
+        "preset": "storm",
+        "requests": 50,
+        "seed_index": 2,
+        "mode": "inheritance",
+        "interp": "reference",
+        "chaos": True,
+        "inject_bug": "undo-drop",
+        "profile": True,
+    }),
+}
+
+
+def case_keys() -> dict[str, str]:
+    """The derived key of every base cell in :data:`KEY_CASES`."""
+    return {
+        name: run_key(task, base)
+        for name, (task, base, _) in KEY_CASES.items()
+    }
+
+
+def _clone(cell, *, grow: bool = False):
+    """``cell``'s values in a throwaway frozen dataclass of the same
+    qualname and fields; ``grow`` gives the type one more field."""
+    fields = [(f.name, f.type) for f in dataclasses.fields(cell)]
+    if grow:
+        fields.append(("added", int, dataclasses.field(default=0)))
+    cls = dataclasses.make_dataclass(
+        type(cell).__name__, fields, frozen=True
+    )
+    cls.__qualname__ = type(cell).__qualname__
+    return cls(**{f.name: getattr(cell, f.name)
+                  for f in dataclasses.fields(cell)})
+
+
+def _rebase(base, cell):
+    """``base`` with its cell swapped for ``cell``."""
+    return (cell, base[1]) if isinstance(base, tuple) else cell
+
+
+@pytest.fixture(scope="module")
+def foreign_hash_keys() -> dict[str, str]:
+    """:func:`case_keys` computed by a subprocess under another
+    ``PYTHONHASHSEED``."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(
+        os.environ, PYTHONHASHSEED=seed,
+        PYTHONPATH=os.pathsep.join([here] + [p for p in sys.path if p]),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_bench_parallel as t; "
+         "print(json.dumps(t.case_keys()))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(out.stdout)
+
+
 class TestCacheKeys:
     def test_stable_across_calls(self):
         spec = RunSpec(config=TINY, mode="rollback")
-        assert spec_key(spec) == spec_key(spec)
+        assert run_key(execute_spec, spec) == run_key(execute_spec, spec)
 
-    def test_sensitive_to_each_input(self):
-        base = RunSpec(config=TINY)
+    @pytest.mark.parametrize("name", sorted(KEY_CASES))
+    def test_key_covers_the_cell(self, name, foreign_hash_keys):
+        task, base, alternatives = KEY_CASES[name]
+        cell = base[0] if isinstance(base, tuple) else base
+        assert set(alternatives) == {
+            f.name for f in dataclasses.fields(cell)
+        }, "every field of the cell needs an alternative value"
+        key = run_key(task, base)
+        # changing any single field changes the key
         variants = [
-            RunSpec(config=TINY, mode="rollback"),
-            RunSpec(config=MicrobenchConfig(seed=78)),
-            RunSpec(config=TINY, options=VMOptions(scheduler="priority")),
-            RunSpec(config=TINY, cost_model=CostModel(quantum=9_000)),
+            _rebase(base, dataclasses.replace(cell, **{field: value}))
+            for field, value in alternatives.items()
         ]
-        keys = {spec_key(s) for s in [base] + variants}
-        assert len(keys) == len(variants) + 1
+        if isinstance(base, tuple):
+            variants.append((cell, base[1] + 1))
+        keys = {run_key(task, v) for v in variants}
+        assert key not in keys and len(keys) == len(variants)
+        # the key reads the type's name and fields, so a copy keys the
+        # same and a type that gains a field keys anew
+        assert run_key(task, _rebase(base, _clone(cell))) == key
+        assert run_key(task, _rebase(base, _clone(cell, grow=True))) != key
+        # the same cell under another task is another run
+        assert run_key(repr, base) != key
+        # no hash randomisation reaches the key
+        assert foreign_hash_keys[name] == key
+
+    def test_python_m_task_keeps_its_key(self, monkeypatch):
+        """A task of a module run as ``python -m`` keys like the
+        imported function."""
+        cell = CampaignCell("storm-philosophers", 1)
+        imported = run_key(_campaign_cell, cell)
+        main = types.ModuleType("__main__")
+        main.__spec__ = types.SimpleNamespace(name="repro.faults.campaign")
+        monkeypatch.setitem(sys.modules, "__main__", main)
+        as_main = types.FunctionType(_campaign_cell.__code__, {})
+        as_main.__module__ = "__main__"
+        as_main.__qualname__ = _campaign_cell.__qualname__
+        assert run_key(as_main, cell) == imported
 
     def test_rejects_unencodable_objects(self):
         with pytest.raises(TypeError):
@@ -267,6 +416,32 @@ class TestEngineConfig:
     def test_from_env_cache_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
         assert RunEngine.from_env().cache is None
+
+    @pytest.mark.parametrize("value", [None, "", " "])
+    def test_from_env_unset_or_empty_means_default(self, monkeypatch, value):
+        for name in ("REPRO_BENCH_JOBS", "REPRO_BENCH_CACHE"):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        engine = RunEngine.from_env()
+        assert engine.jobs == (os.cpu_count() or 1)
+        assert engine.cache is not None
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_BENCH_JOBS", "abc"),
+        ("REPRO_BENCH_JOBS", "0"),
+        ("REPRO_BENCH_JOBS", "-2"),
+        ("REPRO_BENCH_JOBS", "3x"),
+        ("REPRO_BENCH_CACHE", "false"),
+        ("REPRO_BENCH_CACHE", "False"),
+        ("REPRO_BENCH_CACHE", "disable"),
+    ])
+    def test_from_env_bad_value_names_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError) as excinfo:
+            RunEngine.from_env()
+        assert f"{name}={value!r}" in str(excinfo.value)
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):

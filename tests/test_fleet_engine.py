@@ -28,7 +28,6 @@ from repro.bench.parallel import (
     RunEngine,
     execute_spec,
     payload_digest,
-    spec_key,
 )
 from repro.bench.report import panel_json, render_panel
 from repro.fleet.coordinator import Coordinator, FleetError
@@ -133,22 +132,15 @@ class TestThreadFleet:
         assert fleet == serial
 
     def test_server_cells_equal_to_serial(self):
-        from repro.server.plane import (
-            ServerSpec,
-            run_server_cell,
-            server_cell_key,
-        )
+        from repro.server.plane import ServerSpec, run_server_cell
 
         specs = [
             ServerSpec(preset="chaos-smoke", seed_index=i) for i in (1, 2)
         ]
-        serial = RunEngine(jobs=1).map(
-            run_server_cell, specs, key_fn=None
-        )
+        serial = RunEngine(jobs=1).map(run_server_cell, specs)
         engine = thread_fleet(2)
         try:
-            fleet = engine.map(run_server_cell, specs,
-                               key_fn=server_cell_key)
+            fleet = engine.map(run_server_cell, specs)
         finally:
             engine.close()
         assert json.dumps(fleet, sort_keys=True) == json.dumps(
@@ -160,15 +152,11 @@ class TestThreadFleet:
         engine = thread_fleet(1, worker_caches=[worker_cache])
         try:
             items = list(range(8))
-            first = engine.map(
-                fleet_tasks.double, items, key_fn=fleet_tasks.task_key
-            )
+            first = engine.map(fleet_tasks.double, items)
             assert engine.last_stats.executed == 8
             # coordinator has no cache, so the repeat round-trips to the
             # worker — which serves every task from its local store
-            second = engine.map(
-                fleet_tasks.double, items, key_fn=fleet_tasks.task_key
-            )
+            second = engine.map(fleet_tasks.double, items)
             assert second == first == [i * 2 for i in items]
             stats = engine.last_stats
             assert stats.executed == 0
@@ -339,14 +327,12 @@ class TestSubprocessFleet:
         store = tmp_path / "store"
         items = list(range(6))
         warm = RunEngine(jobs=1, cache=ResultCache(store))
-        warm.map(fleet_tasks.double, items, key_fn=fleet_tasks.task_key)
+        warm.map(fleet_tasks.double, items)
         assert warm.last_stats.executed == len(items)
         monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(store))
         with build() as engine:
-            results = engine.map(
-                fleet_tasks.double, items, key_fn=fleet_tasks.task_key
-            )
+            results = engine.map(fleet_tasks.double, items)
         assert results == [i * 2 for i in items]
         stats = engine.last_stats
         assert stats.cache_hits == 0
@@ -421,6 +407,35 @@ class TestEngineArgs:
         assert engine.jobs == 1
         assert engine.cache.directory == tmp_path / "flag"
         assert engine_from_args(self._args(["--no-cache"])).cache is None
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--fleet-workers"])
+    def test_zero_count_flag_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._args([flag, "0"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module, argv", [
+        ("repro.bench.__main__", ["5a"]),
+        ("repro.check.__main__", ["--scenario", "handoff", "--bound", "1"]),
+        ("repro.obs.__main__", ["summary", "--scenario", "fig6b"]),
+        ("repro.server.__main__", ["--preset", "chaos-smoke"]),
+        ("repro.faults.campaign", ["--seeds", "1"]),
+    ])
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_BENCH_JOBS", "3x"),
+        ("REPRO_BENCH_CACHE", "false"),
+    ])
+    def test_cli_bad_env_exits_2_naming_it(
+        self, module, argv, name, value, capsys, monkeypatch
+    ):
+        import importlib
+
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            importlib.import_module(module).main(argv)
+        assert exc.value.code == 2
+        assert f"{name}={value!r}" in capsys.readouterr().err
 
     def test_fleet_local_mode_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

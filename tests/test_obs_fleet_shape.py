@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.obs.capture import ObsSpec, capture_run, obs_spec_key
+from repro.obs.capture import ObsSpec, capture_run
 
 #: hard output-size budgets for the fleet capture — the artifacts must
 #: stay shippable over the fleet wire however many guest threads run
@@ -117,7 +117,7 @@ def test_fleet_capture_byte_identical_across_jobs(artifact):
 
     specs = [SPEC, ObsSpec(scenario="server-fleet", seed=SPEC.seed + 1)]
     with RunEngine(jobs=2) as engine:
-        pooled = engine.map(capture_run, specs, key_fn=obs_spec_key)
+        pooled = engine.map(capture_run, specs)
     assert pooled[0]["spans_jsonl"] == artifact["spans_jsonl"]
     assert pooled[0]["chrome_json"] == artifact["chrome_json"]
     # the sibling seed is a genuinely different run, same budgets

@@ -13,7 +13,7 @@ import pytest
 from repro.obs.__main__ import main as obs_main
 from repro.obs.scenarios import scenarios as obs_scenarios
 from repro.server.__main__ import main as server_main
-from repro.server.plane import ServerSpec, server_cell_key
+from repro.server.plane import ServerSpec
 
 SERIAL = ["--jobs", "1", "--no-cache"]
 
@@ -113,17 +113,6 @@ class TestServerCli:
         ratios = report["normalized_elapsed"]
         assert len(ratios) == 1
         assert float(next(iter(ratios.values()))) > 0
-
-    def test_cell_key_distinguishes_specs(self):
-        base = ServerSpec(preset="chaos-smoke")
-        assert server_cell_key(base) == server_cell_key(base)
-        for other in (
-            ServerSpec(preset="storm"),
-            ServerSpec(preset="chaos-smoke", seed_index=2),
-            ServerSpec(preset="chaos-smoke", chaos=True),
-            ServerSpec(preset="chaos-smoke", mode="inheritance"),
-        ):
-            assert server_cell_key(other) != server_cell_key(base)
 
 
 class TestReplayCommand:

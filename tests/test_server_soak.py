@@ -266,17 +266,6 @@ class TestCampaignReplay:
         capsys.readouterr()
         assert seen["interp"] == "reference"
 
-    def test_cell_key_distinguishes_interp(self):
-        """A cached fast-engine fragment must never be served for a
-        reference-engine request (stale-cache class of bugs)."""
-        fast = campaign._cell_key(
-            campaign.CampaignCell("storm-philosophers", 1, "fast")
-        )
-        ref = campaign._cell_key(
-            campaign.CampaignCell("storm-philosophers", 1, "reference")
-        )
-        assert fast != ref
-
     def test_fragments_identical_across_interp(self):
         """The campaign's determinism contract extends to the engine:
         one (scenario, seed) cell yields a byte-identical fragment on
