@@ -42,6 +42,7 @@ from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import scenarios
 from repro.core import sections
 from repro.errors import DeadlockError, UncaughtGuestException
+from repro.vm import bytecode as bc
 from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
 
@@ -230,6 +231,144 @@ def _exception_workloads():
         ("array-oob", guest(array_oob)),
         ("npe", guest(npe)),
         ("uncaught", guest(uncaught)),
+    ] + _slow_branch_workloads()
+
+
+# Generated code inlines the hot heap and remainder ops behind exact-type
+# and bounds guards, keeping the general helper as the slow branch.  Each
+# case below sends iteration ``i == last`` down a slow branch, and runs
+# twice: straight-line with ``i = last`` (one basic block) and as the body
+# of a loop over ``0..last`` (a superblock, entered at the first back-edge).
+SLOW_BRANCH_LAST = 3
+
+
+def _slow_branch_workloads():
+    from repro.bench.workloads import Workload
+    from repro.vm.classfile import ClassDef, FieldDef
+    from repro.vm.values import NULL
+
+    from conftest import static_fields
+
+    last = SLOW_BRANCH_LAST
+    aioobe = "ArrayIndexOutOfBoundsException"
+    npe = "NullPointerException"
+
+    def setup(a: Asm) -> None:
+        # arr: int[4]; arrs/objs: last refs to arr/obj, then a null
+        a.const(4).newarray(0).putstatic("Exc", "arr")
+        a.new("Exc").putstatic("Exc", "obj")
+        for refs, target in (("arrs", "arr"), ("objs", "obj")):
+            a.const(last + 1).newarray(NULL).putstatic("Exc", refs)
+            for k in range(last):
+                a.getstatic("Exc", refs).const(k)
+                a.getstatic("Exc", target).astore()
+        a.const(True).putstatic("Exc", "flag")
+
+    def shaped(body, catch, loop: bool):
+        def build() -> Workload:
+            a = Asm("main")
+            i = a.local("i")
+            setup(a)
+
+            def run() -> None:
+                if loop:
+                    a.for_range(i, lambda: a.const(last + 1),
+                                lambda: body(a, i))
+                else:
+                    a.const(last).store(i)
+                    body(a, i)
+
+            def on_catch() -> None:
+                a.pop()
+                a.load(i).putstatic("Exc", "err")
+
+            if catch is None:
+                run()
+            else:
+                a.try_(run, catches=[(catch, on_catch)])
+            a.ret()
+            cls = ClassDef("Exc", fields=static_fields(
+                "out", "err", "flag", "arr:ref", "alias:ref", "arrs:ref",
+                "objs:ref", "obj:ref",
+            ) + [FieldDef("x", "int")])
+            cls.add_method(a.build())
+            return Workload(
+                name="exc", classdef=cls, setup=lambda vm: None,
+                spawns=[("main", [], 5, "t0")],
+            )
+        return build
+
+    def accumulate(a: Asm) -> None:
+        a.getstatic("Exc", "out").add().putstatic("Exc", "out")
+
+    def aload_neg(a: Asm, i: int) -> None:      # arr[last - 1 - i]
+        a.getstatic("Exc", "arr").const(last - 1).load(i).sub().aload()
+        accumulate(a)
+
+    def aload_len(a: Asm, i: int) -> None:      # arr[i + 4 - last]
+        a.getstatic("Exc", "arr").load(i).const(4 - last).add().aload()
+        accumulate(a)
+
+    def astore_neg(a: Asm, i: int) -> None:
+        a.getstatic("Exc", "arr").const(last - 1).load(i).sub()
+        a.load(i).astore()
+
+    def astore_len(a: Asm, i: int) -> None:
+        a.getstatic("Exc", "arr").load(i).const(4 - last).add()
+        a.load(i).astore()
+
+    def null_array(a: Asm, i: int) -> None:
+        a.getstatic("Exc", "arrs").load(i).aload().const(0).aload()
+        accumulate(a)
+
+    def null_arraylen(a: Asm, i: int) -> None:
+        a.getstatic("Exc", "arrs").load(i).aload().arraylen()
+        accumulate(a)
+
+    def null_object(a: Asm, i: int) -> None:
+        a.getstatic("Exc", "objs").load(i).aload().getfield("x")
+        accumulate(a)
+
+    def null_object_store(a: Asm, i: int) -> None:
+        a.getstatic("Exc", "objs").load(i).aload().load(i).putfield("x")
+
+    def mod_negative(a: Asm, i: int) -> None:   # (i - 10) % 64
+        a.load(i).const(10).sub().const(64).mod()
+        accumulate(a)
+
+    def mod_bool(a: Asm, i: int) -> None:       # True % 64
+        a.getstatic("Exc", "flag").const(64).mod()
+        accumulate(a)
+
+    def mod_float(a: Asm, i: int) -> None:      # (i - 2.5) % 64
+        a.load(i).const(-2.5).add().const(64).mod()
+        accumulate(a)
+
+    def static_array(a: Asm, i: int) -> None:
+        # alias = arr; alias[i] = i; out += alias[i]
+        a.getstatic("Exc", "arr").putstatic("Exc", "alias")
+        a.getstatic("Exc", "alias").load(i).load(i).astore()
+        a.getstatic("Exc", "alias").load(i).aload()
+        accumulate(a)
+
+    cases = [
+        ("aload-neg", aload_neg, aioobe),
+        ("aload-len", aload_len, aioobe),
+        ("astore-neg", astore_neg, aioobe),
+        ("astore-len", astore_len, aioobe),
+        ("null-array", null_array, npe),
+        ("null-arraylen", null_arraylen, npe),
+        ("null-object", null_object, npe),
+        ("null-object-store", null_object_store, npe),
+        ("mod-negative", mod_negative, None),
+        ("mod-bool", mod_bool, None),
+        ("mod-float", mod_float, None),
+        ("static-array", static_array, None),
+    ]
+    return [
+        (f"{name}-{shape}", shaped(body, catch, shape == "loop"))
+        for name, body, catch in cases
+        for shape in ("block", "loop")
     ]
 
 
@@ -240,6 +379,55 @@ def _exception_workloads():
 @pytest.mark.parametrize("mode", ("unmodified", "rollback"))
 def test_exception_path_parity(name, build_factory, mode) -> None:
     _assert_identical(build_factory, mode)
+
+
+@pytest.mark.parametrize(
+    "name,build_factory", _slow_branch_workloads(),
+    ids=[n for n, _ in _slow_branch_workloads()],
+)
+def test_slow_branch_cases_run_on_the_tier_they_name(name, build_factory):
+    """A ``-block`` case fuses every heap and remainder op into blocks
+    and forms no superblock; a ``-loop`` case forms one over its body,
+    and the slow branch fires inside it (a fault at ``i == last`` or,
+    for the non-faulting cases, a loop run to its end)."""
+    from repro.vm.predecode import predecode_method
+
+    _fresh()
+    vm = JVM(VMOptions(mode="rollback", seed=7, max_cycles=50_000_000))
+    build_factory().install(vm)
+    method = vm.classes["Exc"].method("main")
+    dm = predecode_method(vm, method)
+    commits = []
+    commit_batch = vm.clock.commit_batch
+    vm.clock.commit_batch = lambda *a: commits.append(a) or commit_batch(*a)
+    vm.run()
+    if name.endswith("-loop"):
+        assert len(dm.superblock_list) == 1
+        assert commits, "the superblock never ran"
+    else:
+        assert dm.superblock_list == []
+        slow = {bc.ALOAD, bc.ASTORE, bc.ARRAYLEN, bc.GETFIELD, bc.PUTFIELD,
+                bc.GETSTATIC, bc.PUTSTATIC, bc.MOD}
+        fused = {pc for b in dm.block_list for pc in range(b.start, b.end)}
+        ops = [pc for pc, ins in enumerate(method.code) if ins.op in slow]
+        assert ops and set(ops) <= fused
+    if vm.get_static("Exc", "err"):
+        assert vm.get_static("Exc", "err") == SLOW_BRANCH_LAST
+
+
+@pytest.mark.parametrize("interp", INTERPS)
+def test_float_remainder_keeps_the_reference_helper(interp) -> None:
+    """Python's ``%`` and the reference's ``math.fmod`` agree on finite
+    non-negative floats but not on infinity, where the reference raises;
+    the inline ``% 64`` must leave floats to the helper."""
+    from conftest import run_single
+
+    def emit(a: Asm) -> None:
+        a.const(float("inf")).const(64).mod().putstatic("T", "out")
+
+    _fresh()
+    with pytest.raises(ValueError, match="math domain error"):
+        run_single(emit, fields=["out"], interp=interp)
 
 
 # ----------------------------------------------------- reference forcing

@@ -6,20 +6,30 @@ is observationally identical to the reference; these tests pin the
 cost batching is the exact sum of per-instruction link costs, that the
 fault-repair suffix arrays are right, which superinstructions fire, and
 that the cache lifecycle (lazy build, invalidation, no leak through
-``MethodDef.copy``) behaves.
+``MethodDef.copy``) behaves, and that generated modules compile once per
+process: every VM, restored ones included, execs the shared code object
+into its own namespace.
 """
 
 from __future__ import annotations
 
-from conftest import build_class, make_vm
+import dataclasses
+
+from conftest import build_class, make_vm, run_single
+from repro.bench.microbench import MicrobenchConfig, setup_microbench_vm
+from repro.check.dpor import SteppingRun
+from repro.check.scenarios import get_scenario
 from repro.vm import bytecode as bc
 from repro.vm.assembler import Asm
+from repro.vm.clock import CostModel
 from repro.vm.predecode import (
+    _module_code,
     find_leaders,
     find_runs,
     predecode_method,
     render_decoded,
 )
+from repro.vm.vmcore import JVM, VMOptions
 
 
 def _linked(emit, mode: str = "unmodified", fields=(), **options):
@@ -175,3 +185,147 @@ def test_render_decoded_mentions_blocks_and_source() -> None:
     assert "T.main" in dump
     assert "block [0," in dump
     assert "def _b0(" in dump
+
+
+# ------------------------------------------------------------ code cache
+def _codes(dm) -> list:
+    """The code object behind every block and superblock function."""
+    fns = [b.fn for b in dm.block_list] + [s.fn for s in dm.superblock_list]
+    return [fn.__code__ for fn in fns]
+
+
+def _misses() -> int:
+    return _module_code.cache_info().misses
+
+
+def _bench_run(vm: JVM):
+    config = MicrobenchConfig(high_threads=1, low_threads=1, iters_high=5,
+                              iters_low=5, sections=2, write_pct=60)
+    setup_microbench_vm(vm, config)
+    vm.run()
+    return vm.classes["Bench"].method("run").__dict__["_decoded"]
+
+
+def test_two_vms_compile_bench_run_once() -> None:
+    _module_code.cache_clear()
+    first = _bench_run(JVM(VMOptions(mode="rollback", seed=3)))
+    info = _module_code.cache_info()
+    second = _bench_run(JVM(VMOptions(mode="rollback", seed=3)))
+    assert _module_code.cache_info().misses == info.misses
+    assert _module_code.cache_info().hits > info.hits
+    assert first.superblock_list, "Bench.run should form a superblock"
+    assert len(_codes(second)) == len(_codes(first))
+    assert all(a is b for a, b in zip(_codes(second), _codes(first)))
+    # the shared code runs against each VM's own namespace
+    f1, f2 = first.block_list[0].fn, second.block_list[0].fn
+    assert f1 is not f2 and f1.__globals__ is not f2.__globals__
+
+
+def test_rewritten_code_misses_the_cache() -> None:
+    def emit(a: Asm) -> None:
+        a.const(20).const(1).add().putstatic("T", "out")
+
+    vm, m = _linked(emit, fields=["out"])
+    old = _codes(predecode_method(vm, m))
+    before = _misses()
+    m.code[0].a = 40
+    m.invalidate_decoded()
+    new = _codes(predecode_method(vm, m))
+    assert _misses() == before + 1
+    assert new[0] is not old[0]
+    vm.spawn("T", "main", name="main")
+    vm.run()
+    assert vm.get_static("T", "out") == 41
+
+
+def test_pooled_float_constant_reuses_code_but_runs_its_value() -> None:
+    def program(x: float):
+        def emit(a: Asm) -> None:
+            a.const(x).const(2).mul().putstatic("T", "out")
+        return emit
+
+    one = run_single(program(1.25), fields=["out"])
+    before = _misses()
+    two = run_single(program(2.5), fields=["out"])
+    assert _misses() == before, "a K-pool constant is not in the source"
+    decoded = [vm.classes["T"].method("main").__dict__["_decoded"]
+               for vm in (one, two)]
+    assert _codes(decoded[1])[0] is _codes(decoded[0])[0]
+    assert one.get_static("T", "out") == 2.5
+    assert two.get_static("T", "out") == 5.0
+
+
+def test_identical_bodies_keep_their_own_filename() -> None:
+    methods = []
+    for name in ("left", "right"):
+        a = Asm(name)
+        a.const(2).const(3).add().putstatic("T", "out")
+        a.ret()
+        methods.append(a)
+    vm = make_vm()
+    cls = vm.load(build_class("T", ["out"], methods))
+    left, right = (_codes(predecode_method(vm, cls.method(n)))[0]
+                   for n in ("left", "right"))
+    assert left.co_filename == "<decoded T.left>"
+    assert right.co_filename == "<decoded T.right>"
+    assert left is not right
+
+
+def _loop(a: Asm) -> None:
+    i = a.local("i")
+    a.for_range(i, lambda: a.const(50), lambda: (
+        a.getstatic("T", "out").const(1).add().putstatic("T", "out"),
+    ))
+
+
+def _decoded_with(cost_model: CostModel, mode: str):
+    vm, m = _linked(_loop, mode, fields=["out"], cost_model=cost_model)
+    dm = predecode_method(vm, m)
+    assert dm.superblock_list
+    return dm
+
+
+def test_baked_in_literals_miss_the_cache() -> None:
+    """The quantum (superblock guard) and the read-barrier cost (inline
+    fast path) are literals in the source, so changing either compiles
+    afresh; the same cost model again hits."""
+    base = CostModel()
+    changes = (("unmodified", {"quantum": base.quantum + 1}),
+               ("rollback", {"read_barrier": base.read_barrier + 1}))
+    for mode, change in changes:
+        codes = _codes(_decoded_with(base, mode))
+        before = _misses()
+        assert _codes(_decoded_with(base, mode)) == codes
+        assert _misses() == before
+        changed = _codes(_decoded_with(
+            dataclasses.replace(base, **change), mode))
+        assert _misses() > before
+        assert changed[-1] is not codes[-1]
+
+
+def test_restored_vm_reuses_cached_code_and_stays_identical() -> None:
+    def observe(run: SteppingRun, outcome: str) -> tuple:
+        vm = run.vm
+        return (outcome, vm.clock.now, vm.clock.events,
+                vm.tracer.render(), vm.metrics())
+
+    # memory tracing would force the reference interpreter
+    run = SteppingRun(get_scenario("mini-handoff"), "rollback",
+                      interp="fast", trace_memory=False)
+    checkpoint = None
+    while True:
+        kind, data = run.advance()
+        if kind == "done":
+            break
+        if len(run.schedule) == 3:
+            checkpoint = run.checkpoint()
+        run.choose(data[-1])
+    assert checkpoint is not None
+    original = observe(run, data)
+    before = _module_code.cache_info()
+    resumed = SteppingRun.resume(checkpoint)
+    outcome = resumed.drive(run.schedule)
+    after = _module_code.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    assert observe(resumed, outcome) == original
