@@ -45,12 +45,16 @@ counterexample / ddmin / replay pipeline, same content-addressed cache,
 byte-identical reports for any worker count.
 
 Rather than replaying every explored prefix from cycle zero, the engine
-checkpoints the VM (:mod:`repro.vm.snapshot`) at decision points.
-Snapshots are taken sparsely (every :data:`SNAPSHOT_INTERVAL` levels of
-the DFS stack): repositioning restores the nearest ancestor checkpoint
-and replays at most ``SNAPSHOT_INTERVAL - 1`` recorded choices, trading
-a bounded amount of deterministic re-execution for an order of magnitude
-fewer serializations (each snapshot is one ``pickle.dumps`` of the VM).
+checkpoints the VM (:mod:`repro.vm.snapshot`) at decision points.  The
+stepping run is the VM's decision hook, and a snapshot captures the
+hook, so one :func:`~repro.vm.snapshot.restore_vm` brings back the VM
+together with its committed schedule and pending decision — the same
+resume path the time-travel debugger uses.  Snapshots are taken
+sparsely (every :data:`SNAPSHOT_INTERVAL` levels of the DFS stack):
+repositioning restores the nearest ancestor checkpoint and replays at
+most ``SNAPSHOT_INTERVAL - 1`` recorded choices, trading a bounded
+amount of deterministic re-execution for an order of magnitude fewer
+serializations (each snapshot is one ``pickle.dumps`` of the VM).
 """
 
 from __future__ import annotations
@@ -67,13 +71,8 @@ from repro.check.explorer import (
     summarize_results,
 )
 from repro.check.scenarios import CheckScenario, get_scenario
-from repro.errors import (
-    DeadlockError,
-    StarvationError,
-    UncaughtGuestException,
-)
+from repro.errors import run_outcome
 from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
-from repro.vm.vmcore import JVM
 
 #: take a full VM snapshot at stack depths divisible by this; states in
 #: between are repositioned by replaying their recorded choices from the
@@ -181,24 +180,18 @@ class _PeekSignal(Exception):
         self.tids = tids
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """A :class:`SteppingRun` frozen at one scheduling decision."""
-
-    snapshot: VMSnapshot
-    schedule: tuple[int, ...]
-    candidates: tuple[tuple[int, ...], ...]
-    pending: tuple[int, ...]
-
-
 class SteppingRun:
     """One scenario run, paused at every scheduling decision.
 
     The protocol is ``advance() -> ("decision", tids) | ("done", outcome)``
     then ``choose(tid)`` to commit one decision and execute its slice.
-    Between ``advance`` and ``choose`` the VM is quiescent, so
-    :meth:`checkpoint` can capture it and :meth:`resume` can later clone
-    an independent continuation positioned at the same decision.
+
+    The run installs itself as its VM's decision hook, so the committed
+    schedule and the pending decision are VM state.  Between ``advance``
+    and ``choose`` the VM is quiescent: :meth:`checkpoint` is one
+    :func:`~repro.vm.snapshot.snapshot_vm` of it, and :meth:`resume`
+    restores an independent continuation from that snapshot, whose hook
+    is the restored copy of the run, positioned at the same decision.
 
     Runs use the checker VM (:func:`repro.check.explorer.check_vm`) plus
     tracing (memory tracing forces the reference interpreter —
@@ -218,25 +211,18 @@ class SteppingRun:
         overrides = {"trace": True, "trace_memory": trace_memory}
         if interp is not None:
             overrides["interp"] = interp
-        vm = check_vm(scenario, mode, inject=inject, **overrides)
-        self._adopt(vm, schedule=(), candidates=())
-        vm.begin_run()
-
-    # ------------------------------------------------------------- plumbing
-    def _adopt(self, vm: JVM, *, schedule, candidates) -> None:
-        self.vm = vm
-        vm.scheduler.decision_hook = self._hook
+        self.vm = check_vm(scenario, mode, inject=inject, **overrides)
+        self.vm.scheduler.decision_hook = self
         self._peeking = False
         self._forced: Optional[int] = None
         #: committed choices so far (the prefix of a check schedule)
-        self.schedule: list[int] = list(schedule)
-        #: candidate tids seen at each committed decision
-        self.candidates: list[tuple[int, ...]] = list(candidates)
+        self.schedule: list[int] = []
         #: candidate tids at the currently paused decision, else None
         self.pending: Optional[tuple[int, ...]] = None
         self.outcome: Optional[str] = None
+        self.vm.begin_run()
 
-    def _hook(self, cands) -> int:
+    def __call__(self, cands) -> int:
         tids = tuple(t.tid for t in cands)
         if self._peeking:
             raise _PeekSignal(tids)
@@ -251,40 +237,26 @@ class SteppingRun:
         return forced
 
     # ------------------------------------------------------------- protocol
+    def _run(self) -> None:
+        while self.vm.scheduler.step() is not None:
+            pass
+        self.vm.finish_run()
+
     def advance(self) -> tuple[str, object]:
         """Run until the next decision or to termination (idempotent)."""
+        if self.outcome is None and self.pending is None:
+            self._peeking = True
+            try:
+                self.outcome = run_outcome(self._run)
+            except _PeekSignal as sig:
+                # the aborted probe counted a decision; undo it
+                self.vm.scheduler.decisions -= 1
+                self.pending = sig.tids
+            finally:
+                self._peeking = False
         if self.outcome is not None:
             return ("done", self.outcome)
-        if self.pending is not None:
-            return ("decision", self.pending)
-        scheduler = self.vm.scheduler
-        self._peeking = True
-        try:
-            while True:
-                try:
-                    res = scheduler.step()
-                except _PeekSignal as sig:
-                    # the aborted probe counted a decision; undo it
-                    scheduler.decisions -= 1
-                    self.pending = sig.tids
-                    return ("decision", sig.tids)
-                except DeadlockError:
-                    self.outcome = "deadlock"
-                    return ("done", self.outcome)
-                except StarvationError:
-                    self.outcome = "starvation"
-                    return ("done", self.outcome)
-                if res is None:
-                    break
-        finally:
-            self._peeking = False
-        try:
-            self.vm.finish_run()
-        except UncaughtGuestException as exc:
-            self.outcome = f"uncaught:{exc.exc_class}"
-            return ("done", self.outcome)
-        self.outcome = "completed"
-        return ("done", self.outcome)
+        return ("decision", self.pending)
 
     def choose(self, tid: int) -> None:
         """Commit ``tid`` at the pending decision and run its slice."""
@@ -293,16 +265,13 @@ class SteppingRun:
         if tid not in self.pending:
             raise ValueError(f"{tid} not a candidate in {self.pending}")
         self.schedule.append(tid)
-        self.candidates.append(self.pending)
         self._forced = tid
         try:
-            self.vm.scheduler.step()
-        except DeadlockError:
-            self.outcome = "deadlock"
-        except StarvationError:
-            self.outcome = "starvation"
+            outcome = run_outcome(self.vm.scheduler.step)
         finally:
             self.pending = None
+        if outcome != "completed":  # the slice ended the run
+            self.outcome = outcome
 
     def default_choice(self, tids: tuple[int, ...]) -> int:
         """The deterministic default policy's pick, mirroring
@@ -331,29 +300,17 @@ class SteppingRun:
             index += 1
 
     # ----------------------------------------------------------- snapshots
-    def checkpoint(self) -> Checkpoint:
+    def checkpoint(self) -> VMSnapshot:
         """Capture the run at the pending decision."""
         if self.pending is None:
             raise RuntimeError("checkpoint() requires a pending decision")
-        return Checkpoint(
-            snapshot=snapshot_vm(self.vm),
-            schedule=tuple(self.schedule),
-            candidates=tuple(self.candidates),
-            pending=self.pending,
-        )
+        return snapshot_vm(self.vm)
 
-    @classmethod
-    def resume(cls, checkpoint: Checkpoint) -> "SteppingRun":
-        """Clone an independent run positioned at the checkpoint's
-        decision.  May be called any number of times per checkpoint."""
-        run = object.__new__(cls)
-        run._adopt(
-            restore_vm(checkpoint.snapshot),
-            schedule=checkpoint.schedule,
-            candidates=checkpoint.candidates,
-        )
-        run.pending = checkpoint.pending
-        return run
+    @staticmethod
+    def resume(snapshot: VMSnapshot) -> "SteppingRun":
+        """Clone an independent run positioned at the snapshot's
+        decision.  May be called any number of times per snapshot."""
+        return restore_vm(snapshot).scheduler.decision_hook
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +337,7 @@ class _State:
     #: enabled candidates in scheduler order
     tids: tuple[int, ...]
     #: full VM checkpoint, or None for replay-repositioned states
-    checkpoint: Optional[Checkpoint]
+    checkpoint: Optional[VMSnapshot]
     #: thread -> footprint of its (fixed, deterministic) next transition,
     #: for threads whose subtree was already explored from an equivalent
     #: state — never re-explore unless something dependent ran

@@ -85,10 +85,6 @@ class DebugRecording:
     artifact: dict[str, Any]
     checkpoints: list[VMSnapshot] = field(repr=False, default_factory=list)
     boundaries: list[int] = field(repr=False, default_factory=list)
-    #: full decision prefix when the recording replayed a checker
-    #: counterexample (None for plain scenario recordings); sessions
-    #: re-arm the decision hook from it after every restore
-    schedule: Optional[tuple[int, ...]] = None
 
     def episodes_report(self) -> dict[str, Any]:
         from repro.obs.episodes import build_report
@@ -131,16 +127,15 @@ def record_replay(
     interval: int = DEFAULT_INTERVAL,
 ) -> DebugRecording:
     """Record a ``repro.check`` counterexample replay with checkpoints,
-    so the divergence opens in the time-travel debugger.  The recording
-    carries the minimized decision prefix; every restore re-arms the
-    scheduler's decision hook at the checkpoint's decision index, so
-    seeks reproduce the counterexample schedule exactly.  Its artifact
-    is byte-identical to :func:`repro.obs.capture.capture_replay`'s."""
+    so the divergence opens in the time-travel debugger.  Every
+    checkpoint carries the schedule controller armed with the minimized
+    decision prefix, so seeks reproduce the counterexample schedule
+    exactly.  Its artifact is byte-identical to
+    :func:`repro.obs.capture.capture_replay`'s."""
     from repro.check.oracle import counterexample_cell
 
-    cell = counterexample_cell(payload)
     return _record_loop(
-        *build_replay_vm(cell, mode), interval, schedule=cell.prefix
+        *build_replay_vm(counterexample_cell(payload), mode), interval
     )
 
 
@@ -150,7 +145,6 @@ def _record_loop(
     builder: SpanBuilder,
     sampler: _CounterSampler,
     interval: int,
-    schedule: Optional[tuple[int, ...]] = None,
 ) -> DebugRecording:
     if interval < 1:
         raise ValueError("checkpoint interval must be >= 1")
@@ -183,7 +177,6 @@ def _record_loop(
         artifact=artifact,
         checkpoints=checkpoints,
         boundaries=boundaries,
-        schedule=schedule,
     )
 
 
@@ -214,27 +207,15 @@ class DebugSession:
 
     Every positioning operation is restore-then-re-execute: the session
     never mutates the recording, and two sessions over one recording are
-    fully isolated (every restore unpickles a fresh VM).
+    fully isolated (every restore unpickles a fresh VM).  A restored VM
+    continues under its recorded decision hook, so re-execution follows
+    the recorded schedule.
     """
 
     def __init__(self, recording: DebugRecording) -> None:
         self.recording = recording
         self._clocks = [c.clock_now for c in recording.checkpoints]
-        self._restore(0)
-
-    def _restore(self, index: int) -> None:
-        self.vm = restore_vm(self.recording.checkpoints[index])
-        schedule = self.recording.schedule
-        if schedule is not None:
-            # Snapshots drop the decision hook (it is host-side state);
-            # re-arm it with the remainder of the recorded prefix so
-            # re-execution follows the counterexample schedule.
-            from repro.check.explorer import ScheduleController
-
-            taken = self.vm.scheduler.decisions
-            self.vm.scheduler.decision_hook = ScheduleController(
-                schedule[taken:]
-            )
+        self.vm = restore_vm(recording.checkpoints[0])
 
     # ------------------------------------------------------------ movement
     @property
@@ -248,7 +229,7 @@ class DebugSession:
         base = bisect.bisect_right(self._clocks, cycle) - 1
         if base < 0:
             base = 0
-        self._restore(base)
+        self.vm = restore_vm(self.recording.checkpoints[base])
         return self._run_to(cycle)
 
     def _run_to(self, cycle: int) -> int:

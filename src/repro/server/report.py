@@ -8,10 +8,9 @@ worker fan-outs.
 
 Latency percentiles use the nearest-rank method
 (:func:`repro.util.stats.nearest_rank`) over the per-request latency
-samples the guest program records in ``Server.lat``, streamed through a
-bounded deterministic reservoir
-(:class:`repro.util.reservoir.LatencyReservoir`) so host memory stays
-flat on 10^5+-request soaks; goodput is completions per million virtual
+samples the guest program records in ``Server.lat``; the guest array
+already holds every sample, so the report sorts them exactly once
+(:func:`latency_summary`).  Goodput is completions per million virtual
 cycles.  The normalized elapsed-time
 metric from the paper (§4.1) is added by the CLI's ``--compare`` mode,
 which pairs each run with its unmodified-VM baseline.
@@ -22,7 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.server.workload import COUNTER_FIELDS, SERVER_CLASS, ServerConfig
-from repro.util.reservoir import LatencyReservoir
 from repro.util.stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,33 +71,12 @@ def robustness_block(metrics: dict[str, Any]) -> dict[str, int]:
 
 
 def _tier_latencies(vm: "JVM", tier_index: int) -> list[int]:
-    """Full (unbounded) latency sample of one tier — parity-test path.
-
-    Reports stream through :func:`_tier_reservoir` instead; this
-    materialized list exists so tests can pin the reservoir summary
-    against :func:`latency_summary` over the identical sample.
-    """
+    """Every recorded latency sample of one tier (unused slots of the
+    guest's ``Server.lat`` row hold -1 and are skipped)."""
     lat = vm.get_static(SERVER_CLASS, "lat").get(tier_index)
     return [
         lat.get(i) for i in range(len(lat)) if lat.get(i) >= 0
     ]
-
-
-def _tier_reservoir(vm: "JVM", tier_index: int) -> LatencyReservoir:
-    """Stream one tier's latency samples into a bounded reservoir.
-
-    Host memory stays flat in the request count (bounded by distinct
-    latency values up to the reservoir capacity), which is what lets
-    10^5+-request soaks report exact integer percentiles without
-    holding the whole sample.
-    """
-    lat = vm.get_static(SERVER_CLASS, "lat").get(tier_index)
-    reservoir = LatencyReservoir()
-    for i in range(len(lat)):
-        value = lat.get(i)
-        if value >= 0:
-            reservoir.add(value)
-    return reservoir
 
 
 def tier_counters(vm: "JVM", tier_index: int) -> dict[str, int]:
@@ -134,7 +111,6 @@ def build_report(
     tiers: dict[str, Any] = {}
     for ti, tier in enumerate(config.tiers):
         counters = tier_counters(vm, ti)
-        reservoir = _tier_reservoir(vm, ti)
         cycles = blocked = revocations = 0
         prefix = f"{tier.name}-"
         for name, tm in metrics["threads"].items():
@@ -155,7 +131,7 @@ def build_report(
             "goodput_per_mcycle": (
                 completed * 1_000_000 // elapsed if elapsed else 0
             ),
-            "latency": reservoir.summary(),
+            "latency": latency_summary(_tier_latencies(vm, ti)),
             "cycles": cycles,
             "blocked_cycles": blocked,
             "revocations": revocations,

@@ -2,7 +2,6 @@
 summary statistics with confidence intervals, and plain-text rendering of
 tables and line charts for benchmark reports."""
 
-from repro.util.reservoir import DEFAULT_CAPACITY, LatencyReservoir
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.util.stats import (
     Summary,
@@ -14,8 +13,6 @@ from repro.util.stats import (
 from repro.util.fmt import ascii_chart, format_table
 
 __all__ = [
-    "DEFAULT_CAPACITY",
-    "LatencyReservoir",
     "DeterministicRng",
     "derive_seed",
     "Summary",

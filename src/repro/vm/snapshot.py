@@ -16,13 +16,22 @@ at scheduler decision points so explored prefixes resume from snapshots
 instead of replaying from cycle zero; the time-travel debugger
 (:mod:`repro.obs.debug`) seeks over a stream of them.
 
+The scheduler's decision hook *is* captured.  It decides which schedule
+the run takes — a checker controller's prefix position and last-run
+thread, a DPOR stepper's committed choices — so it is part of the state
+a continuation depends on, exactly like the ready queue.  A restored VM
+resumes under its own copy of the hook and needs nothing re-armed; a
+hook that cannot be pickled fails loudly like any other unpicklable
+state.
+
 What a snapshot deliberately does **not** capture:
 
-* **External observers** — the scheduler decision hook, tracer sinks,
-  post-slice hooks, and any non-profiler clock listener.  They reference
-  host-side analyses whose state is not part of the VM; callers reinstall
-  what they need on the restored VM.  (The cycle profiler *is* VM state:
-  it is carried across and re-wired as the clock listener on restore.)
+* **External observers** — tracer sinks, post-slice hooks, and any
+  non-profiler clock listener.  They only watch the run: they reference
+  host-side analyses whose state is not part of the VM, and callers
+  reinstall what they need on the restored VM.  (The cycle profiler *is*
+  VM state: it is carried across and re-wired as the clock listener on
+  restore.)
 * **Predecode caches** — the predecode tier's compiled blocks and
   superblocks are host-side closures bound to one VM's runtime.
   ``MethodDef.__getstate__`` leaves them out of the serialized state, so
@@ -123,11 +132,9 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
             "snapshot_vm requires a quiescent VM (between scheduler "
             "steps); a slice is currently executing"
         )
-    scheduler = vm.scheduler
     tracer = vm.tracer
-    # Detach everything a snapshot must not capture. Trace events are
+    # Detach the observers a snapshot must not capture. Trace events are
     # swapped out and shared structurally (TraceEvent is frozen).
-    hook, scheduler.decision_hook = scheduler.decision_hook, None
     sinks, tracer._sinks = tracer._sinks, []
     slice_hooks, vm.slice_hooks = vm.slice_hooks, []
     listener, vm.clock.listener = vm.clock.listener, None
@@ -137,11 +144,10 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
     except _UNPICKLABLE as exc:
         raise ValueError(
             f"snapshot_vm cannot serialize VM state: {_unpicklable(vm)} "
-            "is not picklable (register natives as module-level "
-            "functions, not closures)"
+            "is not picklable (register natives and decision hooks as "
+            "module-level functions or objects, not closures)"
         ) from exc
     finally:
-        scheduler.decision_hook = hook
         tracer._sinks = sinks
         vm.slice_hooks = slice_hooks
         vm.clock.listener = listener
@@ -153,9 +159,10 @@ def restore_vm(snapshot: VMSnapshot) -> "JVM":
     """Materialize an independent runnable VM from ``snapshot``.
 
     Each call unpickles the master afresh, so restoring the same
-    checkpoint twice yields two fully isolated continuations.  External
-    observers (decision hook, tracer sinks, slice hooks) come back empty;
-    the profiler, when present, is re-wired as the clock listener.
+    checkpoint twice yields two fully isolated continuations, each under
+    its own copy of the decision hook.  Observers (tracer sinks, slice
+    hooks) come back empty; the profiler, when present, is re-wired as
+    the clock listener.
     """
     vm = pickle.loads(snapshot._master)
     vm.tracer.events = list(snapshot._events)

@@ -41,6 +41,16 @@ def counter_vm(mode="rollback"):
     return vm
 
 
+def hooked_check_vm(scenario):
+    """A checker VM scheduled by a controller with a fixed prefix."""
+    from repro.check.explorer import ScheduleController, check_vm
+    from repro.check.scenarios import get_scenario
+
+    vm = check_vm(get_scenario(scenario), "rollback", trace=True)
+    vm.scheduler.decision_hook = ScheduleController((1, 0, 1))
+    return vm
+
+
 @pytest.fixture(scope="module")
 def recording():
     return record_vm(counter_vm(), interval=8)
@@ -125,6 +135,34 @@ class TestStepping:
         vm.load(cls)
         vm.spawn("B", "boom", name="b")
         assert record_vm(vm).outcome == "uncaught:Error"
+
+    @pytest.mark.parametrize(
+        "scenario", ["handoff", "barge", "handoff-trio", "pileup6"]
+    )
+    def test_restores_continue_under_the_recorded_decision_hook(
+        self, scenario
+    ):
+        """The decision hook is VM state: every checkpoint of a hooked
+        VM restores with its own copy of the controller, so a session
+        restored anywhere drains to the straight run's timeline."""
+        from repro.check.explorer import ScheduleController
+        from repro.errors import run_outcome
+
+        straight = hooked_check_vm(scenario)
+        outcome = run_outcome(straight.run)
+        rec = record_vm(hooked_check_vm(scenario), interval=4)
+        assert (rec.clock, rec.outcome) == (straight.clock.now, outcome)
+        clocks = [c.clock_now for c in rec.checkpoints]
+        assert len(clocks) > 2 and clocks == sorted(set(clocks))
+        session = DebugSession(rec)
+        for clock in clocks:
+            assert session.seek(clock) == clock
+            hook = session.vm.scheduler.decision_hook
+            assert isinstance(hook, ScheduleController)
+            assert hook.prefix == (1, 0, 1)
+            session.step(10**9)
+            assert session.now == rec.clock, f"checkpoint at {clock}"
+            assert session.vm.tracer.render() == straight.tracer.render()
 
 
 class TestInspection:

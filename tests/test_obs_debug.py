@@ -256,50 +256,75 @@ def test_record_with_engine_pool_matches_serial():
 
 
 # ------------------------------------------------------------ replay lane
-@pytest.fixture(scope="module")
-def counterexample():
+def _payload(scenario, prefix, inject=None):
+    """A counterexample payload replaying ``prefix`` on ``scenario``."""
     from repro.check.explorer import CheckItem, run_check_cell
     from repro.check.oracle import counterexample_payload
 
-    item = CheckItem(scenario="handoff", prefix=(0, 1),
-                     inject="undo-drop")
-    result = run_check_cell(item)
+    item = CheckItem(scenario=scenario, prefix=prefix, inject=inject)
     return counterexample_payload(
-        scenario="handoff", bound=1, modes=item.modes,
-        inject="undo-drop", result=result,
-        minimized=list(item.prefix),
+        scenario=scenario, bound=1, modes=item.modes, inject=inject,
+        result=run_check_cell(item), minimized=list(prefix),
     )
+
+
+@pytest.fixture(scope="module")
+def counterexample():
+    return _payload("handoff", (0, 1), "undo-drop")
 
 
 def test_record_replay_matches_capture_replay(counterexample):
     from repro.obs.capture import capture_replay
     from repro.obs.debug import record_replay
+    from repro.vm.snapshot import restore_vm
 
     rec = record_replay(counterexample, interval=8)
     artifact = capture_replay(counterexample)
     for key in ("spans_jsonl", "chrome_json", "clock", "outcome"):
         assert rec.artifact[key] == artifact[key], key
-    assert rec.schedule == tuple(counterexample["minimized_schedule"])
+    hook = restore_vm(rec.checkpoints[0]).scheduler.decision_hook
+    assert hook.prefix == tuple(counterexample["minimized_schedule"])
 
 
-def test_replay_session_seek_reproduces_schedule(counterexample):
-    """Restoring mid-replay re-arms the decision hook with the rest of
-    the recorded prefix, so the drained timeline is the counterexample's."""
+REPLAY_CASES = [
+    ("handoff", (0, 1), None),
+    ("handoff", (0, 1), "undo-drop"),
+    ("handoff-trio", (), None),
+    ("pileup6", (), None),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,prefix,inject", REPLAY_CASES,
+    ids=["handoff-0-1", "handoff-0-1-undo-drop", "handoff-trio", "pileup6"],
+)
+def test_replay_session_seek_reproduces_schedule(scenario, prefix, inject):
+    """Every checkpoint carries the replay's schedule controller — its
+    prefix position and the thread that ran last — so a session
+    restored from *any* checkpoint drains to the counterexample's
+    timeline."""
     from repro.check.oracle import counterexample_cell
     from repro.obs.capture import build_replay_vm
     from repro.obs.debug import record_replay
 
-    rec = record_replay(counterexample, interval=8)
-    session = DebugSession(rec)
-    session.seek(rec.clock // 2)
-    while session._step_once():
-        pass
-    assert session.now == rec.clock
-    _, vm, _, _ = build_replay_vm(counterexample_cell(counterexample))
+    payload = _payload(scenario, prefix, inject)
+    rec = record_replay(payload, interval=8)
+    _, vm, _, _ = build_replay_vm(counterexample_cell(payload))
     vm.begin_run()
     straight = DebugSession.__new__(DebugSession)
     straight.vm = vm  # reuse the exception-absorbing drain helper
     while straight._step_once():
         pass
     assert vm.clock.now == rec.clock
-    assert session.vm.tracer.render() == vm.tracer.render()
+    expected = vm.tracer.render()
+
+    clocks = [c.clock_now for c in rec.checkpoints]
+    assert len(clocks) > 2 and clocks == sorted(set(clocks))
+    session = DebugSession(rec)
+    for clock in clocks:
+        # distinct clocks: seeking to one restores exactly its checkpoint
+        assert session.seek(clock) == clock
+        while session._step_once():
+            pass
+        assert session.now == rec.clock, f"checkpoint at {clock}"
+        assert session.vm.tracer.render() == expected, f"checkpoint at {clock}"

@@ -191,7 +191,7 @@ def test_snapshot_leaves_the_original_run_untouched(interp):
         decoded = _decoded_methods(donor.vm)
         checkpoint = donor.checkpoint()    # snapshot, keep going
         assert _decoded_methods(donor.vm) == decoded
-        restored = restore_vm(checkpoint.snapshot)
+        restored = restore_vm(checkpoint)
         assert _decoded_methods(restored) == set()
         donor.choose(tid if tid in data else donor.default_choice(data))
     if interp == "fast":
@@ -207,11 +207,21 @@ def test_snapshot_leaves_the_original_run_untouched(interp):
 
 def test_unpicklable_state_fails_loudly_and_reattaches_observers():
     """A closure in VM state cannot be serialized: snapshot_vm raises a
-    ValueError naming it and hands the donor back fully wired."""
+    ValueError naming it and hands the donor back fully wired.  The
+    decision hook is VM state too, so a lambda hook fails the same way
+    and stays attached."""
     run = _stepping_run("mini-handoff", "reference")
     kind, _ = run.advance()
     assert kind == "decision"
     vm = run.vm
+    lambda_hook = lambda cands: cands[0].tid       # noqa: E731
+    vm.scheduler.decision_hook = lambda_hook
+    with pytest.raises(ValueError, match="not picklable") as info:
+        snapshot_vm(vm)
+    assert "<lambda>" in str(info.value)
+    assert vm.scheduler.decision_hook is lambda_hook
+    vm.scheduler.decision_hook = run
+
     vm.register_native("hostClosure", lambda vm, thread, args: 0)
     sink = lambda event: None                      # noqa: E731
     slice_hook = lambda vm, thread: None           # noqa: E731
