@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.vm.heap import LOC_TAGS
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.sections import Section
     from repro.vm.threads import VMThread
@@ -86,6 +88,38 @@ class JmmTracker:
                 stack.append(active_sections)
         live = self.live
         live[tid] = live.get(tid, 0) + 1
+
+    def on_write_batch(
+        self,
+        thread: "VMThread",
+        entries,
+        active_sections: tuple["Section", ...],
+    ) -> None:
+        """:meth:`on_write` for each ``(container, slot, ...)`` record of
+        ``entries`` in order, in one loop: the location key is
+        :func:`~repro.vm.heap.location_of` inlined, and ``live`` is
+        updated once."""
+        tid = thread.tid
+        records = self._map
+        for entry in entries:
+            container = entry[0]
+            tag = LOC_TAGS.get(type(container))
+            if tag is not None:
+                loc = (tag, container.oid, entry[1])
+            else:
+                loc = ("s", container[0], container[1])
+            per_tid = records.get(loc)
+            if per_tid is None:
+                records[loc] = {tid: [active_sections]}
+            else:
+                stack = per_tid.get(tid)
+                if stack is None:
+                    per_tid[tid] = [active_sections]
+                else:
+                    stack.append(active_sections)
+        if entries:
+            live = self.live
+            live[tid] = live.get(tid, 0) + len(entries)
 
     def on_undo(self, thread: "VMThread", loc: tuple) -> None:
         """The latest speculative write by ``thread`` to ``loc`` was undone."""

@@ -247,14 +247,22 @@ class RollbackSupport(RuntimeSupport):
         return 0
 
     # ---------------------------------------------------------------- memory
+    def store_barrier_cost(self, thread: "VMThread") -> int:
+        # the fast path ("am I inside a section?") always; the slow path
+        # (undo-log append) only inside one
+        cm = self.vm.cost_model
+        if thread.sections:
+            return cm.barrier_fast + cm.barrier_slow
+        return cm.barrier_fast
+
     def before_store(
         self, thread: "VMThread", container, slot, old_value, volatile: bool
     ) -> int:
         m = self.metrics
         m.barrier_fast_hits += 1
-        cm = self.vm.cost_model
+        cost = self.store_barrier_cost(thread)
         if not thread.sections:
-            return cm.barrier_fast
+            return cost
         log = thread.undo_log
         if log is None:
             log = self._log(thread)
@@ -265,32 +273,25 @@ class RollbackSupport(RuntimeSupport):
         self.jmm.on_write(thread, location_of(container, slot), active)
         m.barrier_slow_hits += 1
         m.undo_entries_logged += 1
-        return cm.barrier_fast + cm.barrier_slow
+        return cost
 
     def before_store_batch(self, thread, entries) -> int:
-        # Batched fast path: one log extend + metric bump for the whole
-        # run.  Equivalent to per-entry before_store because the thread's
-        # section stack cannot change between consecutive fused stores
-        # (monitor ops are never fused), so every entry sees the same
-        # ``thread.sections`` truth value and active tuple.
+        # Equivalent to per-entry before_store because the thread's
+        # section stack cannot change across the entries (monitor ops are
+        # never fused), so every entry sees the same ``thread.sections``
+        # truth value and active tuple.
         m = self.metrics
         n = len(entries)
         m.barrier_fast_hits += n
-        cm = self.vm.cost_model
-        cost = cm.barrier_fast * n
         if thread.sections:
-            self._log(thread).extend(
-                (container, slot, old_value)
-                for container, slot, old_value, _ in entries
+            self._log(thread).entries.extend(
+                [(container, slot, old) for container, slot, old, _ in entries]
             )
-            active = self._active_tuple(thread)
-            on_write = self.jmm.on_write
-            for container, slot, _, _ in entries:
-                on_write(thread, location_of(container, slot), active)
+            self.jmm.on_write_batch(thread, entries,
+                                    self._active_tuple(thread))
             m.barrier_slow_hits += n
             m.undo_entries_logged += n
-            cost += cm.barrier_slow * n
-        return cost
+        return self.store_barrier_cost(thread) * n
 
     def after_load(
         self, thread: "VMThread", container, slot, volatile: bool

@@ -257,6 +257,11 @@ class ProfilingSupport:
                 self.profiler.note_mechanism(thread, "barrier", cost)
         return cost
 
+    def store_barrier_cost(self, thread):
+        # A query, not a charge: the cycles it names are attributed when
+        # the stores themselves reach before_store/before_store_batch.
+        return self.inner.store_barrier_cost(thread)
+
     def after_load(self, thread, container, slot, volatile):
         cost = self.inner.after_load(thread, container, slot, volatile)
         self.profiler.note_mechanism(thread, "barrier", cost)

@@ -189,7 +189,7 @@ def location_of(container: VMObject | VMArray | tuple[str, str], slot) -> tuple:
     * array element  -> ``("a", oid, index)``
     * static field   -> ``("s", class_name, field_name)``
     """
-    tag = _LOC_TAGS.get(type(container))
+    tag = LOC_TAGS.get(type(container))
     if tag is not None:
         return (tag, container.oid, slot)
     cls, fname = container
@@ -198,7 +198,7 @@ def location_of(container: VMObject | VMArray | tuple[str, str], slot) -> tuple:
 
 #: container type -> location tag; one dict probe instead of an
 #: ``isinstance`` chain on the barrier hot path (neither class is subclassed)
-_LOC_TAGS = {VMObject: "f", VMArray: "a"}
+LOC_TAGS = {VMObject: "f", VMArray: "a"}
 
 
 NULL_REF_MESSAGE = "null reference dereferenced"

@@ -70,12 +70,14 @@ invariants that make this safe:
   ``read_barrier_guard()``, each read barrier inlines ``after_load``'s
   fast path (bump the hit count, charge the cost) and calls it only when
   another thread holds a speculative write.
-* Runs of consecutive barrier stores with no intervening raising op or
-  read barrier are appended through one
+* In a block, runs of consecutive barrier stores with no intervening
+  raising op or read barrier are appended through one
   ``support.before_store_batch`` call (*batched write barriers*); the
   heap mutations themselves stay in place, only the logging/costing calls
   coalesce, and the batch is flushed before every point at which its
   effects could be observed (fault sites, read barriers, block exits).
+  A superblock goes further and passes all of one run's stores in one
+  call at the run's exit (:mod:`repro.vm.tracecomp`).
 
 Superinstruction patterns recognised during code generation:
 
@@ -188,7 +190,8 @@ class _Sym:
     """One symbolic operand-stack entry sitting above the real stack.
 
     ``expr`` is always a *pure, repeatable* Python expression (a literal,
-    a constant-pool ref, a generated temp, or a ``locals_[i]`` read);
+    a constant-pool ref, a generated temp, or a guest-local read:
+    ``locals_[i]`` in a block, ``L{i}`` in a superblock);
     ``deps`` lists the local slots the expression reads so STORE/IINC can
     materialise it first; ``val`` carries the Python value for literal
     constants (enables the const-divisor superinstruction).
@@ -355,27 +358,34 @@ class _Emitter:
     """Symbolic-stack code generator shared by the basic-block compiler
     and the superblock trace compiler (:mod:`repro.vm.tracecomp`).
 
-    Two modes, differing only in cost accounting:
+    Two modes:
 
     ``"block"``
+        Guest locals are read and written through ``locals_[i]``.
         Dynamic barrier/read-barrier cycles accrue into the ``A[0]`` side
         cell; static costs are *not* emitted — the interpreter charges
         the block's precomputed total up front and repairs faults through
-        the suffix arrays.
+        the suffix arrays.  Consecutive barrier stores batch into one
+        ``before_store_batch`` call, flushed before any observation point.
 
     ``"super"``
-        Static costs are charged lazily: accumulated at codegen time into
-        ``pending_cost``/``pending_count`` and flushed into the generated
-        ``acc``/``ic`` locals before any op that can raise (including
-        that op's own cost, mirroring the reference's charge-before-
-        execute order), at control-flow splits, and at iteration
-        boundaries.  ``acc``/``ic`` therefore hold exactly the reference
-        interpreter's unflushed accumulators at every point a guest
-        exception can escape, with no repair table needed.  Dynamic
-        cycles accrue into ``acc`` directly.
-
-    In both modes consecutive barrier stores batch into one deferred
-    ``before_store_batch`` call, flushed before any observation point.
+        State that cannot change during one superblock run lives in
+        Python locals that :mod:`repro.vm.tracecomp` loads in the
+        function's prologue and applies once, at the run's exit: guest
+        local ``i`` is ``L{i}``; the read-barrier guard is ``RG`` and its
+        fast-path hits count into ``rh``; each barrier store appends its
+        ``(container, slot, old, volatile)`` record to the run-local list
+        ``WB`` and charges the per-store cost ``SC``.  Static costs (and
+        the ``SC`` charges) are charged lazily: accumulated at codegen
+        time into ``pending_cost``/``pending_count``/``pending_stores``
+        and flushed into the generated ``acc``/``ic`` locals before any
+        op that can raise (including that op's own cost, mirroring the
+        reference's charge-before-execute order), at control-flow
+        splits, and at iteration boundaries; the first flush of an
+        iteration assigns rather than adds.  ``acc``/``ic`` therefore
+        hold exactly the reference interpreter's unflushed accumulators
+        at every point a guest exception can escape, with no repair
+        table needed.
     """
 
     def __init__(self, owner: "_Predecoder", mode: str):
@@ -390,6 +400,17 @@ class _Emitter:
         self.dynamic = False
         self.pending_cost = 0
         self.pending_count = 0
+        #: barrier stores whose ``SC`` charge is pending (super mode)
+        self.pending_stores = 0
+        #: super mode: the next charge flush starts an iteration, so it
+        #: assigns ``acc``/``ic`` instead of adding to them
+        self.fresh = False
+        #: guest local slots the generated code reads or writes / writes
+        self.touched: set[int] = set()
+        self.written: set[int] = set()
+        #: super mode: the code reads ``RG``/``rh`` / appends to ``WB``
+        self.uses_guard = False
+        self.uses_log = False
         #: deferred (container, slot, old_value, volatile) expression
         #: 4-tuples for the batched write-barrier call
         self.batch: list[tuple[str, str, str, str]] = []
@@ -420,6 +441,13 @@ class _Emitter:
         self.sym.append(_Sym(t))
         return t
 
+    def local(self, i: int, write: bool = False) -> str:
+        """The expression naming guest local ``i``."""
+        self.touched.add(i)
+        if write:
+            self.written.add(i)
+        return f"L{i}" if self.mode == "super" else f"locals_[{i}]"
+
     def spill(self, local: int) -> None:
         """Materialise symbolic entries that read local ``local``."""
         for e in self.sym:
@@ -449,43 +477,81 @@ class _Emitter:
             self.pending_count += 1
 
     def flush_charges(self) -> None:
-        """Emit the pending static charges into ``acc``/``ic``."""
-        if self.pending_cost or self.pending_count:
-            if self.pending_cost:
-                self.emit(f"acc += {self.pending_cost}")
-            self.emit(f"ic += {self.pending_count}")
-            self.pending_cost = 0
-            self.pending_count = 0
+        """Emit the pending static and ``SC`` charges into ``acc``/``ic``."""
+        cost = self.pending_cost
+        stores = self.pending_stores
+        if stores:
+            sc = "SC" if stores == 1 else f"{stores} * SC"
+            charge = f"{cost} + {sc}" if cost else sc
+        else:
+            charge = str(cost)
+        if self.fresh:
+            self.emit(f"acc = {charge}")
+            self.emit(f"ic = {self.pending_count}")
+            self.fresh = False
+        else:
+            if cost or stores:
+                self.emit(f"acc += {charge}")
+            if self.pending_count:
+                self.emit(f"ic += {self.pending_count}")
+        self.pending_cost = 0
+        self.pending_count = 0
+        self.pending_stores = 0
 
     def flush_batch(self) -> None:
-        """Emit the deferred write-barrier batch (one call, in order)."""
+        """Emit the deferred write-barrier batch, in order: one
+        ``before_store_batch`` call in a block, appends to the run's
+        ``WB`` list (plus pending ``SC`` charges) in a superblock."""
         batch = self.batch
         if not batch:
             return
-        self.dynamic = True
-        if len(batch) == 1:
-            c, s, o, v = batch[0]
-            self.emit(f"{self.acc} += BS(T, {c}, {s}, {o}, {v})")
-        else:
-            entries = ", ".join(
-                f"({c}, {s}, {o}, {v})" for c, s, o, v in batch
-            )
-            self.emit(f"{self.acc} += BSB(T, ({entries}))")
+        records = [", ".join(entry) for entry in batch]
         del batch[:]
+        tuples = ", ".join(f"({r})" for r in records)
+        if self.mode == "super":
+            self.uses_log = True
+            self.pending_stores += len(records)
+            if len(records) == 1:
+                self.emit(f"WB.append({tuples})")
+            else:
+                self.emit(f"WB += ({tuples})")
+            return
+        self.dynamic = True
+        if len(records) == 1:
+            self.emit(f"{self.acc} += BS(T, {records[0]})")
+        else:
+            self.emit(f"{self.acc} += BSB(T, ({tuples}))")
 
     def barrier_store(self, container: str, slot: str, old: str,
                       volatile: str) -> None:
         self.batch.append((container, slot, old, volatile))
 
     def read_barrier(self, container: str, slot: str, volatile: str) -> None:
-        self.flush_batch()  # keep jmm write/read ordering exact
+        # A block flushes its batch to keep jmm write/read ordering exact.
+        # A superblock's stores wait in WB for the run's exit, which no
+        # read barrier can tell: on_read reports only other threads'
+        # records, never the reader's own.
+        if self.mode == "block":
+            self.flush_batch()
+        elif self.fresh:
+            self.flush_charges()  # the iteration's ``acc`` must exist
         self.dynamic = True
         call = f"{self.acc} += AL(T, {container}, {slot}, {volatile})"
         cost = self.owner.read_barrier_cost
         if cost is None:
             self.emit(call)
             return
-        # support.read_barrier_guard(): after_load's fast path, inline
+        # support.read_barrier_guard(): after_load's fast path, inline;
+        # a superblock reads the guard once per entry (RG) and adds its
+        # hit count to the metrics at the run's exit
+        if self.mode == "super":
+            self.uses_guard = True
+            self.emit("if RG:")
+            self.emit(f"    {call}")
+            self.emit("else:")
+            self.emit("    rh += 1")
+            self.emit(f"    acc += {cost}")
+            return
         self.emit("if len(LV) > (T.tid in LV):")
         self.emit(f"    {call}")
         self.emit("else:")
@@ -576,17 +642,17 @@ class _Emitter:
             expr, val = owner._const_expr(ins.a)
             self.push(_Sym(expr, (), val))
         elif op == bc.LOAD:
-            self.push(_Sym(f"locals_[{ins.a}]", (ins.a,)))
+            self.push(_Sym(self.local(ins.a), (ins.a,)))
         elif op == bc.STORE:
             fused = bool(self.sym)
             v = self.pop()
             self.spill(ins.a)
-            self.emit(f"locals_[{ins.a}] = {v.expr}")
+            self.emit(f"{self.local(ins.a, write=True)} = {v.expr}")
             if fused:
                 owner._bump("alu+store")
         elif op == bc.IINC:
             self.spill(ins.a)
-            self.emit(f"locals_[{ins.a}] += {ins.b}")
+            self.emit(f"{self.local(ins.a, write=True)} += {ins.b}")
         elif op == bc.DUP:
             if self.sym:
                 top = self.sym[-1]
@@ -822,6 +888,7 @@ class _Predecoder:
             "AL": support.after_load,
             "BS": support.before_store,
             "BSB": support.before_store_batch,
+            "SBC": support.store_barrier_cost,
             "CLK": vm.clock,
             "SERR": StarvationError,
             "GRE": GuestRuntimeError,

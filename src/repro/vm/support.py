@@ -96,14 +96,26 @@ class RuntimeSupport:
         section (paper §3.1.2)."""
         return 0
 
+    def store_barrier_cost(self, thread: "VMThread") -> int:
+        """Cycles :meth:`before_store` charges ``thread`` for one flagged
+        store.  It may depend only on state that stays fixed while the
+        thread runs code without monitor ops, such as whether it is inside
+        a synchronized section: a superblock reads it once per entry and
+        charges it per store, deferring the stores themselves to
+        :meth:`before_store_batch` at the run's exit."""
+        return 0
+
     def before_store_batch(self, thread: "VMThread", entries) -> int:
         """Batched write-barrier fast path.
 
-        ``entries`` is a tuple of ``(container, slot, old_value, volatile)``
-        records for a run of consecutive barrier stores between two
-        observation points (no intervening raising op, read barrier, or
-        yield point).  Must be observably equivalent to calling
-        :meth:`before_store` once per entry in order; the base
+        ``entries`` is a sequence of ``(container, slot, old_value,
+        volatile)`` records, in program order: in a predecoded block, a
+        run of consecutive barrier stores between two observation points
+        (no intervening raising op, read barrier, or yield point); in a
+        superblock, every store of one run, passed once at the run's exit
+        (the superblock has already charged :meth:`store_barrier_cost`
+        per store and ignores the result).  Must be observably equivalent
+        to calling :meth:`before_store` once per entry in order; the base
         implementation does exactly that, subclasses may append the run in
         one call."""
         cost = 0
@@ -127,7 +139,12 @@ class RuntimeSupport:
         than the reader's own tid, :meth:`after_load` must do nothing but
         bump ``metrics.read_barrier_hits`` and return
         ``cost_model.read_barrier``, which the generated code then does
-        inline instead of calling it."""
+        inline instead of calling it.  A predecoded block evaluates the
+        guard ``len(live) > (tid in live)`` at every load; a superblock
+        evaluates it once per entry, because nothing that runs inside it
+        changes ``live`` (its own stores reach :meth:`before_store_batch`
+        only at the run's exit), and adds its fast-path hits to
+        ``metrics.read_barrier_hits`` at the exit."""
         return None
 
     def live_undo_entries(self) -> int:

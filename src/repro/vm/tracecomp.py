@@ -44,37 +44,63 @@ constant for the duration of the run:
   queue cannot change (no parking ops in the body), so the pending wake
   time ``PW`` is read once at entry.
 
+Two more things are constant for a run, and the generated function
+reads them once, in its prologue:
+
+* the read-barrier guard ``RG = len(LV) > (T.tid in LV)`` ("does another
+  thread hold live speculative records?").  Only the thread's own
+  barrier stores could change ``LV``, and those are deferred to the exit
+  (below); ``JmmTracker.on_read`` reports only *other* threads' records
+  anyway, so the deferral cannot change what a read barrier sees;
+* the per-store barrier charge ``SC = support.store_barrier_cost(T)``,
+  which depends only on whether the thread is inside a synchronized
+  section — and the body has no monitor op, so ``T.sections`` is fixed.
+
+The prologue also loads every guest local the body touches into a Python
+local ``L{i}``.  The body then keeps three kinds of state in locals and
+applies each once, at the exit: the guest locals it writes; the
+read-barrier fast-path hit count ``rh``; and its logged stores, each
+appended as ``(container, slot, old, volatile)`` to the list ``WB`` and
+charged ``SC`` on the spot.  Nothing observes the deferred state before
+the exit: no other thread runs, and the tracer, undo logs, metrics and
+clock are read only after the run returns.
+
 Inside the generated function each iteration charges the back-edge and
 the executed body exactly as the reference interpreter would, then
 *commits* the iteration — ``dn += acc; de += 1`` — and re-evaluates the
 hoisted checks against literals baked at compile time (quantum,
-max_cycles).  On any exit the accumulated cycles and flush-event count
-are folded into the clock in one :meth:`Clock.commit_batch` call plus
-the three thread mirrors, which is byte-identical (clock value *and*
-event count) to the per-iteration flushes the reference performs.
+max_cycles).  Every exit leaves through one ``finally`` arm, which
+writes the guest locals back to the frame in one tuple assignment,
+passes ``WB`` to ``support.before_store_batch`` in one call, adds ``rh``
+to ``metrics.read_barrier_hits``, and folds the accumulated cycles and
+flush-event count into the clock in one :meth:`Clock.commit_batch` call
+plus the three thread mirrors — byte-identical (clock value *and* event
+count) to the per-iteration flushes the reference performs.
 
 Exits:
 
-* **preemption / due wake-up** — commit, ``return -1``; the dispatcher
-  parks the frame at the anchor pc exactly like the inline check;
-* **starvation** — commit, raise :class:`~repro.errors.StarvationError`
-  (not a guest error: it passes through every guest handler, as in the
+* **preemption / due wake-up** — ``return -1``; the dispatcher parks the
+  frame at the anchor pc exactly like the inline check;
+* **starvation** — raise :class:`~repro.errors.StarvationError` (not a
+  guest error: it passes through every guest handler, as in the
   reference);
-* **branch out of the loop** — commit the *completed* iterations, hand
-  the partial iteration's unflushed ``acc``/``ic`` back through the
-  ``A`` cells and return the target pc, where normal dispatch continues
-  accumulating;
-* **guest exception** — commit completed iterations, hand back the
-  partial accumulators (cost model: charge-before-execute, so the
-  faulting op is included) and the faulting pc through ``F[0]``; the
-  dispatcher re-raises into the reference's exception path.
+* **branch out of the loop** — the *completed* iterations commit; the
+  partial iteration's unflushed ``acc``/``ic`` go back through the
+  ``A`` cells and the function returns the target pc, where normal
+  dispatch continues accumulating;
+* **guest exception** — completed iterations commit; the partial
+  accumulators (cost model: charge-before-execute, so the faulting op is
+  included) go back through ``A`` and the faulting pc through ``F[0]``;
+  the dispatcher re-raises into the reference's exception path.
 
 Static costs are charged lazily at code-generation time: a pending
-(cost, count) pair accrues per emitted instruction and is flushed into
-the ``acc``/``ic`` locals before any op that can raise, at control-flow
-splits, and at iteration boundaries — so the locals equal the
-reference's unflushed accumulators at every observable escape point
-without per-instruction arithmetic in the common case.
+(cost, count) pair, plus the ``SC`` charges of pending stores, accrues
+per emitted instruction and is flushed into the ``acc``/``ic`` locals
+before any op that can raise, at control-flow splits, and at iteration
+boundaries — so the locals equal the reference's unflushed accumulators
+at every observable escape point without per-instruction arithmetic in
+the common case.  An iteration's first flush assigns ``acc``/``ic``
+instead of zeroing and then adding.
 """
 
 from __future__ import annotations
@@ -83,6 +109,11 @@ from typing import Optional
 
 from repro.vm import bytecode as bc
 from repro.vm.predecode import _CMP_EXPR, _Emitter, _fusable
+
+
+def _assign(targets: list[str], values: list[str]) -> str:
+    """One assignment statement, a tuple assignment for several names."""
+    return f"{', '.join(targets)} = {', '.join(values)}"
 
 
 class _Unstructured(Exception):
@@ -152,17 +183,8 @@ class _SuperCompiler:
     # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:
         em = self.em
-        em.emit("n0 = CLK.now")
-        em.emit("qu = T.quantum_used")
-        em.emit("dn = 0")
-        em.emit("de = 0")
-        em.emit("di = 0")
-        em.emit("try:")
-        em.indent += 1
-        em.emit("while True:")
-        em.indent += 1
-        em.emit("acc = 0")
-        em.emit("ic = 0")
+        em.indent = 3  # def > try > while
+        em.fresh = True
         # every iteration charges the back-edge GOTO first (the reference
         # charges it when dispatching the anchor, before the body runs)
         em.charge(self.code[self.anchor])
@@ -175,48 +197,57 @@ class _SuperCompiler:
         em.emit("di += ic")
         if self.max_cycles:
             em.emit(f"if n0 + dn > {self.max_cycles}:")
-            em.indent += 1
-            self._writeback()
-            em.emit(f"raise SERR({self.max_cycles})")
-            em.indent -= 1
+            em.emit(f"    raise SERR({self.max_cycles})")
         em.emit(f"if qu + dn >= {self.quantum} or PW <= n0 + dn:")
-        em.indent += 1
-        self._writeback()
-        em.emit("A[0] = 0")
-        em.emit("A[1] = 0")
-        em.emit("return -1")
-        em.indent -= 1
-        em.indent -= 1  # while
-        em.indent -= 1  # try
-        em.emit("except GRE:")
-        em.indent += 1
-        self._writeback()
-        em.emit("A[0] = acc")
-        em.emit("A[1] = ic")
-        em.emit("raise")
-        em.indent -= 1
+        em.emit("    return -1")
+
+        # The prologue loads the run's invariants; the ``finally`` arm is
+        # the one exit path every return and raise leaves through.
+        touched = sorted(em.touched)
+        written = sorted(em.written)
+        head = []
+        if touched:
+            head.append(_assign([f"L{i}" for i in touched],
+                                [f"locals_[{i}]" for i in touched]))
+        head += ["n0 = CLK.now", "qu = T.quantum_used", "dn = de = di = 0"]
+        if em.uses_guard:
+            head += ["RG = len(LV) > (T.tid in LV)", "rh = 0"]
+        if em.uses_log:
+            head += ["WB = []", "SC = SBC(T)"]
+        tail = []
+        if written:
+            tail.append(_assign([f"locals_[{i}]" for i in written],
+                                [f"L{i}" for i in written]))
+        if em.uses_log:
+            tail += ["if WB:", "    BSB(T, WB)"]
+        if em.uses_guard:
+            tail.append("RM.read_barrier_hits += rh")
+        tail += [
+            "CLK.commit_batch(dn, de)",
+            "T.cycles_executed += dn",
+            "T.quantum_used += dn",
+            "T.instructions_executed += di",
+        ]
+        lines = [f"    {line}" for line in head]
+        lines += ["    try:", "        while True:"]
+        lines += em.lines
+        lines += ["    except GRE:", "        A[0] = acc", "        A[1] = ic",
+                  "        raise", "    finally:"]
+        lines += [f"        {line}" for line in tail]
 
         name = f"_s{self.anchor}"
-        body = "\n".join(em.lines)
+        body = "\n".join(lines)
         source = f"def {name}(stack, locals_, F, A, T, PW):\n{body}\n"
         return SuperBlock(self.anchor, self.head, None, source)
 
-    def _writeback(self) -> None:
-        em = self.em
-        em.emit("CLK.commit_batch(dn, de)")
-        em.emit("T.cycles_executed += dn")
-        em.emit("T.quantum_used += dn")
-        em.emit("T.instructions_executed += di")
-
     def _exit(self, target: int) -> None:
         """Leave the trace mid-iteration for ``target`` (outside the
-        loop): commit completed iterations, hand the partial iteration's
-        accumulators to the dispatcher."""
+        loop): hand the partial iteration's accumulators to the
+        dispatcher; the ``finally`` arm commits completed iterations."""
         em = self.em
         em.flush_batch()
         em.flush_charges()
         em.flush_stack()
-        self._writeback()
         em.emit("A[0] = acc")
         em.emit("A[1] = ic")
         em.emit(f"return {target}")

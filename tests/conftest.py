@@ -71,6 +71,46 @@ def run_single(
     return vm
 
 
+def probe_superblocks(monkeypatch) -> list[tuple[str, int]]:
+    """Record every superblock run of VMs predecoded from now on as
+    ``(exit, logged)``: ``exit`` is ``"preempt"`` (``return -1``),
+    ``"branch"`` (a branch out of the loop), ``"guest"`` (a guest
+    exception) or ``"starved"``; ``logged`` counts the undo-log entries
+    the run appended, all at its exit."""
+    from repro.errors import GuestRuntimeError, StarvationError
+    from repro.vm import predecode
+
+    runs: list[tuple[str, int]] = []
+    build = predecode._Predecoder.build
+
+    def wrap(fn):
+        def run(stack, locals_, F, A, T, PW):
+            before = len(T.undo_log or ())
+            exit = "other"
+            try:
+                r = fn(stack, locals_, F, A, T, PW)
+                exit = "preempt" if r < 0 else "branch"
+                return r
+            except GuestRuntimeError:
+                exit = "guest"
+                raise
+            except StarvationError:
+                exit = "starved"
+                raise
+            finally:
+                runs.append((exit, len(T.undo_log or ()) - before))
+        return run
+
+    def probed(self):
+        dm = build(self)
+        for sb in dm.superblock_list:
+            sb.fn = wrap(sb.fn)
+        return dm
+
+    monkeypatch.setattr(predecode._Predecoder, "build", probed)
+    return runs
+
+
 @pytest.fixture
 def vm() -> JVM:
     return make_vm()

@@ -46,6 +46,8 @@ from repro.vm import bytecode as bc
 from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
 
+from conftest import probe_superblocks
+
 MODES = ("unmodified", "rollback", "inheritance", "ceiling")
 INTERPS = ("reference", "fast")
 
@@ -155,12 +157,13 @@ def test_deadlock_outcome_parity() -> None:
 
 # ------------------------------------------------------ figure micro-bench
 @pytest.mark.parametrize("mode", MODES)
-def test_microbench_parity(mode: str) -> None:
+def test_microbench_parity(mode: str, monkeypatch) -> None:
     """One scaled-down figure point per policy through the real harness."""
     config = MicrobenchConfig(
         high_threads=2, low_threads=2, iters_high=25, iters_low=50,
         sections=4, write_pct=60, pause_mean=2_000, seed=42,
     )
+    runs = probe_superblocks(monkeypatch)
     results = {}
     for interp in INTERPS:
         _fresh()
@@ -168,6 +171,9 @@ def test_microbench_parity(mode: str) -> None:
             config, mode, options=VMOptions(interp=interp)
         )
     assert results["fast"] == results["reference"]
+    if mode == "rollback":
+        # the fast side ran its stores through superblock write batches
+        assert any(logged for _, logged in runs)
 
 
 # --------------------------------------------------- exception-path parity
@@ -385,7 +391,8 @@ def test_exception_path_parity(name, build_factory, mode) -> None:
     "name,build_factory", _slow_branch_workloads(),
     ids=[n for n, _ in _slow_branch_workloads()],
 )
-def test_slow_branch_cases_run_on_the_tier_they_name(name, build_factory):
+def test_slow_branch_cases_run_on_the_tier_they_name(name, build_factory,
+                                                    monkeypatch):
     """A ``-block`` case fuses every heap and remainder op into blocks
     and forms no superblock; a ``-loop`` case forms one over its body,
     and the slow branch fires inside it (a fault at ``i == last`` or,
@@ -393,17 +400,15 @@ def test_slow_branch_cases_run_on_the_tier_they_name(name, build_factory):
     from repro.vm.predecode import predecode_method
 
     _fresh()
+    runs = probe_superblocks(monkeypatch)
     vm = JVM(VMOptions(mode="rollback", seed=7, max_cycles=50_000_000))
     build_factory().install(vm)
     method = vm.classes["Exc"].method("main")
     dm = predecode_method(vm, method)
-    commits = []
-    commit_batch = vm.clock.commit_batch
-    vm.clock.commit_batch = lambda *a: commits.append(a) or commit_batch(*a)
     vm.run()
     if name.endswith("-loop"):
         assert len(dm.superblock_list) == 1
-        assert commits, "the superblock never ran"
+        assert runs, "the superblock never ran"
     else:
         assert dm.superblock_list == []
         slow = {bc.ALOAD, bc.ASTORE, bc.ARRAYLEN, bc.GETFIELD, bc.PUTFIELD,
@@ -571,7 +576,8 @@ JMM_WORKLOADS = [
 @pytest.mark.parametrize(
     "name,build", JMM_WORKLOADS, ids=[n for n, _ in JMM_WORKLOADS]
 )
-def test_jmm_slow_branch_parity(name: str, build) -> None:
+def test_jmm_slow_branch_parity(name: str, build, monkeypatch) -> None:
+    runs = probe_superblocks(monkeypatch)
     ref = _run_workload(build, "rollback", "reference")
     fast = _run_workload(build, "rollback", "fast")
     for key in ref:
@@ -580,3 +586,6 @@ def test_jmm_slow_branch_parity(name: str, build) -> None:
     marks = [e for e in ref["trace"] if e.kind == "nonrevocable"]
     assert marks
     assert ref["metrics"]["support"]["nonrevocable_dependency"] > 0
+    if name == "shared-writers":
+        # ...and the writers' loops ran as superblocks logging stores
+        assert any(logged for _, logged in runs)

@@ -221,6 +221,23 @@ def test_two_vms_compile_bench_run_once() -> None:
     assert f1 is not f2 and f1.__globals__ is not f2.__globals__
 
 
+def test_bench_run_superblock_keeps_loop_state_in_locals() -> None:
+    """In the rollback-mode superblock of ``Bench.run`` guest locals are
+    touched only by the prologue load and the one writeback in the exit
+    path, stores reach the support only through the run's batch, and the
+    read-barrier guard is evaluated once per entry.  (The prologue names
+    per-VM state only through the namespace, so two VMs still share the
+    code object: ``test_two_vms_compile_bench_run_once``.)"""
+    dm = _bench_run(JVM(VMOptions(mode="rollback", seed=3)))
+    (sb,) = dm.superblock_list
+    lines = sb.source.splitlines()
+    uses = [k for k, line in enumerate(lines) if "locals_[" in line]
+    assert uses == [1, lines.index("    finally:") + 1]
+    assert "BS(" not in sb.source
+    assert sb.source.count("len(LV)") == 1
+    assert "BSB(T, WB)" in sb.source
+
+
 def test_rewritten_code_misses_the_cache() -> None:
     def emit(a: Asm) -> None:
         a.const(20).const(1).add().putstatic("T", "out")

@@ -8,7 +8,9 @@ fingerprint, metrics, trace stream.  The scenarios target the escape
 hatches of the guard-and-commit protocol specifically: a revocation
 arriving at the anchor, a fault plane going quiet mid-run, a guest
 exception unwinding out of a fused iteration, quantum preemption, and
-starvation detection firing from inside the generated function.
+starvation detection firing from inside the generated function.  The
+state a run defers to its exit (guest locals, logged stores, read-barrier
+hits) is compared after every slice, once per exit.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.core import sections
 from repro.errors import StarvationError, UncaughtGuestException
 from repro.vm.assembler import Asm
+from repro.vm.heap import VMArray, VMObject, location_of
 from repro.vm.predecode import predecode_method, render_decoded
 from repro.vm.tracecomp import SuperBlock
 from repro.vm.vmcore import JVM, VMOptions
 
-from conftest import build_class, make_vm
+from conftest import build_class, make_vm, probe_superblocks
 
 
 def _fresh() -> None:
@@ -286,3 +289,132 @@ class TestGuardParity:
 
         fast = _assert_parity(install, "unmodified", max_cycles=20_000)
         assert fast["outcome"] == "starved"
+
+
+# ---------------------------------------------- deferred state at slices
+# A superblock holds guest locals, the read-barrier hit count and its
+# logged stores in Python locals and applies them once, at the run's
+# exit.  Slice hooks are the first observers after any exit, so the
+# state they see must be the reference's after every slice, for each way
+# a run can end with logged stores still pending.
+def _plain(value):
+    if isinstance(value, (VMObject, VMArray)):
+        return ("ref", value.oid)
+    return value
+
+
+def _slice_state(vm: JVM) -> tuple:
+    support = vm.support
+    logs = [
+        [(location_of(c, s), _plain(old)) for c, s, old in t.undo_log.entries]
+        if t.undo_log is not None else []
+        for t in vm.threads
+    ]
+    top_locals = [
+        [_plain(v) for v in t.frames[-1].locals] if t.frames else None
+        for t in vm.threads
+    ]
+    return (logs, dict(support.jmm.live), support.metrics.as_dict(),
+            top_locals)
+
+
+def _slices(install, interp: str, **opts) -> list:
+    _fresh()
+    vm = make_vm("rollback", interp=interp, seed=7, **opts)
+    install(vm)
+    states: list = []
+    vm.slice_hooks.append(lambda v: states.append(_slice_state(v)))
+    try:
+        vm.run()
+    except StarvationError:
+        states.append(("starved", _slice_state(vm)))
+    return states
+
+
+def _section_loop(count: int, tail=None, catch: str = "") -> Asm:
+    """``count`` iterations inside a section on ``C.lock``; each stores
+    ``i * 3`` into a local, logs a store of it to ``C.value`` and reads
+    ``C.value`` back, then runs ``tail(a, i, done)`` (``done`` is placed
+    after the loop).  The section ends with a yield point, so a slice
+    ends while its undo log is still open."""
+    a = Asm("run", argc=0)
+    a.getstatic("C", "lock")
+    with a.sync():
+        i = a.local("i")
+        j = a.local("j")
+        done = a.label("done")
+
+        def body() -> None:
+            a.load(i).const(3).mul().store(j)
+            a.load(j).putstatic("C", "value")
+            a.getstatic("C", "value").pop()
+            if tail is not None:
+                tail(a, i, done)
+
+        def loop() -> None:
+            a.for_range(i, lambda: a.const(count), body)
+
+        if catch:
+            a.try_(loop, catches=[(catch, lambda: a.pop())])
+        else:
+            loop()
+        a.place(done)
+        a.yield_()
+    a.ret()
+    return a
+
+
+def _install_loop(*args, **kwargs):
+    def install(vm: JVM) -> None:
+        asm = _section_loop(*args, **kwargs)
+        vm.load(build_class("C", ["lock:ref", "value", "out"], [asm]))
+        vm.set_static("C", "lock", vm.new_object("C"))
+        vm.spawn("C", "run", priority=5, name="t0")
+    return install
+
+
+def _break_at_37(a: Asm, i: int, done) -> None:
+    a.load(i).const(37).eq().if_(done)
+    a.load(i).putstatic("C", "out")
+
+
+def _fault_at_50(a: Asm, i: int, done) -> None:
+    # after this iteration's logged store and local store
+    a.const(100).const(50).load(i).sub().div().pop()
+
+
+def _shared_writers(vm: JVM) -> None:
+    from test_interp_parity import _build_shared_writers
+
+    _build_shared_writers().install(vm)
+
+
+SLICE_CASES = [
+    # (name, install, options, the superblock exit the case must reach)
+    ("quantum-preemption", _install_loop(3_000), {}, "preempt"),
+    ("branch-out", _install_loop(1_000, tail=_break_at_37), {}, "branch"),
+    ("guest-exception", _install_loop(
+        1_000, tail=_fault_at_50, catch="ArithmeticException"), {}, "guest"),
+    ("starvation", _install_loop(1_000_000), {"max_cycles": 20_000},
+     "starved"),
+    ("shared-writers", _shared_writers, {}, "preempt"),
+]
+
+
+@pytest.mark.parametrize(
+    "install,opts,exit", [c[1:] for c in SLICE_CASES],
+    ids=[c[0] for c in SLICE_CASES],
+)
+def test_deferred_state_matches_reference_at_every_slice(
+        install, opts, exit, monkeypatch):
+    """Undo logs (as locations and old values), the JMM live counts, the
+    support metrics and every thread's top-frame locals, recorded after
+    each slice, equal the reference's; the case really left a
+    superblock by its exit with logged stores pending."""
+    runs = probe_superblocks(monkeypatch)
+    ref = _slices(install, "reference", **opts)
+    fast = _slices(install, "fast", **opts)
+    assert len(fast) == len(ref)
+    for k, (got, want) in enumerate(zip(fast, ref)):
+        assert got == want, f"slice {k} diverged"
+    assert (exit, True) in {(e, logged > 0) for e, logged in runs}
