@@ -34,7 +34,16 @@ Three attribution layers, coarse to fine:
     the flush stream, see the table note in ``docs/observability.md``).
     Captured by wrapping the installed :class:`RuntimeSupport` in a
     :class:`ProfilingSupport` proxy; the unmodified VM's hooks all cost
-    zero, so its ``mech`` table stays empty.
+    zero, so its ``mech`` table stays empty.  Read barriers are the
+    exception: generated code runs their fast path inline, so
+    :meth:`CycleProfiler.on_flush` charges the hits counted since the
+    previous flush to the flushed frame's method, the frame that ran
+    them.
+
+Superblocks (:mod:`repro.vm.tracecomp`) run under the profiler: a run
+feeds the clock listener one advance and ``on_flush`` one flush for all
+its completed iterations, which sum to what the per-iteration flushes
+would have fed, under the same keys.
 
 The profiler is purely observational: it never advances the clock, never
 touches the RNG and never emits trace events, so ``profile=True`` cannot
@@ -76,6 +85,13 @@ class CycleProfiler:
         self.blocked: dict[str, int] = {}
         self._track = VM_TRACK
         self._cat = CAT_VM
+        #: read-barrier attribution (:meth:`watch_read_barriers`): the
+        #: support metrics whose ``read_barrier_hits`` count every read
+        #: barrier, the cycles each one costs, and the count already
+        #: attributed.  Profiler state, so it rides along in snapshots.
+        self._rb_metrics = None
+        self._rb_cost = 0
+        self._rb_seen = 0
 
     # ------------------------------------------------------- clock listener
     def __call__(self, cycles: int) -> None:
@@ -101,6 +117,19 @@ class CycleProfiler:
     def pop_category(self, prev: str) -> None:
         self._cat = prev
 
+    def watch_read_barriers(self, metrics, cost: int) -> None:
+        """Attribute read barriers from ``metrics.read_barrier_hits``.
+
+        Each hit costs ``cost`` cycles (the read-barrier contract of
+        :meth:`RuntimeSupport.read_barrier_guard`).  :meth:`on_flush`
+        charges the hits since the previous flush to the flushed frame's
+        method: every load is flushed with the frame that ran it, so this
+        is the key a per-load note would use, and generated code can count
+        hits inline instead of calling into the profiler."""
+        self._rb_metrics = metrics
+        self._rb_cost = cost
+        self._rb_seen = metrics.read_barrier_hits
+
     # --------------------------------------------------- interpreter flush
     def on_flush(
         self, thread: "VMThread", frame: "Frame", cycles: int, insns: int
@@ -113,13 +142,21 @@ class CycleProfiler:
         pushed); ``frame.depth`` indexes its caller prefix either way.
         """
         track = thread.name
-        key = (track, frame.method.qualified_name())
+        name = frame.method.qualified_name()
+        key = (track, name)
         cell = self.methods.get(key)
         if cell is None:
             self.methods[key] = [cycles, insns]
         else:
             cell[0] += cycles
             cell[1] += insns
+        if self._rb_metrics is not None:
+            hits = self._rb_metrics.read_barrier_hits
+            spent = (hits - self._rb_seen) * self._rb_cost
+            if spent:
+                self._rb_seen = hits
+                mkey = (track, name, "barrier")
+                self.mech[mkey] = self.mech.get(mkey, 0) + spent
         if cycles:
             callers = thread.frames[: frame.depth]
             folded = ";".join(
@@ -216,6 +253,11 @@ class ProfilingSupport:
     def __init__(self, inner, profiler: CycleProfiler) -> None:
         self.inner = inner
         self.profiler = profiler
+        guard = inner.read_barrier_guard()
+        if guard is not None:
+            profiler.watch_read_barriers(
+                guard[1], inner.vm.cost_model.read_barrier
+            )
 
     def __getattr__(self, name):
         if name == "inner":
@@ -263,14 +305,15 @@ class ProfilingSupport:
         return self.inner.store_barrier_cost(thread)
 
     def after_load(self, thread, container, slot, volatile):
-        cost = self.inner.after_load(thread, container, slot, volatile)
-        self.profiler.note_mechanism(thread, "barrier", cost)
-        return cost
+        # Read barriers are attributed from the hit count at each flush
+        # (CycleProfiler.watch_read_barriers), so the inline fast path and
+        # this call are counted alike.
+        return self.inner.after_load(thread, container, slot, volatile)
 
     def read_barrier_guard(self):
-        # No inline fast path under the profiler: every read barrier must
-        # come through after_load above to be attributed to ``barrier``.
-        return None
+        # Passed through: inlined fast-path hits bump the same
+        # ``read_barrier_hits`` the profiler reads at every flush.
+        return self.inner.read_barrier_guard()
 
     def live_undo_entries(self):
         # Spelled out like every int-returning hook rather than left to

@@ -131,15 +131,19 @@ class VirtualClock:
 
         Equivalent to the ``events`` separate :meth:`advance` calls a
         block-at-a-time execution would have made summing to ``cycles``
-        (the trace compiler tracks both exactly).  Callers must ensure no
-        ``listener`` is attached — the superblock dispatch guard refuses
-        to enter fused code when one is installed, because a listener
-        needs the individual per-flush deltas.
+        (the trace compiler tracks both exactly).  An attached listener
+        hears the batch as one advance of ``cycles``.  That is exact only
+        for an additive listener whose attribution cannot change during
+        the batch: the cycle profiler qualifies (a superblock run never
+        switches its track or category), and the superblock dispatch
+        guard refuses to enter fused code under any other listener.
         """
         if cycles < 0 or events < 0:
             raise ValueError("cannot commit a negative batch")
         self.now += cycles
         self._events += events
+        if self.listener is not None:
+            self.listener(cycles)
         return self.now
 
     def advance_to(self, time: int) -> int:

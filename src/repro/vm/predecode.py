@@ -890,6 +890,7 @@ class _Predecoder:
             "BSB": support.before_store_batch,
             "SBC": support.store_barrier_cost,
             "CLK": vm.clock,
+            "PROF": vm.profiler,
             "SERR": StarvationError,
             "GRE": GuestRuntimeError,
         }

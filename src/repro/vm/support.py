@@ -144,7 +144,13 @@ class RuntimeSupport:
         evaluates it once per entry, because nothing that runs inside it
         changes ``live`` (its own stores reach :meth:`before_store_batch`
         only at the run's exit), and adds its fast-path hits to
-        ``metrics.read_barrier_hits`` at the exit."""
+        ``metrics.read_barrier_hits`` at the exit.
+
+        Every :meth:`after_load` call, fast path or not, must bump
+        ``read_barrier_hits`` once and charge ``cost_model.read_barrier``:
+        the cycle profiler attributes read barriers from that count at
+        each flush, so the guard keeps its inline fast path under the
+        profiler too."""
         return None
 
     def live_undo_entries(self) -> int:

@@ -37,8 +37,13 @@ constant for the duration of the run:
 * the fault plane is absent or :meth:`~repro.faults.plane.FaultPlane.
   yield_quiet` — its yield-point probe is a pure no-op (no RNG draw, no
   injection), so skipping it is unobservable;
-* no profiler and no clock listener — both attribute per-flush, which a
-  batched commit cannot replicate;
+* the clock listener, if any, is the VM's cycle profiler.  It is
+  additive, and a run cannot switch its track or category, so the
+  batched commit feeds it exactly (one listener call per run, and one
+  ``on_flush`` of the completed iterations, which equals their
+  per-iteration flushes because a run never leaves its frame).  Any
+  other listener may need the individual per-flush deltas, so it keeps
+  the loop block-at-a-time;
 * preemption inputs are constants: ``preempt_requested`` can only be set
   by code this thread runs (none inside a loop body), and the sleeper
   queue cannot change (no parking ops in the body), so the pending wake
@@ -72,10 +77,13 @@ hoisted checks against literals baked at compile time (quantum,
 max_cycles).  Every exit leaves through one ``finally`` arm, which
 writes the guest locals back to the frame in one tuple assignment,
 passes ``WB`` to ``support.before_store_batch`` in one call, adds ``rh``
-to ``metrics.read_barrier_hits``, and folds the accumulated cycles and
-flush-event count into the clock in one :meth:`Clock.commit_batch` call
-plus the three thread mirrors — byte-identical (clock value *and* event
-count) to the per-iteration flushes the reference performs.
+to ``metrics.read_barrier_hits``, flushes the completed iterations to
+the profiler ``PROF`` (bound to None when profiling is off, so profiled
+and unprofiled VMs share one generated source), and folds the
+accumulated cycles and flush-event count into the clock in one
+:meth:`Clock.commit_batch` call plus the three thread mirrors —
+byte-identical (clock value *and* event count, profile tables too) to
+the per-iteration flushes the reference performs.
 
 Exits:
 
@@ -222,7 +230,13 @@ class _SuperCompiler:
             tail += ["if WB:", "    BSB(T, WB)"]
         if em.uses_guard:
             tail.append("RM.read_barrier_hits += rh")
+        # PROF is the VM's profiler or None: every VM, profiled or not,
+        # runs this same source (one _module_code entry).  A run never
+        # leaves its frame, so one flush of the completed iterations
+        # equals their per-iteration flushes.
         tail += [
+            "if PROF is not None and (dn or di):",
+            "    PROF.on_flush(T, T.frames[-1], dn, di)",
             "CLK.commit_batch(dn, de)",
             "T.cycles_executed += dn",
             "T.quantum_used += dn",

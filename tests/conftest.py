@@ -7,6 +7,7 @@ and metrics.  ``make_vm``/``run_single`` wrap that wiring.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 import pytest
@@ -76,7 +77,8 @@ def probe_superblocks(monkeypatch) -> list[tuple[str, int]]:
     ``(exit, logged)``: ``exit`` is ``"preempt"`` (``return -1``),
     ``"branch"`` (a branch out of the loop), ``"guest"`` (a guest
     exception) or ``"starved"``; ``logged`` counts the undo-log entries
-    the run appended, all at its exit."""
+    the run appended, all at its exit.  Each wrapper keeps the generated
+    function as ``__wrapped__``."""
     from repro.errors import GuestRuntimeError, StarvationError
     from repro.vm import predecode
 
@@ -84,6 +86,7 @@ def probe_superblocks(monkeypatch) -> list[tuple[str, int]]:
     build = predecode._Predecoder.build
 
     def wrap(fn):
+        @functools.wraps(fn)
         def run(stack, locals_, F, A, T, PW):
             before = len(T.undo_log or ())
             exit = "other"

@@ -10,6 +10,7 @@ identical, so the per-track guest total must equal the per-method sum.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import pytest
@@ -148,11 +149,10 @@ def test_profiling_does_not_change_the_run():
 def test_profiling_support_defines_every_cost_hook():
     """Every RuntimeSupport hook that returns a cycle cost, plus the read
     barrier guard, must be defined on ProfilingSupport itself: reaching
-    the inner support through ``__getattr__`` would skip attribution (or,
-    for the guard, hand generated code the inner support's fast path, so
-    read barriers would charge cycles the profiler never sees)."""
-    import inspect
-
+    the inner support through ``__getattr__`` would skip attribution.
+    The guard is passed through: the profiler attributes read barriers
+    from the hit count the inlined fast path bumps, so generated code
+    keeps that fast path under the profiler."""
     from repro.obs.profile import ProfilingSupport
     from repro.vm.support import RuntimeSupport
 
@@ -164,7 +164,13 @@ def test_profiling_support_defines_every_cost_hook():
     assert "after_load" in hooks and "before_store_batch" in hooks
     for name in [*hooks, "read_barrier_guard"]:
         assert name in vars(ProfilingSupport), name
-    assert ProfilingSupport.read_barrier_guard(None) is None
+    rollback = JVM(VMOptions(mode="rollback", profile=True)).support
+    assert isinstance(rollback, ProfilingSupport)
+    live, metrics = rollback.read_barrier_guard()
+    assert live is rollback.inner.jmm.live
+    assert metrics is rollback.inner.metrics
+    plain = JVM(VMOptions(mode="unmodified", profile=True)).support
+    assert plain.read_barrier_guard() is None
 
 
 @pytest.mark.parametrize("interp", ("fast", "reference"))
@@ -176,3 +182,152 @@ def test_rollback_mechanism_split_pinned(interp):
     assert sum(r["barrier"] for r in rows) == 1722
     assert sum(r["undo_log"] for r in rows) == 1080
     assert sum(r["cycles"] for r in rows) == 25538
+
+
+# ------------------------------------------------- profiles under fusion
+# Superblocks and the inlined read barrier run under the profiler: a run
+# flushes its completed iterations once, at its exit, and read barriers
+# are attributed from the hit count at each flush.  After every slice the
+# fast tier's tables must equal the reference interpreter's, whichever
+# way the last superblock run ended.
+def _tables(vm: JVM) -> dict:
+    prof = vm.profiler
+    assert prof.total_cycles() == vm.clock.now
+    return {
+        "tracks": {t: dict(cats) for t, cats in prof.tracks.items()},
+        "methods": {k: list(v) for k, v in prof.methods.items()},
+        "stacks": dict(prof.stacks),
+        "mech": dict(prof.mech),
+    }
+
+
+def _fig_cell(panel: str):
+    def install(vm: JVM) -> None:
+        from dataclasses import replace
+
+        from repro.bench.figures import FigurePanel
+        from repro.bench.microbench import setup_microbench_vm
+
+        config = FigurePanel(int(panel[0]), panel[1]).base_config(7)
+        setup_microbench_vm(vm, replace(config.scaled(0.1), write_pct=60))
+    return install
+
+
+def _workload(build):
+    def install(vm: JVM) -> None:
+        build().install(vm)
+    return install
+
+
+def _fusion_cases() -> list:
+    from test_tracecomp import (
+        _break_at_37,
+        _fault_at_50,
+        _install_loop,
+        _shared_writers,
+    )
+
+    return [
+        # (name, install, options, the superblock exit the case must reach)
+        ("fig5a-rollback", _fig_cell("5a"), {}, "preempt"),
+        ("fig6c-rollback", _fig_cell("6c"), {}, "preempt"),
+        ("medium-inversion", _workload(_medium), {}, "preempt"),
+        ("branch-out", _install_loop(1_000, tail=_break_at_37), {},
+         "branch"),
+        ("guest-exception", _install_loop(
+            1_000, tail=_fault_at_50, catch="ArithmeticException"), {},
+         "guest"),
+        ("starvation", _install_loop(1_000_000),
+         {"max_cycles": 20_000}, "starved"),
+        ("shared-writers", _shared_writers, {}, "preempt"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "install,opts,exit", [c[1:] for c in _fusion_cases()],
+    ids=[c[0] for c in _fusion_cases()],
+)
+def test_profile_parity_under_fusion(install, opts, exit, monkeypatch):
+    """``tracks``, ``methods``, ``stacks`` and ``mech`` after every slice
+    equal the reference's, and superblocks really ran under
+    ``profile=True``, leaving by the named exit."""
+    from conftest import probe_superblocks
+    from test_tracecomp import _slices
+
+    runs = probe_superblocks(monkeypatch)
+    ref = _slices(install, "reference", _tables, profile=True, **opts)
+    assert not runs
+    fast = _slices(install, "fast", _tables, profile=True, **opts)
+    assert len(fast) == len(ref)
+    for k, (got, want) in enumerate(zip(fast, ref)):
+        assert got == want, f"slice {k} diverged"
+    assert exit in {e for e, _ in runs}
+    final = ref[-1][1] if exit == "starved" else ref[-1]
+    assert any(m == "barrier" for _, _, m in final["mech"])
+
+
+def test_restored_profiled_vm_matches_the_straight_run(monkeypatch):
+    """Checkpoint a profiled fast-tier VM mid-run, restore it and finish
+    it: the profile equals the uninterrupted run's.  The read-barrier
+    cursor round-trips with the support metrics it reads, and the
+    restored VM's generated code binds its own profiler as ``PROF``."""
+    from conftest import probe_superblocks
+
+    from repro.vm.snapshot import restore_vm, snapshot_vm
+
+    straight = _run(_medium)
+    runs = probe_superblocks(monkeypatch)
+
+    Asm._sync_counter = 0
+    sections._section_ids = itertools.count(1)
+    donor = JVM(VMOptions(mode="rollback", trace=True, profile=True,
+                          seed=7, max_cycles=50_000_000))
+    _medium().install(donor)
+    donor.begin_run()
+    for _ in range(straight.scheduler.slices // 2):
+        assert donor.scheduler.step()
+    assert donor.support.inner.metrics.read_barrier_hits > 0
+    assert runs, "no superblock ran before the checkpoint"
+    cursor = donor.profiler._rb_seen
+    assert cursor == donor.support.inner.metrics.read_barrier_hits
+
+    vm = restore_vm(snapshot_vm(donor))
+    assert vm.profiler is not donor.profiler
+    assert vm.clock.listener is vm.profiler
+    assert vm.profiler._rb_seen == cursor
+    assert vm.profiler._rb_metrics is vm.support.inner.metrics
+    del runs[:]
+    while vm.scheduler.step():
+        pass
+    vm.finish_run()
+    assert runs, "no superblock ran after the restore"
+
+    assert vm.clock.now == straight.clock.now
+    assert vm.profiler.snapshot() == straight.profiler.snapshot()
+    assert vm.profiler.stacks == straight.profiler.stacks
+    assert vm.profiler.mech == straight.profiler.mech
+    bound = {
+        inspect.unwrap(sb.fn).__globals__["PROF"]
+        for classdef in vm.classes.values()
+        for method in classdef.methods.values()
+        if method.__dict__.get("_decoded") is not None
+        for sb in method.__dict__["_decoded"].superblock_list
+    }
+    assert bound == {vm.profiler}
+
+
+def test_profiled_and_plain_vms_share_generated_modules():
+    """Profiled and unprofiled VMs run one generated source: after a
+    profiled run, an unprofiled run of the same program compiles no
+    module of its own."""
+    from repro.vm import predecode
+
+    predecode._module_code.cache_clear()
+    profiled = _run(_medium, profile=True)
+    compiled = predecode._module_code.cache_info()
+    assert compiled.misses > 0
+    plain = _run(_medium, profile=False)
+    assert plain.clock.now == profiled.clock.now
+    after = predecode._module_code.cache_info()
+    assert after.misses == compiled.misses
+    assert after.hits >= compiled.misses

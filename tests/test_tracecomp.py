@@ -318,16 +318,18 @@ def _slice_state(vm: JVM) -> tuple:
             top_locals)
 
 
-def _slices(install, interp: str, **opts) -> list:
+def _slices(install, interp: str, state=_slice_state, **opts) -> list:
+    """``state(vm)`` after every slice (and after a starvation) of one
+    rollback-mode run."""
     _fresh()
     vm = make_vm("rollback", interp=interp, seed=7, **opts)
     install(vm)
     states: list = []
-    vm.slice_hooks.append(lambda v: states.append(_slice_state(v)))
+    vm.slice_hooks.append(lambda v: states.append(state(v)))
     try:
         vm.run()
     except StarvationError:
-        states.append(("starved", _slice_state(vm)))
+        states.append(("starved", state(vm)))
     return states
 
 
