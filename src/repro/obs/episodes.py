@@ -45,6 +45,8 @@ worker counts, cache states and fleet topologies.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Any, Iterable, Optional
 
 from repro.obs.spans import Span
@@ -115,16 +117,34 @@ def detect_episodes(spans: Iterable[Span]) -> list[dict[str, Any]]:
             degrades.append(span)
         elif span.kind == "blocked":
             blocked.append(span)
-    for stack in sections_by_mon.values():
+    # Per monitor: sections by (start, sid), their starts, and the
+    # running maximum of their ends.  A section overlaps blocked span b
+    # only if it starts before b ends and ends after b starts, so the
+    # candidates are a window of the sorted list: bisect the starts for
+    # its right edge and the running maximum for its left edge (before
+    # that edge every section ended by b.start).
+    windows: dict[Any, tuple[list[Span], list[int], list[int]]] = {}
+    for mon, stack in sections_by_mon.items():
         stack.sort(key=lambda s: (s.start, s.sid))
+        windows[mon] = (
+            stack,
+            [s.start for s in stack],
+            list(accumulate((s.end for s in stack), max)),
+        )
 
     episodes: list[dict[str, Any]] = []
     for b in blocked:
+        mon = b.attrs.get("mon")
+        window = windows.get(mon)
+        if window is None:
+            continue
+        stack, starts, reach = window
+        hi = bisect_left(starts, b.end)
+        lo = bisect_right(reach, b.start, 0, hi)
         thread = b.thread
         prio = priorities.get(thread, 0)
-        mon = b.attrs.get("mon")
         b_open = bool(b.attrs.get("open"))
-        for s in sections_by_mon.get(mon, ()):
+        for s in stack[lo:hi]:
             if s.thread == thread:
                 continue
             start = max(b.start, s.start)

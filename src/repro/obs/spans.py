@@ -41,7 +41,7 @@ counts and cache states — yield identical span lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.vm.tracing import TraceEvent
 
@@ -79,7 +79,13 @@ class Span:
 
 
 class SpanBuilder:
-    """Online span construction; usable directly as a tracer sink."""
+    """Online span construction; usable directly as a tracer sink.
+
+    Events are dispatched by kind through :attr:`_HANDLERS`, the table
+    of this class's ``_on_<kind>`` methods; other kinds are ignored."""
+
+    #: event kind -> handler; filled in from the ``_on_*`` methods below
+    _HANDLERS: dict[str, Callable[["SpanBuilder", TraceEvent], None]] = {}
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
@@ -138,9 +144,9 @@ class SpanBuilder:
 
     # ---------------------------------------------------------- sink entry
     def __call__(self, event: TraceEvent) -> None:
-        handler = getattr(self, f"_on_{event.kind}", None)
+        handler = self._HANDLERS.get(event.kind)
         if handler is not None:
-            handler(event)
+            handler(self, event)
 
     # ------------------------------------------------------- thread spans
     def _on_spawn(self, e: TraceEvent) -> None:
@@ -398,6 +404,13 @@ class SpanBuilder:
                 span.end = now
                 span.attrs["open"] = True
         return self.spans
+
+
+SpanBuilder._HANDLERS = {
+    name[len("_on_"):]: fn
+    for name, fn in vars(SpanBuilder).items()
+    if name.startswith("_on_")
+}
 
 
 def build_spans(events: Iterable[TraceEvent], now: int) -> list[Span]:

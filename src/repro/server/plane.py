@@ -279,8 +279,10 @@ def run_server_cell(spec: ServerSpec) -> dict:
     )
     vm = JVM(options)
     # Stream, don't store: the tracer feeds the online episode sink
-    # only, so host memory stays flat however long the soak runs.  The
-    # per-tier inversion-episode counts in the report come from here.
+    # only, so the raw events are never kept.  The sink's SpanBuilder
+    # still keeps every span (about 5k per 1000-request cell), so host
+    # memory grows with the spans, not the events.  The per-tier
+    # inversion-episode counts in the report come from here.
     vm.tracer.store = False
     episode_sink = EpisodeSink()
     vm.tracer.add_sink(episode_sink)

@@ -143,6 +143,7 @@ class Interpreter:
         cm = self.cost_model
         read_barriers = self.read_barriers
         trace_mem = self._trace_mem
+        tracer = vm.tracer
         max_cycles = vm.options.max_cycles
         faults = vm.fault_plane
         profiler = vm.profiler
@@ -463,7 +464,9 @@ class Interpreter:
                             acc += support.on_monitor_entered(
                                 thread, mon, frame, ins.a, False
                             )
-                            vm.trace("acquire", thread, mon=mon, handoff=True)
+                            if tracer.enabled:
+                                vm.trace("acquire", thread, mon=mon,
+                                         handoff=True)
                             pc += 1
                         elif mon.try_acquire(thread):
                             recursive = mon.count > 1
@@ -476,8 +479,9 @@ class Interpreter:
                             acc += support.on_monitor_entered(
                                 thread, mon, frame, ins.a, recursive
                             )
-                            vm.trace("acquire", thread, mon=mon,
-                                     recursive=recursive)
+                            if tracer.enabled:
+                                vm.trace("acquire", thread, mon=mon,
+                                         recursive=recursive)
                             pc += 1
                         else:
                             acc += cm.monitor_slow
@@ -489,7 +493,8 @@ class Interpreter:
                             thread.blocked_since = clock.now + acc
                             frame.pc = pc
                             flush()
-                            vm.trace("block", thread, mon=mon)
+                            if tracer.enabled:
+                                vm.trace("block", thread, mon=mon)
                             return BLOCKED
                     elif op == bc.MONITOREXIT:
                         mon = monitor_of(require_ref(stack.pop(), "monitor"))
@@ -504,8 +509,9 @@ class Interpreter:
                             acc += cm.monitor_slow
                             self._post_release(mon, successor)
                         acc += support.on_handoff(thread, mon, successor)
-                        vm.trace("release", thread, mon=mon,
-                                 successor=successor)
+                        if tracer.enabled:
+                            vm.trace("release", thread, mon=mon,
+                                     successor=successor)
                         pc += 1
 
                     # ----------------------------------------------- calls
@@ -599,7 +605,8 @@ class Interpreter:
                                 thread.blocked_since = clock.now + acc
                                 frame.pc = pc
                                 flush()
-                                vm.trace("block", thread, mon=mon)
+                                if tracer.enabled:
+                                    vm.trace("block", thread, mon=mon)
                                 return BLOCKED
                         if reacquired:
                             thread.blocked_on = None
@@ -608,7 +615,8 @@ class Interpreter:
                             stack.pop()
                             thread.waiting_on = None
                             acc += support.on_wait_reacquired(thread, mon)
-                            vm.trace("wait_return", thread, mon=mon)
+                            if tracer.enabled:
+                                vm.trace("wait_return", thread, mon=mon)
                             pc += 1
                         else:
                             if mon.owner is not thread:
@@ -637,9 +645,10 @@ class Interpreter:
                                 vm.scheduler.add_sleeper(
                                     thread, clock.now + timeout
                                 )
-                            vm.trace("wait", thread, mon=mon,
-                                     timeout=timeout if timed else None,
-                                     successor=successor)
+                            if tracer.enabled:
+                                vm.trace("wait", thread, mon=mon,
+                                         timeout=timeout if timed else None,
+                                         successor=successor)
                             return WAITING
                     elif op == bc.NOTIFY or op == bc.NOTIFYALL:
                         mon = monitor_of(require_ref(stack.pop(), "monitor"))
@@ -659,8 +668,9 @@ class Interpreter:
                             waiter.waiting_on = None
                             waiter.blocked_on = mon
                             waiter.state = ThreadState.BLOCKED
-                            vm.trace("notify", thread, mon=mon,
-                                     woken=waiter)
+                            if tracer.enabled:
+                                vm.trace("notify", thread, mon=mon,
+                                         woken=waiter)
                         pc += 1
                     elif op == bc.SLEEP or op == bc.PAUSE:
                         if op == bc.SLEEP:
@@ -905,7 +915,8 @@ class Interpreter:
             return  # already runnable from an earlier wake
         self.vm.credit_blocked(waiter)
         self._ready_or_delay(waiter, waiter.blocked_on)
-        self.vm.trace("wakeup", waiter)
+        if self.vm.tracer.enabled:
+            self.vm.trace("wakeup", waiter)
 
     def _ready_or_delay(self, thread: VMThread, mon: Optional[Monitor]) -> None:
         """Make a released monitor's successor runnable — or, under fault

@@ -46,6 +46,7 @@ class Monitor:
 
     __slots__ = (
         "obj",
+        "label",
         "owner",
         "count",
         "deposited_priority",
@@ -61,6 +62,9 @@ class Monitor:
 
     def __init__(self, obj: "VMObject | VMArray"):
         self.obj = obj
+        #: the trace label, ``repr(obj)``; oid, class and array length
+        #: never change, so it is formatted once, at inflation
+        self.label = repr(obj)
         self.owner: "VMThread | None" = None
         self.count = 0
         self.deposited_priority: int = -1

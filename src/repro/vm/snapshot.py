@@ -134,7 +134,9 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
         )
     tracer = vm.tracer
     # Detach the observers a snapshot must not capture. Trace events are
-    # swapped out and shared structurally (TraceEvent is frozen).
+    # swapped out and shared structurally: a TraceEvent is a slotted
+    # record that is never mutated once recorded, so the checkpoint and
+    # every VM restored from it hold the same event objects.
     sinks, tracer._sinks = tracer._sinks, []
     slice_hooks, vm.slice_hooks = vm.slice_hooks, []
     listener, vm.clock.listener = vm.clock.listener, None

@@ -9,18 +9,44 @@ revocation"); examples print them to narrate executions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One event: virtual time, kind, acting thread, free-form details."""
+    """One event: virtual time, kind, acting thread, free-form details.
 
-    time: int
-    kind: str
-    thread: Optional[str]
-    details: dict[str, Any] = field(default_factory=dict)
+    A slotted record that is never mutated once recorded: sinks, the
+    stored log and VM snapshots all share the same event objects."""
+
+    __slots__ = ("time", "kind", "thread", "details")
+
+    def __init__(
+        self,
+        time: int,
+        kind: str,
+        thread: Optional[str],
+        details: Optional[dict[str, Any]] = None,
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.thread = thread
+        self.details = {} if details is None else details
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceEvent:
+            return NotImplemented
+        return (
+            self.time == other.time
+            and self.kind == other.kind
+            and self.thread == other.thread
+            and self.details == other.details
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceEvent(time={self.time!r}, kind={self.kind!r}, "
+            f"thread={self.thread!r}, details={self.details!r})"
+        )
 
     def __str__(self) -> str:
         parts = [f"[{self.time:>10}]", self.kind]
@@ -58,8 +84,13 @@ class Tracer:
         self._sinks.append(sink)
 
     def record(
-        self, time: int, kind: str, thread_name: Optional[str], **details
+        self,
+        time: int,
+        kind: str,
+        thread_name: Optional[str],
+        details: Optional[dict[str, Any]] = None,
     ) -> None:
+        """Record one event; ``details`` is taken as is, never copied."""
         if not self.enabled:
             return
         event = TraceEvent(time, kind, thread_name, details)

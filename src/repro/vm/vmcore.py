@@ -439,18 +439,21 @@ class JVM:
         self.trace("uncaught", thread, exc=exc.classdef.name)
 
     def trace(self, kind: str, thread: Optional[VMThread], **details) -> None:
-        if not self.tracer.enabled:
+        """Record one event.  Threads and monitors in ``details`` become
+        their names and labels in place: ``details`` is this call's own
+        dict, handed to the tracer without a copy."""
+        tracer = self.tracer
+        if not tracer.enabled:
             return
-        clean = {}
         for k, v in details.items():
-            if isinstance(v, VMThread):
-                clean[k] = v.name
-            elif isinstance(v, Monitor):
-                clean[k] = repr(v.obj)
-            else:
-                clean[k] = v
-        self.tracer.record(
-            self.clock.now, kind, thread.name if thread else None, **clean
+            cls = type(v)
+            if cls is VMThread:
+                details[k] = v.name
+            elif cls is Monitor:
+                details[k] = v.label
+        tracer.record(
+            self.clock.now, kind,
+            None if thread is None else thread.name, details,
         )
 
     # ------------------------------------------------------------ host access

@@ -8,11 +8,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.capture import ObsSpec, capture_run
 from repro.obs.episodes import (
     EPISODES_FORMAT,
     EpisodeSink,
+    _classify,
     _spans_from_jsonl,
     build_report,
     detect_episodes,
@@ -21,6 +23,7 @@ from repro.obs.episodes import (
     report_bytes,
     thread_tier,
 )
+from repro.obs.spans import Span
 
 MODES = ("unmodified", "rollback", "inheritance")
 
@@ -182,3 +185,145 @@ def test_spans_roundtrip_through_jsonl(reports):
     artifact = capture_run(ObsSpec(scenario="medium-inversion"))
     direct = detect_episodes(_spans_from_jsonl(artifact["spans_jsonl"]))
     assert direct == reports["rollback"]["episodes"]
+
+
+# ------------------------------------------- join equivalence (oracle)
+def _all_pairs_episodes(spans):
+    """The all-pairs overlap join, kept as the test oracle: every blocked
+    span against every section on its monitor, in (start, sid) order."""
+    spans = list(spans)
+    priorities, sections_by_mon = {}, {}
+    inherits, degrades, blocked = [], [], []
+    for span in spans:
+        if span.kind == "thread":
+            priorities[span.thread] = span.attrs.get("priority", 0)
+        elif span.kind == "section":
+            sections_by_mon.setdefault(span.attrs.get("mon"), []).append(
+                span
+            )
+        elif span.kind == "inherit":
+            inherits.append(span)
+        elif span.kind == "degrade":
+            degrades.append(span)
+        elif span.kind == "blocked":
+            blocked.append(span)
+    for stack in sections_by_mon.values():
+        stack.sort(key=lambda s: (s.start, s.sid))
+    episodes = []
+    for b in blocked:
+        prio = priorities.get(b.thread, 0)
+        mon = b.attrs.get("mon")
+        b_open = bool(b.attrs.get("open"))
+        for s in sections_by_mon.get(mon, ()):
+            if s.thread == b.thread:
+                continue
+            start = max(b.start, s.start)
+            end = min(b.end, s.end)
+            if end <= start:
+                continue
+            holder_prio = priorities.get(s.thread, 0)
+            if holder_prio >= prio:
+                continue
+            episodes.append({
+                "thread": b.thread,
+                "priority": prio,
+                "tier": thread_tier(b.thread),
+                "holder": s.thread,
+                "holder_priority": holder_prio,
+                "mon": mon,
+                "start": start,
+                "end": end,
+                "cycles": end - start,
+                "resolution": _classify(
+                    b, s, start, end, b_open, inherits, degrades
+                ),
+                "blocked_outcome": (
+                    "open" if b_open else b.attrs.get("outcome")
+                ),
+                "section_outcome": (
+                    "open" if s.attrs.get("open")
+                    else s.attrs.get("outcome")
+                ),
+            })
+    episodes.sort(key=lambda e: (
+        e["start"], e["end"], e["thread"], str(e["mon"])
+    ))
+    for index, episode in enumerate(episodes, start=1):
+        episode["index"] = index
+    return episodes
+
+
+settings.register_profile(
+    "episode-join", derandomize=True, max_examples=80, deadline=None,
+)
+
+#: the run's end: open sections and open blocked spans close here
+_NOW = 60
+_THREADS = ("gold-w0", "gold-w1", "silver-w0", "bronze-w0", "bronze-w1")
+_MONS = ("<M#1>", "<M#2>")
+
+
+@st.composite
+def _span_sets(draw):
+    """Section and blocked spans on few monitors and a narrow time range
+    (equal starts tie often), by several holders of mixed priorities.
+    Sections on one monitor may overlap, as under wait-release; open
+    spans end at ``_NOW``; blocked spans may have zero length."""
+    sids = iter(range(10_000))
+    spans = [
+        Span(next(sids), "thread", name, 0, _NOW,
+             attrs={"priority": draw(st.integers(1, 4))})
+        for name in _THREADS
+    ]
+    thread = st.sampled_from(_THREADS)
+    mon = st.sampled_from(_MONS)
+    start = st.integers(0, _NOW)
+    for _ in range(draw(st.integers(0, 14))):
+        s0, is_open = draw(start), draw(st.booleans())
+        end = _NOW if is_open else draw(st.integers(s0, _NOW))
+        attrs = {"mon": draw(mon)}
+        if is_open:
+            attrs["open"] = True
+        else:
+            attrs["outcome"] = draw(st.sampled_from(
+                ("commit", "rollback", "abandoned", "leaked")))
+        spans.append(Span(next(sids), "section", draw(thread), s0, end,
+                          attrs=attrs))
+    for _ in range(draw(st.integers(0, 10))):
+        s0, is_open = draw(start), draw(st.booleans())
+        end = _NOW if is_open else draw(st.integers(s0, _NOW))
+        attrs = {"mon": draw(mon)}
+        if is_open:
+            attrs["open"] = True
+        else:
+            attrs["outcome"] = draw(st.sampled_from(
+                ("granted", "acquired", "wakeup", "revocation-wake")))
+        spans.append(Span(next(sids), "blocked", draw(thread), s0, end,
+                          attrs=attrs))
+    for _ in range(draw(st.integers(0, 3))):
+        t0 = draw(start)
+        spans.append(Span(next(sids), "inherit", draw(thread), t0, t0,
+                          attrs={"from": draw(thread)}))
+    for _ in range(draw(st.integers(0, 2))):
+        t0 = draw(start)
+        spans.append(Span(next(sids), "degrade", draw(thread), t0, t0))
+    order = draw(st.permutations(range(len(spans))))
+    return [spans[i] for i in order]
+
+
+@settings(settings.get_profile("episode-join"))
+@given(_span_sets())
+def test_sweep_join_equals_all_pairs_join(spans):
+    """The sorted-sweep join finds exactly the all-pairs join's
+    episodes, in the same order with the same indices."""
+    assert detect_episodes(spans) == _all_pairs_episodes(spans)
+
+
+def test_all_pairs_oracle_agrees_on_a_server_capture():
+    """The oracle reproduces a real capture's episode list (so the
+    generated cases test the join the analyzer actually runs)."""
+    artifact = capture_run(ObsSpec(scenario="server-storm"))
+    spans = _spans_from_jsonl(artifact["spans_jsonl"])
+    assert detect_episodes(spans) == _all_pairs_episodes(spans)
+    assert detect_episodes(spans)
+

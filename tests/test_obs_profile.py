@@ -21,6 +21,7 @@ from repro.bench.workloads import (
     build_philosophers,
 )
 from repro.core import sections
+from repro.errors import run_outcome
 from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
 
@@ -35,11 +36,9 @@ def _run(build, mode="rollback", interp="fast", **overrides):
     opts.update(overrides)
     vm = JVM(VMOptions(**opts))
     build().install(vm)
-    try:
-        vm.run()
-    except Exception:
-        pass
-    return vm
+    # a run that crashed part-way must not feed the exactness checks:
+    # every caller asserts the outcome it expects
+    return vm, run_outcome(vm.run)
 
 
 def _medium():
@@ -52,13 +51,15 @@ def _medium():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("interp", ("fast", "reference"))
 def test_total_equals_final_clock_exactly(mode, interp):
-    vm = _run(_medium, mode=mode, interp=interp)
+    vm, outcome = _run(_medium, mode=mode, interp=interp)
+    assert outcome == "completed"
     assert vm.profiler.total_cycles() == vm.clock.now
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_guest_track_equals_per_method_sum(mode):
-    vm = _run(_medium, mode=mode)
+    vm, outcome = _run(_medium, mode=mode)
+    assert outcome == "completed"
     per_method: dict = {}
     for (track, _method), (cycles, _insns) in vm.profiler.methods.items():
         per_method[track] = per_method.get(track, 0) + cycles
@@ -69,7 +70,8 @@ def test_guest_track_equals_per_method_sum(mode):
 
 
 def test_rollback_cycles_attributed():
-    vm = _run(lambda: build_deadlock_pair(hold_cycles=800, work=20))
+    vm, outcome = _run(lambda: build_deadlock_pair(hold_cycles=800, work=20))
+    assert outcome == "completed"
     rollback = sum(
         cats.get("rollback", 0) for cats in vm.profiler.tracks.values()
     )
@@ -78,7 +80,8 @@ def test_rollback_cycles_attributed():
 
 
 def test_mechanism_split_present_under_rollback():
-    vm = _run(_medium, mode="rollback")
+    vm, outcome = _run(_medium, mode="rollback")
+    assert outcome == "completed"
     rows = vm.profiler.method_table()
     assert rows
     top = rows[0]
@@ -95,7 +98,8 @@ def test_mechanism_split_present_under_rollback():
 
 
 def test_switch_cycles_match_context_switch_cost():
-    vm = _run(_medium, mode="unmodified")
+    vm, outcome = _run(_medium, mode="unmodified")
+    assert outcome == "completed"
     switch = sum(
         cats.get("switch", 0) for cats in vm.profiler.tracks.values()
     )
@@ -113,8 +117,9 @@ def test_profiler_absent_by_default():
 
 
 def test_profile_identical_across_interpreters():
-    a = _run(_medium, interp="fast")
-    b = _run(_medium, interp="reference")
+    a, outcome_a = _run(_medium, interp="fast")
+    b, outcome_b = _run(_medium, interp="reference")
+    assert outcome_a == outcome_b == "completed"
     assert a.profiler.tracks == b.profiler.tracks
     assert a.profiler.methods == b.profiler.methods
     assert a.profiler.stacks == b.profiler.stacks
@@ -122,9 +127,10 @@ def test_profile_identical_across_interpreters():
 
 
 def test_folded_stacks_cover_guest_cycles():
-    vm = _run(lambda: build_philosophers(
+    vm, outcome = _run(lambda: build_philosophers(
         3, rounds=3, think_cycles=300, eat_iters=15
     ))
+    assert outcome == "completed"
     by_track: dict = {}
     for (track, _stack), cycles in vm.profiler.stacks.items():
         by_track[track] = by_track.get(track, 0) + cycles
@@ -135,8 +141,9 @@ def test_folded_stacks_cover_guest_cycles():
 
 
 def test_profiling_does_not_change_the_run():
-    plain = _run(_medium, profile=False)
-    profiled = _run(_medium, profile=True)
+    plain, plain_outcome = _run(_medium, profile=False)
+    profiled, profiled_outcome = _run(_medium, profile=True)
+    assert plain_outcome == profiled_outcome == "completed"
     assert plain.clock.now == profiled.clock.now
     assert plain.clock.events == profiled.clock.events
     assert [str(e) for e in plain.tracer.events] == [
@@ -177,7 +184,8 @@ def test_profiling_support_defines_every_cost_hook():
 def test_rollback_mechanism_split_pinned(interp):
     """The barrier / undo_log split of a profiled medium-inversion cell
     (pinned from before the read barrier had an inline fast path)."""
-    vm = _run(_medium, mode="rollback", interp=interp)
+    vm, outcome = _run(_medium, mode="rollback", interp=interp)
+    assert outcome == "completed"
     rows = vm.profiler.method_table()
     assert sum(r["barrier"] for r in rows) == 1722
     assert sum(r["undo_log"] for r in rows) == 1080
@@ -275,7 +283,8 @@ def test_restored_profiled_vm_matches_the_straight_run(monkeypatch):
 
     from repro.vm.snapshot import restore_vm, snapshot_vm
 
-    straight = _run(_medium)
+    straight, outcome = _run(_medium)
+    assert outcome == "completed"
     runs = probe_superblocks(monkeypatch)
 
     Asm._sync_counter = 0
@@ -323,10 +332,12 @@ def test_profiled_and_plain_vms_share_generated_modules():
     from repro.vm import predecode
 
     predecode._module_code.cache_clear()
-    profiled = _run(_medium, profile=True)
+    profiled, profiled_outcome = _run(_medium, profile=True)
+    assert profiled_outcome == "completed"
     compiled = predecode._module_code.cache_info()
     assert compiled.misses > 0
-    plain = _run(_medium, profile=False)
+    plain, plain_outcome = _run(_medium, profile=False)
+    assert plain_outcome == "completed"
     assert plain.clock.now == profiled.clock.now
     after = predecode._module_code.cache_info()
     assert after.misses == compiled.misses

@@ -21,6 +21,7 @@ from repro.bench.workloads import (
     build_philosophers,
 )
 from repro.core import sections
+from repro.errors import run_outcome
 from repro.obs.spans import SpanBuilder, build_spans
 from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
@@ -33,11 +34,9 @@ def _run(build, mode="rollback", **overrides):
     opts.update(overrides)
     vm = JVM(VMOptions(**opts))
     build().install(vm)
-    try:
-        vm.run()
-    except Exception:
-        pass
-    return vm
+    # a run that crashed part-way must not feed the span checks: every
+    # caller asserts the outcome it expects
+    return vm, run_outcome(vm.run)
 
 
 def _spans(vm):
@@ -45,7 +44,8 @@ def _spans(vm):
 
 
 def test_every_thread_gets_a_root_span():
-    vm = _run(lambda: build_deadlock_pair(hold_cycles=800, work=20))
+    vm, outcome = _run(lambda: build_deadlock_pair(hold_cycles=800, work=20))
+    assert outcome == "completed"
     spans = _spans(vm)
     roots = [s for s in spans if s.kind == "thread"]
     assert {s.thread for s in roots} == {t.name for t in vm.threads}
@@ -55,9 +55,10 @@ def test_every_thread_gets_a_root_span():
 
 
 def test_sections_parent_to_enclosing_span():
-    vm = _run(lambda: build_philosophers(
+    vm, outcome = _run(lambda: build_philosophers(
         3, rounds=3, think_cycles=300, eat_iters=15
     ))
+    assert outcome == "completed"
     spans = _spans(vm)
     by_sid = {s.sid: s for s in spans}
     section_spans = [s for s in spans if s.kind == "section"]
@@ -72,9 +73,10 @@ def test_sections_parent_to_enclosing_span():
 
 
 def test_section_outcomes_are_closed():
-    vm = _run(lambda: build_philosophers(
+    vm, outcome = _run(lambda: build_philosophers(
         3, rounds=3, think_cycles=300, eat_iters=15
     ))
+    assert outcome == "completed"
     for s in _spans(vm):
         if s.kind == "section":
             assert s.attrs["outcome"] in (
@@ -84,9 +86,10 @@ def test_section_outcomes_are_closed():
 
 
 def test_revocation_parents_to_preempted_section():
-    vm = _run(lambda: build_philosophers(
+    vm, outcome = _run(lambda: build_philosophers(
         3, rounds=3, think_cycles=300, eat_iters=15
     ))
+    assert outcome == "completed"
     spans = _spans(vm)
     by_sid = {s.sid: s for s in spans}
     revocations = [s for s in spans if s.kind == "revocation"]
@@ -102,7 +105,8 @@ def test_revocation_parents_to_preempted_section():
 
 
 def test_blocked_span_outcomes():
-    vm = _run(lambda: build_deadlock_pair(hold_cycles=800, work=20))
+    vm, outcome = _run(lambda: build_deadlock_pair(hold_cycles=800, work=20))
+    assert outcome == "completed"
     outcomes = {
         s.attrs["outcome"] for s in _spans(vm) if s.kind == "blocked"
     }
@@ -113,9 +117,10 @@ def test_blocked_span_outcomes():
 
 
 def test_wait_spans_close_with_outcome():
-    vm = _run(lambda: build_bounded_buffer(
+    vm, outcome = _run(lambda: build_bounded_buffer(
         capacity=2, items_per_producer=6, producers=2, consumers=2
     ))
+    assert outcome == "completed"
     waits = [s for s in _spans(vm) if s.kind == "wait"]
     assert waits, "bounded buffer must exercise Object.wait"
     for s in waits:
@@ -125,10 +130,11 @@ def test_wait_spans_close_with_outcome():
 
 
 def test_deadlock_instant_on_unmodified():
-    vm = _run(
+    vm, outcome = _run(
         lambda: build_deadlock_pair(hold_cycles=800, work=20),
         mode="unmodified",
     )
+    assert outcome == "deadlock"
     spans = _spans(vm)
     dead = [s for s in spans if s.kind == "deadlock"]
     assert len(dead) == 1
@@ -156,9 +162,10 @@ def test_online_sink_equals_posthoc_construction():
 
 
 def test_spans_are_pure_function_of_events():
-    vm = _run(lambda: build_philosophers(
+    vm, outcome = _run(lambda: build_philosophers(
         3, rounds=3, think_cycles=300, eat_iters=15
     ))
+    assert outcome == "completed"
     a = [s.as_dict() for s in _spans(vm)]
     b = [s.as_dict() for s in _spans(vm)]
     assert a == b
@@ -174,3 +181,22 @@ def test_finish_marks_open_spans():
     assert len(spans) == 1
     assert spans[0].end == 100
     assert spans[0].attrs["open"] is True
+
+
+def test_dispatch_table_is_the_on_methods():
+    handlers = {
+        name[len("_on_"):]: fn
+        for name, fn in vars(SpanBuilder).items()
+        if name.startswith("_on_")
+    }
+    assert handlers
+    assert SpanBuilder._HANDLERS == handlers
+
+
+def test_unknown_kind_is_ignored():
+    from repro.vm.tracing import TraceEvent
+
+    builder = SpanBuilder()
+    builder(TraceEvent(0, "mem_read", "t1", {"loc": "x"}))
+    builder(TraceEvent(0, "no_such_kind", None))
+    assert builder.finish(10) == []

@@ -248,6 +248,37 @@ def test_unpicklable_state_fails_loudly_and_reattaches_observers():
     assert len(events) == n_events
 
 
+def test_restored_vm_shares_the_recorded_event_objects():
+    """A checkpoint keeps the trace log out of its pickle blob: every
+    restored VM starts from the very event objects recorded before the
+    checkpoint (never copies), then appends its own.  Sharing is safe
+    because a recorded TraceEvent is never mutated."""
+    run = _stepping_run("mini-handoff", "fast")
+    for tid in REVOKING_SCHEDULE[:4]:
+        kind, _ = run.advance()
+        assert kind == "decision"
+        run.choose(tid)
+    assert run.advance()[0] == "decision"
+    recorded = list(run.vm.tracer.events)
+    assert recorded
+    assert not hasattr(recorded[0], "__dict__")
+
+    checkpoint = run.checkpoint()
+    first = SteppingRun.resume(checkpoint)
+    second = SteppingRun.resume(checkpoint)
+    for resumed in (first, second):
+        events = resumed.vm.tracer.events
+        assert events is not run.vm.tracer.events
+        assert len(events) == len(recorded)
+        assert all(a is b for a, b in zip(events, recorded))
+    first.drive(REVOKING_SCHEDULE)
+    assert len(first.vm.tracer.events) > len(recorded)
+    assert len(second.vm.tracer.events) == len(recorded)
+    assert all(
+        a is b for a, b in zip(first.vm.tracer.events, recorded)
+    )
+
+
 def test_snapshot_requires_a_quiescent_vm():
     run = _stepping_run("mini-handoff", "reference")
     kind, data = run.advance()

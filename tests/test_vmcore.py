@@ -232,6 +232,62 @@ class TestTracing:
         assert len(tr.between(20, 50)) == 3
 
 
+    def test_trace_event_is_slotted_and_compares_by_value(self):
+        from repro.vm.tracing import TraceEvent
+
+        event = TraceEvent(5, "acquire", "t", {"mon": "<M#1>"})
+        assert not hasattr(event, "__dict__")
+        assert event == TraceEvent(5, "acquire", "t", {"mon": "<M#1>"})
+        assert event != TraceEvent(5, "acquire", "t", {"mon": "<M#2>"})
+        assert TraceEvent(0, "k", None).details == {}
+        assert str(event) == "[         5] acquire thread=t mon=<M#1>"
+
+    def test_record_takes_the_details_dict_as_is(self):
+        from repro.vm.tracing import Tracer
+
+        tr = Tracer(enabled=True)
+        details = {"mon": "<M#1>"}
+        tr.record(3, "block", "t", details)
+        assert tr.events[0].details is details
+
+    def test_monitor_label_is_cached_at_inflation(self, vm):
+        from repro.vm.monitors import monitor_of
+
+        vm.load(trivial_class())
+        obj = vm.new_object("T")
+        mon = monitor_of(obj)
+        assert mon.label == repr(obj)
+        vm.trace("probe", None, mon=mon)
+        assert vm.tracer.events[-1].details == {"mon": repr(obj)}
+
+    @pytest.mark.parametrize("build, events, digest", [
+        (lambda w: w.build_deadlock_pair(hold_cycles=800, work=20),
+         23, "3ab3d982cb512593"),
+        (lambda w: w.build_bounded_buffer(
+            capacity=2, items_per_producer=6, producers=2, consumers=2),
+         114, "35e742e1e7368c03"),
+    ], ids=["deadlock_pair", "bounded_buffer"])
+    def test_render_pinned(self, build, events, digest):
+        """``render()`` of two traced runs, pinned byte for byte: the
+        deadlock pair covers block, wakeup and rollback events, the
+        bounded buffer wait, notify and wait_return."""
+        import hashlib
+        import itertools
+
+        from repro.bench import workloads
+        from repro.core import sections
+
+        Asm._sync_counter = 0
+        sections._section_ids = itertools.count(1)
+        vm = JVM(VMOptions(mode="rollback", trace=True, seed=7,
+                           max_cycles=50_000_000))
+        build(workloads).install(vm)
+        vm.run()
+        rendered = vm.tracer.render()
+        assert len(vm.tracer.events) == events
+        assert hashlib.sha256(rendered.encode()).hexdigest()[:16] == digest
+
+
 class TestGuestExceptionFactory:
     def test_known_class(self, vm):
         exc = vm.make_guest_exception("ArithmeticException", "boom")
