@@ -103,20 +103,18 @@ class InheritanceSupport(RuntimeSupport):
 
     def on_contended_acquire(
         self, thread: "VMThread", monitor: "Monitor"
-    ) -> int:
+    ) -> None:
         donate_priority(self.vm, self.metrics, thread, monitor)
-        return 0
 
     def on_handoff(
         self,
         releaser: "VMThread",
         monitor: "Monitor",
         new_owner: Optional["VMThread"],
-    ) -> int:
+    ) -> None:
         recompute_inheritance(self.vm, releaser)
         if new_owner is not None:
             recompute_inheritance(self.vm, new_owner)
-        return 0
 
     def state_fingerprint(self) -> dict:
         violations = [
@@ -168,27 +166,25 @@ class CeilingSupport(RuntimeSupport):
         frame: "Frame",
         sync_id: object,
         recursive: bool,
-    ) -> int:
+    ) -> None:
         if recursive:
-            return 0
+            return
         ceiling = self._ceiling(monitor)
         if ceiling > thread.ceiling_boost:
             thread.ceiling_boost = ceiling
             self.metrics.ceiling_boosts += 1
             self.vm.scheduler.on_priority_changed(thread)
             self.vm.trace("ceiling_boost", thread, to=ceiling)
-        return 0
 
     def on_handoff(
         self,
         releaser: "VMThread",
         monitor: "Monitor",
         new_owner: Optional["VMThread"],
-    ) -> int:
+    ) -> None:
         self._recompute(releaser)
         if new_owner is not None:
             self.on_monitor_entered(new_owner, monitor, None, None, False)
-        return 0
 
     def _recompute(self, thread: "VMThread") -> None:
         best = -1

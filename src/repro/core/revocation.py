@@ -171,7 +171,7 @@ class RollbackSupport(RuntimeSupport):
         frame: "Frame",
         sync_id: object,
         recursive: bool,
-    ) -> int:
+    ) -> None:
         scope = frame.method.rollback_scopes.get(sync_id)
         log = self._log(thread)
         self._section_seq += 1
@@ -207,7 +207,6 @@ class RollbackSupport(RuntimeSupport):
                         "nonrevocable", thread, section=repr(section),
                         mon=section.monitor, reason=REASON_DEGRADED,
                     )
-        return 0
 
     def on_monitor_exited(
         self,
@@ -215,7 +214,7 @@ class RollbackSupport(RuntimeSupport):
         monitor: "Monitor",
         frame: "Frame",
         sync_id: object,
-    ) -> int:
+    ) -> None:
         if not thread.sections:
             raise ReproError(
                 f"monitorexit with empty section stack in {thread.name!r}"
@@ -238,13 +237,11 @@ class RollbackSupport(RuntimeSupport):
             thread.consecutive_revocations = 0
             thread.sections_committed += 1
             self.metrics.sections_committed += 1
-        return 0
 
     def on_contended_acquire(
         self, thread: "VMThread", monitor: "Monitor"
-    ) -> int:
+    ) -> None:
         self.detector.on_contended(thread, monitor)
-        return 0
 
     # ---------------------------------------------------------------- memory
     def store_barrier_cost(self, thread: "VMThread") -> int:
@@ -425,35 +422,31 @@ class RollbackSupport(RuntimeSupport):
 
     def on_rollback_handler(
         self, thread: "VMThread", section: Section, is_target: bool
-    ) -> int:
+    ) -> None:
         top = thread.sections.pop()
         self._invalidate(thread)
         if top is not section:
             raise ReproError(
                 f"rollback handler popped {top!r}, expected {section!r}"
             )
-        return 0
 
-    def on_native_call(self, thread: "VMThread", name: str) -> int:
+    def on_native_call(self, thread: "VMThread", name: str) -> None:
         changed = self._mark_all(thread, REASON_NATIVE)
         self.metrics.nonrevocable_native += changed
-        return 0
 
-    def on_wait(self, thread: "VMThread", monitor: "Monitor") -> int:
+    def on_wait(self, thread: "VMThread", monitor: "Monitor") -> None:
         # §2.2: revoking past a completed wait() would "undeliver" the
         # notification; enclosing monitors become non-revocable.  We mark
         # the receiver's own section too (conservative: after the wait
         # returns, a rollback to its monitorenter would lose the notify).
         changed = self._mark_all(thread, REASON_WAIT)
         self.metrics.nonrevocable_wait += changed
-        return 0
 
     def on_wait_reacquired(
         self, thread: "VMThread", monitor: "Monitor"
-    ) -> int:
+    ) -> None:
         if monitor.first_section is None:
             monitor.first_section = thread.section_for_monitor(monitor)
-        return 0
 
     def on_thread_exit(self, thread: "VMThread") -> None:
         if thread.sections:
@@ -651,7 +644,7 @@ class RollbackSupport(RuntimeSupport):
         releaser: "VMThread",
         monitor: "Monitor",
         new_owner: "VMThread | None",
-    ) -> int:
+    ) -> None:
         # Only needed once the ladder's inheritance rung has donated:
         # released monitors must shed the donation exactly as the
         # inheritance baseline does.
@@ -659,7 +652,6 @@ class RollbackSupport(RuntimeSupport):
             recompute_inheritance(self.vm, releaser)
             if new_owner is not None:
                 recompute_inheritance(self.vm, new_owner)
-        return 0
 
     # ------------------------------------------------------------ scheduling
     def periodic_scan(self) -> None:

@@ -53,12 +53,6 @@ class UndoLog:
     def append(self, container, slot, old_value) -> None:
         self.entries.append((container, slot, old_value))
 
-    def extend(self, entries) -> None:
-        """Append a run of ``(container, slot, old_value)`` records at once
-        (the batched write-barrier fast path); order is preserved, so a
-        later reverse rollback behaves exactly as with per-entry appends."""
-        self.entries.extend(entries)
-
     def rollback_to(
         self,
         mark: int,

@@ -27,18 +27,21 @@ Three attribution layers, coarse to fine:
 
 ``mech``
     ``(track, method, mechanism) -> cycles``: the slice of a method's
-    cycles spent in runtime-support machinery — ``barrier`` (fast-path
-    in-sync tests + read barriers), ``undo_log`` (slow-path log
-    appends), ``monitor`` (enter/exit/contention/wait bookkeeping),
-    ``native`` (trampolines) and ``rollback`` (restores; charged outside
-    the flush stream, see the table note in ``docs/observability.md``).
-    Captured by wrapping the installed :class:`RuntimeSupport` in a
-    :class:`ProfilingSupport` proxy; the unmodified VM's hooks all cost
-    zero, so its ``mech`` table stays empty.  Read barriers are the
-    exception: generated code runs their fast path inline, so
+    cycles spent in runtime-support machinery — ``barrier`` (write-barrier
+    fast-path in-sync tests + read barriers), ``undo_log`` (slow-path log
+    appends) and ``rollback`` (restores; charged outside the flush
+    stream, see the table note in ``docs/observability.md``).  Barrier
+    and logging cycles are read off the support's own counters: the VM
+    hands :meth:`CycleProfiler.watch_barriers` the
+    :class:`~repro.core.metrics.SupportMetrics` that
+    :meth:`RuntimeSupport.read_barrier_guard` exposes, and
     :meth:`CycleProfiler.on_flush` charges the hits counted since the
-    previous flush to the flushed frame's method, the frame that ran
-    them.
+    previous flush, each at its fixed cost, to the flushed frame's
+    method — the frame that ran them.  So a profiled VM runs the very
+    support object an unprofiled one does, inline fast paths included.
+    A support without that guard charges no barrier cycles.  The method
+    table's ``monitor`` and ``native`` columns stay in the format and
+    read 0: no support charges cycles for those mechanisms.
 
 Superblocks (:mod:`repro.vm.tracecomp`) run under the profiler: a run
 feeds the clock listener one advance and ``on_flush`` one flush for all
@@ -85,13 +88,14 @@ class CycleProfiler:
         self.blocked: dict[str, int] = {}
         self._track = VM_TRACK
         self._cat = CAT_VM
-        #: read-barrier attribution (:meth:`watch_read_barriers`): the
-        #: support metrics whose ``read_barrier_hits`` count every read
-        #: barrier, the cycles each one costs, and the count already
-        #: attributed.  Profiler state, so it rides along in snapshots.
-        self._rb_metrics = None
-        self._rb_cost = 0
-        self._rb_seen = 0
+        #: barrier attribution (:meth:`watch_barriers`): the support
+        #: metrics whose hit counters count every barrier, the cycles one
+        #: hit of each costs, and the counts already attributed, all in
+        #: ``(read_barrier, barrier_fast, barrier_slow)`` order.  Profiler
+        #: state, so it rides along in snapshots.
+        self._watched = None
+        self._costs = (0, 0, 0)
+        self._seen = (0, 0, 0)
 
     # ------------------------------------------------------- clock listener
     def __call__(self, cycles: int) -> None:
@@ -117,18 +121,30 @@ class CycleProfiler:
     def pop_category(self, prev: str) -> None:
         self._cat = prev
 
-    def watch_read_barriers(self, metrics, cost: int) -> None:
-        """Attribute read barriers from ``metrics.read_barrier_hits``.
+    def watch_barriers(self, metrics, cost_model) -> None:
+        """Attribute barrier and undo-logging cycles from ``metrics``.
 
-        Each hit costs ``cost`` cycles (the read-barrier contract of
-        :meth:`RuntimeSupport.read_barrier_guard`).  :meth:`on_flush`
+        Each read barrier bumps ``read_barrier_hits`` once and costs
+        ``read_barrier``; each store barrier bumps ``barrier_fast_hits``
+        once and costs ``barrier_fast``, and when it logs, also bumps
+        ``barrier_slow_hits`` once and costs ``barrier_slow`` more (the
+        contracts of :meth:`RuntimeSupport.read_barrier_guard` and
+        :meth:`RuntimeSupport.before_store`).  :meth:`on_flush`
         charges the hits since the previous flush to the flushed frame's
-        method: every load is flushed with the frame that ran it, so this
-        is the key a per-load note would use, and generated code can count
-        hits inline instead of calling into the profiler."""
-        self._rb_metrics = metrics
-        self._rb_cost = cost
-        self._rb_seen = metrics.read_barrier_hits
+        method: every barrier is flushed with the frame that ran it, so
+        this is the key a per-call note would use, and generated code can
+        count hits inline instead of calling into the profiler."""
+        self._watched = metrics
+        self._costs = (
+            cost_model.read_barrier,
+            cost_model.barrier_fast,
+            cost_model.barrier_slow,
+        )
+        self._seen = (
+            metrics.read_barrier_hits,
+            metrics.barrier_fast_hits,
+            metrics.barrier_slow_hits,
+        )
 
     # --------------------------------------------------- interpreter flush
     def on_flush(
@@ -150,13 +166,24 @@ class CycleProfiler:
         else:
             cell[0] += cycles
             cell[1] += insns
-        if self._rb_metrics is not None:
-            hits = self._rb_metrics.read_barrier_hits
-            spent = (hits - self._rb_seen) * self._rb_cost
-            if spent:
-                self._rb_seen = hits
-                mkey = (track, name, "barrier")
-                self.mech[mkey] = self.mech.get(mkey, 0) + spent
+        m = self._watched
+        if m is not None:
+            reads = m.read_barrier_hits
+            fast = m.barrier_fast_hits
+            slow = m.barrier_slow_hits
+            seen_reads, seen_fast, seen_slow = self._seen
+            if reads != seen_reads or fast != seen_fast or slow != seen_slow:
+                self._seen = (reads, fast, slow)
+                read_cost, fast_cost, slow_cost = self._costs
+                barrier = ((reads - seen_reads) * read_cost
+                           + (fast - seen_fast) * fast_cost)
+                if barrier:
+                    mkey = (track, name, "barrier")
+                    self.mech[mkey] = self.mech.get(mkey, 0) + barrier
+                undo = (slow - seen_slow) * slow_cost
+                if undo:
+                    mkey = (track, name, "undo_log")
+                    self.mech[mkey] = self.mech.get(mkey, 0) + undo
         if cycles:
             callers = thread.frames[: frame.depth]
             folded = ";".join(
@@ -242,125 +269,3 @@ class CycleProfiler:
         rows.sort(key=lambda r: (-r["cycles"], r["thread"], r["method"]))
         return rows[:top] if top else rows
 
-
-class ProfilingSupport:
-    """Delegating :class:`RuntimeSupport` wrapper that observes the extra
-    cycle costs the installed support charges, splitting them by
-    mechanism.  Pure pass-through otherwise — same costs, same signals,
-    same state — so profiled and unprofiled runs are byte-identical.
-    """
-
-    def __init__(self, inner, profiler: CycleProfiler) -> None:
-        self.inner = inner
-        self.profiler = profiler
-        guard = inner.read_barrier_guard()
-        if guard is not None:
-            profiler.watch_read_barriers(
-                guard[1], inner.vm.cost_model.read_barrier
-            )
-
-    def __getattr__(self, name):
-        if name == "inner":
-            # copy/pickle reconstruct probes attributes on an empty
-            # instance before __dict__ is restored; without this guard
-            # the delegation recurses forever.
-            raise AttributeError(name)
-        return getattr(self.inner, name)
-
-    # ------------------------------------------------------------- barriers
-    def before_store(self, thread, container, slot, old_value, volatile):
-        cost = self.inner.before_store(
-            thread, container, slot, old_value, volatile
-        )
-        if cost:
-            fast = self.inner.vm.cost_model.barrier_fast
-            if cost > fast:
-                self.profiler.note_mechanism(thread, "barrier", fast)
-                self.profiler.note_mechanism(
-                    thread, "undo_log", cost - fast
-                )
-            else:
-                self.profiler.note_mechanism(thread, "barrier", cost)
-        return cost
-
-    def before_store_batch(self, thread, entries):
-        # Explicit wrapper (``__getattr__`` delegation would silently skip
-        # attribution): same fast/slow split as before_store, applied to
-        # the whole run at once so totals match the per-entry path.
-        cost = self.inner.before_store_batch(thread, entries)
-        if cost:
-            fast = self.inner.vm.cost_model.barrier_fast * len(entries)
-            if cost > fast:
-                self.profiler.note_mechanism(thread, "barrier", fast)
-                self.profiler.note_mechanism(
-                    thread, "undo_log", cost - fast
-                )
-            else:
-                self.profiler.note_mechanism(thread, "barrier", cost)
-        return cost
-
-    def store_barrier_cost(self, thread):
-        # A query, not a charge: the cycles it names are attributed when
-        # the stores themselves reach before_store/before_store_batch.
-        return self.inner.store_barrier_cost(thread)
-
-    def after_load(self, thread, container, slot, volatile):
-        # Read barriers are attributed from the hit count at each flush
-        # (CycleProfiler.watch_read_barriers), so the inline fast path and
-        # this call are counted alike.
-        return self.inner.after_load(thread, container, slot, volatile)
-
-    def read_barrier_guard(self):
-        # Passed through: inlined fast-path hits bump the same
-        # ``read_barrier_hits`` the profiler reads at every flush.
-        return self.inner.read_barrier_guard()
-
-    def live_undo_entries(self):
-        # Spelled out like every int-returning hook rather than left to
-        # ``__getattr__``; it is a count for the counter-track sampler,
-        # not a cycle cost, so there is nothing to attribute.
-        return self.inner.live_undo_entries()
-
-    # ------------------------------------------------------------- monitors
-    def on_monitor_entered(self, thread, monitor, frame, sync_id, recursive):
-        cost = self.inner.on_monitor_entered(
-            thread, monitor, frame, sync_id, recursive
-        )
-        self.profiler.note_mechanism(thread, "monitor", cost)
-        return cost
-
-    def on_monitor_exited(self, thread, monitor, frame, sync_id):
-        cost = self.inner.on_monitor_exited(thread, monitor, frame, sync_id)
-        self.profiler.note_mechanism(thread, "monitor", cost)
-        return cost
-
-    def on_contended_acquire(self, thread, monitor):
-        cost = self.inner.on_contended_acquire(thread, monitor)
-        self.profiler.note_mechanism(thread, "monitor", cost)
-        return cost
-
-    def on_handoff(self, releaser, monitor, new_owner):
-        cost = self.inner.on_handoff(releaser, monitor, new_owner)
-        self.profiler.note_mechanism(releaser, "monitor", cost)
-        return cost
-
-    def on_wait(self, thread, monitor):
-        cost = self.inner.on_wait(thread, monitor)
-        self.profiler.note_mechanism(thread, "monitor", cost)
-        return cost
-
-    def on_wait_reacquired(self, thread, monitor):
-        cost = self.inner.on_wait_reacquired(thread, monitor)
-        self.profiler.note_mechanism(thread, "monitor", cost)
-        return cost
-
-    # -------------------------------------------------------------- control
-    def on_native_call(self, thread, name):
-        cost = self.inner.on_native_call(thread, name)
-        self.profiler.note_mechanism(thread, "native", cost)
-        return cost
-
-    def on_rollback_handler(self, thread, section, is_target):
-        cost = self.inner.on_rollback_handler(thread, section, is_target)
-        self.profiler.note_mechanism(thread, CAT_ROLLBACK, cost)
-        return cost

@@ -461,7 +461,7 @@ class Interpreter:
                             thread.pending_handoff = None
                             thread.blocked_on = None
                             stack.pop()
-                            acc += support.on_monitor_entered(
+                            support.on_monitor_entered(
                                 thread, mon, frame, ins.a, False
                             )
                             if tracer.enabled:
@@ -476,7 +476,7 @@ class Interpreter:
                                 mon.remove_from_queue(thread)
                             thread.blocked_on = None
                             stack.pop()
-                            acc += support.on_monitor_entered(
+                            support.on_monitor_entered(
                                 thread, mon, frame, ins.a, recursive
                             )
                             if tracer.enabled:
@@ -485,7 +485,7 @@ class Interpreter:
                             pc += 1
                         else:
                             acc += cm.monitor_slow
-                            acc += support.on_contended_acquire(thread, mon)
+                            support.on_contended_acquire(thread, mon)
                             if not mon.is_queued(thread):
                                 mon.enqueue(thread)
                             thread.blocked_on = mon
@@ -498,9 +498,7 @@ class Interpreter:
                             return BLOCKED
                     elif op == bc.MONITOREXIT:
                         mon = monitor_of(require_ref(stack.pop(), "monitor"))
-                        acc += support.on_monitor_exited(
-                            thread, mon, frame, ins.a
-                        )
+                        support.on_monitor_exited(thread, mon, frame, ins.a)
                         successor = mon.release(
                             thread, prioritized=self._prioritized,
                             handoff=self._handoff,
@@ -508,7 +506,7 @@ class Interpreter:
                         if successor is not None:
                             acc += cm.monitor_slow
                             self._post_release(mon, successor)
-                        acc += support.on_handoff(thread, mon, successor)
+                        support.on_handoff(thread, mon, successor)
                         if tracer.enabled:
                             vm.trace("release", thread, mon=mon,
                                      successor=successor)
@@ -559,7 +557,7 @@ class Interpreter:
                             del stack[-argc:]
                         else:
                             args = []
-                        acc += support.on_native_call(thread, ins.a)
+                        support.on_native_call(thread, ins.a)
                         frame.pc = pc  # natives may inspect the thread
                         result = fn(vm, thread, args)
                         if result is not None:
@@ -597,9 +595,7 @@ class Interpreter:
                                 reacquired = True
                             else:
                                 acc += cm.monitor_slow
-                                acc += support.on_contended_acquire(
-                                    thread, mon
-                                )
+                                support.on_contended_acquire(thread, mon)
                                 thread.blocked_on = mon
                                 thread.state = ThreadState.BLOCKED
                                 thread.blocked_since = clock.now + acc
@@ -614,7 +610,7 @@ class Interpreter:
                                 stack.pop()
                             stack.pop()
                             thread.waiting_on = None
-                            acc += support.on_wait_reacquired(thread, mon)
+                            support.on_wait_reacquired(thread, mon)
                             if tracer.enabled:
                                 vm.trace("wait_return", thread, mon=mon)
                             pc += 1
@@ -624,7 +620,7 @@ class Interpreter:
                                     "wait() without monitor ownership",
                                     guest_class="IllegalMonitorStateException",
                                 )
-                            acc += support.on_wait(thread, mon)
+                            support.on_wait(thread, mon)
                             timeout = stack[-1] if timed else 0
                             saved, successor = mon.wait_release(
                                 thread, prioritized=self._prioritized,
@@ -637,10 +633,7 @@ class Interpreter:
                             flush()
                             if successor is not None:
                                 self._post_release(mon, successor)
-                            acc2 = support.on_handoff(thread, mon, successor)
-                            if profiler is not None and acc2:
-                                profiler.on_flush(thread, frame, acc2, 0)
-                            clock.advance(acc2)
+                            support.on_handoff(thread, mon, successor)
                             if timed and timeout > 0:
                                 vm.scheduler.add_sleeper(
                                     thread, clock.now + timeout

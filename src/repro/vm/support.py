@@ -27,8 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class RuntimeSupport:
     """No-op hook set = the unmodified VM.
 
-    Hooks that can consume virtual time return the extra cycle cost to
-    charge; the base class charges zero everywhere.
+    Only the barrier hooks (:meth:`before_store`,
+    :meth:`before_store_batch`, :meth:`after_load` and the
+    :meth:`store_barrier_cost` query) return a cycle cost to charge; the
+    base class charges zero.  Every other hook is a notification and
+    returns None: monitor, wait, native and rollback-handler bookkeeping
+    costs no cycles beyond the interpreter's own cost model.
     """
 
     name = "null"
@@ -47,9 +51,8 @@ class RuntimeSupport:
         frame: "Frame",
         sync_id: object,
         recursive: bool,
-    ) -> int:
+    ) -> None:
         """After a successful monitorenter (uncontended or via handoff)."""
-        return 0
 
     def on_monitor_exited(
         self,
@@ -57,28 +60,25 @@ class RuntimeSupport:
         monitor: "Monitor",
         frame: "Frame",
         sync_id: object,
-    ) -> int:
+    ) -> None:
         """Before the matching monitorexit releases the monitor."""
-        return 0
 
     def on_contended_acquire(
         self, thread: "VMThread", monitor: "Monitor"
-    ) -> int:
+    ) -> None:
         """``thread`` is about to block on ``monitor``'s entry queue.
 
         This is where the paper's detection algorithm runs (§4) and where
         priority inheritance donates priority.
         """
-        return 0
 
     def on_handoff(
         self,
         releaser: "VMThread",
         monitor: "Monitor",
         new_owner: Optional["VMThread"],
-    ) -> int:
+    ) -> None:
         """After a release (possibly handing ownership to ``new_owner``)."""
-        return 0
 
     # --------------------------------------------------------------- memory
     def before_store(
@@ -93,7 +93,14 @@ class RuntimeSupport:
         transformer flagged (``Instruction.barrier``).  ``old_value`` is the
         value being overwritten; the rollback runtime appends it to the
         thread's undo log when the thread executes inside a synchronized
-        section (paper §3.1.2)."""
+        section (paper §3.1.2).
+
+        A support that offers :meth:`read_barrier_guard` keeps its
+        ``metrics`` exact: every call bumps ``barrier_fast_hits`` once and
+        charges ``cost_model.barrier_fast``, and a call that logs also
+        bumps ``barrier_slow_hits`` once and charges
+        ``cost_model.barrier_slow``.  The cycle profiler attributes write
+        barriers and undo logging from those counts at each flush."""
         return 0
 
     def store_barrier_cost(self, thread: "VMThread") -> int:
@@ -147,10 +154,11 @@ class RuntimeSupport:
         ``metrics.read_barrier_hits`` at the exit.
 
         Every :meth:`after_load` call, fast path or not, must bump
-        ``read_barrier_hits`` once and charge ``cost_model.read_barrier``:
-        the cycle profiler attributes read barriers from that count at
-        each flush, so the guard keeps its inline fast path under the
-        profiler too."""
+        ``read_barrier_hits`` once and charge ``cost_model.read_barrier``,
+        and ``metrics`` must be the support's own counters, kept as
+        :meth:`before_store` says: the cycle profiler watches that object
+        and attributes every barrier from its counts at each flush, so the
+        profiled VM runs this same support, inline fast path included."""
         return None
 
     def live_undo_entries(self) -> int:
@@ -170,24 +178,21 @@ class RuntimeSupport:
 
     def on_rollback_handler(
         self, thread: "VMThread", section, is_target: bool
-    ) -> int:
+    ) -> None:
         """Injected handler bookkeeping: the handler is about to release
         ``section``'s monitor; when ``is_target`` it will then restore state
         and re-execute."""
-        return 0
 
-    def on_native_call(self, thread: "VMThread", name: str) -> int:
+    def on_native_call(self, thread: "VMThread", name: str) -> None:
         """Native methods are irrevocable (§2.2)."""
-        return 0
 
-    def on_wait(self, thread: "VMThread", monitor: "Monitor") -> int:
+    def on_wait(self, thread: "VMThread", monitor: "Monitor") -> None:
         """``wait`` inside synchronized sections restricts revocability (§2.2)."""
-        return 0
 
     def on_wait_reacquired(
         self, thread: "VMThread", monitor: "Monitor"
-    ) -> int:
-        return 0
+    ) -> None:
+        """A waiting thread holds ``monitor`` again (handoff or retry)."""
 
     def on_thread_exit(self, thread: "VMThread") -> None:
         return None

@@ -203,13 +203,15 @@ class JVM:
         self.profiler = None
         if options.profile:
             # Imported here: repro.obs depends on repro.vm, not vice versa.
-            from repro.obs.profile import CycleProfiler, ProfilingSupport
+            from repro.obs.profile import CycleProfiler
 
             self.profiler = CycleProfiler()
             self.clock.listener = self.profiler
-            # Installed before the interpreter is constructed: it captures
-            # vm.support once, and the proxy must be what it sees.
-            self.support = ProfilingSupport(self.support, self.profiler)
+            # Barrier and undo-log cycles are attributed from the hit
+            # counters the support's read-barrier guard exposes.
+            guard = self.support.read_barrier_guard()
+            if guard is not None:
+                self.profiler.watch_barriers(guard[1], self.cost_model)
         #: post-slice observers called as ``hook(vm)`` after every slice
         #: (counter-track samplers live here)
         self.slice_hooks: list = []

@@ -10,8 +10,10 @@ identical, so the per-track guest total must equal the per-method sum.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import itertools
+import json
 
 import pytest
 
@@ -153,33 +155,6 @@ def test_profiling_does_not_change_the_run():
     assert pm["support"] == qm["support"]
 
 
-def test_profiling_support_defines_every_cost_hook():
-    """Every RuntimeSupport hook that returns a cycle cost, plus the read
-    barrier guard, must be defined on ProfilingSupport itself: reaching
-    the inner support through ``__getattr__`` would skip attribution.
-    The guard is passed through: the profiler attributes read barriers
-    from the hit count the inlined fast path bumps, so generated code
-    keeps that fast path under the profiler."""
-    from repro.obs.profile import ProfilingSupport
-    from repro.vm.support import RuntimeSupport
-
-    hooks = [
-        name for name, fn in vars(RuntimeSupport).items()
-        if callable(fn) and not name.startswith("_")
-        and inspect.signature(fn).return_annotation == "int"
-    ]
-    assert "after_load" in hooks and "before_store_batch" in hooks
-    for name in [*hooks, "read_barrier_guard"]:
-        assert name in vars(ProfilingSupport), name
-    rollback = JVM(VMOptions(mode="rollback", profile=True)).support
-    assert isinstance(rollback, ProfilingSupport)
-    live, metrics = rollback.read_barrier_guard()
-    assert live is rollback.inner.jmm.live
-    assert metrics is rollback.inner.metrics
-    plain = JVM(VMOptions(mode="unmodified", profile=True)).support
-    assert plain.read_barrier_guard() is None
-
-
 @pytest.mark.parametrize("interp", ("fast", "reference"))
 def test_rollback_mechanism_split_pinned(interp):
     """The barrier / undo_log split of a profiled medium-inversion cell
@@ -192,10 +167,46 @@ def test_rollback_mechanism_split_pinned(interp):
     assert sum(r["cycles"] for r in rows) == 25538
 
 
+#: sha256 of ``json.dumps(profiler.method_table(), sort_keys=True)`` for
+#: rollback-mode obs captures, pinned before barrier attribution moved
+#: to the support's hit counters: every row's barrier / undo_log /
+#: rollback split, not just the sums.
+METHOD_TABLE_DIGESTS = {
+    "medium-inversion":
+        "4fa5361aeeae6408b6739c1f7e7b1752d1f63337d6800623f7c5435ed5c4c116",
+    "fig6b":
+        "69f2b50537fc6754c2c0f2324761e6e5932e13293330d70f7e01821a5fcb7009",
+    "server-storm":
+        "17bae14d97bc6bdc46f4a54a0b0888d003ef79d2793595af18b9c32f8d96de22",
+    "deadlock-pair":
+        "2d0c1e46ab7626dcdf39f282d2c2584f7043d54d75e4e3ed848057d4f7d64bcb",
+}
+
+
+@pytest.mark.parametrize("interp", ("fast", "reference"))
+@pytest.mark.parametrize("scenario", sorted(METHOD_TABLE_DIGESTS))
+def test_method_tables_pinned(scenario, interp):
+    """A barrier cost charged to the wrong method leaves the sums of
+    ``test_rollback_mechanism_split_pinned`` intact; the per-method
+    table catches it."""
+    from repro.obs.capture import ObsSpec, build_capture_vm
+
+    _, vm, _, _ = build_capture_vm(
+        ObsSpec(scenario, mode="rollback", interp=interp)
+    )
+    assert run_outcome(vm.run) == "completed"
+    rows = vm.profiler.method_table()
+    assert any(r["barrier"] for r in rows)
+    digest = hashlib.sha256(
+        json.dumps(rows, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == METHOD_TABLE_DIGESTS[scenario]
+
+
 # ------------------------------------------------- profiles under fusion
 # Superblocks and the inlined read barrier run under the profiler: a run
-# flushes its completed iterations once, at its exit, and read barriers
-# are attributed from the hit count at each flush.  After every slice the
+# flushes its completed iterations once, at its exit, and barriers are
+# attributed from the support's hit counters at each flush.  After every slice the
 # fast tier's tables must equal the reference interpreter's, whichever
 # way the last superblock run ended.
 def _tables(vm: JVM) -> dict:
@@ -276,9 +287,9 @@ def test_profile_parity_under_fusion(install, opts, exit, monkeypatch):
 
 def test_restored_profiled_vm_matches_the_straight_run(monkeypatch):
     """Checkpoint a profiled fast-tier VM mid-run, restore it and finish
-    it: the profile equals the uninterrupted run's.  The read-barrier
-    cursor round-trips with the support metrics it reads, and the
-    restored VM's generated code binds its own profiler as ``PROF``."""
+    it: the profile equals the uninterrupted run's.  The barrier cursor
+    round-trips with the support metrics it reads, and the restored VM's
+    generated code binds its own profiler as ``PROF``."""
     from conftest import probe_superblocks
 
     from repro.vm.snapshot import restore_vm, snapshot_vm
@@ -295,16 +306,19 @@ def test_restored_profiled_vm_matches_the_straight_run(monkeypatch):
     donor.begin_run()
     for _ in range(straight.scheduler.slices // 2):
         assert donor.scheduler.step()
-    assert donor.support.inner.metrics.read_barrier_hits > 0
+    metrics = donor.support.metrics
+    assert metrics.read_barrier_hits > 0
+    assert metrics.barrier_slow_hits > 0
     assert runs, "no superblock ran before the checkpoint"
-    cursor = donor.profiler._rb_seen
-    assert cursor == donor.support.inner.metrics.read_barrier_hits
+    cursor = donor.profiler._seen
+    assert cursor == (metrics.read_barrier_hits, metrics.barrier_fast_hits,
+                      metrics.barrier_slow_hits)
 
     vm = restore_vm(snapshot_vm(donor))
     assert vm.profiler is not donor.profiler
     assert vm.clock.listener is vm.profiler
-    assert vm.profiler._rb_seen == cursor
-    assert vm.profiler._rb_metrics is vm.support.inner.metrics
+    assert vm.profiler._seen == cursor
+    assert vm.profiler._watched is vm.support.metrics
     del runs[:]
     while vm.scheduler.step():
         pass

@@ -8,18 +8,25 @@ from conftest import build_class, make_vm
 
 
 class TestNullSupportContract:
-    def test_all_cost_hooks_return_zero(self):
+    def test_barrier_hooks_return_zero(self):
         sup = NullSupport()
-        assert sup.on_monitor_entered(None, None, None, None, False) == 0
-        assert sup.on_monitor_exited(None, None, None, None) == 0
-        assert sup.on_contended_acquire(None, None) == 0
-        assert sup.on_handoff(None, None, None) == 0
         assert sup.before_store(None, None, None, None, False) == 0
+        assert sup.before_store_batch(
+            None, [(None, None, None, False)] * 3
+        ) == 0
         assert sup.after_load(None, None, None, False) == 0
-        assert sup.on_rollback_handler(None, None, False) == 0
-        assert sup.on_native_call(None, "x") == 0
-        assert sup.on_wait(None, None) == 0
-        assert sup.on_wait_reacquired(None, None) == 0
+        assert sup.store_barrier_cost(None) == 0
+
+    def test_notification_hooks_return_none(self):
+        sup = NullSupport()
+        assert sup.on_monitor_entered(None, None, None, None, False) is None
+        assert sup.on_monitor_exited(None, None, None, None) is None
+        assert sup.on_contended_acquire(None, None) is None
+        assert sup.on_handoff(None, None, None) is None
+        assert sup.on_rollback_handler(None, None, False) is None
+        assert sup.on_native_call(None, "x") is None
+        assert sup.on_wait(None, None) is None
+        assert sup.on_wait_reacquired(None, None) is None
 
     def test_check_yield_never_signals(self):
         assert NullSupport().check_yield(None) is None
@@ -36,6 +43,31 @@ class TestNullSupportContract:
         sentinel = object()
         sup.attach(sentinel)
         assert sup.vm is sentinel
+
+
+class TestProfiledVmSupport:
+    def test_profiled_vm_runs_its_own_support(self):
+        """The profiler wraps nothing: a profiled rollback VM runs the
+        support ``_build_support`` made, and the profiler watches that
+        support's own metrics, the object its read-barrier guard hands to
+        generated code."""
+        from repro.core.revocation import RollbackSupport
+        from repro.vm.vmcore import JVM, VMOptions
+
+        vm = JVM(VMOptions(mode="rollback", profile=True))
+        assert type(vm.support) is RollbackSupport
+        live, metrics = vm.support.read_barrier_guard()
+        assert live is vm.support.jmm.live
+        assert metrics is vm.support.metrics
+        assert vm.profiler._watched is vm.support.metrics
+
+    def test_guardless_support_is_not_watched(self):
+        from repro.vm.vmcore import JVM, VMOptions
+
+        vm = JVM(VMOptions(mode="unmodified", profile=True))
+        assert type(vm.support) is NullSupport
+        assert vm.support.read_barrier_guard() is None
+        assert vm.profiler._watched is None
 
 
 class TestUnmodifiedVmCostNeutrality:
