@@ -377,7 +377,9 @@ class RollbackSupport(RuntimeSupport):
             audit.after_rollback(thread, target, log, expectation)
         cm = self.vm.cost_model
         cost = cm.rollback_base + cm.rollback_entry * restored
-        self.vm.charge(thread, cost, kind="rollback")
+        self.vm.charge(thread, cost)
+        if self.vm.profiler is not None:
+            self.vm.profiler.rollback(thread, cost)
         m = self.metrics
         m.undo_entries_restored += restored
         m.rollback_cycles += cost

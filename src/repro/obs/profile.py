@@ -4,8 +4,9 @@ Where do the cycles go?  The paper's overhead story (§4.2) is a cycle
 budget — work vs. write barriers vs. undo logging vs. rollback vs.
 scheduling — and this module reconstructs that budget for any run, with
 an exactness guarantee the virtual clock makes cheap: the profiler
-listens to **every** clock advance, so its per-track totals sum to the
-final virtual time with no residue, ever.
+keeps a mark on the VM's clock and, at each context change, books the
+cycles since the mark to the outgoing (track, category), so its
+per-track totals sum to the final virtual time with no residue, ever.
 
 Three attribution layers, coarse to fine:
 
@@ -13,9 +14,12 @@ Three attribution layers, coarse to fine:
     ``track -> {category -> cycles}``.  One track per VM thread plus the
     ``"(vm)"`` pseudo-track.  Categories: ``guest`` (cycles flushed by an
     interpreter while the thread ran), ``rollback`` (revocation restore
-    work charged via :meth:`JVM.charge`), ``switch`` (the context-switch
-    cost of dispatching onto the track), ``idle`` (all threads asleep)
-    and ``vm`` (everything outside an execution slice).  Invariant:
+    work, filed by :meth:`CycleProfiler.rollback`), ``switch`` (the
+    context-switch cost of dispatching onto the track), ``idle`` (all
+    threads asleep) and ``vm`` (everything outside an execution slice).
+    The context changes are the scheduler's
+    :meth:`CycleProfiler.set_context` calls and the rollback call; reading
+    ``tracks`` books the cycles still pending.  Invariant:
     ``sum(all categories of all tracks) == clock.now``.
 
 ``methods`` / ``stacks``
@@ -29,7 +33,7 @@ Three attribution layers, coarse to fine:
     ``(track, method, mechanism) -> cycles``: the slice of a method's
     cycles spent in runtime-support machinery — ``barrier`` (write-barrier
     fast-path in-sync tests + read barriers), ``undo_log`` (slow-path log
-    appends) and ``rollback`` (restores; charged outside the flush
+    appends) and ``rollback`` (restores; filed outside the flush
     stream, see the table note in ``docs/observability.md``).  Barrier
     and logging cycles are read off the support's own counters: the VM
     hands :meth:`CycleProfiler.watch_barriers` the
@@ -44,9 +48,9 @@ Three attribution layers, coarse to fine:
     read 0: no support charges cycles for those mechanisms.
 
 Superblocks (:mod:`repro.vm.tracecomp`) run under the profiler: a run
-feeds the clock listener one advance and ``on_flush`` one flush for all
-its completed iterations, which sum to what the per-iteration flushes
-would have fed, under the same keys.
+changes no context, and it feeds ``on_flush`` one flush for all its
+completed iterations, which sums to what the per-iteration flushes would
+have fed, under the same keys.
 
 The profiler is purely observational: it never advances the clock, never
 touches the RNG and never emits trace events, so ``profile=True`` cannot
@@ -55,9 +59,10 @@ change a run's schedule, trace or fingerprint.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.vm.clock import VirtualClock
     from repro.vm.threads import Frame, VMThread
 
 #: pseudo-track for cycles not attributable to a guest thread
@@ -71,10 +76,11 @@ CAT_VM = "vm"
 
 
 class CycleProfiler:
-    """Exact per-track cycle attribution via the clock-listener seam."""
+    """Exact per-track cycle attribution, booked at context changes."""
 
-    def __init__(self) -> None:
-        self.tracks: dict[str, dict[str, int]] = {}
+    def __init__(self, clock: "VirtualClock") -> None:
+        self.clock = clock
+        self._tracks: dict[str, dict[str, int]] = {}
         #: (track, qualified method name) -> [cycles, instructions]
         self.methods: dict[tuple[str, str], list[int]] = {}
         #: (track, "caller;...;callee") -> cycles
@@ -88,6 +94,9 @@ class CycleProfiler:
         self.blocked: dict[str, int] = {}
         self._track = VM_TRACK
         self._cat = CAT_VM
+        #: clock time booked so far: the cycles after it belong to the
+        #: current (track, category)
+        self._mark = clock.now
         #: barrier attribution (:meth:`watch_barriers`): the support
         #: metrics whose hit counters count every barrier, the cycles one
         #: hit of each costs, and the counts already attributed, all in
@@ -97,29 +106,42 @@ class CycleProfiler:
         self._costs = (0, 0, 0)
         self._seen = (0, 0, 0)
 
-    # ------------------------------------------------------- clock listener
-    def __call__(self, cycles: int) -> None:
-        """Clock-listener entry point: every advance lands here."""
+    # ------------------------------------------------------------ booking
+    def _book(self, category: str, until: int) -> None:
+        """File the cycles from the mark to ``until`` under the current
+        track and ``category``."""
+        cycles = until - self._mark
         if cycles:
-            track = self.tracks.get(self._track)
+            self._mark = until
+            track = self._tracks.get(self._track)
             if track is None:
-                track = self.tracks[self._track] = {}
-            track[self._cat] = track.get(self._cat, 0) + cycles
+                track = self._tracks[self._track] = {}
+            track[category] = track.get(category, 0) + cycles
 
-    # ------------------------------------------------- scheduler bracketing
+    @property
+    def tracks(self) -> dict[str, dict[str, int]]:
+        """``track -> {category -> cycles}`` up to the current clock."""
+        self._book(self._cat, self.clock.now)
+        return self._tracks
+
     def set_context(self, track: str, category: str) -> None:
         """Called by the scheduler around slices/switches/idle jumps."""
+        self._book(self._cat, self.clock.now)
         self._track = track
         self._cat = category
 
-    def push_category(self, category: str) -> str:
-        """Temporarily recategorize advances (``JVM.charge(kind=...)``)."""
-        prev = self._cat
-        self._cat = category
-        return prev
-
-    def pop_category(self, prev: str) -> None:
-        self._cat = prev
+    def rollback(self, thread: "VMThread", cycles: int) -> None:
+        """A revocation restore just charged ``cycles`` on ``thread``'s
+        behalf: file them under ``rollback`` on the current track and
+        against ``thread``'s top method.  Restores run at the thread's
+        own yield points, so it has a frame."""
+        now = self.clock.now
+        self._book(self._cat, now - cycles)
+        self._book(CAT_ROLLBACK, now)
+        if cycles:
+            method = thread.frames[-1].method.qualified_name()
+            key = (thread.name, method, CAT_ROLLBACK)
+            self.mech[key] = self.mech.get(key, 0) + cycles
 
     def watch_barriers(self, metrics, cost_model) -> None:
         """Attribute barrier and undo-logging cycles from ``metrics``.
@@ -193,20 +215,7 @@ class CycleProfiler:
             skey = (track, folded)
             self.stacks[skey] = self.stacks.get(skey, 0) + cycles
 
-    # --------------------------------------------------- mechanism splits
-    def note_mechanism(
-        self, thread: Optional["VMThread"], mechanism: str, cycles: int
-    ) -> None:
-        if not cycles:
-            return
-        track = thread.name if thread is not None else VM_TRACK
-        if thread is not None and thread.frames:
-            method = thread.frames[-1].method.qualified_name()
-        else:
-            method = "(no frame)"
-        key = (track, method, mechanism)
-        self.mech[key] = self.mech.get(key, 0) + cycles
-
+    # ------------------------------------------------------ blocked time
     def note_blocked(self, track: str, cycles: int) -> None:
         """One closed blocked interval on ``track`` (entry-queue park →
         grant/wake).  Fed exclusively through ``JVM.credit_blocked``."""
@@ -239,7 +248,7 @@ class CycleProfiler:
 
         Each row splits the method's flushed cycles into mechanism
         buckets plus ``work`` (the remainder: pure guest computation).
-        ``rollback`` is charged outside the flush stream, so it is
+        ``rollback`` is filed outside the flush stream, so it is
         reported as an extra column, not subtracted from ``work``.
         """
         mech_by_method: dict[tuple[str, str], dict[str, int]] = {}

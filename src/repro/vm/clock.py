@@ -110,20 +110,12 @@ class VirtualClock:
 
     now: int = 0
     _events: int = field(default=0, repr=False)
-    #: optional observer called with every advance delta (the virtual-cycle
-    #: profiler).  Because *every* cycle passes through here, an attached
-    #: listener's per-track attribution sums to ``now`` exactly, by
-    #: construction.  Excluded from equality/repr: it is instrumentation,
-    #: not clock state.
-    listener: object = field(default=None, repr=False, compare=False)
 
     def advance(self, cycles: int) -> int:
         if cycles < 0:
             raise ValueError("cannot advance the clock backwards")
         self.now += cycles
         self._events += 1
-        if self.listener is not None:
-            self.listener(cycles)
         return self.now
 
     def commit_batch(self, cycles: int, events: int) -> int:
@@ -131,29 +123,19 @@ class VirtualClock:
 
         Equivalent to the ``events`` separate :meth:`advance` calls a
         block-at-a-time execution would have made summing to ``cycles``
-        (the trace compiler tracks both exactly).  An attached listener
-        hears the batch as one advance of ``cycles``.  That is exact only
-        for an additive listener whose attribution cannot change during
-        the batch: the cycle profiler qualifies (a superblock run never
-        switches its track or category), and the superblock dispatch
-        guard refuses to enter fused code under any other listener.
+        (the trace compiler tracks both exactly).
         """
         if cycles < 0 or events < 0:
             raise ValueError("cannot commit a negative batch")
         self.now += cycles
         self._events += events
-        if self.listener is not None:
-            self.listener(cycles)
         return self.now
 
     def advance_to(self, time: int) -> int:
         """Jump forward to ``time`` (used when all threads are asleep)."""
         if time > self.now:
-            delta = time - self.now
             self.now = time
             self._events += 1
-            if self.listener is not None:
-                self.listener(delta)
         return self.now
 
     @property

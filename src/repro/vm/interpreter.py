@@ -254,14 +254,13 @@ class Interpreter:
                         # check is provably constant for the whole run
                         # (see repro.vm.tracecomp); the accumulators are
                         # zero here (just flushed), so the trace owns all
-                        # charging until it hands back through A/F.  The
-                        # profiler (None when off) is the one clock
-                        # listener a batched commit can feed exactly.
+                        # charging until it hands back through A/F.  A run
+                        # changes no profiler context, so the profiler
+                        # needs no guard here.
                         sb = supers[pc]
                         if (
                             sb is not None
                             and thread.revocation_request is None
-                            and clock.listener is profiler
                             and (faults is None or faults.yield_quiet())
                         ):
                             try:

@@ -26,12 +26,11 @@ state.
 
 What a snapshot deliberately does **not** capture:
 
-* **External observers** — tracer sinks, post-slice hooks, and any
-  non-profiler clock listener.  They only watch the run: they reference
-  host-side analyses whose state is not part of the VM, and callers
-  reinstall what they need on the restored VM.  (The cycle profiler *is*
-  VM state: it is carried across and re-wired as the clock listener on
-  restore.)
+* **External observers** — tracer sinks and post-slice hooks.  They
+  only watch the run: they reference host-side analyses whose state is
+  not part of the VM, and callers reinstall what they need on the
+  restored VM.  (The cycle profiler *is* VM state: it is carried across
+  with its mark on the clock, and books on the restored VM's own clock.)
 * **Predecode caches** — the predecode tier's compiled blocks and
   superblocks are host-side closures bound to one VM's runtime.
   ``MethodDef.__getstate__`` leaves them out of the serialized state, so
@@ -72,15 +71,13 @@ class VMSnapshot:
     :func:`restore_vm` turns back into a runnable one.
     """
 
-    __slots__ = ("_master", "_events", "clock_now", "clock_events",
-                 "slices", "decisions")
+    __slots__ = ("_master", "_events", "clock_now", "slices", "decisions")
 
     def __init__(self, vm: "JVM", master: bytes, events: tuple) -> None:
         self._master = master
         self._events = events
         #: capture-time identity, handy for assertions and debug output
         self.clock_now = vm.clock.now
-        self.clock_events = vm.clock.events
         self.slices = vm.scheduler.slices
         self.decisions = vm.scheduler.decisions
 
@@ -139,7 +136,6 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
     # every VM restored from it hold the same event objects.
     sinks, tracer._sinks = tracer._sinks, []
     slice_hooks, vm.slice_hooks = vm.slice_hooks, []
-    listener, vm.clock.listener = vm.clock.listener, None
     events, tracer.events = tracer.events, []
     try:
         master = pickle.dumps(vm, pickle.HIGHEST_PROTOCOL)
@@ -152,7 +148,6 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
     finally:
         tracer._sinks = sinks
         vm.slice_hooks = slice_hooks
-        vm.clock.listener = listener
         tracer.events = events
     return VMSnapshot(vm, master, tuple(events))
 
@@ -163,11 +158,8 @@ def restore_vm(snapshot: VMSnapshot) -> "JVM":
     Each call unpickles the master afresh, so restoring the same
     checkpoint twice yields two fully isolated continuations, each under
     its own copy of the decision hook.  Observers (tracer sinks, slice
-    hooks) come back empty; the profiler, when present, is re-wired as
-    the clock listener.
+    hooks) come back empty.
     """
     vm = pickle.loads(snapshot._master)
     vm.tracer.events = list(snapshot._events)
-    if vm.profiler is not None:
-        vm.clock.listener = vm.profiler
     return vm

@@ -37,17 +37,15 @@ constant for the duration of the run:
 * the fault plane is absent or :meth:`~repro.faults.plane.FaultPlane.
   yield_quiet` — its yield-point probe is a pure no-op (no RNG draw, no
   injection), so skipping it is unobservable;
-* the clock listener, if any, is the VM's cycle profiler.  It is
-  additive, and a run cannot switch its track or category, so the
-  batched commit feeds it exactly (one listener call per run, and one
-  ``on_flush`` of the completed iterations, which equals their
-  per-iteration flushes because a run never leaves its frame).  Any
-  other listener may need the individual per-flush deltas, so it keeps
-  the loop block-at-a-time;
 * preemption inputs are constants: ``preempt_requested`` can only be set
   by code this thread runs (none inside a loop body), and the sleeper
   queue cannot change (no parking ops in the body), so the pending wake
   time ``PW`` is read once at entry.
+
+The cycle profiler needs no guard: it books clock time at context
+changes, which a run never makes, and a run's one ``on_flush`` of its
+completed iterations equals their per-iteration flushes because a run
+never leaves its frame.
 
 Two more things are constant for a run, and the generated function
 reads them once, in its prologue:

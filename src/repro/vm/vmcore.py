@@ -205,8 +205,7 @@ class JVM:
             # Imported here: repro.obs depends on repro.vm, not vice versa.
             from repro.obs.profile import CycleProfiler
 
-            self.profiler = CycleProfiler()
-            self.clock.listener = self.profiler
+            self.profiler = CycleProfiler(self.clock)
             # Barrier and undo-log cycles are attributed from the hit
             # counters the support's read-barrier guard exposes.
             guard = self.support.read_barrier_guard()
@@ -391,26 +390,9 @@ class JVM:
             hook(self)
 
     # ------------------------------------------------------------- services
-    def charge(
-        self,
-        thread: Optional[VMThread],
-        cycles: int,
-        kind: Optional[str] = None,
-    ) -> None:
-        """Advance virtual time for runtime work done on a thread's behalf.
-
-        ``kind`` labels the cycles for the profiler (e.g. ``"rollback"``
-        for undo-log restores); unlabeled charges inherit the current
-        scheduling context's category.
-        """
-        prof = self.profiler
-        if prof is not None and kind is not None:
-            prev = prof.push_category(kind)
-            self.clock.advance(cycles)
-            prof.pop_category(prev)
-            prof.note_mechanism(thread, kind, cycles)
-        else:
-            self.clock.advance(cycles)
+    def charge(self, thread: Optional[VMThread], cycles: int) -> None:
+        """Advance virtual time for runtime work done on a thread's behalf."""
+        self.clock.advance(cycles)
         if thread is not None:
             thread.cycles_executed += cycles
             thread.quantum_used += cycles

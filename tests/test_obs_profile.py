@@ -1,9 +1,10 @@
 """Cycle profiler: exactness by construction.
 
-The profiler is a :class:`VirtualClock` listener, so every advanced
-cycle lands in exactly one (track, category) cell — the grand total
-*must* equal the final virtual clock with zero residue, in every policy
-mode, under either interpreter.  Per-method totals come from the
+The profiler books the clock time since its mark to one (track,
+category) cell at every context change, so every advanced cycle lands
+in exactly one cell — the grand total *must* equal the final virtual
+clock with zero residue, in every policy mode, under either
+interpreter.  Per-method totals come from the
 interpreters' flush points, which the parity suite already pins as
 identical, so the per-track guest total must equal the per-method sum.
 """
@@ -109,6 +110,29 @@ def test_switch_cycles_match_context_switch_cost():
     assert switch == m["context_switches"] * vm.cost_model.context_switch
 
 
+@pytest.mark.parametrize("interp", ("fast", "reference"))
+def test_idle_cycles_match_the_clock_jumps(interp, monkeypatch):
+    """``idle`` on ``(vm)`` is exactly the time the clock jumped while
+    every thread slept: the sum of the ``advance_to`` deltas."""
+    from repro.obs.capture import ObsSpec, build_capture_vm
+    from repro.vm.clock import VirtualClock
+
+    jumps = []
+    advance_to = VirtualClock.advance_to
+
+    def counted(clock, time):
+        jumps.append(max(0, time - clock.now))
+        return advance_to(clock, time)
+
+    monkeypatch.setattr(VirtualClock, "advance_to", counted)
+    _, vm, _, _ = build_capture_vm(
+        ObsSpec("fig6b", mode="rollback", interp=interp)
+    )
+    assert run_outcome(vm.run) == "completed"
+    assert sum(jumps) > 0
+    assert vm.profiler.tracks["(vm)"]["idle"] == sum(jumps)
+
+
 def test_profiler_absent_by_default():
     Asm._sync_counter = 0
     sections._section_ids = itertools.count(1)
@@ -182,13 +206,28 @@ METHOD_TABLE_DIGESTS = {
         "2d0c1e46ab7626dcdf39f282d2c2584f7043d54d75e4e3ed848057d4f7d64bcb",
 }
 
+#: sha256 of ``json.dumps({"tracks", "blocked", "total"}, sort_keys=True)``
+#: for the same captures, pinned while every clock advance still went
+#: through a listener: the per-track, per-category split, which fast and
+#: reference would share if a booking slip moved cycles between cells.
+TRACK_DIGESTS = {
+    "medium-inversion":
+        "4af762cea41ed587f330f12c8f3d1cf252bd6922c8eca7f3a700af3180e09f4e",
+    "fig6b":
+        "61d8036304c0c8b0c5d22176cb51ca0cd1c2843bb7116de10a3d896a89865471",
+    "server-storm":
+        "a48e0ff56df2513213528d7e6e80b61f5ac8a406d9ea5316817a92fa18c82d9d",
+    "deadlock-pair":
+        "48853438b1e61f027d2027d3f3c82395d79dc95d8b65189ce912f7fa644fd09a",
+}
+
 
 @pytest.mark.parametrize("interp", ("fast", "reference"))
 @pytest.mark.parametrize("scenario", sorted(METHOD_TABLE_DIGESTS))
 def test_method_tables_pinned(scenario, interp):
     """A barrier cost charged to the wrong method leaves the sums of
     ``test_rollback_mechanism_split_pinned`` intact; the per-method
-    table catches it."""
+    table catches it.  The per-track split is pinned beside it."""
     from repro.obs.capture import ObsSpec, build_capture_vm
 
     _, vm, _, _ = build_capture_vm(
@@ -201,6 +240,13 @@ def test_method_tables_pinned(scenario, interp):
         json.dumps(rows, sort_keys=True).encode()
     ).hexdigest()
     assert digest == METHOD_TABLE_DIGESTS[scenario]
+    prof = vm.profiler
+    split = {"tracks": prof.tracks, "blocked": prof.blocked,
+             "total": prof.total_cycles()}
+    digest = hashlib.sha256(
+        json.dumps(split, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == TRACK_DIGESTS[scenario]
 
 
 # ------------------------------------------------- profiles under fusion
@@ -316,7 +362,7 @@ def test_restored_profiled_vm_matches_the_straight_run(monkeypatch):
 
     vm = restore_vm(snapshot_vm(donor))
     assert vm.profiler is not donor.profiler
-    assert vm.clock.listener is vm.profiler
+    assert vm.profiler.clock is vm.clock
     assert vm.profiler._seen == cursor
     assert vm.profiler._watched is vm.support.metrics
     del runs[:]

@@ -5,8 +5,8 @@ the same scheduling choices is *byte-identical* to a from-zero replay of
 the full schedule — final clock, clock-event count, rendered trace,
 metrics dict, and final-state fingerprint all agree exactly.  Anything a
 serialized checkpoint might silently share (heap aliasing), drop (RNG
-state, undo logs, degradation ladders), or double-count (profiler
-listener re-wiring) breaks one of these five comparisons.
+state, undo logs, degradation ladders), or double-count breaks one of
+these five comparisons.
 
 The matrix crosses scenarios (locked handoff with revocation, priority
 barge, unprotected race) with both interpreters (``reference`` and
@@ -225,10 +225,8 @@ def test_unpicklable_state_fails_loudly_and_reattaches_observers():
     vm.register_native("hostClosure", lambda vm, thread, args: 0)
     sink = lambda event: None                      # noqa: E731
     slice_hook = lambda vm, thread: None           # noqa: E731
-    listener = lambda cycles: None                 # noqa: E731
     vm.tracer.add_sink(sink)
     vm.slice_hooks.append(slice_hook)
-    vm.clock.listener = listener
     hook = vm.scheduler.decision_hook
     events = vm.tracer.events
     n_events = len(events)
@@ -243,7 +241,6 @@ def test_unpicklable_state_fails_loudly_and_reattaches_observers():
     assert vm.scheduler.decision_hook is hook
     assert vm.tracer._sinks == [sink]
     assert vm.slice_hooks == [slice_hook]
-    assert vm.clock.listener is listener
     assert vm.tracer.events is events
     assert len(events) == n_events
 
