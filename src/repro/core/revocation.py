@@ -10,11 +10,13 @@ seam (:mod:`repro.vm.support`):
   low-priority and high-priority threads are logged for fairness").
 * **JMM tracking** — every read runs the dependency check; observing
   another thread's speculative write marks the writer's enclosing sections
-  non-revocable (§2.2), as do native calls and ``wait``.  The check has an
-  exact O(1) fast path: it consults the dependency map only when some
-  thread other than the reader holds a speculative write (``jmm.live``),
-  and an outermost commit clears the map in O(1) when the committing
-  thread is its only writer (:meth:`JmmTracker.commit_all`).
+  non-revocable (§2.2), as do native calls and ``wait``.  A write's
+  dependency record is its undo-log entry: the barrier adds only one
+  ``(log position, active sections)`` run per call
+  (:meth:`JmmTracker.on_write`), rollback cuts the runs with the log and an
+  outermost commit drops them in O(1).  The check has an exact O(1) fast
+  path: it looks into other threads' logs only when some thread other
+  than the reader holds a speculative write (``jmm.live``).
 * **Detection** — contended acquisitions (and optionally a periodic scan)
   feed the :class:`~repro.core.detection.InversionDetector`.
 * **Revocation** — at the holder's next yield point ``check_yield``
@@ -46,7 +48,6 @@ from repro.core.sections import (
 )
 from repro.core.undolog import UndoLog
 from repro.errors import ReproError
-from repro.vm.heap import location_of
 from repro.vm.support import RuntimeSupport
 from repro.vm.threads import RollbackSignal
 
@@ -112,11 +113,8 @@ class RollbackSupport(RuntimeSupport):
 
     def _commit_log(self, thread: "VMThread", log: UndoLog) -> None:
         """Finalise ``thread``'s speculative writes at outermost commit:
-        drop its JMM records (in O(1) when it is the only live writer and
-        its records match its log) and discard the buffer."""
-        jmm = self.jmm
-        if not jmm.commit_all(thread, len(log)):
-            jmm.on_commit(thread, log.locations_since(0))
+        drop its JMM records and discard the buffer."""
+        self.jmm.on_commit(thread)
         self.retired += log.truncate(0)
 
     def _invalidate(self, thread: "VMThread") -> None:
@@ -253,7 +251,7 @@ class RollbackSupport(RuntimeSupport):
         return cm.barrier_fast
 
     def before_store(
-        self, thread: "VMThread", container, slot, old_value, volatile: bool
+        self, thread: "VMThread", container, slot, old_value
     ) -> int:
         m = self.metrics
         m.barrier_fast_hits += 1
@@ -263,11 +261,12 @@ class RollbackSupport(RuntimeSupport):
         log = thread.undo_log
         if log is None:
             log = self._log(thread)
-        log.entries.append((container, slot, old_value))
+        entries = log.entries
+        entries.append((container, slot, old_value))
         active = self._active_cache.get(thread.tid)
         if active is None:
             active = self._active_tuple(thread)
-        self.jmm.on_write(thread, location_of(container, slot), active)
+        self.jmm.on_write(thread, entries, 1, active)
         m.barrier_slow_hits += 1
         m.undo_entries_logged += 1
         return cost
@@ -276,16 +275,15 @@ class RollbackSupport(RuntimeSupport):
         # Equivalent to per-entry before_store because the thread's
         # section stack cannot change across the entries (monitor ops are
         # never fused), so every entry sees the same ``thread.sections``
-        # truth value and active tuple.
+        # truth value and active tuple: the records are the undo entries
+        # themselves, and the JMM tracker notes one run for all of them.
         m = self.metrics
         n = len(entries)
         m.barrier_fast_hits += n
-        if thread.sections:
-            self._log(thread).entries.extend(
-                [(container, slot, old) for container, slot, old, _ in entries]
-            )
-            self.jmm.on_write_batch(thread, entries,
-                                    self._active_tuple(thread))
+        if n and thread.sections:
+            log = self._log(thread).entries
+            log.extend(entries)
+            self.jmm.on_write(thread, log, n, self._active_tuple(thread))
             m.barrier_slow_hits += n
             m.undo_entries_logged += n
         return self.store_barrier_cost(thread) * n
@@ -299,7 +297,7 @@ class RollbackSupport(RuntimeSupport):
         # The predecode tier inlines this same guard (read_barrier_guard).
         live = self.jmm.live
         if len(live) > (thread.tid in live):
-            sections = self.jmm.on_read(thread, location_of(container, slot))
+            sections = self.jmm.on_read(thread, container, slot)
             reason = REASON_VOLATILE if volatile else REASON_DEPENDENCY
             for section in sections:
                 if section.mark_nonrevocable(reason):
@@ -370,9 +368,8 @@ class RollbackSupport(RuntimeSupport):
             if audit is not None
             else None
         )
-        restored = log.rollback_to(
-            target.log_mark, on_undo=lambda loc: self.jmm.on_undo(thread, loc)
-        )
+        self.jmm.on_rollback(thread, target.log_mark)
+        restored = log.rollback_to(target.log_mark)
         if audit is not None:
             audit.after_rollback(thread, target, log, expectation)
         cm = self.vm.cost_model

@@ -23,9 +23,7 @@ section must undo them too.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
-
-from repro.vm.heap import Heap, VMArray, VMObject, location_of
+from repro.vm.heap import Heap, VMArray, VMObject
 
 Entry = tuple  # (container, slot, old_value)
 
@@ -53,15 +51,10 @@ class UndoLog:
     def append(self, container, slot, old_value) -> None:
         self.entries.append((container, slot, old_value))
 
-    def rollback_to(
-        self,
-        mark: int,
-        on_undo: Callable[[tuple], None] | None = None,
-    ) -> int:
+    def rollback_to(self, mark: int) -> int:
         """Process the log in reverse down to ``mark``, restoring each
-        location to its original value.  ``on_undo(loc)`` is invoked per
-        restored entry (the JMM tracker pops its dependency records there).
-        Returns the number of entries restored.
+        location to its original value.  Returns the number of entries
+        restored.
         """
         entries = self.entries
         if mark < 0 or mark > len(entries):
@@ -74,8 +67,6 @@ class UndoLog:
             else:
                 # static: container is the (class, field) symbol-table key
                 self.heap.put_static(container, old_value)
-            if on_undo is not None:
-                on_undo(location_of(container, slot))
             count += 1
         del entries[mark:]
         return count
@@ -90,11 +81,6 @@ class UndoLog:
             raise ValueError(f"bad mark {mark} for log of {len(self.entries)}")
         del self.entries[mark:]
         return n
-
-    def locations_since(self, mark: int = 0) -> Iterator[tuple]:
-        """Locations touched by entries at or after ``mark`` (with dups)."""
-        for container, slot, _ in self.entries[mark:]:
-            yield location_of(container, slot)
 
     def peek(self, index: int) -> Entry:
         return self.entries[index]

@@ -32,14 +32,17 @@ Fault kinds and where the VM consults the plane:
     duplicate one entry of the section's log segment at the buffer's end.
     Provably behaviour-preserving — reverse processing applies the
     duplicate first and still finishes on the oldest entry per location —
-    so the invariant auditor must keep passing; a matching JMM write
-    record is pushed so the extra undo's pop is net-zero.
+    so the invariant auditor must keep passing.  The duplicate needs no
+    JMM bookkeeping: a write's dependency record is its undo entry, and
+    the rollback removes the duplicate with the rest of the segment.
 
 ``undo_drop``
     Just before a rollback processes the undo log (:meth:`drop_undo`):
     silently delete one entry from the rolling-back segment, so the
     revocation leaves one store of the aborted section visible — a
-    *genuine* serializability bug, the opposite of ``undo_perturb``.
+    *genuine* serializability bug, the opposite of ``undo_perturb``.  The
+    entry's JMM dependency record stays behind as a stale record
+    (:meth:`repro.core.jmm.JmmTracker.on_drop`).
     This kind exists as a seeded defect for the differential oracle
     (:mod:`repro.check.oracle`) to catch and minimize; robustness
     campaigns must never enable it (the invariant auditor rightly flags
@@ -50,8 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
-
-from repro.vm.heap import location_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.revocation import RollbackSupport
@@ -207,16 +208,8 @@ class FaultPlane:
         if self.rng.random() >= rate:
             return
         idx = self.rng.randint(target.log_mark, len(log.entries) - 1)
-        container, slot, old_value = log.entries[idx]
-        log.append(container, slot, old_value)
+        log.append(*log.entries[idx])
         support.retired -= 1  # an entry no barrier logged
-        # Balance the JMM tracker: the rollback will issue one extra undo
-        # for this location, which must pop this record and no other.
-        support.jmm.on_write(
-            thread,
-            location_of(container, slot),
-            support._active_tuple(thread),
-        )
         self._record("undo_perturb", thread)
 
     def drop_undo(
@@ -228,8 +221,9 @@ class FaultPlane:
         """Delete one undo entry of the section about to roll back.
 
         The corresponding store survives the revocation — a seeded
-        serializability defect for the differential oracle.  No JMM
-        rebalancing is attempted: the corruption is the point."""
+        serializability defect for the differential oracle.  The entry's
+        JMM record is kept, as a stale record: the corruption is the
+        point."""
         rate = self.plan.undo_drop_rate
         if rate <= 0.0 or self._exhausted():
             return
@@ -239,6 +233,7 @@ class FaultPlane:
         if self.rng.random() >= rate:
             return
         idx = self.rng.randint(target.log_mark, len(log.entries) - 1)
+        support.jmm.on_drop(thread, idx)
         del log.entries[idx]
         support.retired += 1
         self._record("undo_drop", thread)

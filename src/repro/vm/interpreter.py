@@ -363,11 +363,11 @@ class Interpreter:
                     elif op == bc.PUTFIELD:
                         val = stack.pop()
                         obj = require_ref(stack.pop(), "object")
-                        fd = self._field_def(ins, obj)
+                        self._field_def(ins, obj)  # resolves, or raises
                         old = obj.put(ins.a, val)
                         if ins.barrier:
                             acc += support.before_store(
-                                thread, obj, ins.a, old, fd.volatile
+                                thread, obj, ins.a, old
                             )
                         if trace_mem:
                             vm.trace(
@@ -394,7 +394,7 @@ class Interpreter:
                         old = arr.put(idx, val)
                         if ins.barrier:
                             acc += support.before_store(
-                                thread, arr, idx, old, False
+                                thread, arr, idx, old
                             )
                         if trace_mem:
                             vm.trace(
@@ -416,11 +416,12 @@ class Interpreter:
                             )
                         pc += 1
                     elif op == bc.PUTSTATIC:
-                        fd = ins.c or self._static_def(ins)
+                        if ins.c is None:
+                            self._static_def(ins)  # resolves, or raises
                         old = vm.heap.put_static(ins.a, stack.pop())
                         if ins.barrier:
                             acc += support.before_store(
-                                thread, ins.a, ins.a[1], old, fd.volatile
+                                thread, ins.a, ins.a[1], old
                             )
                         if trace_mem:
                             vm.trace(

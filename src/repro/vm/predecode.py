@@ -374,8 +374,8 @@ class _Emitter:
         function's prologue and applies once, at the run's exit: guest
         local ``i`` is ``L{i}``; the read-barrier guard is ``RG`` and its
         fast-path hits count into ``rh``; each barrier store appends its
-        ``(container, slot, old, volatile)`` record to the run-local list
-        ``WB`` and charges the per-store cost ``SC``.  Static costs (and
+        undo entry ``(container, slot, old)`` to the run-local list ``WB``
+        and charges the per-store cost ``SC``.  Static costs (and
         the ``SC`` charges) are charged lazily: accumulated at codegen
         time into ``pending_cost``/``pending_count``/``pending_stores``
         and flushed into the generated ``acc``/``ic`` locals before any
@@ -411,9 +411,9 @@ class _Emitter:
         #: super mode: the code reads ``RG``/``rh`` / appends to ``WB``
         self.uses_guard = False
         self.uses_log = False
-        #: deferred (container, slot, old_value, volatile) expression
-        #: 4-tuples for the batched write-barrier call
-        self.batch: list[tuple[str, str, str, str]] = []
+        #: deferred (container, slot, old_value) expression triples for
+        #: the batched write-barrier call
+        self.batch: list[tuple[str, str, str]] = []
 
     # ------------------------------------------------------------ plumbing
     def emit(self, line: str) -> None:
@@ -522,9 +522,8 @@ class _Emitter:
         else:
             self.emit(f"{self.acc} += BSB(T, ({tuples}))")
 
-    def barrier_store(self, container: str, slot: str, old: str,
-                      volatile: str) -> None:
-        self.batch.append((container, slot, old, volatile))
+    def barrier_store(self, container: str, slot: str, old: str) -> None:
+        self.batch.append((container, slot, old))
 
     def read_barrier(self, container: str, slot: str, volatile: str) -> None:
         # A block flushes its batch to keep jmm write/read ordering exact.
@@ -735,12 +734,11 @@ class _Emitter:
             self.set_fault(pc)
             to = self.ref(o, "VMO", "object")
             name_expr, _ = self.owner._const_expr(ins.a)
-            cv = self.field_cache(to, name_expr)
+            self.field_cache(to, name_expr)
             if ins.barrier:
                 told = self.newtmp()
                 self.emit(f"{told} = {to}.put({name_expr}, {v.expr})")
-                self.barrier_store(to, name_expr, told,
-                                   f"{cv}[1].volatile")
+                self.barrier_store(to, name_expr, told)
             else:
                 self.emit(f"{to}.put({name_expr}, {v.expr})")
         elif op == bc.ALOAD:
@@ -769,7 +767,7 @@ class _Emitter:
                 self.emit(
                     f"    {told} = RR({ta}, 'array').put({ti}, {v.expr})"
                 )
-                self.barrier_store(ta, ti, told, "False")
+                self.barrier_store(ta, ti, told)
             else:
                 self.emit(f"    {ta}.storage[{ti}] = {v.expr}")
                 self.emit("else:")
@@ -785,13 +783,12 @@ class _Emitter:
         elif op == bc.PUTSTATIC:
             v = self.pop()
             key_ref = owner._kref(ins.a)
-            cv = self.static_cache(key_ref)
+            self.static_cache(key_ref)
             if ins.barrier:
                 told = self.newtmp()
                 self.emit(f"{told} = ST[{key_ref}]")
                 self.emit(f"ST[{key_ref}] = {v.expr}")
-                self.barrier_store(key_ref, f"{key_ref}[1]", told,
-                                   f"{cv}.volatile")
+                self.barrier_store(key_ref, f"{key_ref}[1]", told)
             else:
                 self.emit(f"ST[{key_ref}] = {v.expr}")
         elif op == bc.ARRAYLEN:

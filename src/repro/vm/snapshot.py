@@ -4,7 +4,7 @@ A snapshot captures *everything the guest can observe*: heap objects,
 arrays and statics, thread stacks (frames, operand stacks, saved-state
 slots), monitors (owners, entry queues, wait sets), scheduler queues and
 sleepers, the virtual clock, per-thread and global RNG state, the runtime
-support layer (undo logs, section records, JMM dependency map, site
+support layer (undo logs, section records, JMM dependency runs, site
 degradation ladders), the fault plane, and the stored trace.  Restoring a
 snapshot yields an *independent* VM positioned at exactly the captured
 point: driving it forward produces byte-identical clocks, traces, metrics

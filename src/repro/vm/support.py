@@ -87,7 +87,6 @@ class RuntimeSupport:
         container,
         slot,
         old_value,
-        volatile: bool,
     ) -> int:
         """Write-barrier slow-path hook; called only for instructions the
         transformer flagged (``Instruction.barrier``).  ``old_value`` is the
@@ -115,8 +114,8 @@ class RuntimeSupport:
     def before_store_batch(self, thread: "VMThread", entries) -> int:
         """Batched write-barrier fast path.
 
-        ``entries`` is a sequence of ``(container, slot, old_value,
-        volatile)`` records, in program order: in a predecoded block, a
+        ``entries`` is a sequence of ``(container, slot, old_value)``
+        records — undo-log entries as they stand — in program order: in a predecoded block, a
         run of consecutive barrier stores between two observation points
         (no intervening raising op, read barrier, or yield point); in a
         superblock, every store of one run, passed once at the run's exit
@@ -126,9 +125,8 @@ class RuntimeSupport:
         implementation does exactly that, subclasses may append the run in
         one call."""
         cost = 0
-        for container, slot, old_value, volatile in entries:
-            cost += self.before_store(thread, container, slot, old_value,
-                                      volatile)
+        for container, slot, old_value in entries:
+            cost += self.before_store(thread, container, slot, old_value)
         return cost
 
     def after_load(

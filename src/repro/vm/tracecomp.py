@@ -63,8 +63,8 @@ The prologue also loads every guest local the body touches into a Python
 local ``L{i}``.  The body then keeps three kinds of state in locals and
 applies each once, at the exit: the guest locals it writes; the
 read-barrier fast-path hit count ``rh``; and its logged stores, each
-appended as ``(container, slot, old, volatile)`` to the list ``WB`` and
-charged ``SC`` on the spot.  Nothing observes the deferred state before
+appended as its undo entry ``(container, slot, old)`` to the list ``WB``
+and charged ``SC`` on the spot.  Nothing observes the deferred state before
 the exit: no other thread runs, and the tracer, undo logs, metrics and
 clock are read only after the run returns.
 

@@ -240,7 +240,7 @@ class TestInvariantAuditor:
         """Sabotage the undo replay (drop the restores); the auditor must
         refuse to let the run continue."""
 
-        def skip_restore(self, mark, on_undo=None):
+        def skip_restore(self, mark):
             n = len(self.entries) - mark
             del self.entries[mark:]
             return n

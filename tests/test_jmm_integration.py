@@ -345,25 +345,25 @@ def _drop_scenario():
 
 
 class TestCommitFastPath:
-    def test_dropped_undo_takes_per_location_commit(self, monkeypatch):
+    def test_dropped_undo_leaves_a_stale_record(self, monkeypatch):
         from repro import FaultPlan
         from repro.core.jmm import JmmTracker
 
         commits = []
-        commit_all = JmmTracker.commit_all
+        on_commit = JmmTracker.on_commit
 
-        def spy(self, thread, log_len):
-            took = commit_all(self, thread, log_len)
-            commits.append((thread.name, dict(self.live), log_len, took))
-            return took
+        def spy(self, thread):
+            log = thread.undo_log
+            commits.append((thread.name, dict(self.live), len(log)))
+            return on_commit(self, thread)
 
-        monkeypatch.setattr(JmmTracker, "commit_all", spy)
+        monkeypatch.setattr(JmmTracker, "on_commit", spy)
         vm = make_vm("rollback", faults=FaultPlan(undo_drop_rate=1.0))
         vm.load(_drop_scenario())
         vm.set_static("D", "lock", vm.new_object("D"))
         victim = vm.spawn("D", "victim", priority=1, name="V")
         vm.spawn("D", "contender", priority=10, name="H")
-        vm.spawn("D", "reader", priority=5, name="R")
+        reader = vm.spawn("D", "reader", priority=5, name="R")
         vm.run()
 
         support = vm.support
@@ -373,14 +373,15 @@ class TestCommitFastPath:
         # the seeded defect: the dropped store to ``a`` survived
         assert vm.get_static("D", "a") == 1
         assert vm.get_static("D", "b") == 1
-        # the victim's commit saw one record more than its log held, so
-        # it took the per-location path, not the O(1) clear
-        assert ("V", {victim.tid: 2}, 1, False) in commits
-        # the stale record on ``a`` outlived the commit ...
-        assert support.jmm.speculative_writers(("s", "D", "a")) == [
-            victim.tid
-        ]
+        # the victim committed holding one record more than its log
+        assert ("V", {victim.tid: 2}, 1) in commits
+        # the stale record on ``a`` outlived the commit, which did not
+        # touch ``a`` ...
+        key = ("D", "a")
+        pinned = support.jmm.on_read(reader, key, key[1])
+        assert len(pinned) == 1 and pinned[0].thread is victim
         assert support.jmm.live == {victim.tid: 1}
+        assert support.jmm.on_read(victim, key, key[1]) == ()
         # ... so the late reader still pinned the section that wrote it
         pins = [e for e in vm.tracer.of_kind("nonrevocable")
                 if e.thread == "R"]

@@ -135,87 +135,167 @@ class TestUndoLogProperties:
         assert arr.snapshot() == [0, 0, 0, 0]
 
 
-# ---------------------------------------------------------------- jmm model
+# --------------------------------------------------------------- jmm oracle
+class MapTracker:
+    """The per-location JMM tracker the log-derived one replaced, kept
+    here only as its oracle: every logged write pushes its section tuple
+    onto a per-location, per-thread stack; an undo pops the top, an
+    outermost commit drops the thread's stacks at every location its log
+    touched, and a read by another thread reports the top of each
+    writer's stack, writers in insertion order of their stacks."""
+
+    def __init__(self) -> None:
+        self.map: dict = {}
+        self.live: dict[int, int] = {}
+
+    def write(self, tid: int, loc, sections) -> None:
+        self.map.setdefault(loc, {}).setdefault(tid, []).append(sections)
+        self.live[tid] = self.live.get(tid, 0) + 1
+
+    def undo(self, tid: int, loc) -> None:
+        stack = self.map.get(loc, {}).get(tid)
+        if not stack:
+            return
+        stack.pop()
+        if not stack:
+            del self.map[loc][tid]
+            if not self.map[loc]:
+                del self.map[loc]
+        self._release(tid, 1)
+
+    def commit(self, tid: int, locs) -> None:
+        released = 0
+        for loc in locs:
+            stack = self.map.get(loc, {}).pop(tid, None)
+            if stack is not None:
+                released += len(stack)
+                if not self.map[loc]:
+                    del self.map[loc]
+        if released:
+            self._release(tid, released)
+
+    def _release(self, tid: int, n: int) -> None:
+        left = self.live[tid] - n
+        if left:
+            self.live[tid] = left
+        else:
+            del self.live[tid]
+
+    def read(self, tid: int, loc) -> tuple:
+        result = ()
+        for writer, stack in self.map.get(loc, {}).items():
+            if writer != tid:
+                result += stack[-1]
+        return result
+
+
+class _Box:
+    """A heap container, keyed by identity like VMObject and VMArray."""
+
+
+#: two instance slots, an array element and a static (keyed by value)
+_JMM_LOCS = (
+    (_Box(), "x"), (_Box(), "x"), (_Box(), 0), (("C", "s"), "s"),
+)
+_JMM_THREADS = 4
+
+settings.register_profile(
+    "jmm-oracle", derandomize=True, max_examples=150, deadline=None,
+)
+
+#: one barrier call: a run of stores under a nested section tuple
+_jmm_write = st.tuples(
+    st.just("write"), st.integers(0, _JMM_THREADS - 1),
+    st.lists(st.integers(0, len(_JMM_LOCS) - 1), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+_jmm_ops = st.lists(
+    st.one_of(
+        # writes drawn twice as often, so several writers share locations
+        _jmm_write, _jmm_write,
+        st.tuples(st.just("rollback"), st.integers(0, _JMM_THREADS - 1),
+                  st.integers(0, 8)),
+        st.tuples(st.just("commit"), st.integers(0, _JMM_THREADS - 1)),
+        # undo_perturb / undo_drop: mark, entry, then the rollback
+        st.tuples(st.sampled_from(["perturb", "drop", "both"]),
+                  st.integers(0, _JMM_THREADS - 1),
+                  st.integers(0, 8), st.integers(0, 8)),
+    ),
+    min_size=8, max_size=40,
+)
+
+
 class TestJmmTrackerModel:
-    @given(st.lists(
-        st.tuples(
-            st.sampled_from(["write", "undo", "commit", "read"]),
-            st.integers(0, 2),   # thread id
-            st.integers(0, 3),   # location id
-        ),
-        max_size=60,
-    ))
-    def test_against_reference_model(self, ops):
-        """The tracker must agree with a brute-force model: per location,
-        per thread, a stack of section tuples."""
-        tracker = JmmTracker()
-        threads = {
-            tid: VMThread(
-                tid, f"t{tid}",
-                MethodDef(name="r", code=[Instruction(bc.RETURN, 0)]),
-                [],
-            )
-            for tid in range(3)
-        }
-        model: dict[tuple, dict[int, list]] = {}
-        section_counter = [0]
+    @settings(settings.get_profile("jmm-oracle"))
+    @given(st.integers(2, _JMM_THREADS), _jmm_ops)
+    def test_against_reference_model(self, nthreads, ops):
+        """Driven like RollbackSupport drives it, the tracker answers
+        every read (order included) and holds the same ``live`` counts as
+        the per-location map it replaced, through rollbacks, commits and
+        both seeded undo-log faults."""
+        tracker, oracle = JmmTracker(), MapTracker()
+        threads = [
+            VMThread(tid, f"t{tid}",
+                     MethodDef(name="r", code=[Instruction(bc.RETURN, 0)]),
+                     [])
+            for tid in range(nthreads)
+        ]
+        logs: list[list] = [[] for _ in range(nthreads)]
+        calls = [0]
 
-        for op, tid, loc_id in ops:
-            loc = ("f", loc_id, "x")
-            thread = threads[tid]
-            if op == "write":
-                section_counter[0] += 1
-                sections = (f"s{section_counter[0]}",)
-                tracker.on_write(thread, loc, sections)
-                model.setdefault(loc, {}).setdefault(tid, []).append(
-                    sections
-                )
-            elif op == "undo":
-                tracker.on_undo(thread, loc)
-                stack = model.get(loc, {}).get(tid)
-                if stack:
-                    stack.pop()
-                    if not stack:
-                        del model[loc][tid]
-                        if not model[loc]:
-                            del model[loc]
-            elif op == "commit":
-                tracker.on_commit(thread, [loc])
-                if loc in model and tid in model[loc]:
-                    del model[loc][tid]
-                    if not model[loc]:
-                        del model[loc]
-            else:  # read
-                assert tracker.on_read(thread, loc) == self._model_read(
-                    model, tid, loc
-                )
-            self._check_live(tracker, model)
+        def rollback(tid: int, mark: int) -> None:
+            log = logs[tid]
+            tracker.on_rollback(threads[tid], mark)
+            for container, slot, _ in reversed(log[mark:]):
+                oracle.undo(tid, (container, slot))
+            del log[mark:]
 
-    @staticmethod
-    def _model_read(model: dict, tid: int, loc: tuple) -> tuple:
-        expected = ()
-        for other_tid, stack in model.get(loc, {}).items():
-            if other_tid != tid and stack:
-                expected += stack[-1]
-        return expected
-
-    def _check_live(self, tracker: JmmTracker, model: dict) -> None:
-        """``live`` holds each tid's record total, and the read fast path
-        (``len(live) > (tid in live)`` false) is taken for a tid exactly
-        when the model's read of every location by that tid is empty."""
-        totals: dict[int, int] = {}
-        for per_tid in model.values():
-            for tid, stack in per_tid.items():
-                totals[tid] = totals.get(tid, 0) + len(stack)
-        assert tracker.live == totals
+        for op in ops:
+            kind, tid = op[0], op[1] % nthreads
+            thread, log = threads[tid], logs[tid]
+            if kind == "write":
+                _, _, locs, depth = op
+                calls[0] += 1
+                sections = tuple(
+                    f"t{tid}.{k}" for k in range(depth - 1)
+                ) + (f"call{calls[0]}",)
+                for i in locs:
+                    container, slot = _JMM_LOCS[i]
+                    log.append((container, slot, 0))
+                    oracle.write(tid, (container, slot), sections)
+                tracker.on_write(thread, log, len(locs), sections)
+            elif kind == "rollback":
+                rollback(tid, min(op[2], len(log)))
+            elif kind == "commit":
+                tracker.on_commit(thread)
+                oracle.commit(tid, [(c, s) for c, s, _ in log])
+                log.clear()
+            elif log:
+                mark = min(op[2], len(log) - 1)
+                if kind in ("perturb", "both"):
+                    # a copy of one segment entry, with a balancing record
+                    entry = log[mark + op[3] % (len(log) - mark)]
+                    log.append(entry)
+                    oracle.write(tid, entry[:2], ("perturbed",))
+                if kind in ("drop", "both"):
+                    idx = mark + op[3] % (len(log) - mark)
+                    tracker.on_drop(thread, idx)
+                    del log[idx]
+                rollback(tid, mark)
+            assert tracker.live == oracle.live
+            for reader in range(nthreads):
+                for loc in _JMM_LOCS:
+                    assert tracker.on_read(threads[reader], *loc) == (
+                        oracle.read(reader, loc)
+                    ), (op, reader, loc)
+        # the read fast path holds exactly when no other thread has records
         live = tracker.live
-        for tid in range(3):
-            fast = not len(live) > (tid in live)
+        for reader in range(nthreads):
             silent = all(
-                self._model_read(model, tid, ("f", loc_id, "x")) == ()
-                for loc_id in range(4)
+                oracle.read(reader, loc) == () for loc in _JMM_LOCS
             )
-            assert fast == silent
+            if not len(live) > (reader in live):
+                assert silent
 
 
 # --------------------------------------------------------- monitor queues

@@ -10,10 +10,8 @@ from conftest import build_class, make_vm
 class TestNullSupportContract:
     def test_barrier_hooks_return_zero(self):
         sup = NullSupport()
-        assert sup.before_store(None, None, None, None, False) == 0
-        assert sup.before_store_batch(
-            None, [(None, None, None, False)] * 3
-        ) == 0
+        assert sup.before_store(None, None, None, None) == 0
+        assert sup.before_store_batch(None, [(None, None, None)] * 3) == 0
         assert sup.after_load(None, None, None, False) == 0
         assert sup.store_barrier_cost(None) == 0
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.undolog import UndoLog
 from repro.vm.classfile import ClassDef, FieldDef
-from repro.vm.heap import Heap, location_of
+from repro.vm.heap import Heap
 
 
 @pytest.fixture
@@ -83,16 +83,6 @@ class TestRollback:
         log.rollback_to(0)
         assert obj.get("x") == 100
 
-    def test_on_undo_callback_sees_locations_newest_first(self, log, heap):
-        arr = heap.allocate_array(4)
-        for i in range(3):
-            log.append(arr, i, arr.put(i, i + 1))
-        seen = []
-        log.rollback_to(0, on_undo=seen.append)
-        assert seen == [
-            location_of(arr, 2), location_of(arr, 1), location_of(arr, 0),
-        ]
-
     def test_bad_mark_rejected(self, log):
         with pytest.raises(ValueError):
             log.rollback_to(5)
@@ -122,19 +112,6 @@ class TestTruncate:
 
 
 class TestLocations:
-    def test_locations_since(self, log, heap):
-        arr = heap.allocate_array(2)
-        cls = ClassDef("D", fields=[FieldDef("x", "int")])
-        obj = heap.allocate(cls)
-        log.append(arr, 0, 0)
-        mark = log.mark()
-        log.append(obj, "x", 0)
-        log.append(("C", "s"), "s", 0)
-        locs = list(log.locations_since(mark))
-        assert locs == [
-            location_of(obj, "x"), location_of(("C", "s"), "s"),
-        ]
-
     def test_peek(self, log, heap):
         arr = heap.allocate_array(1)
         log.append(arr, 0, 42)

@@ -20,11 +20,15 @@ are covered, not just quiet points.
 
 import pytest
 
+from repro import Asm
 from repro.check.dpor import SteppingRun
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import get_scenario
 from repro.util.rng import DeterministicRng
+from repro.vm.classfile import FieldDef
 from repro.vm.snapshot import restore_vm, snapshot_vm
+
+from conftest import build_class, make_vm
 
 #: the mini-handoff schedule (from the pinned DPOR tree) whose replay
 #: preempts the low thread mid-section and triggers a revocation
@@ -292,3 +296,117 @@ def test_checkpoint_requires_a_pending_decision():
     run = _stepping_run("mini-handoff", "reference")
     with pytest.raises(RuntimeError, match="pending decision"):
         run.checkpoint()
+
+
+def _dependency_program():
+    """A writer that holds speculative writes to an instance field, an
+    array element and a static while it spins in its section, and a
+    reader that first reads an unrelated static (the read consults the
+    writer's records, so it builds the writer's JMM index) and, after a
+    second delay, the writer's three locations."""
+    writer = Asm("writer", argc=0)
+    writer.getstatic("J", "lock")
+    with writer.sync():
+        writer.getstatic("J", "obj").const(1).putfield("f")
+        writer.getstatic("J", "arr").const(0).const(2).astore()
+        writer.const(3).putstatic("J", "s")
+        i = writer.local()
+        writer.for_range(i, lambda: writer.const(3_000), lambda: (
+            writer.getstatic("J", "obj").const(4).putfield("g")
+        ))
+    writer.ret()
+
+    reader = Asm("reader", argc=0)
+    reader.const(1_000).sleep()
+    reader.getstatic("J", "other").putstatic("J", "seen")
+    reader.const(1_000).sleep()
+    reader.getstatic("J", "obj").getfield("f").putstatic("J", "seen")
+    reader.getstatic("J", "arr").const(0).aload().putstatic("J", "seen")
+    reader.getstatic("J", "s").putstatic("J", "seen")
+    reader.ret()
+
+    cls = build_class(
+        "J", ["lock:ref", "obj:ref", "arr:ref", "s:int", "other:int",
+              "seen:int"],
+        [writer, reader],
+    )
+    cls.fields["f"] = FieldDef("f", "int")
+    cls.fields["g"] = FieldDef("g", "int")
+    return cls
+
+
+def _dependency_vm(interp):
+    vm = make_vm("rollback", interp=interp)
+    vm.load(_dependency_program())
+    vm.set_static("J", "lock", vm.new_object("J"))
+    vm.set_static("J", "obj", vm.new_object("J"))
+    vm.set_static("J", "arr", vm.new_array(2))
+    vm.spawn("J", "writer", priority=1, name="W")
+    vm.spawn("J", "reader", priority=5, name="R")
+    vm.begin_run()
+    return vm
+
+
+def _dependency_answers(vm) -> dict:
+    """Every thread's ``on_read`` answer at every logged location, keyed
+    by log position so two VMs compare."""
+    jmm = vm.support.jmm
+    answers = {}
+    for writer in vm.threads:
+        seen = set()
+        log = writer.undo_log
+        for pos, (container, slot, _) in enumerate(log.entries if log else ()):
+            if (container, slot) in seen:
+                continue
+            seen.add((container, slot))
+            for reader in vm.threads:
+                answers[writer.tid, pos, reader.tid] = tuple(
+                    map(repr, jmm.on_read(reader, container, slot))
+                )
+    return answers
+
+
+def _finish(vm) -> dict:
+    while vm.scheduler.step() is not None:
+        pass
+    vm.finish_run()
+    return {
+        "clock": vm.clock.now,
+        "clock_events": vm.clock.events,
+        "trace": vm.tracer.render(),
+        "metrics": vm.metrics(),
+        "seen": vm.get_static("J", "seen"),
+    }
+
+
+@pytest.mark.parametrize("interp", ["reference", "fast"])
+def test_restored_vm_rebuilds_the_jmm_index(interp):
+    """The JMM tracker's per-writer index is derived state: a checkpoint
+    leaves it out, and the restored VM rebuilds it on the first read.
+    Checkpoint right after a read built the writer's index while the
+    writer still holds its speculative records; the restored VM answers
+    every read alike and finishes exactly like the straight run."""
+    straight = _dependency_vm(interp)
+    checkpoint = None
+    while checkpoint is None:
+        assert straight.scheduler.step() is not None, "no index was built"
+        writers = straight.support.jmm._writers
+        if any(w.indexed for w in writers.values()):
+            checkpoint = snapshot_vm(straight)
+    writer_tid, reader_tid = (t.tid for t in straight.threads)
+    assert list(straight.support.jmm.live) == [writer_tid]
+    answers = _dependency_answers(straight)
+    pinned = answers[writer_tid, 0, reader_tid]
+    assert len(pinned) == 1 and "W@" in pinned[0]
+    expected = _finish(straight)
+    assert expected["metrics"]["support"]["nonrevocable_dependency"] == 1
+
+    probed = restore_vm(checkpoint)
+    assert all(
+        w.index == {} and w.indexed == 0
+        for w in probed.support.jmm._writers.values()
+    )
+    assert _dependency_answers(probed) == answers
+    assert _finish(probed) == expected
+
+    assert _finish(restore_vm(checkpoint)) == expected
