@@ -37,7 +37,6 @@ from repro.fleet.cli import (
     _positive_int,
     add_engine_args,
     engine_from_args,
-    run_fleet_worker,
 )
 from repro.bench.report import (
     panel_json,
@@ -92,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "panel",
-        nargs="?",
-        default=None,
         help="figure panel (e.g. 5a, 6b, 8c) or 'all'",
     )
     parser.add_argument(
@@ -119,10 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     add_engine_args(parser)
     args = parser.parse_args(argv)
 
-    if args.fleet == "worker":
-        return run_fleet_worker(args)
-    if args.panel is None:
-        parser.error("a figure panel (or 'all') is required")
     try:
         bench_scale()  # reject a bad value before any run starts
         if args.reps is None:

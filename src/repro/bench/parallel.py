@@ -218,9 +218,9 @@ class ResultCache:
     foreign file logs loudly and reads as a miss, so a damaged store can
     slow a sweep down (recompute) but never poison a report.  The same
     ``(payload, digest)`` byte format travels over the fleet wire
-    protocol (:mod:`repro.fleet`), which makes this cache the shared
-    artifact store of a distributed run: workers push verified payloads,
-    coordinators re-verify before storing or serving them.
+    protocol (:mod:`repro.fleet`), which makes this cache the one
+    artifact store of a distributed run: workers send digested payloads,
+    the coordinator re-verifies them before storing them here.
     """
 
     def __init__(self, directory: os.PathLike | str = DEFAULT_CACHE_DIR):
@@ -646,11 +646,11 @@ class RunEngine:
         A map is cached if and only if the engine has a cache: each
         item's key is :func:`run_key` of ``fn`` and the item, cached
         items are served without executing, fresh results are stored
-        back.  Keys also travel with fleet tasks, for workers that keep
-        a local store.  ``fn`` must then be a module-level callable and
-        every item a value-like cell (see :func:`_feed`); on the fleet
-        it must also pickle.  ``key_fn`` overrides the derived key; only
-        perfbench passes it, with that same key (ROADMAP item 5).
+        back; an uncached map derives no key.  ``fn`` must then be a
+        module-level callable and every item a value-like cell (see
+        :func:`_feed`); on the fleet it must also pickle.  ``key_fn``
+        overrides the derived key; only perfbench passes it, with that
+        same key (ROADMAP item 5).
         """
         t0 = time.perf_counter()
         stats = EngineStats(jobs=self.jobs)
@@ -659,25 +659,24 @@ class RunEngine:
         stats.run_instructions = [0] * len(items)
         results: list[Any] = [None] * len(items)
 
-        keys: list[Optional[str]] = [None] * len(items)
-        if self.cache is not None or not self._inline(len(items)):
+        keys: list[str] = []
+        pending = list(range(len(items)))
+        if self.cache is not None:
             keys = (
                 run_keys(fn, items) if key_fn is None
                 else [key_fn(item) for item in items]
             )
-        pending: list[int] = []
-        for i, key in enumerate(keys):
-            if self.cache is not None:
+            pending = []
+            for i, key in enumerate(keys):
                 hit = self.cache.get(key)
                 if hit is not None:
                     results[i] = hit
                     stats.cache_hits += 1
                     stats.credit("coordinator", cache_hits=1)
-                    continue
-            pending.append(i)
+                else:
+                    pending.append(i)
 
         if self._inline(len(pending)):
-            executed = pending
             for i in pending:
                 t1 = time.perf_counter()
                 results[i] = fn(items[i])
@@ -698,13 +697,14 @@ class RunEngine:
             if self.coordinator is None:
                 from repro.fleet.engine import spawn_local
 
-                self._attach(*spawn_local(self.jobs, cache=self.cache))
-            executed = self.coordinator.dispatch(
-                fn, items, pending, keys, results, stats, self.procs
+                self._attach(*spawn_local(self.jobs))
+            self.coordinator.dispatch(
+                fn, items, pending, results, stats,
+                cache=self.cache, keys=keys, procs=self.procs,
             )
 
-        stats.executed = len(executed)
-        for i in executed:
+        stats.executed = len(pending)
+        for i in pending:
             gi = guest_instructions(results[i])
             stats.run_instructions[i] = gi
             stats.guest_instructions += gi

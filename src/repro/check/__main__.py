@@ -210,10 +210,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.list:
         return _cmd_list()
-    if args.fleet == "worker":
-        from repro.fleet.cli import run_fleet_worker
-
-        return run_fleet_worker(args)
     if args.replay is not None:
         return _cmd_replay(
             args.replay, args.trace_out, args.trace_mode,

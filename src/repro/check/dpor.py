@@ -359,13 +359,11 @@ class DporExplorer:
         mode: str = DEFAULT_MODES[0],
         inject: Optional[str] = None,
         max_schedules: int = 200_000,
-        snapshot_interval: int = SNAPSHOT_INTERVAL,
     ) -> None:
         self.scenario = get_scenario(scenario_name)
         self.mode = mode
         self.inject = inject
         self.max_schedules = max_schedules
-        self.snapshot_interval = max(1, snapshot_interval)
         #: complete interleavings executed
         self.explored = 0
         #: prefixes abandoned because every enabled thread was asleep
@@ -383,7 +381,7 @@ class DporExplorer:
 
     def _make_state(self, run, tids, sleep, clocks) -> _State:
         depth = len(run.schedule)
-        want_snap = depth % self.snapshot_interval == 0
+        want_snap = depth % SNAPSHOT_INTERVAL == 0
         state = _State(
             tids=tuple(tids),
             checkpoint=run.checkpoint() if want_snap else None,
@@ -554,7 +552,6 @@ def explore_dpor(
     inject: Optional[str] = None,
     engine=None,
     max_schedules: int = 200_000,
-    snapshot_interval: int = SNAPSHOT_INTERVAL,
 ) -> ExplorationReport:
     """DPOR search plus the standard differential-oracle cell pipeline.
 
@@ -573,7 +570,6 @@ def explore_dpor(
         mode=modes[0],
         inject=inject,
         max_schedules=max_schedules,
-        snapshot_interval=snapshot_interval,
     )
     schedules = explorer.explore()
     items = [

@@ -412,16 +412,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.fleet.cli import (
-        engine_from_args,
-        replay_line,
-        run_fleet_worker,
-    )
+    from repro.fleet.cli import engine_from_args, replay_line
 
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.fleet == "worker":
-        return run_fleet_worker(args)
     if args.replay is not None:
         # serial, uncached, single-cell reproduction path
         if args.scenario is None:

@@ -5,9 +5,9 @@ fig5–8 bench matrix, checker schedule spaces, server soak cells —
 across worker processes on one or many hosts, behind the exact
 ``RunEngine.map`` contract every campaign already uses.  Reports stay
 byte-identical from 1 local worker to N remote hosts because all
-campaign state (queue, leases, shared artifact store, matrix-order
-reduce) lives on the coordinator and workers are stateless executors of
-pure runs.  See ``docs/fleet.md`` for the protocol, failure semantics
+campaign state (queue, leases, the one artifact store, matrix-order
+reduce) lives on the coordinator's host and workers are stateless
+executors of pure runs.  See ``docs/fleet.md`` for the protocol, failure semantics
 and the determinism argument.
 """
 

@@ -2,10 +2,11 @@
 
 Subcommand::
 
-    worker --connect HOST:PORT [--name NAME] [--no-cache]
+    worker --connect HOST:PORT [--name NAME]
         Serve tasks for a coordinator until it says shutdown.  This is
-        what ``RunEngine(jobs=N)`` spawns (with ``--no-cache``) and
-        what a multi-host run starts on each worker box.
+        the one worker entry point: what ``RunEngine(jobs=N)`` spawns,
+        and what serves a ``--fleet coordinator`` campaign.  A worker
+        keeps no result store; the coordinator's engine owns the cache.
 
 Fleet scaling (serial vs a 2-worker loopback fleet on panel 5a) is
 measured by ``python3 perfbench/run.py --workload fig-sweep --trace 1``.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.fleet.cli import _from_env, parse_hostport
+from repro.fleet.cli import parse_hostport
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,19 +36,13 @@ def main(argv: list[str] | None = None) -> int:
         "--name", default=None,
         help="worker name in coordinator stats (default host-pid)",
     )
-    worker.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the worker-local result cache",
-    )
 
     args = parser.parse_args(argv)
 
-    from repro.bench.parallel import _env_cache
     from repro.fleet.worker import serve
 
     host, port = parse_hostport(args.connect)
-    cache = None if args.no_cache else _from_env(_env_cache)
-    served = serve(host, port, name=args.name, cache=cache)
+    served = serve(host, port, name=args.name)
     print(f"fleet worker served {served} task(s)", file=sys.stderr)
     return 0
 

@@ -11,15 +11,13 @@ reproduction through :func:`replay_line`::
     --cache-dir DIR       result cache location
     --fleet coordinator   bind --fleet-bind, wait for --fleet-workers
                           external workers, then run the campaign
-    --fleet worker        connect to --fleet-connect and serve tasks
-                          (the campaign arguments are ignored)
 
 Each flag overrides its ``REPRO_BENCH_*`` environment knob
-(:meth:`~repro.bench.parallel.RunEngine.from_env`).  A multi-host run is
-"start the coordinator command on one box, start the same command with
-``--fleet worker --fleet-connect host:port`` on the others".  Campaign
-stdout stays byte-identical to the serial run in every mode — the
-engine only changes where the pure runs execute.
+(:meth:`~repro.bench.parallel.RunEngine.from_env`).  The external
+workers of ``--fleet coordinator`` are started with ``python -m
+repro.fleet worker --connect HOST:PORT``, the one worker entry point.
+Campaign stdout stays byte-identical to the serial run in every mode —
+the engine only changes where the pure runs execute.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "engine_from_args",
     "parse_hostport",
     "replay_line",
-    "run_fleet_worker",
 ]
 
 
@@ -71,19 +68,15 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
              ".repro-bench-cache)",
     )
     group.add_argument(
-        "--fleet", default=None, choices=["coordinator", "worker"],
-        help="distributed execution: 'coordinator' (bind --fleet-bind, "
-             "wait for --fleet-workers external workers) or 'worker' "
-             "(serve --fleet-connect; campaign arguments are ignored)",
+        "--fleet", default=None, choices=["coordinator"],
+        help="distributed execution: 'coordinator' binds --fleet-bind "
+             "and waits for --fleet-workers external workers (python -m "
+             "repro.fleet worker)",
     )
     group.add_argument(
         "--fleet-bind", default="0.0.0.0:0", metavar="HOST:PORT",
         help="coordinator listen address (default 0.0.0.0:0 — an "
              "ephemeral port, printed on stderr)",
-    )
-    group.add_argument(
-        "--fleet-connect", default=None, metavar="HOST:PORT",
-        help="coordinator address a worker should dial",
     )
     group.add_argument(
         "--fleet-workers", type=_positive_int, default=2, metavar="N",
@@ -97,22 +90,6 @@ def parse_hostport(text: str) -> tuple[str, int]:
     if not sep or not host:
         raise ValueError(f"expected HOST:PORT, got {text!r}")
     return host, int(port)
-
-
-def run_fleet_worker(args: argparse.Namespace) -> int:
-    """The ``--fleet worker`` path, shared by every campaign CLI."""
-    from repro.fleet.worker import serve
-
-    if not args.fleet_connect:
-        print(
-            "--fleet worker needs --fleet-connect HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
-    host, port = parse_hostport(args.fleet_connect)
-    served = serve(host, port, cache=_cache_from_args(args))
-    print(f"fleet worker served {served} task(s)", file=sys.stderr)
-    return 0
 
 
 def _from_env(read):
@@ -135,9 +112,7 @@ def _cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
 
 def engine_from_args(args: argparse.Namespace) -> RunEngine:
     """The campaign engine: the ``REPRO_BENCH_*`` knobs, overridden by
-    the :func:`add_engine_args` flags.  ``--fleet worker`` is not an
-    engine — route it through :func:`run_fleet_worker` first.  The
-    caller closes the engine."""
+    the :func:`add_engine_args` flags.  The caller closes the engine."""
     cache = _cache_from_args(args)
     if args.fleet == "coordinator":
         from repro.fleet.engine import FleetEngine

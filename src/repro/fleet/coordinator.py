@@ -1,11 +1,11 @@
 """The fleet coordinator: shard a run matrix across TCP workers.
 
-The coordinator owns the only mutable campaign state — the task queue,
-the per-task leases and the shared artifact store — so determinism is
-structural: workers are stateless executors of pure runs, results come
-back addressed by matrix index, and the reduce happens in input order
-exactly like the engine's inline path.  Scheduling, worker death,
-retries and cache topology can therefore never reach the report bytes.
+The coordinator owns the only mutable campaign state — the task queue
+and the per-task leases — so determinism is structural: workers are
+stateless executors of pure runs, results come back addressed by matrix
+index, and the reduce happens in input order exactly like the engine's
+inline path.  Scheduling, worker death and retries can therefore never
+reach the report bytes.
 
 Robustness model (the part that makes fleet speedups usable):
 
@@ -23,7 +23,7 @@ Robustness model (the part that makes fleet speedups usable):
 * **Integrity.**  Every result payload travels with its SHA-256 digest
   and is re-hashed on receipt; a mismatch is treated like a transport
   fault (logged, counted, task re-queued) and the verified payload is
-  stored into the shared :class:`~repro.bench.parallel.ResultCache`
+  stored into the engine's :class:`~repro.bench.parallel.ResultCache`
   byte-for-byte, so a later cache read verifies the same digest.
 * **Graceful drain.**  ``shutdown()`` lets parked workers exit on a
   ``shutdown`` frame and in-flight work complete; it never aborts a
@@ -77,17 +77,18 @@ class _Batch:
     """One in-flight dispatch() call."""
 
     def __init__(self, fn_ref: str, items: Sequence[Any],
-                 pending: Sequence[int], keys: list[Optional[str]],
-                 results: list[Any], stats: EngineStats):
+                 pending: Sequence[int], results: list[Any],
+                 stats: EngineStats, cache: Optional[ResultCache],
+                 keys: Sequence[str]):
         self.fn_ref = fn_ref
         self.items = items
-        self.keys = keys
         self.stats = stats
         self.results = results
+        self.cache = cache
+        self.keys = keys
         self.have = [True] * len(items)
         for task in pending:
             self.have[task] = False
-        self.executed = [False] * len(items)
         self.pending: deque[int] = deque(pending)
         #: (ready_time, task) pairs awaiting their retry backoff
         self.delayed: list[tuple[float, int]] = []
@@ -130,12 +131,10 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        cache: Optional[ResultCache] = None,
         heartbeat_timeout: float = 15.0,
         max_attempts: int = 4,
         retry_backoff: float = 0.25,
     ):
-        self.cache = cache
         self.heartbeat_timeout = heartbeat_timeout
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
@@ -272,7 +271,6 @@ class Coordinator:
                         "type": "task",
                         "task": task,
                         "fn": batch.fn_ref,
-                        "key": batch.keys[task],
                     }
                     stats = batch.stats
                     break
@@ -355,33 +353,27 @@ class Coordinator:
             batch.results[task] = pickle.loads(payload)
             batch.have[task] = True
             batch.done += 1
-            cached = bool(msg.get("cached"))
             wall = float(msg.get("wall") or 0.0)
-            if cached:
-                stats.cache_hits += 1
-                stats.credit(worker.name, cache_hits=1)
-            else:
-                batch.executed[task] = True
-                stats.run_walls[task] = wall
-                stats.run_wall += wall
-                dropped, sink_errors = trace_health(batch.results[task])
-                stats.trace_dropped += dropped
-                stats.trace_sink_errors += sink_errors
-                stats.credit(
-                    worker.name, tasks=1, run_wall=wall,
-                    trace_dropped=dropped,
-                    trace_sink_errors=sink_errors,
+            stats.run_walls[task] = wall
+            stats.run_wall += wall
+            dropped, sink_errors = trace_health(batch.results[task])
+            stats.trace_dropped += dropped
+            stats.trace_sink_errors += sink_errors
+            stats.credit(
+                worker.name, tasks=1, run_wall=wall,
+                trace_dropped=dropped,
+                trace_sink_errors=sink_errors,
+            )
+            if dropped or sink_errors:
+                # observability degraded on a remote run: say so on
+                # the coordinator's stderr, not just in the lanes
+                _log.warning(
+                    "worker %s: task %d ran with degraded tracing "
+                    "(%d event(s) dropped, %d sink(s) detached)",
+                    worker.name, task, dropped, sink_errors,
                 )
-                if dropped or sink_errors:
-                    # observability degraded on a remote run: say so on
-                    # the coordinator's stderr, not just in the lanes
-                    _log.warning(
-                        "worker %s: task %d ran with degraded tracing "
-                        "(%d event(s) dropped, %d sink(s) detached)",
-                        worker.name, task, dropped, sink_errors,
-                    )
-            if self.cache is not None and batch.keys[task] is not None:
-                self.cache.put_bytes(
+            if batch.cache is not None:
+                batch.cache.put_bytes(
                     batch.keys[task], payload, msg.get("digest")
                 )
             self._cond.notify_all()
@@ -466,26 +458,27 @@ class Coordinator:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         pending: Sequence[int],
-        keys: list[Optional[str]],
         results: list[Any],
         stats: EngineStats,
+        *,
+        cache: Optional[ResultCache] = None,
+        keys: Sequence[str] = (),
         procs: Sequence[Any] = (),
-    ) -> list[int]:
+    ) -> None:
         """Run ``fn`` over ``items[i]`` for every ``i`` in ``pending``.
 
         The fleet half of :meth:`repro.bench.parallel.RunEngine.map`,
         which serves cache hits before calling this: results land in
         ``results[i]`` (so the reduce is in input order), lanes and
-        counters are credited to ``stats``, and verified payloads are
-        stored in the shared cache.  Blocks until every task delivered,
-        under the lease/retry machinery documented on the class; returns
-        the indices that executed (the rest were worker-cache hits).
-        ``procs`` are the fleet's own worker processes, if it has any:
-        once all of them have exited the dispatch fails instead of
-        waiting for a worker that cannot come.
+        counters are credited to ``stats``, and with a ``cache`` each
+        verified payload is stored under ``keys[i]``.  Blocks until
+        every task delivered, under the lease/retry machinery documented
+        on the class.  ``procs`` are the fleet's own worker processes,
+        if it has any: once all of them have exited the dispatch fails
+        instead of waiting for a worker that cannot come.
         """
         batch = _Batch(
-            fn_reference(fn), items, pending, keys, results, stats
+            fn_reference(fn), items, pending, results, stats, cache, keys
         )
         with self._cond:
             if self._batch is not None:
@@ -505,7 +498,6 @@ class Coordinator:
                 self._batch = None
         if batch.failure is not None:
             raise batch.failure
-        return [i for i, ran in enumerate(batch.executed) if ran]
 
     # ------------------------------------------------------------ shutdown
     def shutdown(self, timeout: float = 10.0) -> None:

@@ -8,7 +8,10 @@ fault campaign — fans out through
 :class:`~repro.fleet.coordinator.Coordinator` and ``N`` worker
 subprocesses, and :meth:`Coordinator.dispatch
 <repro.fleet.coordinator.Coordinator.dispatch>` shards the uncached
-runs across them.  That is the repo's one parallel backend.
+runs across them.  That is the repo's one parallel backend.  The engine
+owns the result cache: it serves hits before dispatching and hands the
+cache to ``dispatch``, which stores each verified payload; workers keep
+no store of their own.
 
 :class:`FleetEngine` is the same engine with every map dispatched to the
 fleet, never inline.  Two construction shapes:
@@ -17,8 +20,8 @@ fleet, never inline.  Two construction shapes:
   :func:`spawn_local` (the shape the tests and perfbench's fig-sweep
   fleet lane use).
 * :meth:`FleetEngine.coordinate` — bind an address and wait for
-  externally started workers (``--fleet coordinator`` + ``--fleet
-  worker`` on other hosts).
+  externally started ``python -m repro.fleet worker`` processes
+  (``--fleet coordinator``).
 """
 
 from __future__ import annotations
@@ -44,22 +47,14 @@ def _worker_pythonpath() -> str:
 def spawn_local(
     workers: int,
     *,
-    cache: Optional[ResultCache] = None,
     worker_env: Optional[dict[str, str]] = None,
     startup_timeout: float = 60.0,
     heartbeat_timeout: float = 15.0,
 ) -> tuple[Coordinator, list[subprocess.Popen]]:
-    """A loopback coordinator plus ``workers`` worker subprocesses.
-
-    Workers run with their local cache off: the coordinator already
-    checks and fills ``cache``, the one store on this host, so a worker
-    lane could only serve results the caller asked not to reuse.
-    """
+    """A loopback coordinator plus ``workers`` worker subprocesses."""
     if workers < 1:
         raise ValueError("a local fleet needs at least one worker")
-    coordinator = Coordinator(
-        cache=cache, heartbeat_timeout=heartbeat_timeout
-    )
+    coordinator = Coordinator(heartbeat_timeout=heartbeat_timeout)
     host, port = coordinator.address
     env = dict(os.environ)
     env["PYTHONPATH"] = _worker_pythonpath()
@@ -73,7 +68,6 @@ def spawn_local(
                     sys.executable, "-m", "repro.fleet", "worker",
                     "--connect", f"{host}:{port}",
                     "--name", f"w{k + 1}",
-                    "--no-cache",
                 ],
                 env=env,
             ))
@@ -108,9 +102,10 @@ class FleetEngine(RunEngine):
         coordinator: Coordinator,
         *,
         jobs: int = 1,
+        cache: Optional[ResultCache] = None,
         procs: Sequence[subprocess.Popen] = (),
     ):
-        super().__init__(jobs=max(1, jobs), cache=coordinator.cache)
+        super().__init__(jobs=max(1, jobs), cache=cache)
         self._attach(coordinator, procs)
 
     def _inline(self, pending: int) -> bool:
@@ -129,11 +124,11 @@ class FleetEngine(RunEngine):
     ) -> "FleetEngine":
         """Coordinator + ``workers`` loopback worker subprocesses."""
         coordinator, procs = spawn_local(
-            workers, cache=cache, worker_env=worker_env,
+            workers, worker_env=worker_env,
             startup_timeout=startup_timeout,
             heartbeat_timeout=heartbeat_timeout,
         )
-        return cls(coordinator, jobs=workers, procs=procs)
+        return cls(coordinator, jobs=workers, cache=cache, procs=procs)
 
     @classmethod
     def coordinate(
@@ -146,7 +141,7 @@ class FleetEngine(RunEngine):
         startup_timeout: float = 600.0,
     ) -> "FleetEngine":
         """Bind ``host:port`` and wait for ``workers`` external workers."""
-        coordinator = Coordinator(host, port, cache=cache)
+        coordinator = Coordinator(host, port)
         bound_host, bound_port = coordinator.address
         print(
             f"fleet coordinator listening on {bound_host}:{bound_port}, "
@@ -158,4 +153,4 @@ class FleetEngine(RunEngine):
         except BaseException:
             coordinator.shutdown()
             raise
-        return cls(coordinator, jobs=workers)
+        return cls(coordinator, jobs=workers, cache=cache)

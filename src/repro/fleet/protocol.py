@@ -29,9 +29,9 @@ type       from     header fields                                 payload
 hello      worker   worker, pid                                   --
 ready      worker   --                                            --
 heartbeat  worker   --                                            --
-result     worker   task, key, digest, cached, wall               pickle
+result     worker   task, digest, wall                            pickle
 error      worker   task, error, wall                             --
-task       coord    task, fn ("module:qualname"), key             pickle
+task       coord    task, fn ("module:qualname")                  pickle
 shutdown   coord    --                                            --
 ========== ======== ============================================= =========
 """

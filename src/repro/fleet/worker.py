@@ -1,4 +1,4 @@
-"""The fleet worker: a stateless run executor with a local cache lane.
+"""The fleet worker: a stateless run executor.
 
 A worker dials the coordinator, introduces itself, and then loops on a
 pull protocol — send ``ready``, block until a ``task`` frame arrives,
@@ -7,13 +7,11 @@ the coordinator never has to model worker capacity: a slow or wedged
 worker simply stops asking, and its leases fall to the heartbeat
 monitor.
 
-Workers are deliberately stateless between tasks.  All campaign state
-lives on the coordinator; the only thing a worker may keep is its local
-:class:`~repro.bench.parallel.ResultCache`, which is a pure
-content-addressed accelerator — a warm worker cache changes transfer
-and wall numbers, never report bytes, because cached results are served
-as the exact payload bytes (with their digest) that a cold run would
-have produced.
+Workers hold no state between tasks, not even a result store: all
+campaign state lives on the coordinator's host, whose engine checks
+and fills the one :class:`~repro.bench.parallel.ResultCache`.  Every
+task a worker receives is executed, so where a run executes can change
+wall clock only, never report bytes.
 
 A background thread heartbeats every ``heartbeat_interval`` seconds so
 the coordinator can tell "hung mid-task" from "still crunching".
@@ -29,7 +27,7 @@ import threading
 import time
 from typing import Optional
 
-from repro.bench.parallel import ResultCache, payload_digest
+from repro.bench.parallel import payload_digest
 from repro.fleet.protocol import FrameSocket, connect, resolve_fn
 
 __all__ = ["serve"]
@@ -52,7 +50,6 @@ def serve(
     port: int,
     *,
     name: Optional[str] = None,
-    cache: Optional[ResultCache] = None,
     heartbeat_interval: float = 2.0,
     dial_timeout: float = 30.0,
 ) -> int:
@@ -60,7 +57,7 @@ def serve(
 
     Dialing retries for up to ``dial_timeout`` seconds so workers can be
     started before (or while) the coordinator binds.  Returns the number
-    of tasks served (cache hits included).
+    of tasks served.
     """
     deadline = time.monotonic() + dial_timeout
     while True:
@@ -92,44 +89,32 @@ def serve(
             if msg.get("type") != "task":
                 continue
             task = msg["task"]
-            key = msg.get("key")
             t0 = time.perf_counter()
-            cached = False
-            entry = cache.get_bytes(key) if cache and key else None
-            if entry is not None:
-                out_payload, digest = entry
-                cached = True
-            else:
-                try:
-                    fn = fns.get(msg["fn"])
-                    if fn is None:
-                        fn = fns[msg["fn"]] = resolve_fn(msg["fn"])
-                    result = fn(pickle.loads(payload))
-                except Exception as exc:
-                    _log.warning(
-                        "task %d (%s) failed: %s", task, msg["fn"], exc
-                    )
-                    frame.send({
-                        "type": "error",
-                        "task": task,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "wall": time.perf_counter() - t0,
-                    })
-                    frame.send({"type": "ready"})
-                    continue
-                out_payload = pickle.dumps(
-                    result, protocol=pickle.HIGHEST_PROTOCOL
+            try:
+                fn = fns.get(msg["fn"])
+                if fn is None:
+                    fn = fns[msg["fn"]] = resolve_fn(msg["fn"])
+                result = fn(pickle.loads(payload))
+            except Exception as exc:
+                _log.warning(
+                    "task %d (%s) failed: %s", task, msg["fn"], exc
                 )
-                digest = payload_digest(out_payload)
-                if cache and key:
-                    cache.put_bytes(key, out_payload, digest)
+                frame.send({
+                    "type": "error",
+                    "task": task,
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "wall": time.perf_counter() - t0,
+                })
+                frame.send({"type": "ready"})
+                continue
+            out_payload = pickle.dumps(
+                result, protocol=pickle.HIGHEST_PROTOCOL
+            )
             frame.send(
                 {
                     "type": "result",
                     "task": task,
-                    "key": key,
-                    "digest": digest,
-                    "cached": cached,
+                    "digest": payload_digest(out_payload),
                     "wall": time.perf_counter() - t0,
                 },
                 out_payload,

@@ -18,8 +18,8 @@ Every subcommand runs its scenario through the same capture pipeline
 :class:`~repro.bench.parallel.RunEngine` — captures are cached on disk
 by content address, so re-rendering a different view of the same run is
 a cache hit, not a re-execution.  ``--jobs N`` runs the work on a
-loopback fleet of ``N`` workers, and ``--fleet coordinator`` / ``worker``
-route it over a distributed run fleet; every artifact (episodes reports,
+loopback fleet of ``N`` workers, and ``--fleet coordinator`` routes it
+over a distributed run fleet; every artifact (episodes reports,
 checkpoint streams) is byte-identical whichever engine produced it.
 Stdout is a pure function of the arguments; engine statistics go to
 stderr.
@@ -39,7 +39,6 @@ import sys
 from repro.fleet.cli import (
     add_engine_args,
     engine_from_args,
-    run_fleet_worker,
 )
 from repro.obs.capture import ObsSpec, capture_with_engine
 from repro.obs.scenarios import scenarios
@@ -382,8 +381,6 @@ def _cmd_summary(args, artifact: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.fleet == "worker":
-        return run_fleet_worker(args)
     if args.list:
         return _cmd_list()
     if args.command is None:

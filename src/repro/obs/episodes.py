@@ -413,26 +413,3 @@ def policy_table(reports: dict[str, dict[str, Any]]) -> str:
         )
     return "\n".join(lines)
 
-
-class EpisodeSink:
-    """Online tracer-sink variant: attach to a live VM and read the
-    episode report at the end without materializing a capture artifact.
-
-    ``vm.tracer.add_sink(EpisodeSink())`` folds events into spans as
-    they happen (the heavy, per-event work); :meth:`finish` runs the
-    final overlap join.  The result is identical to the offline pass
-    over a stored artifact — both are pure functions of the same event
-    stream (pinned by tests).
-    """
-
-    def __init__(self) -> None:
-        from repro.obs.spans import SpanBuilder
-
-        self._builder = SpanBuilder()
-
-    def __call__(self, event) -> None:
-        self._builder(event)
-
-    def finish(self, now: int) -> list[dict[str, Any]]:
-        """Close open spans at ``now`` and return the episode list."""
-        return detect_episodes(self._builder.finish(now))

@@ -43,7 +43,6 @@ from repro.fleet.cli import (
     add_engine_args,
     engine_from_args,
     replay_line,
-    run_fleet_worker,
 )
 from repro.server.plane import ServerSpec, run_server_cell
 from repro.server.presets import get_preset, preset_names
@@ -189,8 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.list:
         return _cmd_list()
-    if args.fleet == "worker":
-        return run_fleet_worker(args)
     if args.requests and args.requests < len(get_preset(args.preset).tiers):
         parser.error("--requests must cover at least one per tier")
     if args.replay is not None:

@@ -257,7 +257,8 @@ def run_server_cell(spec: ServerSpec) -> dict:
     sweeps.  The report never mentions ``interp`` or worker counts: the
     byte-identity contract across both is pinned by tests.
     """
-    from repro.obs.episodes import EpisodeSink
+    from repro.obs.episodes import detect_episodes
+    from repro.obs.spans import SpanBuilder
     from repro.server.presets import get_preset
 
     config = get_preset(spec.preset)
@@ -278,14 +279,14 @@ def run_server_cell(spec: ServerSpec) -> dict:
         trace=True,
     )
     vm = JVM(options)
-    # Stream, don't store: the tracer feeds the online episode sink
-    # only, so the raw events are never kept.  The sink's SpanBuilder
-    # still keeps every span (about 5k per 1000-request cell), so host
-    # memory grows with the spans, not the events.  The per-tier
-    # inversion-episode counts in the report come from here.
+    # Stream, don't store: the tracer feeds an online SpanBuilder only,
+    # so the raw events are never kept.  The builder still keeps every
+    # span (about 5k per 1000-request cell), so host memory grows with
+    # the spans, not the events.  The per-tier inversion-episode counts
+    # in the report are detected over its spans at the end.
     vm.tracer.store = False
-    episode_sink = EpisodeSink()
-    vm.tracer.add_sink(episode_sink)
+    spans = SpanBuilder()
+    vm.tracer.add_sink(spans)
     build_server(config, seed).install(vm)
     detector = AbortStormDetector(config)
     vm.slice_hooks.append(detector)
@@ -301,7 +302,7 @@ def run_server_cell(spec: ServerSpec) -> dict:
         violations=violations,
         storm_events=detector.events,
         injected=vm.fault_plane.report() if vm.fault_plane else {},
-        episodes=episode_sink.finish(vm.clock.now),
+        episodes=detect_episodes(spans.finish(vm.clock.now)),
     )
     report["chaos"] = spec.chaos
     report["inject_bug"] = spec.inject_bug

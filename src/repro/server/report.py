@@ -101,8 +101,10 @@ def build_report(
 ) -> dict[str, Any]:
     """Assemble the full deterministic report of one quiesced run.
 
-    ``episodes`` is the priority-inversion episode list from the online
-    :class:`repro.obs.episodes.EpisodeSink` (None = tracing was off);
+    ``episodes`` is the priority-inversion episode list that
+    :func:`repro.obs.episodes.detect_episodes` finds over the spans of
+    an online :class:`repro.obs.spans.SpanBuilder` (None = tracing was
+    off);
     each episode is attributed to the SLA tier of its *blocked* thread.
     """
     metrics = vm.metrics()

@@ -4,24 +4,18 @@ The paper (§4.1) reports the mean of five benchmark iterations with 90%
 confidence intervals; :func:`summarize` reproduces that methodology for any
 sample of repetitions.
 
-Critical values come from the embedded Student-t table (two-sided, 90%,
-1..40 degrees of freedom), which is **authoritative**: every environment —
-with or without scipy, any scipy version — computes the same half-widths,
-so benchmark reports and EXPERIMENTS.md numbers are byte-stable.  Beyond
+The confidence level is fixed at the paper's 90%.  Critical values come
+from the embedded Student-t table (two-sided, 90%, 1..40 degrees of
+freedom), so every environment computes the same half-widths and
+benchmark reports and EXPERIMENTS.md numbers are byte-stable.  Beyond
 the table the two-sided 90% normal quantile ``z = 1.645`` stands in; at
 41 degrees of freedom the exact t value is 1.683, so the half-width is
 understated by at most ~2.3% there and the error shrinks as 1/dof.
-
-Set ``REPRO_STATS_SCIPY=1`` to opt in to scipy's exact quantiles (any
-confidence level, any dof) — e.g. for offline analysis where exactness
-beats cross-environment reproducibility.  The opt-in raises ImportError
-when scipy is missing rather than silently falling back.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,26 +29,9 @@ _T90 = [
 _Z90 = 1.645  # normal approximation beyond the table (documented above)
 
 
-def _scipy_opted_in() -> bool:
-    return os.environ.get("REPRO_STATS_SCIPY", "").lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-def _t_critical(dof: int, confidence: float) -> float:
+def _t_critical(dof: int) -> float:
     if dof < 1:
         raise ValueError("need at least 2 samples for an interval")
-    if _scipy_opted_in():
-        # Explicit opt-in only: a missing scipy must fail loudly here, not
-        # silently change which quantiles the reports are built from.
-        from scipy import stats as _sps
-
-        return float(_sps.t.ppf(0.5 + confidence / 2.0, dof))
-    if abs(confidence - 0.90) > 1e-9:
-        raise ValueError(
-            "embedded table only covers 90% confidence; set "
-            "REPRO_STATS_SCIPY=1 to opt in to scipy quantiles"
-        )
     return _T90[dof - 1] if dof <= len(_T90) else _Z90
 
 
@@ -81,8 +58,8 @@ class Summary:
         return f"{self.mean:.4g} ± {self.ci_halfwidth:.2g} (n={self.n})"
 
 
-def summarize(samples: Sequence[float], confidence: float = 0.90) -> Summary:
-    """Summarize a sample as the paper does: mean with a t-based CI."""
+def summarize(samples: Sequence[float]) -> Summary:
+    """Summarize a sample as the paper does: mean with a 90% t-based CI."""
     xs = [float(x) for x in samples]
     if not xs:
         raise ValueError("empty sample")
@@ -92,15 +69,14 @@ def summarize(samples: Sequence[float], confidence: float = 0.90) -> Summary:
         return Summary(1, mean, 0.0, 0.0, xs[0], xs[0])
     var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
     stdev = math.sqrt(var)
-    half = _t_critical(n - 1, confidence) * stdev / math.sqrt(n)
+    half = _t_critical(n - 1) * stdev / math.sqrt(n)
     return Summary(n, mean, stdev, half, min(xs), max(xs))
 
 
-def confidence_interval(
-    samples: Sequence[float], confidence: float = 0.90
-) -> tuple[float, float]:
-    """Convenience wrapper returning ``(low, high)`` bounds of the mean."""
-    s = summarize(samples, confidence)
+def confidence_interval(samples: Sequence[float]) -> tuple[float, float]:
+    """Convenience wrapper returning the 90% ``(low, high)`` bounds of
+    the mean."""
+    s = summarize(samples)
     return (s.ci_low, s.ci_high)
 
 

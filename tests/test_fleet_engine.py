@@ -32,7 +32,7 @@ from repro.bench.parallel import (
 from repro.bench.report import panel_json, render_panel
 from repro.fleet.coordinator import Coordinator, FleetError
 from repro.fleet.engine import FleetEngine, _worker_pythonpath
-from repro.fleet.protocol import connect
+from repro.fleet.protocol import FrameSocket, connect
 from repro.fleet.worker import serve
 
 PANEL_KW = dict(repetitions=2, write_ratios=(0, 100))
@@ -40,21 +40,17 @@ PANEL_KW = dict(repetitions=2, write_ratios=(0, 100))
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def thread_fleet(
-    n: int = 2, *, cache=None, worker_caches=None, **coord_kw
-) -> FleetEngine:
+def thread_fleet(n: int = 2, *, cache=None, **coord_kw) -> FleetEngine:
     """Coordinator + ``n`` in-process worker threads as a FleetEngine."""
-    coordinator = Coordinator(cache=cache, **coord_kw)
+    coordinator = Coordinator(**coord_kw)
     host, port = coordinator.address
     for i in range(n):
-        kwargs = {"name": f"t{i + 1}"}
-        if worker_caches is not None:
-            kwargs["cache"] = worker_caches[i]
         threading.Thread(
-            target=serve, args=(host, port), kwargs=kwargs, daemon=True
+            target=serve, args=(host, port), kwargs={"name": f"t{i + 1}"},
+            daemon=True,
         ).start()
     coordinator.wait_for_workers(n, timeout=10)
-    return FleetEngine(coordinator, jobs=n)
+    return FleetEngine(coordinator, jobs=n, cache=cache)
 
 
 def tiny_panel(engine, monkeypatch):
@@ -147,23 +143,27 @@ class TestThreadFleet:
             serial, sort_keys=True
         )
 
-    def test_worker_local_cache_serves_hits(self, tmp_path):
-        worker_cache = ResultCache(tmp_path / "wcache")
-        engine = thread_fleet(1, worker_caches=[worker_cache])
+    def test_frames_carry_no_key_or_cached_flag(self, tmp_path, monkeypatch):
+        """The engine owns the one store: even a cached fleet map sends
+        no run key to its workers, and every result is an execution."""
+        sent = []
+        real_send = FrameSocket.send
+
+        def recording_send(frame, msg, payload=b""):
+            sent.append(msg)
+            return real_send(frame, msg, payload)
+
+        monkeypatch.setattr(FrameSocket, "send", recording_send)
+        engine = thread_fleet(2, cache=ResultCache(tmp_path / "store"))
         try:
-            items = list(range(8))
-            first = engine.map(fleet_tasks.double, items)
-            assert engine.last_stats.executed == 8
-            # coordinator has no cache, so the repeat round-trips to the
-            # worker — which serves every task from its local store
-            second = engine.map(fleet_tasks.double, items)
-            assert second == first == [i * 2 for i in items]
-            stats = engine.last_stats
-            assert stats.executed == 0
-            assert stats.cache_hits == 8
-            assert stats.workers["t1"]["cache_hits"] == 8
+            engine.map(fleet_tasks.double, list(range(6)))
         finally:
             engine.close()
+        tasks = [m for m in sent if m["type"] == "task"]
+        results = [m for m in sent if m["type"] == "result"]
+        assert len(tasks) == len(results) == 6
+        assert not any("key" in m for m in tasks + results)
+        assert not any("cached" in m for m in results)
 
     def test_task_error_fails_after_bounded_retries(self):
         engine = thread_fleet(
@@ -218,9 +218,7 @@ class TestThreadFleet:
                 {
                     "type": "result",
                     "task": task["task"],
-                    "key": task.get("key"),
                     "digest": "0" * 64,  # does not match the payload
-                    "cached": False,
                     "wall": 0.0,
                 },
                 bogus,
@@ -236,9 +234,7 @@ class TestThreadFleet:
                 {
                     "type": "result",
                     "task": retry["task"],
-                    "key": retry.get("key"),
                     "digest": payload_digest(honest),
-                    "cached": False,
                     "wall": 0.0,
                 },
                 honest,
@@ -322,8 +318,8 @@ class TestSubprocessFleet:
         self, build, tmp_path, monkeypatch
     ):
         """An engine built without a cache never serves stored results,
-        even when REPRO_BENCH_CACHE_DIR points at a warm store: loopback
-        workers run with their local cache off."""
+        even when REPRO_BENCH_CACHE_DIR points at a warm store: workers
+        keep no store of their own."""
         store = tmp_path / "store"
         items = list(range(6))
         warm = RunEngine(jobs=1, cache=ResultCache(store))
@@ -337,6 +333,21 @@ class TestSubprocessFleet:
         stats = engine.last_stats
         assert stats.cache_hits == 0
         assert stats.executed == stats.runs == len(items)
+
+    def test_uncached_fleet_map_derives_no_key(self, monkeypatch):
+        """Run keys exist for the cache alone: an uncached map that
+        fans out to the loopback fleet never hashes an item."""
+        import repro.bench.parallel as parallel
+
+        def refuse(fn, items):
+            raise AssertionError("an uncached map derived run keys")
+
+        monkeypatch.setattr(parallel, "run_keys", refuse)
+        with RunEngine(jobs=2) as engine:
+            results = engine.map(fleet_tasks.double, list(range(4)))
+            assert len(engine.procs) == 2
+        assert results == [0, 2, 4, 6]
+        assert engine.last_stats.executed == 4
 
     def test_dispatch_fails_once_every_worker_exited(self):
         engine = FleetEngine.local(1, worker_env=_subprocess_env())
@@ -442,3 +453,21 @@ class TestEngineArgs:
             self._args(["--fleet", "local:2"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", [
+        "repro.bench.__main__",
+        "repro.check.__main__",
+        "repro.obs.__main__",
+        "repro.server.__main__",
+        "repro.faults.campaign",
+    ])
+    def test_cli_fleet_worker_is_an_invalid_choice(self, module, capsys):
+        """``python -m repro.fleet worker`` is the one worker entry
+        point; no campaign CLI starts a worker."""
+        import importlib
+
+        with pytest.raises(SystemExit) as exc:
+            importlib.import_module(module).main(["--fleet", "worker"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'worker'" in err

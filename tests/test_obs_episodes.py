@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.capture import ObsSpec, capture_run
 from repro.obs.episodes import (
     EPISODES_FORMAT,
-    EpisodeSink,
     _classify,
     _spans_from_jsonl,
     build_report,
@@ -130,11 +129,12 @@ def test_render_report_mentions_everything(reports):
 
 # --------------------------------------------------- online == offline
 def test_online_sink_matches_offline_pass():
-    """The streaming sink folds the same event stream the offline pass
-    reads, so both must be attached before the scenario installs (the
-    spawn events carry the base priorities)."""
+    """A SpanBuilder attached as a tracer sink (the server plane's
+    streaming shape) folds the same event stream the offline pass reads
+    back from the stored events, so it must be attached before the
+    scenario installs (the spawn events carry the base priorities)."""
     from repro.obs.scenarios import get_scenario
-    from repro.obs.spans import SpanBuilder
+    from repro.obs.spans import SpanBuilder, build_spans
     from repro.vm.vmcore import JVM, VMOptions
 
     spec = ObsSpec(scenario="medium-inversion")
@@ -143,13 +143,11 @@ def test_online_sink_matches_offline_pass():
         mode=spec.mode, seed=spec.seed, trace=True, **scenario.options
     ))
     builder = SpanBuilder()
-    sink = EpisodeSink()
     vm.tracer.add_sink(builder)
-    vm.tracer.add_sink(sink)
     scenario.install(vm, spec.seed, spec.write_pct)
     vm.run()
-    offline = detect_episodes(builder.finish(vm.clock.now))
-    online = sink.finish(vm.clock.now)
+    offline = detect_episodes(build_spans(vm.tracer.events, vm.clock.now))
+    online = detect_episodes(builder.finish(vm.clock.now))
     assert online == offline
     assert len(online) == 1
 

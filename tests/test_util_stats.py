@@ -40,7 +40,7 @@ class TestSummarize:
 
     def test_ci_90_matches_t_table(self):
         # n=5, dof=4 -> t = 2.132; stdev of [1..5] = sqrt(2.5)
-        s = summarize([1.0, 2.0, 3.0, 4.0, 5.0], confidence=0.90)
+        s = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
         expected = 2.132 * math.sqrt(2.5) / math.sqrt(5)
         assert s.ci_halfwidth == pytest.approx(expected, rel=1e-3)
 
@@ -59,19 +59,11 @@ class TestSummarize:
 
 
 class TestTCritical:
-    def test_embedded_table_used_even_with_scipy(self, monkeypatch):
-        """Without the explicit opt-in the table is authoritative: any
-        non-90% confidence must fail, even when scipy is importable."""
-        monkeypatch.delenv("REPRO_STATS_SCIPY", raising=False)
-        with pytest.raises(ValueError):
-            summarize([1.0, 2.0, 3.0], confidence=0.95)
-
-    def test_z_fallback_beyond_table(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STATS_SCIPY", raising=False)
+    def test_z_fallback_beyond_table(self):
         from repro.util.stats import _T90, _Z90, _t_critical
 
-        assert _t_critical(len(_T90), 0.90) == _T90[-1]
-        assert _t_critical(len(_T90) + 1, 0.90) == _Z90
+        assert _t_critical(len(_T90)) == _T90[-1]
+        assert _t_critical(len(_T90) + 1) == _Z90
 
     def test_table_matches_scipy(self):
         """Table-vs-exact parity: the embedded values are scipy's
@@ -82,15 +74,6 @@ class TestTCritical:
         for dof, tabulated in enumerate(_T90, start=1):
             exact = float(scipy_stats.t.ppf(0.95, dof))
             assert tabulated == pytest.approx(exact, abs=2e-3), dof
-
-    def test_scipy_opt_in(self, monkeypatch):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        monkeypatch.setenv("REPRO_STATS_SCIPY", "1")
-        s = summarize([1.0, 2.0, 3.0, 4.0, 5.0], confidence=0.95)
-        expected = float(scipy_stats.t.ppf(0.975, 4))
-        assert s.ci_halfwidth == pytest.approx(
-            expected * math.sqrt(2.5) / math.sqrt(5)
-        )
 
 
 class TestConfidenceInterval:
