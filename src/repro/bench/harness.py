@@ -48,9 +48,6 @@ class RunResult:
     undo_restored: int
     context_switches: int
     metrics: dict[str, Any] = field(repr=False, default_factory=dict)
-    #: cycle attribution (``repro.obs`` profiler snapshot: tracks, total,
-    #: per-method table) when the run was made with ``profile=True``
-    profile: Optional[dict[str, Any]] = field(repr=False, default=None)
 
 
 def run_microbench(
@@ -59,22 +56,16 @@ def run_microbench(
     *,
     options: Optional[VMOptions] = None,
     cost_model: Optional[CostModel] = None,
-    profile: bool = False,
 ) -> RunResult:
-    """Run one configuration on one VM mode and extract the paper's metrics.
-
-    ``profile=True`` attaches the virtual-cycle profiler
-    (:mod:`repro.obs.profile`) and stores its snapshot — exact per-track
-    and per-method cycle attribution — on the result.
-    """
+    """Run one configuration on one VM mode and extract the paper's
+    metrics.  Cycle profiles come from the obs capture
+    (:mod:`repro.obs.capture`), not from this harness."""
     if options is None:
         options = VMOptions(mode=mode, seed=config.seed)
     else:
         options = options.with_(mode=mode, seed=config.seed)
     if cost_model is not None:
         options = options.with_(cost_model=cost_model)
-    if profile:
-        options = options.with_(profile=True)
     vm = JVM(options)
     setup_microbench_vm(vm, config)
     vm.run()
@@ -92,9 +83,6 @@ def run_microbench(
     )
     m = vm.metrics()
     support = m.get("support", {})
-    profile_data: Optional[dict[str, Any]] = None
-    if vm.profiler is not None:
-        profile_data = vm.profiler.snapshot()
     return RunResult(
         mode=mode,
         config=config,
@@ -106,7 +94,6 @@ def run_microbench(
         undo_restored=support.get("undo_entries_restored", 0),
         context_switches=m["context_switches"],
         metrics=m,
-        profile=profile_data,
     )
 
 

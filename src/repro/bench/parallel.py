@@ -398,9 +398,9 @@ class EngineStats:
     trace_dropped: int = 0
     #: tracer sinks detached after raising, executed runs only
     trace_sink_errors: int = 0
-    #: per-worker breakdown — worker name -> counters.  Cache hits served
-    #: before dispatch are credited to the pseudo-worker "coordinator";
-    #: the aggregate fields above are always the exact sums of these.
+    #: per-worker breakdown — worker name -> counters of the tasks that
+    #: lane executed; cache hits are served before dispatch and appear
+    #: only in the aggregate :attr:`cache_hits`.
     workers: dict[str, dict[str, Any]] = field(
         default_factory=dict, repr=False
     )
@@ -409,7 +409,6 @@ class EngineStats:
         """The (mutable) per-worker counter record for ``name``."""
         return self.workers.setdefault(name, {
             "tasks": 0,
-            "cache_hits": 0,
             "run_wall": 0.0,
             "bytes_sent": 0,
             "bytes_received": 0,
@@ -422,7 +421,6 @@ class EngineStats:
         name: str,
         *,
         tasks: int = 0,
-        cache_hits: int = 0,
         run_wall: float = 0.0,
         bytes_sent: int = 0,
         bytes_received: int = 0,
@@ -432,7 +430,6 @@ class EngineStats:
         """Add counters to one worker's record (creating it on demand)."""
         rec = self.worker(name)
         rec["tasks"] += tasks
-        rec["cache_hits"] += cache_hits
         rec["run_wall"] += run_wall
         rec["bytes_sent"] += bytes_sent
         rec["bytes_received"] += bytes_received
@@ -488,20 +485,18 @@ class EngineStats:
         Empty when the breakdown is trivial (a single execution lane and
         no remote traffic), so serial stderr output stays unchanged.
         """
-        lanes = [n for n in self.workers if n != "coordinator"]
         moved = any(
             rec["bytes_sent"] or rec["bytes_received"]
             for rec in self.workers.values()
         )
         degraded = self.trace_dropped or self.trace_sink_errors
-        if len(lanes) <= 1 and not moved and not degraded:
+        if len(self.workers) <= 1 and not moved and not degraded:
             return []
         lines = []
         for name in sorted(self.workers):
             rec = self.workers[name]
             line = (
                 f"  worker {name}: {rec['tasks']} tasks, "
-                f"{rec['cache_hits']} cache hits, "
                 f"{rec['run_wall']:.2f}s run wall"
             )
             if rec["bytes_sent"] or rec["bytes_received"]:
@@ -672,7 +667,6 @@ class RunEngine:
                 if hit is not None:
                     results[i] = hit
                     stats.cache_hits += 1
-                    stats.credit("coordinator", cache_hits=1)
                 else:
                     pending.append(i)
 

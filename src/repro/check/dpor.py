@@ -44,6 +44,12 @@ exactly like exhaustive cells — same differential oracle, same
 counterexample / ddmin / replay pipeline, same content-addressed cache,
 byte-identical reports for any worker count.
 
+The search steps the VM through :class:`SteppingRun`, the explorer's
+:class:`~repro.check.explorer.ScheduleController` with one change: past
+its prefix it pauses instead of picking.  Committing a choice appends
+it to the prefix, so the checker has one decision hook, one default
+policy, one drift rule and one schedule record.
+
 Rather than replaying every explored prefix from cycle zero, the engine
 checkpoints the VM (:mod:`repro.vm.snapshot`) at decision points.  The
 stepping run is the VM's decision hook, and a snapshot captures the
@@ -51,10 +57,11 @@ hook, so one :func:`~repro.vm.snapshot.restore_vm` brings back the VM
 together with its committed schedule and pending decision — the same
 resume path the time-travel debugger uses.  Snapshots are taken
 sparsely (every :data:`SNAPSHOT_INTERVAL` levels of the DFS stack):
-repositioning restores the nearest ancestor checkpoint and replays at
-most ``SNAPSHOT_INTERVAL - 1`` recorded choices, trading a bounded
-amount of deterministic re-execution for an order of magnitude fewer
-serializations (each snapshot is one ``pickle.dumps`` of the VM).
+repositioning restores the nearest ancestor checkpoint and replays the
+path's choices as its prefix — at most ``SNAPSHOT_INTERVAL - 1`` of
+them past the checkpoint — trading a bounded amount of deterministic
+re-execution for an order of magnitude fewer serializations (each
+snapshot is one ``pickle.dumps`` of the VM).
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from repro.check.explorer import (
     DEFAULT_MODES,
     CheckItem,
     ExplorationReport,
+    ScheduleController,
     check_vm,
     run_check_cell,
     summarize_results,
@@ -180,18 +188,24 @@ class _PeekSignal(Exception):
         self.tids = tids
 
 
-class SteppingRun:
+class SteppingRun(ScheduleController):
     """One scenario run, paused at every scheduling decision.
 
     The protocol is ``advance() -> ("decision", tids) | ("done", outcome)``
     then ``choose(tid)`` to commit one decision and execute its slice.
 
-    The run installs itself as its VM's decision hook, so the committed
-    schedule and the pending decision are VM state.  Between ``advance``
-    and ``choose`` the VM is quiescent: :meth:`checkpoint` is one
-    :func:`~repro.vm.snapshot.snapshot_vm` of it, and :meth:`resume`
-    restores an independent continuation from that snapshot, whose hook
-    is the restored copy of the run, positioned at the same decision.
+    The run is its VM's decision hook: a :class:`ScheduleController`
+    whose continuation past its prefix is to pause.  ``choose`` appends
+    to the prefix and steps once, so every committed choice is a prefix
+    replay and the schedule is the controller's record; a replay that
+    drifts is a determinism violation, not a fallback.  :meth:`drive`
+    switches the continuation to the default policy and runs to the end.
+
+    Between ``advance`` and ``choose`` the VM is quiescent:
+    :meth:`checkpoint` is one :func:`~repro.vm.snapshot.snapshot_vm` of
+    it, and :meth:`resume` restores an independent continuation from that
+    snapshot, whose hook is the restored copy of the run, positioned at
+    the same decision.
 
     Runs use the checker VM (:func:`repro.check.explorer.check_vm`) plus
     tracing (memory tracing forces the reference interpreter —
@@ -208,33 +222,30 @@ class SteppingRun:
         interp: Optional[str] = None,
         trace_memory: bool = True,
     ) -> None:
+        super().__init__()
         overrides = {"trace": True, "trace_memory": trace_memory}
         if interp is not None:
             overrides["interp"] = interp
         self.vm = check_vm(scenario, mode, inject=inject, **overrides)
         self.vm.scheduler.decision_hook = self
-        self._peeking = False
-        self._forced: Optional[int] = None
-        #: committed choices so far (the prefix of a check schedule)
-        self.schedule: list[int] = []
+        #: decisions past the prefix pause the run; :meth:`drive` clears
+        #: it to hand them to the default policy
+        self.stepping = True
         #: candidate tids at the currently paused decision, else None
         self.pending: Optional[tuple[int, ...]] = None
         self.outcome: Optional[str] = None
         self.vm.begin_run()
 
-    def __call__(self, cands) -> int:
-        tids = tuple(t.tid for t in cands)
-        if self._peeking:
-            raise _PeekSignal(tids)
-        if self._forced is None:
-            raise RuntimeError("scheduling decision without a choice")
-        if tids != self.pending:
+    def _continue(self, tids: tuple[int, ...]) -> int:
+        if not self.stepping:
+            return self.default_choice(tids)
+        if len(self.trace) < len(self.prefix):
             raise RuntimeError(
-                f"determinism violation: candidates {tids} at replayed "
-                f"decision, expected {self.pending}"
+                "determinism violation: replayed choice "
+                f"{self.prefix[len(self.trace)]} not among candidates "
+                f"{tids}"
             )
-        forced, self._forced = self._forced, None
-        return forced
+        raise _PeekSignal(tids)
 
     # ------------------------------------------------------------- protocol
     def _run(self) -> None:
@@ -243,17 +254,13 @@ class SteppingRun:
         self.vm.finish_run()
 
     def advance(self) -> tuple[str, object]:
-        """Run until the next decision or to termination (idempotent)."""
+        """Run through the rest of the prefix to the next decision past
+        it, or to termination (idempotent)."""
         if self.outcome is None and self.pending is None:
-            self._peeking = True
             try:
                 self.outcome = run_outcome(self._run)
             except _PeekSignal as sig:
-                # the aborted probe counted a decision; undo it
-                self.vm.scheduler.decisions -= 1
                 self.pending = sig.tids
-            finally:
-                self._peeking = False
         if self.outcome is not None:
             return ("done", self.outcome)
         return ("decision", self.pending)
@@ -264,40 +271,26 @@ class SteppingRun:
             raise RuntimeError("choose() without a pending decision")
         if tid not in self.pending:
             raise ValueError(f"{tid} not a candidate in {self.pending}")
-        self.schedule.append(tid)
-        self._forced = tid
-        try:
-            outcome = run_outcome(self.vm.scheduler.step)
-        finally:
-            self.pending = None
+        pending, self.pending = self.pending, None
+        self.prefix += (tid,)
+        outcome = run_outcome(self.vm.scheduler.step)
+        replayed = self.trace[-1][0]
+        if replayed != pending:
+            raise RuntimeError(
+                f"determinism violation: candidates {replayed} at "
+                f"replayed decision, expected {pending}"
+            )
         if outcome != "completed":  # the slice ended the run
             self.outcome = outcome
 
-    def default_choice(self, tids: tuple[int, ...]) -> int:
-        """The deterministic default policy's pick, mirroring
-        :meth:`repro.check.explorer.ScheduleController._default_choice`:
-        keep the thread that ran the previous slice while it stays ready,
-        else the head of the candidate order."""
-        last = self.vm.scheduler._last
-        if last is not None and last.tid in tids:
-            return last.tid
-        return tids[0]
-
     def drive(self, choices=()) -> str:
-        """Run to completion: force ``choices`` positionally (falling back
-        to the default policy on drift, as the replay controller does),
-        then default-continue.  Returns the outcome string."""
-        choices = tuple(choices)
-        index = len(self.schedule)
-        while True:
-            kind, data = self.advance()
-            if kind == "done":
-                return data
-            want = choices[index] if index < len(choices) else None
-            if want is None or want not in data:
-                want = self.default_choice(data)
-            self.choose(want)
-            index += 1
+        """Run to completion: replay ``choices`` by absolute decision
+        position (the default policy on drift), then default-continue.
+        Returns the outcome string."""
+        self.prefix = tuple(choices)
+        self.stepping = False
+        self.pending = None
+        return self.advance()[1]
 
     # ----------------------------------------------------------- snapshots
     def checkpoint(self) -> VMSnapshot:
@@ -380,7 +373,7 @@ class DporExplorer:
         return SteppingRun(self.scenario, self.mode, inject=self.inject)
 
     def _make_state(self, run, tids, sleep, clocks) -> _State:
-        depth = len(run.schedule)
+        depth = len(run.trace)
         want_snap = depth % SNAPSHOT_INTERVAL == 0
         state = _State(
             tids=tuple(tids),
@@ -397,21 +390,20 @@ class DporExplorer:
     def _reposition(self, stack, path) -> SteppingRun:
         """Produce a live run paused at ``stack[-1]``'s decision by
         restoring the nearest ancestor checkpoint and replaying the
-        recorded choices between it and the target."""
+        path's choices as its prefix; the run pauses just past them."""
         depth = len(stack) - 1
         anchor = depth
         while stack[anchor].checkpoint is None:
             anchor -= 1
         run = SteppingRun.resume(stack[anchor].checkpoint)
         self.restores += 1
-        for transition in path[anchor:depth]:
-            run.choose(transition.tid)
-            kind, data = run.advance()
-            if kind != "decision":
-                raise RuntimeError(
-                    "determinism violation: replay terminated early"
-                )
-            self.replayed += 1
+        run.prefix = tuple(t.tid for t in path[:depth])
+        run.pending = None
+        if run.advance()[0] != "decision":
+            raise RuntimeError(
+                "determinism violation: replay terminated early"
+            )
+        self.replayed += depth - anchor
         if run.pending != stack[depth].tids:
             raise RuntimeError(
                 "determinism violation: repositioned candidates "

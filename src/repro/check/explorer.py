@@ -33,6 +33,11 @@ takes and which threads are ready at each one.  When a recorded choice
 names a thread that is not a candidate, the controller falls back to the
 default policy for that decision and counts *drift* — the embodiment of
 "equivalent modulo legal serialization order".
+
+:class:`ScheduleController` is the checker's one decision hook: cells,
+counterexample replays and the DPOR stepping run
+(:class:`repro.check.dpor.SteppingRun`, a controller that pauses past
+its prefix instead of continuing) all replay prefixes through it.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ class ScheduleController:
     Records the full decision trace (candidates and choice at every
     decision), the preemption count, and the drift count (prefix choices
     that were not candidates when replayed — see module docstring).
+    Subclasses change what happens past the prefix by overriding
+    :meth:`_continue` (the DPOR stepping run pauses there).
     """
 
     def __init__(
@@ -96,25 +103,18 @@ class ScheduleController:
         self._last: Optional[int] = None
 
     @property
-    def schedule(self) -> tuple[int, ...]:
-        return tuple(chosen for _, chosen in self.trace)
+    def schedule(self) -> list[int]:
+        return [chosen for _, chosen in self.trace]
 
     def __call__(self, candidates) -> int:
         tids = tuple(t.tid for t in candidates)
         index = len(self.trace)
-        chosen: Optional[int] = None
-        if index < len(self.prefix):
-            want = self.prefix[index]
-            if want in tids:
-                chosen = want
-            else:
+        if index < len(self.prefix) and self.prefix[index] in tids:
+            chosen = self.prefix[index]
+        else:
+            if index < len(self.prefix):
                 self.drift += 1
-        if chosen is None:
-            chosen = (
-                self._walk_choice(tids)
-                if self.rng is not None
-                else self._default_choice(tids)
-            )
+            chosen = self._continue(tids)
         if (
             self._last is not None
             and self._last in tids
@@ -125,16 +125,19 @@ class ScheduleController:
         self.trace.append((tids, chosen))
         return chosen
 
-    def _default_choice(self, tids: tuple[int, ...]) -> int:
+    def default_choice(self, tids: tuple[int, ...]) -> int:
         """Zero-preemption continuation: keep the last thread while it is
         still ready, otherwise the head of the candidate order."""
         if self._last is not None and self._last in tids:
             return self._last
         return tids[0]
 
-    def _walk_choice(self, tids: tuple[int, ...]) -> int:
-        """Seeded random walk honouring the preemption budget: once the
-        budget is spent, preemptive switches are off the menu."""
+    def _continue(self, tids: tuple[int, ...]) -> int:
+        """The pick past the prefix and on drift: the default policy, or
+        the seeded random walk honouring the preemption budget — once
+        the budget is spent, preemptive switches are off the menu."""
+        if self.rng is None:
+            return self.default_choice(tids)
         if (
             self.bound is not None
             and self.preemptions >= self.bound
@@ -247,7 +250,7 @@ def run_check_cell(item: CheckItem) -> dict:
         )
         drift[mode] = ctrl.drift
     return {
-        "schedule": list(ref_ctrl.schedule),
+        "schedule": ref_ctrl.schedule,
         "candidates": [list(tids) for tids, _ in ref_ctrl.trace],
         "preemptions": ref_ctrl.preemptions,
         "outcomes": outcomes,

@@ -372,7 +372,9 @@ class Coordinator:
                     "(%d event(s) dropped, %d sink(s) detached)",
                     worker.name, task, dropped, sink_errors,
                 )
-            if batch.cache is not None:
+            if batch.cache is not None and batch.results[task] is not None:
+                # a None result is never stored: ResultCache.get reads
+                # None as a miss, so the entry could only be rewritten
                 batch.cache.put_bytes(
                     batch.keys[task], payload, msg.get("digest")
                 )
@@ -471,7 +473,8 @@ class Coordinator:
         which serves cache hits before calling this: results land in
         ``results[i]`` (so the reduce is in input order), lanes and
         counters are credited to ``stats``, and with a ``cache`` each
-        verified payload is stored under ``keys[i]``.  Blocks until
+        verified payload of a result other than None is stored under
+        ``keys[i]``, as the inline path stores.  Blocks until
         every task delivered, under the lease/retry machinery documented
         on the class.  ``procs`` are the fleet's own worker processes,
         if it has any: once all of them have exited the dispatch fails

@@ -68,7 +68,8 @@ class BaseScheduler:
         self._last: Optional[VMThread] = None
         self.slices = 0
         self.context_switches = 0
-        #: scheduling decisions taken through the decision hook
+        #: scheduling decisions taken through the decision hook (counted
+        #: once the hook returns: a hook that raises made no decision)
         self.decisions = 0
         #: pluggable decision hook: called with the ordered list of READY
         #: candidate threads (the order the default policy would consider
@@ -110,8 +111,8 @@ class BaseScheduler:
         candidates = self.ready_candidates()
         if not candidates:
             return None
-        self.decisions += 1
         chosen_tid = self.decision_hook(candidates)
+        self.decisions += 1
         for t in candidates:
             if t.tid == chosen_tid:
                 self._take(t)

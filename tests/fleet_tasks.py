@@ -26,6 +26,10 @@ def slow_double(item):
     return value * 2
 
 
+def nothing(item):
+    return None
+
+
 def fail_on_negative(item):
     if item < 0:
         raise ValueError(f"task rejects negative input {item}")

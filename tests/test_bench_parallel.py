@@ -506,17 +506,18 @@ class TestEngineConfig:
         rendered = render_engine_stats(pstats)
         assert any(f"worker {n}:" in rendered for n in lanes)
 
-    def test_cache_hit_lane_is_coordinator(self, tmp_path):
+    def test_cache_hits_credit_no_lane(self, tmp_path):
+        """Hits are served before dispatch: they count in the aggregate
+        only, and no execution lane is credited for them."""
         cache = ResultCache(tmp_path)
         e1 = RunEngine(jobs=1, cache=cache)
         compare_modes(TINY, repetitions=1, engine=e1)
         e2 = RunEngine(jobs=1, cache=cache)
         compare_modes(TINY, repetitions=1, engine=e2)
         stats = e2.last_stats
-        assert stats.workers["coordinator"]["cache_hits"] == 2
-        assert stats.cache_hits == sum(
-            rec["cache_hits"] for rec in stats.workers.values()
-        )
+        assert stats.cache_hits == 2
+        assert stats.workers == {}
+        assert stats.render_workers() == []
 
 
 def _degraded_result(item):

@@ -193,6 +193,37 @@ class TestSleepSetsUnderRevocation:
                 second.restores, second.replayed)
 
 
+class TestSteppingRunGuards:
+    """A stepping run replays each committed choice; a replay that sees
+    anything other than the paused decision is a determinism violation,
+    never a silent fallback to the default policy."""
+
+    def _paused(self):
+        run = SteppingRun(get_scenario("mini-handoff"), "rollback")
+        kind, tids = run.advance()
+        assert kind == "decision" and len(tids) > 1
+        return run, tids
+
+    def test_replayed_candidates_must_equal_pending(self):
+        run, tids = self._paused()
+        run.pending = tids[:1]              # not what the replay will see
+        with pytest.raises(RuntimeError, match="determinism violation"):
+            run.choose(tids[0])
+
+    def test_drifting_replay_raises(self):
+        run, tids = self._paused()
+        ghost = max(tids) + 1
+        run.pending = tids + (ghost,)
+        with pytest.raises(RuntimeError, match="determinism violation"):
+            run.choose(ghost)
+
+    def test_drive_falls_back_to_the_default_policy(self):
+        run, tids = self._paused()
+        assert run.drive((max(tids) + 1,)) == "completed"
+        assert run.drift == 1
+        assert run.schedule[0] == tids[0]
+
+
 class TestReportDeterminism:
     def test_identical_across_worker_counts(self):
         serial = explore_dpor("mini-handoff", engine=RunEngine(jobs=1))

@@ -35,7 +35,7 @@ class TestScheduleController:
         assert ctrl(_threads(3, 5)) == 5          # sticks with new last
         assert ctrl.preemptions == 0
         assert ctrl.drift == 0
-        assert ctrl.schedule == (3, 3, 5, 5)
+        assert ctrl.schedule == [3, 3, 5, 5]
 
     def test_prefix_replay_and_preemption_count(self):
         ctrl = ScheduleController(prefix=(5, 3))

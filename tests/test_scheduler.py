@@ -323,6 +323,24 @@ class TestDecisionHook:
         with pytest.raises(RuntimeError, match="hook exploded"):
             vm.run()
 
+    def test_hook_that_raises_makes_no_decision(self):
+        """A decision counts once the hook returns: an aborted call (the
+        DPOR stepping run's peek) leaves the counter where it was."""
+        vm, _, _ = _hook_vm()
+        picks = 3
+
+        def hook(cands):
+            nonlocal picks
+            if not picks:
+                raise RuntimeError("paused")
+            picks -= 1
+            return cands[0].tid
+
+        vm.scheduler.decision_hook = hook
+        with pytest.raises(RuntimeError, match="paused"):
+            vm.run()
+        assert vm.scheduler.decisions == 3
+
     def test_hook_unknown_tid_raises_schedule_error(self):
         vm, a, b = _hook_vm()
         vm.scheduler.decision_hook = lambda cands: 999
