@@ -25,7 +25,6 @@ from repro.bench.microbench import (
 )
 from repro.util.rng import derive_seed
 from repro.util.stats import Summary, summarize
-from repro.vm.clock import CostModel
 from repro.vm.vmcore import JVM, VMOptions
 
 
@@ -55,7 +54,6 @@ def run_microbench(
     mode: str = "unmodified",
     *,
     options: Optional[VMOptions] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> RunResult:
     """Run one configuration on one VM mode and extract the paper's
     metrics.  Cycle profiles come from the obs capture
@@ -64,8 +62,6 @@ def run_microbench(
         options = VMOptions(mode=mode, seed=config.seed)
     else:
         options = options.with_(mode=mode, seed=config.seed)
-    if cost_model is not None:
-        options = options.with_(cost_model=cost_model)
     vm = JVM(options)
     setup_microbench_vm(vm, config)
     vm.run()
@@ -124,7 +120,6 @@ def comparison_specs(
     *,
     repetitions: int = 3,
     options: Optional[VMOptions] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> list:
     """Enumerate the (rep x mode) run matrix in deterministic order.
 
@@ -141,12 +136,7 @@ def comparison_specs(
         rep_config = replace(config, seed=seed)
         for mode in modes:
             specs.append(
-                RunSpec(
-                    config=rep_config,
-                    mode=mode,
-                    options=options,
-                    cost_model=cost_model,
-                )
+                RunSpec(config=rep_config, mode=mode, options=options)
             )
     return specs
 
@@ -169,7 +159,6 @@ def compare_modes(
     *,
     repetitions: int = 3,
     options: Optional[VMOptions] = None,
-    cost_model: Optional[CostModel] = None,
     engine=None,
 ) -> ComparisonResult:
     """Run ``config`` under every mode with paired per-repetition seeds.
@@ -183,11 +172,7 @@ def compare_modes(
     if engine is None:
         engine = RunEngine(jobs=1)
     specs = comparison_specs(
-        config,
-        modes,
-        repetitions=repetitions,
-        options=options,
-        cost_model=cost_model,
+        config, modes, repetitions=repetitions, options=options,
     )
     results = engine.map(execute_spec, specs)
     return reduce_comparison(config, modes, results)

@@ -59,7 +59,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.bench.harness import RunResult, run_microbench
 from repro.bench.microbench import MicrobenchConfig
-from repro.vm.clock import CostModel
 from repro.vm.vmcore import VMOptions
 
 __all__ = [
@@ -715,17 +714,11 @@ class RunSpec:
     config: MicrobenchConfig
     mode: str = "unmodified"
     options: Optional[VMOptions] = None
-    cost_model: Optional[CostModel] = None
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
     """Worker-side entry: build the VM and run one spec (pure function)."""
-    return run_microbench(
-        spec.config,
-        spec.mode,
-        options=spec.options,
-        cost_model=spec.cost_model,
-    )
+    return run_microbench(spec.config, spec.mode, options=spec.options)
 
 
 #: perfbench imports this name for its cache probe; ROADMAP item 5

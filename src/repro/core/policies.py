@@ -74,11 +74,10 @@ def donate_priority(
 def recompute_inheritance(vm, thread: "VMThread") -> None:
     """Inherited priority = highest priority still waiting on any monitor
     the thread holds (recomputed after every release)."""
-    best = -1
-    for mon in thread.held_monitors:
-        q = mon.highest_queued_priority()
-        if q > best:
-            best = q
+    best = max(
+        (mon.highest_queued_priority() for mon in thread.held_monitors),
+        default=-1,
+    )
     if thread.inherited_priority != best:
         thread.inherited_priority = best
         vm.scheduler.on_priority_changed(thread)

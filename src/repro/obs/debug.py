@@ -354,8 +354,8 @@ def inspect_vm(
             "owner": mon.owner.name if mon.owner is not None else None,
             "count": mon.count,
             "ceiling": mon.ceiling,
-            "entry_queue": [th.name for th, _ in mon.entry_queue],
-            "wait_set": [th.name for th, _ in mon.wait_set],
+            "entry_queue": [th.name for th in mon.entry_queue],
+            "wait_set": [th.name for th in mon.wait_set],
         }
     chains = []
     for t in vm.threads:

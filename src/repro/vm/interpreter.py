@@ -457,6 +457,7 @@ class Interpreter:
                     # -------------------------------------------- monitors
                     elif op == bc.MONITORENTER:
                         mon = monitor_of(require_ref(stack[-1], "monitor"))
+                        recursive = mon.owner is thread
                         if thread.pending_handoff is mon:
                             thread.pending_handoff = None
                             thread.blocked_on = None
@@ -469,11 +470,6 @@ class Interpreter:
                                          handoff=True)
                             pc += 1
                         elif mon.try_acquire(thread):
-                            recursive = mon.count > 1
-                            if not recursive and mon.is_queued(thread):
-                                # woken waiter winning the retry race
-                                mon.count = mon.queued_count(thread)
-                                mon.remove_from_queue(thread)
                             thread.blocked_on = None
                             stack.pop()
                             support.on_monitor_entered(
@@ -485,28 +481,16 @@ class Interpreter:
                             pc += 1
                         else:
                             acc += cm.monitor_slow
-                            support.on_contended_acquire(thread, mon)
-                            if not mon.is_queued(thread):
-                                mon.enqueue(thread)
-                            thread.blocked_on = mon
-                            thread.state = ThreadState.BLOCKED
-                            thread.blocked_since = clock.now + acc
                             frame.pc = pc
-                            flush()
-                            if tracer.enabled:
-                                vm.trace("block", thread, mon=mon)
-                            return BLOCKED
+                            return self._block(thread, mon, flush)
                     elif op == bc.MONITOREXIT:
                         mon = monitor_of(require_ref(stack.pop(), "monitor"))
                         support.on_monitor_exited(thread, mon, frame, ins.a)
-                        successor = mon.release(
-                            thread, prioritized=self._prioritized,
-                            handoff=self._handoff,
+                        successor = self._release_monitor(
+                            thread, mon, self._handoff
                         )
                         if successor is not None:
                             acc += cm.monitor_slow
-                            self._post_release(mon, successor)
-                        support.on_handoff(thread, mon, successor)
                         if tracer.enabled:
                             vm.trace("release", thread, mon=mon,
                                      successor=successor)
@@ -584,26 +568,15 @@ class Interpreter:
                             thread.pending_handoff = None
                             reacquired = True
                         elif (
-                            mon.is_queued(thread)
+                            thread in mon.entry_queue
                             and mon.owner is not thread
                         ):
                             # woken (no-handoff mode): retry acquisition
-                            saved_count = mon.queued_count(thread)
-                            if mon.try_acquire(thread):
-                                mon.count = saved_count
-                                mon.remove_from_queue(thread)
-                                reacquired = True
-                            else:
+                            if not mon.try_acquire(thread):
                                 acc += cm.monitor_slow
-                                support.on_contended_acquire(thread, mon)
-                                thread.blocked_on = mon
-                                thread.state = ThreadState.BLOCKED
-                                thread.blocked_since = clock.now + acc
                                 frame.pc = pc
-                                flush()
-                                if tracer.enabled:
-                                    vm.trace("block", thread, mon=mon)
-                                return BLOCKED
+                                return self._block(thread, mon, flush)
+                            reacquired = True
                         if reacquired:
                             thread.blocked_on = None
                             if timed:
@@ -622,18 +595,15 @@ class Interpreter:
                                 )
                             support.on_wait(thread, mon)
                             timeout = stack[-1] if timed else 0
-                            saved, successor = mon.wait_release(
-                                thread, prioritized=self._prioritized,
-                                handoff=self._handoff,
-                            )
-                            mon.add_waiter(thread, saved)
+                            mon.add_waiter(thread, mon.count)
+                            mon.count = 1  # release every level at once
                             thread.waiting_on = mon
                             thread.state = ThreadState.WAITING
                             frame.pc = pc
                             flush()
-                            if successor is not None:
-                                self._post_release(mon, successor)
-                            support.on_handoff(thread, mon, successor)
+                            successor = self._release_monitor(
+                                thread, mon, self._handoff
+                            )
                             if timed and timeout > 0:
                                 vm.scheduler.add_sleeper(
                                     thread, clock.now + timeout
@@ -877,22 +847,42 @@ class Interpreter:
             mon.count = 1  # drop any wait-restored recursion in one go
             # handoff=True: releases on behalf of a revocation always
             # transfer ownership (see _run_rollback_handler).
-            successor = mon.release(
-                thread, prioritized=self._prioritized, handoff=True,
-            )
-            if successor is not None:
-                self._post_release(mon, successor)
-            self.support.on_handoff(thread, mon, successor)
+            successor = self._release_monitor(thread, mon, True)
             self.vm.trace(
                 "handoff_returned", thread, mon=mon, successor=successor
             )
 
-    def _post_release(self, mon: Monitor, successor: VMThread) -> None:
-        """Route a release's successor per the active queue policy."""
-        if mon.owner is successor:
-            self._grant_handoff(mon, successor)
-        else:
-            self._wake_waiter(successor)
+    def _release_monitor(
+        self, thread: VMThread, mon: Monitor, handoff: bool
+    ) -> Optional[VMThread]:
+        """The one monitor-release path: release a level of ``mon``, route
+        the successor a full release names (granted ownership, or woken to
+        retry), then tell the runtime support.  Returns the successor."""
+        successor = mon.release(
+            thread, prioritized=self._prioritized, handoff=handoff
+        )
+        if successor is not None:
+            if mon.owner is successor:
+                self._grant_handoff(mon, successor)
+            else:
+                self._wake_waiter(successor)
+        self.support.on_handoff(thread, mon, successor)
+        return successor
+
+    def _block(self, thread: VMThread, mon: Monitor, flush) -> str:
+        """Park ``thread`` on ``mon``'s entry queue after a lost acquisition
+        (MONITORENTER, or WAIT's retry); ``flush`` is the dispatch loop's,
+        whose pending cycles include the contended-path charge."""
+        self.support.on_contended_acquire(thread, mon)
+        if thread not in mon.entry_queue:
+            mon.enqueue(thread)
+        thread.blocked_on = mon
+        thread.state = ThreadState.BLOCKED
+        flush()
+        thread.blocked_since = self.clock.now
+        if self.vm.tracer.enabled:
+            self.vm.trace("block", thread, mon=mon)
+        return BLOCKED
 
     def _grant_handoff(self, mon: Monitor, new_owner: VMThread) -> None:
         """Ownership was transferred to a queued waiter; make it runnable."""
@@ -989,12 +979,9 @@ class Interpreter:
             mon = section.monitor
             successor = None
             if mon.owner is thread:
-                successor = mon.release(
-                    thread, prioritized=self._prioritized,
-                    handoff=self._handoff,
+                successor = self._release_monitor(
+                    thread, mon, self._handoff
                 )
-                if successor is not None:
-                    self._post_release(mon, successor)
             self.vm.trace(
                 "leaked_monitor", thread, mon=mon, successor=successor
             )
@@ -1050,12 +1037,7 @@ class Interpreter:
             # thread's immediate re-execution could barge back in before
             # the waiter runs — for deadlock revocations that recreates
             # the cycle forever (the livelock the paper warns about in §1).
-            successor = mon.release(
-                thread, prioritized=self._prioritized, handoff=True,
-            )
-            if successor is not None:
-                self._post_release(mon, successor)
-            self.support.on_handoff(thread, mon, successor)
+            successor = self._release_monitor(thread, mon, True)
         self.vm.trace(
             "rollback_release", thread, mon=mon, target=is_target,
             successor=successor,

@@ -28,10 +28,20 @@ baseline (see the ``abl-handoff`` benchmark).
 
 ``prioritized`` selects the waiter: highest effective priority, FIFO
 within a level (paper §4); plain FIFO when disabled (ablation).
+
+The entry queue and the wait set are insertion-ordered maps from thread
+to recursion count (the count restored on acquire, or saved by
+``wait``); insertion order is arrival order, so the first maximal key is
+the longest-waiting thread of the best level.  A thread that acquires
+the monitor leaves its entry queue, restoring its queued count.  The
+interpreter releases every monitor through one method
+(``Interpreter._release_monitor``), which routes the successor and tells
+the runtime support.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import GuestRuntimeError
@@ -39,6 +49,8 @@ from repro.errors import GuestRuntimeError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.heap import VMArray, VMObject
     from repro.vm.threads import VMThread
+
+_priority = attrgetter("effective_priority")
 
 
 class Monitor:
@@ -68,10 +80,11 @@ class Monitor:
         self.owner: "VMThread | None" = None
         self.count = 0
         self.deposited_priority: int = -1
-        #: waiting to *enter*: list of (thread, count_on_acquire)
-        self.entry_queue: list[tuple["VMThread", int]] = []
-        #: called wait(): list of (thread, saved_count)
-        self.wait_set: list[tuple["VMThread", int]] = []
+        #: waiting to *enter*: thread -> count it restores on acquire,
+        #: in arrival order
+        self.entry_queue: dict["VMThread", int] = {}
+        #: called wait(): thread -> saved recursion count, in arrival order
+        self.wait_set: dict["VMThread", int] = {}
         self.ceiling: Optional[int] = None
         #: section record of the owner's outermost acquisition (set by the
         #: rollback runtime; None on the unmodified VM)
@@ -85,8 +98,10 @@ class Monitor:
     def try_acquire(self, thread: "VMThread") -> bool:
         """Uncontended or recursive acquisition; False when owned by another."""
         if self.owner is None:
+            # a woken waiter that wins the retry race leaves the queue
+            # and restores the count it queued with
             self.owner = thread
-            self.count = 1
+            self.count = self.entry_queue.pop(thread, 1)
             self.deposited_priority = thread.effective_priority
             self.acquisitions += 1
             thread.held_monitors.append(self)
@@ -99,40 +114,15 @@ class Monitor:
 
     def enqueue(self, thread: "VMThread", count_on_acquire: int = 1) -> None:
         """Park ``thread`` on the entry queue (it must then block)."""
-        if any(t is thread for t, _ in self.entry_queue):
+        if thread in self.entry_queue:
             raise GuestRuntimeError(
                 f"thread {thread.name!r} already queued on {self.obj!r}"
             )
-        self.entry_queue.append((thread, count_on_acquire))
+        self.entry_queue[thread] = count_on_acquire
         self.contended_acquisitions += 1
 
     def remove_from_queue(self, thread: "VMThread") -> None:
-        self.entry_queue = [
-            (t, c) for t, c in self.entry_queue if t is not thread
-        ]
-
-    def is_queued(self, thread: "VMThread") -> bool:
-        return any(t is thread for t, _ in self.entry_queue)
-
-    def queued_count(self, thread: "VMThread") -> Optional[int]:
-        """The recursion count this queued thread will restore on acquire."""
-        for t, c in self.entry_queue:
-            if t is thread:
-                return c
-        return None
-
-    def _best_index(self, prioritized: bool) -> Optional[int]:
-        if not self.entry_queue:
-            return None
-        if not prioritized:
-            return 0
-        best_i = 0
-        best_p = self.entry_queue[0][0].effective_priority
-        for i in range(1, len(self.entry_queue)):
-            p = self.entry_queue[i][0].effective_priority
-            if p > best_p:
-                best_i, best_p = i, p
-        return best_i
+        self.entry_queue.pop(thread, None)
 
     def release(
         self,
@@ -163,67 +153,44 @@ class Monitor:
         self.first_section = None
         self.owner = None
         self.deposited_priority = -1
-        index = self._best_index(prioritized)
-        if index is None:
+        queue = self.entry_queue
+        if not queue:
             return None
+        if prioritized:
+            # max keeps the first maximal waiter: FIFO within a level
+            waiter = max(queue, key=_priority)
+        else:
+            waiter = next(iter(queue))
         if handoff:
-            waiter, count = self.entry_queue.pop(index)
             self.owner = waiter
-            self.count = count
+            self.count = queue.pop(waiter)
             self.deposited_priority = waiter.effective_priority
             self.acquisitions += 1
             self.handoffs += 1
             waiter.held_monitors.append(self)
-            return waiter
-        self.wakeups += 1
-        return self.entry_queue[index][0]
-
-    def wait_release(
-        self,
-        thread: "VMThread",
-        *,
-        prioritized: bool = True,
-        handoff: bool = True,
-    ) -> tuple[int, Optional["VMThread"]]:
-        """Fully release for ``wait``: drops all recursion levels at once.
-
-        Returns ``(saved_count, successor)``; the caller records
-        ``saved_count`` in the wait set so reacquisition restores it.
-        """
-        if self.owner is not thread:
-            raise GuestRuntimeError(
-                f"wait/notify on monitor {self.obj!r} not owned by "
-                f"{thread.name!r}",
-                guest_class="IllegalMonitorStateException",
-            )
-        saved = self.count
-        self.count = 1
-        successor = self.release(
-            thread, prioritized=prioritized, handoff=handoff
-        )
-        return saved, successor
+        else:
+            self.wakeups += 1
+        return waiter
 
     # -------------------------------------------------------------- wait set
     def add_waiter(self, thread: "VMThread", saved_count: int) -> None:
-        self.wait_set.append((thread, saved_count))
+        self.wait_set[thread] = saved_count
 
     def remove_waiter(self, thread: "VMThread") -> Optional[int]:
         """Remove from the wait set, returning the saved recursion count."""
-        for i, (t, c) in enumerate(self.wait_set):
-            if t is thread:
-                del self.wait_set[i]
-                return c
-        return None
+        return self.wait_set.pop(thread, None)
 
     def notify_one(self) -> Optional[tuple["VMThread", int]]:
         """Move the longest-waiting thread from the wait set toward the
         entry queue.  Returns (thread, saved_count) or None."""
         if not self.wait_set:
             return None
-        return self.wait_set.pop(0)
+        thread = next(iter(self.wait_set))
+        return thread, self.wait_set.pop(thread)
 
     def notify_all(self) -> list[tuple["VMThread", int]]:
-        moved, self.wait_set = self.wait_set, []
+        moved = list(self.wait_set.items())
+        self.wait_set.clear()
         return moved
 
     def refresh_deposited(self) -> None:
@@ -241,13 +208,8 @@ class Monitor:
     def is_locked(self) -> bool:
         return self.owner is not None
 
-    def waiters(self) -> list["VMThread"]:
-        return [t for t, _ in self.entry_queue]
-
     def highest_queued_priority(self) -> int:
-        if not self.entry_queue:
-            return -1
-        return max(t.effective_priority for t, _ in self.entry_queue)
+        return max(map(_priority, self.entry_queue), default=-1)
 
     def __repr__(self) -> str:
         owner = self.owner.name if self.owner else None

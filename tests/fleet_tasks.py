@@ -8,10 +8,28 @@ dependency-free.
 
 from __future__ import annotations
 
+import threading
 import time
 
 
 def double(item):
+    return item * 2
+
+
+#: where the first three items of ``meet_then_double`` wait for each other
+_meeting = threading.Barrier(3, timeout=10)
+
+
+def meet_then_double(item):
+    """``double``, except that items 0-2 first wait for each other.
+
+    A worker holds one lease at a time, so the three items must run on
+    three different workers at once: mapped over a fleet of three
+    in-process workers, every worker runs a task, however fast the
+    first one to lease could drain the rest.
+    """
+    if item < 3:
+        _meeting.wait()
     return item * 2
 
 

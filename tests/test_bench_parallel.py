@@ -121,7 +121,7 @@ class TestResultCache:
         e2 = RunEngine(jobs=1, cache=cache)
         compare_modes(
             TINY, repetitions=1, engine=e2,
-            cost_model=CostModel().scaled(2.0),
+            options=VMOptions(cost_model=CostModel().scaled(2.0)),
         )
         assert e2.last_stats.cache_hits == 0
         assert e2.last_stats.executed == 2
@@ -236,7 +236,6 @@ KEY_CASES = {
         "config": MicrobenchConfig(seed=78),
         "mode": "rollback",
         "options": VMOptions(scheduler="priority"),
-        "cost_model": CostModel(quantum=9_000),
     }),
     "CheckItem": (run_check_cell, CheckItem("handoff"), {
         "scenario": "barge",
@@ -398,8 +397,9 @@ class TestPickling:
         spec = RunSpec(
             config=TINY,
             mode="rollback",
-            options=VMOptions(mode="rollback", seed=9),
-            cost_model=CostModel().scaled(0.5),
+            options=VMOptions(
+                mode="rollback", seed=9, cost_model=CostModel().scaled(0.5),
+            ),
         )
         assert pickle.loads(pickle.dumps(spec)) == spec
 

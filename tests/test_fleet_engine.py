@@ -72,13 +72,16 @@ class TestThreadFleet:
     def test_per_worker_stats_sum_to_aggregate(self):
         engine = thread_fleet(3)
         try:
-            engine.map(fleet_tasks.double, list(range(30)))
+            assert engine.map(
+                fleet_tasks.meet_then_double, list(range(30))
+            ) == [i * 2 for i in range(30)]
             stats = engine.last_stats
             assert stats.executed == 30
             assert stats.executed == sum(
                 rec["tasks"] for rec in stats.workers.values()
             )
-            # three workers pulling from one queue: all of them worked
+            # three workers pulling from one queue: items 0-2 meet at a
+            # barrier, so all of them worked
             assert len(stats.workers) == 3
             assert all(
                 rec["bytes_sent"] and rec["bytes_received"]

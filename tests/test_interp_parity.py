@@ -435,6 +435,28 @@ def test_float_remainder_keeps_the_reference_helper(interp) -> None:
         run_single(emit, fields=["out"], interp=interp)
 
 
+@pytest.mark.parametrize("mode", ("unmodified", "rollback"))
+@pytest.mark.parametrize("interp", INTERPS)
+def test_store_to_unknown_static_raises(interp, mode) -> None:
+    """``classfile.verify`` checks no field references, and generated
+    code stores a static with a plain dict store that would create it, so
+    its probe of the static's definition is what raises; both tiers must
+    fail the same way and leave no such static behind."""
+    from conftest import build_class, make_vm
+
+    from repro.errors import LinkError
+
+    _fresh()
+    main = Asm("main", argc=0)
+    main.const(1).putstatic("T", "nope").ret()
+    vm = make_vm(mode, interp=interp)
+    vm.load(build_class("T", ["out"], [main]))
+    vm.spawn("T", "main", name="main")
+    with pytest.raises(LinkError, match=r"^no static field T\.nope$"):
+        vm.run()
+    assert ("T", "nope") not in vm.heap.statics
+
+
 # ----------------------------------------------------- reference forcing
 def _decoded_methods(vm: JVM) -> list[str]:
     return [

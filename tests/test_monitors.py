@@ -2,6 +2,7 @@
 direct handoff, wait sets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GuestRuntimeError
 from repro.vm.classfile import ClassDef
@@ -46,7 +47,7 @@ class TestInflation:
         woken = mon.release(holder, prioritized=True, handoff=False)
         assert woken is high          # selected, not yet owner
         assert mon.owner is None      # monitor left free: barging possible
-        assert mon.is_queued(high)
+        assert high in mon.entry_queue
 
 
 class TestAcquisition:
@@ -72,6 +73,18 @@ class TestAcquisition:
         a, b = make_thread(1), make_thread(2)
         assert mon.try_acquire(a)
         assert not mon.try_acquire(b)
+
+    def test_woken_waiter_leaves_queue_with_its_count(self, mon):
+        """A waiter that wins the retry race (no-handoff wake) leaves the
+        entry queue and restores the count it queued with."""
+        a, b = make_thread(1), make_thread(2)
+        mon.try_acquire(a)
+        mon.enqueue(b, count_on_acquire=3)
+        assert mon.release(a, handoff=False) is b
+        assert b in mon.entry_queue and mon.owner is None
+        assert mon.try_acquire(b)
+        assert mon.owner is b and mon.count == 3
+        assert b not in mon.entry_queue
 
     def test_double_enqueue_rejected(self, mon):
         a, b = make_thread(1), make_thread(2)
@@ -136,6 +149,26 @@ class TestPrioritizedQueue:
         mon.enqueue(second)
         assert mon.release(holder) is first
 
+    def test_fifo_within_priority_level_across_levels(self, mon):
+        """The map's arrival order breaks ties at every level, and a thread
+        that leaves and re-enters the queue goes to the back."""
+        holder = make_thread(0)
+        mon.try_acquire(holder)
+        low, mid1, high1, mid2, high2 = (
+            make_thread(1, priority=1), make_thread(2, priority=5),
+            make_thread(3, priority=9), make_thread(4, priority=5),
+            make_thread(5, priority=9),
+        )
+        for t in (low, mid1, high1, mid2, high2):
+            mon.enqueue(t)
+        mon.remove_from_queue(high1)
+        mon.enqueue(high1)  # now behind high2
+        order = []
+        current = holder
+        while (current := mon.release(current)) is not None:
+            order.append(current)
+        assert order == [high2, high1, mid1, mid2, low]
+
     def test_unprioritized_is_plain_fifo(self, obj):
         mon = Monitor(obj)
         holder = make_thread(0)
@@ -174,27 +207,6 @@ class TestPrioritizedQueue:
 
 
 class TestWaitSets:
-    def test_wait_release_drops_all_levels(self, mon):
-        t = make_thread(1)
-        mon.try_acquire(t)
-        mon.try_acquire(t)
-        mon.try_acquire(t)
-        saved, handed = mon.wait_release(t)
-        assert saved == 3
-        assert handed is None
-        assert mon.owner is None
-
-    def test_wait_release_hands_off(self, mon):
-        t, w = make_thread(1), make_thread(2)
-        mon.try_acquire(t)
-        mon.enqueue(w)
-        saved, handed = mon.wait_release(t)
-        assert saved == 1 and handed is w
-
-    def test_wait_release_requires_ownership(self, mon):
-        with pytest.raises(GuestRuntimeError):
-            mon.wait_release(make_thread(1))
-
     def test_notify_fifo(self, mon):
         a, b = make_thread(1), make_thread(2)
         mon.add_waiter(a, 1)
@@ -224,3 +236,111 @@ class TestWaitSets:
         mon.enqueue(t, count_on_acquire=3)
         assert mon.release(w) is t
         assert mon.count == 3
+
+
+# ------------------------------------------ queue policy vs the list scan
+class _ListQueue:
+    """The entry queue as a list of ``(thread, count)`` scanned in full
+    (the representation the monitor used before its ordered map), kept
+    as the oracle for the map's waiter choice."""
+
+    def __init__(self):
+        self.items = []
+
+    def enqueue(self, thread, count):
+        self.items.append((thread, count))
+
+    def remove(self, thread):
+        self.items = [(t, c) for t, c in self.items if t is not thread]
+
+    def best_index(self, prioritized):
+        if not self.items:
+            return None
+        if not prioritized:
+            return 0
+        best_i = 0
+        best_p = self.items[0][0].effective_priority
+        for i in range(1, len(self.items)):
+            p = self.items[i][0].effective_priority
+            if p > best_p:
+                best_i, best_p = i, p
+        return best_i
+
+    def highest(self):
+        if not self.items:
+            return -1
+        return max(t.effective_priority for t, _ in self.items)
+
+
+settings.register_profile(
+    "monitor-queue", derandomize=True, max_examples=200, deadline=None,
+)
+
+_QUEUE_THREADS = 8
+_enqueue = st.tuples(st.just("enqueue"), st.integers(0, _QUEUE_THREADS - 1),
+                     st.integers(1, 3))
+_queue_ops = st.lists(
+    st.one_of(
+        # enqueues drawn four times as often, so queues grow long
+        _enqueue, _enqueue, _enqueue, _enqueue,
+        st.tuples(st.just("remove"), st.integers(0, _QUEUE_THREADS - 1)),
+        st.tuples(st.just("boost"), st.integers(0, _QUEUE_THREADS - 1),
+                  st.sampled_from((-1, 2, 6, 9))),
+        st.tuples(st.just("release"), st.booleans(), st.booleans()),
+    ),
+    min_size=8, max_size=40,
+)
+
+
+@settings(settings.get_profile("monitor-queue"))
+@given(st.lists(st.integers(1, 4), min_size=_QUEUE_THREADS,
+                max_size=_QUEUE_THREADS), _queue_ops)
+def test_queue_policy_matches_list_scan(priorities, ops):
+    """Any sequence of enqueues, removals, priority changes and releases
+    picks the same successor, with the same restored count, as the list
+    scan; the queue keeps the oracle's arrival order throughout."""
+    mon = Monitor(VMObject(1, ClassDef("C")))
+    threads = [make_thread(i, priority=p) for i, p in enumerate(priorities)]
+    holder = make_thread(99)
+    mon.try_acquire(holder)
+    oracle = _ListQueue()
+    for op in ops:
+        if op[0] == "enqueue":
+            t = threads[op[1]]
+            if t in mon.entry_queue or t is mon.owner:
+                continue
+            mon.enqueue(t, op[2])
+            oracle.enqueue(t, op[2])
+        elif op[0] == "remove":
+            mon.remove_from_queue(threads[op[1]])
+            oracle.remove(threads[op[1]])
+        elif op[0] == "boost":
+            threads[op[1]].inherited_priority = op[2]
+        else:
+            prioritized, handoff = op[1], op[2]
+            owner = mon.owner
+            if owner is None:
+                # a woken waiter (or a bystander) takes the free monitor
+                i = oracle.best_index(prioritized)
+                taker = holder if i is None else oracle.items[i][0]
+                count = 1 if i is None else oracle.items[i][1]
+                assert mon.try_acquire(taker) and mon.count == count
+                oracle.remove(taker)
+                continue
+            mon.count = 1
+            index = oracle.best_index(prioritized)
+            chosen = mon.release(
+                owner, prioritized=prioritized, handoff=handoff
+            )
+            if index is None:
+                assert chosen is None and mon.owner is None
+                continue
+            expected, count = oracle.items[index]
+            assert chosen is expected
+            if handoff:
+                assert mon.owner is expected and mon.count == count
+                oracle.remove(expected)
+            else:
+                assert mon.owner is None
+        assert list(mon.entry_queue.items()) == oracle.items
+        assert mon.highest_queued_priority() == oracle.highest()
