@@ -219,14 +219,11 @@ class SteppingRun(ScheduleController):
         mode: str,
         *,
         inject: Optional[str] = None,
-        interp: Optional[str] = None,
-        trace_memory: bool = True,
     ) -> None:
         super().__init__()
-        overrides = {"trace": True, "trace_memory": trace_memory}
-        if interp is not None:
-            overrides["interp"] = interp
-        self.vm = check_vm(scenario, mode, inject=inject, **overrides)
+        self.vm = check_vm(
+            scenario, mode, inject=inject, trace=True, trace_memory=True
+        )
         self.vm.scheduler.decision_hook = self
         #: decisions past the prefix pause the run; :meth:`drive` clears
         #: it to hand them to the default policy

@@ -478,57 +478,56 @@ class RollbackSupport(RuntimeSupport):
         *,
         requester: "VMThread | None" = None,
         origin: str = "inversion",
-        force: bool = False,
     ) -> bool:
         """Single chokepoint for posting a revocation request on ``holder``.
 
         Applies the robustness policies — degradation-ladder rung of the
         target's site, per-site backoff window, thread-level livelock grace
-        — before posting; ``force`` (deadlock resolution) bypasses them.
+        — before posting.  Deadlock resolution bypasses them by posting
+        its victim's request directly (:meth:`resolve_deadlock`).
         Returns True when a request is pending after the call (newly posted
         or subsumed by an outer pending one).
         """
         vm = self.vm
         reporter = requester if requester is not None else holder
-        if not force:
-            site = self._sites.get((holder.tid, target.sync_id))
-            if site is not None:
-                if site.level == LADDER_NONREVOCABLE:
-                    # Normally unreachable (sections are pinned at entry),
-                    # but a site can degrade while an execution is active.
-                    self.metrics.revocations_denied_degraded += 1
-                    vm.trace(
-                        "revocation_denied", reporter, holder=holder,
-                        mon=target.monitor, reason="degraded",
-                    )
-                    return False
-                if site.level == LADDER_INHERITANCE:
-                    # Degraded rung: stop throwing away the holder's work;
-                    # fall back to donating the requester's priority.
-                    self.metrics.revocations_denied_degraded += 1
-                    vm.trace(
-                        "revocation_denied", reporter, holder=holder,
-                        mon=target.monitor, reason="degraded-inheritance",
-                    )
-                    if requester is not None and donate_priority(
-                        vm, self.metrics, requester, target.monitor
-                    ):
-                        self._donations += 1
-                    return False
-                if vm.clock.now < site.grace_until:
-                    self.metrics.revocations_denied_grace += 1
-                    vm.trace(
-                        "revocation_denied", reporter, holder=holder,
-                        mon=target.monitor, reason="site-backoff",
-                    )
-                    return False
-            if vm.clock.now < holder.grace_until:
+        site = self._sites.get((holder.tid, target.sync_id))
+        if site is not None:
+            if site.level == LADDER_NONREVOCABLE:
+                # Normally unreachable (sections are pinned at entry),
+                # but a site can degrade while an execution is active.
+                self.metrics.revocations_denied_degraded += 1
+                vm.trace(
+                    "revocation_denied", reporter, holder=holder,
+                    mon=target.monitor, reason="degraded",
+                )
+                return False
+            if site.level == LADDER_INHERITANCE:
+                # Degraded rung: stop throwing away the holder's work;
+                # fall back to donating the requester's priority.
+                self.metrics.revocations_denied_degraded += 1
+                vm.trace(
+                    "revocation_denied", reporter, holder=holder,
+                    mon=target.monitor, reason="degraded-inheritance",
+                )
+                if requester is not None and donate_priority(
+                    vm, self.metrics, requester, target.monitor
+                ):
+                    self._donations += 1
+                return False
+            if vm.clock.now < site.grace_until:
                 self.metrics.revocations_denied_grace += 1
                 vm.trace(
                     "revocation_denied", reporter, holder=holder,
-                    mon=target.monitor, reason="grace",
+                    mon=target.monitor, reason="site-backoff",
                 )
                 return False
+        if vm.clock.now < holder.grace_until:
+            self.metrics.revocations_denied_grace += 1
+            vm.trace(
+                "revocation_denied", reporter, holder=holder,
+                mon=target.monitor, reason="grace",
+            )
+            return False
         current = holder.revocation_request
         if current is not None:
             # Keep the outermost pending target: rolling back an outer

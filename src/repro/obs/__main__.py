@@ -158,17 +158,21 @@ def _warn_truncation(artifact: dict) -> None:
         )
 
 
-def _capture(args) -> dict:
-    spec = ObsSpec(
+def _spec(args, mode: str | None = None) -> ObsSpec:
+    """The capture this invocation names, under ``mode`` when given."""
+    return ObsSpec(
         scenario=args.scenario,
-        mode=args.mode,
+        mode=mode or args.mode,
         seed=args.seed,
         interp=args.interp,
         profile=not args.no_profile,
         write_pct=args.write_pct,
     )
+
+
+def _capture(args) -> dict:
     with engine_from_args(args) as engine:
-        artifact = capture_with_engine(spec, engine=engine)
+        artifact = capture_with_engine(_spec(args), engine=engine)
     print(engine.stats.render(), file=sys.stderr)
     _warn_truncation(artifact)
     return artifact
@@ -178,16 +182,9 @@ def _cmd_spans(args, artifact: dict) -> int:
     if args.json:
         sys.stdout.write(artifact["spans_jsonl"])
         return 0
-    from repro.obs.export import render_spans
-    from repro.obs.spans import Span
+    from repro.obs.export import render_spans, spans_from_jsonl
 
-    spans = [
-        Span(**{k: obj[k] for k in
-                ("sid", "kind", "thread", "start", "end", "parent",
-                 "attrs")})
-        for obj in map(json.loads,
-                       artifact["spans_jsonl"].splitlines()[1:])
-    ]
+    spans = spans_from_jsonl(artifact["spans_jsonl"])
     print(render_spans(spans, limit=args.limit))
     return 0
 
@@ -210,35 +207,14 @@ def _cmd_profile(args, artifact: dict) -> int:
 
 
 def _cmd_profile_sites(args, artifact: dict) -> int:
-    from repro.obs.episodes import _spans_from_jsonl
-    from repro.obs.export import render_sites, site_table
+    from repro.obs.export import render_sites, site_table, spans_from_jsonl
 
-    rows = site_table(_spans_from_jsonl(artifact["spans_jsonl"]))
+    rows = site_table(spans_from_jsonl(artifact["spans_jsonl"]))
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
     print(render_sites(rows))
     return 0
-
-
-def _episode_specs(args) -> list:
-    from repro.obs.capture import ObsSpec
-
-    modes = (
-        ["unmodified", "rollback", "inheritance"]
-        if args.compare else [args.mode]
-    )
-    return [
-        ObsSpec(
-            scenario=args.scenario,
-            mode=mode,
-            seed=args.seed,
-            interp=args.interp,
-            profile=not args.no_profile,
-            write_pct=args.write_pct,
-        )
-        for mode in modes
-    ]
 
 
 def _cmd_episodes(args) -> int:
@@ -250,7 +226,11 @@ def _cmd_episodes(args) -> int:
         report_bytes,
     )
 
-    specs = _episode_specs(args)
+    modes = (
+        ["unmodified", "rollback", "inheritance"]
+        if args.compare else [args.mode]
+    )
+    specs = [_spec(args, mode) for mode in modes]
     with engine_from_args(args) as engine:
         artifacts = engine.map(capture_run, specs)
     print(engine.stats.render(), file=sys.stderr)
@@ -274,7 +254,6 @@ def _cmd_episodes(args) -> int:
 
 
 def _cmd_debug(args) -> int:
-    from repro.obs.capture import ObsSpec
     from repro.obs.debug import (
         DEFAULT_INTERVAL,
         DebugSession,
@@ -282,17 +261,10 @@ def _cmd_debug(args) -> int:
         render_state,
     )
 
-    spec = ObsSpec(
-        scenario=args.scenario,
-        mode=args.mode,
-        seed=args.seed,
-        interp=args.interp,
-        profile=not args.no_profile,
-        write_pct=args.write_pct,
-    )
     with engine_from_args(args) as engine:
         recording = record_with_engine(
-            spec, interval=args.interval or DEFAULT_INTERVAL, engine=engine
+            _spec(args), interval=args.interval or DEFAULT_INTERVAL,
+            engine=engine,
         )
     print(engine.stats.render(), file=sys.stderr)
     session = DebugSession(recording)

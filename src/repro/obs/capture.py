@@ -9,9 +9,14 @@ into one plain, picklable dict.
 
 Every obs VM is built here: :func:`build_capture_vm` for a registered
 scenario and :func:`build_replay_vm` for a ``repro.check`` cell, both
-attaching their sinks through :func:`attach_sinks`.
-Captures run them straight through ``vm.run()``; the time-travel
-debugger (:mod:`repro.obs.debug`) steps the very same VMs.
+attaching their sinks through :func:`attach_sinks`.  Every obs VM also
+runs here, through the one driver :func:`run_capture`: ``begin_run``,
+the scheduler's step loop, ``finish_run`` and :func:`_package`.  A
+capture passes no checkpoint interval, so the loop takes no snapshot and
+costs what ``vm.run()`` costs; the time-travel debugger
+(:mod:`repro.obs.debug`) passes one and keeps the checkpoints.  A
+recording is therefore the capture plus checkpoints, and its artifact is
+byte-identical to the capture's.
 
 :func:`capture_run` is itself the :class:`repro.bench.parallel.RunEngine`
 task, so CLI invocations fan out across workers and land in the
@@ -40,6 +45,7 @@ from repro.obs.export import (
 from repro.obs.scenarios import get_scenario
 from repro.obs.spans import SpanBuilder
 from repro.server.report import robustness_block
+from repro.vm.snapshot import VMSnapshot, snapshot_vm
 from repro.vm.threads import ThreadState
 from repro.vm.vmcore import JVM, VMOptions
 
@@ -137,18 +143,48 @@ def build_capture_vm(spec: ObsSpec) -> Capture:
     return spec, vm, builder, sampler
 
 
-def _run_and_package(
-    spec: ObsSpec,
-    vm: JVM,
-    builder: SpanBuilder,
-    sampler: _CounterSampler,
-) -> dict[str, Any]:
-    return _package(spec, vm, builder, sampler, run_outcome(vm.run))
+def run_capture(
+    capture: Capture, interval: Optional[int] = None
+) -> tuple[dict[str, Any], list[VMSnapshot], list[int]]:
+    """Run one obs VM to quiescence; return its artifact bundle, its
+    checkpoints, and the clock at each of its quiescent points.
+
+    The one loop that drives an obs VM.  With a checkpoint ``interval``
+    it snapshots the VM after ``begin_run`` and then every ``interval``
+    slices, and records every distinct quiescent clock value in order;
+    without one both lists stay empty and the run is exactly
+    ``vm.run()``."""
+    if interval is not None and interval < 1:
+        raise ValueError("checkpoint interval must be >= 1")
+    spec, vm, builder, sampler = capture
+    checkpoints: list[VMSnapshot] = []
+    boundaries: list[int] = []
+
+    def drive() -> None:
+        vm.begin_run()
+        scheduler = vm.scheduler
+        if interval is not None:
+            checkpoints.append(snapshot_vm(vm))
+            boundaries.append(vm.clock.now)
+        last_snap_slice = scheduler.slices
+        while scheduler.step():
+            if interval is None:
+                continue
+            if boundaries[-1] != vm.clock.now:
+                boundaries.append(vm.clock.now)
+            if scheduler.slices - last_snap_slice >= interval:
+                checkpoints.append(snapshot_vm(vm))
+                last_snap_slice = scheduler.slices
+        vm.finish_run()
+
+    outcome = run_outcome(drive)
+    artifact = _package(spec, vm, builder, sampler, outcome)
+    return artifact, checkpoints, boundaries
 
 
 def capture_run(spec: ObsSpec) -> dict[str, Any]:
     """Run one scenario and return the complete artifact bundle."""
-    return _run_and_package(*build_capture_vm(spec))
+    return run_capture(build_capture_vm(spec))[0]
 
 
 def _package(
@@ -267,9 +303,8 @@ def capture_replay(
     counterexample's reference policy."""
     from repro.check.oracle import counterexample_cell
 
-    return _run_and_package(
-        *build_replay_vm(counterexample_cell(payload), mode)
-    )
+    cell = counterexample_cell(payload)
+    return run_capture(build_replay_vm(cell, mode))[0]
 
 
 # ------------------------------------------------------- RunEngine adapter

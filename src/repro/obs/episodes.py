@@ -39,7 +39,11 @@ residue — the report carries the three-way reconciliation to prove it.
 
 Everything here is a pure function of the capture artifact, so the
 ``repro.obs.episodes/1`` report is byte-identical across interpreters,
-worker counts, cache states and fleet topologies.
+worker counts, cache states and fleet topologies.  :func:`build_report`
+reads the artifact's spans with
+:func:`repro.obs.export.spans_from_jsonl`, the format's one reader, or
+takes spans a caller has parsed already (the debugger's session does,
+so it parses once).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Any, Iterable, Optional
 
+from repro.obs.export import spans_from_jsonl
 from repro.obs.spans import Span
 
 EPISODES_FORMAT = "repro.obs.episodes/1"
@@ -67,27 +72,6 @@ def thread_tier(name: str) -> str:
     -> "gold"); an undashed name is its own tier ("low" -> "low").
     """
     return name.split("-", 1)[0]
-
-
-def _spans_from_jsonl(spans_jsonl) -> list[Span]:
-    """Parse a ``repro.obs/1`` JSONL artifact back into Span objects."""
-    text = (
-        spans_jsonl.decode("utf-8")
-        if isinstance(spans_jsonl, bytes) else spans_jsonl
-    )
-    spans = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        rec = json.loads(line)
-        if "format" in rec:
-            continue  # header line
-        spans.append(Span(
-            sid=rec["sid"], kind=rec["kind"], thread=rec["thread"],
-            start=rec["start"], end=rec["end"], parent=rec["parent"],
-            attrs=rec["attrs"],
-        ))
-    return spans
 
 
 def detect_episodes(spans: Iterable[Span]) -> list[dict[str, Any]]:
@@ -297,9 +281,15 @@ def reconcile(
     }
 
 
-def build_report(artifact: dict[str, Any]) -> dict[str, Any]:
-    """The ``repro.obs.episodes/1`` report for one capture artifact."""
-    spans = _spans_from_jsonl(artifact["spans_jsonl"])
+def build_report(
+    artifact: dict[str, Any], spans: Optional[list[Span]] = None
+) -> dict[str, Any]:
+    """The ``repro.obs.episodes/1`` report for one capture artifact.
+
+    ``spans`` are the artifact's own spans when the caller has parsed
+    them already; otherwise they are read from its JSONL."""
+    if spans is None:
+        spans = spans_from_jsonl(artifact["spans_jsonl"])
     episodes = detect_episodes(spans)
     return {
         "format": EPISODES_FORMAT,

@@ -8,6 +8,10 @@ content, and asserted on in tests:
     One JSON object per line: a header line identifying the run, then
     every span in ``sid`` order with a fixed field order
     (``sid, kind, thread, start, end, parent, attrs``).
+    :func:`spans_from_jsonl` is its one reader: it parses the artifact
+    back into :class:`~repro.obs.spans.Span` objects, and every analysis
+    of a stored capture (episodes, site tables, the debugger's active
+    spans, ``python -m repro.obs spans``) starts from it.
 
 Chrome trace-event JSON (:func:`chrome_trace_bytes`)
     Loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
@@ -27,11 +31,12 @@ Folded stacks (:func:`folded_stacks`)
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Union
+
+from repro.obs.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.profile import CycleProfiler
-    from repro.obs.spans import Span
 
 #: schema identifier stamped into the JSONL header line
 SPAN_FORMAT = "repro.obs/1"
@@ -54,6 +59,24 @@ def spans_jsonl_bytes(
     lines = [_dumps(head)]
     lines.extend(_dumps(span.as_dict()) for span in spans)
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def spans_from_jsonl(spans_jsonl: Union[str, bytes]) -> list[Span]:
+    """Parse a ``repro.obs/1`` JSONL artifact back into spans (the
+    header line is skipped): the inverse of :func:`spans_jsonl_bytes`."""
+    text = (
+        spans_jsonl.decode("utf-8")
+        if isinstance(spans_jsonl, bytes) else spans_jsonl
+    )
+    spans = []
+    for line in text.splitlines():
+        if not line:
+            continue
+        rec = json.loads(line)
+        if "format" in rec:
+            continue  # header line
+        spans.append(Span(**rec))
+    return spans
 
 
 # ----------------------------------------------------------- chrome tracing

@@ -416,8 +416,6 @@ class Interpreter:
                             )
                         pc += 1
                     elif op == bc.PUTSTATIC:
-                        if ins.c is None:
-                            self._static_def(ins)  # resolves, or raises
                         old = vm.heap.put_static(ins.a, stack.pop())
                         if ins.barrier:
                             acc += support.before_store(

@@ -18,27 +18,7 @@ from repro.obs.spans import build_spans
 from repro.vm.bytecode import disassemble
 from repro.vm.predecode import predecode_method, render_decoded
 
-from conftest import build_class, make_vm
-
-
-def counter_vm(mode="rollback"):
-    run = Asm("run", argc=2)  # (iters, delay)
-    run.load(1).sleep()
-    run.getstatic("T", "lock")
-    with run.sync():
-        i = run.local()
-        run.for_range(i, lambda: run.load(0), lambda: (
-            run.getstatic("T", "counter"), run.const(1), run.add(),
-            run.putstatic("T", "counter"),
-        ))
-    run.ret()
-    cls = build_class("T", ["lock:ref", "counter:int"], [run])
-    vm = make_vm(mode, seed=3)
-    vm.load(cls)
-    vm.set_static("T", "lock", vm.new_object("T"))
-    vm.spawn("T", "run", args=[2_000, 1], priority=1, name="low")
-    vm.spawn("T", "run", args=[60, 6_000], priority=10, name="high")
-    return vm
+from conftest import build_class, counter_vm, make_vm
 
 
 def hooked_check_vm(scenario):

@@ -14,7 +14,6 @@ from repro.obs.capture import ObsSpec, capture_run
 from repro.obs.episodes import (
     EPISODES_FORMAT,
     _classify,
-    _spans_from_jsonl,
     build_report,
     detect_episodes,
     policy_table,
@@ -22,6 +21,7 @@ from repro.obs.episodes import (
     report_bytes,
     thread_tier,
 )
+from repro.obs.export import spans_from_jsonl
 from repro.obs.spans import Span
 
 MODES = ("unmodified", "rollback", "inheritance")
@@ -181,7 +181,7 @@ def test_server_storm_tier_attribution():
 def test_spans_roundtrip_through_jsonl(reports):
     """Parsing the artifact JSONL back yields the same episodes."""
     artifact = capture_run(ObsSpec(scenario="medium-inversion"))
-    direct = detect_episodes(_spans_from_jsonl(artifact["spans_jsonl"]))
+    direct = detect_episodes(spans_from_jsonl(artifact["spans_jsonl"]))
     assert direct == reports["rollback"]["episodes"]
 
 
@@ -321,7 +321,7 @@ def test_all_pairs_oracle_agrees_on_a_server_capture():
     """The oracle reproduces a real capture's episode list (so the
     generated cases test the join the analyzer actually runs)."""
     artifact = capture_run(ObsSpec(scenario="server-storm"))
-    spans = _spans_from_jsonl(artifact["spans_jsonl"])
+    spans = spans_from_jsonl(artifact["spans_jsonl"])
     assert detect_episodes(spans) == _all_pairs_episodes(spans)
     assert detect_episodes(spans)
 

@@ -162,3 +162,21 @@ def test_replay_capture_matches_checker_semantics(tmp_path):
     # replays are deterministic too
     again = capture_replay(payload)
     assert artifact["chrome_json"] == again["chrome_json"]
+
+
+@pytest.mark.parametrize("scenario", ["handoff", "server-storm", "fig6b"])
+def test_spans_from_jsonl_inverts_the_writer(scenario):
+    """``spans_from_jsonl`` is the one reader of the format
+    ``spans_jsonl_bytes`` writes: a capture's own spans round-trip
+    through it unchanged, attributes and open markers included."""
+    from repro.obs.capture import build_capture_vm
+    from repro.obs.export import spans_from_jsonl, spans_jsonl_bytes
+
+    spec, vm, builder, _ = build_capture_vm(ObsSpec(scenario=scenario))
+    vm.run()
+    spans = builder.finish(vm.clock.now)
+    assert spans
+    header = {"scenario": spec.scenario, "clock": vm.clock.now}
+    data = spans_jsonl_bytes(spans, header)
+    assert spans_from_jsonl(data) == spans
+    assert spans_from_jsonl(data.decode("utf-8")) == spans

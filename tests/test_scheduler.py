@@ -199,6 +199,53 @@ class TestSleepers:
         assert t.elapsed() == t.end_time - t.start_time
 
 
+def _wake_up_lateness(scheduler: str, interp: str) -> tuple[int, int]:
+    """A priority-1 spinner holds a lock through 2,000 iterations while a
+    priority-10 thread sleeps 200 cycles; the spinner's first slice is
+    preempted when the sleep falls due.  Returns (cycles from the due
+    time to the sleeper's first instruction after it, quantum)."""
+    spin = Asm("spin", argc=0)
+    spin.getstatic("T", "lock")
+    with spin.sync():
+        i = spin.local()
+        spin.for_range(i, lambda: spin.const(2_000), lambda:
+                       spin.const(0).pop())
+    spin.ret()
+    sleeper = Asm("sleeper", argc=0)
+    sleeper.time().putstatic("T", "slept_at")
+    sleeper.const(200).sleep()
+    sleeper.time().putstatic("T", "woke_at")
+    sleeper.ret()
+    vm = make_vm(scheduler=scheduler, interp=interp)
+    vm.load(build_class(
+        "T", ["lock:ref", "slept_at:int", "woke_at:int"], [spin, sleeper]
+    ))
+    vm.set_static("T", "lock", vm.new_object("T"))
+    vm.spawn("T", "sleeper", priority=10, name="sleeper")
+    vm.spawn("T", "spin", priority=1, name="spinner")
+    vm.run()
+    due = vm.get_static("T", "slept_at") + 200
+    return vm.get_static("T", "woke_at") - due, vm.cost_model.quantum
+
+
+@pytest.mark.parametrize("interp", ["fast", "reference"])
+class TestWakeUpPreemption:
+    """A slice preempted because a sleeper fell due should hand the CPU
+    to the sleeper, not to another slice of the preempted thread."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "round-robin re-queues the preempted thread before the woken "
+        "sleeper (DESIGN.md decision 5; ROADMAP item 16)"
+    ))
+    def test_round_robin_runs_the_woken_sleeper_next(self, interp):
+        late, quantum = _wake_up_lateness("round-robin", interp)
+        assert late < quantum
+
+    def test_priority_runs_the_woken_sleeper_next(self, interp):
+        late, quantum = _wake_up_lateness("priority", interp)
+        assert late < quantum
+
+
 def _bare_thread(tid: int, name: str) -> VMThread:
     run = Asm("run", argc=0)
     run.ret()
