@@ -62,8 +62,6 @@ def donate_priority(
             metrics.priority_donations += 1
             donated = True
             vm.scheduler.on_priority_changed(owner)
-            for held in owner.held_monitors:
-                held.refresh_deposited()
             vm.trace(
                 "inherit", owner, from_=thread, priority=donor_priority
             )
@@ -81,8 +79,6 @@ def recompute_inheritance(vm, thread: "VMThread") -> None:
     if thread.inherited_priority != best:
         thread.inherited_priority = best
         vm.scheduler.on_priority_changed(thread)
-        for held in thread.held_monitors:
-            held.refresh_deposited()
 
 
 class InheritanceSupport(RuntimeSupport):

@@ -180,11 +180,9 @@ class RollbackSupport(RuntimeSupport):
             sync_id,
             sid=self._section_seq,
             slot=scope.slot if scope else None,
-            resume_pc=scope.save_pc if scope else None,
             handler_pc=scope.handler_pc if scope else None,
             log_mark=log.mark(),
             recursive=recursive,
-            enter_time=self.vm.clock.now,
         )
         thread.sections.append(section)
         self._invalidate(thread)
@@ -577,7 +575,7 @@ class RollbackSupport(RuntimeSupport):
     ) -> Optional[str]:
         """Demote ``site`` one ladder rung; returns the new level or None
         when the site already sits at the bottom."""
-        new_level = site.escalate(self.vm.clock.now)
+        new_level = site.escalate()
         if new_level is None:
             return None
         if new_level == LADDER_INHERITANCE:

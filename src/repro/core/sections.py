@@ -9,9 +9,8 @@ unwinds it.  It ties together everything a rollback needs:
   targets, since releasing an inner recursive level would not free the
   monitor);
 * the frame and the transformer-injected scope info — which ``SAVESTATE``
-  slot holds the operand-stack/locals snapshot, where the injected
-  ``ROLLBACK_HANDLER`` lives, and the resume pc (the ``SAVESTATE`` before
-  the ``monitorenter``);
+  slot holds the operand-stack/locals snapshot and where the injected
+  ``ROLLBACK_HANDLER`` lives;
 * the undo-log *mark* delimiting this section's updates;
 * the revocability state (paper §2.2): sections become non-revocable when
   their speculative writes are observed by another thread, when a native
@@ -66,7 +65,6 @@ class SectionSite:
         "attempts",
         "total_revocations",
         "grace_until",
-        "degraded_at",
     )
 
     def __init__(self, tid: int, sync_id: object):
@@ -78,16 +76,13 @@ class SectionSite:
         self.total_revocations = 0
         #: revocation requests are refused until this virtual time
         self.grace_until = 0
-        #: virtual time of the most recent demotion (-1 = never)
-        self.degraded_at = -1
 
-    def escalate(self, now: int) -> Optional[str]:
+    def escalate(self) -> Optional[str]:
         """Demote one rung; returns the new level, or None at the bottom."""
         idx = LADDER_ORDER.index(self.level)
         if idx + 1 >= len(LADDER_ORDER):
             return None
         self.level = LADDER_ORDER[idx + 1]
-        self.degraded_at = now
         return self.level
 
     def commit(self) -> None:
@@ -112,13 +107,11 @@ class Section:
         "frame",
         "sync_id",
         "slot",
-        "resume_pc",
         "handler_pc",
         "log_mark",
         "recursive",
         "revocable",
         "nonrevocable_reason",
-        "enter_time",
         "depth",
     )
 
@@ -131,11 +124,9 @@ class Section:
         *,
         sid: int,
         slot: Optional[int],
-        resume_pc: Optional[int],
         handler_pc: Optional[int],
         log_mark: int,
         recursive: bool,
-        enter_time: int,
     ):
         # allocated by the owning VM's RevocationManager, so section ids
         # are a pure function of that VM's execution (snapshot/restore and
@@ -146,7 +137,6 @@ class Section:
         self.frame = frame
         self.sync_id = sync_id
         self.slot = slot
-        self.resume_pc = resume_pc
         self.handler_pc = handler_pc
         self.log_mark = log_mark
         self.recursive = recursive
@@ -154,7 +144,6 @@ class Section:
         self.nonrevocable_reason: Optional[str] = (
             None if self.revocable else REASON_UNTRANSFORMED
         )
-        self.enter_time = enter_time
         self.depth = len(thread.sections)  # 0 = outermost
 
     def mark_nonrevocable(self, reason: str) -> bool:

@@ -122,8 +122,6 @@ class Heap:
         self.statics: dict[tuple[str, str], Any] = {}
         self._static_defs: dict[tuple[str, str], FieldDef] = {}
         self.class_objects: dict[str, VMObject] = {}
-        self.objects_allocated = 0
-        self.arrays_allocated = 0
 
     def _oid(self) -> int:
         oid = self._next_oid
@@ -147,11 +145,9 @@ class Heap:
             raise LinkError(f"class {class_name!r} not loaded") from None
 
     def allocate(self, classdef: ClassDef) -> VMObject:
-        self.objects_allocated += 1
         return VMObject(self._oid(), classdef)
 
     def allocate_array(self, length: int, fill: Any = 0) -> VMArray:
-        self.arrays_allocated += 1
         return VMArray(self._oid(), length, fill)
 
     # ------------------------------------------------------------- statics

@@ -3,9 +3,11 @@
 Every guest object can act as a monitor (inflated lazily).  The monitor
 header holds the fields the paper's detection algorithm reads (§4):
 
-* ``owner`` and ``count`` — recursive ownership;
-* ``deposited_priority`` — "a thread acquiring a monitor deposits its
-  priority in the header of the monitor object";
+* ``owner`` and ``count`` — recursive ownership.  The paper has the
+  acquiring thread "deposit its priority in the header of the monitor
+  object"; here detection reads the owner's current
+  ``effective_priority`` instead, the one value that deposit stands for,
+  so a priority donation needs no re-deposit;
 * the **prioritized entry queue** — "when a thread releases a monitor,
   another thread is scheduled from the queue.  If it is a high-priority
   thread, it is allowed to acquire the monitor.  If it is a low-priority
@@ -61,15 +63,10 @@ class Monitor:
         "label",
         "owner",
         "count",
-        "deposited_priority",
         "entry_queue",
         "wait_set",
         "ceiling",
         "first_section",
-        "acquisitions",
-        "contended_acquisitions",
-        "handoffs",
-        "wakeups",
     )
 
     def __init__(self, obj: "VMObject | VMArray"):
@@ -79,7 +76,6 @@ class Monitor:
         self.label = repr(obj)
         self.owner: "VMThread | None" = None
         self.count = 0
-        self.deposited_priority: int = -1
         #: waiting to *enter*: thread -> count it restores on acquire,
         #: in arrival order
         self.entry_queue: dict["VMThread", int] = {}
@@ -89,10 +85,6 @@ class Monitor:
         #: section record of the owner's outermost acquisition (set by the
         #: rollback runtime; None on the unmodified VM)
         self.first_section = None
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-        self.handoffs = 0
-        self.wakeups = 0
 
     # ------------------------------------------------------------ acquisition
     def try_acquire(self, thread: "VMThread") -> bool:
@@ -102,13 +94,10 @@ class Monitor:
             # and restores the count it queued with
             self.owner = thread
             self.count = self.entry_queue.pop(thread, 1)
-            self.deposited_priority = thread.effective_priority
-            self.acquisitions += 1
             thread.held_monitors.append(self)
             return True
         if self.owner is thread:
             self.count += 1
-            self.acquisitions += 1
             return True
         return False
 
@@ -119,7 +108,6 @@ class Monitor:
                 f"thread {thread.name!r} already queued on {self.obj!r}"
             )
         self.entry_queue[thread] = count_on_acquire
-        self.contended_acquisitions += 1
 
     def remove_from_queue(self, thread: "VMThread") -> None:
         self.entry_queue.pop(thread, None)
@@ -152,7 +140,6 @@ class Monitor:
         thread.held_monitors.remove(self)
         self.first_section = None
         self.owner = None
-        self.deposited_priority = -1
         queue = self.entry_queue
         if not queue:
             return None
@@ -164,12 +151,7 @@ class Monitor:
         if handoff:
             self.owner = waiter
             self.count = queue.pop(waiter)
-            self.deposited_priority = waiter.effective_priority
-            self.acquisitions += 1
-            self.handoffs += 1
             waiter.held_monitors.append(self)
-        else:
-            self.wakeups += 1
         return waiter
 
     # -------------------------------------------------------------- wait set
@@ -192,17 +174,6 @@ class Monitor:
         moved = list(self.wait_set.items())
         self.wait_set.clear()
         return moved
-
-    def refresh_deposited(self) -> None:
-        """Re-deposit the owner's *current* effective priority.
-
-        Priority donations change the owner's effective priority after the
-        deposit made at acquisition time; detection compares against the
-        deposited value, so a stale deposit would keep reporting an
-        inversion that inheritance already cured.
-        """
-        if self.owner is not None:
-            self.deposited_priority = self.owner.effective_priority
 
     # ------------------------------------------------------------- inspection
     def is_locked(self) -> bool:

@@ -111,7 +111,7 @@ class VMThread:
         "pending_handoff", "revocation_request", "active_rollback",
         "wakeup_time",
         "blocked_on", "waiting_on", "held_monitors", "sections",
-        "undo_log", "result", "uncaught", "quantum_used", "sched_stamp",
+        "undo_log", "quantum_used", "sched_stamp",
         "preempt_requested", "revocations", "consecutive_revocations",
         "grace_until", "sections_committed",
         # metrics
@@ -155,8 +155,6 @@ class VMThread:
         self.sections: list = []
         #: per-thread sequential undo buffer (modified VM only)
         self.undo_log = None
-        self.result: Any = None
-        self.uncaught: Any = None
         self.quantum_used = 0
         #: bumped on every (re)queueing so stale scheduler entries die
         self.sched_stamp = 0

@@ -162,7 +162,7 @@ class TestGuestExceptionInjection:
         vm = self._loop_vm(plan, raise_on_uncaught=False)
         vm.run()
         t = vm.thread_named("t0")
-        assert t.uncaught is not None
+        assert [thread for thread, _exc in vm.uncaught] == [t]
         assert vm.get_static("T", "counter") < 2_000
         assert vm.fault_plane.report() == {"guest_exception": 1, "total": 1}
         faults = vm.tracer.of_kind("fault_inject")
@@ -175,8 +175,7 @@ class TestGuestExceptionInjection:
         plan = FaultPlan(guest_exception_rate=1.0, max_injections=1)
         vm = self._loop_vm(plan, threads=2, raise_on_uncaught=False)
         vm.run()
-        dead = [t for t in vm.threads if t.uncaught is not None]
-        assert len(dead) == 1
+        assert len(vm.uncaught) == 1
         # the survivor ran its full loop on top of the victim's progress
         assert vm.get_static("T", "counter") >= 2_000
         mon = vm.get_static("T", "lock").monitor

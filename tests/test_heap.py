@@ -49,12 +49,6 @@ class TestObjects:
         assert len(set(oids)) == 10
         assert oids == sorted(oids)
 
-    def test_allocation_counter(self, heap, point_class):
-        heap.allocate(point_class)
-        heap.allocate_array(3)
-        assert heap.objects_allocated == 1
-        assert heap.arrays_allocated == 1
-
 
 class TestArrays:
     def test_fill_and_length(self, heap):

@@ -9,23 +9,9 @@ The interpreter's predecode tier (:mod:`repro.vm.predecode` blocks and
 event streams, identical metrics, and identical checker fingerprints.
 These tests run the same guest program once per setting and compare all
 of it.
-
-Two process-global counters would otherwise poison the comparison — they
-are build/run ordinal counters, not interpreter state:
-
-* ``Asm._sync_counter`` numbers monitor sync ids at *assembly* time, so
-  building the same workload twice in one process yields different sync
-  ids baked into the bytecode;
-* ``repro.core.sections._section_ids`` numbers critical sections at *run*
-  time across all VMs in the process.
-
-``_fresh()`` resets both before every build+run so the two interpreters
-see byte-identical programs and emit byte-identical section names.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -40,7 +26,6 @@ from repro.bench.workloads import (
 )
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import scenarios
-from repro.core import sections
 from repro.errors import DeadlockError, UncaughtGuestException
 from repro.vm import bytecode as bc
 from repro.vm.assembler import Asm
@@ -50,12 +35,6 @@ from conftest import probe_superblocks
 
 MODES = ("unmodified", "rollback", "inheritance", "ceiling")
 INTERPS = ("reference", "fast")
-
-
-def _fresh() -> None:
-    """Reset the process-global build/run counters (see module docstring)."""
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
 
 
 def _snap(vm: JVM, outcome: str) -> dict:
@@ -87,7 +66,6 @@ def _snap(vm: JVM, outcome: str) -> dict:
 
 
 def _run_workload(build, mode: str, interp: str, **overrides) -> dict:
-    _fresh()
     workload = build()
     opts = dict(
         mode=mode, interp=interp, trace=True, seed=7,
@@ -166,7 +144,6 @@ def test_microbench_parity(mode: str, monkeypatch) -> None:
     runs = probe_superblocks(monkeypatch)
     results = {}
     for interp in INTERPS:
-        _fresh()
         results[interp] = run_microbench(
             config, mode, options=VMOptions(interp=interp)
         )
@@ -398,8 +375,6 @@ def test_slow_branch_cases_run_on_the_tier_they_name(name, build_factory,
     and the slow branch fires inside it (a fault at ``i == last`` or,
     for the non-faulting cases, a loop run to its end)."""
     from repro.vm.predecode import predecode_method
-
-    _fresh()
     runs = probe_superblocks(monkeypatch)
     vm = JVM(VMOptions(mode="rollback", seed=7, max_cycles=50_000_000))
     build_factory().install(vm)
@@ -429,8 +404,6 @@ def test_float_remainder_keeps_the_reference_helper(interp) -> None:
 
     def emit(a: Asm) -> None:
         a.const(float("inf")).const(64).mod().putstatic("T", "out")
-
-    _fresh()
     with pytest.raises(ValueError, match="math domain error"):
         run_single(emit, fields=["out"], interp=interp)
 
@@ -445,8 +418,6 @@ def test_store_to_unknown_static_raises(interp, mode) -> None:
     from conftest import build_class, make_vm
 
     from repro.errors import LinkError
-
-    _fresh()
     main = Asm("main", argc=0)
     main.const(1).putstatic("T", "nope").ret()
     vm = make_vm(mode, interp=interp)
@@ -468,7 +439,6 @@ def _decoded_methods(vm: JVM) -> list[str]:
 
 
 def _run_bank(**options) -> JVM:
-    _fresh()
     workload = build_bank(accounts=4, transfers=10, hold_cycles=120)
     vm = JVM(VMOptions(mode="rollback", seed=7, max_cycles=50_000_000,
                        **options))

@@ -282,13 +282,16 @@ class TestCalls:
         assert exc_info.value.exc_class == "StackOverflowError"
 
     def test_thread_result(self):
+        """A value-returning entry method hands its value to the guest
+        (here through a static) and returning it ends the thread."""
         m = Asm("main", returns_value=True)
-        m.const(123).ret()
+        m.const(123).putstatic("T", "out")
+        m.getstatic("T", "out").ret()
         vm = make_vm()
-        vm.load(build_class("T", [], [m]))
+        vm.load(build_class("T", ["out:int"], [m]))
         t = vm.spawn("T", "main", name="main")
         vm.run()
-        assert t.result == 123
+        assert vm.get_static("T", "out") == 123
         assert t.state is ThreadState.TERMINATED
 
 

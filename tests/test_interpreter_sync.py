@@ -8,6 +8,7 @@ timed waits, sleep/yield.
 import pytest
 
 from repro import Asm, UncaughtGuestException
+from repro.vm.monitors import Monitor
 
 from conftest import build_class, make_vm
 
@@ -153,7 +154,7 @@ class TestHandoffAndQueues:
         order = self._contention_vm([5, 5, 5])
         assert sorted(order) == [0, 1, 2]
 
-    def test_direct_handoff_option_prevents_barging(self):
+    def test_direct_handoff_option_prevents_barging(self, monkeypatch):
         """With VMOptions(direct_handoff=True), a release transfers
         ownership to the queued waiter before it runs, so the releaser
         cannot immediately re-enter (the abl-handoff ablation)."""
@@ -173,14 +174,25 @@ class TestHandoffAndQueues:
         run.for_range(s, lambda: run.const(3), lambda: _one_section(run))
         run.ret()
 
+        # a handoff is a full release whose named waiter already owns
+        # the monitor when release returns
+        handoffs = []
+        release = Monitor.release
+
+        def spy(mon, thread, **kwargs):
+            waiter = release(mon, thread, **kwargs)
+            if waiter is not None and mon.owner is waiter:
+                handoffs.append(waiter.name)
+            return waiter
+
+        monkeypatch.setattr(Monitor, "release", spy)
         vm = make_vm(direct_handoff=True)
         install(vm, lock_class("counter:int", methods=[run]))
         vm.spawn("T", "run", name="a")
         vm.spawn("T", "run", name="b")
         vm.run()
         assert out_of(vm, "counter") == 3_600
-        handoffs = vm.get_static("T", "lock").monitor.handoffs
-        assert handoffs >= 1  # contention actually exercised handoff
+        assert handoffs  # contention actually exercised handoff
 
 
 class TestWaitNotify:

@@ -57,11 +57,6 @@ class TestAcquisition:
         assert mon.owner is t and mon.count == 1
         assert mon in t.held_monitors
 
-    def test_deposited_priority(self, mon):
-        t = make_thread(1, priority=7)
-        mon.try_acquire(t)
-        assert mon.deposited_priority == 7
-
     def test_recursive(self, mon):
         t = make_thread(1)
         assert mon.try_acquire(t)
@@ -101,7 +96,6 @@ class TestRelease:
         assert mon.release(t) is None
         assert mon.owner is None
         assert mon not in t.held_monitors
-        assert mon.deposited_priority == -1
 
     def test_recursive_release_keeps_ownership(self, mon):
         t = make_thread(1)
@@ -125,7 +119,6 @@ class TestRelease:
         assert handed is b
         assert mon.owner is b and mon.count == 1
         assert mon in b.held_monitors
-        assert mon.handoffs == 1
 
 
 class TestPrioritizedQueue:

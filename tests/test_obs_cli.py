@@ -3,14 +3,11 @@ the tracer sink-hardening satellite, and the timeline width budget."""
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
 
-from repro.core import sections
 from repro.obs.__main__ import main as obs_main
-from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
 
 SERIAL = ["--jobs", "1", "--no-cache"]
@@ -108,8 +105,6 @@ def test_raising_sink_is_detached_not_fatal():
     """Satellite: an observability sink must never take down the run."""
     from repro.bench.workloads import build_deadlock_pair
 
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     vm = JVM(VMOptions(mode="rollback", trace=True))
     calls = []
 
@@ -136,8 +131,6 @@ def test_raising_sink_is_detached_not_fatal():
 def _timeline_vm():
     from repro.bench.workloads import build_deadlock_pair
 
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     vm = JVM(VMOptions(mode="rollback", trace=True))
     build_deadlock_pair(hold_cycles=800, work=20).install(vm)
     vm.run()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import itertools
 import json
 
 import pytest
@@ -23,17 +22,13 @@ from repro.bench.workloads import (
     build_medium_inversion,
     build_philosophers,
 )
-from repro.core import sections
 from repro.errors import run_outcome
-from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
 
 MODES = ("unmodified", "rollback", "inheritance", "ceiling")
 
 
 def _run(build, mode="rollback", interp="fast", **overrides):
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     opts = dict(mode=mode, interp=interp, trace=True, profile=True,
                 seed=7, max_cycles=50_000_000)
     opts.update(overrides)
@@ -134,8 +129,6 @@ def test_idle_cycles_match_the_clock_jumps(interp, monkeypatch):
 
 
 def test_profiler_absent_by_default():
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     vm = JVM(VMOptions(mode="rollback", trace=True))
     assert vm.profiler is None
     build_deadlock_pair(hold_cycles=800, work=20).install(vm)
@@ -344,8 +337,6 @@ def test_restored_profiled_vm_matches_the_straight_run(monkeypatch):
     assert outcome == "completed"
     runs = probe_superblocks(monkeypatch)
 
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     donor = JVM(VMOptions(mode="rollback", trace=True, profile=True,
                           seed=7, max_cycles=50_000_000))
     _medium().install(donor)

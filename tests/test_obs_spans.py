@@ -10,8 +10,6 @@ stream.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.bench.workloads import (
@@ -20,16 +18,12 @@ from repro.bench.workloads import (
     build_medium_inversion,
     build_philosophers,
 )
-from repro.core import sections
 from repro.errors import run_outcome
 from repro.obs.spans import SpanBuilder, build_spans
-from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
 
 
 def _run(build, mode="rollback", **overrides):
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     opts = dict(mode=mode, trace=True, seed=7, max_cycles=50_000_000)
     opts.update(overrides)
     vm = JVM(VMOptions(**opts))
@@ -143,8 +137,6 @@ def test_deadlock_instant_on_unmodified():
 
 
 def test_online_sink_equals_posthoc_construction():
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     vm = JVM(VMOptions(mode="rollback", trace=True, seed=7,
                        max_cycles=50_000_000))
     builder = SpanBuilder()

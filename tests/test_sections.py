@@ -36,8 +36,8 @@ def make_section(thread, *, slot=0, handler_pc=5, recursive=False):
     frame = Frame(thread.entry_method, [], 0)
     return Section(
         thread, mon, frame, f"sync#{slot}",
-        sid=next(_sids), slot=slot, resume_pc=1, handler_pc=handler_pc,
-        log_mark=0, recursive=recursive, enter_time=100,
+        sid=next(_sids), slot=slot, handler_pc=handler_pc,
+        log_mark=0, recursive=recursive,
     )
 
 
@@ -90,8 +90,8 @@ class TestThreadSectionHelpers:
         t.sections.append(outer)
         recursive = Section(
             t, outer.monitor, outer.frame, "sync#9",
-            sid=next(_sids), slot=1, resume_pc=1, handler_pc=7,
-            log_mark=0, recursive=True, enter_time=200,
+            sid=next(_sids), slot=1, handler_pc=7,
+            log_mark=0, recursive=True,
         )
         t.sections.append(recursive)
         assert t.section_for_monitor(outer.monitor) is outer

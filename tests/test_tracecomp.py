@@ -15,13 +15,10 @@ hits) is compared after every slice, once per exit.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro import FaultPlan
 from repro.check.oracle import final_fingerprint, fingerprint_digest
-from repro.core import sections
 from repro.errors import StarvationError, UncaughtGuestException
 from repro.vm.assembler import Asm
 from repro.vm.heap import VMArray, VMObject, location_of
@@ -30,13 +27,6 @@ from repro.vm.tracecomp import SuperBlock
 from repro.vm.vmcore import JVM, VMOptions
 
 from conftest import build_class, make_vm, probe_superblocks
-
-
-def _fresh() -> None:
-    """Reset the process-global build/run ordinals (see
-    tests/test_interp_parity.py for why)."""
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
 
 
 def _snap(vm: JVM, outcome: str) -> dict:
@@ -51,7 +41,6 @@ def _snap(vm: JVM, outcome: str) -> dict:
 
 
 def _run(install, mode: str, interp: str, **opts) -> dict:
-    _fresh()
     vm = make_vm(mode, interp=interp, seed=7, **opts)
     install(vm)
     outcome = "ok"
@@ -87,7 +76,6 @@ def _hot_loop(count: int = 100) -> Asm:
 
 
 def _decode(asm: Asm, mode: str = "unmodified"):
-    _fresh()
     vm = make_vm(mode, interp="fast")
     vm.load(build_class("C", ["lock:ref", "value"], [asm]))
     method = vm.classes["C"].method("run")
@@ -143,14 +131,12 @@ class TestFormation:
             a.invoke("C", "leaf", 0),
         ))
         a.ret()
-        _fresh()
         vm = make_vm("unmodified", interp="fast")
         vm.load(build_class("C", ["lock:ref", "value"], [a, callee]))
         dm = predecode_method(vm, vm.classes["C"].method("run"))
         assert dm.superblock_list == []
 
     def test_invalidate_drops_superblocks(self):
-        _fresh()
         vm = make_vm("unmodified", interp="fast")
         vm.load(build_class("C", ["lock:ref", "value"], [_hot_loop()]))
         method = vm.classes["C"].method("run")
@@ -321,7 +307,6 @@ def _slice_state(vm: JVM) -> tuple:
 def _slices(install, interp: str, state=_slice_state, **opts) -> list:
     """``state(vm)`` after every slice (and after a starvation) of one
     rollback-mode run."""
-    _fresh()
     vm = make_vm("rollback", interp=interp, seed=7, **opts)
     install(vm)
     states: list = []

@@ -272,13 +272,9 @@ class TestTracing:
         deadlock pair covers block, wakeup and rollback events, the
         bounded buffer wait, notify and wait_return."""
         import hashlib
-        import itertools
 
         from repro.bench import workloads
-        from repro.core import sections
 
-        Asm._sync_counter = 0
-        sections._section_ids = itertools.count(1)
         vm = JVM(VMOptions(mode="rollback", trace=True, seed=7,
                            max_cycles=50_000_000))
         build(workloads).install(vm)
