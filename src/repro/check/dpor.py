@@ -55,13 +55,14 @@ checkpoints the VM (:mod:`repro.vm.snapshot`) at decision points.  The
 stepping run is the VM's decision hook, and a snapshot captures the
 hook, so one :func:`~repro.vm.snapshot.restore_vm` brings back the VM
 together with its committed schedule and pending decision — the same
-resume path the time-travel debugger uses.  Snapshots are taken
-sparsely (every :data:`SNAPSHOT_INTERVAL` levels of the DFS stack):
-repositioning restores the nearest ancestor checkpoint and replays the
-path's choices as its prefix — at most ``SNAPSHOT_INTERVAL - 1`` of
-them past the checkpoint — trading a bounded amount of deterministic
-re-execution for an order of magnitude fewer serializations (each
-snapshot is one ``pickle.dumps`` of the VM).
+resume path the time-travel debugger uses.  Checkpoints are taken only
+where the search comes back: the root gets one, and repositioning
+restores the nearest ancestor checkpoint and replays the path's choices
+as its prefix, stopping at every multiple of :data:`SNAPSHOT_INTERVAL`
+levels it passes on the way to checkpoint it.  A level the search never
+comes back through is never serialized, and a return replays at most
+``SNAPSHOT_INTERVAL`` choices past a checkpoint once the levels it
+crosses have theirs.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ from repro.check.scenarios import CheckScenario, get_scenario
 from repro.errors import run_outcome
 from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
 
-#: take a full VM snapshot at stack depths divisible by this; states in
-#: between are repositioned by replaying their recorded choices from the
-#: nearest shallower checkpoint
+#: repositioning checkpoints the stack depths divisible by this that it
+#: replays through; states in between are repositioned by replaying
+#: their recorded choices from the nearest shallower checkpoint
 SNAPSHOT_INTERVAL = 8
 
 # --------------------------------------------------------------------------
@@ -231,7 +232,6 @@ class SteppingRun(ScheduleController):
         #: candidate tids at the currently paused decision, else None
         self.pending: Optional[tuple[int, ...]] = None
         self.outcome: Optional[str] = None
-        self.vm.begin_run()
 
     def _continue(self, tids: tuple[int, ...]) -> int:
         if not self.stepping:
@@ -326,7 +326,9 @@ class _State:
 
     #: enabled candidates in scheduler order
     tids: tuple[int, ...]
-    #: full VM checkpoint, or None for replay-repositioned states
+    #: full VM checkpoint: the root's, and one per multiple of
+    #: SNAPSHOT_INTERVAL once the search has come back through it;
+    #: None elsewhere
     checkpoint: Optional[VMSnapshot]
     #: thread -> footprint of its (fixed, deterministic) next transition,
     #: for threads whose subtree was already explored from an equivalent
@@ -370,11 +372,11 @@ class DporExplorer:
         return SteppingRun(self.scenario, self.mode, inject=self.inject)
 
     def _make_state(self, run, tids, sleep, clocks) -> _State:
-        depth = len(run.trace)
-        want_snap = depth % SNAPSHOT_INTERVAL == 0
         state = _State(
             tids=tuple(tids),
-            checkpoint=run.checkpoint() if want_snap else None,
+            # only the root: deeper checkpoints wait until the search
+            # comes back through their level (_reposition)
+            checkpoint=run.checkpoint() if not run.trace else None,
             sleep=dict(sleep),
             clocks={t: dict(vc) for t, vc in clocks.items()},
         )
@@ -387,25 +389,33 @@ class DporExplorer:
     def _reposition(self, stack, path) -> SteppingRun:
         """Produce a live run paused at ``stack[-1]``'s decision by
         restoring the nearest ancestor checkpoint and replaying the
-        path's choices as its prefix; the run pauses just past them."""
+        path's choices as its prefix, in chunks that stop at every
+        multiple of :data:`SNAPSHOT_INTERVAL` it passes on the way; each
+        such level gets a checkpoint there, for the next return through
+        it.  The run pauses just past the path's choices."""
         depth = len(stack) - 1
         anchor = depth
         while stack[anchor].checkpoint is None:
             anchor -= 1
         run = SteppingRun.resume(stack[anchor].checkpoint)
         self.restores += 1
-        run.prefix = tuple(t.tid for t in path[:depth])
-        run.pending = None
-        if run.advance()[0] != "decision":
-            raise RuntimeError(
-                "determinism violation: replay terminated early"
-            )
+        at = anchor
+        while at < depth:
+            at = min(depth, (at // SNAPSHOT_INTERVAL + 1) * SNAPSHOT_INTERVAL)
+            run.prefix = tuple(t.tid for t in path[:at])
+            run.pending = None
+            if run.advance()[0] != "decision":
+                raise RuntimeError(
+                    "determinism violation: replay terminated early"
+                )
+            if run.pending != stack[at].tids:
+                raise RuntimeError(
+                    "determinism violation: repositioned candidates "
+                    f"{run.pending} != recorded {stack[at].tids}"
+                )
+            if at < depth:
+                stack[at].checkpoint = run.checkpoint()
         self.replayed += depth - anchor
-        if run.pending != stack[depth].tids:
-            raise RuntimeError(
-                "determinism violation: repositioned candidates "
-                f"{run.pending} != recorded {stack[depth].tids}"
-            )
         return run
 
     # ---------------------------------------------------------- race analysis

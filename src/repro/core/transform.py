@@ -26,9 +26,9 @@ modified VM; this module performs the same three rewrites on our IR:
    hook: a whole-program call-graph analysis clears the flag on stores
    that provably never execute inside a synchronized section.
 
-All passes operate on a private copy of the class (the VM copies at load
-time), so the same program object can be loaded into modified and
-unmodified VMs side by side.
+All passes operate on a private copy of the class (a VM's program image
+builds its classes from their pickled bytes), so the same program object
+can be loaded into modified and unmodified VMs side by side.
 """
 
 from __future__ import annotations
@@ -320,17 +320,8 @@ def elide_barriers(classdefs: Iterable[ClassDef]) -> int:
     for key, m in methods.items():
         if key in may_hold:
             continue
-        changed = 0
         for pc, ins in enumerate(m.code):
             if ins.barrier and not inside(key, pc):
                 ins.barrier = False
-                changed += 1
-        if changed:
-            # Elision mutates the code a compiled DecodedMethod closure
-            # may have baked in (barrier stores emit BS calls); a stale
-            # closure would keep charging the removed barriers.  Linking
-            # invalidates too, but predecode can legitimately run before
-            # elision (a direct predecode_method call, e.g. a debugging dump).
-            m.invalidate_decoded()
-            elided += changed
+                elided += 1
     return elided

@@ -10,8 +10,8 @@ into one plain, picklable dict.
 Every obs VM is built here: :func:`build_capture_vm` for a registered
 scenario and :func:`build_replay_vm` for a ``repro.check`` cell, both
 attaching their sinks through :func:`attach_sinks`.  Every obs VM also
-runs here, through the one driver :func:`run_capture`: ``begin_run``,
-the scheduler's step loop, ``finish_run`` and :func:`_package`.  A
+runs here, through the one driver :func:`run_capture`: the scheduler's
+step loop, ``finish_run`` and :func:`_package`.  A
 capture passes no checkpoint interval, so the loop takes no snapshot and
 costs what ``vm.run()`` costs; the time-travel debugger
 (:mod:`repro.obs.debug`) passes one and keeps the checkpoints.  A
@@ -150,7 +150,7 @@ def run_capture(
     checkpoints, and the clock at each of its quiescent points.
 
     The one loop that drives an obs VM.  With a checkpoint ``interval``
-    it snapshots the VM after ``begin_run`` and then every ``interval``
+    it snapshots the VM before its first step and then every ``interval``
     slices, and records every distinct quiescent clock value in order;
     without one both lists stay empty and the run is exactly
     ``vm.run()``."""
@@ -161,7 +161,6 @@ def run_capture(
     boundaries: list[int] = []
 
     def drive() -> None:
-        vm.begin_run()
         scheduler = vm.scheduler
         if interval is not None:
             checkpoints.append(snapshot_vm(vm))

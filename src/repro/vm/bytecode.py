@@ -259,6 +259,16 @@ class Instruction:
         self.ypoint = False
         self.barrier = False
 
+    def __getstate__(self) -> tuple:
+        """Pickled state: everything but ``c``, a resolution cache that
+        the next execution fills again."""
+        return (self.op, self.a, self.b, self.cost, self.ypoint,
+                self.barrier)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.op, self.a, self.b, self.cost, self.ypoint, self.barrier = state
+        self.c = None
+
     def copy(self) -> "Instruction":
         """Deep-enough copy for the transformer (``c`` is re-resolved)."""
         ins = Instruction(self.op, self.a, self.b)

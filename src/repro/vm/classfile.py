@@ -2,9 +2,10 @@
 
 This is the unit the transformer (:mod:`repro.core.transform`) consumes and
 produces, mirroring how the paper rewrites Java class files with BCEL.  A
-:class:`ClassDef` is *loaded* into a :class:`repro.vm.vmcore.JVM`, which
-resolves symbolic references, runs the transformer when the VM is in
-"modified" mode, assigns instruction costs and marks yield points.
+:class:`ClassDef` is *loaded* into a :class:`repro.vm.vmcore.JVM`, whose
+:class:`~repro.vm.vmcore.ProgramImage` runs the transformer when the VM
+is in "modified" mode, assigns instruction costs and marks yield points,
+once per process for every VM that runs the same program.
 """
 
 from __future__ import annotations
@@ -115,37 +116,14 @@ class MethodDef:
     def qualified_name(self) -> str:
         return f"{self.class_name}.{self.name}"
 
-    def invalidate_decoded(self) -> None:
-        """Drop the cached predecode result.
-
-        The interpreter's predecode tier (:mod:`repro.vm.predecode`)
-        caches its compiled blocks on the MethodDef at first execution; call
-        this after any in-place mutation of ``code`` so stale blocks can
-        never execute.  ``copy()`` never carries the cache.
-        """
-        self.__dict__.pop("_decoded", None)
-
-    def __getstate__(self) -> dict:
-        """Pickled state, minus the predecode cache.
-
-        Compiled blocks are closures bound to one VM's runtime, so they
-        never travel inside a VM snapshot; the unpickled method is
-        re-predecoded on first execution, and the original keeps its cache.
-        """
-        state = self.__dict__.copy()
-        state.pop("_decoded", None)
-        return state
-
     def copy(self) -> "MethodDef":
-        """Independent copy (instructions included) for load-time rewriting.
+        """Independent copy, instructions included.
 
-        A ClassDef may be loaded into several VMs (e.g. the modified and
-        unmodified VM of one benchmark comparison); loading always copies so
-        link-time mutation (costs, yield points, barrier flags) of one VM
-        never leaks into another.  Predecode state (``_decoded``) is
-        deliberately not copied: it binds one VM's heap and runtime
-        support, and the new copy is re-linked (and re-predecoded) by
-        whichever VM loads it.
+        Loading never mutates the caller's class: a
+        :class:`~repro.vm.vmcore.ProgramImage` builds its classes from
+        their pickled bytes.  A method carries no per-VM state (each VM
+        keeps its decoded form in its interpreter), so a copy is plain
+        program data.
         """
         m = MethodDef(
             name=self.name,

@@ -23,6 +23,7 @@ Cost intuition (a ~1 GHz in-order machine running compiled Java):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from repro.vm import bytecode as bc
@@ -55,13 +56,23 @@ class CostModel:
     quantum: int = 8_000
 
     def __post_init__(self) -> None:
-        # Linking and predecoding look costs up per opcode; membership
-        # chains per call showed up in profiles, so the table is derived
-        # once here.  The dataclass is frozen, hence object.__setattr__;
-        # replace()/scaled() re-run this, and the table is not a field so
-        # equality/hashing/cache keys still see only the named costs.
-        table = tuple(self._static_cost(op) for op in range(bc._MAX_OP))
-        object.__setattr__(self, "_cost_table", table)
+        # Linking and predecoding look costs up per opcode, so the table
+        # is derived once per distinct model (_cost_table_of caches it by
+        # value: equal models share one table) rather than per
+        # construction.  The dataclass is frozen, hence
+        # object.__setattr__; the table is not a field, so equality,
+        # hashing and cache keys see only the named costs, and
+        # __getstate__ keeps it out of pickles.
+        object.__setattr__(self, "_cost_table", _cost_table_of(self))
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_cost_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def _static_cost(self, op: int) -> int:
         """Cost-class rules (evaluated once per opcode at table build)."""
@@ -102,6 +113,13 @@ class CostModel:
             )
         }
         return replace(self, **fields)
+
+
+@functools.lru_cache(maxsize=64)
+def _cost_table_of(model: CostModel) -> tuple:
+    """The per-opcode cost table of ``model``, built once per distinct
+    model value."""
+    return tuple(model._static_cost(op) for op in range(bc._MAX_OP))
 
 
 @dataclass

@@ -138,6 +138,12 @@ class Heap:
         self.class_objects[classdef.name] = cls_obj
         return cls_obj
 
+    def relink(self, classes: dict[str, ClassDef]) -> None:
+        """Resolve the registered statics to ``classes``' definitions
+        (the VM moved onto another image of the same classes)."""
+        for cls, name in self._static_defs:
+            self._static_defs[(cls, name)] = classes[cls].fields[name]
+
     def class_object(self, class_name: str) -> VMObject:
         try:
             return self.class_objects[class_name]

@@ -115,6 +115,31 @@ class Interpreter:
             from repro.vm.predecode import predecode_method
 
             self._predecode = predecode_method
+        #: this VM's decoded methods, ``id(method)`` -> DecodedMethod:
+        #: functions exec'd from the image's templates into this VM's
+        #: namespace, with this VM's own cache cells
+        self.decoded: dict = {}
+        #: the names generated code binds to this VM (built at first
+        #: predecode; see :func:`repro.vm.predecode.vm_namespace`)
+        self.namespace: Optional[dict] = None
+
+    def __getstate__(self) -> dict:
+        """Pickled state, minus the decoded methods and their namespace:
+        closures bound to this VM, which a restored VM rebuilds from
+        the image's templates at first execution."""
+        state = self.__dict__.copy()
+        state["decoded"] = {}
+        state["namespace"] = None
+        return state
+
+    def forget(self, method=None) -> None:
+        """Drop the decoded form of ``method`` (of every method when
+        None), so its next execution decodes it afresh."""
+        if method is None:
+            self.decoded.clear()
+            self.namespace = None
+        else:
+            self.decoded.pop(id(method), None)
 
     # ------------------------------------------------------------------ API
     def run_slice(self, thread: VMThread) -> str:
@@ -148,6 +173,7 @@ class Interpreter:
         faults = vm.fault_plane
         profiler = vm.profiler
         predecode = self._predecode
+        decoded = self.decoded
         F = [0]  # fault cell: pc of the op a block was executing when it raised
         # dynamic-cost cells: A[0] carries barrier cycles accrued inside a
         # block; superblocks use both cells to hand back the partial
@@ -160,7 +186,9 @@ class Interpreter:
             if predecode is None:
                 blocks = supers = _no_tier(len(code))
             else:
-                dm = predecode(vm, frame.method)
+                dm = decoded.get(id(frame.method))
+                if dm is None:
+                    dm = predecode(vm, frame.method)
                 blocks = dm.blocks
                 supers = dm.superblocks
             pc = frame.pc
@@ -436,11 +464,9 @@ class Interpreter:
                         stack.append(vm.heap.allocate(classdef))
                         pc += 1
                     elif op == bc.CLASSREF:
-                        obj = ins.c
-                        if obj is None:
-                            obj = vm.heap.class_object(ins.a)
-                            ins.c = obj
-                        stack.append(obj)
+                        # this VM's Class object: never cached on the
+                        # instruction, which every VM of the image shares
+                        stack.append(vm.heap.class_object(ins.a))
                         pc += 1
                     elif op == bc.NEWARRAY:
                         length = stack.pop()
@@ -532,7 +558,9 @@ class Interpreter:
                         flush()
                         break
                     elif op == bc.NATIVE:
-                        fn = ins.c or self._native_fn(ins)
+                        # per VM: VMs of one image may register
+                        # different natives under one name
+                        fn = vm.resolve_native(ins.a)
                         argc = ins.b
                         if argc:
                             args = stack[-argc:]
@@ -818,14 +846,7 @@ class Interpreter:
     def _method_def(self, ins) -> MethodDef:
         mdef = self.vm.resolve_method(*ins.a)
         ins.c = mdef
-        if mdef.force_inline:
-            ins.cost = 0  # the paper inlines the renamed $impl method
         return mdef
-
-    def _native_fn(self, ins):
-        fn = self.vm.resolve_native(ins.a)
-        ins.c = fn
-        return fn
 
     def _relinquish_pending_handoff(self, thread: VMThread) -> None:
         """Return a monitor granted by direct handoff but never entered.

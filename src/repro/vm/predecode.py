@@ -16,17 +16,18 @@ The entire method — every basic block plus the superblocks the trace
 compiler (:mod:`repro.vm.tracecomp`) forms over its loops — is generated
 as one Python module source and exec'd in a single pass (*method-level
 translation*).  The source holds no per-VM object: those sit in the
-module's namespace and its ``K`` constant pool and ``C`` inline-cache
-cells, rebuilt for every predecode.  So the compiled code object is
-shared process-wide, keyed by the full source text and the
-``<decoded Class.method>`` filename (:func:`_module_code`); every VM,
-restored ones included, compiles a given module once per process.  The
-decoded functions, pools and cells are cached on the per-VM
-:class:`MethodDef` copy, and ``MethodDef.invalidate_decoded`` drops them
-as one unit.  After a mutation of ``method.code`` the next predecode
-regenerates source, pools and cells; any change the source reflects
-selects another code object, and every other one lives in the rebuilt
-pools, so no stale closure or constant can outlive the mutation.
+module's namespace and its ``C`` inline-cache cells.  So a method's
+:class:`MethodTemplate` — unbound blocks and superblocks, the compiled
+code object, the ``K`` constant pool and the cell count — is built once
+per :class:`~repro.vm.vmcore.ProgramImage` and kept there, and each VM,
+restored ones included, execs the code object into its own namespace
+with its own cells (:meth:`MethodTemplate.instantiate`) and keeps the
+result in its interpreter.  Code objects are also shared across images,
+keyed by the full source text and the ``<decoded Class.method>``
+filename (:func:`_module_code`).  Linked code never changes under a
+template: barrier elision runs while the image is built, and
+``JVM.rewrite_method`` moves its VM onto a private image before it
+edits a method and drops that method's template and decoded form.
 
 Semantics preservation is the hard requirement: the interpreter with the
 tier off (``interp="reference"``) is the oracle and the parity suite
@@ -64,8 +65,8 @@ invariants that make this safe:
     per-site cache cell has resolved the key through ``Heap.static_def``;
   - instance fields go through ``VMObject.get/put``.
 
-  Per-site monomorphic inline cache cells replace the reference's
-  ``ins.c`` caches.  The barriers stay the reference's
+  Per-site monomorphic inline cache cells, one set per VM, replace the
+  reference's ``ins.c`` caches.  The barriers stay the reference's
   ``support.after_load/before_store`` calls; when the support offers
   ``read_barrier_guard()``, each read barrier inlines ``after_load``'s
   fast path (bump the hit count, charge the cost) and calls it only when
@@ -91,10 +92,10 @@ Superinstruction patterns recognised during code generation:
 * ``alu+store``: a STORE whose value was computed in-block writes the
   local directly without touching the operand stack.
 
-Predecoding is lazy (first execution of each method, after class loading,
-transformation and barrier elision have settled) and cached on the
-:class:`~repro.vm.classfile.MethodDef`, which is per-VM because
-``JVM.load`` always copies class definitions.
+Predecoding is lazy (first execution of each method, after class
+loading, transformation and barrier elision have settled): the image
+builds the template at the first execution in any VM, and each VM
+instantiates it at its own first execution.
 """
 
 from __future__ import annotations
@@ -236,6 +237,13 @@ class BasicBlock:
         #: generated Python source (shown by :func:`render_decoded`)
         self.source = source
 
+    def bound(self, fn) -> "BasicBlock":
+        """This block with ``fn`` bound, for one VM."""
+        return BasicBlock(
+            self.start, self.end, self.cost, self.count, fn, self.dynamic,
+            self.raising, self.suffix_cost, self.suffix_count, self.source,
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<BasicBlock [{self.start},{self.end}) cost={self.cost} "
@@ -275,18 +283,23 @@ class DecodedMethod:
 
 
 def predecode_method(vm, method: MethodDef) -> DecodedMethod:
-    """Predecode ``method`` for ``vm``; cached on the MethodDef.
+    """Predecode ``method`` for ``vm``; cached in the VM's interpreter.
 
-    Must run only after the method is linked into ``vm`` (costs and yield
-    points assigned, transformer and barrier elision done) — the
-    interpreter's predecode tier calls it lazily at first execution, which
-    satisfies that.
+    The image builds the method's template once (source, code object,
+    constant pool, cell count); each VM execs the code object into its
+    own namespace with its own cache cells.  Must run only after the
+    method is linked into ``vm``'s image — the interpreter's predecode
+    tier calls it lazily at first execution, which satisfies that.
     """
-    cached = method.__dict__.get("_decoded")
-    if cached is not None:
-        return cached
-    dm = _Predecoder(vm, method).build()
-    method._decoded = dm
+    decoded = vm.interpreter.decoded
+    dm = decoded.get(id(method))
+    if dm is not None and dm.method is method:
+        return dm
+    guarded = (
+        vm.options.modified and vm.support.read_barrier_guard() is not None
+    )
+    dm = vm.image.template(method, guarded).instantiate(vm, method)
+    decoded[id(method)] = dm
     return dm
 
 
@@ -831,75 +844,126 @@ def _module_code(module: str, filename: str):
     Keyed by the full source text, so any change that reaches the source
     (the method's code, or a baked-in literal such as the quantum,
     max_cycles or the read-barrier cost) compiles afresh, and by the
-    filename, so a traceback names the method that ran.  Code objects are immutable and carry no per-VM state: every
-    VM's objects live in the ``ns`` namespace and the ``K``/``C`` pools.
+    filename, so a traceback names the method that ran.  Code objects
+    are immutable and carry no per-VM state: every VM's objects live in
+    its namespace and its ``C`` cells.
     """
     return compile(module, filename, "exec")
 
 
+class MethodTemplate:
+    """The VM-independent predecode result of one method.
+
+    Blocks and superblocks with their functions unbound, the superinstruction
+    counts, the code object of the generated module (None when nothing
+    fused), its constant pool ``K`` (read-only at run time) and the
+    number of ``C`` cache cells each VM allocates.  Kept by the
+    :class:`~repro.vm.vmcore.ProgramImage`.
+    """
+
+    __slots__ = ("blocks", "superblocks", "stats", "code", "consts", "ncells")
+
+    def __init__(self, blocks, superblocks, stats, code, consts, ncells):
+        self.blocks = blocks
+        self.superblocks = superblocks
+        self.stats = stats
+        self.code = code
+        self.consts = consts
+        self.ncells = ncells
+
+    def instantiate(self, vm, method: MethodDef) -> DecodedMethod:
+        """Exec the code into a fresh namespace bound to ``vm``; the
+        result shares only immutable parts with the template."""
+        ns: dict = {}
+        if self.code is not None:
+            interp = vm.interpreter
+            if interp.namespace is None:
+                interp.namespace = vm_namespace(vm)
+            ns = dict(interp.namespace, K=self.consts,
+                      C=[None] * self.ncells)
+            exec(self.code, ns)
+        blocks = [b if b is None else b.bound(ns[f"_b{b.start}"])
+                  for b in self.blocks]
+        supers = [s if s is None else s.bound(ns[f"_s{s.anchor}"])
+                  for s in self.superblocks]
+        return DecodedMethod(method, blocks, dict(self.stats), supers)
+
+
+def vm_namespace(vm) -> dict:
+    """The globals generated code reads, bound to ``vm``'s heap, support,
+    clock and profiler (each method adds its own ``K`` and ``C``)."""
+    heap = vm.heap
+    support = vm.support
+
+    def _newarray(length, fill):
+        if not isinstance(length, int) or length < 0:
+            raise GuestRuntimeError(
+                f"negative array size {length}",
+                guest_class="NegativeArraySizeException",
+            )
+        return heap.allocate_array(length, fill)
+
+    ns = {
+        "__builtins__": {},
+        "len": len,
+        "type": type,
+        "int": int,
+        "VMO": VMObject,
+        "VMA": VMArray,
+        "ST": heap.statics,
+        "RR": require_ref,
+        "GEQ": Interpreter._guest_eq,
+        "MODV": _mod_values,
+        "DIVV": _div_values,
+        "MODC": _mod_const,
+        "DIVC": _div_const,
+        "MODP": _mod_pos_const,
+        "DIVP": _div_pos_const,
+        "SD": heap.static_def,
+        "ALLOC": heap.allocate,
+        "NEWA": _newarray,
+        "CLSO": heap.class_object,
+        "CDEF": vm.classdef,
+        "AL": support.after_load,
+        "BS": support.before_store,
+        "BSB": support.before_store_batch,
+        "SBC": support.store_barrier_cost,
+        "CLK": vm.clock,
+        "PROF": vm.profiler,
+        "SERR": StarvationError,
+        "GRE": GuestRuntimeError,
+    }
+    guard = support.read_barrier_guard() if vm.options.modified else None
+    if guard is not None:
+        ns["LV"], ns["RM"] = guard
+    return ns
+
+
+def build_template(method: MethodDef, image, guarded: bool) -> MethodTemplate:
+    """Generate and compile ``method``'s template under ``image``'s
+    inputs; ``guarded`` inlines the read-barrier fast path."""
+    return _Predecoder(method, image, guarded).build()
+
+
 class _Predecoder:
-    """Compiles one method's fusable runs into block closures and its
+    """Compiles one method's fusable runs into block functions and its
     eligible loops into superblocks, in one module-level compile."""
 
-    def __init__(self, vm, method: MethodDef):
-        self.vm = vm
+    def __init__(self, method: MethodDef, image, guarded: bool):
         self.method = method
-        self.read_barriers = vm.options.modified
-        self.consts: list[Any] = []   # K: shared constant pool
-        self.cells: list[Any] = []    # C: per-site inline-cache cells
-        self.stats: dict[str, int] = {}
-        heap = vm.heap
-        support = vm.support
-
-        def _newarray(length, fill):
-            if not isinstance(length, int) or length < 0:
-                raise GuestRuntimeError(
-                    f"negative array size {length}",
-                    guest_class="NegativeArraySizeException",
-                )
-            return heap.allocate_array(length, fill)
-
-        self.ns = {
-            "__builtins__": {},
-            "len": len,
-            "type": type,
-            "int": int,
-            "K": self.consts,
-            "C": self.cells,
-            "VMO": VMObject,
-            "VMA": VMArray,
-            "ST": heap.statics,
-            "RR": require_ref,
-            "GEQ": Interpreter._guest_eq,
-            "MODV": _mod_values,
-            "DIVV": _div_values,
-            "MODC": _mod_const,
-            "DIVC": _div_const,
-            "MODP": _mod_pos_const,
-            "DIVP": _div_pos_const,
-            "SD": heap.static_def,
-            "ALLOC": heap.allocate,
-            "NEWA": _newarray,
-            "CLSO": heap.class_object,
-            "CDEF": vm.classdef,
-            "AL": support.after_load,
-            "BS": support.before_store,
-            "BSB": support.before_store_batch,
-            "SBC": support.store_barrier_cost,
-            "CLK": vm.clock,
-            "PROF": vm.profiler,
-            "SERR": StarvationError,
-            "GRE": GuestRuntimeError,
-        }
+        self.read_barriers = image.modified
+        cm = image.cost_model
         #: cycles of the inlined read-barrier fast path; None when every
         #: read barrier calls ``AL`` (see RuntimeSupport.read_barrier_guard)
-        self.read_barrier_cost = None
-        guard = support.read_barrier_guard() if self.read_barriers else None
-        if guard is not None:
-            self.ns["LV"], self.ns["RM"] = guard
-            self.read_barrier_cost = vm.cost_model.read_barrier
+        self.read_barrier_cost = cm.read_barrier if guarded else None
+        #: literals the superblock guards bake in
+        self.quantum = cm.quantum
+        self.max_cycles = image.max_cycles
+        self.consts: list[Any] = []   # K: constant pool (a tuple once built)
+        self.ncells = 0               # C: per-site inline-cache cells
+        self.stats: dict[str, int] = {}
 
-    def build(self) -> DecodedMethod:
+    def build(self) -> MethodTemplate:
         from repro.vm.tracecomp import compile_superblocks
 
         method = self.method
@@ -913,23 +977,18 @@ class _Predecoder:
             superblocks[sb.anchor] = sb
         # Method-level translation: every block and superblock compiles in
         # one module-sized pass, so the whole method's generated code
-        # shares one constant pool + cache-cell array and is dropped as
-        # one unit by MethodDef.invalidate_decoded.  The code object is
-        # shared process-wide (_module_code); the functions exec'd from
-        # it bind this VM's own ns.
+        # shares one constant pool + cache-cell array.  The code object is
+        # shared process-wide (_module_code); each VM execs it into its
+        # own namespace (MethodTemplate.instantiate).
         sources = [b.source for b in blocks if b is not None]
         sources.extend(s.source for s in superblocks if s is not None)
+        code = None
         if sources:
             module = "\n".join(sources)
             filename = f"<decoded {method.qualified_name()}>"
-            exec(_module_code(module, filename), self.ns)
-            for b in blocks:
-                if b is not None:
-                    b.fn = self.ns.pop(f"_b{b.start}")
-            for s in superblocks:
-                if s is not None:
-                    s.fn = self.ns.pop(f"_s{s.anchor}")
-        return DecodedMethod(method, blocks, self.stats, superblocks)
+            code = _module_code(module, filename)
+        return MethodTemplate(blocks, superblocks, self.stats, code,
+                              tuple(self.consts), self.ncells)
 
     # ---------------------------------------------------------- plumbing
     def _kref(self, value: Any) -> str:
@@ -937,8 +996,8 @@ class _Predecoder:
         return f"K[{len(self.consts) - 1}]"
 
     def _cell(self) -> int:
-        self.cells.append(None)
-        return len(self.cells) - 1
+        self.ncells += 1
+        return self.ncells - 1
 
     def _const_expr(self, value: Any):
         """A literal expression when safely round-trippable, else K[i]."""

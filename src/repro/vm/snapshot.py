@@ -31,12 +31,19 @@ What a snapshot deliberately does **not** capture:
   not part of the VM, and callers reinstall what they need on the
   restored VM.  (The cycle profiler *is* VM state: it is carried across
   with its mark on the clock, and books on the restored VM's own clock.)
-* **Predecode caches** — the predecode tier's compiled blocks and
-  superblocks are host-side closures bound to one VM's runtime.
-  ``MethodDef.__getstate__`` leaves them out of the serialized state, so
-  the live VM keeps its caches and a restored VM rebuilds them
-  deterministically on next execution, which is observably free (virtual
-  costs were assigned at link time).
+* **The program image** — the VM's :class:`~repro.vm.vmcore.ProgramImage`
+  (classes, methods, fields, instructions) is shared and never changes,
+  so the blob names each program object by its index in the image's
+  object table; the :class:`VMSnapshot` holds the image, and
+  :func:`restore_vm` resolves the indices through it.  The stream holds
+  no ``id()``, so equal VMs pickle to equal bytes.  A pickled snapshot
+  carries its image as a recipe (its inputs), which the receiving
+  process turns back into the same image through its own cache.
+* **Decoded methods** — the predecode tier's blocks and superblocks are
+  functions bound to one VM's runtime, kept in its interpreter and left
+  out of the serialized state.  A restored VM instantiates them again
+  from the image's templates on next execution, which is observably
+  free (virtual costs were assigned at link time).
 
 A checkpoint is one ``pickle`` blob: the master inside a
 :class:`VMSnapshot` is bytes, so it can never be executed, and every
@@ -68,13 +75,16 @@ class VMSnapshot:
     """One frozen checkpoint of a :class:`~repro.vm.vmcore.JVM`.
 
     Treat instances as opaque: the master is a serialized VM that only
-    :func:`restore_vm` turns back into a runnable one.
+    :func:`restore_vm` turns back into a runnable one, through the
+    program image the snapshot holds.
     """
 
-    __slots__ = ("_master", "_events", "clock_now", "slices", "decisions")
+    __slots__ = ("_master", "_image", "_events", "clock_now", "slices",
+                 "decisions")
 
     def __init__(self, vm: "JVM", master: bytes, events: tuple) -> None:
         self._master = master
+        self._image = vm.image
         self._events = events
         #: capture-time identity, handy for assertions and debug output
         self.clock_now = vm.clock.now
@@ -89,19 +99,53 @@ class VMSnapshot:
         )
 
 
-class _LastObject(pickle.Pickler):
-    """Pickler that remembers the last object it was asked to save."""
+def _image_object(index: int):
+    """Stand-in the blob names for a program object; :func:`restore_vm`
+    resolves it through the snapshot's image instead."""
+    raise pickle.UnpicklingError(
+        "a VM checkpoint unpickles only through restore_vm"
+    )
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles a VM, writing its image's objects as indices."""
+
+    def __init__(self, file, image) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self._index = image.index
+
+    def reducer_override(self, obj):
+        i = self._index.get(id(obj))
+        if i is None:
+            return NotImplemented
+        return _image_object, (i,)
+
+
+class _Unpickler(pickle.Unpickler):
+    def __init__(self, file, image) -> None:
+        super().__init__(file)
+        self._resolve = image.objects.__getitem__
+
+    def find_class(self, module: str, name: str):
+        if module == __name__ and name == "_image_object":
+            return self._resolve
+        return super().find_class(module, name)
+
+
+class _LastObject(_Pickler):
+    """Snapshot pickler that remembers the last object it was asked to
+    save."""
 
     last = None
 
     def reducer_override(self, obj):
         self.last = obj
-        return NotImplemented
+        return super().reducer_override(obj)
 
 
 def _unpicklable(vm: "JVM") -> str:
     """Describe the object that stops ``vm`` from pickling."""
-    probe = _LastObject(io.BytesIO(), pickle.HIGHEST_PROTOCOL)
+    probe = _LastObject(io.BytesIO(), vm.image)
     try:
         probe.dump(vm)
     except _UNPICKLABLE:
@@ -137,8 +181,9 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
     sinks, tracer._sinks = tracer._sinks, []
     slice_hooks, vm.slice_hooks = vm.slice_hooks, []
     events, tracer.events = tracer.events, []
+    buf = io.BytesIO()
     try:
-        master = pickle.dumps(vm, pickle.HIGHEST_PROTOCOL)
+        _Pickler(buf, vm.image).dump(vm)
     except _UNPICKLABLE as exc:
         raise ValueError(
             f"snapshot_vm cannot serialize VM state: {_unpicklable(vm)} "
@@ -149,7 +194,7 @@ def snapshot_vm(vm: "JVM") -> VMSnapshot:
         tracer._sinks = sinks
         vm.slice_hooks = slice_hooks
         tracer.events = events
-    return VMSnapshot(vm, master, tuple(events))
+    return VMSnapshot(vm, buf.getvalue(), tuple(events))
 
 
 def restore_vm(snapshot: VMSnapshot) -> "JVM":
@@ -157,9 +202,9 @@ def restore_vm(snapshot: VMSnapshot) -> "JVM":
 
     Each call unpickles the master afresh, so restoring the same
     checkpoint twice yields two fully isolated continuations, each under
-    its own copy of the decision hook.  Observers (tracer sinks, slice
-    hooks) come back empty.
+    its own copy of the decision hook, on the snapshot's program image.
+    Observers (tracer sinks, slice hooks) come back empty.
     """
-    vm = pickle.loads(snapshot._master)
+    vm = _Unpickler(io.BytesIO(snapshot._master), snapshot._image).load()
     vm.tracer.events = list(snapshot._events)
     return vm

@@ -92,6 +92,17 @@ class Frame:
         self.saved_states: dict[int, SavedState] = {}
         self.depth = depth
 
+    def __getstate__(self) -> tuple:
+        # ``code`` is the method's own list: rebound on unpickling, not
+        # pickled as a copy
+        return (self.method, self.pc, self.locals, self.stack,
+                self.saved_states, self.depth)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.method, self.pc, self.locals, self.stack, self.saved_states,
+         self.depth) = state
+        self.code = self.method.code
+
     def __repr__(self) -> str:
         return f"Frame({self.method.qualified_name()}@{self.pc})"
 

@@ -142,6 +142,10 @@ class SuperBlock:
         self.fn = fn
         self.source = source
 
+    def bound(self, fn) -> "SuperBlock":
+        """This superblock with ``fn`` bound, for one VM."""
+        return SuperBlock(self.anchor, self.head, fn, self.source)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SuperBlock @{self.anchor} loop [{self.head},{self.anchor})>"
 
@@ -182,9 +186,8 @@ class _SuperCompiler:
         self.head = head
         self.anchor = anchor
         self.em = _Emitter(pre, "super")
-        vm = pre.vm
-        self.quantum = vm.options.cost_model.quantum
-        self.max_cycles = vm.options.max_cycles
+        self.quantum = pre.quantum
+        self.max_cycles = pre.max_cycles
 
     # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:

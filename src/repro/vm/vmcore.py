@@ -29,8 +29,12 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import pickle
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import (
     LinkError,
@@ -176,6 +180,221 @@ def _build_support(options: VMOptions) -> RuntimeSupport:
     return make_support(options.mode)
 
 
+# ------------------------------------------------------------ program image
+#: program images kept per process, the least recently used evicted
+#: first.  Reuse comes from VMs of one program (a checker scenario's
+#: cells, a panel's repetitions); campaigns whose cells are distinct
+#: programs (server cells at many seeds, ~0.3 MB an image with its
+#: templates) only pay memory for a larger bound.
+IMAGE_CACHE_SIZE = 64
+
+_images: "OrderedDict[str, ProgramImage]" = OrderedDict()
+
+
+def _fetch_image(inputs: tuple, blobs: tuple, digest: str) -> "ProgramImage":
+    image = _images.get(digest)
+    if image is not None:
+        _images.move_to_end(digest)
+        return image
+    image = _images[digest] = ProgramImage(inputs, blobs, digest)
+    if len(_images) > IMAGE_CACHE_SIZE:
+        _images.popitem(last=False)
+    return image
+
+
+@functools.lru_cache(maxsize=64)
+def _root_digest(inputs: tuple) -> str:
+    return hashlib.sha256(
+        pickle.dumps(("program-image", inputs), pickle.HIGHEST_PROTOCOL)
+    ).hexdigest()
+
+
+def _chain_digest(parent: str, blob: bytes) -> str:
+    return hashlib.sha256(parent.encode() + blob).hexdigest()
+
+
+def _load_image(inputs: tuple, blobs: tuple) -> "ProgramImage":
+    """Unpickle target of :meth:`ProgramImage.__reduce__`: the cached
+    image of that recipe, built here if this process has none."""
+    digest = _root_digest(inputs)
+    for blob in blobs:
+        digest = _chain_digest(digest, blob)
+    return _fetch_image(inputs, blobs, digest)
+
+
+def _link_method(method: MethodDef, cm: CostModel) -> None:
+    """Assign instruction costs and mark yield points.
+
+    Yield points go on loop back-edges and method invocations,
+    mirroring where the Jikes RVM compilers insert them (footnote 4).
+    """
+    for pc, ins in enumerate(method.code):
+        ins.cost = cm.instruction_cost(ins.op)
+        if ins.op == bc.INVOKE:
+            callee = ins.a[1] if isinstance(ins.a, tuple) else ""
+            if callee.endswith("$impl"):
+                # The paper inlines the renamed original method into its
+                # wrapper; no invoke cost, no prologue yield point.
+                ins.cost = 0
+                ins.ypoint = False
+            else:
+                ins.ypoint = True
+        elif bc.is_branch(ins.op) and isinstance(ins.a, int):
+            ins.ypoint = bc.is_backward_branch(ins, pc)
+
+
+def _inline_calls(classes: dict[str, ClassDef]) -> None:
+    """Charge no invoke cost on a call to a ``force_inline`` method of
+    the program (the transformer's renamed ``$impl`` methods)."""
+    for classdef in classes.values():
+        for method in classdef.methods.values():
+            for ins in method.code:
+                if ins.op != bc.INVOKE or not isinstance(ins.a, tuple):
+                    continue
+                owner = classes.get(ins.a[0])
+                callee = owner.methods.get(ins.a[1]) if owner else None
+                if callee is not None and callee.force_inline:
+                    ins.cost = 0
+
+
+def _program_objects(classes) -> list:
+    """Every program object a VM's state can reference, in a fixed
+    order: the heap's ``Class`` classdef, then each class with its
+    fields, methods, instructions, handlers and rollback scopes."""
+    objects = [Heap._CLASS_CLASSDEF]
+    for classdef in classes:
+        objects.append(classdef)
+        objects.extend(classdef.fields.values())
+        for method in classdef.methods.values():
+            objects.append(method)
+            objects.extend(method.code)
+            objects.extend(method.exc_table)
+            objects.extend(method.rollback_scopes.values())
+    return objects
+
+
+class ProgramImage:
+    """One program, built once per process and shared by every VM that
+    runs it.
+
+    The image is keyed by :attr:`digest`, a digest of every input the
+    load path reads: whether the transformer runs (``modified``),
+    whether barriers are elided, the cost model (quantum and
+    read-barrier cost included), ``max_cycles``, and the pickled bytes
+    of each loaded :class:`ClassDef` in load order.  It holds the
+    builtin exception classes plus the loaded ones, transformed,
+    verified, linked and barrier-elided over the whole class set, and,
+    filled at first execution, each method's predecode template
+    (generated source, code object, constant pool, cell count).  A
+    :class:`JVM` keeps only mutable state on top: heap, class objects
+    and statics, threads, scheduler, support, fault plane, and its own
+    decoded functions and cache cells.
+
+    Nothing a run does changes an image except the link-time
+    resolutions instructions cache in ``Instruction.c``, which name
+    image objects only (a ``ClassDef``, ``FieldDef``, ``MethodDef`` or
+    static ``FieldDef``; per-VM objects such as class objects and
+    natives are looked up per execution).  :meth:`JVM.rewrite_method`
+    is the one way to edit a loaded method: it moves that VM onto a
+    private, uncached copy first.
+
+    :attr:`objects` lists every program object in a deterministic
+    order, so a VM checkpoint can name them by index instead of
+    pickling them (:mod:`repro.vm.snapshot`).  An image pickles as its
+    recipe and unpickles through the cache of the receiving process.
+    """
+
+    def __init__(self, inputs: tuple, blobs: tuple, digest: str,
+                 *, private: bool = False) -> None:
+        modified, elide, cost_model, max_cycles = inputs
+        self.inputs = inputs
+        self.blobs = blobs
+        self.digest = digest
+        self.private = private
+        self.modified = modified
+        self.cost_model = cost_model
+        self.max_cycles = max_cycles
+        classes: dict[str, ClassDef] = {}
+        for name in BUILTIN_EXCEPTIONS:
+            classes[name] = ClassDef(name, fields=[FieldDef("message", "str")])
+        for blob in blobs:
+            classdef = pickle.loads(blob)
+            if modified:
+                # Imported here: repro.core depends on repro.vm.
+                from repro.core.transform import transform_class
+
+                classdef = transform_class(classdef)
+            classes[classdef.name] = classdef
+        for classdef in classes.values():
+            classdef.verify()
+            for method in classdef.methods.values():
+                _link_method(method, cost_model)
+        _inline_calls(classes)
+        if elide:
+            from repro.core.transform import elide_barriers
+
+            elide_barriers(classes.values())
+        self.classes = classes
+        self.objects = [self] + _program_objects(classes.values())
+        #: ``id`` of each program object -> its index in :attr:`objects`
+        self.index = {id(obj): i for i, obj in enumerate(self.objects)}
+        #: (object index, read-barrier guard?) -> predecode template
+        self.templates: dict = {}
+
+    @classmethod
+    def root(cls, options: VMOptions) -> "ProgramImage":
+        """The image of the builtin classes under ``options``."""
+        inputs = (
+            options.modified,
+            options.modified and options.barrier_elision,
+            options.cost_model,
+            options.max_cycles,
+        )
+        return _load_image(inputs, ())
+
+    def extend(self, classdef: ClassDef) -> "ProgramImage":
+        """The image of this program plus ``classdef``."""
+        if self.private:
+            raise VMStateError(
+                "load every class before rewriting a loaded method"
+            )
+        blob = pickle.dumps(classdef, pickle.HIGHEST_PROTOCOL)
+        return _fetch_image(self.inputs, self.blobs + (blob,),
+                            _chain_digest(self.digest, blob))
+
+    def private_copy(self) -> "ProgramImage":
+        """A fresh build of this image that no cache holds."""
+        return ProgramImage(self.inputs, self.blobs, self.digest,
+                            private=True)
+
+    def template(self, method: MethodDef, guarded: bool):
+        """The predecode template of ``method``, built at first use.
+        Templates of methods outside the image are built and not kept."""
+        from repro.vm.predecode import build_template
+
+        i = self.index.get(id(method))
+        if i is None:
+            return build_template(method, self, guarded)
+        template = self.templates.get((i, guarded))
+        if template is None:
+            template = build_template(method, self, guarded)
+            self.templates[(i, guarded)] = template
+        return template
+
+    def forget(self, method: MethodDef) -> None:
+        """Drop ``method``'s templates (a private image after an edit)."""
+        i = self.index.get(id(method))
+        for guarded in (False, True):
+            self.templates.pop((i, guarded), None)
+
+    def __reduce__(self):
+        if self.private:
+            raise pickle.PicklingError(
+                "a VM whose methods were rewritten cannot leave its process"
+            )
+        return _load_image, (self.inputs, self.blobs)
+
+
 class JVM:
     """One virtual machine: load classes, spawn threads, run to quiescence."""
 
@@ -191,7 +410,7 @@ class JVM:
         self.natives = NativeRegistry()
         self.tracer = Tracer(enabled=options.trace)
         self.rng = DeterministicRng(options.seed)
-        self.classes: dict[str, ClassDef] = {}
+        self.image = ProgramImage.root(options)
         self.threads: list[VMThread] = []
         #: how many of ``threads`` are in each state, kept by the
         #: ``VMThread.state`` setter of every spawned thread
@@ -228,61 +447,71 @@ class JVM:
         self._next_tid = 0
         self._ran = False
         self._next_periodic_scan = options.periodic_interval
-        self._elision_done = False
-        for name in BUILTIN_EXCEPTIONS:
-            self._load_linked(
-                ClassDef(name, fields=[FieldDef("message", "str")])
-            )
+        for classdef in self.image.classes.values():
+            self.heap.register_class(classdef)
 
     # ------------------------------------------------------------- loading
+    @property
+    def classes(self) -> dict[str, ClassDef]:
+        """Loaded classes by name, builtins first (the image's table)."""
+        return self.image.classes
+
     def load(self, classdef: ClassDef) -> ClassDef:
-        """Load a class: transform (modified VM), verify, link, register."""
-        if classdef.name in self.classes:
+        """Load a class: transform (modified VM), verify, link, register.
+
+        The VM moves onto the :class:`ProgramImage` of its program plus
+        ``classdef``, fetched from the process cache or built there;
+        ``classdef`` itself is only read.  Returns the loaded class."""
+        if classdef.name in self.image.classes:
             raise LinkError(f"class {classdef.name!r} already loaded")
-        # Always copy: the same ClassDef is routinely loaded into several
-        # VMs (modified vs unmodified comparison runs) and both the
-        # transformer and the linker mutate instructions.
-        classdef = classdef.copy()
-        if self.options.modified:
-            from repro.core.transform import transform_class
+        self._adopt(self.image.extend(classdef))
+        loaded = self.image.classes[classdef.name]
+        self.heap.register_class(loaded)
+        return loaded
 
-            classdef = transform_class(classdef)
-        return self._load_linked(classdef)
+    def rewrite_method(
+        self,
+        class_name: str,
+        method_name: str,
+        edit: Optional[Callable[[MethodDef], None]] = None,
+    ) -> MethodDef:
+        """Edit one loaded method of this VM only (copy on write).
 
-    def _load_linked(self, classdef: ClassDef) -> ClassDef:
-        classdef.verify()
-        for method in classdef.methods.values():
-            self._link_method(method)
-        self.classes[classdef.name] = classdef
-        self.heap.register_class(classdef)
-        return classdef
+        The first call moves the VM onto a private, uncached copy of its
+        image, so no other VM and no cached image sees the edit.  Each
+        call applies ``edit`` to the method and drops its predecode
+        state, so the next execution decodes the edited code.  Returns
+        the method.  Load every class before the first call."""
+        if not self.image.private:
+            self._adopt(self.image.private_copy())
+        method = self.resolve_method(class_name, method_name)
+        if edit is not None:
+            edit(method)
+        self.image.forget(method)
+        self.interpreter.forget(method)
+        return method
 
-    def _link_method(self, method: MethodDef) -> None:
-        """Assign instruction costs and mark yield points.
+    def _adopt(self, image: ProgramImage) -> None:
+        """Run on ``image`` from now on.  Frames of threads already
+        spawned move to its methods; host objects allocated earlier
+        keep their class, whose fields are the same."""
+        self.image = image
+        self.heap.relink(image.classes)
+        self.interpreter.forget()
+        for thread in self.threads:
+            thread.entry_method = self._method_in(image, thread.entry_method)
+            for frame in thread.frames:
+                frame.method = self._method_in(image, frame.method)
+                frame.code = frame.method.code
 
-        Yield points go on loop back-edges and method invocations,
-        mirroring where the Jikes RVM compilers insert them (footnote 4).
-        """
-        cm = self.cost_model
-        method.invalidate_decoded()  # linking invalidates any predecode
-        for pc, ins in enumerate(method.code):
-            ins.cost = cm.instruction_cost(ins.op)
-            if ins.op == bc.INVOKE:
-                callee = ins.a[1] if isinstance(ins.a, tuple) else ""
-                if callee.endswith("$impl"):
-                    # The paper inlines the renamed original method into its
-                    # wrapper; no invoke cost, no prologue yield point.
-                    ins.cost = 0
-                    ins.ypoint = False
-                else:
-                    ins.ypoint = True
-            elif bc.is_branch(ins.op) and isinstance(ins.a, int):
-                ins.ypoint = bc.is_backward_branch(ins, pc)
+    @staticmethod
+    def _method_in(image: ProgramImage, method: MethodDef) -> MethodDef:
+        return image.classes[method.class_name].methods[method.name]
 
     # ------------------------------------------------------------ resolution
     def classdef(self, name: str) -> ClassDef:
         try:
-            return self.classes[name]
+            return self.image.classes[name]
         except KeyError:
             raise LinkError(f"class {name!r} not loaded") from None
 
@@ -341,19 +570,8 @@ class JVM:
         """Drive every spawned thread to termination."""
         if self._ran:
             raise VMStateError("run() already completed for this VM")
-        self.begin_run()
         self.scheduler.run()
         return self.finish_run()
-
-    def begin_run(self) -> None:
-        """One-time pre-run work (load-time barrier elision); idempotent.
-
-        Split out of :meth:`run` so checkpoint-driven steppers
-        (:mod:`repro.check.dpor`) can own the ``scheduler.step()`` loop
-        while keeping the exact semantics of a plain ``run()``.
-        """
-        if self.options.modified and self.options.barrier_elision:
-            self._run_barrier_elision()
 
     def finish_run(self) -> "JVM":
         """Mark the run complete and surface the first uncaught guest
@@ -367,14 +585,6 @@ class JVM:
                 str(exc.fields.get("message", "")),
             )
         return self
-
-    def _run_barrier_elision(self) -> None:
-        if self._elision_done:
-            return
-        from repro.core.transform import elide_barriers
-
-        elide_barriers(self.classes.values())
-        self._elision_done = True
 
     def after_slice(self) -> None:
         """Scheduler callback after every execution slice."""

@@ -97,7 +97,7 @@ def counter_vm(mode: str = "rollback", **vm_options) -> JVM:
 
 
 def drain(vm: JVM) -> str:
-    """Step a begun VM's scheduler to the end and finish the run;
+    """Step a VM's scheduler to the end and finish the run;
     returns the outcome string, as ``run_outcome`` names it."""
     def drive() -> None:
         while vm.scheduler.step():
@@ -118,7 +118,7 @@ def probe_superblocks(monkeypatch) -> list[tuple[str, int]]:
     from repro.vm import predecode
 
     runs: list[tuple[str, int]] = []
-    build = predecode._Predecoder.build
+    instantiate = predecode.MethodTemplate.instantiate
 
     def wrap(fn):
         @functools.wraps(fn)
@@ -139,13 +139,13 @@ def probe_superblocks(monkeypatch) -> list[tuple[str, int]]:
                 runs.append((exit, len(T.undo_log or ()) - before))
         return run
 
-    def probed(self):
-        dm = build(self)
+    def probed(self, vm, method):
+        dm = instantiate(self, vm, method)
         for sb in dm.superblock_list:
             sb.fn = wrap(sb.fn)
         return dm
 
-    monkeypatch.setattr(predecode._Predecoder, "build", probed)
+    monkeypatch.setattr(predecode.MethodTemplate, "instantiate", probed)
     return runs
 
 

@@ -430,12 +430,8 @@ def test_store_to_unknown_static_raises(interp, mode) -> None:
 
 # ----------------------------------------------------- reference forcing
 def _decoded_methods(vm: JVM) -> list[str]:
-    return [
-        m.qualified_name()
-        for cls in vm.classes.values()
-        for m in cls.methods.values()
-        if "_decoded" in m.__dict__
-    ]
+    return [dm.method.qualified_name()
+            for dm in vm.interpreter.decoded.values()]
 
 
 def _run_bank(**options) -> JVM:

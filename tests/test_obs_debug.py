@@ -36,7 +36,6 @@ def straight():
     from repro.obs.capture import build_capture_vm
 
     _, vm, _, _ = build_capture_vm(SPEC)
-    vm.begin_run()
     while vm.scheduler.step():
         pass
     return vm
@@ -366,7 +365,6 @@ def test_replay_session_seek_reproduces_schedule(scenario, prefix, inject):
     payload = _payload(scenario, prefix, inject)
     rec = record_replay(payload, interval=8)
     _, vm, _, _ = build_replay_vm(counterexample_cell(payload))
-    vm.begin_run()
     straight = DebugSession.__new__(DebugSession)
     straight.vm = vm  # reuse the exception-absorbing drain helper
     while straight._step_once():

@@ -30,6 +30,7 @@ from repro.vm.predecode import (
     render_decoded,
 )
 from repro.vm.snapshot import restore_vm, snapshot_vm
+from repro.vm import vmcore
 from repro.vm.vmcore import JVM, VMOptions
 
 
@@ -162,7 +163,10 @@ def test_predecode_is_cached_and_invalidation_drops_it() -> None:
     vm, m = _linked(emit)
     dm = predecode_method(vm, m)
     assert predecode_method(vm, m) is dm
-    m.invalidate_decoded()
+    m = vm.rewrite_method("T", "main")
+    dm = predecode_method(vm, m)
+    assert predecode_method(vm, m) is dm
+    assert vm.rewrite_method("T", "main") is m
     assert predecode_method(vm, m) is not dm
 
 
@@ -172,8 +176,8 @@ def test_copy_never_carries_predecode_state() -> None:
 
     vm, m = _linked(emit)
     predecode_method(vm, m)
-    assert "_decoded" in m.__dict__
-    assert "_decoded" not in m.copy().__dict__
+    assert id(m) in vm.interpreter.decoded
+    assert id(m.copy()) not in vm.interpreter.decoded
 
 
 # ------------------------------------------------------------------ dumps
@@ -199,21 +203,32 @@ def _misses() -> int:
     return _module_code.cache_info().misses
 
 
+def _decoded(vm: JVM, class_name: str, method_name: str):
+    """The VM's decoded form of one loaded method."""
+    method = vm.classes[class_name].method(method_name)
+    return vm.interpreter.decoded[id(method)]
+
+
 def _bench_run(vm: JVM):
     config = MicrobenchConfig(high_threads=1, low_threads=1, iters_high=5,
                               iters_low=5, sections=2, write_pct=60)
     setup_microbench_vm(vm, config)
     vm.run()
-    return vm.classes["Bench"].method("run").__dict__["_decoded"]
+    return _decoded(vm, "Bench", "run")
 
 
 def test_two_vms_compile_bench_run_once() -> None:
+    vmcore._images.clear()
     _module_code.cache_clear()
-    first = _bench_run(JVM(VMOptions(mode="rollback", seed=3)))
+    one = JVM(VMOptions(mode="rollback", seed=3))
+    first = _bench_run(one)
     info = _module_code.cache_info()
-    second = _bench_run(JVM(VMOptions(mode="rollback", seed=3)))
+    assert info.misses > 0
+    two = JVM(VMOptions(mode="rollback", seed=3))
+    second = _bench_run(two)
     assert _module_code.cache_info().misses == info.misses
-    assert _module_code.cache_info().hits > info.hits
+    # the second VM runs the first one's image and its templates
+    assert two.image is one.image
     assert first.superblock_list, "Bench.run should form a superblock"
     assert len(_codes(second)) == len(_codes(first))
     assert all(a is b for a, b in zip(_codes(second), _codes(first)))
@@ -244,16 +259,20 @@ def test_rewritten_code_misses_the_cache() -> None:
         a.const(20).const(1).add().putstatic("T", "out")
 
     vm, m = _linked(emit, fields=["out"])
+    image = vm.image
     old = _codes(predecode_method(vm, m))
     before = _misses()
-    m.code[0].a = 40
-    m.invalidate_decoded()
+    m = vm.rewrite_method("T", "main",
+                          lambda method: setattr(method.code[0], "a", 40))
     new = _codes(predecode_method(vm, m))
     assert _misses() == before + 1
     assert new[0] is not old[0]
     vm.spawn("T", "main", name="main")
     vm.run()
     assert vm.get_static("T", "out") == 41
+    # the cached image, and every other VM of it, keeps the loaded code
+    assert vm.image is not image
+    assert image.classes["T"].method("main").code[0].a == 20
 
 
 def test_pooled_float_constant_reuses_code_but_runs_its_value() -> None:
@@ -266,8 +285,7 @@ def test_pooled_float_constant_reuses_code_but_runs_its_value() -> None:
     before = _misses()
     two = run_single(program(2.5), fields=["out"])
     assert _misses() == before, "a K-pool constant is not in the source"
-    decoded = [vm.classes["T"].method("main").__dict__["_decoded"]
-               for vm in (one, two)]
+    decoded = [_decoded(vm, "T", "main") for vm in (one, two)]
     assert _codes(decoded[1])[0] is _codes(decoded[0])[0]
     assert one.get_static("T", "out") == 2.5
     assert two.get_static("T", "out") == 5.0
@@ -330,7 +348,6 @@ def test_restored_vm_reuses_cached_code_and_stays_identical() -> None:
     vm = check_vm(get_scenario("mini-handoff"), "rollback",
                   trace=True, interp="fast")
     vm.scheduler.decision_hook = ScheduleController()
-    vm.begin_run()
     while vm.scheduler.decisions < 3:
         assert vm.scheduler.step(), "the run ended before decision 3"
     checkpoint = snapshot_vm(vm)
@@ -340,5 +357,10 @@ def test_restored_vm_reuses_cached_code_and_stays_identical() -> None:
     outcome = drain(resumed)
     after = _module_code.cache_info()
     assert after.misses == before.misses
-    assert after.hits > before.hits
+    # the restored VM execs the image's code objects: nothing compiles
+    assert resumed.image is vm.image
+    assert after.hits == before.hits
+    shared = [(_codes(dm), _codes(vm.interpreter.decoded[key]))
+              for key, dm in resumed.interpreter.decoded.items()]
+    assert shared and all(a == b for a, b in shared)
     assert observe(resumed, outcome) == original

@@ -1,0 +1,365 @@
+"""Program images: one transformed, linked, barrier-elided program per
+process per input digest, shared by every VM that runs it.
+
+These tests pin what sharing must never cost: two VMs of one image share
+no mutable object and cannot perturb each other's runs; every input the
+load path reads is in the key; runs leave cached images as they were
+built; and a checkpoint names program objects instead of pickling them,
+yet still restores in another process.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import hashlib
+import io
+import pickle
+import subprocess
+import sys
+import types
+from enum import Enum
+from pathlib import Path
+
+import pytest
+
+from conftest import build_class, drain
+from repro.bench.figures import FigurePanel
+from repro.bench.microbench import setup_microbench_vm
+from repro.check.explorer import ScheduleController, check_vm
+from repro.check.oracle import final_fingerprint, fingerprint_digest
+from repro.check.scenarios import get_scenario
+from repro.obs.capture import ObsSpec, build_capture_vm, run_capture
+from repro.vm import snapshot as snapshot_mod
+from repro.vm import vmcore
+from repro.vm.assembler import Asm
+from repro.vm.bytecode import Instruction
+from repro.vm.classfile import ClassDef, FieldDef, MethodDef
+from repro.vm.clock import CostModel
+from repro.vm.snapshot import restore_vm, snapshot_vm
+from repro.vm.vmcore import JVM, VMOptions
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MODES = ("unmodified", "rollback", "inheritance", "ceiling")
+
+
+def _trio(mode: str = "rollback", **overrides) -> JVM:
+    return check_vm(get_scenario("handoff-trio"), mode, trace=True,
+                    **overrides)
+
+
+def _observe(vm: JVM, outcome: str) -> tuple:
+    return (outcome, vm.clock.now, vm.clock.events, vm.tracer.render(),
+            vm.metrics(),
+            fingerprint_digest(final_fingerprint(vm, outcome)))
+
+
+def _run(vm: JVM) -> tuple:
+    return _observe(vm, drain(vm))
+
+
+# ------------------------------------------------------------- isolation
+_SHARED_OK = (int, float, complex, str, bytes, bool, type(None), tuple,
+              frozenset, range, types.CodeType)
+
+
+def _reachable(root, image) -> dict[int, object]:
+    """Objects reachable from ``root`` through ``gc.get_referents``,
+    stopping at the image's objects, modules and classes.  A bound
+    method is followed to its receiver; a function to its closure
+    cells, and to its globals only when those are a generated
+    namespace (no ``__name__``) rather than a module's."""
+    stop = image.index
+    seen: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in stop:
+            continue
+        if isinstance(obj, (types.ModuleType, type)):
+            continue
+        if isinstance(obj, types.BuiltinFunctionType) and isinstance(
+                getattr(obj, "__self__", None), (types.ModuleType,
+                                                 type(None))):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (types.MethodType, types.BuiltinMethodType)):
+            stack.append(obj.__self__)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(obj.__closure__ or ())
+            if "__name__" not in obj.__globals__:
+                stack.append(obj.__globals__)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def _immutable(obj) -> bool:
+    if isinstance(obj, (Enum, types.FunctionType, types.CellType)):
+        # shared code (module-level natives, helpers), never state; a
+        # function's cells are walked like any other referent
+        return True
+    if isinstance(obj, _SHARED_OK):
+        return not isinstance(obj, tuple) or all(
+            _immutable(x) or isinstance(x, type) for x in obj)
+    return type(obj).__name__ == "_Null"
+
+
+def test_two_vms_of_one_image_share_no_mutable_object():
+    one, two = _trio(interp="fast"), _trio(interp="fast")
+    assert one.image is two.image
+    drain(one)  # decoded functions, cache cells, heap all populated
+    drain(two)
+    a = _reachable(one, one.image)
+    b = _reachable(two, two.image)
+    shared = [a[i] for i in a.keys() & b.keys()]
+    mutable = [type(o).__qualname__ for o in shared if not _immutable(o)]
+    assert mutable == []
+
+
+@pytest.mark.parametrize("interp", ["fast", "reference"])
+def test_one_vm_running_leaves_the_others_run_unchanged(interp):
+    first, second = _trio(interp=interp), _trio(interp=interp)
+    _run(first)
+    observed = _run(second)
+    vmcore._images.clear()
+    cold = _trio(interp=interp)
+    assert cold.image is not second.image
+    assert _run(cold) == observed
+
+
+# -------------------------------------------------------------- the key
+def test_building_handoff_trio_twice_hits_per_mode():
+    for mode in MODES:
+        assert _trio(mode).image is _trio(mode).image
+
+
+def _image(mode="rollback", classdef=None, **options) -> vmcore.ProgramImage:
+    vm = JVM(VMOptions(mode=mode, **options))
+    if classdef is None:
+        classdef = get_scenario("handoff-trio").build().classdef
+    vm.load(classdef)
+    return vm.image
+
+
+def test_every_key_input_misses():
+    base = _image()
+    cm = CostModel()
+    other_class = get_scenario("mini-handoff").build().classdef
+    changed = {
+        "classdef": _image(classdef=other_class),
+        "modified": _image(mode="unmodified"),
+        "barrier_elision": _image(barrier_elision=False),
+        "cost model": _image(
+            cost_model=dataclasses.replace(cm, heap_access=5)),
+        "quantum": _image(cost_model=dataclasses.replace(cm, quantum=7)),
+        "read-barrier cost": _image(
+            cost_model=dataclasses.replace(cm, read_barrier=2)),
+        "max_cycles": _image(max_cycles=123_456),
+    }
+    assert _image() is base
+    for name, image in changed.items():
+        assert image is not base, name
+        assert image.digest != base.digest, name
+
+
+def test_an_edited_source_class_misses():
+    edited = get_scenario("handoff-trio").build().classdef
+    edited.add_field(FieldDef("extra", "int", is_static=True))
+    assert _image(classdef=edited) is not _image()
+
+
+def test_the_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(vmcore, "IMAGE_CACHE_SIZE", 3)
+    vmcore._images.clear()
+    for quantum in range(1, 6):
+        JVM(VMOptions(cost_model=CostModel(quantum=quantum)))
+    assert len(vmcore._images) == 3
+
+
+# ------------------------------------------------------ runs leave images
+def _content(image: vmcore.ProgramImage) -> str:
+    """Digest of the built classes (``Instruction`` pickles without its
+    resolution cache ``c``)."""
+    blob = pickle.dumps(list(image.classes.values()))
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_runs_leave_every_cached_image_as_built():
+    vmcore._images.clear()
+    runs = []
+    for interp in ("fast", "reference"):
+        for mode in MODES:
+            runs.append(_trio(mode, interp=interp))
+        config = FigurePanel(5, "a").base_config().scaled(0.02)
+        for mode in ("unmodified", "rollback"):
+            vm = JVM(VMOptions(mode=mode, seed=config.seed, interp=interp))
+            setup_microbench_vm(vm, config)
+            runs.append(vm)
+        runs.append(build_capture_vm(ObsSpec(
+            scenario="server-storm", interp=interp, profile=False)))
+    built = {digest: _content(image)
+             for digest, image in vmcore._images.items()}
+    assert len(built) > len(MODES)
+    for run in runs:
+        if isinstance(run, JVM):
+            drain(run)
+        else:
+            run_capture(run)
+    assert set(vmcore._images) == set(built)
+    for digest, image in list(vmcore._images.items()):
+        assert image.digest == digest
+        assert vmcore._load_image(image.inputs, image.blobs) is image
+        assert _content(image) == built[digest]
+
+
+def _static_sync_program() -> ClassDef:
+    """A synchronized static method (the transformer's wrapper locks the
+    class object through CLASSREF) that calls a native."""
+    work = Asm("work", synchronized=True)
+    work.getstatic("S", "n").const(1).add().putstatic("S", "n")
+    work.const(1).native("identityHashCode", 1).pop()
+    work.ret()
+    run = Asm("run")
+    run.invoke("S", "work", 0)
+    run.ret()
+    return build_class("S", ["n"], [work, run])
+
+
+@pytest.mark.parametrize("program", ["handoff-trio", "static-sync"])
+def test_instructions_hold_no_per_vm_object_after_a_run(program):
+    if program == "handoff-trio":
+        vm = _trio(interp="reference")
+    else:
+        vm = JVM(VMOptions(mode="rollback", interp="reference"))
+        vm.load(_static_sync_program())
+        for name in ("a", "b"):
+            vm.spawn("S", "run", name=name)
+    _run(vm)
+    allowed = (type(None), ClassDef, FieldDef, MethodDef, tuple)
+    for classdef in vm.classes.values():
+        for method in classdef.methods.values():
+            for ins in method.code:
+                assert isinstance(ins.c, allowed), ins
+                if isinstance(ins.c, tuple):
+                    assert all(isinstance(x, (ClassDef, FieldDef))
+                               for x in ins.c), ins
+
+
+def test_method_defs_carry_no_decode_state():
+    assert "__getstate__" not in vars(MethodDef)
+    assert not hasattr(MethodDef, "invalidate_decoded")
+    vm = _trio(interp="fast")
+    _run(vm)
+    assert vm.interpreter.decoded
+    for classdef in vm.classes.values():
+        for method in classdef.methods.values():
+            assert set(method.__dict__) == {
+                f.name for f in dataclasses.fields(MethodDef)}
+
+
+# ---------------------------------------------------------- checkpoints
+def _checkpoint(interp: str = "fast"):
+    vm = _trio(interp=interp)
+    vm.scheduler.decision_hook = ScheduleController()
+    while vm.scheduler.decisions < 5:
+        assert vm.scheduler.step()
+    return vm, snapshot_vm(vm)
+
+
+class _Spy(snapshot_mod._Unpickler):
+    def __init__(self, file, image) -> None:
+        super().__init__(file, image)
+        self.loaded: list[tuple[str, str]] = []
+
+    def find_class(self, module, name):
+        self.loaded.append((module, name))
+        return super().find_class(module, name)
+
+
+def test_a_checkpoint_loads_no_program_object():
+    vm, snap = _checkpoint()
+    spy = _Spy(io.BytesIO(snap._master), snap._image)
+    restored = spy.load()
+    names = {name for _, name in spy.loaded}
+    assert not names & {"ClassDef", "MethodDef", "FieldDef", "Instruction"}
+    assert ("repro.vm.snapshot", "_image_object") in spy.loaded
+    # program objects come back as the image's own
+    assert restored.image is vm.image
+    live = [i for i, t in enumerate(vm.threads) if t.frames]
+    assert live
+    for i in live:
+        frame, twin = vm.threads[i].frames[-1], restored.threads[i].frames[-1]
+        assert twin.method is frame.method
+        assert twin.code is frame.method.code
+
+
+def test_a_checkpoint_blob_does_not_unpickle_on_its_own():
+    _, snap = _checkpoint()
+    with pytest.raises(pickle.UnpicklingError, match="restore_vm"):
+        pickle.loads(snap._master)
+
+
+def test_equal_vms_pickle_to_equal_bytes():
+    _, first = _checkpoint()
+    _, second = _checkpoint()
+    assert first._master == second._master
+    assert pickle.dumps(first) == pickle.dumps(second)
+
+
+_CHILD = """
+import pickle, sys
+sys.path.insert(0, {tests!r})
+from conftest import build_class, drain
+from repro.check.oracle import final_fingerprint, fingerprint_digest
+from repro.vm.snapshot import restore_vm
+snap = pickle.load(open({path!r}, "rb"))
+vm = restore_vm(snap)
+outcome = drain(vm)
+print(repr((outcome, vm.clock.now, vm.clock.events, vm.tracer.render(),
+            vm.metrics(),
+            fingerprint_digest(final_fingerprint(vm, outcome)))))
+"""
+
+
+@pytest.mark.parametrize("interp", ["fast", "reference"])
+def test_a_pickled_snapshot_continues_in_a_fresh_process(tmp_path, interp):
+    _, snap = _checkpoint(interp)
+    path = tmp_path / "snap.pkl"
+    path.write_bytes(pickle.dumps(snap))
+    here = repr(_observe(*(lambda vm: (vm, drain(vm)))(restore_vm(snap))))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         _CHILD.format(tests=str(Path(__file__).parent), path=str(path))],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "0"},
+    )
+    assert child.stdout.strip() == here
+
+
+def test_a_rewritten_vm_cannot_leave_its_process():
+    vm = _trio()
+    vm.rewrite_method("HandoffTrio", next(iter(vm.classes["HandoffTrio"]
+                                                .methods)))
+    with pytest.raises(pickle.PicklingError, match="rewritten"):
+        pickle.dumps(snapshot_vm(vm))
+
+
+# ------------------------------------------------------------ cost model
+def test_equal_cost_models_share_one_table():
+    a, b = CostModel(quantum=3), CostModel(quantum=3)
+    assert a == b and hash(a) == hash(b)
+    assert a._cost_table is b._cost_table
+    assert dataclasses.replace(a)._cost_table is a._cost_table
+    assert a.scaled(2.0)._cost_table is not a._cost_table
+
+
+def test_a_pickled_cost_model_round_trips_without_its_table():
+    model = CostModel(heap_access=7)
+    blob = pickle.dumps(model)
+    assert b"_cost_table" not in blob
+    back = pickle.loads(blob)
+    assert back == model and hash(back) == hash(model)
+    assert back._cost_table is model._cost_table
+    assert back.instruction_cost(Instruction(42).op) == 7

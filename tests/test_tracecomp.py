@@ -139,11 +139,11 @@ class TestFormation:
     def test_invalidate_drops_superblocks(self):
         vm = make_vm("unmodified", interp="fast")
         vm.load(build_class("C", ["lock:ref", "value"], [_hot_loop()]))
-        method = vm.classes["C"].method("run")
+        method = vm.rewrite_method("C", "run")
         dm = predecode_method(vm, method)
         assert dm.superblock_list
-        method.invalidate_decoded()
-        assert method.__dict__.get("_decoded") is None
+        assert vm.rewrite_method("C", "run") is method
+        assert id(method) not in vm.interpreter.decoded
 
 
 # ------------------------------------------------- guard-failure parity

@@ -66,10 +66,9 @@ def _stepping_run(name: str) -> SteppingRun:
 
 def _fast_vm(name: str, controller: ScheduleController) -> JVM:
     """The fast-tier checker VM of ``name`` scheduled by ``controller``,
-    begun and not yet stepped."""
+    not yet stepped."""
     vm = check_vm(get_scenario(name), "rollback", trace=True, interp="fast")
     vm.scheduler.decision_hook = controller
-    vm.begin_run()
     return vm
 
 
@@ -225,13 +224,9 @@ def test_checkpoint_at_every_decision_of_a_revoking_schedule(interp):
 
 
 def _decoded_methods(vm) -> set[str]:
-    """Qualified names of the methods carrying a predecode cache."""
-    return {
-        method.qualified_name()
-        for classdef in vm.classes.values()
-        for method in classdef.methods.values()
-        if "_decoded" in method.__dict__
-    }
+    """Qualified names of the methods the VM holds decoded."""
+    return {dm.method.qualified_name()
+            for dm in vm.interpreter.decoded.values()}
 
 
 @pytest.mark.parametrize("interp", ["reference", "fast"])
@@ -403,7 +398,6 @@ def _dependency_vm(interp):
     vm.set_static("J", "arr", vm.new_array(2))
     vm.spawn("J", "writer", priority=1, name="W")
     vm.spawn("J", "reader", priority=5, name="R")
-    vm.begin_run()
     return vm
 
 
