@@ -45,7 +45,7 @@ from repro.server.workload import (
     ServerConfig,
     build_server,
     expected_cycle_cap,
-    tier_streams,
+    server_streams,
 )
 from repro.util.rng import sweep_seed
 from repro.vm.vmcore import JVM, VMOptions
@@ -174,7 +174,8 @@ def check_server_invariants(
     qdone = vm.get_static(cls, "qdone")
     expected_cells = 0
     any_errors = False
-    for ti, tier in enumerate(config.tiers):
+    streams_by_tier = zip(config.tiers, server_streams(config, seed))
+    for ti, (tier, streams) in enumerate(streams_by_tier):
         shed = vm.get_static(cls, "shed").get(ti)
         exhausted = vm.get_static(cls, "exhausted").get(ti)
         completed = vm.get_static(cls, "completed").get(ti)
@@ -207,7 +208,6 @@ def check_server_invariants(
             )
         if qdone.get(ti) != 1:
             problems.append(f"tier {tier.name}: queue never closed")
-        streams = tier_streams(config, tier, seed)
         expected_cells += sum(
             streams.svc[i]
             for i in range(tier.requests)
@@ -274,6 +274,8 @@ def run_server_cell(spec: ServerSpec) -> dict:
         profile=spec.profile,
         faults=plan,
         audit_rollbacks=plan is not None,
+        # the cell's own cap: generated code reads it from the VM, not
+        # from its source, so every cell of a preset runs on one image
         max_cycles=expected_cycle_cap(config, seed),
         raise_on_uncaught=False,
         trace=True,

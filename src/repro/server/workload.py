@@ -27,12 +27,15 @@ reports in :mod:`repro.server.report` make the per-tier cost visible.
 
 Request attributes come from :mod:`repro.server.arrivals` streams keyed
 only by ``(seed, tier name)`` — guest code draws no randomness — so the
-workload is bit-identical across interpreters and worker fan-out.
+workload is bit-identical across interpreters and worker fan-out.  A
+cell builds them once (:func:`server_streams`) for its program, its
+cycle cap and its invariant check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.server import arrivals
@@ -199,13 +202,14 @@ def _config_fields():
 
 @dataclass(frozen=True)
 class TierStreams:
-    """The host-precomputed request streams of one tier."""
+    """The host-precomputed request streams of one tier.  Tuples, so a
+    stream shared through :func:`server_streams` cannot be mutated."""
 
-    gaps: list[int] = field(default_factory=list)
-    svc: list[int] = field(default_factory=list)
-    lockidx: list[int] = field(default_factory=list)
-    iswrite: list[int] = field(default_factory=list)
-    jitter: list[int] = field(default_factory=list)
+    gaps: tuple[int, ...] = ()
+    svc: tuple[int, ...] = ()
+    lockidx: tuple[int, ...] = ()
+    iswrite: tuple[int, ...] = ()
+    jitter: tuple[int, ...] = ()
 
 
 def tier_streams(config: ServerConfig, tier: TierSpec,
@@ -214,27 +218,35 @@ def tier_streams(config: ServerConfig, tier: TierSpec,
     ``(seed, tier.name)`` plus the static config, independent of thread
     counts, worker fan-out and interpreter choice."""
     return TierStreams(
-        gaps=arrivals.arrival_gaps(
+        gaps=tuple(arrivals.arrival_gaps(
             tier.arrival, arrivals.stream_rng(seed, "gaps", tier.name),
             tier.requests, tier.mean_gap,
-        ),
-        svc=arrivals.service_demands(
+        )),
+        svc=tuple(arrivals.service_demands(
             arrivals.stream_rng(seed, "svc", tier.name),
             tier.requests, tier.svc_iters, heavy=tier.heavy_service,
-        ),
-        lockidx=arrivals.lock_targets(
+        )),
+        lockidx=tuple(arrivals.lock_targets(
             arrivals.stream_rng(seed, "lock", tier.name),
             tier.requests, config.locks, config.hot_lock_pct,
-        ),
-        iswrite=arrivals.write_flags(
+        )),
+        iswrite=tuple(arrivals.write_flags(
             arrivals.stream_rng(seed, "write", tier.name),
             tier.requests, tier.write_pct,
-        ),
-        jitter=arrivals.retry_jitter(
+        )),
+        jitter=tuple(arrivals.retry_jitter(
             arrivals.stream_rng(seed, "jitter", tier.name),
             tier.requests, tier.max_retries, tier.jitter,
-        ),
+        )),
     )
+
+
+@functools.lru_cache(maxsize=4)
+def server_streams(config: ServerConfig,
+                   seed: int) -> tuple[TierStreams, ...]:
+    """Every tier's streams, built once per ``(config, seed)``: a cell's
+    program, cycle cap and invariant check all read this one copy."""
+    return tuple(tier_streams(config, t, seed) for t in config.tiers)
 
 
 _QUEUES = RingQueueFields(SERVER_CLASS)
@@ -440,7 +452,7 @@ def build_server(config: ServerConfig, seed: int) -> Workload:
     seed).  The returned :class:`~repro.bench.workloads.Workload` installs
     like any other: ``workload.install(vm)``.
     """
-    streams = [tier_streams(config, t, seed) for t in config.tiers]
+    streams = server_streams(config, seed)
     classdef = ClassDef(
         SERVER_CLASS,
         fields=(
@@ -527,7 +539,7 @@ def expected_cycle_cap(config: ServerConfig, seed: int) -> int:
     arrival span plus every request's worst-case service and retry cost,
     tripled.  Hitting it means the run livelocked, not that the budget
     was tight."""
-    streams = [tier_streams(config, t, seed) for t in config.tiers]
+    streams = server_streams(config, seed)
     span = max(sum(s.gaps) for s in streams)
     work = 0
     for t, s in zip(config.tiers, streams):

@@ -842,11 +842,13 @@ def _module_code(module: str, filename: str):
     """One code object per generated module per process.
 
     Keyed by the full source text, so any change that reaches the source
-    (the method's code, or a baked-in literal such as the quantum,
-    max_cycles or the read-barrier cost) compiles afresh, and by the
-    filename, so a traceback names the method that ran.  Code objects
-    are immutable and carry no per-VM state: every VM's objects live in
-    its namespace and its ``C`` cells.
+    (the method's code, a baked-in literal such as the quantum or the
+    read-barrier cost, or whether the VM has a cycle cap at all)
+    compiles afresh, and by the filename, so a traceback names the
+    method that ran.  The cap's value is not in the source: superblocks
+    read it from the namespace (``MAXC``).  Code objects are immutable
+    and carry no per-VM state: every VM's objects live in its namespace
+    and its ``C`` cells.
     """
     return compile(module, filename, "exec")
 
@@ -891,7 +893,8 @@ class MethodTemplate:
 
 def vm_namespace(vm) -> dict:
     """The globals generated code reads, bound to ``vm``'s heap, support,
-    clock and profiler (each method adds its own ``K`` and ``C``)."""
+    clock, profiler and cycle cap (each method adds its own ``K`` and
+    ``C``)."""
     heap = vm.heap
     support = vm.support
 
@@ -930,6 +933,7 @@ def vm_namespace(vm) -> dict:
         "SBC": support.store_barrier_cost,
         "CLK": vm.clock,
         "PROF": vm.profiler,
+        "MAXC": vm.options.max_cycles,
         "SERR": StarvationError,
         "GRE": GuestRuntimeError,
     }
@@ -956,9 +960,10 @@ class _Predecoder:
         #: cycles of the inlined read-barrier fast path; None when every
         #: read barrier calls ``AL`` (see RuntimeSupport.read_barrier_guard)
         self.read_barrier_cost = cm.read_barrier if guarded else None
-        #: literals the superblock guards bake in
+        #: the quantum the superblock guards bake in as a literal, and
+        #: whether they test a cycle cap (its value is the VM's ``MAXC``)
         self.quantum = cm.quantum
-        self.max_cycles = image.max_cycles
+        self.capped = image.capped
         self.consts: list[Any] = []   # K: constant pool (a tuple once built)
         self.ncells = 0               # C: per-site inline-cache cells
         self.stats: dict[str, int] = {}

@@ -47,7 +47,7 @@ changes, which a run never makes, and a run's one ``on_flush`` of its
 completed iterations equals their per-iteration flushes because a run
 never leaves its frame.
 
-Two more things are constant for a run, and the generated function
+Three more things are constant for a run, and the generated function
 reads them once, in its prologue:
 
 * the read-barrier guard ``RG = len(LV) > (T.tid in LV)`` ("does another
@@ -58,6 +58,11 @@ reads them once, in its prologue:
 * the per-store barrier charge ``SC = support.store_barrier_cost(T)``,
   which depends only on whether the thread is inside a synchronized
   section — and the body has no monitor op, so ``T.sections`` is fixed.
+* the cycles left before the VM's cap, ``ML = MAXC - n0``, when the
+  program has one.  ``MAXC`` is the VM's own ``max_cycles``, bound in
+  its namespace, not a literal: the source says only whether a cap
+  exists, so VMs with different caps share one image and one code
+  object.
 
 The prologue also loads every guest local the body touches into a Python
 local ``L{i}``.  The body then keeps three kinds of state in locals and
@@ -71,9 +76,9 @@ clock are read only after the run returns.
 Inside the generated function each iteration charges the back-edge and
 the executed body exactly as the reference interpreter would, then
 *commits* the iteration — ``dn += acc; de += 1`` — and re-evaluates the
-hoisted checks against literals baked at compile time (quantum,
-max_cycles).  Every exit leaves through one ``finally`` arm, which
-writes the guest locals back to the frame in one tuple assignment,
+hoisted checks: the cap as ``dn > ML``, the quantum against a literal
+baked at compile time.  Every exit leaves through one ``finally`` arm,
+which writes the guest locals back to the frame in one tuple assignment,
 passes ``WB`` to ``support.before_store_batch`` in one call, adds ``rh``
 to ``metrics.read_barrier_hits``, flushes the completed iterations to
 the profiler ``PROF`` (bound to None when profiling is off, so profiled
@@ -187,7 +192,7 @@ class _SuperCompiler:
         self.anchor = anchor
         self.em = _Emitter(pre, "super")
         self.quantum = pre.quantum
-        self.max_cycles = pre.max_cycles
+        self.capped = pre.capped
 
     # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:
@@ -204,9 +209,9 @@ class _SuperCompiler:
         em.emit("dn += acc")
         em.emit("de += 1")
         em.emit("di += ic")
-        if self.max_cycles:
-            em.emit(f"if n0 + dn > {self.max_cycles}:")
-            em.emit(f"    raise SERR({self.max_cycles})")
+        if self.capped:
+            em.emit("if dn > ML:")
+            em.emit("    raise SERR(MAXC)")
         em.emit(f"if qu + dn >= {self.quantum} or PW <= n0 + dn:")
         em.emit("    return -1")
 
@@ -219,6 +224,8 @@ class _SuperCompiler:
             head.append(_assign([f"L{i}" for i in touched],
                                 [f"locals_[{i}]" for i in touched]))
         head += ["n0 = CLK.now", "qu = T.quantum_used", "dn = de = di = 0"]
+        if self.capped:
+            head.append("ML = MAXC - n0")
         if em.uses_guard:
             head += ["RG = len(LV) > (T.tid in LV)", "rh = 0"]
         if em.uses_log:

@@ -183,9 +183,9 @@ def _build_support(options: VMOptions) -> RuntimeSupport:
 # ------------------------------------------------------------ program image
 #: program images kept per process, the least recently used evicted
 #: first.  Reuse comes from VMs of one program (a checker scenario's
-#: cells, a panel's repetitions); campaigns whose cells are distinct
-#: programs (server cells at many seeds, ~0.3 MB an image with its
-#: templates) only pay memory for a larger bound.
+#: cells, a panel's repetitions, the server cells of one preset at
+#: every seed); campaigns whose cells are distinct programs (~0.3 MB an
+#: image with its templates) only pay memory for a larger bound.
 IMAGE_CACHE_SIZE = 64
 
 _images: "OrderedDict[str, ProgramImage]" = OrderedDict()
@@ -280,8 +280,10 @@ class ProgramImage:
     The image is keyed by :attr:`digest`, a digest of every input the
     load path reads: whether the transformer runs (``modified``),
     whether barriers are elided, the cost model (quantum and
-    read-barrier cost included), ``max_cycles``, and the pickled bytes
-    of each loaded :class:`ClassDef` in load order.  It holds the
+    read-barrier cost included), whether the VM has a cycle cap
+    (``capped``; the cap's value is each VM's own, read by generated
+    code from its namespace), and the pickled bytes of each loaded
+    :class:`ClassDef` in load order.  It holds the
     builtin exception classes plus the loaded ones, transformed,
     verified, linked and barrier-elided over the whole class set, and,
     filled at first execution, each method's predecode template
@@ -306,14 +308,14 @@ class ProgramImage:
 
     def __init__(self, inputs: tuple, blobs: tuple, digest: str,
                  *, private: bool = False) -> None:
-        modified, elide, cost_model, max_cycles = inputs
+        modified, elide, cost_model, capped = inputs
         self.inputs = inputs
         self.blobs = blobs
         self.digest = digest
         self.private = private
         self.modified = modified
         self.cost_model = cost_model
-        self.max_cycles = max_cycles
+        self.capped = capped
         classes: dict[str, ClassDef] = {}
         for name in BUILTIN_EXCEPTIONS:
             classes[name] = ClassDef(name, fields=[FieldDef("message", "str")])
@@ -348,7 +350,7 @@ class ProgramImage:
             options.modified,
             options.modified and options.barrier_elision,
             options.cost_model,
-            options.max_cycles,
+            bool(options.max_cycles),
         )
         return _load_image(inputs, ())
 

@@ -3,9 +3,11 @@ process per input digest, shared by every VM that runs it.
 
 These tests pin what sharing must never cost: two VMs of one image share
 no mutable object and cannot perturb each other's runs; every input the
-load path reads is in the key; runs leave cached images as they were
-built; and a checkpoint names program objects instead of pickling them,
-yet still restores in another process.
+load path reads is in the key, a cycle cap only as set or unset, so VMs
+with different caps (server cells of one preset) share an image yet
+each stops at its own cap; runs leave cached images as they were built;
+and a checkpoint names program objects instead of pickling them, yet
+still restores in another process.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_class, drain
+from conftest import build_class, drain, probe_superblocks
 from repro.bench.figures import FigurePanel
 from repro.bench.microbench import setup_microbench_vm
 from repro.check.explorer import ScheduleController, check_vm
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import get_scenario
+from repro.errors import StarvationError
 from repro.obs.capture import ObsSpec, build_capture_vm, run_capture
 from repro.vm import snapshot as snapshot_mod
 from repro.vm import vmcore
@@ -36,6 +39,7 @@ from repro.vm.assembler import Asm
 from repro.vm.bytecode import Instruction
 from repro.vm.classfile import ClassDef, FieldDef, MethodDef
 from repro.vm.clock import CostModel
+from repro.vm.predecode import _module_code
 from repro.vm.snapshot import restore_vm, snapshot_vm
 from repro.vm.vmcore import JVM, VMOptions
 
@@ -156,12 +160,17 @@ def test_every_key_input_misses():
         "quantum": _image(cost_model=dataclasses.replace(cm, quantum=7)),
         "read-barrier cost": _image(
             cost_model=dataclasses.replace(cm, read_barrier=2)),
-        "max_cycles": _image(max_cycles=123_456),
+        # whether a cap exists, not its value (see the test below)
+        "a cycle cap": _image(max_cycles=123_456),
     }
     assert _image() is base
     for name, image in changed.items():
         assert image is not base, name
         assert image.digest != base.digest, name
+
+
+def test_different_cycle_caps_hit_one_image():
+    assert _image(max_cycles=123_456) is _image(max_cycles=654_321)
 
 
 def test_an_edited_source_class_misses():
@@ -176,6 +185,83 @@ def test_the_cache_is_bounded(monkeypatch):
     for quantum in range(1, 6):
         JVM(VMOptions(cost_model=CostModel(quantum=quantum)))
     assert len(vmcore._images) == 3
+
+
+# ----------------------------------------------------------- cycle caps
+def _counting_loop(vm: JVM) -> None:
+    loop = Asm("run")
+    i = loop.local("i")
+    loop.for_range(i, lambda: loop.const(1_000_000), lambda: (
+        loop.getstatic("L", "n").const(1).add().putstatic("L", "n")))
+    loop.ret()
+    vm.load(build_class("L", ["n"], [loop]))
+    vm.spawn("L", "run", name="t0")
+
+
+def _capped(cap: int, interp: str = "fast") -> JVM:
+    vm = JVM(VMOptions(interp=interp, max_cycles=cap))
+    _counting_loop(vm)
+    return vm
+
+
+def _starve(vm: JVM) -> tuple:
+    """Step ``vm`` until its cap stops it: (cap, clock, flush events,
+    loop count)."""
+    with pytest.raises(StarvationError) as caught:
+        while vm.scheduler.step():
+            pass
+    return (caught.value.cycles, vm.clock.now, vm.clock.events,
+            vm.get_static("L", "n"))
+
+
+def test_vms_of_one_image_starve_at_their_own_caps(monkeypatch):
+    runs = probe_superblocks(monkeypatch)
+    caps = (20_000, 45_000)
+    fast = [_capped(cap) for cap in caps]
+    assert fast[0].image is fast[1].image
+    for cap, vm in zip(caps, fast):
+        got = _starve(vm)
+        assert runs[-1][0] == "starved"  # raised inside a fused loop
+        assert got[0] == cap < got[1]
+        assert got == _starve(_capped(cap, "reference"))
+
+
+def test_a_restored_checkpoint_keeps_its_cap():
+    vm = _capped(40_000)
+    for _ in range(3):
+        assert vm.scheduler.step()
+    snap = snapshot_vm(vm)
+    want = _starve(vm)
+    _starve(_capped(90_000))  # a VM of the same image with another cap
+    restored = restore_vm(snap)
+    assert restored.image is vm.image
+    assert _starve(restored) == want
+
+
+def test_server_cells_of_one_preset_share_one_image(monkeypatch):
+    from repro.server import plane
+
+    vms: list[JVM] = []
+    audited_run = plane.audited_run
+
+    def spy(vm, check):
+        vms.append(vm)
+        return audited_run(vm, check)
+
+    monkeypatch.setattr(plane, "audited_run", spy)
+    specs = [plane.ServerSpec("soak", requests=60, seed_index=i, chaos=True)
+             for i in (1, 2, 3)]
+    reports = [plane.run_server_cell(specs[0])]
+    misses = _module_code.cache_info().misses
+    reports += [plane.run_server_cell(spec) for spec in specs[1:]]
+    assert _module_code.cache_info().misses == misses
+    assert len({vm.options.max_cycles for vm in vms}) == 3
+    assert all(vm.image is vms[0].image for vm in vms)
+    cold = []
+    for spec in specs:
+        vmcore._images.clear()
+        cold.append(plane.run_server_cell(spec))
+    assert cold == reports
 
 
 # ------------------------------------------------------ runs leave images

@@ -23,6 +23,7 @@ from repro.server.workload import (
     TierSpec,
     build_server,
     expected_cycle_cap,
+    server_streams,
     tier_streams,
 )
 from repro.vm.vmcore import JVM, VMOptions
@@ -163,6 +164,36 @@ class TestServerRun:
         completed.put(0, completed.get(0) + 1)
         problems = check_server_invariants(vm, config, SEED)
         assert problems and "gold" in problems[0]
+
+
+class TestStreams:
+    def test_a_cell_builds_each_tier_stream_once(self, monkeypatch):
+        """The program, the cycle cap and the invariant check of one
+        cell all read one build of its streams."""
+        from repro.server import workload
+        from repro.server.plane import ServerSpec, run_server_cell
+        from repro.server.presets import get_preset
+
+        built: dict[str, int] = {}
+        real = workload.tier_streams
+
+        def counted(config, tier, seed):
+            built[tier.name] = built.get(tier.name, 0) + 1
+            return real(config, tier, seed)
+
+        monkeypatch.setattr(workload, "tier_streams", counted)
+        workload.server_streams.cache_clear()
+        report = run_server_cell(
+            ServerSpec("chaos-smoke", requests=40, chaos=True))
+        assert report["violations"] == []
+        assert built == {t.name: 1 for t in get_preset("chaos-smoke").tiers}
+
+    def test_shared_streams_are_tuples(self):
+        shared = server_streams(_small(), SEED)
+        assert server_streams(_small(), SEED) is shared
+        for streams in shared:
+            for name in ("gaps", "svc", "lockidx", "iswrite", "jitter"):
+                assert type(getattr(streams, name)) is tuple, name
 
 
 class TestDeterminism:
