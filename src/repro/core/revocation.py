@@ -48,6 +48,7 @@ from repro.core.sections import (
 )
 from repro.core.undolog import UndoLog
 from repro.errors import ReproError
+from repro.vm.heap import VMObject
 from repro.vm.support import RuntimeSupport
 from repro.vm.threads import RollbackSignal
 
@@ -286,9 +287,7 @@ class RollbackSupport(RuntimeSupport):
             m.undo_entries_logged += n
         return self.store_barrier_cost(thread) * n
 
-    def after_load(
-        self, thread: "VMThread", container, slot, volatile: bool
-    ) -> int:
+    def after_load(self, thread: "VMThread", container, slot) -> int:
         self.metrics.read_barrier_hits += 1
         # Fast path: on_read can only report another thread's records, so
         # skip the lookup unless some thread other than the reader has one.
@@ -296,7 +295,10 @@ class RollbackSupport(RuntimeSupport):
         live = self.jmm.live
         if len(live) > (thread.tid in live):
             sections = self.jmm.on_read(thread, container, slot)
-            reason = REASON_VOLATILE if volatile else REASON_DEPENDENCY
+            if not sections:
+                return self.vm.cost_model.read_barrier
+            reason = (REASON_VOLATILE if self._volatile(container, slot)
+                      else REASON_DEPENDENCY)
             for section in sections:
                 if section.mark_nonrevocable(reason):
                     self.metrics.nonrevocable_marks += 1
@@ -309,6 +311,16 @@ class RollbackSupport(RuntimeSupport):
                         reason=reason,
                     )
         return self.vm.cost_model.read_barrier
+
+    def _volatile(self, container, slot) -> bool:
+        """Whether the location just read is a volatile field (Figure 3):
+        an object's field of its own class, a static's ``(class, field)``
+        key of the loaded class; an array element never is."""
+        if type(container) is VMObject:
+            return container.classdef.fields[slot].volatile
+        if type(container) is tuple:
+            return self.vm.classdef(container[0]).fields[slot].volatile
+        return False
 
     def read_barrier_guard(self):
         return self.jmm.live, self.metrics

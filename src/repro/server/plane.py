@@ -114,10 +114,8 @@ class AbortStormDetector:
             self.window_end += self.config.storm_window
 
     def _completed_revocations(self, vm: "JVM") -> int:
-        collect = getattr(vm.support, "collect_metrics", None)
-        if not callable(collect):
-            return 0
-        return collect().get("revocations_completed", 0)
+        metrics = getattr(vm.support, "metrics", None)
+        return 0 if metrics is None else metrics.revocations_completed
 
     def _close_window(self, vm: "JVM") -> None:
         completed = self._completed_revocations(vm)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import GuestRuntimeError, LinkError
-from repro.vm.classfile import ClassDef, FieldDef
+from repro.vm.classfile import ClassDef
 from repro.vm.values import NULL
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,7 +120,6 @@ class Heap:
     def __init__(self) -> None:
         self._next_oid = 1
         self.statics: dict[tuple[str, str], Any] = {}
-        self._static_defs: dict[tuple[str, str], FieldDef] = {}
         self.class_objects: dict[str, VMObject] = {}
 
     def _oid(self) -> int:
@@ -131,18 +130,10 @@ class Heap:
     def register_class(self, classdef: ClassDef) -> VMObject:
         """Install a class's statics and create its ``Class`` object."""
         for f in classdef.static_fields():
-            key = (classdef.name, f.name)
-            self.statics[key] = f.default()
-            self._static_defs[key] = f
+            self.statics[(classdef.name, f.name)] = f.default()
         cls_obj = VMObject(self._oid(), self._CLASS_CLASSDEF)
         self.class_objects[classdef.name] = cls_obj
         return cls_obj
-
-    def relink(self, classes: dict[str, ClassDef]) -> None:
-        """Resolve the registered statics to ``classes``' definitions
-        (the VM moved onto another image of the same classes)."""
-        for cls, name in self._static_defs:
-            self._static_defs[(cls, name)] = classes[cls].fields[name]
 
     def class_object(self, class_name: str) -> VMObject:
         try:
@@ -157,14 +148,6 @@ class Heap:
         return VMArray(self._oid(), length, fill)
 
     # ------------------------------------------------------------- statics
-    def static_def(self, class_name: str, field_name: str) -> FieldDef:
-        try:
-            return self._static_defs[(class_name, field_name)]
-        except KeyError:
-            raise LinkError(
-                f"no static field {class_name}.{field_name}"
-            ) from None
-
     def get_static(self, key: tuple[str, str]) -> Any:
         try:
             return self.statics[key]

@@ -376,12 +376,9 @@ class Interpreter:
                     # ------------------------------------------ heap access
                     elif op == bc.GETFIELD:
                         obj = require_ref(stack.pop(), "object")
-                        fd = self._field_def(ins, obj)
                         stack.append(obj.get(ins.a))
                         if read_barriers:
-                            acc += support.after_load(
-                                thread, obj, ins.a, fd.volatile
-                            )
+                            acc += support.after_load(thread, obj, ins.a)
                         if trace_mem:
                             vm.trace(
                                 "mem_read", thread,
@@ -391,7 +388,6 @@ class Interpreter:
                     elif op == bc.PUTFIELD:
                         val = stack.pop()
                         obj = require_ref(stack.pop(), "object")
-                        self._field_def(ins, obj)  # resolves, or raises
                         old = obj.put(ins.a, val)
                         if ins.barrier:
                             acc += support.before_store(
@@ -408,7 +404,7 @@ class Interpreter:
                         arr = require_ref(stack.pop(), "array")
                         stack.append(arr.get(idx))
                         if read_barriers:
-                            acc += support.after_load(thread, arr, idx, False)
+                            acc += support.after_load(thread, arr, idx)
                         if trace_mem:
                             vm.trace(
                                 "mem_read", thread,
@@ -431,12 +427,9 @@ class Interpreter:
                             )
                         pc += 1
                     elif op == bc.GETSTATIC:
-                        fd = ins.c or self._static_def(ins)
                         stack.append(vm.heap.get_static(ins.a))
                         if read_barriers:
-                            acc += support.after_load(
-                                thread, ins.a, ins.a[1], fd.volatile
-                            )
+                            acc += support.after_load(thread, ins.a, ins.a[1])
                         if trace_mem:
                             vm.trace(
                                 "mem_read", thread,
@@ -823,20 +816,6 @@ class Interpreter:
         if a is NULL or b is NULL:
             return a is b
         return a == b
-
-    def _field_def(self, ins, obj: VMObject):
-        """Monomorphic inline cache for instance field resolution."""
-        cached = ins.c
-        if cached is not None and cached[0] is obj.classdef:
-            return cached[1]
-        fd = obj.classdef.field(ins.a)
-        ins.c = (obj.classdef, fd)
-        return fd
-
-    def _static_def(self, ins):
-        fd = self.vm.heap.static_def(*ins.a)
-        ins.c = fd
-        return fd
 
     def _classdef(self, ins):
         classdef = self.vm.classdef(ins.a)

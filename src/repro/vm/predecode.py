@@ -16,7 +16,7 @@ The entire method — every basic block plus the superblocks the trace
 compiler (:mod:`repro.vm.tracecomp`) forms over its loops — is generated
 as one Python module source and exec'd in a single pass (*method-level
 translation*).  The source holds no per-VM object: those sit in the
-module's namespace and its ``C`` inline-cache cells.  So a method's
+module's namespace and its ``C`` cells.  So a method's
 :class:`MethodTemplate` — unbound blocks and superblocks, the compiled
 code object, the ``K`` constant pool and the cell count — is built once
 per :class:`~repro.vm.vmcore.ProgramImage` and kept there, and each VM,
@@ -61,16 +61,21 @@ invariants that make this safe:
   - array loads and stores touch ``storage`` directly when the array is a
     ``VMArray`` and ``0 <= i < len(storage)``; otherwise
     ``VMArray.get/put`` raise the AIOOBE (``storage[-1]`` would not);
-  - statics are read and written in ``heap.statics`` directly, once the
-    per-site cache cell has resolved the key through ``Heap.static_def``;
+  - statics are read and written in ``heap.statics`` directly when the
+    image has the key (``ProgramImage.statics``, tested while the code
+    is generated); a key it lacks compiles to ``Heap.get_static`` /
+    ``put_static``, which raise the reference's ``LinkError``;
   - instance fields go through ``VMObject.get/put``.
 
-  Per-site monomorphic inline cache cells, one set per VM, replace the
-  reference's ``ins.c`` caches.  The barriers stay the reference's
-  ``support.after_load/before_store`` calls; when the support offers
+  Neither tier resolves a field's definition: the barriers stay the
+  reference's ``support.after_load/before_store`` calls on the location,
+  and the support looks a field's ``volatile`` flag up itself, only when
+  a read pins a section.  When the support offers
   ``read_barrier_guard()``, each read barrier inlines ``after_load``'s
   fast path (bump the hit count, charge the cost) and calls it only when
-  another thread holds a speculative write.
+  another thread holds a speculative write.  The per-VM ``C`` cells
+  cache only NEW's class (the reference's ``ins.c``) and CLASSREF's
+  class object (the VM's own, which no instruction may cache).
 * In a block, runs of consecutive barrier stores with no intervening
   raising op or read barrier are appended through one
   ``support.before_store_batch`` call (*batched write barriers*); the
@@ -538,7 +543,7 @@ class _Emitter:
     def barrier_store(self, container: str, slot: str, old: str) -> None:
         self.batch.append((container, slot, old))
 
-    def read_barrier(self, container: str, slot: str, volatile: str) -> None:
+    def read_barrier(self, container: str, slot: str) -> None:
         # A block flushes its batch to keep jmm write/read ordering exact.
         # A superblock's stores wait in WB for the run's exit, which no
         # read barrier can tell: on_read reports only other threads'
@@ -548,7 +553,7 @@ class _Emitter:
         elif self.fresh:
             self.flush_charges()  # the iteration's ``acc`` must exist
         self.dynamic = True
-        call = f"{self.acc} += AL(T, {container}, {slot}, {volatile})"
+        call = f"{self.acc} += AL(T, {container}, {slot})"
         cost = self.owner.read_barrier_cost
         if cost is None:
             self.emit(call)
@@ -583,31 +588,6 @@ class _Emitter:
             self.flush_charges()
         self.raising = True
         self.emit(f"F[0] = {pc}")
-
-    # --------------------------------------------------------- cache cells
-    def field_cache(self, obj_var: str, name_expr: str) -> str:
-        """Monomorphic inline cache mirroring ``_field_def``."""
-        j = self.owner._cell()
-        cv = self.newtmp()
-        self.emit(f"{cv} = C[{j}]")
-        self.emit(
-            f"if {cv} is None or {cv}[0] is not {obj_var}.classdef:"
-        )
-        self.emit(
-            f"    {cv} = ({obj_var}.classdef, "
-            f"{obj_var}.classdef.field({name_expr}))"
-        )
-        self.emit(f"    C[{j}] = {cv}")
-        return cv
-
-    def static_cache(self, key_ref: str) -> str:
-        j = self.owner._cell()
-        cv = self.newtmp()
-        self.emit(f"{cv} = C[{j}]")
-        self.emit(f"if {cv} is None:")
-        self.emit(f"    {cv} = SD(*{key_ref})")
-        self.emit(f"    C[{j}] = {cv}")
-        return cv
 
     # --------------------------------------------------------- fast paths
     def pin(self, e: _Sym, literal_ok: bool = True) -> str:
@@ -737,17 +717,15 @@ class _Emitter:
             self.set_fault(pc)
             to = self.ref(o, "VMO", "object")
             name_expr, _ = self.owner._const_expr(ins.a)
-            cv = self.field_cache(to, name_expr)
             self.push_tmp(f"{to}.get({name_expr})")
             if owner.read_barriers:
-                self.read_barrier(to, name_expr, f"{cv}[1].volatile")
+                self.read_barrier(to, name_expr)
         elif op == bc.PUTFIELD:
             v = self.pop()
             o = self.pop()
             self.set_fault(pc)
             to = self.ref(o, "VMO", "object")
             name_expr, _ = self.owner._const_expr(ins.a)
-            self.field_cache(to, name_expr)
             if ins.barrier:
                 told = self.newtmp()
                 self.emit(f"{told} = {to}.put({name_expr}, {v.expr})")
@@ -765,7 +743,7 @@ class _Emitter:
             self.emit(f"    {tv} = RR({ta}, 'array').get({ti})")
             self.push(_Sym(tv))
             if owner.read_barriers:
-                self.read_barrier(ta, ti, "False")
+                self.read_barrier(ta, ti)
         elif op == bc.ASTORE:
             v = self.pop()
             idx = self.pop()
@@ -786,18 +764,24 @@ class _Emitter:
                 self.emit("else:")
                 self.emit(f"    RR({ta}, 'array').put({ti}, {v.expr})")
         elif op == bc.GETSTATIC:
-            # static_cache resolved the key through SD, so ST has it
             key_ref = owner._kref(ins.a)
-            cv = self.static_cache(key_ref)
-            self.push_tmp(f"ST[{key_ref}]")
+            if ins.a in owner.statics:
+                self.push_tmp(f"ST[{key_ref}]")
+            else:
+                # the heap's own read raises the reference's LinkError,
+                # after the stores the reference has logged by then
+                self.flush_batch()
+                self.push_tmp(f"GS({key_ref})")
             if owner.read_barriers:
-                self.read_barrier(key_ref, f"{key_ref}[1]",
-                                  f"{cv}.volatile")
+                self.read_barrier(key_ref, f"{key_ref}[1]")
         elif op == bc.PUTSTATIC:
             v = self.pop()
             key_ref = owner._kref(ins.a)
-            self.static_cache(key_ref)
-            if ins.barrier:
+            if ins.a not in owner.statics:
+                # as GETSTATIC: the heap's own store raises
+                self.flush_batch()
+                self.emit(f"PS({key_ref}, {v.expr})")
+            elif ins.barrier:
                 told = self.newtmp()
                 self.emit(f"{told} = ST[{key_ref}]")
                 self.emit(f"ST[{key_ref}] = {v.expr}")
@@ -922,7 +906,8 @@ def vm_namespace(vm) -> dict:
         "DIVC": _div_const,
         "MODP": _mod_pos_const,
         "DIVP": _div_pos_const,
-        "SD": heap.static_def,
+        "GS": heap.get_static,
+        "PS": heap.put_static,
         "ALLOC": heap.allocate,
         "NEWA": _newarray,
         "CLSO": heap.class_object,
@@ -964,8 +949,10 @@ class _Predecoder:
         #: whether they test a cycle cap (its value is the VM's ``MAXC``)
         self.quantum = cm.quantum
         self.capped = image.capped
+        #: static keys generated code may index ``ST`` with directly
+        self.statics = image.statics
         self.consts: list[Any] = []   # K: constant pool (a tuple once built)
-        self.ncells = 0               # C: per-site inline-cache cells
+        self.ncells = 0               # C: NEW and CLASSREF cache cells
         self.stats: dict[str, int] = {}
 
     def build(self) -> MethodTemplate:

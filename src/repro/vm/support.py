@@ -129,10 +129,13 @@ class RuntimeSupport:
             cost += self.before_store(thread, container, slot, old_value)
         return cost
 
-    def after_load(
-        self, thread: "VMThread", container, slot, volatile: bool
-    ) -> int:
-        """Read-barrier hook: JMM read-write dependency tracking (§2.2)."""
+    def after_load(self, thread: "VMThread", container, slot) -> int:
+        """Read-barrier hook: JMM read-write dependency tracking (§2.2).
+
+        The interpreters pass the location only, not the field's
+        definition: whether it is ``volatile`` matters only when the read
+        pins another thread's section, so a support looks that up itself,
+        on its slow path (array elements are never volatile)."""
         return 0
 
     def read_barrier_guard(self):
@@ -156,7 +159,9 @@ class RuntimeSupport:
         and ``metrics`` must be the support's own counters, kept as
         :meth:`before_store` says: the cycle profiler watches that object
         and attributes every barrier from its counts at each flush, so the
-        profiled VM runs this same support, inline fast path included."""
+        profiled VM runs this same support, inline fast path included.
+        The fast path pins nothing, so it needs no field's ``volatile``
+        flag: that lookup is :meth:`after_load`'s own slow path."""
         return None
 
     def live_undo_entries(self) -> int:

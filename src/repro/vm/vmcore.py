@@ -260,11 +260,11 @@ def _inline_calls(classes: dict[str, ClassDef]) -> None:
 def _program_objects(classes) -> list:
     """Every program object a VM's state can reference, in a fixed
     order: the heap's ``Class`` classdef, then each class with its
-    fields, methods, instructions, handlers and rollback scopes."""
+    methods, instructions, handlers and rollback scopes (no state
+    references a field's definition but through its class)."""
     objects = [Heap._CLASS_CLASSDEF]
     for classdef in classes:
         objects.append(classdef)
-        objects.extend(classdef.fields.values())
         for method in classdef.methods.values():
             objects.append(method)
             objects.extend(method.code)
@@ -294,11 +294,10 @@ class ProgramImage:
 
     Nothing a run does changes an image except the link-time
     resolutions instructions cache in ``Instruction.c``, which name
-    image objects only (a ``ClassDef``, ``FieldDef``, ``MethodDef`` or
-    static ``FieldDef``; per-VM objects such as class objects and
-    natives are looked up per execution).  :meth:`JVM.rewrite_method`
-    is the one way to edit a loaded method: it moves that VM onto a
-    private, uncached copy first.
+    image objects only (a ``ClassDef`` or ``MethodDef``; per-VM objects
+    such as class objects and natives are looked up per execution).
+    :meth:`JVM.rewrite_method` is the one way to edit a loaded method:
+    it moves that VM onto a private, uncached copy first.
 
     :attr:`objects` lists every program object in a deterministic
     order, so a VM checkpoint can name them by index instead of
@@ -337,6 +336,12 @@ class ProgramImage:
 
             elide_barriers(classes.values())
         self.classes = classes
+        #: every static's ``(class, field)`` key, for predecode to test
+        self.statics = frozenset(
+            (classdef.name, f.name)
+            for classdef in classes.values()
+            for f in classdef.static_fields()
+        )
         self.objects = [self] + _program_objects(classes.values())
         #: ``id`` of each program object -> its index in :attr:`objects`
         self.index = {id(obj): i for i, obj in enumerate(self.objects)}
@@ -498,7 +503,6 @@ class JVM:
         spawned move to its methods; host objects allocated earlier
         keep their class, whose fields are the same."""
         self.image = image
-        self.heap.relink(image.classes)
         self.interpreter.forget()
         for thread in self.threads:
             thread.entry_method = self._method_in(image, thread.entry_method)

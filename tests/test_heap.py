@@ -98,9 +98,10 @@ class TestStatics:
 
     def test_static_def_lookup(self, heap, point_class):
         heap.register_class(point_class)
-        assert heap.static_def("Point", "count").kind == "int"
         with pytest.raises(LinkError):
-            heap.static_def("Point", "x")  # instance field, not static
+            heap.get_static(("Point", "x"))  # instance field, not static
+        with pytest.raises(LinkError):
+            heap.put_static(("Point", "x"), 1)
 
     def test_class_object_created(self, heap, point_class):
         cls_obj = heap.register_class(point_class)

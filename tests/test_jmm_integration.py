@@ -9,12 +9,15 @@ import pytest
 
 from repro import Asm
 from repro.check.scenarios import scenarios
+from repro.core.sections import REASON_DEPENDENCY, REASON_VOLATILE
 from repro.errors import DeadlockError, UncaughtGuestException
+from repro.vm.classfile import FieldDef
 
 from conftest import build_class, make_vm
 
 
-def _writer_reader_contender(cls_name, *, volatile=False, nested=True):
+def _writer_reader_contender(cls_name, *, volatile=False, nested=True,
+                             where="static"):
     """Builds the Figure 2 (nested) / Figure 3 (volatile) programs.
 
     * writer (prio 1): enters outer (and inner when nested), writes v,
@@ -22,18 +25,41 @@ def _writer_reader_contender(cls_name, *, volatile=False, nested=True):
     * reader (prio 5): after a delay, reads v (through inner's monitor in
       the nested variant; bare volatile read otherwise).
     * contender (prio 10): after a longer delay, tries to enter outer.
+
+    ``where`` places v: a static (the default), the instance field of
+    the object in static ``box`` (``"field"``), or element 0 of the
+    array in ``box`` (``"array"``, never volatile); :func:`run_scenario`
+    fills ``box``.
     """
-    fields = ["outer:ref", "inner:ref", "seen:int"]
-    fields.append("v:int:volatile" if volatile else "v:int")
+    fields = ["outer:ref", "inner:ref", "seen:int", "box:ref"]
+    if where == "static":
+        fields.append("v:int:volatile" if volatile else "v:int")
+
+    def write(a):
+        if where == "static":
+            a.const(1).putstatic(cls_name, "v")
+        elif where == "field":
+            a.getstatic(cls_name, "box").const(1).putfield("v")
+        else:
+            a.getstatic(cls_name, "box").const(0).const(1).astore()
+
+    def read(a):
+        if where == "static":
+            a.getstatic(cls_name, "v")
+        elif where == "field":
+            a.getstatic(cls_name, "box").getfield("v")
+        else:
+            a.getstatic(cls_name, "box").const(0).aload()
+
     writer = Asm("writer", argc=0)
     writer.getstatic(cls_name, "outer")
     with writer.sync():
         if nested:
             writer.getstatic(cls_name, "inner")
             with writer.sync():
-                writer.const(1).putstatic(cls_name, "v")
+                write(writer)
         else:
-            writer.const(1).putstatic(cls_name, "v")
+            write(writer)
         i = writer.local()
         writer.for_range(i, lambda: writer.const(4_000), lambda:
                          writer.const(0).pop())
@@ -44,9 +70,11 @@ def _writer_reader_contender(cls_name, *, volatile=False, nested=True):
     if nested:
         reader.getstatic(cls_name, "inner")
         with reader.sync():
-            reader.getstatic(cls_name, "v").putstatic(cls_name, "seen")
+            read(reader)
+            reader.putstatic(cls_name, "seen")
     else:
-        reader.getstatic(cls_name, "v").putstatic(cls_name, "seen")
+        read(reader)
+        reader.putstatic(cls_name, "seen")
     reader.ret()
 
     contender = Asm("contender", argc=0)
@@ -55,14 +83,21 @@ def _writer_reader_contender(cls_name, *, volatile=False, nested=True):
     with contender.sync():
         contender.const(0).pop()
     contender.ret()
-    return build_class(cls_name, fields, [writer, reader, contender])
+    cls = build_class(cls_name, fields, [writer, reader, contender])
+    if where == "field":
+        cls.add_field(FieldDef("v", "int", volatile=volatile))
+    return cls
 
 
-def run_scenario(cls, *, spawn_reader=True):
-    vm = make_vm("rollback")
+def run_scenario(cls, *, spawn_reader=True, interp="fast"):
+    vm = make_vm("rollback", interp=interp)
     vm.load(cls)
     vm.set_static(cls.name, "outer", vm.new_object(cls.name))
     vm.set_static(cls.name, "inner", vm.new_object(cls.name))
+    # ``box`` holds the object whose field is v, or else the array
+    box = (vm.new_object(cls.name) if "v" in vm.classdef(cls.name).fields
+           else vm.new_array(1))
+    vm.set_static(cls.name, "box", box)
     vm.spawn(cls.name, "writer", priority=1, name="T")
     if spawn_reader:
         vm.spawn(cls.name, "reader", priority=5, name="T2")
@@ -132,6 +167,30 @@ class TestFigure3Volatile:
         s = vm.metrics()["support"]
         assert s["revocations_completed"] == 0
         assert s["nonrevocable_marks"] >= 1
+
+    @pytest.mark.parametrize("interp", ("reference", "fast"))
+    @pytest.mark.parametrize("where, volatile, reason", [
+        ("static", True, REASON_VOLATILE),
+        ("field", True, REASON_VOLATILE),
+        ("static", False, REASON_DEPENDENCY),
+        ("field", False, REASON_DEPENDENCY),
+        ("array", False, REASON_DEPENDENCY),
+    ])
+    def test_pin_reason_follows_the_location(self, where, volatile, reason,
+                                             interp):
+        """The read barrier decides volatility itself, only when the read
+        pins the writer's section: the mark names ``volatile-dependency``
+        exactly when the location read is a volatile field."""
+        cls = _writer_reader_contender(
+            "R", volatile=volatile, nested=False, where=where,
+        )
+        vm = run_scenario(cls, interp=interp)
+        assert vm.get_static("R", "seen") == 1
+        pins = [e for e in vm.tracer.of_kind("nonrevocable")
+                if e.thread == "T2"]
+        assert len(pins) == 1
+        assert pins[0].details["reason"] == reason
+        assert vm.metrics()["support"]["revocations_completed"] == 0
 
     def test_volatile_write_outside_section_is_free(self):
         """A volatile write by a thread in no section is committed

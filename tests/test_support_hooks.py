@@ -12,7 +12,7 @@ class TestNullSupportContract:
         sup = NullSupport()
         assert sup.before_store(None, None, None, None) == 0
         assert sup.before_store_batch(None, [(None, None, None)] * 3) == 0
-        assert sup.after_load(None, None, None, False) == 0
+        assert sup.after_load(None, None, None) == 0
         assert sup.store_barrier_cost(None) == 0
 
     def test_notification_hooks_return_none(self):
