@@ -268,10 +268,12 @@ class Interpreter:
                                 raise GuestRuntimeError(
                                     "injected fault", guest_class=injected
                                 )
+                        # the pending wake time is read once per yield
+                        # point; a superblock entry below reuses it
                         if (
                             thread.quantum_used >= quantum
                             or thread.preempt_requested
-                            or pending_wake() <= clock.now
+                            or (wake := pending_wake()) <= clock.now
                         ):
                             frame.pc = pc
                             thread.preempt_requested = False
@@ -293,7 +295,7 @@ class Interpreter:
                         ):
                             try:
                                 r = sb.fn(stack, locals_, F, A, thread,
-                                          pending_wake())
+                                          wake)
                             except GuestRuntimeError:
                                 # completed iterations are committed; the
                                 # partial one continues as if the chain

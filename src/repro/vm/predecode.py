@@ -390,44 +390,45 @@ class _Emitter:
         State that cannot change during one superblock run lives in
         Python locals that :mod:`repro.vm.tracecomp` loads in the
         function's prologue and applies once, at the run's exit: guest
-        local ``i`` is ``L{i}``; the read-barrier guard is ``RG`` and its
-        fast-path hits count into ``rh``; each barrier store appends its
-        undo entry ``(container, slot, old)`` to the run-local list ``WB``
-        and charges the per-store cost ``SC``.  Static costs (and
-        the ``SC`` charges) are charged lazily: accumulated at codegen
-        time into ``pending_cost``/``pending_count``/``pending_stores``
-        and flushed into the generated ``acc``/``ic`` locals before any
-        op that can raise (including that op's own cost, mirroring the
-        reference's charge-before-execute order), at control-flow
-        splits, and at iteration boundaries; the first flush of an
-        iteration assigns rather than adds.  ``acc``/``ic`` therefore
-        hold exactly the reference interpreter's unflushed accumulators
-        at every point a guest exception can escape, with no repair
-        table needed.
+        local ``i`` is ``L{i}``; each barrier store appends its undo
+        entry ``(container, slot, old)`` to the run-local list ``WB``.
+        Nothing is charged in the generated code as it goes: the emitter
+        sums the current path's static charge — cycles, instructions,
+        logged stores (``SC`` each) and, in a *folded* body, read-barrier
+        fast paths (their cycles added in, their hits counted apart) —
+        and the trace compiler emits it once, where the path commits or
+        leaves.  Every op that can raise registers its *site*: a key
+        stored in ``F[0]`` whose table entry holds the pc and the path's
+        charge up to and including that op, mirroring the reference's
+        charge-before-execute order.  An unfolded body calls ``AL`` at
+        every read barrier and adds its result to ``dy``.
     """
 
     def __init__(self, owner: "_Predecoder", mode: str):
         self.owner = owner
         self.mode = mode
-        self.acc = "A[0]" if mode == "block" else "acc"
         self.lines: list[str] = []
         self.sym: list[_Sym] = []
         self.indent = 1
         self.tmp = 0
         self.raising = False
         self.dynamic = False
+        #: super mode: the current path's charge since its iteration began
         self.pending_cost = 0
         self.pending_count = 0
-        #: barrier stores whose ``SC`` charge is pending (super mode)
         self.pending_stores = 0
-        #: super mode: the next charge flush starts an iteration, so it
-        #: assigns ``acc``/``ic`` instead of adding to them
-        self.fresh = False
+        self.pending_reads = 0
+        #: super mode: read barriers take the inlined fast path (charged
+        #: into the path) rather than calling ``AL`` into ``dy``
+        self.folded = True
+        #: super mode: site key -> (pc, cycles, count, stores, reads) of
+        #: every op that can raise, in every body (keys are pcs, plus a
+        #: multiple of the method's length for a pc generated again)
+        self.sites: dict[int, tuple] = {}
         #: guest local slots the generated code reads or writes / writes
         self.touched: set[int] = set()
         self.written: set[int] = set()
-        #: super mode: the code reads ``RG``/``rh`` / appends to ``WB``
-        self.uses_guard = False
+        #: super mode: the code appends to ``WB``
         self.uses_log = False
         #: deferred (container, slot, old_value) expression triples for
         #: the batched write-barrier call
@@ -488,38 +489,36 @@ class _Emitter:
 
     # ------------------------------------------------------------- costing
     def charge(self, ins) -> None:
-        """Accumulate ``ins``'s static cost (superblock mode only; block
-        costs are charged by the interpreter from the block totals)."""
+        """Add ``ins``'s static cost to the path (superblock mode only;
+        block costs are charged by the interpreter from the block
+        totals)."""
         if self.mode == "super":
             self.pending_cost += ins.cost
             self.pending_count += 1
 
-    def flush_charges(self) -> None:
-        """Emit the pending static and ``SC`` charges into ``acc``/``ic``."""
-        cost = self.pending_cost
-        stores = self.pending_stores
-        if stores:
-            sc = "SC" if stores == 1 else f"{stores} * SC"
-            charge = f"{cost} + {sc}" if cost else sc
-        else:
-            charge = str(cost)
-        if self.fresh:
-            self.emit(f"acc = {charge}")
-            self.emit(f"ic = {self.pending_count}")
-            self.fresh = False
-        else:
-            if cost or stores:
-                self.emit(f"acc += {charge}")
-            if self.pending_count:
-                self.emit(f"ic += {self.pending_count}")
-        self.pending_cost = 0
-        self.pending_count = 0
-        self.pending_stores = 0
+    def path_charge(self) -> tuple[int, int, int, int]:
+        """The path's ``(cycles, count, stores, reads)`` so far: static
+        cycles (folded read barriers included), instructions, logged
+        stores whose ``SC`` is still to add, and folded read-barrier
+        hits."""
+        return (self.pending_cost, self.pending_count, self.pending_stores,
+                self.pending_reads)
+
+    def set_path_charge(self, charge: tuple[int, int, int, int]) -> None:
+        (self.pending_cost, self.pending_count, self.pending_stores,
+         self.pending_reads) = charge
+
+    def start_body(self, folded: bool) -> None:
+        """Begin generating one superblock body from an empty path."""
+        self.folded = folded
+        self.lines = []
+        self.indent = 1
+        self.set_path_charge((0, 0, 0, 0))
 
     def flush_batch(self) -> None:
         """Emit the deferred write-barrier batch, in order: one
         ``before_store_batch`` call in a block, appends to the run's
-        ``WB`` list (plus pending ``SC`` charges) in a superblock."""
+        ``WB`` list (and ``SC`` charges on the path) in a superblock."""
         batch = self.batch
         if not batch:
             return
@@ -536,58 +535,59 @@ class _Emitter:
             return
         self.dynamic = True
         if len(records) == 1:
-            self.emit(f"{self.acc} += BS(T, {records[0]})")
+            self.emit(f"A[0] += BS(T, {records[0]})")
         else:
-            self.emit(f"{self.acc} += BSB(T, ({tuples}))")
+            self.emit(f"A[0] += BSB(T, ({tuples}))")
 
     def barrier_store(self, container: str, slot: str, old: str) -> None:
         self.batch.append((container, slot, old))
 
     def read_barrier(self, container: str, slot: str) -> None:
-        # A block flushes its batch to keep jmm write/read ordering exact.
-        # A superblock's stores wait in WB for the run's exit, which no
-        # read barrier can tell: on_read reports only other threads'
-        # records, never the reader's own.
-        if self.mode == "block":
-            self.flush_batch()
-        elif self.fresh:
-            self.flush_charges()  # the iteration's ``acc`` must exist
-        self.dynamic = True
-        call = f"{self.acc} += AL(T, {container}, {slot})"
+        call = f"AL(T, {container}, {slot})"
         cost = self.owner.read_barrier_cost
-        if cost is None:
-            self.emit(call)
-            return
-        # support.read_barrier_guard(): after_load's fast path, inline;
-        # a superblock reads the guard once per entry (RG) and adds its
-        # hit count to the metrics at the run's exit
         if self.mode == "super":
-            self.uses_guard = True
-            self.emit("if RG:")
-            self.emit(f"    {call}")
-            self.emit("else:")
-            self.emit("    rh += 1")
-            self.emit(f"    acc += {cost}")
+            # A superblock's stores wait in WB for the run's exit, which
+            # no read barrier can tell: on_read reports only other
+            # threads' records, never the reader's own.  Its guard RG is
+            # read once per entry, which picks the body: a folded one
+            # charges after_load's fast path to the path and counts its
+            # hit there; the other calls AL.
+            if self.folded:
+                self.pending_cost += cost
+                self.pending_reads += 1
+            else:
+                self.emit(f"dy += {call}")
             return
+        # A block flushes its batch to keep jmm write/read ordering exact.
+        self.flush_batch()
+        self.dynamic = True
+        if cost is None:
+            self.emit(f"A[0] += {call}")
+            return
+        # support.read_barrier_guard(): after_load's fast path, inline
         self.emit("if len(LV) > (T.tid in LV):")
-        self.emit(f"    {call}")
+        self.emit(f"    A[0] += {call}")
         self.emit("else:")
         self.emit("    RM.read_barrier_hits += 1")
-        self.emit(f"    {self.acc} += {cost}")
+        self.emit(f"    A[0] += {cost}")
 
     def set_fault(self, pc: int) -> None:
         """Mark ``pc`` as the next possible guest-fault site.
 
         Flushes the barrier batch (the reference has already run those
-        barriers when this op raises) and, in superblock mode, the
-        pending static charges *including this op's own cost* — matching
-        the reference's charge-before-execute order, so ``acc``/``ic``
-        are exact at the raise."""
+        barriers when this op raises).  A block stores the pc in
+        ``F[0]``; a superblock stores a key of the site, whose charge is
+        the path's so far *including this op's own cost* — matching the
+        reference's charge-before-execute order."""
         self.flush_batch()
-        if self.mode == "super":
-            self.flush_charges()
         self.raising = True
-        self.emit(f"F[0] = {pc}")
+        key = pc
+        if self.mode == "super":
+            stride = len(self.owner.method.code)
+            while key in self.sites:
+                key += stride
+            self.sites[key] = (pc, *self.path_charge())
+        self.emit(f"F[0] = {key}")
 
     # --------------------------------------------------------- fast paths
     def pin(self, e: _Sym, literal_ok: bool = True) -> str:
@@ -919,6 +919,7 @@ def vm_namespace(vm) -> dict:
         "CLK": vm.clock,
         "PROF": vm.profiler,
         "MAXC": vm.options.max_cycles,
+        "min": min,
         "SERR": StarvationError,
         "GRE": GuestRuntimeError,
     }

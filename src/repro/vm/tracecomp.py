@@ -40,15 +40,16 @@ constant for the duration of the run:
 * preemption inputs are constants: ``preempt_requested`` can only be set
   by code this thread runs (none inside a loop body), and the sleeper
   queue cannot change (no parking ops in the body), so the pending wake
-  time ``PW`` is read once at entry.
+  time ``PW`` is read once, by the interpreter's yield point, and passed
+  in.
 
 The cycle profiler needs no guard: it books clock time at context
 changes, which a run never makes, and a run's one ``on_flush`` of its
 completed iterations equals their per-iteration flushes because a run
 never leaves its frame.
 
-Three more things are constant for a run, and the generated function
-reads them once, in its prologue:
+More is constant for a run, and the generated function reads it once,
+in its prologue:
 
 * the read-barrier guard ``RG = len(LV) > (T.tid in LV)`` ("does another
   thread hold live speculative records?").  Only the thread's own
@@ -57,33 +58,56 @@ reads them once, in its prologue:
   anyway, so the deferral cannot change what a read barrier sees;
 * the per-store barrier charge ``SC = support.store_barrier_cost(T)``,
   which depends only on whether the thread is inside a synchronized
-  section — and the body has no monitor op, so ``T.sections`` is fixed.
-* the cycles left before the VM's cap, ``ML = MAXC - n0``, when the
-  program has one.  ``MAXC`` is the VM's own ``max_cycles``, bound in
+  section — and the body has no monitor op, so ``T.sections`` is fixed;
+* the exit bound ``B``: the cycles this run may commit before an
+  iteration end must stop it — ``min(quantum - T.quantum_used, PW - n0)``
+  and, when the program has a cycle cap, ``ML + 1`` with
+  ``ML = MAXC - n0``.  ``MAXC`` is the VM's own ``max_cycles``, bound in
   its namespace, not a literal: the source says only whether a cap
   exists, so VMs with different caps share one image and one code
   object.
 
 The prologue also loads every guest local the body touches into a Python
-local ``L{i}``.  The body then keeps three kinds of state in locals and
+local ``L{i}``.  The body keeps three kinds of state in locals and
 applies each once, at the exit: the guest locals it writes; the
 read-barrier fast-path hit count ``rh``; and its logged stores, each
-appended as its undo entry ``(container, slot, old)`` to the list ``WB``
-and charged ``SC`` on the spot.  Nothing observes the deferred state before
-the exit: no other thread runs, and the tracer, undo logs, metrics and
-clock are read only after the run returns.
+appended as its undo entry ``(container, slot, old)`` to the list
+``WB``.  Nothing observes the deferred state before the exit: no other
+thread runs, and the tracer, undo logs, metrics and clock are read only
+after the run returns.
 
-Inside the generated function each iteration charges the back-edge and
-the executed body exactly as the reference interpreter would, then
-*commits* the iteration — ``dn += acc; de += 1`` — and re-evaluates the
-hoisted checks: the cap as ``dn > ML``, the quantum against a literal
-baked at compile time.  Every exit leaves through one ``finally`` arm,
-which writes the guest locals back to the frame in one tuple assignment,
-passes ``WB`` to ``support.before_store_batch`` in one call, adds ``rh``
-to ``metrics.read_barrier_hits``, flushes the completed iterations to
-the profiler ``PROF`` (bound to None when profiling is off, so profiled
-and unprofiled VMs share one generated source), and folds the
-accumulated cycles and flush-event count into the clock in one
+Charging: one constant per path
+-------------------------------
+
+Every cost an iteration pays is fixed by the path it takes through the
+body, except what a read barrier's slow path returns.  The structurizer
+therefore lowers each path separately: code after a join is generated
+again inside every arm that reaches it (tail duplication), so each
+``if`` arm runs to its own iteration end, and the static charge of a
+path is summed while the code is generated.  A completed iteration
+commits it in one ``dn += c; di += i`` (plus ``rh += r`` for its
+read-barrier fast paths), with ``c`` a literal — or a prologue local
+``P{c}_{s} = c + s * SC`` when the path logs ``s`` stores — and then
+``de += 1`` and one comparison, ``dn >= B``.  Only when that trips does
+the run tell starvation (``dn > ML``: raise ``SERR``) from preemption
+(``return -1``), in the reference's order.  A body whose paths would
+exceed :data:`MAX_PATHS` stays un-fused.
+
+When ``RG`` is false at entry, every read barrier takes ``after_load``'s
+fast path, so its cycle and its hit fold into the path constant.  When
+``RG`` is true the read barriers must call ``AL``: a body that reads
+is therefore generated twice, and the prologue's ``RG`` picks one.  The
+``RG``-true body (also the only body when the support offers no inline
+guard) resets a per-iteration accumulator ``dy`` at each iteration
+start, adds every ``AL`` result to it and commits ``dn += c + dy``.
+
+Every exit leaves through one ``finally`` arm, which writes the guest
+locals back to the frame in one tuple assignment, passes ``WB`` to
+``support.before_store_batch`` in one call, adds ``rh`` to
+``metrics.read_barrier_hits``, flushes the completed iterations to the
+profiler ``PROF`` (bound to None when profiling is off, so profiled and
+unprofiled VMs share one generated source), and folds the accumulated
+cycles and flush-event count into the clock in one
 :meth:`Clock.commit_batch` call plus the three thread mirrors —
 byte-identical (clock value *and* event count, profile tables too) to
 the per-iteration flushes the reference performs.
@@ -96,30 +120,34 @@ Exits:
   guest error: it passes through every guest handler, as in the
   reference);
 * **branch out of the loop** — the *completed* iterations commit; the
-  partial iteration's unflushed ``acc``/``ic`` go back through the
-  ``A`` cells and the function returns the target pc, where normal
-  dispatch continues accumulating;
-* **guest exception** — completed iterations commit; the partial
-  accumulators (cost model: charge-before-execute, so the faulting op is
-  included) go back through ``A`` and the faulting pc through ``F[0]``;
-  the dispatcher re-raises into the reference's exception path.
-
-Static costs are charged lazily at code-generation time: a pending
-(cost, count) pair, plus the ``SC`` charges of pending stores, accrues
-per emitted instruction and is flushed into the ``acc``/``ic`` locals
-before any op that can raise, at control-flow splits, and at iteration
-boundaries — so the locals equal the reference's unflushed accumulators
-at every observable escape point without per-instruction arithmetic in
-the common case.  An iteration's first flush assigns ``acc``/``ic``
-instead of zeroing and then adding.
+  partial iteration's unflushed cycles and instructions, constants of
+  the exit site (plus ``dy``), go back through the ``A`` cells, its
+  fast-path hits into ``rh``, and the function returns the target pc,
+  where normal dispatch continues accumulating;
+* **guest exception** — every op that can raise first stores its *site
+  key* in ``F[0]``: its pc, or the pc plus a multiple of the method's
+  length where the same pc is generated on several paths.  The
+  ``except`` arm looks the key up in the superblock's site table (a
+  ``K`` constant built at code generation), which holds the pc and the
+  partial iteration's charge up to and including the faulting op (cost
+  model: charge-before-execute), rebuilds ``A`` and ``rh`` from it,
+  plus ``dy``, and puts the pc in ``F[0]``; completed iterations commit
+  and the dispatcher re-raises into the reference's exception path.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.vm import bytecode as bc
 from repro.vm.predecode import _CMP_EXPR, _Emitter, _fusable
+
+#: Paths (iteration ends plus loop exits) one generated body may have;
+#: a body with more stays un-fused rather than grow without bound under
+#: tail duplication.
+MAX_PATHS = 64
+
+#: The ops whose code carries a read barrier in a modified VM
+#: (:meth:`repro.vm.predecode._Emitter.emit_op`).
+_READ_OPS = frozenset((bc.GETFIELD, bc.ALOAD, bc.GETSTATIC))
 
 
 def _assign(targets: list[str], values: list[str]) -> str:
@@ -193,27 +221,30 @@ class _SuperCompiler:
         self.em = _Emitter(pre, "super")
         self.quantum = pre.quantum
         self.capped = pre.capped
+        #: prologue locals naming path constants that include ``SC``
+        self.path_consts: dict[str, str] = {}
+        #: paths lowered in the current body
+        self.paths = 0
 
     # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:
         em = self.em
-        em.indent = 3  # def > try > while
-        em.fresh = True
-        # every iteration charges the back-edge GOTO first (the reference
-        # charges it when dispatching the anchor, before the body runs)
-        em.charge(self.code[self.anchor])
-        self._gen(self.head, self.anchor)
-        em.flush_batch()
-        em.flush_charges()
-        em.flush_stack()
-        em.emit("dn += acc")
-        em.emit("de += 1")
-        em.emit("di += ic")
-        if self.capped:
-            em.emit("if dn > ML:")
-            em.emit("    raise SERR(MAXC)")
-        em.emit(f"if qu + dn >= {self.quantum} or PW <= n0 + dn:")
-        em.emit("    return -1")
+        reads = self.pre.read_barriers and any(
+            self.code[pc].op in _READ_OPS
+            for pc in range(self.head, self.anchor)
+        )
+        guarded = self.pre.read_barrier_cost is not None
+        if not reads:
+            loop = self._body(folded=True)
+        elif not guarded:
+            loop = self._body(folded=False)
+        else:
+            # RG is fixed for the run: pick the body once, at entry
+            static = self._body(folded=True)
+            dynamic = self._body(folded=False)
+            loop = (["if not RG:"] + [f"    {line}" for line in static]
+                    + ["else:"] + [f"    {line}" for line in dynamic])
+        folded_reads = reads and guarded
 
         # The prologue loads the run's invariants; the ``finally`` arm is
         # the one exit path every return and raise leaves through.
@@ -223,20 +254,27 @@ class _SuperCompiler:
         if touched:
             head.append(_assign([f"L{i}" for i in touched],
                                 [f"locals_[{i}]" for i in touched]))
-        head += ["n0 = CLK.now", "qu = T.quantum_used", "dn = de = di = 0"]
+        head += ["n0 = CLK.now", "dn = de = di = 0"]
+        bound = f"min({self.quantum} - T.quantum_used, PW - n0"
         if self.capped:
-            head.append("ML = MAXC - n0")
-        if em.uses_guard:
+            head += ["ML = MAXC - n0", f"B = {bound}, ML + 1)"]
+        else:
+            head.append(f"B = {bound})")
+        if folded_reads:
             head += ["RG = len(LV) > (T.tid in LV)", "rh = 0"]
+        if reads:
+            head.append("dy = 0")
         if em.uses_log:
             head += ["WB = []", "SC = SBC(T)"]
+        head += [f"{name} = {expr}"
+                 for name, expr in self.path_consts.items()]
         tail = []
         if written:
             tail.append(_assign([f"locals_[{i}]" for i in written],
                                 [f"L{i}" for i in written]))
         if em.uses_log:
             tail += ["if WB:", "    BSB(T, WB)"]
-        if em.uses_guard:
+        if folded_reads:
             tail.append("RM.read_barrier_hits += rh")
         # PROF is the VM's profiler or None: every VM, profiled or not,
         # runs this same source (one _module_code entry).  A run never
@@ -251,10 +289,32 @@ class _SuperCompiler:
             "T.instructions_executed += di",
         ]
         lines = [f"    {line}" for line in head]
-        lines += ["    try:", "        while True:"]
-        lines += em.lines
-        lines += ["    except GRE:", "        A[0] = acc", "        A[1] = ic",
-                  "        raise", "    finally:"]
+        lines.append("    try:")
+        lines += [f"        {line}" for line in loop]
+        if em.sites:
+            # rebuild the partial iteration from the faulting site's
+            # constants; F[0] goes back to the plain pc.  The table is a
+            # tuple indexed by site key: K is shared by every VM of the
+            # image, so it holds nothing mutable.
+            table = [None] * (max(em.sites) + 1)
+            for key, site in em.sites.items():
+                table[key] = site
+            terms = ["c"]
+            if em.uses_log:
+                terms.append("s * SC")
+            if reads:
+                terms.append("dy")
+            handler = [
+                f"pc, c, n, s, r = {self.pre._kref(tuple(table))}[F[0]]",
+                "F[0] = pc",
+                f"A[0] = {' + '.join(terms)}",
+                "A[1] = n",
+            ]
+            if folded_reads:
+                handler.append("rh += r")
+            lines.append("    except GRE:")
+            lines += [f"        {line}" for line in handler + ["raise"]]
+        lines.append("    finally:")
         lines += [f"        {line}" for line in tail]
 
         name = f"_s{self.anchor}"
@@ -262,44 +322,101 @@ class _SuperCompiler:
         source = f"def {name}(stack, locals_, F, A, T, PW):\n{body}\n"
         return SuperBlock(self.anchor, self.head, None, source)
 
+    def _body(self, folded: bool) -> list[str]:
+        """One ``while True:`` loop running the body's iterations;
+        ``folded`` charges read barriers as ``after_load``'s fast path
+        (the ``RG``-false body), otherwise they call ``AL`` into ``dy``."""
+        em = self.em
+        em.start_body(folded)
+        self.paths = 0
+        # every iteration charges the back-edge GOTO first (the reference
+        # charges it when dispatching the anchor, before the body runs)
+        em.charge(self.code[self.anchor])
+        self._gen(self.head, self.anchor, self._commit)
+        lines = ["while True:"]
+        if not folded:
+            lines.append("    dy = 0")
+        lines += em.lines
+        lines += ["    de += 1", "    if dn >= B:"]
+        if self.capped:
+            lines += ["        if dn > ML:", "            raise SERR(MAXC)"]
+        lines.append("        return -1")
+        return lines
+
+    def _charge(self, hot: bool) -> tuple[str, int, int]:
+        """The current path's cycles as an expression (``hot``: a commit,
+        which names an ``SC`` product by a prologue local), its
+        instruction count and its read-barrier fast-path hits."""
+        em = self.em
+        cycles, count, stores, reads = em.path_charge()
+        if stores:
+            sc = "SC" if stores == 1 else f"{stores} * SC"
+            expr = f"{cycles} + {sc}" if cycles else sc
+            if hot and cycles:
+                name = f"P{cycles}_{stores}"
+                self.path_consts[name] = expr
+                expr = name
+        else:
+            expr = str(cycles)
+        if not em.folded:
+            expr = "dy" if expr == "0" else f"{expr} + dy"
+        return expr, count, reads
+
+    def _leaf(self) -> None:
+        """Count one more path; a body with too many stays un-fused."""
+        self.paths += 1
+        if self.paths > MAX_PATHS:
+            raise _Unstructured
+
+    def _commit(self) -> None:
+        """End a path at the back-edge: commit the iteration's charge."""
+        em = self.em
+        self._leaf()
+        em.flush_batch()
+        em.flush_stack()
+        cycles, count, reads = self._charge(hot=True)
+        em.emit(f"dn += {cycles}")
+        em.emit(f"di += {count}")
+        if reads:
+            em.emit(f"rh += {reads}")
+
     def _exit(self, target: int) -> None:
         """Leave the trace mid-iteration for ``target`` (outside the
-        loop): hand the partial iteration's accumulators to the
-        dispatcher; the ``finally`` arm commits completed iterations."""
+        loop): hand the partial iteration's charge to the dispatcher;
+        the ``finally`` arm commits completed iterations."""
         em = self.em
+        self._leaf()
         em.flush_batch()
-        em.flush_charges()
         em.flush_stack()
-        em.emit("A[0] = acc")
-        em.emit("A[1] = ic")
+        cycles, count, reads = self._charge(hot=False)
+        em.emit(f"A[0] = {cycles}")
+        em.emit(f"A[1] = {count}")
+        if reads:
+            em.emit(f"rh += {reads}")
         em.emit(f"return {target}")
 
-    def _arm(self, header: str, body) -> None:
-        """Emit ``header``, generate ``body`` indented under it, and close
-        the arm with the batch/charge/stack flushes a join requires."""
+    def _arms(self, arms) -> None:
+        """Emit ``(header, body)`` arms of one split.  Each body runs its
+        path to the end, so each starts from the split's path charge."""
         em = self.em
         em.flush_batch()
-        em.flush_charges()
         em.flush_stack()
-        em.emit(header)
-        em.indent += 1
-        before = len(em.lines)
-        body()
-        em.flush_batch()
-        em.flush_charges()
-        em.flush_stack()
-        if len(em.lines) == before:
-            em.emit("pass")  # e.g. an arm of only zero-pending charges
-        em.indent -= 1
+        split = em.path_charge()
+        for header, body in arms:
+            em.set_path_charge(split)
+            em.emit(header)
+            em.indent += 1
+            body()
+            em.indent -= 1
 
     def _outside(self, target: int) -> bool:
         """True when ``target`` leaves the loop region entirely."""
         return target < self.head or target > self.anchor
 
     # ------------------------------------------------------------- lowering
-    def _gen(self, lo: int, hi: int) -> None:
-        """Lower ``[lo, hi)``; control falls off the end into the caller's
-        continuation (the loop back-edge when ``hi == anchor``)."""
+    def _gen(self, lo: int, hi: int, then) -> None:
+        """Lower ``[lo, hi)`` and then the rest of the path, ``then()``
+        (the loop back-edge's commit when ``hi == anchor``)."""
         em = self.em
         code = self.code
         pc = lo
@@ -323,20 +440,20 @@ class _SuperCompiler:
                     if negated:
                         cond = f"not {cond}"
                     self.pre._bump("cmp+branch")
-                    self._branch(pc + 1, nxt, cond, hi)
+                    self._branch(pc + 1, nxt, cond, hi, then)
                     return
                 em.charge(ins)
                 em.emit_op(pc, ins)
             elif op == bc.IF or op == bc.IFNOT:
                 em.charge(ins)
                 v = em.pop()
-                self._branch(pc, ins, v.expr, hi)
+                self._branch(pc, ins, v.expr, hi, then)
                 return
             elif op == bc.GOTO:
                 g = ins.a
                 if g == hi and pc + 1 == hi:
                     em.charge(ins)
-                    return  # jump to the join the caller generates next
+                    break  # jump to the join: the path continues there
                 if self._outside(g) and pc + 1 == hi:
                     em.charge(ins)
                     self._exit(g)
@@ -350,10 +467,11 @@ class _SuperCompiler:
                 em.charge(ins)
                 em.emit_op(pc, ins)
             pc += 1
+        then()
 
-    def _branch(self, bpc: int, ins, cond: str, hi: int) -> None:
+    def _branch(self, bpc: int, ins, cond: str, hi: int, then) -> None:
         """Lower a forward IF/IFNOT at ``bpc`` (condition already popped;
-        its cost already charged)."""
+        its cost already charged) and each path through it to its end."""
         code = self.code
         L = ins.a
         f = bpc + 1
@@ -362,16 +480,17 @@ class _SuperCompiler:
 
         if L == f:
             # degenerate branch to its own fall-through: no split
-            self._gen(f, hi)
+            self._gen(f, hi, then)
             return
         if L == hi:
             # if_then: the taken path jumps straight to the join
-            self._arm(f"if {nottaken}:", lambda: self._gen(f, hi))
+            self._arms([(f"if {nottaken}:", lambda: self._gen(f, hi, then)),
+                        ("else:", then)])
             return
         if self._outside(L):
             # loop exit on the taken path; fall-through stays in the body
-            self._arm(f"if {taken}:", lambda: self._exit(L))
-            self._gen(f, hi)
+            self._arms([(f"if {taken}:", lambda: self._exit(L)),
+                        ("else:", lambda: self._gen(f, hi, then))])
             return
         if f < L < hi:
             prev = code[L - 1]
@@ -381,16 +500,24 @@ class _SuperCompiler:
                 # [L, J); both meet at J
                 J = prev.a
 
-                def else_arm() -> None:
-                    self._gen(f, L - 1)
-                    self.em.charge(prev)  # the join-skipping GOTO
+                def join() -> None:
+                    self._gen(J, hi, then)
 
-                self._arm(f"if {taken}:", lambda: self._gen(L, J))
-                self._arm("else:", else_arm)
-                self._gen(J, hi)
+                def skip_join() -> None:
+                    self.em.charge(prev)  # the join-skipping GOTO
+                    join()
+
+                def else_arm() -> None:
+                    self._gen(f, L - 1, skip_join)
+
+                self._arms([(f"if {taken}:", lambda: self._gen(L, J, join)),
+                            ("else:", else_arm)])
                 return
             # one-armed skip: taken jumps over [f, L)
-            self._arm(f"if {nottaken}:", lambda: self._gen(f, L))
-            self._gen(L, hi)
+            self._arms([
+                (f"if {nottaken}:",
+                 lambda: self._gen(f, L, lambda: self._gen(L, hi, then))),
+                ("else:", lambda: self._gen(L, hi, then)),
+            ])
             return
         raise _Unstructured

@@ -107,23 +107,28 @@ def drain(vm: JVM) -> str:
     return run_outcome(drive)
 
 
-def probe_superblocks(monkeypatch) -> list[tuple[str, int]]:
+def probe_superblocks(monkeypatch, guard: bool = False) -> list[tuple]:
     """Record every superblock run of VMs predecoded from now on as
     ``(exit, logged)``: ``exit`` is ``"preempt"`` (``return -1``),
     ``"branch"`` (a branch out of the loop), ``"guest"`` (a guest
     exception) or ``"starved"``; ``logged`` counts the undo-log entries
-    the run appended, all at its exit.  Each wrapper keeps the generated
+    the run appended, all at its exit.  With ``guard`` each record ends
+    with the read-barrier guard ``RG`` the run was entered with (False
+    when its VM has no inline guard).  Each wrapper keeps the generated
     function as ``__wrapped__``."""
     from repro.errors import GuestRuntimeError, StarvationError
     from repro.vm import predecode
 
-    runs: list[tuple[str, int]] = []
+    runs: list[tuple] = []
     instantiate = predecode.MethodTemplate.instantiate
 
     def wrap(fn):
+        live = fn.__globals__.get("LV")
+
         @functools.wraps(fn)
         def run(stack, locals_, F, A, T, PW):
             before = len(T.undo_log or ())
+            rg = live is not None and len(live) > (T.tid in live)
             exit = "other"
             try:
                 r = fn(stack, locals_, F, A, T, PW)
@@ -136,7 +141,8 @@ def probe_superblocks(monkeypatch) -> list[tuple[str, int]]:
                 exit = "starved"
                 raise
             finally:
-                runs.append((exit, len(T.undo_log or ()) - before))
+                record = (exit, len(T.undo_log or ()) - before)
+                runs.append(record + (rg,) if guard else record)
         return run
 
     def probed(self, vm, method):
