@@ -242,8 +242,10 @@ class Instruction:
     """One bytecode instruction.
 
     ``a``/``b`` are assembly-time operands; ``c`` holds the link-time
-    resolution (a :class:`~repro.vm.classfile.FieldDef`, ``(class, field)``
-    static key, :class:`~repro.vm.classfile.MethodDef`, or native callable).
+    resolution, set once when a program image is built: an INVOKE's
+    callee :class:`~repro.vm.classfile.MethodDef` or a NEW's
+    :class:`~repro.vm.classfile.ClassDef` (None for every other op, and
+    when the program lacks the target).
     """
 
     __slots__ = ("op", "a", "b", "c", "cost", "ypoint", "barrier")
@@ -260,8 +262,8 @@ class Instruction:
         self.barrier = False
 
     def __getstate__(self) -> tuple:
-        """Pickled state: everything but ``c``, a resolution cache that
-        the next execution fills again."""
+        """Pickled state: everything but ``c``, the link-time resolution,
+        which the image that loads the class sets again."""
         return (self.op, self.a, self.b, self.cost, self.ypoint,
                 self.barrier)
 
@@ -270,9 +272,8 @@ class Instruction:
         self.c = None
 
     def copy(self) -> "Instruction":
-        """Deep-enough copy for the transformer (``c`` is re-resolved)."""
+        """Deep-enough copy for the transformer (``c`` is left unlinked)."""
         ins = Instruction(self.op, self.a, self.b)
-        ins.c = self.c
         ins.cost = self.cost
         ins.ypoint = self.ypoint
         ins.barrier = self.barrier

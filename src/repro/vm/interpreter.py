@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.errors import GuestRuntimeError, ReproError, StarvationError
 from repro.vm import bytecode as bc
-from repro.vm.classfile import MethodDef, ROLLBACK_TYPE, THROWABLE
+from repro.vm.classfile import ROLLBACK_TYPE, THROWABLE
 from repro.vm.heap import VMArray, VMObject, location_of, require_ref
 from repro.vm.monitors import Monitor, monitor_of
 from repro.vm.threads import (
@@ -117,7 +117,7 @@ class Interpreter:
             self._predecode = predecode_method
         #: this VM's decoded methods, ``id(method)`` -> DecodedMethod:
         #: functions exec'd from the image's templates into this VM's
-        #: namespace, with this VM's own cache cells
+        #: namespace
         self.decoded: dict = {}
         #: the names generated code binds to this VM (built at first
         #: predecode; see :func:`repro.vm.predecode.vm_namespace`)
@@ -455,12 +455,12 @@ class Interpreter:
                         stack.append(len(arr))
                         pc += 1
                     elif op == bc.NEW:
-                        classdef = ins.c or self._classdef(ins)
+                        # the link's resolution; on None the lookup raises
+                        classdef = ins.c or vm.classdef(ins.a)
                         stack.append(vm.heap.allocate(classdef))
                         pc += 1
                     elif op == bc.CLASSREF:
-                        # this VM's Class object: never cached on the
-                        # instruction, which every VM of the image shares
+                        # this VM's Class object, looked up per execution
                         stack.append(vm.heap.class_object(ins.a))
                         pc += 1
                     elif op == bc.NEWARRAY:
@@ -517,7 +517,7 @@ class Interpreter:
 
                     # ----------------------------------------------- calls
                     elif op == bc.INVOKE:
-                        mdef = ins.c or self._method_def(ins)
+                        mdef = ins.c or vm.resolve_method(*ins.a)
                         argc = ins.b
                         if argc:
                             args = stack[-argc:]
@@ -818,16 +818,6 @@ class Interpreter:
         if a is NULL or b is NULL:
             return a is b
         return a == b
-
-    def _classdef(self, ins):
-        classdef = self.vm.classdef(ins.a)
-        ins.c = classdef
-        return classdef
-
-    def _method_def(self, ins) -> MethodDef:
-        mdef = self.vm.resolve_method(*ins.a)
-        ins.c = mdef
-        return mdef
 
     def _relinquish_pending_handoff(self, thread: VMThread) -> None:
         """Return a monitor granted by direct handoff but never entered.

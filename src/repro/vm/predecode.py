@@ -16,14 +16,13 @@ The entire method — every basic block plus the superblocks the trace
 compiler (:mod:`repro.vm.tracecomp`) forms over its loops — is generated
 as one Python module source and exec'd in a single pass (*method-level
 translation*).  The source holds no per-VM object: those sit in the
-module's namespace and its ``C`` cells.  So a method's
-:class:`MethodTemplate` — unbound blocks and superblocks, the compiled
-code object, the ``K`` constant pool and the cell count — is built once
-per :class:`~repro.vm.vmcore.ProgramImage` and kept there, and each VM,
-restored ones included, execs the code object into its own namespace
-with its own cells (:meth:`MethodTemplate.instantiate`) and keeps the
-result in its interpreter.  Code objects are also shared across images,
-keyed by the full source text and the ``<decoded Class.method>``
+module's namespace.  So a method's :class:`MethodTemplate` — unbound
+blocks and superblocks, the compiled code object and the ``K`` constant
+pool — is built once per :class:`~repro.vm.vmcore.ProgramImage` and
+kept there, and each VM, restored ones included, execs the code object
+into its own namespace (:meth:`MethodTemplate.instantiate`) and keeps
+the result in its interpreter.  Code objects are also shared across
+images, keyed by the full source text and the ``<decoded Class.method>``
 filename (:func:`_module_code`).  Linked code never changes under a
 template: barrier elision runs while the image is built, and
 ``JVM.rewrite_method`` moves its VM onto a private image before it
@@ -70,12 +69,13 @@ invariants that make this safe:
   Neither tier resolves a field's definition: the barriers stay the
   reference's ``support.after_load/before_store`` calls on the location,
   and the support looks a field's ``volatile`` flag up itself, only when
-  a read pins a section.  When the support offers
-  ``read_barrier_guard()``, each read barrier inlines ``after_load``'s
-  fast path (bump the hit count, charge the cost) and calls it only when
-  another thread holds a speculative write.  The per-VM ``C`` cells
-  cache only NEW's class (the reference's ``ins.c``) and CLASSREF's
-  class object (the VM's own, which no instruction may cache).
+  a read pins a section.  In a modified image each read barrier inlines
+  ``after_load``'s fast path (bump the hit count, charge the cost) and
+  calls it only when another thread holds a speculative write
+  (``read_barrier_guard()``).  Nothing is cached per site: NEW looks its
+  class up by name (``CDEF``) and CLASSREF the VM's own class object
+  (``CLSO``) at every execution, so generated code writes nothing but
+  guest state.
 * In a block, runs of consecutive barrier stores with no intervening
   raising op or read barrier are appended through one
   ``support.before_store_batch`` call (*batched write barriers*); the
@@ -291,19 +291,16 @@ def predecode_method(vm, method: MethodDef) -> DecodedMethod:
     """Predecode ``method`` for ``vm``; cached in the VM's interpreter.
 
     The image builds the method's template once (source, code object,
-    constant pool, cell count); each VM execs the code object into its
-    own namespace with its own cache cells.  Must run only after the
-    method is linked into ``vm``'s image — the interpreter's predecode
-    tier calls it lazily at first execution, which satisfies that.
+    constant pool); each VM execs the code object into its own
+    namespace.  Must run only after the method is linked into ``vm``'s
+    image — the interpreter's predecode tier calls it lazily at first
+    execution, which satisfies that.
     """
     decoded = vm.interpreter.decoded
     dm = decoded.get(id(method))
     if dm is not None and dm.method is method:
         return dm
-    guarded = (
-        vm.options.modified and vm.support.read_barrier_guard() is not None
-    )
-    dm = vm.image.template(method, guarded).instantiate(vm, method)
+    dm = vm.image.template(method).instantiate(vm, method)
     decoded[id(method)] = dm
     return dm
 
@@ -561,9 +558,6 @@ class _Emitter:
         # A block flushes its batch to keep jmm write/read ordering exact.
         self.flush_batch()
         self.dynamic = True
-        if cost is None:
-            self.emit(f"A[0] += {call}")
-            return
         # support.read_barrier_guard(): after_load's fast path, inline
         self.emit("if len(LV) > (T.tid in LV):")
         self.emit(f"    A[0] += {call}")
@@ -794,28 +788,16 @@ class _Emitter:
             ta = self.ref(arr, "VMA", "array")
             self.push_tmp(f"len({ta})")
         elif op == bc.NEW:
-            j = owner._cell()
-            cv = self.newtmp()
             name_expr, _ = owner._const_expr(ins.a)
-            self.emit(f"{cv} = C[{j}]")
-            self.emit(f"if {cv} is None:")
-            self.emit(f"    {cv} = CDEF({name_expr})")
-            self.emit(f"    C[{j}] = {cv}")
-            self.push_tmp(f"ALLOC({cv})")
+            self.push_tmp(f"ALLOC(CDEF({name_expr}))")
         elif op == bc.NEWARRAY:
             length = self.pop()
             self.set_fault(pc)
             fill_expr, _ = owner._const_expr(ins.a)
             self.push_tmp(f"NEWA({length.expr}, {fill_expr})")
         elif op == bc.CLASSREF:
-            j = owner._cell()
-            cv = self.newtmp()
             name_expr, _ = owner._const_expr(ins.a)
-            self.emit(f"{cv} = C[{j}]")
-            self.emit(f"if {cv} is None:")
-            self.emit(f"    {cv} = CLSO({name_expr})")
-            self.emit(f"    C[{j}] = {cv}")
-            self.push(_Sym(cv))
+            self.push_tmp(f"CLSO({name_expr})")
         else:  # pragma: no cover - drivers filter non-fusable ops
             raise AssertionError(f"non-fusable op {op} in run")
 
@@ -831,8 +813,7 @@ def _module_code(module: str, filename: str):
     compiles afresh, and by the filename, so a traceback names the
     method that ran.  The cap's value is not in the source: superblocks
     read it from the namespace (``MAXC``).  Code objects are immutable
-    and carry no per-VM state: every VM's objects live in its namespace
-    and its ``C`` cells.
+    and carry no per-VM state: every VM's objects live in its namespace.
     """
     return compile(module, filename, "exec")
 
@@ -842,20 +823,18 @@ class MethodTemplate:
 
     Blocks and superblocks with their functions unbound, the superinstruction
     counts, the code object of the generated module (None when nothing
-    fused), its constant pool ``K`` (read-only at run time) and the
-    number of ``C`` cache cells each VM allocates.  Kept by the
-    :class:`~repro.vm.vmcore.ProgramImage`.
+    fused) and its constant pool ``K`` (read-only at run time).  Kept by
+    the :class:`~repro.vm.vmcore.ProgramImage`.
     """
 
-    __slots__ = ("blocks", "superblocks", "stats", "code", "consts", "ncells")
+    __slots__ = ("blocks", "superblocks", "stats", "code", "consts")
 
-    def __init__(self, blocks, superblocks, stats, code, consts, ncells):
+    def __init__(self, blocks, superblocks, stats, code, consts):
         self.blocks = blocks
         self.superblocks = superblocks
         self.stats = stats
         self.code = code
         self.consts = consts
-        self.ncells = ncells
 
     def instantiate(self, vm, method: MethodDef) -> DecodedMethod:
         """Exec the code into a fresh namespace bound to ``vm``; the
@@ -865,8 +844,7 @@ class MethodTemplate:
             interp = vm.interpreter
             if interp.namespace is None:
                 interp.namespace = vm_namespace(vm)
-            ns = dict(interp.namespace, K=self.consts,
-                      C=[None] * self.ncells)
+            ns = dict(interp.namespace, K=self.consts)
             exec(self.code, ns)
         blocks = [b if b is None else b.bound(ns[f"_b{b.start}"])
                   for b in self.blocks]
@@ -877,8 +855,7 @@ class MethodTemplate:
 
 def vm_namespace(vm) -> dict:
     """The globals generated code reads, bound to ``vm``'s heap, support,
-    clock, profiler and cycle cap (each method adds its own ``K`` and
-    ``C``)."""
+    clock, profiler and cycle cap (each method adds its own ``K``)."""
     heap = vm.heap
     support = vm.support
 
@@ -923,29 +900,28 @@ def vm_namespace(vm) -> dict:
         "SERR": StarvationError,
         "GRE": GuestRuntimeError,
     }
-    guard = support.read_barrier_guard() if vm.options.modified else None
-    if guard is not None:
-        ns["LV"], ns["RM"] = guard
+    if vm.image.modified:
+        ns["LV"], ns["RM"] = support.read_barrier_guard()
     return ns
 
 
-def build_template(method: MethodDef, image, guarded: bool) -> MethodTemplate:
+def build_template(method: MethodDef, image) -> MethodTemplate:
     """Generate and compile ``method``'s template under ``image``'s
-    inputs; ``guarded`` inlines the read-barrier fast path."""
-    return _Predecoder(method, image, guarded).build()
+    inputs."""
+    return _Predecoder(method, image).build()
 
 
 class _Predecoder:
     """Compiles one method's fusable runs into block functions and its
     eligible loops into superblocks, in one module-level compile."""
 
-    def __init__(self, method: MethodDef, image, guarded: bool):
+    def __init__(self, method: MethodDef, image):
         self.method = method
+        #: a modified image: every heap load runs a read barrier, whose
+        #: fast path (``read_barrier_cost`` cycles) is inlined
         self.read_barriers = image.modified
         cm = image.cost_model
-        #: cycles of the inlined read-barrier fast path; None when every
-        #: read barrier calls ``AL`` (see RuntimeSupport.read_barrier_guard)
-        self.read_barrier_cost = cm.read_barrier if guarded else None
+        self.read_barrier_cost = cm.read_barrier
         #: the quantum the superblock guards bake in as a literal, and
         #: whether they test a cycle cap (its value is the VM's ``MAXC``)
         self.quantum = cm.quantum
@@ -953,7 +929,6 @@ class _Predecoder:
         #: static keys generated code may index ``ST`` with directly
         self.statics = image.statics
         self.consts: list[Any] = []   # K: constant pool (a tuple once built)
-        self.ncells = 0               # C: NEW and CLASSREF cache cells
         self.stats: dict[str, int] = {}
 
     def build(self) -> MethodTemplate:
@@ -970,9 +945,9 @@ class _Predecoder:
             superblocks[sb.anchor] = sb
         # Method-level translation: every block and superblock compiles in
         # one module-sized pass, so the whole method's generated code
-        # shares one constant pool + cache-cell array.  The code object is
-        # shared process-wide (_module_code); each VM execs it into its
-        # own namespace (MethodTemplate.instantiate).
+        # shares one constant pool.  The code object is shared
+        # process-wide (_module_code); each VM execs it into its own
+        # namespace (MethodTemplate.instantiate).
         sources = [b.source for b in blocks if b is not None]
         sources.extend(s.source for s in superblocks if s is not None)
         code = None
@@ -981,16 +956,12 @@ class _Predecoder:
             filename = f"<decoded {method.qualified_name()}>"
             code = _module_code(module, filename)
         return MethodTemplate(blocks, superblocks, self.stats, code,
-                              tuple(self.consts), self.ncells)
+                              tuple(self.consts))
 
     # ---------------------------------------------------------- plumbing
     def _kref(self, value: Any) -> str:
         self.consts.append(value)
         return f"K[{len(self.consts) - 1}]"
-
-    def _cell(self) -> int:
-        self.ncells += 1
-        return self.ncells - 1
 
     def _const_expr(self, value: Any):
         """A literal expression when safely round-trippable, else K[i]."""

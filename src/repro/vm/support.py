@@ -140,12 +140,15 @@ class RuntimeSupport:
 
     def read_barrier_guard(self):
         """State for a read barrier inlined into predecoded code, or None
-        (the default: generated code always calls :meth:`after_load`).
+        (the default, for a support that runs no read barrier).
 
-        A support may return ``(live, metrics)``.  ``live`` is a dict keyed
-        by thread id, mutated only in place; whenever it holds no key other
-        than the reader's own tid, :meth:`after_load` must do nothing but
-        bump ``metrics.read_barrier_hits`` and return
+        The support of a modified VM must return ``(live, metrics)``: its
+        generated code inlines every read barrier's fast path, and
+        :func:`repro.vm.predecode.vm_namespace` unpacks the pair, so a
+        None there fails loudly.  ``live`` is a dict keyed by thread id,
+        mutated only in place; whenever it holds no key other than the
+        reader's own tid, :meth:`after_load` must do nothing but bump
+        ``metrics.read_barrier_hits`` and return
         ``cost_model.read_barrier``, which the generated code then does
         inline instead of calling it.  A predecoded block evaluates the
         guard ``len(live) > (tid in live)`` at every load; a superblock

@@ -97,9 +97,9 @@ When ``RG`` is false at entry, every read barrier takes ``after_load``'s
 fast path, so its cycle and its hit fold into the path constant.  When
 ``RG`` is true the read barriers must call ``AL``: a body that reads
 is therefore generated twice, and the prologue's ``RG`` picks one.  The
-``RG``-true body (also the only body when the support offers no inline
-guard) resets a per-iteration accumulator ``dy`` at each iteration
-start, adds every ``AL`` result to it and commits ``dn += c + dy``.
+``RG``-true body resets a per-iteration accumulator ``dy`` at each
+iteration start, adds every ``AL`` result to it and commits
+``dn += c + dy``.
 
 Every exit leaves through one ``finally`` arm, which writes the guest
 locals back to the frame in one tuple assignment, passes ``WB`` to
@@ -233,18 +233,14 @@ class _SuperCompiler:
             self.code[pc].op in _READ_OPS
             for pc in range(self.head, self.anchor)
         )
-        guarded = self.pre.read_barrier_cost is not None
         if not reads:
             loop = self._body(folded=True)
-        elif not guarded:
-            loop = self._body(folded=False)
         else:
             # RG is fixed for the run: pick the body once, at entry
             static = self._body(folded=True)
             dynamic = self._body(folded=False)
             loop = (["if not RG:"] + [f"    {line}" for line in static]
                     + ["else:"] + [f"    {line}" for line in dynamic])
-        folded_reads = reads and guarded
 
         # The prologue loads the run's invariants; the ``finally`` arm is
         # the one exit path every return and raise leaves through.
@@ -260,10 +256,8 @@ class _SuperCompiler:
             head += ["ML = MAXC - n0", f"B = {bound}, ML + 1)"]
         else:
             head.append(f"B = {bound})")
-        if folded_reads:
-            head += ["RG = len(LV) > (T.tid in LV)", "rh = 0"]
         if reads:
-            head.append("dy = 0")
+            head += ["RG = len(LV) > (T.tid in LV)", "rh = 0", "dy = 0"]
         if em.uses_log:
             head += ["WB = []", "SC = SBC(T)"]
         head += [f"{name} = {expr}"
@@ -274,7 +268,7 @@ class _SuperCompiler:
                                 [f"L{i}" for i in written]))
         if em.uses_log:
             tail += ["if WB:", "    BSB(T, WB)"]
-        if folded_reads:
+        if reads:
             tail.append("RM.read_barrier_hits += rh")
         # PROF is the VM's profiler or None: every VM, profiled or not,
         # runs this same source (one _module_code entry).  A run never
@@ -310,7 +304,7 @@ class _SuperCompiler:
                 f"A[0] = {' + '.join(terms)}",
                 "A[1] = n",
             ]
-            if folded_reads:
+            if reads:
                 handler.append("rh += r")
             lines.append("    except GRE:")
             lines += [f"        {line}" for line in handler + ["raise"]]

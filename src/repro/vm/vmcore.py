@@ -222,39 +222,33 @@ def _load_image(inputs: tuple, blobs: tuple) -> "ProgramImage":
     return _fetch_image(inputs, blobs, digest)
 
 
-def _link_method(method: MethodDef, cm: CostModel) -> None:
-    """Assign instruction costs and mark yield points.
+def _link(method: MethodDef, classes: dict[str, ClassDef],
+          cm: CostModel) -> None:
+    """Link ``method`` against the program's ``classes``: assign
+    instruction costs, mark yield points, and store each INVOKE's callee
+    and each NEW's class in ``Instruction.c`` (None when the program
+    lacks it: executing the instruction then raises, as resolving the
+    name by hand would).
 
     Yield points go on loop back-edges and method invocations,
     mirroring where the Jikes RVM compilers insert them (footnote 4).
+    A call to a ``force_inline`` method has neither an invoke cost nor
+    a prologue yield point: the paper inlines the transformer's renamed
+    method into its wrapper.
     """
     for pc, ins in enumerate(method.code):
         ins.cost = cm.instruction_cost(ins.op)
+        ins.ypoint = bc.is_backward_branch(ins, pc)
+        ins.c = None
         if ins.op == bc.INVOKE:
-            callee = ins.a[1] if isinstance(ins.a, tuple) else ""
-            if callee.endswith("$impl"):
-                # The paper inlines the renamed original method into its
-                # wrapper; no invoke cost, no prologue yield point.
+            owner = classes.get(ins.a[0])
+            ins.c = None if owner is None else owner.methods.get(ins.a[1])
+            if ins.c is not None and ins.c.force_inline:
                 ins.cost = 0
-                ins.ypoint = False
             else:
                 ins.ypoint = True
-        elif bc.is_branch(ins.op) and isinstance(ins.a, int):
-            ins.ypoint = bc.is_backward_branch(ins, pc)
-
-
-def _inline_calls(classes: dict[str, ClassDef]) -> None:
-    """Charge no invoke cost on a call to a ``force_inline`` method of
-    the program (the transformer's renamed ``$impl`` methods)."""
-    for classdef in classes.values():
-        for method in classdef.methods.values():
-            for ins in method.code:
-                if ins.op != bc.INVOKE or not isinstance(ins.a, tuple):
-                    continue
-                owner = classes.get(ins.a[0])
-                callee = owner.methods.get(ins.a[1]) if owner else None
-                if callee is not None and callee.force_inline:
-                    ins.cost = 0
+        elif ins.op == bc.NEW:
+            ins.c = classes.get(ins.a)
 
 
 def _program_objects(classes) -> list:
@@ -285,19 +279,18 @@ class ProgramImage:
     code from its namespace), and the pickled bytes of each loaded
     :class:`ClassDef` in load order.  It holds the
     builtin exception classes plus the loaded ones, transformed,
-    verified, linked and barrier-elided over the whole class set, and,
-    filled at first execution, each method's predecode template
-    (generated source, code object, constant pool, cell count).  A
-    :class:`JVM` keeps only mutable state on top: heap, class objects
+    verified, linked and barrier-elided over the whole class set (the
+    link stores each INVOKE's callee and each NEW's class in
+    ``Instruction.c``), and, filled at first execution, each method's
+    predecode template (generated source, code object, constant pool).
+    A :class:`JVM` keeps only mutable state on top: heap, class objects
     and statics, threads, scheduler, support, fault plane, and its own
-    decoded functions and cache cells.
+    decoded functions.
 
-    Nothing a run does changes an image except the link-time
-    resolutions instructions cache in ``Instruction.c``, which name
-    image objects only (a ``ClassDef`` or ``MethodDef``; per-VM objects
-    such as class objects and natives are looked up per execution).
-    :meth:`JVM.rewrite_method` is the one way to edit a loaded method:
-    it moves that VM onto a private, uncached copy first.
+    Nothing a run does writes an image after it is built: per-VM
+    objects such as class objects and natives are looked up per
+    execution.  :meth:`JVM.rewrite_method` is the one way to edit a
+    loaded method: it moves that VM onto a private, uncached copy first.
 
     :attr:`objects` lists every program object in a deterministic
     order, so a VM checkpoint can name them by index instead of
@@ -329,8 +322,7 @@ class ProgramImage:
         for classdef in classes.values():
             classdef.verify()
             for method in classdef.methods.values():
-                _link_method(method, cost_model)
-        _inline_calls(classes)
+                _link(method, classes, cost_model)
         if elide:
             from repro.core.transform import elide_barriers
 
@@ -345,7 +337,7 @@ class ProgramImage:
         self.objects = [self] + _program_objects(classes.values())
         #: ``id`` of each program object -> its index in :attr:`objects`
         self.index = {id(obj): i for i, obj in enumerate(self.objects)}
-        #: (object index, read-barrier guard?) -> predecode template
+        #: object index -> predecode template
         self.templates: dict = {}
 
     @classmethod
@@ -374,25 +366,24 @@ class ProgramImage:
         return ProgramImage(self.inputs, self.blobs, self.digest,
                             private=True)
 
-    def template(self, method: MethodDef, guarded: bool):
+    def template(self, method: MethodDef):
         """The predecode template of ``method``, built at first use.
         Templates of methods outside the image are built and not kept."""
         from repro.vm.predecode import build_template
 
         i = self.index.get(id(method))
         if i is None:
-            return build_template(method, self, guarded)
-        template = self.templates.get((i, guarded))
+            return build_template(method, self)
+        template = self.templates.get(i)
         if template is None:
-            template = build_template(method, self, guarded)
-            self.templates[(i, guarded)] = template
+            template = self.templates[i] = build_template(method, self)
         return template
 
-    def forget(self, method: MethodDef) -> None:
-        """Drop ``method``'s templates (a private image after an edit)."""
-        i = self.index.get(id(method))
-        for guarded in (False, True):
-            self.templates.pop((i, guarded), None)
+    def relink(self, method: MethodDef) -> None:
+        """Link ``method`` again and drop its template (a private image
+        after an edit)."""
+        _link(method, self.classes, self.cost_model)
+        self.templates.pop(self.index.get(id(method)), None)
 
     def __reduce__(self):
         if self.private:
@@ -486,15 +477,16 @@ class JVM:
 
         The first call moves the VM onto a private, uncached copy of its
         image, so no other VM and no cached image sees the edit.  Each
-        call applies ``edit`` to the method and drops its predecode
-        state, so the next execution decodes the edited code.  Returns
-        the method.  Load every class before the first call."""
+        call applies ``edit`` to the method, links it again (so an
+        edited INVOKE or NEW resolves its new operand) and drops its
+        predecode state, so the next execution decodes the edited code.
+        Returns the method.  Load every class before the first call."""
         if not self.image.private:
             self._adopt(self.image.private_copy())
         method = self.resolve_method(class_name, method_name)
         if edit is not None:
             edit(method)
-        self.image.forget(method)
+        self.image.relink(method)
         self.interpreter.forget(method)
         return method
 

@@ -33,6 +33,7 @@ from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import get_scenario
 from repro.errors import StarvationError
 from repro.obs.capture import ObsSpec, build_capture_vm, run_capture
+from repro.vm import bytecode as bc
 from repro.vm import snapshot as snapshot_mod
 from repro.vm import vmcore
 from repro.vm.assembler import Asm
@@ -267,37 +268,14 @@ def test_server_cells_of_one_preset_share_one_image(monkeypatch):
 # ------------------------------------------------------ runs leave images
 def _content(image: vmcore.ProgramImage) -> str:
     """Digest of the built classes (``Instruction`` pickles without its
-    resolution cache ``c``)."""
+    link-time resolution ``c``)."""
     blob = pickle.dumps(list(image.classes.values()))
     return hashlib.sha256(blob).hexdigest()
 
 
-def test_runs_leave_every_cached_image_as_built():
-    vmcore._images.clear()
-    runs = []
-    for interp in ("fast", "reference"):
-        for mode in MODES:
-            runs.append(_trio(mode, interp=interp))
-        config = FigurePanel(5, "a").base_config().scaled(0.02)
-        for mode in ("unmodified", "rollback"):
-            vm = JVM(VMOptions(mode=mode, seed=config.seed, interp=interp))
-            setup_microbench_vm(vm, config)
-            runs.append(vm)
-        runs.append(build_capture_vm(ObsSpec(
-            scenario="server-storm", interp=interp, profile=False)))
-    built = {digest: _content(image)
-             for digest, image in vmcore._images.items()}
-    assert len(built) > len(MODES)
-    for run in runs:
-        if isinstance(run, JVM):
-            drain(run)
-        else:
-            run_capture(run)
-    assert set(vmcore._images) == set(built)
-    for digest, image in list(vmcore._images.items()):
-        assert image.digest == digest
-        assert vmcore._load_image(image.inputs, image.blobs) is image
-        assert _content(image) == built[digest]
+def _instructions(image: vmcore.ProgramImage) -> list:
+    return [ins for classdef in image.classes.values()
+            for method in classdef.methods.values() for ins in method.code]
 
 
 def _static_sync_program() -> ClassDef:
@@ -313,24 +291,67 @@ def _static_sync_program() -> ClassDef:
     return build_class("S", ["n"], [work, run])
 
 
+def _static_sync_vm(mode: str, interp: str) -> JVM:
+    vm = JVM(VMOptions(mode=mode, interp=interp))
+    vm.load(_static_sync_program())
+    for name in ("a", "b"):
+        vm.spawn("S", "run", name=name)
+    return vm
+
+
+def test_runs_leave_every_cached_image_as_built():
+    vmcore._images.clear()
+    runs = []
+    for interp in ("fast", "reference"):
+        for mode in MODES:
+            runs.append(_trio(mode, interp=interp))
+            runs.append(_static_sync_vm(mode, interp))
+        config = FigurePanel(5, "a").base_config().scaled(0.02)
+        for mode in ("unmodified", "rollback"):
+            vm = JVM(VMOptions(mode=mode, seed=config.seed, interp=interp))
+            setup_microbench_vm(vm, config)
+            runs.append(vm)
+        runs.append(build_capture_vm(ObsSpec(
+            scenario="server-storm", interp=interp, profile=False)))
+    built = {digest: (_content(image),
+                      [(ins, ins.c) for ins in _instructions(image)])
+             for digest, image in vmcore._images.items()}
+    assert len(built) > len(MODES)
+    # the build links every call whose target the program has
+    invokes = 0
+    for image in vmcore._images.values():
+        for ins in _instructions(image):
+            if ins.op != bc.INVOKE:
+                continue
+            owner = image.classes.get(ins.a[0])
+            callee = owner.methods.get(ins.a[1]) if owner else None
+            if callee is not None:
+                invokes += 1
+                assert ins.c is callee, ins
+    assert invokes
+    for run in runs:
+        if isinstance(run, JVM):
+            drain(run)
+        else:
+            run_capture(run)
+    assert set(vmcore._images) == set(built)
+    for digest, image in list(vmcore._images.items()):
+        assert image.digest == digest
+        assert vmcore._load_image(image.inputs, image.blobs) is image
+        content, links = built[digest]
+        assert _content(image) == content
+        assert all(ins.c is c for ins, c in links)
+
+
 @pytest.mark.parametrize("program", ["handoff-trio", "static-sync"])
 def test_instructions_hold_no_per_vm_object_after_a_run(program):
     if program == "handoff-trio":
         vm = _trio(interp="reference")
     else:
-        vm = JVM(VMOptions(mode="rollback", interp="reference"))
-        vm.load(_static_sync_program())
-        for name in ("a", "b"):
-            vm.spawn("S", "run", name=name)
+        vm = _static_sync_vm("rollback", "reference")
     _run(vm)
-    allowed = (type(None), ClassDef, FieldDef, MethodDef, tuple)
-    for classdef in vm.classes.values():
-        for method in classdef.methods.values():
-            for ins in method.code:
-                assert isinstance(ins.c, allowed), ins
-                if isinstance(ins.c, tuple):
-                    assert all(isinstance(x, (ClassDef, FieldDef))
-                               for x in ins.c), ins
+    for ins in _instructions(vm.image):
+        assert isinstance(ins.c, (type(None), ClassDef, MethodDef)), ins
 
 
 def test_method_defs_carry_no_decode_state():
@@ -422,6 +443,31 @@ def test_a_pickled_snapshot_continues_in_a_fresh_process(tmp_path, interp):
         env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "0"},
     )
     assert child.stdout.strip() == here
+
+
+@pytest.mark.parametrize("interp", ["fast", "reference"])
+def test_a_rewritten_call_runs_its_new_callee(interp):
+    def store(name: str, value: int) -> Asm:
+        a = Asm(name)
+        a.const(value).putstatic("R", "out")
+        a.ret()
+        return a
+
+    run = Asm("run")
+    run.invoke("R", "one", 0)
+    run.ret()
+    vm = JVM(VMOptions(interp=interp))
+    vm.load(build_class("R", ["out"], [store("one", 1), store("two", 2),
+                                       run]))
+
+    def retarget(method: MethodDef) -> None:
+        (call,) = [ins for ins in method.code if ins.op == bc.INVOKE]
+        call.a = ("R", "two")
+
+    vm.rewrite_method("R", "run", retarget)
+    vm.spawn("R", "run", name="main")
+    vm.run()
+    assert vm.get_static("R", "out") == 2
 
 
 def test_a_rewritten_vm_cannot_leave_its_process():
