@@ -271,14 +271,6 @@ class Instruction:
         self.op, self.a, self.b, self.cost, self.ypoint, self.barrier = state
         self.c = None
 
-    def copy(self) -> "Instruction":
-        """Deep-enough copy for the transformer (``c`` is left unlinked)."""
-        ins = Instruction(self.op, self.a, self.b)
-        ins.cost = self.cost
-        ins.ypoint = self.ypoint
-        ins.barrier = self.barrier
-        return ins
-
     def __repr__(self) -> str:
         name = mnemonic(self.op)
         parts = [name]

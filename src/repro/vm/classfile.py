@@ -116,31 +116,6 @@ class MethodDef:
     def qualified_name(self) -> str:
         return f"{self.class_name}.{self.name}"
 
-    def copy(self) -> "MethodDef":
-        """Independent copy, instructions included.
-
-        Loading never mutates the caller's class: a
-        :class:`~repro.vm.vmcore.ProgramImage` builds its classes from
-        their pickled bytes.  A method carries no per-VM state (each VM
-        keeps its decoded form in its interpreter), so a copy is plain
-        program data.
-        """
-        m = MethodDef(
-            name=self.name,
-            argc=self.argc,
-            max_locals=self.max_locals,
-            code=[ins.copy() for ins in self.code],
-            exc_table=list(self.exc_table),
-            synchronized=self.synchronized,
-            is_static=self.is_static,
-            force_inline=self.force_inline,
-            returns_value=self.returns_value,
-            state_slots=self.state_slots,
-            rollback_scopes=dict(self.rollback_scopes),
-        )
-        m.class_name = self.class_name
-        return m
-
     def verify(self) -> None:
         """Structural checks mirroring JVM bytecode verification.
 
@@ -272,15 +247,6 @@ class ClassDef:
     def verify(self) -> None:
         for m in self.methods.values():
             m.verify()
-
-    def copy(self) -> "ClassDef":
-        """Independent deep-enough copy (see :meth:`MethodDef.copy`)."""
-        c = ClassDef(self.name)
-        for f in self.fields.values():
-            c.add_field(f)  # FieldDefs are frozen; safe to share
-        for m in self.methods.values():
-            c.add_method(m.copy())
-        return c
 
     def __repr__(self) -> str:
         return (

@@ -132,15 +132,6 @@ class Interpreter:
         state["namespace"] = None
         return state
 
-    def forget(self, method=None) -> None:
-        """Drop the decoded form of ``method`` (of every method when
-        None), so its next execution decodes it afresh."""
-        if method is None:
-            self.decoded.clear()
-            self.namespace = None
-        else:
-            self.decoded.pop(id(method), None)
-
     # ------------------------------------------------------------------ API
     def run_slice(self, thread: VMThread) -> str:
         """Run ``thread`` until it can no longer continue; return a reason."""

@@ -24,9 +24,9 @@ into its own namespace (:meth:`MethodTemplate.instantiate`) and keeps
 the result in its interpreter.  Code objects are also shared across
 images, keyed by the full source text and the ``<decoded Class.method>``
 filename (:func:`_module_code`).  Linked code never changes under a
-template: barrier elision runs while the image is built, and
-``JVM.rewrite_method`` moves its VM onto a private image before it
-edits a method and drops that method's template and decoded form.
+template: barrier elision runs while the image is built, and a VM loads
+every class before its first thread, so no decoded method outlives the
+code it was built from.
 
 Semantics preservation is the hard requirement: the interpreter with the
 tier off (``interp="reference"``) is the oracle and the parity suite
@@ -298,7 +298,7 @@ def predecode_method(vm, method: MethodDef) -> DecodedMethod:
     """
     decoded = vm.interpreter.decoded
     dm = decoded.get(id(method))
-    if dm is not None and dm.method is method:
+    if dm is not None:
         return dm
     dm = vm.image.template(method).instantiate(vm, method)
     decoded[id(method)] = dm

@@ -34,7 +34,7 @@ import hashlib
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import (
     LinkError,
@@ -239,7 +239,6 @@ def _link(method: MethodDef, classes: dict[str, ClassDef],
     for pc, ins in enumerate(method.code):
         ins.cost = cm.instruction_cost(ins.op)
         ins.ypoint = bc.is_backward_branch(ins, pc)
-        ins.c = None
         if ins.op == bc.INVOKE:
             owner = classes.get(ins.a[0])
             ins.c = None if owner is None else owner.methods.get(ins.a[1])
@@ -287,10 +286,10 @@ class ProgramImage:
     and statics, threads, scheduler, support, fault plane, and its own
     decoded functions.
 
-    Nothing a run does writes an image after it is built: per-VM
-    objects such as class objects and natives are looked up per
-    execution.  :meth:`JVM.rewrite_method` is the one way to edit a
-    loaded method: it moves that VM onto a private, uncached copy first.
+    Nothing writes an image after it is built: per-VM objects such as
+    class objects and natives are looked up per execution, and a VM
+    loads every class before it spawns its first thread, so a loaded
+    program never changes under a frame or a decoded method.
 
     :attr:`objects` lists every program object in a deterministic
     order, so a VM checkpoint can name them by index instead of
@@ -298,13 +297,11 @@ class ProgramImage:
     recipe and unpickles through the cache of the receiving process.
     """
 
-    def __init__(self, inputs: tuple, blobs: tuple, digest: str,
-                 *, private: bool = False) -> None:
+    def __init__(self, inputs: tuple, blobs: tuple, digest: str) -> None:
         modified, elide, cost_model, capped = inputs
         self.inputs = inputs
         self.blobs = blobs
         self.digest = digest
-        self.private = private
         self.modified = modified
         self.cost_model = cost_model
         self.capped = capped
@@ -353,43 +350,21 @@ class ProgramImage:
 
     def extend(self, classdef: ClassDef) -> "ProgramImage":
         """The image of this program plus ``classdef``."""
-        if self.private:
-            raise VMStateError(
-                "load every class before rewriting a loaded method"
-            )
         blob = pickle.dumps(classdef, pickle.HIGHEST_PROTOCOL)
         return _fetch_image(self.inputs, self.blobs + (blob,),
                             _chain_digest(self.digest, blob))
 
-    def private_copy(self) -> "ProgramImage":
-        """A fresh build of this image that no cache holds."""
-        return ProgramImage(self.inputs, self.blobs, self.digest,
-                            private=True)
-
     def template(self, method: MethodDef):
-        """The predecode template of ``method``, built at first use.
-        Templates of methods outside the image are built and not kept."""
-        from repro.vm.predecode import build_template
-
-        i = self.index.get(id(method))
-        if i is None:
-            return build_template(method, self)
+        """The predecode template of ``method``, built at first use."""
+        i = self.index[id(method)]
         template = self.templates.get(i)
         if template is None:
+            from repro.vm.predecode import build_template
+
             template = self.templates[i] = build_template(method, self)
         return template
 
-    def relink(self, method: MethodDef) -> None:
-        """Link ``method`` again and drop its template (a private image
-        after an edit)."""
-        _link(method, self.classes, self.cost_model)
-        self.templates.pop(self.index.get(id(method)), None)
-
     def __reduce__(self):
-        if self.private:
-            raise pickle.PicklingError(
-                "a VM whose methods were rewritten cannot leave its process"
-            )
         return _load_image, (self.inputs, self.blobs)
 
 
@@ -459,52 +434,17 @@ class JVM:
 
         The VM moves onto the :class:`ProgramImage` of its program plus
         ``classdef``, fetched from the process cache or built there;
-        ``classdef`` itself is only read.  Returns the loaded class."""
+        ``classdef`` itself is only read.  Every class is loaded before
+        the first :meth:`spawn`, so a loaded program never changes under
+        a thread.  Returns the loaded class."""
+        if self.threads:
+            raise VMStateError("cannot load classes after spawning threads")
         if classdef.name in self.image.classes:
             raise LinkError(f"class {classdef.name!r} already loaded")
-        self._adopt(self.image.extend(classdef))
+        self.image = self.image.extend(classdef)
         loaded = self.image.classes[classdef.name]
         self.heap.register_class(loaded)
         return loaded
-
-    def rewrite_method(
-        self,
-        class_name: str,
-        method_name: str,
-        edit: Optional[Callable[[MethodDef], None]] = None,
-    ) -> MethodDef:
-        """Edit one loaded method of this VM only (copy on write).
-
-        The first call moves the VM onto a private, uncached copy of its
-        image, so no other VM and no cached image sees the edit.  Each
-        call applies ``edit`` to the method, links it again (so an
-        edited INVOKE or NEW resolves its new operand) and drops its
-        predecode state, so the next execution decodes the edited code.
-        Returns the method.  Load every class before the first call."""
-        if not self.image.private:
-            self._adopt(self.image.private_copy())
-        method = self.resolve_method(class_name, method_name)
-        if edit is not None:
-            edit(method)
-        self.image.relink(method)
-        self.interpreter.forget(method)
-        return method
-
-    def _adopt(self, image: ProgramImage) -> None:
-        """Run on ``image`` from now on.  Frames of threads already
-        spawned move to its methods; host objects allocated earlier
-        keep their class, whose fields are the same."""
-        self.image = image
-        self.interpreter.forget()
-        for thread in self.threads:
-            thread.entry_method = self._method_in(image, thread.entry_method)
-            for frame in thread.frames:
-                frame.method = self._method_in(image, frame.method)
-                frame.code = frame.method.code
-
-    @staticmethod
-    def _method_in(image: ProgramImage, method: MethodDef) -> MethodDef:
-        return image.classes[method.class_name].methods[method.name]
 
     # ------------------------------------------------------------ resolution
     def classdef(self, name: str) -> ClassDef:
@@ -514,7 +454,10 @@ class JVM:
             raise LinkError(f"class {name!r} not loaded") from None
 
     def resolve_method(self, class_name: str, method_name: str) -> MethodDef:
-        return self.classdef(class_name).method(method_name)
+        method = self.classdef(class_name).methods.get(method_name)
+        if method is None:
+            raise LinkError(f"no method {class_name}.{method_name}")
+        return method
 
     def resolve_native(self, name: str):
         return self.natives.resolve(name)

@@ -135,25 +135,6 @@ class TestVerifier:
             method(code).verify()
 
 
-class TestMethodCopy:
-    def test_copy_is_deep_for_instructions(self):
-        m = method([Instruction(bc.CONST, 1), ret()])
-        c = m.copy()
-        c.code[0].a = 999
-        assert m.code[0].a == 1
-
-    def test_copy_preserves_flags(self):
-        m = method([ret()], argc=0)
-        m.synchronized = True
-        m.force_inline = True
-        m.rollback_scopes["s"] = "scope"
-        c = m.copy()
-        assert c.synchronized and c.force_inline
-        assert c.rollback_scopes == {"s": "scope"}
-        c.rollback_scopes["t"] = "other"
-        assert "t" not in m.rollback_scopes
-
-
 class TestClassDef:
     def test_duplicate_field_rejected(self):
         c = ClassDef("C", fields=[FieldDef("x")])
@@ -189,12 +170,6 @@ class TestClassDef:
         ])
         assert [f.name for f in c.static_fields()] == ["a"]
         assert [f.name for f in c.instance_fields()] == ["b"]
-
-    def test_copy_independent(self):
-        c = ClassDef("C", methods=[method([Instruction(bc.CONST, 5), ret()])])
-        c2 = c.copy()
-        c2.method("m").code[0].a = 6
-        assert c.method("m").code[0].a == 5
 
     def test_add_method_sets_class_name(self):
         c = ClassDef("Xyz")

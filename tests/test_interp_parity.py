@@ -428,6 +428,30 @@ def test_store_to_unknown_static_raises(interp, mode) -> None:
     assert ("T", "nope") not in vm.heap.statics
 
 
+@pytest.mark.parametrize("target, message", [
+    (("T", "nope"), r"^no method T\.nope$"),
+    (("Nope", "run"), r"^class 'Nope' not loaded$"),
+], ids=["missing-method", "missing-class"])
+@pytest.mark.parametrize("interp", INTERPS)
+def test_an_unresolvable_call_raises_link_error(interp, target,
+                                                message) -> None:
+    """The link leaves an INVOKE of a missing method or class unresolved;
+    executing it, or spawning its target, raises the same
+    :class:`LinkError` on both tiers."""
+    from conftest import build_class, make_vm
+
+    from repro.errors import LinkError
+    main = Asm("main", argc=0)
+    main.invoke(*target, 0).ret()
+    vm = make_vm("unmodified", interp=interp)
+    vm.load(build_class("T", [], [main]))
+    with pytest.raises(LinkError, match=message):
+        vm.spawn(*target)
+    vm.spawn("T", "main", name="main")
+    with pytest.raises(LinkError, match=message):
+        vm.run()
+
+
 # ----------------------------------------------------- reference forcing
 def _decoded_methods(vm: JVM) -> list[str]:
     return [dm.method.qualified_name()

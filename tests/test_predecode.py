@@ -5,10 +5,9 @@ is observationally identical to the reference; these tests pin the
 *structure* the predecoder produces — where blocks start and end, that
 cost batching is the exact sum of per-instruction link costs, that the
 fault-repair suffix arrays are right, which superinstructions fire, and
-that the cache lifecycle (lazy build, invalidation, no leak through
-``MethodDef.copy``) behaves, and that generated modules compile once per
-process: every VM, restored ones included, execs the shared code object
-into its own namespace.
+that each VM builds a method's decoded form once and keeps it, and
+that generated modules compile once per process: every VM, restored
+ones included, execs the shared code object into its own namespace.
 """
 
 from __future__ import annotations
@@ -156,28 +155,14 @@ def test_div_by_zero_constant_keeps_the_checked_path() -> None:
 
 
 # ------------------------------------------------------------ cache lifecycle
-def test_predecode_is_cached_and_invalidation_drops_it() -> None:
+def test_predecode_is_cached_per_vm() -> None:
     def emit(a: Asm) -> None:
         a.const(1).const(2).add().pop()
 
     vm, m = _linked(emit)
     dm = predecode_method(vm, m)
     assert predecode_method(vm, m) is dm
-    m = vm.rewrite_method("T", "main")
-    dm = predecode_method(vm, m)
-    assert predecode_method(vm, m) is dm
-    assert vm.rewrite_method("T", "main") is m
-    assert predecode_method(vm, m) is not dm
-
-
-def test_copy_never_carries_predecode_state() -> None:
-    def emit(a: Asm) -> None:
-        a.const(1).const(2).add().pop()
-
-    vm, m = _linked(emit)
-    predecode_method(vm, m)
-    assert id(m) in vm.interpreter.decoded
-    assert id(m.copy()) not in vm.interpreter.decoded
+    assert vm.interpreter.decoded[id(m)] is dm
 
 
 # ------------------------------------------------------------------ dumps
@@ -254,41 +239,23 @@ def test_bench_run_superblock_keeps_loop_state_in_locals() -> None:
     assert "BSB(T, WB)" in sb.source
 
 
-def test_rewritten_code_misses_the_cache() -> None:
-    def emit(a: Asm) -> None:
-        a.const(20).const(1).add().putstatic("T", "out")
-
-    vm, m = _linked(emit, fields=["out"])
-    image = vm.image
-    old = _codes(predecode_method(vm, m))
-    before = _misses()
-    m = vm.rewrite_method("T", "main",
-                          lambda method: setattr(method.code[0], "a", 40))
-    new = _codes(predecode_method(vm, m))
-    assert _misses() == before + 1
-    assert new[0] is not old[0]
-    vm.spawn("T", "main", name="main")
-    vm.run()
-    assert vm.get_static("T", "out") == 41
-    # the cached image, and every other VM of it, keeps the loaded code
-    assert vm.image is not image
-    assert image.classes["T"].method("main").code[0].a == 20
-
-
 def test_pooled_float_constant_reuses_code_but_runs_its_value() -> None:
-    def program(x: float):
+    def program(value):
         def emit(a: Asm) -> None:
-            a.const(x).const(2).mul().putstatic("T", "out")
+            a.const(value).const(2).mul().putstatic("T", "out")
         return emit
 
-    one = run_single(program(1.25), fields=["out"])
-    before = _misses()
-    two = run_single(program(2.5), fields=["out"])
-    assert _misses() == before, "a K-pool constant is not in the source"
-    decoded = [_decoded(vm, "T", "main") for vm in (one, two)]
-    assert _codes(decoded[1])[0] is _codes(decoded[0])[0]
-    assert one.get_static("T", "out") == 2.5
-    assert two.get_static("T", "out") == 5.0
+    # A K-pool constant is not in the source, so a changed float reuses
+    # the code object; a changed int literal compiles a new one.
+    for x, y, shared in ((1.25, 2.5, True), (2047, 4093, False)):
+        one = run_single(program(x), fields=["out"])
+        before = _misses()
+        two = run_single(program(y), fields=["out"])
+        assert _misses() == before + (not shared)
+        decoded = [_decoded(vm, "T", "main") for vm in (one, two)]
+        assert (_codes(decoded[1])[0] is _codes(decoded[0])[0]) == shared
+        assert one.get_static("T", "out") == x * 2
+        assert two.get_static("T", "out") == y * 2
 
 
 def test_identical_bodies_keep_their_own_filename() -> None:

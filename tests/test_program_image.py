@@ -6,6 +6,7 @@ no mutable object and cannot perturb each other's runs; every input the
 load path reads is in the key, a cycle cap only as set or unset, so VMs
 with different caps (server cells of one preset) share an image yet
 each stops at its own cap; runs leave cached images as they were built;
+a VM loads no class once it has a thread, so its program never changes;
 and a checkpoint names program objects instead of pickling them, yet
 still restores in another process.
 """
@@ -31,7 +32,7 @@ from repro.bench.microbench import setup_microbench_vm
 from repro.check.explorer import ScheduleController, check_vm
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import get_scenario
-from repro.errors import StarvationError
+from repro.errors import StarvationError, VMStateError
 from repro.obs.capture import ObsSpec, build_capture_vm, run_capture
 from repro.vm import bytecode as bc
 from repro.vm import snapshot as snapshot_mod
@@ -445,37 +446,13 @@ def test_a_pickled_snapshot_continues_in_a_fresh_process(tmp_path, interp):
     assert child.stdout.strip() == here
 
 
-@pytest.mark.parametrize("interp", ["fast", "reference"])
-def test_a_rewritten_call_runs_its_new_callee(interp):
-    def store(name: str, value: int) -> Asm:
-        a = Asm(name)
-        a.const(value).putstatic("R", "out")
-        a.ret()
-        return a
-
-    run = Asm("run")
-    run.invoke("R", "one", 0)
-    run.ret()
-    vm = JVM(VMOptions(interp=interp))
-    vm.load(build_class("R", ["out"], [store("one", 1), store("two", 2),
-                                       run]))
-
-    def retarget(method: MethodDef) -> None:
-        (call,) = [ins for ins in method.code if ins.op == bc.INVOKE]
-        call.a = ("R", "two")
-
-    vm.rewrite_method("R", "run", retarget)
-    vm.spawn("R", "run", name="main")
-    vm.run()
-    assert vm.get_static("R", "out") == 2
-
-
-def test_a_rewritten_vm_cannot_leave_its_process():
+def test_load_after_spawn_raises_and_keeps_the_image():
     vm = _trio()
-    vm.rewrite_method("HandoffTrio", next(iter(vm.classes["HandoffTrio"]
-                                                .methods)))
-    with pytest.raises(pickle.PicklingError, match="rewritten"):
-        pickle.dumps(snapshot_vm(vm))
+    image = vm.image
+    with pytest.raises(VMStateError, match="after spawning"):
+        vm.load(build_class("Late", ["x"], []))
+    assert vm.image is image
+    assert "Late" not in vm.classes
 
 
 # ------------------------------------------------------------ cost model

@@ -122,15 +122,6 @@ class TestBytecodeModule:
         assert bc.is_store(bc.PUTFIELD) and bc.is_store(bc.ASTORE)
         assert not bc.is_store(bc.GETFIELD)
 
-    def test_instruction_copy_independent(self):
-        ins = Instruction(bc.CONST, 5)
-        ins.barrier = True
-        ins.ypoint = True
-        dup = ins.copy()
-        dup.a = 6
-        assert ins.a == 5
-        assert dup.barrier and dup.ypoint
-
     def test_repr_flags(self):
         ins = Instruction(bc.PUTFIELD, "x")
         ins.barrier = True

@@ -136,15 +136,6 @@ class TestFormation:
         dm = predecode_method(vm, vm.classes["C"].method("run"))
         assert dm.superblock_list == []
 
-    def test_invalidate_drops_superblocks(self):
-        vm = make_vm("unmodified", interp="fast")
-        vm.load(build_class("C", ["lock:ref", "value"], [_hot_loop()]))
-        method = vm.rewrite_method("C", "run")
-        dm = predecode_method(vm, method)
-        assert dm.superblock_list
-        assert vm.rewrite_method("C", "run") is method
-        assert id(method) not in vm.interpreter.decoded
-
 
 # ------------------------------------------------- guard-failure parity
 def _install_inversion(vm: JVM) -> None:
