@@ -42,9 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover
 SPAN_FORMAT = "repro.obs/1"
 
 
-def _dumps(obj) -> str:
-    """Canonical single-line JSON: compact separators, insertion order."""
-    return json.dumps(obj, separators=(",", ":"))
+#: Canonical single-line JSON: compact separators, insertion order.  One
+#: encoder serves every record (``json.dumps`` with any non-default
+#: argument builds a new encoder per call).
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # --------------------------------------------------------------- JSONL spans
@@ -57,7 +58,7 @@ def spans_jsonl_bytes(
     if header:
         head.update(header)
     lines = [_dumps(head)]
-    lines.extend(_dumps(span.as_dict()) for span in spans)
+    lines.extend(map(_dumps, (span.as_dict() for span in spans)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -399,6 +399,14 @@ class _Emitter:
         charge up to and including that op, mirroring the reference's
         charge-before-execute order.  An unfolded body calls ``AL`` at
         every read barrier and adds its result to ``dy``.
+
+        While ``hoist`` is set (the hoisted body,
+        :class:`repro.vm.tracecomp._Hoist`), what the loop cannot change
+        is read from prologue names: a static the body never stores is
+        one load, an invariant array's ``storage`` and length are ``S``
+        and ``N`` locals, and ``%`` of a non-negative counter needs no
+        type or sign test.  An array access's site key moves into the
+        slow arm of its inline guard, since its fast path cannot raise.
     """
 
     def __init__(self, owner: "_Predecoder", mode: str):
@@ -427,6 +435,8 @@ class _Emitter:
         self.written: set[int] = set()
         #: super mode: the code appends to ``WB``
         self.uses_log = False
+        #: super mode: the loop facts a hoisted body reads, or None
+        self.hoist = None
         #: deferred (container, slot, old_value) expression triples for
         #: the batched write-barrier call
         self.batch: list[tuple[str, str, str]] = []
@@ -565,14 +575,16 @@ class _Emitter:
         self.emit("    RM.read_barrier_hits += 1")
         self.emit(f"    A[0] += {cost}")
 
-    def set_fault(self, pc: int) -> None:
+    def set_fault(self, pc: int, defer: bool = False) -> Optional[int]:
         """Mark ``pc`` as the next possible guest-fault site.
 
         Flushes the barrier batch (the reference has already run those
         barriers when this op raises).  A block stores the pc in
         ``F[0]``; a superblock stores a key of the site, whose charge is
         the path's so far *including this op's own cost* — matching the
-        reference's charge-before-execute order."""
+        reference's charge-before-execute order.  With ``defer`` the key
+        is returned for the caller to store in its slow arm
+        (:meth:`slow_fault`)."""
         self.flush_batch()
         self.raising = True
         key = pc
@@ -581,7 +593,10 @@ class _Emitter:
             while key in self.sites:
                 key += stride
             self.sites[key] = (pc, *self.path_charge())
+        if defer:
+            return key
         self.emit(f"F[0] = {key}")
+        return None
 
     # --------------------------------------------------------- fast paths
     def pin(self, e: _Sym, literal_ok: bool = True) -> str:
@@ -603,14 +618,25 @@ class _Emitter:
         self.emit(f"    RR({t}, '{what}')")
         return t
 
-    def array_slot(self, e: _Sym, i: _Sym) -> tuple[str, str]:
+    def array_slot(self, e: _Sym, i: _Sym) -> tuple[str, str, str]:
         """Pin an array and an index and open the inline in-bounds test
         whose ``else`` arm the caller fills with ``.get``/``.put``, which
-        raise the guest exception (``storage[-1]`` would not)."""
+        raise the guest exception (``storage[-1]`` would not).  Returns
+        the array, the index and the expression naming its storage."""
         ta = self.pin(e, literal_ok=False)
         ti = self.pin(i)
+        hoisted = self.hoist and self.hoist.array(e)
+        if hoisted:
+            storage, length = hoisted
+            self.emit(f"if 0 <= {ti} < {length}:")
+            return ta, ti, storage
         self.emit(f"if type({ta}) is VMA and 0 <= {ti} < len({ta}.storage):")
-        return ta, ti
+        return ta, ti, f"{ta}.storage"
+
+    def slow_fault(self, key: Optional[int]) -> None:
+        """Store a deferred site key (a hoisted body's) in a slow arm."""
+        if key is not None:
+            self.emit(f"    F[0] = {key}")
 
     # -------------------------------------------------------------- opcodes
     def emit_op(self, pc: int, ins) -> None:
@@ -688,7 +714,11 @@ class _Emitter:
             helper = "MOD" if op == bc.MOD else "DIV"
             if (b_.val is not _NOVAL and isinstance(b_.val, int)
                     and b_.val != 0):
-                if op == bc.MOD and b_.val > 0:
+                if (op == bc.MOD and b_.val > 0 and self.hoist is not None
+                        and self.hoist.nonneg(a)):
+                    # the entry guard tested the counter's type and sign
+                    self.push_tmp(f"{a.expr} % {b_.expr}")
+                elif op == bc.MOD and b_.val > 0:
                     # Python and Java agree on a non-negative int dividend
                     ta = self.pin(a)
                     self.push_tmp(
@@ -729,11 +759,12 @@ class _Emitter:
         elif op == bc.ALOAD:
             idx = self.pop()
             arr = self.pop()
-            self.set_fault(pc)
-            ta, ti = self.array_slot(arr, idx)
+            key = self.set_fault(pc, defer=self.hoist is not None)
+            ta, ti, storage = self.array_slot(arr, idx)
             tv = self.newtmp()
-            self.emit(f"    {tv} = {ta}.storage[{ti}]")
+            self.emit(f"    {tv} = {storage}[{ti}]")
             self.emit("else:")
+            self.slow_fault(key)
             self.emit(f"    {tv} = RR({ta}, 'array').get({ti})")
             self.push(_Sym(tv))
             if owner.read_barriers:
@@ -742,28 +773,36 @@ class _Emitter:
             v = self.pop()
             idx = self.pop()
             arr = self.pop()
-            self.set_fault(pc)
-            ta, ti = self.array_slot(arr, idx)
+            key = self.set_fault(pc, defer=self.hoist is not None)
+            ta, ti, storage = self.array_slot(arr, idx)
             if ins.barrier:
                 told = self.newtmp()
-                self.emit(f"    {told} = {ta}.storage[{ti}]")
-                self.emit(f"    {ta}.storage[{ti}] = {v.expr}")
+                self.emit(f"    {told} = {storage}[{ti}]")
+                self.emit(f"    {storage}[{ti}] = {v.expr}")
                 self.emit("else:")
+                self.slow_fault(key)
                 self.emit(
                     f"    {told} = RR({ta}, 'array').put({ti}, {v.expr})"
                 )
                 self.barrier_store(ta, ti, told)
             else:
-                self.emit(f"    {ta}.storage[{ti}] = {v.expr}")
+                self.emit(f"    {storage}[{ti}] = {v.expr}")
                 self.emit("else:")
+                self.slow_fault(key)
                 self.emit(f"    RR({ta}, 'array').put({ti}, {v.expr})")
         elif op == bc.GETSTATIC:
-            key_ref = owner._kref(ins.a)
-            if ins.a in owner.statics:
+            hoisted = self.hoist and self.hoist.load(ins.a)
+            if hoisted:
+                # loaded once per entry, before the entry guard
+                name, key_ref = hoisted
+                self.push(_Sym(name))
+            elif ins.a in owner.statics:
+                key_ref = owner._kref(ins.a)
                 self.push_tmp(f"ST[{key_ref}]")
             else:
                 # the heap's own read raises the reference's LinkError,
                 # after the stores the reference has logged by then
+                key_ref = owner._kref(ins.a)
                 self.flush_batch()
                 self.push_tmp(f"GS({key_ref})")
             if owner.read_barriers:
@@ -784,6 +823,10 @@ class _Emitter:
                 self.emit(f"ST[{key_ref}] = {v.expr}")
         elif op == bc.ARRAYLEN:
             arr = self.pop()
+            hoisted = self.hoist and self.hoist.array(arr)
+            if hoisted:
+                self.push(_Sym(hoisted[1]))  # the length the guard bound
+                return
             self.set_fault(pc)
             ta = self.ref(arr, "VMA", "array")
             self.push_tmp(f"len({ta})")
@@ -897,6 +940,8 @@ def vm_namespace(vm) -> dict:
         "PROF": vm.profiler,
         "MAXC": vm.options.max_cycles,
         "min": min,
+        "max": max,
+        "range": range,
         "SERR": StarvationError,
         "GRE": GuestRuntimeError,
     }

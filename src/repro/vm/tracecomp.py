@@ -133,6 +133,52 @@ Exits:
   model: charge-before-execute), rebuilds ``A`` and ``rh`` from it,
   plus ``dy``, and puts the pc in ``F[0]``; completed iterations commit
   and the dispatcher re-raises into the reference's exception path.
+
+Hoisting and strip-mining
+-------------------------
+
+No other thread runs until the back-edge's yield point returns control
+(the paper's yield-point model), so much of what an iteration checks is
+fixed for the whole run.  A per-loop analysis (:class:`_Hoist`) finds:
+
+* *counters*: locals the body writes only by a positive int step —
+  ``IINC``, or ``L = L + c`` (``LOAD L; CONST c; ADD; STORE L``, the form
+  :mod:`repro.lang` compiles ``i = i + step`` to) — and locals it never
+  writes.  One that enters as a non-negative int stays one;
+* statics the body reads and never ``PUTSTATIC``s;
+* array references loaded from such statics or held in locals the body
+  never writes.
+
+When the ``RG``-false body relies on any of these, it is generated a
+second time, *hoisted*: each such static is loaded once (``G{n}``), each
+invariant array's ``storage`` and length bound once (``S{n}``, ``N{n}``),
+and ``%`` of a counter by a positive constant is a bare ``%``.  One
+entry guard tests what that body relies on — ``type(L) is int and
+L >= 0`` per counter, ``type(a) is VMA`` per array, and ``type(B) is
+int`` for ``range`` — and a failing guard runs the other copy, today's
+body, unchanged.  An array access's fast path cannot raise, so its
+``F[0]`` store moves into the slow arm.  A loop with nothing to hoist
+gets no guard and no second copy; the ``RG``-true body never hoists.
+
+The hoisted body is also *strip-mined*.  A stretch runs
+``k = (B - dn) // CM or 1`` iterations in ``for _ in range(k)``, where
+``CM`` is the largest path charge (``SC`` included; a ``max`` when no
+path out-charges the others in both cycles and stores).  Each iteration
+ends in one ``q{p} += 1`` for its path, with no bound test: after ``j <
+k`` iterations ``dn`` has grown by at most ``j * CM <= B - dn0 - CM``, so
+only a stretch's last iteration can reach ``B``.  After the stretch one
+commit adds ``dn += Σ c_p·q_p`` (``di`` and ``rh`` alike) and ``de +=
+k``, zeroes the counters, and makes the bound test above.  ``B > 0`` at
+every entry (the yield point has just found the quantum, the wake-up and
+the cap all ahead), so a stretch runs at least one iteration.
+
+Exits inside a stretch keep the rules above, with one step first: a
+branch out of the loop, and the ``except`` arm of a guest exception,
+commit the completed iterations' counters (``de += Σ q_p``; the counters
+are zeroed in the prologue, so the commit adds nothing for the other
+bodies), then rebuild the partial iteration from the exit site as
+before.  So every exit, cap and preemption lands on the same virtual
+cycle and clock event count as in the other bodies.
 """
 
 from __future__ import annotations
@@ -150,9 +196,132 @@ MAX_PATHS = 64
 _READ_OPS = frozenset((bc.GETFIELD, bc.ALOAD, bc.GETSTATIC))
 
 
+#: Where a branch out of the hoisted body commits its stretch's
+#: counters; replaced once every counter is known.
+_EXIT_COMMIT = "<commit the stretch>"
+
+
 def _assign(targets: list[str], values: list[str]) -> str:
     """One assignment statement, a tuple assignment for several names."""
     return f"{', '.join(targets)} = {', '.join(values)}"
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return [f"    {line}" for line in lines]
+
+
+def _step(code, pc: int, head: int, targets: set) -> object:
+    """The constant ``c`` when the STORE at ``pc`` ends ``L = L + c``
+    (``LOAD L; CONST c; ADD; STORE L``, no branch into its middle), as
+    :mod:`repro.lang` compiles ``i = i + step``; else None."""
+    if pc - 3 < head or targets & {pc - 2, pc - 1, pc}:
+        return None
+    load, const, add = code[pc - 3:pc]
+    if (load.op == bc.LOAD and load.a == code[pc].a
+            and const.op == bc.CONST and add.op == bc.ADD):
+        return const.a
+    return None
+
+
+class _Hoist:
+    """What one loop body cannot change, and which of it the hoisted
+    body relies on (:class:`repro.vm.predecode._Emitter` asks while it
+    generates that body).
+
+    * *counters*: locals the body writes only by a positive int step
+      (``IINC``, or ``L = L + c``), and locals it never writes.  One that
+      enters as a non-negative int stays one for the whole run;
+    * *loads*: statics the body reads and never ``PUTSTATIC``s, loaded
+      once per entry;
+    * *arrays*: array references from such loads or from locals the
+      body never writes; their ``storage`` and length bind once.
+
+    The entry guard tests exactly the facts the body used: a counter's
+    type and sign, an array's type.
+    """
+
+    def __init__(self, pre, head: int, anchor: int):
+        self.pre = pre
+        code = pre.method.code
+        body = range(head, anchor)
+        targets = {code[pc].a for pc in range(head, anchor + 1)
+                   if bc.is_branch(code[pc].op)}
+        steps: dict[int, bool] = {}
+        for pc in body:
+            ins = code[pc]
+            if ins.op == bc.IINC:
+                step = ins.b
+            elif ins.op == bc.STORE:
+                step = _step(code, pc, head, targets)
+            else:
+                continue
+            steps[ins.a] = (steps.get(ins.a, True) and type(step) is int
+                            and step > 0)
+        #: locals the body writes / writes only by positive steps
+        self.written = set(steps)
+        self.stepped = {i for i, ok in steps.items() if ok}
+        stored = {code[pc].a for pc in body if code[pc].op == bc.PUTSTATIC}
+        #: static keys the body never stores (and the image holds)
+        self.fixed = {code[pc].a for pc in body
+                      if code[pc].op == bc.GETSTATIC
+                      and code[pc].a in pre.statics
+                      and code[pc].a not in stored}
+        #: used: static key -> (prologue name, its K ref)
+        self.loads: dict = {}
+        #: used: counter slots whose type and sign the guard tests
+        self.signs: list[int] = []
+        #: used: array expression -> (storage name, length name)
+        self.arrays: dict[str, tuple[str, str]] = {}
+
+    def load(self, key):
+        """``(name, K ref)`` of a fixed static's one load, or None."""
+        if key not in self.fixed:
+            return None
+        if key not in self.loads:
+            self.loads[key] = (f"G{len(self.loads)}", self.pre._kref(key))
+        return self.loads[key]
+
+    def _local(self, e) -> int | None:
+        """The slot ``e`` reads when it is a plain guest-local read."""
+        if len(e.deps) == 1 and e.expr == f"L{e.deps[0]}":
+            return e.deps[0]
+        return None
+
+    def nonneg(self, e) -> bool:
+        """True (and guarded) when ``e`` is a counter."""
+        i = self._local(e)
+        if i is None or (i in self.written and i not in self.stepped):
+            return False
+        if i not in self.signs:
+            self.signs.append(i)
+        return True
+
+    def array(self, e):
+        """``(storage, length)`` names for an invariant array reference
+        (and its type guarded), or None."""
+        name = e.expr
+        if name not in self.arrays:
+            i = self._local(e)
+            loaded = any(n == name for n, _ in self.loads.values())
+            if not loaded and (i is None or i in self.written):
+                return None
+            n = len(self.arrays)
+            self.arrays[name] = (f"S{n}", f"N{n}")
+        return self.arrays[name]
+
+    def used(self) -> bool:
+        return bool(self.loads or self.signs or self.arrays)
+
+    def prologue(self) -> tuple[list[str], str, list[str]]:
+        """The loads before the guard, the guard, the bindings after."""
+        loads = [f"{name} = ST[{ref}]" for name, ref in self.loads.values()]
+        facts = ["type(B) is int"]
+        facts += [f"type(L{i}) is int and L{i} >= 0" for i in self.signs]
+        facts += [f"type({a}) is VMA" for a in self.arrays]
+        binds = []
+        for a, (storage, length) in self.arrays.items():
+            binds += [f"{storage} = {a}.storage", f"{length} = len({storage})"]
+        return loads, " and ".join(facts), binds
 
 
 class _Unstructured(Exception):
@@ -225,6 +394,9 @@ class _SuperCompiler:
         self.path_consts: dict[str, str] = {}
         #: paths lowered in the current body
         self.paths = 0
+        #: the hoisted body's commit paths: (cycles, count, reads,
+        #: (static cycles, stores)) per counter ``q{n}``; None elsewhere
+        self.strip: list | None = None
 
     # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:
@@ -233,14 +405,18 @@ class _SuperCompiler:
             self.code[pc].op in _READ_OPS
             for pc in range(self.head, self.anchor)
         )
-        if not reads:
-            loop = self._body(folded=True)
-        else:
+        loop = self._body(folded=True)
+        dynamic = self._body(folded=False) if reads else None
+        hoisted = self._hoisted()
+        if hoisted is not None:
+            # the entry guard picks the hoisted body once per run
+            loads, guard, body = hoisted
+            loop = (loads + [f"if {guard}:"] + _indent(body)
+                    + ["else:"] + _indent(loop))
+        if reads:
             # RG is fixed for the run: pick the body once, at entry
-            static = self._body(folded=True)
-            dynamic = self._body(folded=False)
-            loop = (["if not RG:"] + [f"    {line}" for line in static]
-                    + ["else:"] + [f"    {line}" for line in dynamic])
+            loop = (["if not RG:"] + _indent(loop)
+                    + ["else:"] + _indent(dynamic))
 
         # The prologue loads the run's invariants; the ``finally`` arm is
         # the one exit path every return and raise leaves through.
@@ -262,6 +438,8 @@ class _SuperCompiler:
             head += ["WB = []", "SC = SBC(T)"]
         head += [f"{name} = {expr}"
                  for name, expr in self.path_consts.items()]
+        if hoisted is not None:
+            head.append(self._zero())
         tail = []
         if written:
             tail.append(_assign([f"locals_[{i}]" for i in written],
@@ -298,7 +476,9 @@ class _SuperCompiler:
                 terms.append("s * SC")
             if reads:
                 terms.append("dy")
-            handler = [
+            # a hoisted body's completed iterations commit first
+            handler = self._stretch_commit() if hoisted else []
+            handler += [
                 f"pc, c, n, s, r = {self.pre._kref(tuple(table))}[F[0]]",
                 "F[0] = pc",
                 f"A[0] = {' + '.join(terms)}",
@@ -320,6 +500,16 @@ class _SuperCompiler:
         """One ``while True:`` loop running the body's iterations;
         ``folded`` charges read barriers as ``after_load``'s fast path
         (the ``RG``-false body), otherwise they call ``AL`` into ``dy``."""
+        self._lower(folded)
+        lines = ["while True:"]
+        if not folded:
+            lines.append("    dy = 0")
+        lines += self.em.lines
+        lines.append("    de += 1")
+        return lines + [f"    {line}" for line in self._bound_test()]
+
+    def _lower(self, folded: bool) -> None:
+        """Generate one body's iterations into the emitter's lines."""
         em = self.em
         em.start_body(folded)
         self.paths = 0
@@ -327,15 +517,84 @@ class _SuperCompiler:
         # charges it when dispatching the anchor, before the body runs)
         em.charge(self.code[self.anchor])
         self._gen(self.head, self.anchor, self._commit)
-        lines = ["while True:"]
-        if not folded:
-            lines.append("    dy = 0")
-        lines += em.lines
-        lines += ["    de += 1", "    if dn >= B:"]
+
+    def _bound_test(self) -> list[str]:
+        """The exit test after committed iterations, in the reference's
+        order: starvation before preemption."""
+        lines = ["if dn >= B:"]
         if self.capped:
-            lines += ["        if dn > ML:", "            raise SERR(MAXC)"]
-        lines.append("        return -1")
-        return lines
+            lines += ["    if dn > ML:", "        raise SERR(MAXC)"]
+        return lines + ["    return -1"]
+
+    def _hoisted(self):
+        """The ``RG``-false body again, hoisted and strip-mined, as
+        ``(loads, guard, body)``; None for a loop with nothing to hoist.
+
+        A stretch runs ``k = (B - dn) // CM or 1`` iterations with no
+        bound test (``CM``: the largest path charge), each counting its
+        path in a counter ``q{n}``; one commit follows, then the bound
+        test the other bodies make after every iteration.  No iteration
+        but a stretch's last can reach ``B``, so every exit lands where
+        it does there."""
+        em, pre = self.em, self.pre
+        # what a declined copy must not leave behind in the template
+        kept = dict(em.sites), dict(pre.stats), len(pre.consts)
+        hoist = em.hoist = _Hoist(pre, self.head, self.anchor)
+        self.strip = []
+        try:
+            self._lower(folded=True)
+        finally:
+            em.hoist = None
+        # CM: the paths no other path out-charges in both static cycles
+        # and stores (SC, the per-store charge, is known only at entry)
+        charges = {c for *_, c in self.strip}
+        top = sorted(c for c in charges
+                     if not any(o != c and o[0] >= c[0] and o[1] >= c[1]
+                                for o in charges))
+        if not hoist.used() or not top or top[-1][0] <= 0:
+            em.sites, pre.stats = kept[0], kept[1]
+            del pre.consts[kept[2]:]
+            self.strip = None
+            return None
+        named = {c: cycles for cycles, _, _, c in self.strip}
+        cm = [named[c] for c in top]
+        cm = cm[0] if len(cm) == 1 else f"max({', '.join(cm)})"
+        lines = ["while True:", f"    k = (B - dn) // {cm} or 1",
+                 "    for _ in range(k):"]
+        for line in em.lines:
+            if line.strip() == _EXIT_COMMIT:
+                # a branch out commits the stretch's completed iterations
+                pad = line[:len(line) - len(line.lstrip())]
+                lines += [f"    {pad}{c}" for c in self._stretch_commit()]
+            else:
+                lines.append(f"    {line}")
+        lines += [f"    {c}" for c in self._stretch_commit("k")]
+        lines.append(f"    {self._zero()}")
+        lines += [f"    {line}" for line in self._bound_test()]
+        loads, guard, binds = hoist.prologue()
+        return loads, guard, binds + lines
+
+    def _stretch_commit(self, done: str | None = None) -> list[str]:
+        """Commit the counted iterations: ``done`` names their number
+        (``k`` after a whole stretch), else it is the counters' sum."""
+        q = [f"q{n}" for n in range(len(self.strip))]
+
+        def total(coefs) -> str:
+            terms = [q[n] if c == "1" else f"{c} * {q[n]}"
+                     for n, c in enumerate(coefs) if c != "0"]
+            return " + ".join(terms)
+
+        lines = []
+        for acc, coefs in (("dn", [p[0] for p in self.strip]),
+                           ("di", [str(p[1]) for p in self.strip]),
+                           ("rh", [str(p[2]) for p in self.strip])):
+            sum_ = total(coefs)
+            if sum_:
+                lines.append(f"{acc} += {sum_}")
+        return lines + [f"de += {done or ' + '.join(q)}"]
+
+    def _zero(self) -> str:
+        return " = ".join(f"q{n}" for n in range(len(self.strip))) + " = 0"
 
     def _charge(self, hot: bool) -> tuple[str, int, int]:
         """The current path's cycles as an expression (``hot``: a commit,
@@ -363,12 +622,18 @@ class _SuperCompiler:
             raise _Unstructured
 
     def _commit(self) -> None:
-        """End a path at the back-edge: commit the iteration's charge."""
+        """End a path at the back-edge: commit the iteration's charge
+        (in the hoisted body, count it in the path's counter)."""
         em = self.em
         self._leaf()
         em.flush_batch()
         em.flush_stack()
         cycles, count, reads = self._charge(hot=True)
+        if em.hoist is not None:
+            em.emit(f"q{len(self.strip)} += 1")
+            static, _, stores, _ = em.path_charge()
+            self.strip.append((cycles, count, reads, (static, stores)))
+            return
         em.emit(f"dn += {cycles}")
         em.emit(f"di += {count}")
         if reads:
@@ -383,6 +648,8 @@ class _SuperCompiler:
         em.flush_batch()
         em.flush_stack()
         cycles, count, reads = self._charge(hot=False)
+        if em.hoist is not None:
+            em.emit(_EXIT_COMMIT)
         em.emit(f"A[0] = {cycles}")
         em.emit(f"A[1] = {count}")
         if reads:

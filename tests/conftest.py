@@ -107,28 +107,55 @@ def drain(vm: JVM) -> str:
     return run_outcome(drive)
 
 
-def probe_superblocks(monkeypatch, guard: bool = False) -> list[tuple]:
+def _count_hoisted_runs(sb, fn, ran: list):
+    """``fn`` compiled again from ``sb.source`` with one line added: it
+    sets ``ran[0]`` where the hoisted body starts (the ``while True:``
+    whose first line sizes a stretch).  The same source otherwise, in
+    the same namespace, so it runs as the generated function does."""
+    lines = sb.source.splitlines()
+    for k, line in enumerate(lines[1:], 1):
+        if line.lstrip().startswith("k = (B - dn) // "):
+            while_ = lines[k - 1]
+            pad = while_[:len(while_) - len(while_.lstrip())]
+            lines.insert(k - 1, f"{pad}HOISTED[0] = True")
+            break
+    else:
+        return fn
+    ns = dict(fn.__globals__, HOISTED=ran)
+    exec(compile("\n".join(lines) + "\n", fn.__code__.co_filename,
+                 "exec"), ns)
+    return ns[fn.__name__]
+
+
+def probe_superblocks(monkeypatch, guard: bool = False,
+                      hoisted: bool = False) -> list[tuple]:
     """Record every superblock run of VMs predecoded from now on as
     ``(exit, logged)``: ``exit`` is ``"preempt"`` (``return -1``),
     ``"branch"`` (a branch out of the loop), ``"guest"`` (a guest
     exception) or ``"starved"``; ``logged`` counts the undo-log entries
-    the run appended, all at its exit.  With ``guard`` each record ends
-    with the read-barrier guard ``RG`` the run was entered with (False
-    when its VM has no inline guard).  Each wrapper keeps the generated
-    function as ``__wrapped__``."""
+    the run appended, all at its exit.  With ``guard`` each record goes
+    on with the read-barrier guard ``RG`` the run was entered with (False
+    when its VM has no inline guard); with ``hoisted`` it ends with
+    whether the run passed its entry guard into the hoisted,
+    strip-mined body (False for a loop that has none).  Each wrapper
+    keeps the function it calls as ``__wrapped__``."""
     from repro.errors import GuestRuntimeError, StarvationError
     from repro.vm import predecode
 
     runs: list[tuple] = []
     instantiate = predecode.MethodTemplate.instantiate
 
-    def wrap(fn):
+    def wrap(sb, fn):
         live = fn.__globals__.get("LV")
+        ran = [False]
+        if hoisted:
+            fn = _count_hoisted_runs(sb, fn, ran)
 
         @functools.wraps(fn)
         def run(stack, locals_, F, A, T, PW):
             before = len(T.undo_log or ())
             rg = live is not None and len(live) > (T.tid in live)
+            ran[0] = False
             exit = "other"
             try:
                 r = fn(stack, locals_, F, A, T, PW)
@@ -142,13 +169,17 @@ def probe_superblocks(monkeypatch, guard: bool = False) -> list[tuple]:
                 raise
             finally:
                 record = (exit, len(T.undo_log or ()) - before)
-                runs.append(record + (rg,) if guard else record)
+                if guard:
+                    record += (rg,)
+                if hoisted:
+                    record += (ran[0],)
+                runs.append(record)
         return run
 
     def probed(self, vm, method):
         dm = instantiate(self, vm, method)
         for sb in dm.superblock_list:
-            sb.fn = wrap(sb.fn)
+            sb.fn = wrap(sb, sb.fn)
         return dm
 
     monkeypatch.setattr(predecode.MethodTemplate, "instantiate", probed)
