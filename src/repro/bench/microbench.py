@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro.bench.workloads import Workload
 from repro.vm.assembler import Asm
 from repro.vm.classfile import ClassDef, FieldDef
 
@@ -151,30 +152,36 @@ def build_microbench_class(config: MicrobenchConfig) -> ClassDef:
     return cls
 
 
-def setup_microbench_vm(vm: "JVM", config: MicrobenchConfig) -> None:
-    """Load the benchmark class, wire the shared state, spawn the threads.
+def microbench_workload(config: MicrobenchConfig) -> Workload:
+    """The benchmark class, its shared state and its threads as one
+    :class:`Workload`.
 
     High-priority threads are spawned first (spawn order does not matter:
     the random pre-section pause randomizes arrival, per the paper).
     """
-    vm.load(build_microbench_class(config))
-    vm.set_static(BENCH_CLASS, "lock", vm.new_object(BENCH_CLASS))
-    vm.set_static(
-        BENCH_CLASS, "shared", vm.new_array(config.array_size, 0)
+
+    def setup(vm: "JVM") -> None:
+        vm.set_static(BENCH_CLASS, "lock", vm.new_object(BENCH_CLASS))
+        vm.set_static(
+            BENCH_CLASS, "shared", vm.new_array(config.array_size, 0)
+        )
+
+    spawns = [
+        ("run", [config.iters_high], HIGH_PRIORITY, f"high-{h}")
+        for h in range(config.high_threads)
+    ]
+    spawns += [
+        ("run", [config.iters_low], LOW_PRIORITY, f"low-{low}")
+        for low in range(config.low_threads)
+    ]
+    return Workload(
+        name=BENCH_CLASS.lower(),
+        classdef=build_microbench_class(config),
+        setup=setup,
+        spawns=spawns,
     )
-    for h in range(config.high_threads):
-        vm.spawn(
-            BENCH_CLASS,
-            "run",
-            args=[config.iters_high],
-            priority=HIGH_PRIORITY,
-            name=f"high-{h}",
-        )
-    for low in range(config.low_threads):
-        vm.spawn(
-            BENCH_CLASS,
-            "run",
-            args=[config.iters_low],
-            priority=LOW_PRIORITY,
-            name=f"low-{low}",
-        )
+
+
+def setup_microbench_vm(vm: "JVM", config: MicrobenchConfig) -> None:
+    """Load the benchmark class, wire the shared state, spawn the threads."""
+    microbench_workload(config).install(vm)

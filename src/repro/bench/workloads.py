@@ -15,13 +15,20 @@ These exercise the claims the paper makes but does not benchmark:
   in (deliberately) unordered fashion: a deadlock stress test.
 * :func:`build_bounded_buffer` — producer/consumer over ``wait``/``notify``:
   exercises the wait-induced non-revocability rules under load.
+
+It also holds the one scenario registry, :data:`SCENARIOS`: every named
+guest program of ``repro.check``, ``repro.obs`` and the fault campaign,
+declared once.  Each tool runs the rows :data:`TOOL_SCENARIOS` selects
+for it by a field of the row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from importlib import import_module
+from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.faults.plane import CHAOS_PLAN, FaultPlan
 from repro.vm.assembler import Asm
 from repro.vm.classfile import ClassDef, FieldDef
 
@@ -445,3 +452,352 @@ def build_philosophers(
             for k in range(n)
         ],
     )
+
+
+# ------------------------------------------------------ the scenario registry
+@dataclass(frozen=True)
+class Scenario:
+    """One named guest program plus what each tool needs to run it."""
+
+    name: str
+    description: str
+    #: ``program(seed, write_pct)`` builds the guest program; only the
+    #: figure-panel and server rows read the two knobs
+    program: Callable[[int, int], Workload]
+    #: VMOptions overrides every tool applies when it runs the row
+    options: dict = field(default_factory=dict)
+    #: small enough for schedule exploration: the checker's rows
+    explorable: bool = False
+    #: expected final statics ``(class, field) -> value`` the checker
+    #: asserts on every reference run (None = schedule-dependent)
+    expected_statics: Optional[dict] = None
+    #: the fault plan the campaign sweeps: the campaign's rows
+    plan: Optional[FaultPlan] = None
+    #: the campaign's guest-level invariant: violation descriptions
+    check: Optional[Callable[["JVM"], list[str]]] = None
+
+    def build(self, seed: int = 0x5EED, write_pct: int = 60) -> Workload:
+        return self.program(seed, write_pct)
+
+
+def _imported(target: str) -> Callable:
+    module, name = target.split(":")
+    return getattr(import_module(module), name)
+
+
+def _fixed(builder, *args, **kwargs) -> Callable[[int, int], Workload]:
+    """A program that reads neither knob: ``builder(*args, **kwargs)``.
+    A ``"module:function"`` builder is imported when the row is built,
+    so declaring the table loads no tool."""
+
+    def program(seed: int, write_pct: int) -> Workload:
+        target = _imported(builder) if isinstance(builder, str) else builder
+        return target(*args, **kwargs)
+
+    return program
+
+
+def _invariant(target: str, *args) -> Callable[["JVM"], list[str]]:
+    """``target(vm, *args)``, imported when a campaign cell runs."""
+    return lambda vm: _imported(target)(vm, *args)
+
+
+def _figure_panel(figure: int, panel: str) -> Callable[[int, int], Workload]:
+    """The §4 micro-benchmark at one panel's thread mix."""
+
+    def program(seed: int, write_pct: int) -> Workload:
+        from repro.bench.figures import FigurePanel
+        from repro.bench.microbench import microbench_workload
+
+        config = FigurePanel(figure, panel).base_config(seed)
+        return microbench_workload(replace(config, write_pct=write_pct))
+
+    return program
+
+
+def _server_capture(preset: str) -> Callable[[int, int], Workload]:
+    """A server preset with the abort-storm detector attached, so
+    ``abort_storm`` / ``storm_cleared`` (and the ladder's ``degrade``)
+    events land in the trace.  Thread names carry the SLA-tier prefix, so
+    per-tier behaviour reads straight off the span tracks."""
+
+    def program(seed: int, write_pct: int) -> Workload:
+        from repro.server.plane import AbortStormDetector
+        from repro.server.presets import get_preset
+        from repro.server.workload import build_server
+
+        config = get_preset(preset)
+        server = build_server(config, seed)
+
+        def setup(vm: "JVM") -> None:
+            server.setup(vm)
+            vm.slice_hooks.append(AbortStormDetector(config))
+
+        return replace(server, setup=setup)
+
+    return program
+
+
+_CHECK = "repro.check.scenarios:"
+_CAMPAIGN = "repro.faults.campaign:"
+_SERVER = {"scheduler": "priority", "raise_on_uncaught": False}
+
+#: the one registry: every named guest program, in declaration order
+#: (the campaign runs and reports its rows in this order)
+SCENARIOS: tuple[Scenario, ...] = (
+    # -- schedule-exploration programs (repro.check.scenarios builders)
+    Scenario(
+        "handoff",
+        "low/high contention on one lock; revocation hand-off must "
+        "preserve the counter total",
+        _fixed(_CHECK + "build_locked_counter", "Handoff",
+               [(1, "low"), (10, "high")], sections=2, iters=2),
+        explorable=True,
+        expected_statics={("Handoff", "counter"): 2 * 2 * 2},
+    ),
+    Scenario(
+        "barge",
+        "three priorities barging on one lock",
+        _fixed(_CHECK + "build_locked_counter", "Barge",
+               [(2, "t-lo"), (5, "t-mid"), (9, "t-hi")],
+               sections=1, iters=2),
+        explorable=True,
+        expected_statics={("Barge", "counter"): 3 * 1 * 2},
+    ),
+    Scenario(
+        "mini-handoff",
+        "handoff shrunk to one section and one increment per thread: "
+        "small enough for full (unbounded) exhaustive enumeration — the "
+        "DPOR soundness battery's anchor",
+        _fixed(_CHECK + "build_locked_counter", "MiniHandoff",
+               [(1, "low"), (10, "high")], sections=1, iters=1),
+        explorable=True,
+        expected_statics={("MiniHandoff", "counter"): 2 * 1 * 1},
+    ),
+    Scenario(
+        "mini-barge",
+        "barge shrunk to one increment per section: three priorities, "
+        "one lock, small enough for full exhaustive enumeration",
+        _fixed(_CHECK + "build_locked_counter", "MiniBarge",
+               [(2, "t-lo"), (5, "t-mid"), (9, "t-hi")],
+               sections=1, iters=1),
+        explorable=True,
+        expected_statics={("MiniBarge", "counter"): 3 * 1 * 1},
+    ),
+    Scenario(
+        "mini-racy",
+        "one unprotected read-yield-write increment per thread: the "
+        "smallest scenario with genuinely schedule-dependent final states",
+        _fixed(_CHECK + "build_racy_counter", iters=1),
+        explorable=True,
+    ),
+    Scenario(
+        "pileup4",
+        "four priorities piling onto one lock: the DPOR battery's largest "
+        "fully-enumerable member",
+        _fixed(_CHECK + "build_locked_counter", "Pileup4",
+               [(1, "t1"), (4, "t2"), (7, "t3"), (10, "t4")],
+               sections=1, iters=1),
+        explorable=True,
+        expected_statics={("Pileup4", "counter"): 4 * 1 * 1},
+    ),
+    Scenario(
+        "handoff-trio",
+        "three independent low/high handoff pairs on three locks (6 "
+        "threads, monitors + revocation): the DPOR acceptance scenario — "
+        "the product schedule space is far beyond exhaustive enumeration, "
+        "but cross-pair slices commute",
+        _fixed(_CHECK + "build_paired_handoffs", "HandoffTrio", 3,
+               sections=1, iters=1),
+        explorable=True,
+    ),
+    Scenario(
+        "pileup6",
+        "six priorities piling onto one lock with revocation in play: the "
+        "DPOR acceptance scenario — exhaustive enumeration is infeasible",
+        _fixed(_CHECK + "build_locked_counter", "Pileup6",
+               [(1, "t1"), (2, "t2"), (4, "t3"),
+                (6, "t4"), (8, "t5"), (10, "t6")],
+               sections=1, iters=1),
+        explorable=True,
+        expected_statics={("Pileup6", "counter"): 6 * 1 * 1},
+    ),
+    Scenario(
+        "racy-yield",
+        "unprotected read-yield-write increments: lost updates across "
+        "schedules, a data race for the lockset pass",
+        _fixed(_CHECK + "build_racy_counter", iters=3),
+        explorable=True,
+    ),
+    Scenario(
+        "lock-order",
+        "opposite-order nested locks: lock-order inversion, deadlock-prone "
+        "under blocking policies",
+        _fixed(_CHECK + "build_lock_order", iters=2),
+        explorable=True,
+    ),
+    # -- figure cells: the paper's §4 micro-benchmark at each panel's mix
+    *(
+        Scenario(
+            f"fig{figure}{panel}",
+            f"figure {figure}({panel}) micro-benchmark cell "
+            "(write ratio via --write-pct)",
+            _figure_panel(figure, panel),
+        )
+        for figure in (5, 6, 7, 8)
+        for panel in ("a", "b", "c")
+    ),
+    # -- standalone workloads
+    Scenario(
+        "deadlock-pair",
+        "workload: two threads acquiring two locks in opposite orders",
+        _fixed(build_deadlock_pair, hold_cycles=800, work=20),
+    ),
+    Scenario(
+        "medium-inversion",
+        "workload: the paper's three-priority inversion shape",
+        _fixed(build_medium_inversion, medium_threads=2,
+               low_section_iters=300, medium_work_iters=500,
+               high_section_iters=60),
+        # The §1 inversion only manifests under strict priority
+        # scheduling: the woken mediums must starve the low-priority
+        # lock holder while the high-priority thread sits blocked.
+        options={"scheduler": "priority"},
+    ),
+    Scenario(
+        "bank",
+        "workload: random transfers between locked accounts",
+        _fixed(build_bank, accounts=4, transfers=10, hold_cycles=120),
+    ),
+    Scenario(
+        "bounded-buffer",
+        "workload: producers/consumers on a wait/notify bounded buffer",
+        _fixed(build_bounded_buffer, capacity=2, items_per_producer=6,
+               producers=2, consumers=2),
+    ),
+    Scenario(
+        "philosophers",
+        "workload: dining philosophers over shared fork monitors",
+        _fixed(build_philosophers, 3, rounds=3, think_cycles=300,
+               eat_iters=15),
+    ),
+    # -- server-plane captures
+    Scenario(
+        "server-smoke",
+        "server plane: chaos-smoke preset, overload protection on, "
+        "faults off",
+        _server_capture("chaos-smoke"),
+        options=_SERVER,
+    ),
+    Scenario(
+        "server-fleet",
+        "server plane: the 12-tier, 1020-guest-thread fleet preset — the "
+        "downsampling stress shape",
+        _server_capture("fleet"),
+        options=_SERVER,
+    ),
+    Scenario(
+        "server-storm",
+        "server plane: storm preset under the chaos fault plan — "
+        "abort-storm -> ladder escalation -> recovery in-trace",
+        _server_capture("storm"),
+        options={**_SERVER, "faults": CHAOS_PLAN, "audit_rollbacks": True},
+    ),
+    # -- fault-campaign rows: a fault plan and a guest-level invariant
+    Scenario(
+        "storm-philosophers",
+        "revocation storms over dining philosophers; every meal is eaten",
+        _fixed(build_philosophers, 3, rounds=3, think_cycles=800,
+               eat_iters=30),
+        plan=FaultPlan(revocation_storm_rate=0.2),
+        check=_invariant(_CAMPAIGN + "check_philosopher_meals", 3 * 3),
+    ),
+    Scenario(
+        "exception-rain-bank",
+        "injected guest exceptions over bank transfers; money is conserved",
+        _fixed(build_bank, accounts=4, transfers=12, hold_cycles=300),
+        options={"raise_on_uncaught": False},
+        plan=FaultPlan(guest_exception_rate=0.02, max_injections=8),
+        check=_invariant(_CAMPAIGN + "check_bank_balance", 4 * 100),
+    ),
+    Scenario(
+        "exception-rain-inversion",
+        "injected guest exceptions over the three-priority inversion",
+        _fixed(build_medium_inversion, medium_threads=2,
+               low_section_iters=300, medium_work_iters=400,
+               high_section_iters=80),
+        options={"raise_on_uncaught": False},
+        plan=FaultPlan(guest_exception_rate=0.01, max_injections=6),
+        check=_invariant(_CAMPAIGN + "check_nothing"),
+    ),
+    Scenario(
+        "handoff-delay-buffer",
+        "delayed monitor hand-offs over the bounded buffer; every item "
+        "is produced and consumed",
+        _fixed(build_bounded_buffer, capacity=3, items_per_producer=8,
+               producers=2, consumers=2),
+        plan=FaultPlan(handoff_delay_rate=0.25, handoff_delay_cycles=1_500),
+        check=_invariant(_CAMPAIGN + "check_buffer_counts", 2 * 8),
+    ),
+    Scenario(
+        # storms revoke the low/high threads mid-section, so rollbacks
+        # replay non-empty log segments — the perturbation's target
+        "undo-perturb-storm",
+        "revocation storms plus benign undo-log perturbations over the "
+        "inversion shape",
+        _fixed(build_medium_inversion, medium_threads=2,
+               low_section_iters=2_000, medium_work_iters=1_000,
+               high_section_iters=500),
+        plan=FaultPlan(revocation_storm_rate=0.5, undo_perturb_rate=0.9),
+        check=_invariant(_CAMPAIGN + "check_spin_counter", 2 * 1_000),
+    ),
+    Scenario(
+        "deadlock-ring",
+        "delayed hand-offs over a four-thread deadlock ring",
+        _fixed(build_deadlock_ring, 4, hold_cycles=3_000, work=30),
+        plan=FaultPlan(handoff_delay_rate=0.2, handoff_delay_cycles=1_000),
+        check=_invariant(_CAMPAIGN + "check_ring_counter", 4 * 30),
+    ),
+    Scenario(
+        "server-chaos",
+        "open-system server under a chaos plan: retries, shedding, abort "
+        "storms and the degradation ladder under the auditor",
+        _fixed(_CAMPAIGN + "build_server_chaos"),
+        options=_SERVER,
+        plan=FaultPlan(
+            revocation_storm_rate=0.15,
+            handoff_delay_rate=0.05,
+            handoff_delay_cycles=1_200,
+            undo_perturb_rate=0.5,
+        ),
+        check=_invariant(_CAMPAIGN + "check_server_chaos"),
+    ),
+)
+
+#: each tool's rows, chosen by a field of the row: the checker explores
+#: the small programs, the campaign sweeps the rows with a fault plan and
+#: obs captures every row without one
+TOOL_SCENARIOS: dict[str, dict[str, Scenario]] = {
+    tool: {s.name: s for s in SCENARIOS if wanted(s)}
+    for tool, wanted in (
+        ("check", lambda s: s.explorable),
+        ("campaign", lambda s: s.plan is not None),
+        ("obs", lambda s: s.plan is None),
+    )
+}
+
+
+def unknown_name(kind: str, name: str, known) -> ValueError:
+    """The one unknown-name error of every registry lookup."""
+    return ValueError(
+        f"unknown {kind} {name!r}; known: {', '.join(sorted(known))}"
+    )
+
+
+def lookup_scenario(tool: str, name: str) -> Scenario:
+    """``tool``'s row named ``name``; ValueError names the known rows."""
+    rows = TOOL_SCENARIOS[tool]
+    scenario = rows.get(name)
+    if scenario is None:
+        raise unknown_name(f"{tool} scenario", name, rows)
+    return scenario

@@ -39,13 +39,12 @@ from repro.check.oracle import (
     fingerprint_digest,
     replay_counterexample,
 )
-from repro.check.scenarios import CheckScenario, get_scenario, scenarios
+from repro.check.scenarios import get_scenario
 
 __all__ = [
     "DEFAULT_MODES",
     "COUNTEREXAMPLE_FORMAT",
     "CheckItem",
-    "CheckScenario",
     "ExplorationReport",
     "LocksetAnalyzer",
     "ScheduleController",
@@ -63,5 +62,4 @@ __all__ = [
     "run_lockset_fig5",
     "run_lockset_scenario",
     "run_schedule",
-    "scenarios",
 ]

@@ -22,13 +22,13 @@ import argparse
 import json
 import sys
 
+from repro.bench.workloads import TOOL_SCENARIOS, lookup_scenario
 from repro.check.explorer import DEFAULT_MODES, INJECTABLE_BUGS, explore
 from repro.check.minimize import minimize_counterexample
 from repro.check.oracle import (
     counterexample_payload,
     replay_counterexample,
 )
-from repro.check.scenarios import scenarios
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -124,7 +124,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    for name, scenario in sorted(scenarios().items()):
+    for name, scenario in sorted(TOOL_SCENARIOS["check"].items()):
         print(f"{name}: {scenario.description}")
     return 0
 
@@ -205,7 +205,14 @@ def _cmd_lockset(target: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        lookup_scenario("check", args.scenario)
+        if args.lockset not in (None, "fig5"):
+            lookup_scenario("check", args.lockset)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.list:
         return _cmd_list()
     if args.replay is not None:

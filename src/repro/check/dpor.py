@@ -70,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.bench.workloads import Scenario, lookup_scenario
 from repro.check.explorer import (
     DEFAULT_MODES,
     CheckItem,
@@ -79,7 +80,6 @@ from repro.check.explorer import (
     run_check_cell,
     summarize_results,
 )
-from repro.check.scenarios import CheckScenario, get_scenario
 from repro.errors import run_outcome
 from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
 
@@ -216,7 +216,7 @@ class SteppingRun(ScheduleController):
 
     def __init__(
         self,
-        scenario: CheckScenario,
+        scenario: Scenario,
         mode: str,
         *,
         inject: Optional[str] = None,
@@ -352,7 +352,7 @@ class DporExplorer:
         inject: Optional[str] = None,
         max_schedules: int = 200_000,
     ) -> None:
-        self.scenario = get_scenario(scenario_name)
+        self.scenario = lookup_scenario("check", scenario_name)
         self.mode = mode
         self.inject = inject
         self.max_schedules = max_schedules

@@ -48,13 +48,13 @@ from functools import partial
 from typing import Iterator, Optional
 
 from repro.bench.parallel import RunEngine, run_key
+from repro.bench.workloads import Scenario, lookup_scenario
 from repro.check.oracle import (
     check_expectations,
     divergence_problems,
     final_fingerprint,
     fingerprint_digest,
 )
-from repro.check.scenarios import CheckScenario, get_scenario
 from repro.errors import run_outcome
 from repro.util.rng import DeterministicRng, sweep_seed
 from repro.vm.clock import CostModel
@@ -163,7 +163,7 @@ def _inject_plan(inject: Optional[str]):
 
 
 def check_vm(
-    scenario: CheckScenario,
+    scenario: Scenario,
     mode: str,
     *,
     inject: Optional[str] = None,
@@ -190,7 +190,7 @@ def check_vm(
 
 
 def run_schedule(
-    scenario: CheckScenario,
+    scenario: Scenario,
     mode: str,
     controller: ScheduleController,
     *,
@@ -218,7 +218,7 @@ class CheckItem:
 
 def run_check_cell(item: CheckItem) -> dict:
     """Execute one schedule under every policy; return plain report data."""
-    scenario = get_scenario(item.scenario)
+    scenario = lookup_scenario("check", item.scenario)
     reference = item.modes[0]
     rng = (
         DeterministicRng(item.walk_seed)
@@ -413,7 +413,7 @@ def explore(
     (:func:`repro.util.rng.sweep_seed`): its walk seed is
     ``sweep_seed("check", scenario_name, k)`` with ``k`` 0-based.
     """
-    get_scenario(scenario_name)  # fail fast on unknown names
+    lookup_scenario("check", scenario_name)  # fail fast on unknown names
     if engine is None:
         engine = RunEngine(jobs=1)
     modes = tuple(modes)

@@ -189,11 +189,11 @@ def _lockset_vm(options, build_and_install) -> dict:
 
 def run_lockset_scenario(name: str, *, mode: str = "rollback") -> dict:
     """Lockset pass over one check scenario's default-policy execution."""
+    from repro.bench.workloads import lookup_scenario
     from repro.check.explorer import CHECK_CYCLE_CAP, CHECK_VM_SEED
-    from repro.check.scenarios import get_scenario
     from repro.vm.vmcore import VMOptions
 
-    scenario = get_scenario(name)
+    scenario = lookup_scenario("check", name)
     options = VMOptions(
         mode=mode,
         seed=CHECK_VM_SEED,

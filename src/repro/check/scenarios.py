@@ -1,6 +1,8 @@
 """Small guest programs for schedule exploration.
 
-Exploration cost is exponential in program length, so these scenarios are
+The builders here back the checker's rows of the one scenario registry,
+:data:`repro.bench.workloads.SCENARIOS` (``explorable=True``).
+Exploration cost is exponential in program length, so these programs are
 deliberately tiny: a handful of threads, two or three yield points per
 critical section.  What matters is that each one embodies a distinct
 synchronization shape:
@@ -24,29 +26,14 @@ synchronization shape:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
-from repro.bench.workloads import Workload
+from repro.bench.workloads import Scenario, Workload, lookup_scenario
 from repro.vm.assembler import Asm
 from repro.vm.classfile import ClassDef, FieldDef
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.vmcore import JVM
-
-
-@dataclass(frozen=True)
-class CheckScenario:
-    """One explorable guest program plus its oracle expectations."""
-
-    name: str
-    description: str
-    build: Callable[[], Workload]
-    #: VMOptions overrides applied identically in every policy mode
-    options: dict = field(default_factory=dict)
-    #: expected final static values ``(class, field) -> value`` asserted on
-    #: the reference run of every schedule (None = schedule-dependent)
-    expected_statics: Optional[dict] = None
 
 
 def _counter_increments(run: Asm, cls: str, i: int, iters_arg: int,
@@ -227,124 +214,6 @@ def build_lock_order(*, iters: int = 2) -> Workload:
     )
 
 
-def _scenario_list() -> list[CheckScenario]:
-    return [
-        CheckScenario(
-            name="handoff",
-            description="low/high contention on one lock; revocation "
-                        "hand-off must preserve the counter total",
-            build=lambda: build_locked_counter(
-                "Handoff", [(1, "low"), (10, "high")],
-                sections=2, iters=2,
-            ),
-            expected_statics={("Handoff", "counter"): 2 * 2 * 2},
-        ),
-        CheckScenario(
-            name="barge",
-            description="three priorities barging on one lock",
-            build=lambda: build_locked_counter(
-                "Barge", [(2, "t-lo"), (5, "t-mid"), (9, "t-hi")],
-                sections=1, iters=2,
-            ),
-            expected_statics={("Barge", "counter"): 3 * 1 * 2},
-        ),
-        CheckScenario(
-            name="mini-handoff",
-            description="handoff shrunk to one section and one increment "
-                        "per thread: small enough for full (unbounded) "
-                        "exhaustive enumeration — the DPOR soundness "
-                        "battery's anchor",
-            build=lambda: build_locked_counter(
-                "MiniHandoff", [(1, "low"), (10, "high")],
-                sections=1, iters=1,
-            ),
-            expected_statics={("MiniHandoff", "counter"): 2 * 1 * 1},
-        ),
-        CheckScenario(
-            name="mini-barge",
-            description="barge shrunk to one increment per section: "
-                        "three priorities, one lock, small enough for "
-                        "full exhaustive enumeration",
-            build=lambda: build_locked_counter(
-                "MiniBarge", [(2, "t-lo"), (5, "t-mid"), (9, "t-hi")],
-                sections=1, iters=1,
-            ),
-            expected_statics={("MiniBarge", "counter"): 3 * 1 * 1},
-        ),
-        CheckScenario(
-            name="mini-racy",
-            description="one unprotected read-yield-write increment per "
-                        "thread: the smallest scenario with genuinely "
-                        "schedule-dependent final states",
-            build=lambda: build_racy_counter(iters=1),
-            expected_statics=None,
-        ),
-        CheckScenario(
-            name="pileup4",
-            description="four priorities piling onto one lock: the DPOR "
-                        "battery's largest fully-enumerable member",
-            build=lambda: build_locked_counter(
-                "Pileup4",
-                [(1, "t1"), (4, "t2"), (7, "t3"), (10, "t4")],
-                sections=1, iters=1,
-            ),
-            expected_statics={("Pileup4", "counter"): 4 * 1 * 1},
-        ),
-        CheckScenario(
-            name="handoff-trio",
-            description="three independent low/high handoff pairs on "
-                        "three locks (6 threads, monitors + revocation): "
-                        "the DPOR acceptance scenario — the product "
-                        "schedule space is far beyond exhaustive "
-                        "enumeration, but cross-pair slices commute",
-            build=lambda: build_paired_handoffs(
-                "HandoffTrio", 3, sections=1, iters=1,
-            ),
-            expected_statics=None,
-        ),
-        CheckScenario(
-            name="pileup6",
-            description="six priorities piling onto one lock with "
-                        "revocation in play: the DPOR acceptance "
-                        "scenario — exhaustive enumeration is infeasible",
-            build=lambda: build_locked_counter(
-                "Pileup6",
-                [(1, "t1"), (2, "t2"), (4, "t3"),
-                 (6, "t4"), (8, "t5"), (10, "t6")],
-                sections=1, iters=1,
-            ),
-            expected_statics={("Pileup6", "counter"): 6 * 1 * 1},
-        ),
-        CheckScenario(
-            name="racy-yield",
-            description="unprotected read-yield-write increments: lost "
-                        "updates across schedules, a data race for the "
-                        "lockset pass",
-            build=lambda: build_racy_counter(iters=3),
-            expected_statics=None,
-        ),
-        CheckScenario(
-            name="lock-order",
-            description="opposite-order nested locks: lock-order "
-                        "inversion, deadlock-prone under blocking "
-                        "policies",
-            build=lambda: build_lock_order(iters=2),
-            expected_statics=None,
-        ),
-    ]
-
-
-def scenarios() -> dict[str, CheckScenario]:
-    """The scenario registry (rebuilt on demand; source-identical in every
-    worker process, like the campaign's)."""
-    return {s.name: s for s in _scenario_list()}
-
-
-def get_scenario(name: str) -> CheckScenario:
-    try:
-        return scenarios()[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown check scenario {name!r}; "
-            f"known: {', '.join(sorted(scenarios()))}"
-        ) from None
+def get_scenario(name: str) -> Scenario:
+    """The checker's row named ``name`` (kept for importers of this path)."""
+    return lookup_scenario("check", name)

@@ -28,19 +28,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.bench.workloads import (
+    TOOL_SCENARIOS,
+    Scenario,
     Workload,
-    build_bank,
-    build_bounded_buffer,
-    build_deadlock_ring,
-    build_medium_inversion,
-    build_philosophers,
+    lookup_scenario,
 )
 from repro.errors import audited_run
-from repro.faults.plane import FaultPlan
 from repro.util.rng import sweep_seed
 from repro.vm.vmcore import JVM, VMOptions
 
@@ -62,93 +58,68 @@ REPORTED_METRICS = (
 )
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One workload + fault plan + guest-level invariant check."""
-
-    name: str
-    build: Callable[[], Workload]
-    plan: FaultPlan
-    #: returns a list of violation descriptions (empty = invariant held)
-    check: Callable[[JVM], list[str]]
-    options: dict = field(default_factory=dict)
-
-
 # ------------------------------------------------------- invariant checks
-def _check_philosopher_meals(expected: int) -> Callable[[JVM], list[str]]:
-    def check(vm: JVM) -> list[str]:
-        meals = vm.get_static("Philosophers", "meals")
-        if meals != expected:
-            return [f"meals counter {meals} != expected {expected}"]
-        return []
-
-    return check
-
-
-def _check_bank_balance(expected_total: int) -> Callable[[JVM], list[str]]:
-    def check(vm: JVM) -> list[str]:
-        balances = vm.get_static("Bank", "balances")
-        total = sum(balances.get(i) for i in range(len(balances)))
-        if total != expected_total:
-            return [f"total balance {total} != expected {expected_total}"]
-        return []
-
-    return check
-
-
-def _check_buffer_counts(total: int) -> Callable[[JVM], list[str]]:
-    def check(vm: JVM) -> list[str]:
-        produced = vm.get_static("Buffer", "produced")
-        consumed = vm.get_static("Buffer", "consumed")
-        problems = []
-        if produced != total:
-            problems.append(f"produced {produced} != expected {total}")
-        if consumed != total:
-            problems.append(f"consumed {consumed} != expected {total}")
-        return problems
-
-    return check
-
-
-def _check_spin_counter(expected: int) -> Callable[[JVM], list[str]]:
-    def check(vm: JVM) -> list[str]:
-        spin = vm.get_static("Inversion", "spin")
-        if spin != expected:
-            return [f"spin counter {spin} != expected {expected}"]
-        return []
-
-    return check
-
-
-def _check_ring_counter(expected: int) -> Callable[[JVM], list[str]]:
-    def check(vm: JVM) -> list[str]:
-        counter = vm.get_static("DeadlockRing", "counter")
-        if counter != expected:
-            return [f"ring counter {counter} != expected {expected}"]
-        return []
-
-    return check
-
-
-def _check_nothing(vm: JVM) -> list[str]:
+# Each returns a list of violation descriptions (empty = invariant held);
+# the campaign rows of :data:`repro.bench.workloads.SCENARIOS` name them.
+def check_philosopher_meals(vm: JVM, expected: int) -> list[str]:
+    meals = vm.get_static("Philosophers", "meals")
+    if meals != expected:
+        return [f"meals counter {meals} != expected {expected}"]
     return []
 
 
-# -------------------------------------------------------------- scenarios
-#: the server-chaos scenario's arrival-stream seed.  Fixed (not the VM
-#: sweep seed) so the invariant check can recompute the expected service
+def check_bank_balance(vm: JVM, expected_total: int) -> list[str]:
+    balances = vm.get_static("Bank", "balances")
+    total = sum(balances.get(i) for i in range(len(balances)))
+    if total != expected_total:
+        return [f"total balance {total} != expected {expected_total}"]
+    return []
+
+
+def check_buffer_counts(vm: JVM, total: int) -> list[str]:
+    produced = vm.get_static("Buffer", "produced")
+    consumed = vm.get_static("Buffer", "consumed")
+    problems = []
+    if produced != total:
+        problems.append(f"produced {produced} != expected {total}")
+    if consumed != total:
+        problems.append(f"consumed {consumed} != expected {total}")
+    return problems
+
+
+def check_spin_counter(vm: JVM, expected: int) -> list[str]:
+    spin = vm.get_static("Inversion", "spin")
+    if spin != expected:
+        return [f"spin counter {spin} != expected {expected}"]
+    return []
+
+
+def check_ring_counter(vm: JVM, expected: int) -> list[str]:
+    counter = vm.get_static("DeadlockRing", "counter")
+    if counter != expected:
+        return [f"ring counter {counter} != expected {expected}"]
+    return []
+
+
+def check_nothing(vm: JVM) -> list[str]:
+    return []
+
+
+# --------------------------------------------------------- server chaos
+#: the server-chaos row's arrival-stream seed.  Fixed (not the VM sweep
+#: seed) so the invariant check can recompute the expected service
 #: demand of every completed write transaction from the config alone.
 SERVER_STREAM_SEED = 0x5EED
 
 
-def _server_chaos_scenario() -> Scenario:
-    """Open-system server under a chaos plan: retries, shedding, abort
-    storms and the degradation ladder all engage while the auditor and
+def server_chaos_config():
+    """The open-system server the server-chaos row runs under its chaos
+    plan: retries, shedding, abort storms and the degradation ladder all
+    engage while the auditor and
     :func:`repro.server.plane.check_server_invariants` watch."""
-    from repro.server.plane import server_invariant_check
-    from repro.server.workload import ServerConfig, TierSpec, build_server
+    from repro.server.workload import ServerConfig, TierSpec
 
-    config = ServerConfig(
+    return ServerConfig(
         name="campaign-server",
         tiers=(
             TierSpec(
@@ -168,91 +139,19 @@ def _server_chaos_scenario() -> Scenario:
         storm_window=12_000, storm_enter=5, storm_exit=1,
     )
 
-    def build() -> Workload:
-        return build_server(config, SERVER_STREAM_SEED)
 
-    return Scenario(
-        name="server-chaos",
-        build=build,
-        plan=FaultPlan(
-            revocation_storm_rate=0.15,
-            handoff_delay_rate=0.05,
-            handoff_delay_cycles=1_200,
-            undo_perturb_rate=0.5,
-        ),
-        check=server_invariant_check(config, SERVER_STREAM_SEED),
-        options={"scheduler": "priority", "raise_on_uncaught": False},
+def build_server_chaos() -> Workload:
+    from repro.server.workload import build_server
+
+    return build_server(server_chaos_config(), SERVER_STREAM_SEED)
+
+
+def check_server_chaos(vm: JVM) -> list[str]:
+    from repro.server.plane import check_server_invariants
+
+    return check_server_invariants(
+        vm, server_chaos_config(), SERVER_STREAM_SEED
     )
-
-
-def _scenarios() -> list[Scenario]:
-    return [
-        Scenario(
-            name="storm-philosophers",
-            build=lambda: build_philosophers(
-                3, rounds=3, think_cycles=800, eat_iters=30
-            ),
-            plan=FaultPlan(revocation_storm_rate=0.2),
-            check=_check_philosopher_meals(3 * 3),
-        ),
-        Scenario(
-            name="exception-rain-bank",
-            build=lambda: build_bank(
-                accounts=4, transfers=12, hold_cycles=300
-            ),
-            plan=FaultPlan(guest_exception_rate=0.02, max_injections=8),
-            check=_check_bank_balance(4 * 100),
-            options={"raise_on_uncaught": False},
-        ),
-        Scenario(
-            name="exception-rain-inversion",
-            build=lambda: build_medium_inversion(
-                medium_threads=2,
-                low_section_iters=300,
-                medium_work_iters=400,
-                high_section_iters=80,
-            ),
-            plan=FaultPlan(guest_exception_rate=0.01, max_injections=6),
-            check=_check_nothing,
-            options={"raise_on_uncaught": False},
-        ),
-        Scenario(
-            name="handoff-delay-buffer",
-            build=lambda: build_bounded_buffer(
-                capacity=3, items_per_producer=8, producers=2, consumers=2
-            ),
-            plan=FaultPlan(
-                handoff_delay_rate=0.25, handoff_delay_cycles=1_500
-            ),
-            check=_check_buffer_counts(2 * 8),
-        ),
-        Scenario(
-            # storms revoke the low/high threads mid-section, so rollbacks
-            # replay non-empty log segments — the perturbation's target
-            name="undo-perturb-storm",
-            build=lambda: build_medium_inversion(
-                medium_threads=2,
-                low_section_iters=2_000,
-                medium_work_iters=1_000,
-                high_section_iters=500,
-            ),
-            plan=FaultPlan(
-                revocation_storm_rate=0.5, undo_perturb_rate=0.9
-            ),
-            check=_check_spin_counter(2 * 1_000),
-        ),
-        Scenario(
-            name="deadlock-ring",
-            build=lambda: build_deadlock_ring(
-                4, hold_cycles=3_000, work=30
-            ),
-            plan=FaultPlan(
-                handoff_delay_rate=0.2, handoff_delay_cycles=1_000
-            ),
-            check=_check_ring_counter(4 * 30),
-        ),
-        _server_chaos_scenario(),
-    ]
 
 
 # ---------------------------------------------------------------- running
@@ -261,10 +160,10 @@ class CampaignCell:
     """Pure, picklable identity of one campaign cell.
 
     Scenarios carry closures, so a cell names its scenario and every
-    process rebuilds it from :func:`_scenarios` — the registry is source
-    code, hence identical in every process.  The fields are also the
-    cell's ``REPLAY:`` flags (:func:`repro.fleet.cli.replay_line`) and
-    its cache key — ``interp`` too, so a cached fast-engine fragment
+    process looks it up in :data:`repro.bench.workloads.SCENARIOS` — the
+    registry is source code, hence identical in every process.  The
+    fields are also the cell's ``REPLAY:`` flags
+    (:func:`repro.fleet.cli.replay_line`) and its cache key — ``interp`` too, so a cached fast-engine fragment
     never answers a reference-engine repro."""
 
     scenario: str
@@ -273,17 +172,11 @@ class CampaignCell:
     interp: str = "fast"
 
 
-def _get_scenario(name: str) -> Scenario:
-    scenario = {s.name: s for s in _scenarios()}.get(name)
-    if scenario is None:
-        raise SystemExit(f"unknown scenario {name!r}")
-    return scenario
-
-
 def _campaign_cell(cell: CampaignCell) -> dict:
     """Worker entry for one cell; ``--replay`` runs it too, serially."""
     return run_one(
-        _get_scenario(cell.scenario), cell.seed_index, interp=cell.interp
+        lookup_scenario("campaign", cell.scenario), cell.seed_index,
+        interp=cell.interp,
     )
 
 
@@ -335,8 +228,8 @@ def run_campaign(
     if engine is None:
         engine = RunEngine(jobs=1)
     scenarios = (
-        _scenarios() if scenario_filter is None
-        else [_get_scenario(scenario_filter)]
+        list(TOOL_SCENARIOS["campaign"].values()) if scenario_filter is None
+        else [lookup_scenario("campaign", scenario_filter)]
     )
     matrix = [
         CampaignCell(scenario.name, seed, interp)
@@ -416,6 +309,11 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.scenario is not None:
+        try:
+            lookup_scenario("campaign", args.scenario)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.replay is not None:
         # serial, uncached, single-cell reproduction path
         if args.scenario is None:

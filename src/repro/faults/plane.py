@@ -109,6 +109,20 @@ class FaultPlan:
         )
 
 
+#: the chaos-soak fault plan of the server plane (``--chaos``) and the
+#: ``server-storm`` capture: adversarial but behaviour-preserving kinds
+#: only.  ``guest_exception`` would kill pool threads (conservation noise)
+#: and ``undo_drop`` is a genuine seeded defect — both stay out of soak
+#: campaigns and are exercised by the negative control instead.
+CHAOS_PLAN = FaultPlan(
+    seed=0xC4A0,
+    revocation_storm_rate=0.10,
+    handoff_delay_rate=0.02,
+    handoff_delay_cycles=1_500,
+    undo_perturb_rate=0.5,
+)
+
+
 class FaultPlane:
     """Live injector bound to one VM."""
 

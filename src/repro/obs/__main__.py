@@ -36,12 +36,12 @@ import argparse
 import json
 import sys
 
+from repro.bench.workloads import TOOL_SCENARIOS, lookup_scenario
 from repro.fleet.cli import (
     add_engine_args,
     engine_from_args,
 )
 from repro.obs.capture import ObsSpec, capture_with_engine
-from repro.obs.scenarios import scenarios
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -135,8 +135,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    for name, scenario in sorted(scenarios().items()):
-        print(f"{name}: {scenario.description}")
+    for name, scenario in sorted(TOOL_SCENARIOS["obs"].items()):
+        kind = "checker scenario: " if scenario.explorable else ""
+        print(f"{name}: {kind}{scenario.description}")
     return 0
 
 
@@ -360,6 +361,10 @@ def main(argv: list[str] | None = None) -> int:
                         "episodes/debug) or --list is required")
     if args.scenario is None:
         _parser().error("--scenario is required")
+    try:
+        lookup_scenario("obs", args.scenario)
+    except ValueError as exc:
+        _parser().error(str(exc))
     if args.command == "episodes":
         return _cmd_episodes(args)
     if args.command == "debug":

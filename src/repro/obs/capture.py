@@ -36,13 +36,13 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.bench.parallel import RunEngine, run_key
+from repro.bench.workloads import lookup_scenario
 from repro.errors import run_outcome
 from repro.obs.export import (
     chrome_trace_bytes,
     folded_stacks,
     spans_jsonl_bytes,
 )
-from repro.obs.scenarios import get_scenario
 from repro.obs.spans import SpanBuilder
 from repro.server.report import robustness_block
 from repro.vm.snapshot import VMSnapshot, snapshot_vm
@@ -126,7 +126,7 @@ def attach_sinks(vm: JVM) -> tuple[SpanBuilder, _CounterSampler]:
 def build_capture_vm(spec: ObsSpec) -> Capture:
     """The traced (and, by default, profiled) VM of one capture, with
     its scenario installed and not yet run."""
-    scenario = get_scenario(spec.scenario)
+    scenario = lookup_scenario("obs", spec.scenario)
     overrides = dict(scenario.options)
     overrides.setdefault("max_cycles", CAPTURE_CYCLE_CAP)
     options = VMOptions(
@@ -139,7 +139,7 @@ def build_capture_vm(spec: ObsSpec) -> Capture:
     )
     vm = JVM(options)
     builder, sampler = attach_sinks(vm)
-    scenario.install(vm, spec.seed, spec.write_pct)
+    scenario.build(spec.seed, spec.write_pct).install(vm)
     return spec, vm, builder, sampler
 
 
@@ -275,11 +275,10 @@ def build_replay_vm(cell: CheckItem, mode: Optional[str] = None) -> Capture:
         ScheduleController,
         check_vm,
     )
-    from repro.check.scenarios import get_scenario as get_check_scenario
 
     mode = mode or cell.modes[0]
     vm = check_vm(
-        get_check_scenario(cell.scenario),
+        lookup_scenario("check", cell.scenario),
         mode,
         inject=cell.inject,
         trace=True,

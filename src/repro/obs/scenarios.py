@@ -1,213 +1,8 @@
-"""The observability scenario registry.
+"""Name lookup of the ``repro.obs`` rows of the one scenario registry,
+:data:`repro.bench.workloads.SCENARIOS` (kept for importers of this path)."""
 
-One name space for everything ``python -m repro.obs`` can run: the
-figure cells (``fig5a`` .. ``fig8c``, the paper's §4 micro-benchmark at
-each panel's thread mix), the schedule-checker scenarios (``handoff``,
-``barge``, ``racy-yield``, ``lock-order``), the standalone workloads
-(``deadlock-pair``, ``medium-inversion``, ``bank``, ``bounded-buffer``,
-``philosophers``) and the server-plane captures (``server-smoke``,
-``server-storm``).
-
-Each entry knows how to *install* itself into a freshly-built VM and
-which :class:`VMOptions` overrides it requires; the capture layer owns
-VM construction so tracing/profiling wiring is uniform.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.vm.vmcore import JVM
+from repro.bench.workloads import Scenario, lookup_scenario
 
 
-@dataclass(frozen=True)
-class ObsScenario:
-    """One runnable target: a description, VMOptions overrides, and an
-    installer called with the constructed VM."""
-
-    name: str
-    description: str
-    #: VMOptions keyword overrides this scenario requires
-    options: dict
-    #: install(vm, seed, write_pct): load classes + spawn threads
-    install: Callable[["JVM", int, int], None]
-
-
-def _fig_installer(figure: int, panel: str):
-    def install(vm: "JVM", seed: int, write_pct: int) -> None:
-        from repro.bench.figures import FigurePanel
-        from repro.bench.microbench import setup_microbench_vm
-
-        config = FigurePanel(figure, panel).base_config(seed)
-        config = replace(config, write_pct=write_pct)
-        setup_microbench_vm(vm, config)
-
-    return install
-
-
-def _check_installer(name: str):
-    def install(vm: "JVM", seed: int, write_pct: int) -> None:
-        from repro.check.scenarios import get_scenario
-
-        get_scenario(name).build().install(vm)
-
-    return install
-
-
-def _server_installer(preset: str):
-    def install(vm: "JVM", seed: int, write_pct: int) -> None:
-        from repro.server.plane import AbortStormDetector
-        from repro.server.presets import get_preset
-        from repro.server.workload import build_server
-
-        config = get_preset(preset)
-        build_server(config, seed).install(vm)
-        vm.slice_hooks.append(AbortStormDetector(config))
-
-    return install
-
-
-def _server_scenarios() -> dict[str, ObsScenario]:
-    """Server-plane captures: thread names carry the SLA-tier prefix, so
-    per-tier behaviour reads straight off the span tracks; the abort-storm
-    detector is attached, so ``abort_storm`` / ``storm_cleared`` (and the
-    ladder's ``degrade``) events land in the trace."""
-    from repro.server.plane import CHAOS_PLAN
-
-    return {
-        "server-smoke": ObsScenario(
-            name="server-smoke",
-            description=(
-                "server plane: chaos-smoke preset, overload protection "
-                "on, faults off"
-            ),
-            options={"scheduler": "priority", "raise_on_uncaught": False},
-            install=_server_installer("chaos-smoke"),
-        ),
-        "server-fleet": ObsScenario(
-            name="server-fleet",
-            description=(
-                "server plane: the 12-tier, 1020-guest-thread fleet "
-                "preset — the downsampling stress shape"
-            ),
-            options={"scheduler": "priority", "raise_on_uncaught": False},
-            install=_server_installer("fleet"),
-        ),
-        "server-storm": ObsScenario(
-            name="server-storm",
-            description=(
-                "server plane: storm preset under the chaos fault plan — "
-                "abort-storm -> ladder escalation -> recovery in-trace"
-            ),
-            options={
-                "scheduler": "priority",
-                "raise_on_uncaught": False,
-                "faults": CHAOS_PLAN,
-                "audit_rollbacks": True,
-            },
-            install=_server_installer("storm"),
-        ),
-    }
-
-
-def _workload_installer(build: Callable):
-    def install(vm: "JVM", seed: int, write_pct: int) -> None:
-        build().install(vm)
-
-    return install
-
-
-def _workload_builders() -> dict[str, tuple[str, Callable]]:
-    from repro.bench.workloads import (
-        build_bank,
-        build_bounded_buffer,
-        build_deadlock_pair,
-        build_medium_inversion,
-        build_philosophers,
-    )
-
-    return {
-        "deadlock-pair": (
-            "two threads acquiring two locks in opposite orders",
-            lambda: build_deadlock_pair(hold_cycles=800, work=20),
-            {},
-        ),
-        "medium-inversion": (
-            "the paper's three-priority inversion shape",
-            lambda: build_medium_inversion(
-                medium_threads=2, low_section_iters=300,
-                medium_work_iters=500, high_section_iters=60,
-            ),
-            # The §1 inversion only manifests under strict priority
-            # scheduling: the woken mediums must starve the low-priority
-            # lock holder while the high-priority thread sits blocked.
-            {"scheduler": "priority"},
-        ),
-        "bank": (
-            "random transfers between locked accounts",
-            lambda: build_bank(accounts=4, transfers=10, hold_cycles=120),
-            {},
-        ),
-        "bounded-buffer": (
-            "producers/consumers on a wait/notify bounded buffer",
-            lambda: build_bounded_buffer(
-                capacity=2, items_per_producer=6, producers=2, consumers=2
-            ),
-            {},
-        ),
-        "philosophers": (
-            "dining philosophers over shared fork monitors",
-            lambda: build_philosophers(
-                3, rounds=3, think_cycles=300, eat_iters=15
-            ),
-            {},
-        ),
-    }
-
-
-def scenarios() -> dict[str, ObsScenario]:
-    """Name -> scenario, rebuilt per call (cheap; avoids import cycles)."""
-    out: dict[str, ObsScenario] = {}
-    for figure in (5, 6, 7, 8):
-        for panel in ("a", "b", "c"):
-            name = f"fig{figure}{panel}"
-            out[name] = ObsScenario(
-                name=name,
-                description=(
-                    f"figure {figure}({panel}) micro-benchmark cell "
-                    "(write ratio via --write-pct)"
-                ),
-                options={},
-                install=_fig_installer(figure, panel),
-            )
-    from repro.check.scenarios import scenarios as check_scenarios
-
-    for name, scenario in check_scenarios().items():
-        out[name] = ObsScenario(
-            name=name,
-            description=f"checker scenario: {scenario.description}",
-            options=dict(scenario.options),
-            install=_check_installer(name),
-        )
-    for name, (description, build, options) in _workload_builders().items():
-        out[name] = ObsScenario(
-            name=name,
-            description=f"workload: {description}",
-            options=dict(options),
-            install=_workload_installer(build),
-        )
-    out.update(_server_scenarios())
-    return out
-
-
-def get_scenario(name: str) -> ObsScenario:
-    table = scenarios()
-    try:
-        return table[name]
-    except KeyError:
-        known = ", ".join(sorted(table))
-        raise KeyError(
-            f"unknown obs scenario {name!r}; known: {known}"
-        ) from None
+def get_scenario(name: str) -> Scenario:
+    return lookup_scenario("obs", name)

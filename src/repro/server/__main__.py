@@ -45,7 +45,7 @@ from repro.fleet.cli import (
     replay_line,
 )
 from repro.server.plane import ServerSpec, run_server_cell
-from repro.server.presets import get_preset, preset_names
+from repro.server.presets import PRESETS, get_preset
 from repro.server.report import render_report
 
 
@@ -113,7 +113,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    for name in preset_names():
+    for name in sorted(PRESETS):
         config = get_preset(name)
         print(
             f"{name}: {len(config.tiers)} tiers, "
@@ -188,7 +188,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.list:
         return _cmd_list()
-    if args.requests and args.requests < len(get_preset(args.preset).tiers):
+    try:
+        config = get_preset(args.preset)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.requests and args.requests < len(config.tiers):
         parser.error("--requests must cover at least one per tier")
     if args.replay is not None:
         # serial, uncached, single-cell reproduction path: same spec

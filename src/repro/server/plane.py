@@ -34,11 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from repro.bench.parallel import run_key
 from repro.errors import audited_run
-from repro.faults.plane import FaultPlan
+from repro.faults.plane import CHAOS_PLAN, FaultPlan
 from repro.server.report import build_report
 from repro.server.workload import (
     SERVER_CLASS,
@@ -49,18 +48,6 @@ from repro.server.workload import (
 )
 from repro.util.rng import sweep_seed
 from repro.vm.vmcore import JVM, VMOptions
-
-#: the chaos-soak fault plan: adversarial but behaviour-preserving kinds
-#: only.  ``guest_exception`` would kill pool threads (conservation noise)
-#: and ``undo_drop`` is a genuine seeded defect — both stay out of soak
-#: campaigns and are exercised by the negative control instead.
-CHAOS_PLAN = FaultPlan(
-    seed=0xC4A0,
-    revocation_storm_rate=0.10,
-    handoff_delay_rate=0.02,
-    handoff_delay_cycles=1_500,
-    undo_perturb_rate=0.5,
-)
 
 #: negative control (``--inject-bug undo-drop``): a rollback occasionally
 #: loses one undo entry, leaking an aborted store.  The auditor MUST
@@ -225,18 +212,6 @@ def check_server_invariants(
     return problems
 
 
-def server_invariant_check(
-    config: ServerConfig, stream_seed: int
-) -> Callable[["JVM"], list[str]]:
-    """Campaign-shaped closure over :func:`check_server_invariants` (the
-    fault-campaign ``Scenario.check`` signature)."""
-
-    def check(vm: "JVM") -> list[str]:
-        return check_server_invariants(vm, config, stream_seed)
-
-    return check
-
-
 def spec_plan(spec: ServerSpec) -> FaultPlan | None:
     """The fault plan a spec arms (None = faults off)."""
     if spec.inject_bug == "undo-drop":
@@ -291,7 +266,7 @@ def run_server_cell(spec: ServerSpec) -> dict:
     detector = AbortStormDetector(config)
     vm.slice_hooks.append(detector)
     outcome, violations = audited_run(
-        vm, server_invariant_check(config, seed)
+        vm, partial(check_server_invariants, config=config, seed=seed)
     )
     report = build_report(
         vm,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.bench.workloads import unknown_name
 from repro.server.workload import ServerConfig, TierSpec
 
 
@@ -166,15 +167,8 @@ PRESETS: dict[str, Callable[[], ServerConfig]] = {
 }
 
 
-def preset_names() -> list[str]:
-    return sorted(PRESETS)
-
-
 def get_preset(name: str) -> ServerConfig:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        known = ", ".join(preset_names())
-        raise KeyError(
-            f"unknown server preset {name!r}; known: {known}"
-        ) from None
+    preset = PRESETS.get(name)
+    if preset is None:
+        raise unknown_name("server preset", name, PRESETS)
+    return preset()

@@ -278,7 +278,8 @@ class DecodedMethod:
         self.method = method
         self.blocks = blocks
         self.block_list = [b for b in blocks if b is not None]
-        #: pattern name -> number of fusions applied
+        #: pattern name -> number of bytecode sites fused (each site once,
+        #: however many generated copies of its loop body fuse it)
         self.superinstructions = superinstructions
         self.fused_instructions = sum(b.count for b in self.block_list)
         if superblocks is None:
@@ -661,7 +662,7 @@ class _Emitter:
             self.spill(ins.a)
             self.emit(f"{self.local(ins.a, write=True)} = {v.expr}")
             if fused:
-                owner._bump("alu+store")
+                owner._bump("alu+store", pc)
         elif op == bc.IINC:
             self.spill(ins.a)
             self.emit(f"{self.local(ins.a, write=True)} += {ins.b}")
@@ -728,7 +729,8 @@ class _Emitter:
                 else:
                     suffix = "P" if b_.val > 0 else "C"
                     self.push_tmp(f"{helper}{suffix}({a.expr}, {b_.expr})")
-                owner._bump("const+mod" if op == bc.MOD else "const+div")
+                owner._bump("const+mod" if op == bc.MOD else "const+div",
+                            pc)
             else:
                 self.set_fault(pc)
                 self.push_tmp(f"{helper}V({a.expr}, {b_.expr})")
@@ -975,6 +977,7 @@ class _Predecoder:
         self.statics = image.statics
         self.consts: list[Any] = []   # K: constant pool (a tuple once built)
         self.stats: dict[str, int] = {}
+        self._sites: set[tuple[str, int]] = set()
 
     def build(self) -> MethodTemplate:
         from repro.vm.tracecomp import compile_superblocks
@@ -1018,8 +1021,13 @@ class _Predecoder:
             return repr(value), value
         return self._kref(value), value
 
-    def _bump(self, pattern: str) -> None:
-        self.stats[pattern] = self.stats.get(pattern, 0) + 1
+    def _bump(self, pattern: str, pc: int) -> None:
+        """Count one fused site: the block and every superblock copy of a
+        loop body (fallback, hoisted, guarded) fuse the same bytecode pc,
+        and it counts once."""
+        if (pattern, pc) not in self._sites:
+            self._sites.add((pattern, pc))
+            self.stats[pattern] = self.stats.get(pattern, 0) + 1
 
     # ------------------------------------------------------------- codegen
     def _compile(self, start: int, end: int) -> BasicBlock:
@@ -1055,7 +1063,7 @@ class _Predecoder:
                         em.emit(f"return {taken} if {cond} else {fall}")
                     else:
                         em.emit(f"return {fall} if {cond} else {taken}")
-                    self._bump("cmp+branch")
+                    self._bump("cmp+branch", pc)
                     exit_pc = "fused"
                     pc += 2
                     break

@@ -700,7 +700,7 @@ class _SuperCompiler:
                         negated = op == bc.NE
                     if negated:
                         cond = f"not {cond}"
-                    self.pre._bump("cmp+branch")
+                    self.pre._bump("cmp+branch", pc)
                     self._branch(pc + 1, nxt, cond, hi, then)
                     return
                 em.charge(ins)

@@ -18,8 +18,8 @@ from repro.check.oracle import (
     fingerprint_digest,
     replay_counterexample,
 )
+from repro.bench.workloads import TOOL_SCENARIOS, Scenario
 from repro.check.scenarios import (
-    CheckScenario,
     build_locked_counter,
     build_racy_counter,
 )
@@ -133,7 +133,7 @@ class TestReplayValidation:
 
 
 # ---------------------------------------------------------- property sweep
-def _random_scenario(k: int) -> CheckScenario:
+def _random_scenario(k: int) -> Scenario:
     """One random locked-counter program drawn from a seeded parameter
     space (thread count, priorities, section and iteration counts), named
     so the class name and expectations stay self-describing."""
@@ -145,12 +145,13 @@ def _random_scenario(k: int) -> CheckScenario:
         (rng.randint(1, 10), f"t{j}") for j in range(n_threads)
     ]
     cls = f"Prop{k}"
-    return CheckScenario(
+    return Scenario(
         name=f"prop-{k}",
         description="randomized locked counter (property sweep)",
-        build=lambda: build_locked_counter(
+        program=lambda seed, write_pct: build_locked_counter(
             cls, spawns, sections=sections, iters=iters
         ),
+        explorable=True,
         expected_statics={(cls, "counter"): n_threads * sections * iters},
     )
 
@@ -159,17 +160,12 @@ class TestPolicyEquivalenceProperty:
     N_PROGRAMS = 8
 
     def _install(self, monkeypatch, extra):
-        """Extend the scenario registry for this test (the explorer looks
-        scenarios up by name inside each cell)."""
-        import importlib
-
-        scenarios_mod = importlib.import_module("repro.check.scenarios")
-        base = scenarios_mod._scenario_list
-
-        def patched():
-            return base() + list(extra)
-
-        monkeypatch.setattr(scenarios_mod, "_scenario_list", patched)
+        """Extend the checker's rows of the one table for this test (the
+        explorer looks scenarios up by name inside each cell)."""
+        for scenario in extra:
+            monkeypatch.setitem(
+                TOOL_SCENARIOS["check"], scenario.name, scenario
+            )
 
     def test_random_programs_policy_equivalent(self, monkeypatch):
         """Every explored schedule of every random program must agree

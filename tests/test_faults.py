@@ -270,7 +270,7 @@ class TestCampaign:
             assert scenario["injected"]["total"] > 0, name
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="unknown campaign scenario"):
             run_campaign(1, "no-such-scenario")
 
     def test_cli_jobs_identical_and_workers_reaped(

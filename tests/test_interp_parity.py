@@ -25,7 +25,7 @@ from repro.bench.workloads import (
     build_philosophers,
 )
 from repro.check.oracle import final_fingerprint, fingerprint_digest
-from repro.check.scenarios import scenarios
+from repro.bench.workloads import TOOL_SCENARIOS
 from repro.errors import DeadlockError, UncaughtGuestException
 from repro.vm import bytecode as bc
 from repro.vm.assembler import Asm
@@ -94,9 +94,9 @@ def _assert_identical(build, mode: str, **overrides) -> None:
 
 # ------------------------------------------------------- checker scenarios
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", sorted(scenarios()))
+@pytest.mark.parametrize("name", sorted(TOOL_SCENARIOS["check"]))
 def test_checker_scenario_parity(name: str, mode: str) -> None:
-    scenario = scenarios()[name]
+    scenario = TOOL_SCENARIOS["check"][name]
     _assert_identical(scenario.build, mode, **scenario.options)
 
 

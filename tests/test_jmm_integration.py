@@ -8,7 +8,7 @@ blocks revocation (the contender falls back to classic blocking).
 import pytest
 
 from repro import Asm
-from repro.check.scenarios import scenarios
+from repro.bench.workloads import TOOL_SCENARIOS
 from repro.core.sections import REASON_DEPENDENCY, REASON_VOLATILE
 from repro.errors import DeadlockError, UncaughtGuestException
 from repro.vm.classfile import FieldDef
@@ -494,12 +494,12 @@ class TestCommitFastPath:
 
 
 @pytest.mark.parametrize("interp", ("reference", "fast"))
-@pytest.mark.parametrize("name", sorted(scenarios()))
+@pytest.mark.parametrize("name", sorted(TOOL_SCENARIOS["check"]))
 def test_rollback_scenarios_quiesce_empty(name, interp):
     """Every checker scenario, run to quiescence on the rollback VM,
     leaves no JMM record behind: every speculative write was committed
     or undone, and ``live`` agrees."""
-    scenario = scenarios()[name]
+    scenario = TOOL_SCENARIOS["check"][name]
     vm = make_vm("rollback", interp=interp, **scenario.options)
     scenario.build().install(vm)
     try:

@@ -96,8 +96,12 @@ def test_summary_warns_loudly_on_truncation(monkeypatch, capsys):
 
 
 def test_unknown_scenario_is_a_helpful_error(capsys):
-    with pytest.raises(KeyError, match="known:"):
+    with pytest.raises(SystemExit) as exc:
         _obs(capsys, "summary", "--scenario", "no-such-thing")
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unknown obs scenario 'no-such-thing'; known:" in captured.err
 
 
 # ------------------------------------------------ tracer sink hardening

@@ -144,7 +144,7 @@ def test_online_sink_matches_offline_pass():
     ))
     builder = SpanBuilder()
     vm.tracer.add_sink(builder)
-    scenario.install(vm, spec.seed, spec.write_pct)
+    scenario.build(spec.seed, spec.write_pct).install(vm)
     vm.run()
     offline = detect_episodes(build_spans(vm.tracer.events, vm.clock.now))
     online = detect_episodes(builder.finish(vm.clock.now))

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from conftest import build_class, drain, make_vm, run_single
+from repro.bench.figures import FigurePanel
 from repro.bench.microbench import MicrobenchConfig, setup_microbench_vm
 from repro.check.explorer import ScheduleController, check_vm
 from repro.check.scenarios import get_scenario
@@ -140,6 +143,36 @@ def test_alu_store_superinstruction() -> None:
     vm, m = _linked(emit)
     dm = predecode_method(vm, m)
     assert dm.superinstructions.get("alu+store", 0) >= 1
+
+
+def _pattern_sites(code) -> dict[str, int]:
+    """How many bytecode pcs each fusion pattern can start at."""
+    compares = (bc.LT, bc.LE, bc.GT, bc.GE, bc.EQ, bc.NE)
+    sites = {"alu+store": 0, "cmp+branch": 0, "const+mod": 0}
+    for pc, ins in enumerate(code):
+        if ins.op == bc.STORE:
+            sites["alu+store"] += 1
+        elif (ins.op in compares and pc + 1 < len(code)
+              and code[pc + 1].op in (bc.IF, bc.IFNOT)):
+            sites["cmp+branch"] += 1
+        elif ins.op == bc.MOD and pc and code[pc - 1].op == bc.CONST:
+            sites["const+mod"] += 1
+    return sites
+
+
+@pytest.mark.parametrize("mode", ("unmodified", "rollback"))
+def test_bench_run_counts_each_fused_site_once(mode: str) -> None:
+    """Panel 5a's loop body compiles into a block, a fallback, a hoisted
+    and a guarded superblock copy; each (pattern, pc) counts once."""
+    vm = JVM(VMOptions(mode=mode, seed=3))
+    config = FigurePanel(5, "a").base_config(3)
+    setup_microbench_vm(vm, config)
+    method = vm.classes["Bench"].method("run")
+    counts = predecode_method(vm, method).superinstructions
+    assert counts == {"alu+store": 6, "cmp+branch": 3, "const+mod": 3}
+    sites = _pattern_sites(method.code)
+    for pattern, count in counts.items():
+        assert count <= sites[pattern], pattern
 
 
 def test_div_by_zero_constant_keeps_the_checked_path() -> None:

@@ -23,13 +23,13 @@ import sys
 
 import pytest
 
+from repro.bench.workloads import TOOL_SCENARIOS
 from repro.check.explorer import DEFAULT_MODES, CheckItem, run_check_cell
 from repro.check.oracle import (
     counterexample_cell,
     final_fingerprint,
     fingerprint_digest,
 )
-from repro.check.scenarios import scenarios as check_scenarios
 from repro.errors import (
     DeadlockError,
     InvariantViolation,
@@ -174,7 +174,7 @@ def _replay_digest(cell: CheckItem, mode: str) -> str:
     return fingerprint_digest(final_fingerprint(vm, run_outcome(vm.run)))
 
 
-@pytest.mark.parametrize("name", sorted(check_scenarios()))
+@pytest.mark.parametrize("name", sorted(TOOL_SCENARIOS["check"]))
 def test_replay_vm_matches_check_cell(name):
     cell = CheckItem(name)
     digests = run_check_cell(cell)["digests"]

@@ -9,10 +9,14 @@ from collections import Counter
 import pytest
 
 from repro import Asm, DeadlockError, Monitor, ThreadState, VMThread
-from repro.bench.workloads import build_bounded_buffer, build_deadlock_pair
+from repro.bench.workloads import (
+    build_bounded_buffer,
+    build_deadlock_pair,
+    lookup_scenario,
+)
 from repro.errors import ScheduleError
 from repro.faults import FaultPlan
-from repro.faults.campaign import CYCLE_CAP, _get_scenario
+from repro.faults.campaign import CYCLE_CAP
 from repro.util.rng import sweep_seed
 from repro.vm.clock import CostModel
 from repro.vm.interpreter import PREEMPTED, YIELDED
@@ -780,7 +784,7 @@ class TestReadyQueueInvariant:
     def test_fault_plane_handoff_delay(self, scheduler, ready_log):
         """A delayed handoff parks the successor as a sleeper."""
         name = "handoff-delay-buffer"
-        scenario = _get_scenario(name)
+        scenario = lookup_scenario("campaign", name)
         vm = JVM(VMOptions(
             mode="rollback", scheduler=scheduler,
             seed=sweep_seed("campaign", name, 0), max_cycles=CYCLE_CAP,

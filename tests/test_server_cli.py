@@ -10,8 +10,8 @@ import subprocess
 
 import pytest
 
+from repro.bench.workloads import TOOL_SCENARIOS
 from repro.obs.__main__ import main as obs_main
-from repro.obs.scenarios import scenarios as obs_scenarios
 from repro.server.__main__ import main as server_main
 from repro.server.plane import ServerSpec
 
@@ -33,8 +33,12 @@ class TestServerCli:
             assert name in out
 
     def test_unknown_preset(self, capsys):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exc:
             server_main(["--preset", "nope"] + SERIAL)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unknown server preset 'nope'; known:" in captured.err
 
     def test_chaos_smoke_human(self, capsys):
         rc, out, err = _server(
@@ -201,7 +205,7 @@ class TestReplayCommand:
 
 class TestObsIntegration:
     def test_server_scenarios_registered(self):
-        table = obs_scenarios()
+        table = TOOL_SCENARIOS["obs"]
         assert "server-smoke" in table
         assert "server-storm" in table
         assert "faults" in table["server-storm"].options

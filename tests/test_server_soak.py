@@ -15,8 +15,14 @@ import json
 
 import pytest
 
+from repro.bench.workloads import (
+    TOOL_SCENARIOS,
+    Scenario,
+    build_philosophers,
+    lookup_scenario,
+)
 from repro.check import final_fingerprint, fingerprint_digest
-from repro.faults import campaign
+from repro.faults import FaultPlan, campaign
 from repro.server.plane import (
     CHAOS_PLAN,
     AbortStormDetector,
@@ -144,21 +150,23 @@ class TestNegativeControl:
 class TestCampaignReplay:
     """Satellite 3: failures surface an exact reproduction command."""
 
-    def _failing_scenario(self):
-        return campaign.Scenario(
+    def _install_failing_scenario(self, monkeypatch):
+        """Make the campaign's rows one scenario that always fails."""
+        scenario = Scenario(
             name="unit-fails",
-            build=lambda: __import__(
-                "repro.bench.workloads", fromlist=["build_philosophers"]
-            ).build_philosophers(2, rounds=1, think_cycles=50,
-                                 eat_iters=5),
-            plan=campaign.FaultPlan(),
+            description="a program whose invariant never holds",
+            program=lambda seed, write_pct: build_philosophers(
+                2, rounds=1, think_cycles=50, eat_iters=5
+            ),
+            plan=FaultPlan(),
             check=lambda vm: ["synthetic violation"],
+        )
+        monkeypatch.setitem(
+            TOOL_SCENARIOS, "campaign", {scenario.name: scenario}
         )
 
     def test_failures_carry_exact_vm_seed(self, monkeypatch):
-        monkeypatch.setattr(
-            campaign, "_scenarios", lambda: [self._failing_scenario()]
-        )
+        self._install_failing_scenario(monkeypatch)
         report = campaign.run_campaign(2)
         assert report["violations"] == 2
         assert len(report["failures"]) == 2
@@ -225,6 +233,8 @@ class TestCampaignReplay:
         argv = replay.split("#")[0].split("python -m repro.faults.campaign")[
             1
         ].split()
+        # the replayed name must be a campaign row: the CLI checks it
+        self._install_failing_scenario(monkeypatch)
         monkeypatch.setattr(
             campaign, "_campaign_cell",
             lambda cell: {
@@ -236,9 +246,7 @@ class TestCampaignReplay:
         assert fragment["violations"] == [["unit-fails", 3, "reference"]]
 
     def test_replay_flag_reruns_one_cell(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            campaign, "_scenarios", lambda: [self._failing_scenario()]
-        )
+        self._install_failing_scenario(monkeypatch)
         rc = campaign.main(
             ["--scenario", "unit-fails", "--replay", "2"]
         )
@@ -255,9 +263,7 @@ class TestCampaignReplay:
             seen["interp"] = interp
             return real_run_one(scenario, index, interp=interp)
 
-        monkeypatch.setattr(
-            campaign, "_scenarios", lambda: [self._failing_scenario()]
-        )
+        self._install_failing_scenario(monkeypatch)
         monkeypatch.setattr(campaign, "run_one", spy)
         campaign.main(
             ["--scenario", "unit-fails", "--replay", "1",
@@ -270,9 +276,7 @@ class TestCampaignReplay:
         """The campaign's determinism contract extends to the engine:
         one (scenario, seed) cell yields a byte-identical fragment on
         either interpreter."""
-        scenario = {
-            s.name: s for s in campaign._scenarios()
-        }["storm-philosophers"]
+        scenario = lookup_scenario("campaign", "storm-philosophers")
         fragments = [
             json.dumps(
                 campaign.run_one(scenario, 1, interp=interp),
@@ -287,9 +291,7 @@ class TestCampaignReplay:
             campaign.main(["--replay", "1"])
 
     def test_server_chaos_scenario_clean(self):
-        scenario = {
-            s.name: s for s in campaign._scenarios()
-        }["server-chaos"]
+        scenario = lookup_scenario("campaign", "server-chaos")
         fragment = campaign.run_one(scenario, 1)
         assert fragment["outcome"] == "completed"
         assert fragment["violations"] == []

@@ -181,6 +181,7 @@ class TestSweepSeedConvention:
         """The campaign's per-run VM seed is exactly the convention's
         derivation — no tool-private salting."""
         import repro.faults.campaign as campaign
+        from repro.bench.workloads import lookup_scenario
 
         calls = []
 
@@ -189,6 +190,6 @@ class TestSweepSeedConvention:
             return sweep_seed(namespace, scenario, index, **kwargs)
 
         monkeypatch.setattr(campaign, "sweep_seed", spy)
-        scenario = campaign._scenarios()[0]
+        scenario = lookup_scenario("campaign", "storm-philosophers")
         campaign.run_one(scenario, 1)
         assert calls == [("campaign", scenario.name, 1)]
