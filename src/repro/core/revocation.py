@@ -287,7 +287,7 @@ class RollbackSupport(RuntimeSupport):
             m.undo_entries_logged += n
         return self.store_barrier_cost(thread) * n
 
-    def after_load(self, thread: "VMThread", container, slot) -> int:
+    def after_load(self, thread: "VMThread", container, slot) -> None:
         self.metrics.read_barrier_hits += 1
         # Fast path: on_read can only report another thread's records, so
         # skip the lookup unless some thread other than the reader has one.
@@ -296,7 +296,7 @@ class RollbackSupport(RuntimeSupport):
         if len(live) > (thread.tid in live):
             sections = self.jmm.on_read(thread, container, slot)
             if not sections:
-                return self.vm.cost_model.read_barrier
+                return
             reason = (REASON_VOLATILE if self._volatile(container, slot)
                       else REASON_DEPENDENCY)
             for section in sections:
@@ -310,7 +310,6 @@ class RollbackSupport(RuntimeSupport):
                         mon=section.monitor,
                         reason=reason,
                     )
-        return self.vm.cost_model.read_barrier
 
     def _volatile(self, container, slot) -> bool:
         """Whether the location just read is a volatile field (Figure 3):

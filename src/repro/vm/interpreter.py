@@ -158,6 +158,7 @@ class Interpreter:
         quantum = self.cost_model.quantum
         cm = self.cost_model
         read_barriers = self.read_barriers
+        read_barrier_cost = cm.read_barrier
         trace_mem = self._trace_mem
         tracer = vm.tracer
         max_cycles = vm.options.max_cycles
@@ -371,7 +372,8 @@ class Interpreter:
                         obj = require_ref(stack.pop(), "object")
                         stack.append(obj.get(ins.a))
                         if read_barriers:
-                            acc += support.after_load(thread, obj, ins.a)
+                            support.after_load(thread, obj, ins.a)
+                            acc += read_barrier_cost
                         if trace_mem:
                             vm.trace(
                                 "mem_read", thread,
@@ -397,7 +399,8 @@ class Interpreter:
                         arr = require_ref(stack.pop(), "array")
                         stack.append(arr.get(idx))
                         if read_barriers:
-                            acc += support.after_load(thread, arr, idx)
+                            support.after_load(thread, arr, idx)
+                            acc += read_barrier_cost
                         if trace_mem:
                             vm.trace(
                                 "mem_read", thread,
@@ -422,7 +425,8 @@ class Interpreter:
                     elif op == bc.GETSTATIC:
                         stack.append(vm.heap.get_static(ins.a))
                         if read_barriers:
-                            acc += support.after_load(thread, ins.a, ins.a[1])
+                            support.after_load(thread, ins.a, ins.a[1])
+                            acc += read_barrier_cost
                         if trace_mem:
                             vm.trace(
                                 "mem_read", thread,

@@ -70,12 +70,12 @@ invariants that make this safe:
   reference's ``support.after_load/before_store`` calls on the location,
   and the support looks a field's ``volatile`` flag up itself, only when
   a read pins a section.  In a modified image each read barrier inlines
-  ``after_load``'s fast path (bump the hit count, charge the cost) and
-  calls it only when another thread holds a speculative write
-  (``read_barrier_guard()``).  Nothing is cached per site: NEW looks its
-  class up by name (``CDEF``) and CLASSREF the VM's own class object
-  (``CLSO``) at every execution, so generated code writes nothing but
-  guest state.
+  ``after_load``'s fast path (bump the hit count) and calls it only when
+  another thread holds a speculative write (``read_barrier_guard()``);
+  either way it charges ``cost_model.read_barrier``.  Nothing is cached
+  per site: NEW looks its class up by name (``CDEF``) and CLASSREF the
+  VM's own class object (``CLSO``) at every execution, so generated code
+  writes nothing but guest state.
 * In a block, runs of consecutive barrier stores with no intervening
   raising op or read barrier are appended through one
   ``support.before_store_batch`` call (*batched write barriers*); the
@@ -392,25 +392,26 @@ class _Emitter:
         entry ``(container, slot, old)`` to the run-local list ``WB``.
         Nothing is charged in the generated code as it goes: the emitter
         sums the current path's static charge — cycles, instructions,
-        logged stores (``SC`` each) and, in a *folded* body, read-barrier
-        fast paths (their cycles added in, their hits counted apart) —
-        and the trace compiler emits it once, where the path commits or
+        logged stores (``SC`` each) and read-barrier fast paths (their
+        cycles added in, their hits counted apart; a superblock runs
+        only when no other thread holds live records) — and the trace
+        compiler emits it once, where the path counts its iteration or
         leaves.  Every op that can raise registers its *site*: a key
-        stored in ``F[0]`` whose table entry holds the pc and the path's
-        charge up to and including that op, mirroring the reference's
-        charge-before-execute order.  An unfolded body calls ``AL`` at
-        every read barrier and adds its result to ``dy``.
+        whose table entry holds the pc and the path's charge up to and
+        including that op, mirroring the reference's
+        charge-before-execute order.
 
-        While ``hoist`` is set (the hoisted body,
-        :class:`repro.vm.tracecomp._Hoist`), what the loop cannot change
-        is read from prologue names: a static the body never stores is
-        one load, an invariant array's ``storage`` and length are ``S``
-        and ``N`` locals, and ``%`` of a non-negative counter needs no
-        type or sign test.  An array access's site key moves into the
-        slow arm of its inline guard, since its fast path cannot raise.
+        What the loop cannot change is read from prologue names
+        (``hoist``, a :class:`repro.vm.tracecomp._Hoist`): a static the
+        body never stores is one load, an invariant array's ``storage``
+        and length are ``S`` and ``N`` locals, and ``%`` of a
+        non-negative counter needs no type or sign test.  An array
+        access stores its site key in ``F[0]`` only in the slow arm of
+        its inline guard, since its fast path cannot raise; every other
+        raising op stores it before it runs.
     """
 
-    def __init__(self, owner: "_Predecoder", mode: str):
+    def __init__(self, owner: "_Predecoder", mode: str, hoist=None):
         self.owner = owner
         self.mode = mode
         self.lines: list[str] = []
@@ -424,20 +425,18 @@ class _Emitter:
         self.pending_count = 0
         self.pending_stores = 0
         self.pending_reads = 0
-        #: super mode: read barriers take the inlined fast path (charged
-        #: into the path) rather than calling ``AL`` into ``dy``
-        self.folded = True
         #: super mode: site key -> (pc, cycles, count, stores, reads) of
-        #: every op that can raise, in every body (keys are pcs, plus a
-        #: multiple of the method's length for a pc generated again)
+        #: every op that can raise (keys are pcs, plus a multiple of the
+        #: method's length for a pc generated again)
         self.sites: dict[int, tuple] = {}
         #: guest local slots the generated code reads or writes / writes
         self.touched: set[int] = set()
         self.written: set[int] = set()
         #: super mode: the code appends to ``WB``
         self.uses_log = False
-        #: super mode: the loop facts a hoisted body reads, or None
-        self.hoist = None
+        #: super mode: the loop facts the body reads
+        #: (:class:`repro.vm.tracecomp._Hoist`); None in a block
+        self.hoist = hoist
         #: deferred (container, slot, old_value) expression triples for
         #: the batched write-barrier call
         self.batch: list[tuple[str, str, str]] = []
@@ -506,8 +505,8 @@ class _Emitter:
 
     def path_charge(self) -> tuple[int, int, int, int]:
         """The path's ``(cycles, count, stores, reads)`` so far: static
-        cycles (folded read barriers included), instructions, logged
-        stores whose ``SC`` is still to add, and folded read-barrier
+        cycles (read-barrier fast paths included), instructions, logged
+        stores whose ``SC`` is still to add, and read-barrier fast-path
         hits."""
         return (self.pending_cost, self.pending_count, self.pending_stores,
                 self.pending_reads)
@@ -515,13 +514,6 @@ class _Emitter:
     def set_path_charge(self, charge: tuple[int, int, int, int]) -> None:
         (self.pending_cost, self.pending_count, self.pending_stores,
          self.pending_reads) = charge
-
-    def start_body(self, folded: bool) -> None:
-        """Begin generating one superblock body from an empty path."""
-        self.folded = folded
-        self.lines = []
-        self.indent = 1
-        self.set_path_charge((0, 0, 0, 0))
 
     def flush_batch(self) -> None:
         """Emit the deferred write-barrier batch, in order: one
@@ -551,30 +543,25 @@ class _Emitter:
         self.batch.append((container, slot, old))
 
     def read_barrier(self, container: str, slot: str) -> None:
-        call = f"AL(T, {container}, {slot})"
         cost = self.owner.read_barrier_cost
         if self.mode == "super":
-            # A superblock's stores wait in WB for the run's exit, which
-            # no read barrier can tell: on_read reports only other
-            # threads' records, never the reader's own.  Its guard RG is
-            # read once per entry, which picks the body: a folded one
-            # charges after_load's fast path to the path and counts its
-            # hit there; the other calls AL.
-            if self.folded:
-                self.pending_cost += cost
-                self.pending_reads += 1
-            else:
-                self.emit(f"dy += {call}")
+            # A superblock runs only when no other thread holds live
+            # records (it declines the entry otherwise), and its own
+            # stores, waiting in WB, are nothing on_read reports: every
+            # read barrier takes after_load's fast path, charged to the
+            # path with its hit.
+            self.pending_cost += cost
+            self.pending_reads += 1
             return
         # A block flushes its batch to keep jmm write/read ordering exact.
         self.flush_batch()
         self.dynamic = True
         # support.read_barrier_guard(): after_load's fast path, inline
         self.emit("if len(LV) > (T.tid in LV):")
-        self.emit(f"    A[0] += {call}")
+        self.emit(f"    AL(T, {container}, {slot})")
         self.emit("else:")
         self.emit("    RM.read_barrier_hits += 1")
-        self.emit(f"    A[0] += {cost}")
+        self.emit(f"A[0] += {cost}")
 
     def set_fault(self, pc: int, defer: bool = False) -> Optional[int]:
         """Mark ``pc`` as the next possible guest-fault site.
@@ -635,7 +622,7 @@ class _Emitter:
         return ta, ti, f"{ta}.storage"
 
     def slow_fault(self, key: Optional[int]) -> None:
-        """Store a deferred site key (a hoisted body's) in a slow arm."""
+        """Store a deferred site key (a superblock's) in a slow arm."""
         if key is not None:
             self.emit(f"    F[0] = {key}")
 
@@ -1022,9 +1009,9 @@ class _Predecoder:
         return self._kref(value), value
 
     def _bump(self, pattern: str, pc: int) -> None:
-        """Count one fused site: the block and every superblock copy of a
-        loop body (fallback, hoisted, guarded) fuse the same bytecode pc,
-        and it counts once."""
+        """Count one fused site: a block and a superblock (which may
+        generate one pc on several paths) fuse the same bytecode pc, and
+        it counts once."""
         if (pattern, pc) not in self._sites:
             self._sites.add((pattern, pc))
             self.stats[pattern] = self.stats.get(pattern, 0) + 1

@@ -27,12 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class RuntimeSupport:
     """No-op hook set = the unmodified VM.
 
-    Only the barrier hooks (:meth:`before_store`,
-    :meth:`before_store_batch`, :meth:`after_load` and the
-    :meth:`store_barrier_cost` query) return a cycle cost to charge; the
-    base class charges zero.  Every other hook is a notification and
-    returns None: monitor, wait, native and rollback-handler bookkeeping
-    costs no cycles beyond the interpreter's own cost model.
+    Only the write-barrier hooks (:meth:`before_store`,
+    :meth:`before_store_batch` and the :meth:`store_barrier_cost` query)
+    return a cycle cost to charge; the base class charges zero.  Every
+    other hook is a notification and returns None, :meth:`after_load`
+    included: a read barrier always costs ``cost_model.read_barrier``,
+    which the interpreters charge themselves, and monitor, wait, native
+    and rollback-handler bookkeeping costs no cycles beyond the
+    interpreter's own cost model.
     """
 
     name = "null"
@@ -129,14 +131,15 @@ class RuntimeSupport:
             cost += self.before_store(thread, container, slot, old_value)
         return cost
 
-    def after_load(self, thread: "VMThread", container, slot) -> int:
+    def after_load(self, thread: "VMThread", container, slot) -> None:
         """Read-barrier hook: JMM read-write dependency tracking (§2.2).
 
-        The interpreters pass the location only, not the field's
-        definition: whether it is ``volatile`` matters only when the read
-        pins another thread's section, so a support looks that up itself,
-        on its slow path (array elements are never volatile)."""
-        return 0
+        Called only in a modified VM, after every heap load; the caller
+        charges the barrier's ``cost_model.read_barrier`` cycles.  The
+        interpreters pass the location only, not the field's definition:
+        whether it is ``volatile`` matters only when the read pins
+        another thread's section, so a support looks that up itself, on
+        its slow path (array elements are never volatile)."""
 
     def read_barrier_guard(self):
         """State for a read barrier inlined into predecoded code, or None
@@ -148,21 +151,21 @@ class RuntimeSupport:
         None there fails loudly.  ``live`` is a dict keyed by thread id,
         mutated only in place; whenever it holds no key other than the
         reader's own tid, :meth:`after_load` must do nothing but bump
-        ``metrics.read_barrier_hits`` and return
-        ``cost_model.read_barrier``, which the generated code then does
+        ``metrics.read_barrier_hits``, which the generated code then does
         inline instead of calling it.  A predecoded block evaluates the
-        guard ``len(live) > (tid in live)`` at every load; a superblock
-        evaluates it once per entry, because nothing that runs inside it
-        changes ``live`` (its own stores reach :meth:`before_store_batch`
-        only at the run's exit), and adds its fast-path hits to
-        ``metrics.read_barrier_hits`` at the exit.
+        guard ``len(live) > (tid in live)`` at every load.  A superblock
+        evaluates it once per entry and declines the entry when it holds
+        (the blocks then run the loop), because nothing that runs inside
+        it changes ``live`` (its own stores reach
+        :meth:`before_store_batch` only at the run's exit); it adds its
+        fast-path hits to ``metrics.read_barrier_hits`` at the exit.
 
         Every :meth:`after_load` call, fast path or not, must bump
-        ``read_barrier_hits`` once and charge ``cost_model.read_barrier``,
-        and ``metrics`` must be the support's own counters, kept as
-        :meth:`before_store` says: the cycle profiler watches that object
-        and attributes every barrier from its counts at each flush, so the
-        profiled VM runs this same support, inline fast path included.
+        ``read_barrier_hits`` once, and ``metrics`` must be the support's
+        own counters, kept as :meth:`before_store` says: the cycle
+        profiler watches that object and attributes every barrier from
+        its counts at each flush, so the profiled VM runs this same
+        support, inline fast path included.
         The fast path pins nothing, so it needs no field's ``volatile``
         flag: that lookup is :meth:`after_load`'s own slow path."""
         return None

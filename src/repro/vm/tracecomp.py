@@ -51,11 +51,13 @@ never leaves its frame.
 More is constant for a run, and the generated function reads it once,
 in its prologue:
 
-* the read-barrier guard ``RG = len(LV) > (T.tid in LV)`` ("does another
+* the read-barrier guard ``len(LV) > (T.tid in LV)`` ("does another
   thread hold live speculative records?").  Only the thread's own
   barrier stores could change ``LV``, and those are deferred to the exit
   (below); ``JmmTracker.on_read`` reports only *other* threads' records
-  anyway, so the deferral cannot change what a read barrier sees;
+  anyway, so the deferral cannot change what a read barrier sees.  When
+  it holds, the entry declines (below): the body assumes every read
+  barrier takes ``after_load``'s fast path;
 * the per-store barrier charge ``SC = support.store_barrier_cost(T)``,
   which depends only on whether the thread is inside a synchronized
   section — and the body has no monitor op, so ``T.sections`` is fixed;
@@ -76,66 +78,8 @@ appended as its undo entry ``(container, slot, old)`` to the list
 thread runs, and the tracer, undo logs, metrics and clock are read only
 after the run returns.
 
-Charging: one constant per path
--------------------------------
-
-Every cost an iteration pays is fixed by the path it takes through the
-body, except what a read barrier's slow path returns.  The structurizer
-therefore lowers each path separately: code after a join is generated
-again inside every arm that reaches it (tail duplication), so each
-``if`` arm runs to its own iteration end, and the static charge of a
-path is summed while the code is generated.  A completed iteration
-commits it in one ``dn += c; di += i`` (plus ``rh += r`` for its
-read-barrier fast paths), with ``c`` a literal — or a prologue local
-``P{c}_{s} = c + s * SC`` when the path logs ``s`` stores — and then
-``de += 1`` and one comparison, ``dn >= B``.  Only when that trips does
-the run tell starvation (``dn > ML``: raise ``SERR``) from preemption
-(``return -1``), in the reference's order.  A body whose paths would
-exceed :data:`MAX_PATHS` stays un-fused.
-
-When ``RG`` is false at entry, every read barrier takes ``after_load``'s
-fast path, so its cycle and its hit fold into the path constant.  When
-``RG`` is true the read barriers must call ``AL``: a body that reads
-is therefore generated twice, and the prologue's ``RG`` picks one.  The
-``RG``-true body resets a per-iteration accumulator ``dy`` at each
-iteration start, adds every ``AL`` result to it and commits
-``dn += c + dy``.
-
-Every exit leaves through one ``finally`` arm, which writes the guest
-locals back to the frame in one tuple assignment, passes ``WB`` to
-``support.before_store_batch`` in one call, adds ``rh`` to
-``metrics.read_barrier_hits``, flushes the completed iterations to the
-profiler ``PROF`` (bound to None when profiling is off, so profiled and
-unprofiled VMs share one generated source), and folds the accumulated
-cycles and flush-event count into the clock in one
-:meth:`Clock.commit_batch` call plus the three thread mirrors —
-byte-identical (clock value *and* event count, profile tables too) to
-the per-iteration flushes the reference performs.
-
-Exits:
-
-* **preemption / due wake-up** — ``return -1``; the dispatcher parks the
-  frame at the anchor pc exactly like the inline check;
-* **starvation** — raise :class:`~repro.errors.StarvationError` (not a
-  guest error: it passes through every guest handler, as in the
-  reference);
-* **branch out of the loop** — the *completed* iterations commit; the
-  partial iteration's unflushed cycles and instructions, constants of
-  the exit site (plus ``dy``), go back through the ``A`` cells, its
-  fast-path hits into ``rh``, and the function returns the target pc,
-  where normal dispatch continues accumulating;
-* **guest exception** — every op that can raise first stores its *site
-  key* in ``F[0]``: its pc, or the pc plus a multiple of the method's
-  length where the same pc is generated on several paths.  The
-  ``except`` arm looks the key up in the superblock's site table (a
-  ``K`` constant built at code generation), which holds the pc and the
-  partial iteration's charge up to and including the faulting op (cost
-  model: charge-before-execute), rebuilds ``A`` and ``rh`` from it,
-  plus ``dy``, and puts the pc in ``F[0]``; completed iterations commit
-  and the dispatcher re-raises into the reference's exception path.
-
-Hoisting and strip-mining
--------------------------
+Hoisting
+--------
 
 No other thread runs until the back-edge's yield point returns control
 (the paper's yield-point model), so much of what an iteration checks is
@@ -149,36 +93,91 @@ fixed for the whole run.  A per-loop analysis (:class:`_Hoist`) finds:
 * array references loaded from such statics or held in locals the body
   never writes.
 
-When the ``RG``-false body relies on any of these, it is generated a
-second time, *hoisted*: each such static is loaded once (``G{n}``), each
-invariant array's ``storage`` and length bound once (``S{n}``, ``N{n}``),
-and ``%`` of a counter by a positive constant is a bare ``%``.  One
-entry guard tests what that body relies on — ``type(L) is int and
-L >= 0`` per counter, ``type(a) is VMA`` per array, and ``type(B) is
-int`` for ``range`` — and a failing guard runs the other copy, today's
-body, unchanged.  An array access's fast path cannot raise, so its
-``F[0]`` store moves into the slow arm.  A loop with nothing to hoist
-gets no guard and no second copy; the ``RG``-true body never hoists.
+The body relies on them: each such static is loaded once (``G{n}``),
+each invariant array's ``storage`` and length bound once (``S{n}``,
+``N{n}``), and ``%`` of a counter by a positive constant is a bare
+``%``.  One entry guard tests what the body relies on — ``type(L) is
+int and L >= 0`` per counter, ``type(a) is VMA`` per array, and
+``type(B) is int`` for ``range``.  An array access's fast path cannot
+raise, so its ``F[0]`` store moves into the slow arm.
 
-The hoisted body is also *strip-mined*.  A stretch runs
-``k = (B - dn) // CM or 1`` iterations in ``for _ in range(k)``, where
-``CM`` is the largest path charge (``SC`` included; a ``max`` when no
-path out-charges the others in both cycles and stores).  Each iteration
-ends in one ``q{p} += 1`` for its path, with no bound test: after ``j <
-k`` iterations ``dn`` has grown by at most ``j * CM <= B - dn0 - CM``, so
-only a stretch's last iteration can reach ``B``.  After the stretch one
-commit adds ``dn += Σ c_p·q_p`` (``di`` and ``rh`` alike) and ``de +=
-k``, zeroes the counters, and makes the bound test above.  ``B > 0`` at
-every entry (the yield point has just found the quantum, the wake-up and
-the cap all ahead), so a stretch runs at least one iteration.
+Declining an entry
+------------------
 
-Exits inside a stretch keep the rules above, with one step first: a
-branch out of the loop, and the ``except`` arm of a guest exception,
-commit the completed iterations' counters (``de += Σ q_p``; the counters
-are zeroed in the prologue, so the commit adds nothing for the other
-bodies), then rebuild the partial iteration from the exit site as
-before.  So every exit, cap and preemption lands on the same virtual
-cycle and clock event count as in the other bodies.
+The body is generated once, and an entry it cannot run exactly
+*declines*: when the read-barrier guard holds, or when the entry guard
+fails.  A declined entry touches no state.  Before its ``try`` it
+returns the loop head with ``A[0]`` set to the back-edge ``GOTO``'s cost
+and ``A[1] = 1`` — what the chain has charged at the anchor — so the
+dispatcher's branch-out arm carries on through the blocks, which never
+span a yield point and so call ``after_load`` with the clock exactly
+where the reference has it.
+
+Charging: one constant per path, strip-mined
+--------------------------------------------
+
+Every cost an iteration pays is fixed by the path it takes through the
+body.  The structurizer therefore lowers each path separately: code
+after a join is generated again inside every arm that reaches it (tail
+duplication), so each ``if`` arm runs to its own iteration end, and the
+static charge of a path — read-barrier fast paths included — is summed
+while the code is generated: ``c`` cycles, a literal, or a prologue
+local ``P{c}_{s} = c + s * SC`` when the path logs ``s`` stores; ``i``
+instructions; ``r`` read-barrier hits.  A body whose paths would exceed
+:data:`MAX_PATHS` stays un-fused.
+
+The body is *strip-mined*.  A stretch runs ``k = (B - dn) // CM or 1``
+iterations in ``for _ in range(k)``, where ``CM`` is the largest path
+charge (``SC`` included; a ``max`` when no path out-charges the others
+in both cycles and stores).  Each iteration ends in one ``q{p} += 1``
+for its path, with no bound test: after ``j < k`` iterations ``dn`` has
+grown by at most ``j * CM <= B - dn0 - CM``, so only a stretch's last
+iteration can reach ``B``.  After the stretch one commit adds ``dn +=
+Σ c_p·q_p`` (``di`` and ``rh`` alike) and ``de += k``, zeroes the
+counters, and makes one comparison, ``dn >= B``.  Only when that trips
+does the run tell starvation (``dn > ML``: raise ``SERR``) from
+preemption (``return -1``), in the reference's order.  ``B > 0`` at
+every entry (the yield point has just found the quantum, the wake-up
+and the cap all ahead), so a stretch runs at least one iteration.  A
+loop whose largest path charges no static cycle cannot size a stretch
+and stays un-fused.
+
+Every exit but a decline leaves through one ``finally`` arm, which
+writes the guest locals back to the frame in one tuple assignment,
+passes ``WB`` to ``support.before_store_batch`` in one call, adds ``rh``
+to ``metrics.read_barrier_hits``, flushes the completed iterations to
+the profiler ``PROF`` (bound to None when profiling is off, so profiled
+and unprofiled VMs share one generated source), and folds the
+accumulated cycles and flush-event count into the clock in one
+:meth:`Clock.commit_batch` call plus the three thread mirrors —
+byte-identical (clock value *and* event count, profile tables too) to
+the per-iteration flushes the reference performs.
+
+Exits:
+
+* **preemption / due wake-up** — ``return -1``; the dispatcher parks the
+  frame at the anchor pc exactly like the inline check;
+* **starvation** — raise :class:`~repro.errors.StarvationError` (not a
+  guest error: it passes through every guest handler, as in the
+  reference);
+* **branch out of the loop** — the stretch's completed iterations commit
+  (``de += Σ q_p``); the partial iteration's unflushed cycles and
+  instructions, constants of the exit site, go back through the ``A``
+  cells, its fast-path hits into ``rh``, and the function returns the
+  target pc, where normal dispatch continues accumulating;
+* **guest exception** — every op that can raise first stores its *site
+  key* in ``F[0]``: its pc, or the pc plus a multiple of the method's
+  length where the same pc is generated on several paths.  The
+  ``except`` arm commits the stretch's completed iterations, then looks
+  the key up in the superblock's site table (a ``K`` constant built at
+  code generation), which holds the pc and the partial iteration's
+  charge up to and including the faulting op (cost model:
+  charge-before-execute), rebuilds ``A`` and ``rh`` from it, and puts
+  the pc in ``F[0]``; the dispatcher re-raises into the reference's
+  exception path.
+
+So every exit, cap and preemption lands on the same virtual cycle and
+clock event count as in the reference.
 """
 
 from __future__ import annotations
@@ -196,7 +195,7 @@ MAX_PATHS = 64
 _READ_OPS = frozenset((bc.GETFIELD, bc.ALOAD, bc.GETSTATIC))
 
 
-#: Where a branch out of the hoisted body commits its stretch's
+#: Where a branch out of the body commits its stretch's
 #: counters; replaced once every counter is known.
 _EXIT_COMMIT = "<commit the stretch>"
 
@@ -204,10 +203,6 @@ _EXIT_COMMIT = "<commit the stretch>"
 def _assign(targets: list[str], values: list[str]) -> str:
     """One assignment statement, a tuple assignment for several names."""
     return f"{', '.join(targets)} = {', '.join(values)}"
-
-
-def _indent(lines: list[str]) -> list[str]:
-    return [f"    {line}" for line in lines]
 
 
 def _step(code, pc: int, head: int, targets: set) -> object:
@@ -224,9 +219,9 @@ def _step(code, pc: int, head: int, targets: set) -> object:
 
 
 class _Hoist:
-    """What one loop body cannot change, and which of it the hoisted
-    body relies on (:class:`repro.vm.predecode._Emitter` asks while it
-    generates that body).
+    """What one loop body cannot change, and which of it the body
+    relies on (:class:`repro.vm.predecode._Emitter` asks while it
+    generates the body).
 
     * *counters*: locals the body writes only by a positive int step
       (``IINC``, or ``L = L + c``), and locals it never writes.  One that
@@ -237,7 +232,7 @@ class _Hoist:
       body never writes; their ``storage`` and length bind once.
 
     The entry guard tests exactly the facts the body used: a counter's
-    type and sign, an array's type.
+    type and sign, an array's type (and ``B``'s, for ``range``).
     """
 
     def __init__(self, pre, head: int, anchor: int):
@@ -309,9 +304,6 @@ class _Hoist:
             self.arrays[name] = (f"S{n}", f"N{n}")
         return self.arrays[name]
 
-    def used(self) -> bool:
-        return bool(self.loads or self.signs or self.arrays)
-
     def prologue(self) -> tuple[list[str], str, list[str]]:
         """The loads before the guard, the guard, the bindings after."""
         loads = [f"{name} = ST[{ref}]" for name, ref in self.loads.values()]
@@ -325,8 +317,10 @@ class _Hoist:
 
 
 class _Unstructured(Exception):
-    """Loop body control flow the structurizer cannot lower; not an
-    error — the loop just stays block-at-a-time."""
+    """A loop the trace compiler cannot lower: control flow the
+    structurizer cannot represent, too many paths, or no static charge
+    to size a stretch by.  Not an error — the loop just stays
+    block-at-a-time."""
 
 
 class SuperBlock:
@@ -340,7 +334,7 @@ class SuperBlock:
         #: loop header (the GOTO's target); iterations run [head, anchor)
         self.head = head
         #: ``fn(stack, locals_, F, A, T, PW) -> exit pc | -1`` (bound by
-        #: the method-level compile)
+        #: the method-level compile); a declined entry returns ``head``
         self.fn = fn
         self.source = source
 
@@ -387,59 +381,64 @@ class _SuperCompiler:
         self.code = pre.method.code
         self.head = head
         self.anchor = anchor
-        self.em = _Emitter(pre, "super")
+        self.hoist = _Hoist(pre, head, anchor)
+        self.em = _Emitter(pre, "super", self.hoist)
         self.quantum = pre.quantum
         self.capped = pre.capped
         #: prologue locals naming path constants that include ``SC``
         self.path_consts: dict[str, str] = {}
-        #: paths lowered in the current body
+        #: paths lowered so far
         self.paths = 0
-        #: the hoisted body's commit paths: (cycles, count, reads,
-        #: (static cycles, stores)) per counter ``q{n}``; None elsewhere
-        self.strip: list | None = None
+        #: the commit paths: (cycles, count, reads, (static cycles,
+        #: stores)) per counter ``q{n}``
+        self.strip: list = []
 
     # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:
-        em = self.em
-        reads = self.pre.read_barriers and any(
+        em, pre = self.em, self.pre
+        reads = pre.read_barriers and any(
             self.code[pc].op in _READ_OPS
             for pc in range(self.head, self.anchor)
         )
-        loop = self._body(folded=True)
-        dynamic = self._body(folded=False) if reads else None
-        hoisted = self._hoisted()
-        if hoisted is not None:
-            # the entry guard picks the hoisted body once per run
-            loads, guard, body = hoisted
-            loop = (loads + [f"if {guard}:"] + _indent(body)
-                    + ["else:"] + _indent(loop))
-        if reads:
-            # RG is fixed for the run: pick the body once, at entry
-            loop = (["if not RG:"] + _indent(loop)
-                    + ["else:"] + _indent(dynamic))
+        # every iteration charges the back-edge GOTO first (the reference
+        # charges it when dispatching the anchor, before the body runs)
+        goto = self.code[self.anchor]
+        em.charge(goto)
+        self._gen(self.head, self.anchor, self._commit)
+        loop = self._stretches()
+        loads, guard, binds = self.hoist.prologue()
 
-        # The prologue loads the run's invariants; the ``finally`` arm is
-        # the one exit path every return and raise leaves through.
+        # The prologue loads the run's invariants and declines an entry
+        # it cannot run exactly as the chain would at the anchor; the
+        # ``finally`` arm is the one exit path every other return and
+        # raise leaves through.
         touched = sorted(em.touched)
         written = sorted(em.written)
         head = []
         if touched:
             head.append(_assign([f"L{i}" for i in touched],
                                 [f"locals_[{i}]" for i in touched]))
-        head += ["n0 = CLK.now", "dn = de = di = 0"]
+        head.append("n0 = CLK.now")
         bound = f"min({self.quantum} - T.quantum_used, PW - n0"
         if self.capped:
             head += ["ML = MAXC - n0", f"B = {bound}, ML + 1)"]
         else:
             head.append(f"B = {bound})")
+        head += loads
+        decline = f"not ({guard})"
         if reads:
-            head += ["RG = len(LV) > (T.tid in LV)", "rh = 0", "dy = 0"]
+            decline = f"len(LV) > (T.tid in LV) or {decline}"
+        head += [f"if {decline}:", f"    A[0] = {goto.cost}", "    A[1] = 1",
+                 f"    return {self.head}"]
+        head += binds
+        head.append("dn = de = di = 0")
+        if reads:
+            head.append("rh = 0")
         if em.uses_log:
             head += ["WB = []", "SC = SBC(T)"]
         head += [f"{name} = {expr}"
                  for name, expr in self.path_consts.items()]
-        if hoisted is not None:
-            head.append(self._zero())
+        head.append(self._zero())
         tail = []
         if written:
             tail.append(_assign([f"locals_[{i}]" for i in written],
@@ -464,24 +463,19 @@ class _SuperCompiler:
         lines.append("    try:")
         lines += [f"        {line}" for line in loop]
         if em.sites:
-            # rebuild the partial iteration from the faulting site's
-            # constants; F[0] goes back to the plain pc.  The table is a
-            # tuple indexed by site key: K is shared by every VM of the
-            # image, so it holds nothing mutable.
+            # commit the completed iterations, then rebuild the partial
+            # one from the faulting site's constants; F[0] goes back to
+            # the plain pc.  The table is a tuple indexed by site key: K
+            # is shared by every VM of the image, so it holds nothing
+            # mutable.
             table = [None] * (max(em.sites) + 1)
             for key, site in em.sites.items():
                 table[key] = site
-            terms = ["c"]
-            if em.uses_log:
-                terms.append("s * SC")
-            if reads:
-                terms.append("dy")
-            # a hoisted body's completed iterations commit first
-            handler = self._stretch_commit() if hoisted else []
-            handler += [
-                f"pc, c, n, s, r = {self.pre._kref(tuple(table))}[F[0]]",
+            partial = "c + s * SC" if em.uses_log else "c"
+            handler = self._stretch_commit() + [
+                f"pc, c, n, s, r = {pre._kref(tuple(table))}[F[0]]",
                 "F[0] = pc",
-                f"A[0] = {' + '.join(terms)}",
+                f"A[0] = {partial}",
                 "A[1] = n",
             ]
             if reads:
@@ -496,28 +490,6 @@ class _SuperCompiler:
         source = f"def {name}(stack, locals_, F, A, T, PW):\n{body}\n"
         return SuperBlock(self.anchor, self.head, None, source)
 
-    def _body(self, folded: bool) -> list[str]:
-        """One ``while True:`` loop running the body's iterations;
-        ``folded`` charges read barriers as ``after_load``'s fast path
-        (the ``RG``-false body), otherwise they call ``AL`` into ``dy``."""
-        self._lower(folded)
-        lines = ["while True:"]
-        if not folded:
-            lines.append("    dy = 0")
-        lines += self.em.lines
-        lines.append("    de += 1")
-        return lines + [f"    {line}" for line in self._bound_test()]
-
-    def _lower(self, folded: bool) -> None:
-        """Generate one body's iterations into the emitter's lines."""
-        em = self.em
-        em.start_body(folded)
-        self.paths = 0
-        # every iteration charges the back-edge GOTO first (the reference
-        # charges it when dispatching the anchor, before the body runs)
-        em.charge(self.code[self.anchor])
-        self._gen(self.head, self.anchor, self._commit)
-
     def _bound_test(self) -> list[str]:
         """The exit test after committed iterations, in the reference's
         order: starvation before preemption."""
@@ -526,42 +498,30 @@ class _SuperCompiler:
             lines += ["    if dn > ML:", "        raise SERR(MAXC)"]
         return lines + ["    return -1"]
 
-    def _hoisted(self):
-        """The ``RG``-false body again, hoisted and strip-mined, as
-        ``(loads, guard, body)``; None for a loop with nothing to hoist.
+    def _stretches(self) -> list[str]:
+        """The lowered body as one ``while True:`` loop of stretches.
 
         A stretch runs ``k = (B - dn) // CM or 1`` iterations with no
         bound test (``CM``: the largest path charge), each counting its
         path in a counter ``q{n}``; one commit follows, then the bound
-        test the other bodies make after every iteration.  No iteration
-        but a stretch's last can reach ``B``, so every exit lands where
-        it does there."""
-        em, pre = self.em, self.pre
-        # what a declined copy must not leave behind in the template
-        kept = dict(em.sites), dict(pre.stats), len(pre.consts)
-        hoist = em.hoist = _Hoist(pre, self.head, self.anchor)
-        self.strip = []
-        try:
-            self._lower(folded=True)
-        finally:
-            em.hoist = None
+        test.  No iteration but a stretch's last can reach ``B``, so
+        every exit lands where the reference's per-iteration test puts
+        it.  A loop whose largest path charges no static cycle could not
+        size a stretch and stays un-fused."""
         # CM: the paths no other path out-charges in both static cycles
         # and stores (SC, the per-store charge, is known only at entry)
         charges = {c for *_, c in self.strip}
         top = sorted(c for c in charges
                      if not any(o != c and o[0] >= c[0] and o[1] >= c[1]
                                 for o in charges))
-        if not hoist.used() or not top or top[-1][0] <= 0:
-            em.sites, pre.stats = kept[0], kept[1]
-            del pre.consts[kept[2]:]
-            self.strip = None
-            return None
+        if not top or top[-1][0] <= 0:
+            raise _Unstructured
         named = {c: cycles for cycles, _, _, c in self.strip}
         cm = [named[c] for c in top]
         cm = cm[0] if len(cm) == 1 else f"max({', '.join(cm)})"
         lines = ["while True:", f"    k = (B - dn) // {cm} or 1",
                  "    for _ in range(k):"]
-        for line in em.lines:
+        for line in self.em.lines:
             if line.strip() == _EXIT_COMMIT:
                 # a branch out commits the stretch's completed iterations
                 pad = line[:len(line) - len(line.lstrip())]
@@ -570,9 +530,7 @@ class _SuperCompiler:
                 lines.append(f"    {line}")
         lines += [f"    {c}" for c in self._stretch_commit("k")]
         lines.append(f"    {self._zero()}")
-        lines += [f"    {line}" for line in self._bound_test()]
-        loads, guard, binds = hoist.prologue()
-        return loads, guard, binds + lines
+        return lines + [f"    {line}" for line in self._bound_test()]
 
     def _stretch_commit(self, done: str | None = None) -> list[str]:
         """Commit the counted iterations: ``done`` names their number
@@ -600,8 +558,7 @@ class _SuperCompiler:
         """The current path's cycles as an expression (``hot``: a commit,
         which names an ``SC`` product by a prologue local), its
         instruction count and its read-barrier fast-path hits."""
-        em = self.em
-        cycles, count, stores, reads = em.path_charge()
+        cycles, count, stores, reads = self.em.path_charge()
         if stores:
             sc = "SC" if stores == 1 else f"{stores} * SC"
             expr = f"{cycles} + {sc}" if cycles else sc
@@ -611,8 +568,6 @@ class _SuperCompiler:
                 expr = name
         else:
             expr = str(cycles)
-        if not em.folded:
-            expr = "dy" if expr == "0" else f"{expr} + dy"
         return expr, count, reads
 
     def _leaf(self) -> None:
@@ -622,34 +577,28 @@ class _SuperCompiler:
             raise _Unstructured
 
     def _commit(self) -> None:
-        """End a path at the back-edge: commit the iteration's charge
-        (in the hoisted body, count it in the path's counter)."""
+        """End a path at the back-edge: count the iteration in the
+        path's counter."""
         em = self.em
         self._leaf()
         em.flush_batch()
         em.flush_stack()
         cycles, count, reads = self._charge(hot=True)
-        if em.hoist is not None:
-            em.emit(f"q{len(self.strip)} += 1")
-            static, _, stores, _ = em.path_charge()
-            self.strip.append((cycles, count, reads, (static, stores)))
-            return
-        em.emit(f"dn += {cycles}")
-        em.emit(f"di += {count}")
-        if reads:
-            em.emit(f"rh += {reads}")
+        em.emit(f"q{len(self.strip)} += 1")
+        static, _, stores, _ = em.path_charge()
+        self.strip.append((cycles, count, reads, (static, stores)))
 
     def _exit(self, target: int) -> None:
         """Leave the trace mid-iteration for ``target`` (outside the
-        loop): hand the partial iteration's charge to the dispatcher;
-        the ``finally`` arm commits completed iterations."""
+        loop): commit the stretch's completed iterations and hand the
+        partial iteration's charge to the dispatcher; the ``finally`` arm
+        commits the rest."""
         em = self.em
         self._leaf()
         em.flush_batch()
         em.flush_stack()
         cycles, count, reads = self._charge(hot=False)
-        if em.hoist is not None:
-            em.emit(_EXIT_COMMIT)
+        em.emit(_EXIT_COMMIT)
         em.emit(f"A[0] = {cycles}")
         em.emit(f"A[1] = {count}")
         if reads:

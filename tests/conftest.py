@@ -107,38 +107,17 @@ def drain(vm: JVM) -> str:
     return run_outcome(drive)
 
 
-def _count_hoisted_runs(sb, fn, ran: list):
-    """``fn`` compiled again from ``sb.source`` with one line added: it
-    sets ``ran[0]`` where the hoisted body starts (the ``while True:``
-    whose first line sizes a stretch).  The same source otherwise, in
-    the same namespace, so it runs as the generated function does."""
-    lines = sb.source.splitlines()
-    for k, line in enumerate(lines[1:], 1):
-        if line.lstrip().startswith("k = (B - dn) // "):
-            while_ = lines[k - 1]
-            pad = while_[:len(while_) - len(while_.lstrip())]
-            lines.insert(k - 1, f"{pad}HOISTED[0] = True")
-            break
-    else:
-        return fn
-    ns = dict(fn.__globals__, HOISTED=ran)
-    exec(compile("\n".join(lines) + "\n", fn.__code__.co_filename,
-                 "exec"), ns)
-    return ns[fn.__name__]
-
-
-def probe_superblocks(monkeypatch, guard: bool = False,
-                      hoisted: bool = False) -> list[tuple]:
-    """Record every superblock run of VMs predecoded from now on as
-    ``(exit, logged)``: ``exit`` is ``"preempt"`` (``return -1``),
+def probe_superblocks(monkeypatch, guard: bool = False) -> list[tuple]:
+    """Record every superblock entry of VMs predecoded from now on as
+    ``(exit, logged)``: ``exit`` is ``"declined"`` (the entry returned
+    the loop head and ran nothing), ``"preempt"`` (``return -1``),
     ``"branch"`` (a branch out of the loop), ``"guest"`` (a guest
     exception) or ``"starved"``; ``logged`` counts the undo-log entries
     the run appended, all at its exit.  With ``guard`` each record goes
-    on with the read-barrier guard ``RG`` the run was entered with (False
-    when its VM has no inline guard); with ``hoisted`` it ends with
-    whether the run passed its entry guard into the hoisted,
-    strip-mined body (False for a loop that has none).  Each wrapper
-    keeps the function it calls as ``__wrapped__``."""
+    on with the read-barrier guard ``RG`` the entry saw (False when the
+    superblock tests none: its VM has no read barrier, or its loop
+    reads nothing).  Each wrapper keeps the function it calls as
+    ``__wrapped__``."""
     from repro.errors import GuestRuntimeError, StarvationError
     from repro.vm import predecode
 
@@ -146,20 +125,17 @@ def probe_superblocks(monkeypatch, guard: bool = False,
     instantiate = predecode.MethodTemplate.instantiate
 
     def wrap(sb, fn):
-        live = fn.__globals__.get("LV")
-        ran = [False]
-        if hoisted:
-            fn = _count_hoisted_runs(sb, fn, ran)
+        live = fn.__globals__["LV"] if "LV" in sb.source else None
 
         @functools.wraps(fn)
         def run(stack, locals_, F, A, T, PW):
             before = len(T.undo_log or ())
             rg = live is not None and len(live) > (T.tid in live)
-            ran[0] = False
             exit = "other"
             try:
                 r = fn(stack, locals_, F, A, T, PW)
-                exit = "preempt" if r < 0 else "branch"
+                exit = ("preempt" if r < 0 else
+                        "declined" if r == sb.head else "branch")
                 return r
             except GuestRuntimeError:
                 exit = "guest"
@@ -171,8 +147,6 @@ def probe_superblocks(monkeypatch, guard: bool = False,
                 record = (exit, len(T.undo_log or ()) - before)
                 if guard:
                     record += (rg,)
-                if hoisted:
-                    record += (ran[0],)
                 runs.append(record)
         return run
 

@@ -29,12 +29,17 @@ from repro.bench.workloads import TOOL_SCENARIOS
 from repro.errors import DeadlockError, UncaughtGuestException
 from repro.vm import bytecode as bc
 from repro.vm.assembler import Asm
+from repro.vm.clock import CostModel
 from repro.vm.vmcore import JVM, VMOptions
 
 from conftest import probe_superblocks
 
 MODES = ("unmodified", "rollback", "inheritance", "ceiling")
 INTERPS = ("reference", "fast")
+#: a cost model whose barrier costs differ from the default's and from
+#: one another, so a tier that charges a barrier the wrong constant, or
+#: on one arm only, shows
+COSTS = CostModel(read_barrier=3, barrier_fast=2, barrier_slow=5)
 
 
 def _snap(vm: JVM, outcome: str) -> dict:
@@ -134,9 +139,15 @@ def test_deadlock_outcome_parity() -> None:
 
 
 # ------------------------------------------------------ figure micro-bench
-@pytest.mark.parametrize("mode", MODES)
-def test_microbench_parity(mode: str, monkeypatch) -> None:
-    """One scaled-down figure point per policy through the real harness."""
+MICROBENCH_CASES = [(mode, CostModel()) for mode in MODES] + [
+    ("rollback", COSTS)]
+
+
+@pytest.mark.parametrize("mode,costs", MICROBENCH_CASES,
+                         ids=list(MODES) + ["rollback-costs"])
+def test_microbench_parity(mode: str, costs, monkeypatch) -> None:
+    """One scaled-down figure point per policy through the real harness,
+    and the rollback point again under non-default barrier costs."""
     config = MicrobenchConfig(
         high_threads=2, low_threads=2, iters_high=25, iters_low=50,
         sections=4, write_pct=60, pause_mean=2_000, seed=42,
@@ -145,7 +156,7 @@ def test_microbench_parity(mode: str, monkeypatch) -> None:
     results = {}
     for interp in INTERPS:
         results[interp] = run_microbench(
-            config, mode, options=VMOptions(interp=interp)
+            config, mode, options=VMOptions(interp=interp, cost_model=costs)
         )
     assert results["fast"] == results["reference"]
     if mode == "rollback":
@@ -578,26 +589,84 @@ def _build_shared_writers():
     )
 
 
+def _late_pin(slot: int):
+    """A writer logs ``arr[slot] = 7`` inside a section and computes for
+    several quanta, so it is preempted holding that undo entry; a reader
+    of equal priority then sums ``arr[0..9]`` in a loop, and its read of
+    ``arr[slot]`` pins the writer's section at that iteration's clock.
+    The loop's superblock is entered at its first back-edge, with the
+    writer's record live."""
+    from repro.bench.workloads import Workload
+    from repro.vm.classfile import ClassDef, FieldDef
+
+    def build() -> Workload:
+        cls = ClassDef("Pin", fields=[
+            FieldDef("lock", "ref", is_static=True),
+            FieldDef("arr", "ref", is_static=True),
+            FieldDef("sum", "int", is_static=True),
+            FieldDef("out", "int", is_static=True),
+        ])
+        w = Asm("writer", argc=0)
+        j = w.local("j")
+        w.getstatic("Pin", "lock")
+        with w.sync():
+            w.getstatic("Pin", "arr").const(slot).const(7).astore()
+            w.for_range(j, lambda: w.const(3_000),
+                        lambda: w.load(j).putstatic("Pin", "out"))
+        w.ret()
+        cls.add_method(w.build())
+        r = Asm("reader", argc=0)
+        i = r.local("i")
+        total = r.local("total")
+        r.const(0).store(total)
+        r.for_range(i, lambda: r.const(10), lambda: (
+            r.load(total).getstatic("Pin", "arr").load(i).aload().add()
+            .store(total)))
+        r.load(total).putstatic("Pin", "sum")
+        r.ret()
+        cls.add_method(r.build())
+
+        def setup(vm: JVM) -> None:
+            vm.set_static("Pin", "lock", vm.new_object("Pin"))
+            vm.set_static("Pin", "arr", vm.new_array(10))
+
+        return Workload(
+            name=f"late-pin-{slot}", classdef=cls, setup=setup,
+            spawns=[("writer", [], 5, "W"), ("reader", [], 5, "R")],
+        )
+    return build
+
+
 JMM_WORKLOADS = [
-    ("figure2", _jmm_example("build_figure2", ("outer", "inner"))),
-    ("figure3", _jmm_example("build_figure3", ("m",))),
-    ("shared-writers", _build_shared_writers),
+    ("figure2", _jmm_example("build_figure2", ("outer", "inner")), {}),
+    ("figure3", _jmm_example("build_figure3", ("m",)), {}),
+    ("shared-writers", _build_shared_writers, {}),
+    ("late-pin-2", _late_pin(2), {}),
+    ("late-pin-8", _late_pin(8), {}),
+    ("shared-writers-costs", _build_shared_writers, {"cost_model": COSTS}),
+    ("late-pin-2-costs", _late_pin(2), {"cost_model": COSTS}),
+    ("late-pin-8-costs", _late_pin(8), {"cost_model": COSTS}),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,build", JMM_WORKLOADS, ids=[n for n, _ in JMM_WORKLOADS]
+    "name,build,overrides", JMM_WORKLOADS, ids=[w[0] for w in JMM_WORKLOADS]
 )
-def test_jmm_slow_branch_parity(name: str, build, monkeypatch) -> None:
+def test_jmm_slow_branch_parity(name: str, build, overrides,
+                                monkeypatch) -> None:
     runs = probe_superblocks(monkeypatch)
-    ref = _run_workload(build, "rollback", "reference")
-    fast = _run_workload(build, "rollback", "fast")
+    ref = _run_workload(build, "rollback", "reference", **overrides)
+    fast = _run_workload(build, "rollback", "fast", **overrides)
     for key in ref:
         assert fast[key] == ref[key], f"{name}: {key} diverged"
     # the slow branch really ran: a read observed a speculative write
     marks = [e for e in ref["trace"] if e.kind == "nonrevocable"]
     assert marks
     assert ref["metrics"]["support"]["nonrevocable_dependency"] > 0
-    if name == "shared-writers":
+    if name.startswith("shared-writers"):
         # ...and the writers' loops ran as superblocks logging stores
         assert any(logged for _, logged in runs)
+    if name.startswith("late-pin"):
+        # ...at an iteration after the reader's loop reached its
+        # back-edge: its superblock was entered, with the record live
+        assert "declined" in {e for e, _ in runs}

@@ -309,21 +309,18 @@ def _fusion_cases() -> list:
 def test_profile_parity_under_fusion(install, opts, exit, monkeypatch):
     """``tracks``, ``methods``, ``stacks`` and ``mech`` after every slice
     equal the reference's, and superblocks really ran under
-    ``profile=True``, leaving by the named exit (from the hoisted body,
-    in panels 5a and 6c)."""
+    ``profile=True``, leaving by the named exit."""
     from conftest import probe_superblocks
     from test_tracecomp import _slices
 
-    runs = probe_superblocks(monkeypatch, hoisted=True)
+    runs = probe_superblocks(monkeypatch)
     ref = _slices(install, "reference", _tables, profile=True, **opts)
     assert not runs
     fast = _slices(install, "fast", _tables, profile=True, **opts)
     assert len(fast) == len(ref)
     for k, (got, want) in enumerate(zip(fast, ref)):
         assert got == want, f"slice {k} diverged"
-    # a figure panel's loop leaves by that exit from its hoisted body
-    assert (exit, install.__qualname__.startswith("_fig_cell")) in {
-        (e, h) for e, _, h in runs}
+    assert exit in {e for e, _ in runs}
     final = ref[-1][1] if exit == "starved" else ref[-1]
     assert any(m == "barrier" for _, _, m in final["mech"])
 

@@ -1,31 +1,34 @@
 """Superblock charging: one constant per path, rebuilt at every escape.
 
-A superblock commits each completed iteration as the static charge of
-the path it took (``dn += c; di += i``) and stops a run with one
-comparison against a bound computed in its prologue.  A run that leaves
-mid-iteration — a branch out of the loop or a guest exception — rebuilds
-the partial iteration's cycles, instructions and read-barrier hits from
-constants of the exit site.  When a loop has anything to hoist, the
-``RG``-false body runs a hoisted, strip-mined copy behind an entry
-guard.  These tests pin that protocol from four sides:
+A superblock has one body: hoisted and strip-mined.  A stretch of
+iterations counts each path it took (``q{n} += 1``); after the stretch
+one commit adds each path's static charge times its count, and one
+comparison against a bound computed in the prologue stops the run.  A
+run that leaves mid-iteration — a branch out of the loop or a guest
+exception — commits the stretch so far and rebuilds the partial
+iteration's cycles, instructions and read-barrier hits from constants
+of the exit site.  An entry with the read-barrier guard ``RG`` true, or
+whose entry guard fails, declines: it returns the loop head with the
+back-edge's charge, and the blocks run the iteration.  These tests pin
+that protocol from four sides:
 
 * escape points: a loop whose body is a diamond, with a read, a logged
   store, a raising op and a branch-out in each arm and a raising op
-  after the join, leaves from each site at a drawn iteration — with the
-  read-barrier guard ``RG`` false (one thread) and true (a second
-  thread preempted inside a section that holds undo entries), in both
+  after the join, leaves from each site at a drawn iteration — with
+  ``RG`` false (one thread) and true (a second thread preempted inside
+  a section that holds undo entries, so every entry declines), in both
   VM modes, profiled and plain — and every slice's state equals the
   reference interpreter's;
 * exit ordering: a cycle cap just below, at and just above the cycle at
   which a quantum or a due wake-up ends the same iteration starves or
   preempts at the reference's clock and event count;
-* structure: panel 5a's ``Bench.run`` guards its counter and array
-  once per entry; its hoisted body counts one path per iteration and
-  commits and tests the bound once per stretch, and the guard's
-  fallback is the body that commits once per path and tests the bound
-  every iteration;
+* structure: panel 5a's ``Bench.run`` declines on ``RG`` or a failed
+  guard of its counter and array, once per entry; its body counts one
+  path per iteration and commits and tests the bound once per stretch;
+  every superblock of panels 5a and 6c and of the server ``storm`` and
+  ``soak`` programs has exactly that one body;
 * hoisting: a static the loop stores stays loaded in the body; a
-  counter entering negative fails the guard; exits inside a stretch,
+  counter entering negative declines the entry; exits inside a stretch,
   stretch ends at ``B - dn`` of ``CM - 1``, ``CM`` and ``CM + 1`` under
   a wake-up or a cap, a ``CM`` known only at entry, and drawn loops
   (start, step in both increment forms, array length against the
@@ -54,7 +57,8 @@ from test_obs_profile import _tables
 from test_tracecomp import _plain, _snap
 
 ITERATIONS = 60
-NEVER = -1
+#: an iteration no loop here reaches (loops start at -30 or above)
+NEVER = -10**6
 
 
 # ------------------------------------------------------------ the guest
@@ -229,22 +233,23 @@ CASES = _escape_cases()
 def test_escape_point_parity(args, exit, contended, mode, profiled,
                              monkeypatch):
     """Each escape site, on each arm and after the join, leaves the
-    superblock at the reference's clock, event count, undo logs, JMM
-    state, metrics and profile, after every slice.  In rollback mode
-    the run left through that exit with the guard the setting means:
-    ``RG`` false alone, true while the writer's section is live.  With
-    ``RG`` false it left the hoisted body, mid-stretch."""
-    runs = probe_superblocks(monkeypatch, guard=True, hoisted=True)
+    loop at the reference's clock, event count, undo logs, JMM state,
+    metrics and profile, after every slice.  Alone, the run leaves the
+    superblock through that exit, mid-stretch.  While the writers'
+    sections are live (``RG`` true, rollback mode), every entry
+    declines, and the blocks take the exit."""
+    runs = probe_superblocks(monkeypatch, guard=True)
     fast = _assert_parity(_install(args, contended), mode, profiled)
     assert fast["outcome"] == "ok"
     rg = contended and mode == "rollback"
-    # with RG false the run left from inside the hoisted body
-    assert exit in {e for e, _, g, h in runs if g == rg and h != rg}, runs
+    assert {e for e, _, g in runs if g} == ({"declined"} if rg else set())
     if rg:
         # the read barriers' slow path ran: each writer's section was
         # pinned by a read of its speculative store
         support = fast["metrics"]["support"]
         assert support["nonrevocable_dependency"] == 2
+    else:
+        assert exit in {e for e, _, _ in runs}, runs
 
 
 # ------------------------------------------------------- exit ordering
@@ -361,96 +366,71 @@ def _block(lines: list[str], k: int) -> list[str]:
     return lines[k + 1:end]
 
 
-def _rg_false_entry(source: str) -> tuple[list[str], str, list, list]:
-    """What a run with ``RG`` false executes: the loads before its entry
-    guard, the guard, the hoisted body and today's body (the guard's
-    ``else`` arm)."""
+def _parts(source: str) -> tuple[list[str], str, list[str], list[str]]:
+    """A superblock's static loads (before its decline), the decline's
+    condition, the decline's arm, and the loop of stretches its ``try``
+    runs."""
     lines = source.splitlines()
-    g = next(k for k, line in enumerate(lines)
-             if line.lstrip().startswith("if type(B) is int"))
-    hoisted = _block(lines, g)
-    fallback = _block(lines, g + 1 + len(hoisted))
-    assert lines[g + 1 + len(hoisted)].strip() == "else:"
-    loads = []
-    k = g - 1
-    while lines[k].lstrip().startswith("G"):
-        loads.insert(0, lines[k].strip())
-        k -= 1
-    return loads, lines[g].strip(), hoisted, fallback
+    (d,) = [k for k, line in enumerate(lines)
+            if _indent(line) == 4 and line.lstrip().startswith("if ")]
+    loads = [line.strip() for line in lines[:d]
+             if re.match(r"\s*G\d+ = ", line)]
+    (w,) = [k for k, line in enumerate(lines) if line.strip() == "while True:"]
+    assert lines[w - 1] == "    try:"
+    return loads, lines[d].strip()[3:-1], _block(lines, d), _block(lines, w)
 
 
-def _check_fallback(body: list[str], to_edge: int, out: int, mode: str,
-                    capped: bool) -> None:
-    """Today's body: no ``acc``/``ic`` arithmetic, exactly one ``dn +=``
-    and one ``di +=`` per path to the back-edge (each pair adjacent),
-    read-barrier fast paths neither tested nor charged one by one, and
-    one comparison at the iteration end, with the cap tested only under
-    it."""
-    text = "\n".join(body)
-    assert not re.search(r"\b(acc|ic)\b", text)
-    assert "AL(" not in text and "RG" not in text
-    commits = [k for k, line in enumerate(body) if "dn += " in line]
-    assert len(commits) == to_edge
-    assert len(re.findall(r"\bdi \+= ", text)) == to_edge
-    for k in commits:
-        assert re.fullmatch(r"\s*di \+= \d+", body[k + 1])
-    assert len(re.findall(r"\brh \+= ", text)) == (
-        to_edge if mode == "rollback" else 0)
-    assert len(re.findall(r"\bde \+= 1\b", text)) == 1
-    # partial iterations leave with constants, not accumulators
-    assert len(re.findall(r"A\[0\] = \d+$", text, re.M)) == out
-
-    tests = [line.strip() for line in body if re.search(r"\bdn\b.*[<>]", line)]
-    assert tests == (["if dn >= B:", "if dn > ML:"] if capped
-                     else ["if dn >= B:"])
-    if capped:
-        bound = next(k for k, line in enumerate(body)
-                     if line.strip() == "if dn >= B:")
-        assert body[bound + 1].strip() == "if dn > ML:"
-    assert "PW" not in text and "quantum_used" not in text
+def _declines(code, sb) -> list[str]:
+    """What a declined entry does: the chain's charge at the anchor, then
+    the loop head."""
+    return [f"A[0] = {code[sb.anchor].cost}", "A[1] = 1",
+            f"return {sb.head}"]
 
 
 @pytest.mark.parametrize("capped", (False, True), ids=("uncapped", "capped"))
 @pytest.mark.parametrize("mode", ("unmodified", "rollback"))
 def test_bench_run_commits_once_per_path(mode, capped):
-    """Panel 5a's ``Bench.run`` superblock, ``RG`` false.  Its entry
-    guard tests the loop counter's type and sign and the shared array's
-    type once, after one load of the static.  The hoisted body runs
-    stretches: inside one, no static load, no type or sign test, no
-    bound test, a site key only in a slow arm, and one ``q += 1`` per
-    path to the back-edge, each its own counter; after it, one commit
-    of every counter, counters zeroed, and the bound test with the cap
-    tested only under it.  A branch out commits the counters before it
-    leaves.  The guard's ``else`` arm is today's body, unchanged."""
+    """Panel 5a's ``Bench.run`` superblock.  After one load of the
+    shared array's static, its entry declines when ``RG`` holds
+    (rollback mode) or its guard of the loop counter's type and sign and
+    the array's type fails.  Its body runs stretches: inside one, no
+    static load, no type or sign test, no bound test, no ``after_load``
+    call, a site key only in a slow arm, and one ``q += 1`` per path to
+    the back-edge, each its own counter; after it, one commit of every
+    counter, counters zeroed, and the bound test with the cap tested
+    only under it.  A branch out commits the counters, then leaves with
+    the partial iteration's constants."""
     code, sb = _bench_superblock(mode, capped)
     to_edge, out = _paths(code, sb.head, sb.anchor)
     assert (to_edge, out) == (2, 1)  # the read arm, the write arm; i < n
-    loads, guard, hoisted, fallback = _rg_false_entry(sb.source)
-    _check_fallback(fallback, to_edge, out, mode, capped)
-
+    loads, cond, decline, loop = _parts(sb.source)
     assert len(loads) == 1 and re.fullmatch(r"G0 = ST\[K\[\d+\]\]", loads[0])
-    assert re.search(r"type\((L\d+)\) is int and \1 >= 0", guard)
-    assert "type(G0) is VMA" in guard
+    assert cond.startswith("len(LV) > (T.tid in LV) or not (") == (
+        mode == "rollback")
+    assert re.search(r"type\((L\d+)\) is int and \1 >= 0", cond)
+    assert "type(G0) is VMA" in cond
+    assert [line.strip() for line in decline] == _declines(code, sb)
 
-    (w,) = [k for k, line in enumerate(hoisted)
-            if line.strip() == "while True:"]
-    loop = _block(hoisted, w)
     assert loop[0].strip().startswith("k = (B - dn) // ")
     assert loop[0].strip().endswith(" or 1")
     assert loop[1].strip() == "for _ in range(k):"
     stretch = _block(loop, 1)
     after = loop[2 + len(stretch):]
     text = "\n".join(stretch)
-    for absent in ("ST[", "type(", "MODP", "dn >= B", "dn > ML", "VMA"):
+    assert not re.search(r"\b(acc|ic)\b", text)
+    for absent in ("ST[", "type(", "MODP", "dn >= B", "dn > ML", "VMA",
+                   "AL(", "PW", "quantum_used"):
         assert absent not in text, absent
     counts = re.findall(r"^\s*(q\d+) \+= 1$", text, re.M)
     assert len(counts) == len(set(counts)) == to_edge
     for k, line in enumerate(stretch):
         if line.strip().startswith("F[0] = "):
             assert stretch[k - 1].strip() == "else:"
-    # a branch out commits the completed iterations, then leaves
+    # a branch out commits the completed iterations, then leaves with
+    # constants, not accumulators
     assert len(re.findall(r"^\s*dn \+= ", text, re.M)) == out
     assert len(re.findall(r"^\s*de \+= q\d+ \+ q\d+$", text, re.M)) == out
+    assert len(re.findall(r"A\[0\] = \d+$", text, re.M)) == out
 
     stmts = [line.strip() for line in after]
     bound = stmts.index("if dn >= B:")
@@ -464,6 +444,44 @@ def test_bench_run_commits_once_per_path(mode, capped):
     assert tests == (["if dn >= B:", "if dn > ML:", "raise SERR(MAXC)",
                       "return -1"] if capped
                      else ["if dn >= B:", "return -1"])
+
+
+def _program_vm(program: str, mode: str) -> JVM:
+    from repro.server.presets import get_preset
+    from repro.server.workload import build_server
+
+    vm = JVM(VMOptions(mode=mode, seed=7))
+    if program.startswith("fig"):
+        panel = FigurePanel(int(program[3]), program[4])
+        setup_microbench_vm(vm, panel.base_config())
+    else:
+        build_server(get_preset(program), 7).install(vm)
+    return vm
+
+
+@pytest.mark.parametrize("mode", ("unmodified", "rollback"))
+@pytest.mark.parametrize("program", ("fig5a", "fig6c", "storm", "soak"))
+def test_every_superblock_has_one_body(program, mode):
+    """Every superblock of panels 5a and 6c and of the server ``storm``
+    and ``soak`` programs generates one loop body, strip-mined, that
+    never calls ``after_load``; its one decline returns the loop head
+    with the back-edge's charge."""
+    vm = _program_vm(program, mode)
+    seen = 0
+    for cls in vm.classes.values():
+        for method in cls.methods.values():
+            for sb in predecode_method(vm, method).superblock_list:
+                seen += 1
+                source = sb.source
+                assert source.count("for _ in range(k):") == 1
+                assert "AL(" not in source
+                assert not re.search(r"\bdy\b", source)
+                _, _, decline, _ = _parts(source)
+                assert [line.strip() for line in decline] == _declines(
+                    method.code, sb)
+                assert len(re.findall(rf"return {sb.head}$", source,
+                                      re.M)) == 1
+    assert seen
 
 
 def _branchy_loop(branches: int) -> Asm:
@@ -485,7 +503,7 @@ def _branchy_loop(branches: int) -> Asm:
 
 @pytest.mark.parametrize("branches", (5, 6))
 def test_tail_duplication_is_bounded(branches, monkeypatch):
-    """Up to ``MAX_PATHS`` paths a body fuses, one commit per path;
+    """Up to ``MAX_PATHS`` paths a body fuses, one counter per path;
     beyond it the loop stays block-at-a-time.  Both run like the
     reference."""
     from repro.vm.tracecomp import MAX_PATHS
@@ -499,7 +517,7 @@ def test_tail_duplication_is_bounded(branches, monkeypatch):
     install(vm)
     dm = predecode_method(vm, vm.classes["C"].method("run"))
     fused = 2 ** branches + 1 <= MAX_PATHS  # + the loop test's exit
-    assert [len(re.findall(r"\bdn \+= ", sb.source))
+    assert [len(re.findall(r"^\s*q\d+ \+= 1$", sb.source, re.M))
             for sb in dm.superblock_list] == ([2 ** branches] if fused
                                               else [])
     runs = probe_superblocks(monkeypatch)
@@ -575,10 +593,8 @@ def _install_array_loop(loop: dict, length: int = 8, alt: int = 16,
 
 
 def _stretch(source: str) -> str:
-    """The hoisted body's stretch, as text."""
-    _, _, hoisted, _ = _rg_false_entry(source)
-    loop = _block(hoisted, hoisted.index(next(
-        line for line in hoisted if line.strip() == "while True:")))
+    """The body's stretch, as text."""
+    loop = _parts(source)[3]
     return "\n".join(_block(loop, 1))
 
 
@@ -592,41 +608,42 @@ def _superblock(install, mode: str = "unmodified"):
 @pytest.mark.parametrize("mode", ("unmodified", "rollback"))
 def test_a_static_the_loop_stores_stays_loaded_in_the_body(mode,
                                                             monkeypatch):
-    """The body stores ``C.alt`` into ``C.arr`` at iteration 40, so the
-    hoisted body reads ``C.arr`` again every iteration (and guards no
-    array), while ``C.alt``, never stored, loads once before the guard.
-    Reads after the swap see the longer array, as in the reference."""
+    """The body stores ``C.alt`` into ``C.arr`` at iteration 40, so it
+    reads ``C.arr`` again every iteration (and guards no array), while
+    ``C.alt``, never stored, loads once before the guard.  Reads after
+    the swap see the longer array, as in the reference."""
     install = _install_array_loop(dict(start=0, count=300, swap_at=40,
                                                modulus=12), length=12)
     sb, K = _superblock(install, mode)
-    loads, guard, _, _ = _rg_false_entry(sb.source)
+    loads, guard, _, _ = _parts(sb.source)
     assert [K[int(r)] for r in re.findall(r"K\[(\d+)\]", " ".join(loads))] \
         == [("C", "alt")]
     reads = re.findall(r"= ST\[K\[(\d+)\]\]$", _stretch(sb.source), re.M)
     assert [K[int(r)] for r in reads] == [("C", "arr")]
     assert "VMA" not in guard
-    runs = probe_superblocks(monkeypatch, hoisted=True)
+    runs = probe_superblocks(monkeypatch)
     fast = _assert_parity(install, mode)
     assert fast["outcome"] == "ok"
-    assert ("branch", 0, True) in runs  # the loop test's exit
+    assert ("branch", 0) in runs  # the loop test's exit
 
 
 @pytest.mark.parametrize("mode", ("unmodified", "rollback"))
-def test_a_negative_counter_runs_todays_body(mode, monkeypatch):
+def test_a_negative_counter_declines_the_entry(mode, monkeypatch):
     """``i`` starts at -5 and indexes ``arr[i % 8 + 8]`` of a 12-slot
     array: slots 3..7 while ``i`` is negative, out of bounds at
-    ``i == 4``.  The loop is entered at ``i == -4``, so its entry guard
-    fails, today's body runs, and the out-of-bounds error leaves it at
+    ``i == 4``.  The entries at ``i == -4 .. -1`` fail the entry guard
+    and decline, so the blocks run those iterations; the entry at
+    ``i == 0`` runs the body, and the out-of-bounds error leaves it at
     the reference's pc and cycle (the handler's clock in ``C.err``)."""
     def plus8(a: Asm, i: int) -> None:
         a.const(8).add()
 
     install = _install_array_loop(
         dict(start=-5, count=40, offset=plus8), length=12)
-    runs = probe_superblocks(monkeypatch, hoisted=True)
+    runs = probe_superblocks(monkeypatch)
     fast = _assert_parity(install, mode)
     assert fast["outcome"] == "ok"
-    assert runs == [("guest", 0, False)]
+    assert runs == [("declined", 0)] * 4 + [("guest", 0)]
 
 
 def _exit_cases() -> list:
@@ -645,10 +662,10 @@ def test_exits_inside_a_stretch(exits, exit, mode, monkeypatch):
     rebuild the partial one: clock, event count and state equal the
     reference's after every slice."""
     install = _install_array_loop(dict(start=0, count=1_000, exits=exits))
-    runs = probe_superblocks(monkeypatch, hoisted=True)
+    runs = probe_superblocks(monkeypatch)
     fast = _assert_parity(install, mode)
     assert fast["outcome"] == "ok"
-    assert runs == [(exit, 0, True)]
+    assert runs == [(exit, 0)]
 
 
 def _entries(monkeypatch) -> list[tuple[int, int]]:
@@ -684,7 +701,7 @@ def test_stretch_ends_around_the_bound(gap, capped, mode, monkeypatch):
     loop = dict(start=0, count=2_000)
     sb, _ = _superblock(_install_array_loop(loop), mode)
     cm = int(re.search(r"k = \(B - dn\) // (\d+) or 1", sb.source)[1])
-    runs = probe_superblocks(monkeypatch, hoisted=True)
+    runs = probe_superblocks(monkeypatch)
     entries = _entries(monkeypatch)
     # the first entry's clock (and when the doze thread fell asleep),
     # from a run that neither wakes nor caps in its first stretch
@@ -705,7 +722,7 @@ def test_stretch_ends_around_the_bound(gap, capped, mode, monkeypatch):
     n0_, wake_ = entries[0]
     bound = opts["max_cycles"] + 1 if capped else wake_
     assert (n0_, bound - n0_) == (n0, cm + gap)
-    assert runs[0] == ("starved" if capped else "preempt", 0, True)
+    assert runs[0] == ("starved" if capped else "preempt", 0)
     assert fast["outcome"] == ("starved" if capped else "ok")
 
 
@@ -721,18 +738,18 @@ def test_hoisted_loops_match_the_reference(start, step, form, length,
     constant (short arrays go out of bounds), and whether the body
     stores the array's static.  Each runs on the fast tier exactly as
     on the reference, in both VM modes; the loop is entered at its
-    second iteration, through the hoisted body exactly when ``i`` is
-    non-negative there."""
+    second iteration, and that entry declines exactly when ``i`` is
+    negative there."""
     loop = dict(start=start, count=400, step=step, form=form,
                 modulus=modulus, swap_at=start + 100 * step if swap else None)
     install = _install_array_loop(loop, length=length)
     first = abs(start) % modulus * (1 if start >= 0 else -1)
     for mode in ("unmodified", "rollback"):
         with pytest.MonkeyPatch.context() as patch:
-            runs = probe_superblocks(patch, hoisted=True)
+            runs = probe_superblocks(patch)
             _assert_parity(install, mode)
         if 0 <= first < length:
-            assert runs[0][-1] == (start + step >= 0)
+            assert (runs[0][0] == "declined") == (start + step < 0)
         else:
             assert runs == []  # out of bounds before the loop's back-edge
 
@@ -773,7 +790,7 @@ def test_cm_is_the_larger_charge_known_at_entry(mode, monkeypatch):
     sb, _ = _superblock(install, mode)
     sized = re.search(r"k = \(B - dn\) // (.*) or 1$", sb.source, re.M)[1]
     assert sized.startswith("max(") == (mode == "rollback"), sized
-    runs = probe_superblocks(monkeypatch, hoisted=True)
+    runs = probe_superblocks(monkeypatch)
     fast = _assert_parity(install, mode)
     assert fast["outcome"] == "ok"
-    assert ("preempt", True) in {(e, h) for e, _, h in runs}
+    assert "preempt" in {e for e, _ in runs}
